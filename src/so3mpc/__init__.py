@@ -30,27 +30,13 @@ from .errors import (
     So3MpcError,
 )
 from .experiments import (
-    ExperimentReport,
     audit_lyapunov,
     certify_local_law,
     probe_discontinuity,
     verify_conservation,
 )
 from .flat import DoubleIntegratorSystem
-from .lgvi import (
-    DEFAULT_INERTIA,
-    DEFAULT_STEP_SECONDS,
-    SpacecraftState,
-    Solvability,
-    check_solvability,
-    lgvi_step,
-    momentum_matrix,
-    riccati_residual,
-    rollout,
-    solve_step_riccati,
-    spatial_momentum,
-    step_with_margin,
-)
+from .lgvi import SpacecraftState, lgvi_step, rollout
 from .mpc import (
     ClosedLoopRun,
     ManifoldSystem,
@@ -59,42 +45,27 @@ from .mpc import (
     OcpSolution,
     SolverSettings,
     closed_loop,
-    horizon_cost,
     solve_ocp,
-    warm_start_shift,
 )
-from .so3 import exp_so3, geodesic_distance, hat, log_so3, project_so3, vee
+from .so3 import exp_so3, log_so3
 from .terminal import (
-    Certification,
-    Linearization,
-    QuadraticCostData,
     StageWeights,
     TerminalDesign,
     build_cost_data,
     build_linearization,
-    calibrate_level,
     default_weights,
     design_terminal,
-    lqr_gain,
-    skew_trace_identity_check,
-    solve_dare,
-    tilde_transform,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AttitudeMpc",
-    "Certification",
     "ClosedLoopRun",
     "ConfigError",
-    "DEFAULT_INERTIA",
-    "DEFAULT_STEP_SECONDS",
     "DegenerateMatrix",
     "DoubleIntegratorSystem",
-    "ExperimentReport",
     "Infeasible",
-    "Linearization",
     "ManifoldSystem",
     "MpcConfig",
     "MpcController",
@@ -107,10 +78,8 @@ __all__ = [
     "NotStabilizable",
     "OcpSolution",
     "OutOfChart",
-    "QuadraticCostData",
     "RolloutFailure",
     "So3MpcError",
-    "Solvability",
     "SolverSettings",
     "SpacecraftAttitudeSystem",
     "SpacecraftState",
@@ -119,34 +88,17 @@ __all__ = [
     "audit_lyapunov",
     "build_cost_data",
     "build_linearization",
-    "calibrate_level",
     "certify_local_law",
-    "check_solvability",
     "closed_loop",
     "default_weights",
     "design_terminal",
     "exp_so3",
-    "geodesic_distance",
-    "hat",
-    "horizon_cost",
     "lgvi_step",
     "log_so3",
-    "lqr_gain",
-    "momentum_matrix",
     "probe_discontinuity",
-    "project_so3",
     "rest_state",
-    "riccati_residual",
     "rollout",
-    "skew_trace_identity_check",
-    "solve_dare",
     "solve_ocp",
-    "solve_step_riccati",
-    "spatial_momentum",
     "spinning_state",
-    "step_with_margin",
-    "tilde_transform",
-    "vee",
     "verify_conservation",
-    "warm_start_shift",
 ]

@@ -17,22 +17,17 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import OutOfChart
-from .lgvi import (
-    DEFAULT_INERTIA,
-    DEFAULT_STEP_SECONDS,
-    SpacecraftState,
-    check_solvability,
-    momentum_matrix,
-    step_with_margin,
-)
+from .lgvi import DEFAULT_INERTIA, DEFAULT_STEP_SECONDS, SpacecraftState, step_with_margin
 from .mpc import ClosedLoopRun, ManifoldSystem, MpcConfig, OcpSolution, SolverSettings, closed_loop, solve_ocp
-from .so3 import exp_so3, geodesic_distance, log_so3
+from .so3 import exp_so3, geodesic_distance
 from .terminal import (
     StageWeights,
     TerminalDesign,
+    coordinates,
     default_weights,
     design_terminal,
-    stage_cost_matrices,
+    feedback,
+    terminal_value,
 )
 from .validation import check_spd, check_vector3
 
@@ -59,12 +54,6 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         self.torque_bound = float(torque_bound)
         self.solvability_floor = float(solvability_floor)
         self.cut_sign = float(cut_sign)
-        q_att, q_rate, torque_tilde = stage_cost_matrices(design.weights)
-        self._q_att = q_att
-        self._q_rate = q_rate
-        self._torque_tilde = torque_tilde
-        self._trace_att = float(np.trace(q_att))
-        self._trace_rate = float(np.trace(q_rate))
         self._equilibrium = SpacecraftState.identity()
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
@@ -77,10 +66,6 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
     def step_margin_floor(self) -> float:
         return self.solvability_floor
 
-    def step_margin(self, x: SpacecraftState, u) -> float:
-        m = momentum_matrix(x, u, self.h, self.inertia)
-        return check_solvability(m, self.inertia).margin
-
     def distance(self, x1: SpacecraftState, x2: SpacecraftState) -> float:
         return max(
             geodesic_distance(x1.g, x2.g), geodesic_distance(x1.f, x2.f)
@@ -91,48 +76,31 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return self._equilibrium
 
     def stage_cost(self, x: SpacecraftState, u) -> float:
-        u = np.asarray(u, dtype=float)
-        g_term = self._trace_att - float((self._q_att * x.g.T).sum())
-        f_term = (self._trace_rate - float((self._q_rate * x.f.T).sum())) / (self.h * self.h)
-        u_term = 0.5 * float(u @ self._torque_tilde @ u)
-        return g_term + f_term + u_term
-
-    def coordinates(self, x: SpacecraftState) -> np.ndarray:
-        zeta = log_so3(x.g, cut_sign=self.cut_sign)
-        omega = log_so3(x.f, cut_sign=self.cut_sign) / self.h
-        return np.concatenate([zeta, omega])
-
-    def state_from_coordinates(self, xi: np.ndarray) -> SpacecraftState:
-        xi = np.asarray(xi, dtype=float).reshape(6)
-        return SpacecraftState(exp_so3(xi[:3]), exp_so3(self.h * xi[3:]))
+        return self.weights.stage_cost(x, u, self.h)
 
     def terminal_cost(self, x: SpacecraftState) -> float:
-        xi = self.coordinates(x)
-        return float(xi @ self.design.P @ xi)
+        return terminal_value(self.design.P, coordinates(x, self.h, self.cut_sign))
 
     @property
     def terminal_level(self) -> float:
         return self.design.c
 
     def local_law(self, x: SpacecraftState) -> np.ndarray:
-        xi = self.coordinates(x)
+        xi = coordinates(x, self.h, self.cut_sign)
         if np.linalg.norm(xi[:3]) >= np.pi or self.h * np.linalg.norm(xi[3:]) >= np.pi:
             raise OutOfChart("state lies outside the coordinate chart of the local law")
-        return -(self.design.K @ xi)
+        return feedback(self.design.K, xi)
 
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must
         # produce a deterministic direction even at the branch cut.
-        return -(self.design.K @ self.coordinates(x))
+        return feedback(self.design.K, coordinates(x, self.h, self.cut_sign))
 
     def project_control(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if not np.isfinite(self.torque_bound):
             return u
         return np.clip(u, -self.torque_bound, self.torque_bound)
-
-    def control_violation(self, u) -> float:
-        return max(0.0, float(np.max(np.abs(u))) - self.torque_bound)
 
 
 def rest_state(axis_angle) -> SpacecraftState:
@@ -207,13 +175,17 @@ class AttitudeMpc:
         return self
 
     def _resolved_weights(self, inertia: np.ndarray) -> StageWeights:
-        if self.attitude_weight is None and self.rate_weight is None and self.torque_weight is None:
-            base = default_weights(inertia)
-            return StageWeights(base.attitude, base.rate, base.torque, self.cost_decay)
-        attitude = np.eye(3) if self.attitude_weight is None else np.asarray(self.attitude_weight, dtype=float)
-        rate = inertia if self.rate_weight is None else np.asarray(self.rate_weight, dtype=float)
-        torque = 2.0 * np.eye(3) if self.torque_weight is None else np.asarray(self.torque_weight, dtype=float)
-        return StageWeights(attitude, rate, torque, self.cost_decay)
+        base = default_weights(inertia)
+
+        def pick(value, default: np.ndarray) -> np.ndarray:
+            return default if value is None else np.asarray(value, dtype=float)
+
+        return StageWeights(
+            pick(self.attitude_weight, base.attitude),
+            pick(self.rate_weight, base.rate),
+            pick(self.torque_weight, base.torque),
+            self.cost_decay,
+        )
 
     def fit(self, X=None, y=None) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller."""

@@ -102,6 +102,18 @@ def _positive(value, path: str, allow_inf: bool = False) -> float:
     return number
 
 
+def _integer(value, path: str, minimum: int) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ConfigError(path, f"must be an integer, got {value!r}")
+    if number < minimum:
+        raise ConfigError(path, f"must be at least {minimum}, got {number}")
+    return number
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a configuration dictionary, naming the offending key on error."""
     merged = default_config_dict()
@@ -130,9 +142,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("weights.lambda", str(err)) from None
 
     mpc = merged["mpc"]
-    horizon = int(_get(mpc, "N", "mpc", 10))
-    if horizon < 1:
-        raise ConfigError("mpc.N", f"must be at least 1, got {horizon}")
+    horizon = _integer(_get(mpc, "N", "mpc", 10), "mpc.N", 1)
     torque_bound = _positive(
         _get(mpc, "tau_max_Nm", "mpc", 100.0), "mpc.tau_max_Nm", allow_inf=True
     )
@@ -145,9 +155,9 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("mpc.solver", str(err)) from None
 
     term = merged["terminal"]
-    terminal_samples = int(_get(term, "n_samples", "terminal", 1000))
-    terminal_shrink = float(_get(term, "shrink", "terminal", 0.9))
-    if not 0.0 < terminal_shrink <= 1.0:
+    terminal_samples = _integer(_get(term, "n_samples", "terminal", 1000), "terminal.n_samples", 1)
+    terminal_shrink = _positive(_get(term, "shrink", "terminal", 0.9), "terminal.shrink")
+    if terminal_shrink > 1.0:
         raise ConfigError("terminal.shrink", f"must lie in (0, 1], got {terminal_shrink}")
 
     exp = merged["experiment"]
@@ -162,17 +172,13 @@ def parse_config(data: dict) -> RunConfig:
         )
     except ValueError as err:
         raise ConfigError("experiment", str(err)) from None
-    n_steps = int(exp.get("n_steps", 120))
-    if n_steps < 1:
-        raise ConfigError("experiment.n_steps", f"must be at least 1, got {n_steps}")
-    seed = int(exp.get("seed", 0))
+    n_steps = _integer(exp.get("n_steps", 120), "experiment.n_steps", 1)
+    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
     distance_tol = _positive(exp.get("distance_tol", 0.01), "experiment.distance_tol")
 
     out = merged["output"]
     out_dir = str(out.get("directory", "out"))
-    csv_cadence = int(out.get("csv_cadence_steps", 1))
-    if csv_cadence < 1:
-        raise ConfigError("output.csv_cadence_steps", "must be at least 1")
+    csv_cadence = _integer(out.get("csv_cadence_steps", 1), "output.csv_cadence_steps", 1)
     snapshot_seconds = _positive(out.get("snapshot_seconds", 2.0), "output.snapshot_seconds")
 
     return RunConfig(
@@ -211,33 +217,38 @@ def load_config(path: str | None) -> RunConfig:
     return parse_config(data)
 
 
-def _ensure_out_dir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    return cfg.out_dir
-
-
 def _write_summary(path: str, payload: dict) -> None:
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def cmd_design(args) -> int:
+def _command_config(args) -> RunConfig:
+    """The configuration named by ``--config``, with ``--seed`` applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _integer(args.seed, "--seed", 0)
+    return cfg
+
+
+def _design(cfg: RunConfig) -> TerminalDesign:
+    return design_terminal(
+        cfg.inertia,
+        cfg.h,
+        cfg.weights,
+        torque_bound=cfg.torque_bound,
+        n_samples=cfg.terminal_samples,
+        shrink=cfg.terminal_shrink,
+        seed=cfg.seed,
+    )
+
+
+def cmd_design(args) -> int:
+    cfg = _command_config(args)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     try:
-        design = design_terminal(
-            cfg.inertia,
-            cfg.h,
-            cfg.weights,
-            torque_bound=cfg.torque_bound,
-            n_samples=cfg.terminal_samples,
-            shrink=cfg.terminal_shrink,
-            seed=cfg.seed,
-        )
+        design = _design(cfg)
     except (NoFeasibleLevel, NoConvergence) as err:
         print(f"design failed: {err}", file=sys.stderr)
         return 2
@@ -260,9 +271,7 @@ def cmd_design(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _command_config(args)
     out_dir = args.out or cfg.out_dir
     design_path = args.design or os.path.join(out_dir, "design.json")
     if not os.path.exists(design_path):
@@ -282,11 +291,10 @@ def cmd_simulate(args) -> int:
         print(f"closed loop infeasible at step {err.step}: {err}", file=sys.stderr)
         return 3
 
-    stride = cfg.csv_cadence
     traj_path = os.path.join(out_dir, "trajectory.csv")
     diag_path = os.path.join(out_dir, "diagnostics.csv")
     snap_path = os.path.join(out_dir, "snapshots.csv")
-    write_trajectory_csv(traj_path, run.states[::stride], run.controls[::stride], design.h)
+    write_trajectory_csv(traj_path, run.states, run.controls, design.h, stride=cfg.csv_cadence)
     write_diagnostics_csv(diag_path, run, design.h)
     write_snapshot_csv(snap_path, run.states, design.h, cfg.snapshot_seconds)
     summary = {
@@ -310,21 +318,11 @@ def cmd_simulate(args) -> int:
 def _design_for_verify(cfg: RunConfig, design_path: str | None) -> TerminalDesign:
     if design_path is not None and os.path.exists(design_path):
         return TerminalDesign.load(design_path)
-    return design_terminal(
-        cfg.inertia,
-        cfg.h,
-        cfg.weights,
-        torque_bound=cfg.torque_bound,
-        n_samples=cfg.terminal_samples,
-        shrink=cfg.terminal_shrink,
-        seed=cfg.seed,
-    )
+    return _design(cfg)
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _command_config(args)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)

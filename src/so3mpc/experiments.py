@@ -73,8 +73,11 @@ class ExperimentReport:
             handle.write("\n")
 
 
-def write_trajectory_csv(path, states: Sequence[SpacecraftState], torques, h: float) -> None:
-    """Rows: k, t, g (9 values row-major), f (9), body rate (3), torque (3)."""
+def write_trajectory_csv(
+    path, states: Sequence[SpacecraftState], torques, h: float, stride: int = 1
+) -> None:
+    """Rows every ``stride`` steps: k, t, g (9 values row-major), f (9),
+    body rate (3), torque (3)."""
     torques = np.asarray(torques, dtype=float)
     header = (
         ["k", "t"]
@@ -83,7 +86,8 @@ def write_trajectory_csv(path, states: Sequence[SpacecraftState], torques, h: fl
         + ["omega_x", "omega_y", "omega_z", "tau_x", "tau_y", "tau_z"]
     )
     lines = [",".join(header)]
-    for k, state in enumerate(states):
+    for k in range(0, len(states), stride):
+        state = states[k]
         rate = body_rate(state, h)
         tau = torques[k] if k < len(torques) else np.zeros(3)
         row = (
@@ -207,7 +211,8 @@ def certify_local_law(
 
     Checks, at the calibrated level (or an explicit override), that the local
     law respects the torque bound, maps the set into itself, and decreases
-    the terminal cost by at least the stage cost.
+    the terminal cost by at least the stage cost.  Raises ``ValueError`` when
+    ``n_samples`` is below 1.
     """
     rng = np.random.default_rng(seed)
     samples = _ellipsoid_samples(design.P, n_samples, rng)

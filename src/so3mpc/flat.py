@@ -78,19 +78,6 @@ class DoubleIntegratorSystem(ManifoldSystem):
             return u
         return np.clip(u, -self.control_bound, self.control_bound)
 
-    def control_violation(self, u) -> float:
-        if not np.isfinite(self.control_bound):
-            return 0.0
-        return max(0.0, float(np.max(np.abs(u))) - self.control_bound)
-
-    def lqr_control(self, x) -> np.ndarray:
-        """Classical infinite-horizon feedback, for use as a test oracle."""
-        return self.local_law(x)
-
-    def lqr_value(self, x) -> float:
-        """Classical infinite-horizon cost, for use as a test oracle."""
-        return self.terminal_cost(x)
-
     def with_terminal_level(self, level: float) -> "DoubleIntegratorSystem":
         return DoubleIntegratorSystem(
             h=self.h,

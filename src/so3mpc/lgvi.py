@@ -60,28 +60,47 @@ def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.nda
     return inertia @ f - f.T @ inertia + (h * h) * hat(torque)
 
 
-def solvability_matrix(momentum, inertia) -> np.ndarray:
-    """The symmetric matrix J^2 + M^2 / 4 whose positive semi-definiteness
-    is necessary and sufficient for the implicit step to be solvable."""
-    momentum = np.asarray(momentum, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    m_half = 0.5 * momentum
-    return inertia @ inertia + m_half @ m_half
-
-
 def check_solvability(momentum, inertia) -> Solvability:
-    """Return whether the implicit step is solvable, plus the eigenvalue margin."""
-    margin = float(np.linalg.eigvalsh(solvability_matrix(momentum, inertia))[0])
-    return Solvability(margin >= 0.0, margin)
+    """Return whether the implicit step is solvable, plus the eigenvalue margin.
+
+    ``ok`` holds exactly when :func:`solve_step_riccati` does not raise
+    :class:`~so3mpc.errors.NotSolvable`.
+    """
+    return _step_spectrum(momentum, inertia)[-1]
+
+
+def _step_spectrum(momentum, inertia):
+    """M/2, the matrix J^2 + M^2/4 with its eigendecomposition, and the
+    solvability verdict: the step is solvable iff J^2 + M^2/4 is positive
+    semi-definite.
+
+    There is no round-off allowance below zero: just below it the Newton
+    start can make the Sylvester system singular, which fails untyped.
+    """
+    m_half = 0.5 * np.asarray(momentum, dtype=float)
+    inertia = np.asarray(inertia, dtype=float)
+    target = inertia @ inertia + m_half @ m_half
+    evals, evecs = np.linalg.eigh(target)
+    margin = float(evals[0])
+    return m_half, target, evals, evecs, Solvability(margin >= 0.0, margin)
+
+
+def _solve_increment(momentum, inertia, tol: float, max_iters: int):
+    """Solution S of the step Riccati equation, M/2, and the solvability margin."""
+    m_half, target, evals, evecs, solvability = _step_spectrum(momentum, inertia)
+    if not solvability.ok:
+        raise NotSolvable(
+            f"implicit step unsolvable: min eig of J^2 + M^2/4 is {solvability.margin:.3e}"
+        )
+    s = _riccati_newton(m_half, target, evals, evecs, tol, max_iters)
+    return s, m_half, solvability.margin
 
 
 def riccati_residual(s, momentum, inertia) -> float:
     """Frobenius norm of (M/2) S - S (M/2) - S^2 + J^2 + M^2/4."""
     s = np.asarray(s, dtype=float)
-    m_half = 0.5 * np.asarray(momentum, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    gap = m_half @ s - s @ m_half - s @ s + inertia @ inertia + m_half @ m_half
-    return float(np.linalg.norm(gap))
+    m_half, target = _step_spectrum(momentum, inertia)[:2]
+    return float(np.linalg.norm(m_half @ s - s @ m_half - s @ s + target))
 
 
 def solve_step_riccati(momentum, inertia, tol: float = 1e-12, max_iters: int = 100) -> np.ndarray:
@@ -99,17 +118,7 @@ def solve_step_riccati(momentum, inertia, tol: float = 1e-12, max_iters: int = 1
         NotSolvable: if J^2 + M^2/4 has a negative eigenvalue.
         NoConvergence: if the residual does not reach ``tol`` in ``max_iters``.
     """
-    momentum = np.asarray(momentum, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    m_half = 0.5 * momentum
-    target = inertia @ inertia + m_half @ m_half
-
-    evals, evecs = np.linalg.eigh(target)
-    if evals[0] < -1e-12:
-        raise NotSolvable(
-            f"implicit step unsolvable: min eig of J^2 + M^2/4 is {evals[0]:.3e}"
-        )
-    return _riccati_newton(m_half, target, evals, evecs, tol, max_iters)
+    return _solve_increment(momentum, inertia, tol, max_iters)[0]
 
 
 def _riccati_newton(
@@ -166,15 +175,7 @@ def step_with_margin(
     """
     inertia = np.asarray(inertia, dtype=float)
     m = momentum_matrix(state, torque, h, inertia)
-    m_half = 0.5 * m
-    target = inertia @ inertia + m_half @ m_half
-    evals, evecs = np.linalg.eigh(target)
-    margin = float(evals[0])
-    if margin < -1e-12:
-        raise NotSolvable(
-            f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}"
-        )
-    s = _riccati_newton(m_half, target, evals, evecs, 1e-12, 100)
+    s, m_half, margin = _solve_increment(m, inertia, 1e-12, 100)
     # f_next = (M/2 + S) J^{-1}, via a solve since J is symmetric.
     f_next = np.linalg.solve(inertia, (m_half + s).T).T
     drift = np.linalg.norm(f_next.T @ f_next - _EYE3)
@@ -271,7 +272,6 @@ __all__ = [
     "DEFAULT_STEP_SECONDS",
     "check_state",
     "momentum_matrix",
-    "solvability_matrix",
     "check_solvability",
     "riccati_residual",
     "solve_step_riccati",

@@ -60,9 +60,6 @@ class ManifoldSystem(abc.ABC):
     def terminal_level(self) -> float:
         """Level c of the terminal set {x: terminal_cost(x) <= c}."""
 
-    def in_terminal_set(self, x, tol: float = 0.0) -> bool:
-        return self.terminal_cost(x) <= self.terminal_level + tol
-
     @abc.abstractmethod
     def local_law(self, x) -> np.ndarray:
         """Feedback law valid on the terminal set."""
@@ -75,20 +72,6 @@ class ManifoldSystem(abc.ABC):
     def project_control(self, u) -> np.ndarray:
         """Exact projection onto the control set; identity by default."""
         return np.asarray(u, dtype=float)
-
-    def control_violation(self, u) -> float:
-        """Distance-to-control-set surrogate; zero inside the set."""
-        return 0.0
-
-    def in_control_set(self, u, tol: float = 0.0) -> bool:
-        return self.control_violation(u) <= tol
-
-    def state_violation(self, x) -> float:
-        """State-constraint surrogate; zero means feasible (default: free)."""
-        return 0.0
-
-    def in_state_set(self, x, tol: float = 0.0) -> bool:
-        return self.state_violation(x) <= tol
 
     def step_with_margin(self, x, u):
         """Dynamics step plus the solvability margin it consumed.

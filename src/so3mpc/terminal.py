@@ -23,7 +23,6 @@ from .errors import (
     NotPositiveDefinite,
     NotSolvable,
     NotStabilizable,
-    OutOfChart,
 )
 from .lgvi import SpacecraftState, lgvi_step
 from .so3 import exp_so3, hat, log_so3
@@ -48,6 +47,21 @@ class StageWeights:
         object.__setattr__(self, "torque", check_spd(self.torque, "torque weight"))
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
+        # Constant pieces of the stage cost, computed once per weight set.
+        object.__setattr__(
+            self, "_traces", (float(np.trace(self.attitude)), float(np.trace(self.rate)))
+        )
+        object.__setattr__(self, "_torque_tilde", tilde_transform(self.torque))
+
+    def stage_cost(self, state: SpacecraftState, torque, h: float) -> float:
+        """Trace-form running cost of one step:
+        tr(Q_g (I - g)) + tr(Q_f (I - f)) / h^2 + u^T (tr(R) I - R) u / 2."""
+        torque = np.asarray(torque, dtype=float)
+        trace_att, trace_rate = self._traces
+        g_term = trace_att - float((self.attitude * state.g.T).sum())
+        f_term = (trace_rate - float((self.rate * state.f.T).sum())) / (h * h)
+        u_term = 0.5 * float(torque @ self._torque_tilde @ torque)
+        return g_term + f_term + u_term
 
 
 def default_weights(inertia) -> StageWeights:
@@ -228,29 +242,23 @@ def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.n
     return np.concatenate([zeta, omega])
 
 
-def stage_cost_matrices(weights: StageWeights):
-    """Precomputed pieces of the trace-form stage cost evaluation."""
-    return (
-        np.asarray(weights.attitude, dtype=float),
-        np.asarray(weights.rate, dtype=float),
-        tilde_transform(weights.torque),
-    )
+def terminal_value(p: np.ndarray, xi: np.ndarray) -> float:
+    """Terminal cost F = xi^T P xi at chart coordinates ``xi``."""
+    return float(xi @ p @ xi)
 
 
-def attitude_stage_cost(state: SpacecraftState, torque, weights: StageWeights, h: float) -> float:
-    """Trace-form running cost of one step: attitude error, rate error at
-    scale 1/h^2, and the quadratic torque effort."""
-    q_att, q_rate, torque_tilde = stage_cost_matrices(weights)
-    torque = np.asarray(torque, dtype=float).reshape(3)
-    g_term = np.trace(q_att) - float((q_att * state.g.T).sum())
-    f_term = (np.trace(q_rate) - float((q_rate * state.f.T).sum())) / (h * h)
-    u_term = 0.5 * float(torque @ torque_tilde @ torque)
-    return g_term + f_term + u_term
+def feedback(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Local law u = -K xi at chart coordinates ``xi``."""
+    return -(k @ xi)
 
 
 @dataclass(frozen=True)
 class TerminalDesign:
-    """Everything the terminal cost, terminal set, and local law need."""
+    """Everything the terminal cost, terminal set, and local law need.
+
+    Plain data with JSON round trip; :func:`terminal_value` and
+    :func:`feedback` evaluate the cost and the law from ``P`` and ``K``.
+    """
 
     h: float
     inertia: np.ndarray
@@ -259,16 +267,6 @@ class TerminalDesign:
     K: np.ndarray
     c: float
     certification: Certification
-
-    def terminal_cost(self, state: SpacecraftState, cut_sign: float = 1.0) -> float:
-        xi = coordinates(state, self.h, cut_sign=cut_sign)
-        return float(xi @ self.P @ xi)
-
-    def local_law(self, state: SpacecraftState, cut_sign: float = 1.0) -> np.ndarray:
-        xi = coordinates(state, self.h, cut_sign=cut_sign)
-        if np.linalg.norm(xi[:3]) >= np.pi or self.h * np.linalg.norm(xi[3:]) >= np.pi:
-            raise OutOfChart("state lies outside the coordinate chart of the local law")
-        return -(self.K @ xi)
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,6 +322,8 @@ def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):
     """Unit-level samples: directions on the ellipsoid {x^T P x = 1}, half of
     them pulled inside with volume-uniform radii.  Scaling by sqrt(c) turns
     them into samples of the level-c set."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     evals, evecs = np.linalg.eigh(p)
     p_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
     directions = rng.standard_normal((n_samples, 6))
@@ -360,8 +360,8 @@ def evaluate_level(
     for xi in scale * unit_samples:
         state = SpacecraftState(exp_so3(xi[:3]), exp_so3(h * xi[3:]))
         coords = coordinates(state, h)
-        torque = -(design_k @ coords)
-        value = float(coords @ design_p @ coords)
+        torque = feedback(design_k, coords)
+        value = terminal_value(design_p, coords)
         try:
             successor = lgvi_step(state, torque, h, inertia)
         except NotSolvable:
@@ -369,9 +369,8 @@ def evaluate_level(
             # as a hard violation of the invariance condition.
             worst_invariance = np.inf
             break
-        succ_coords = coordinates(successor, h)
-        succ_value = float(succ_coords @ design_p @ succ_coords)
-        stage = attitude_stage_cost(state, torque, weights, h)
+        succ_value = terminal_value(design_p, coordinates(successor, h))
+        stage = weights.stage_cost(state, torque, h)
         worst_torque = max(worst_torque, float(np.max(np.abs(torque))) - torque_bound)
         worst_invariance = max(worst_invariance, succ_value - level)
         worst_decrease = max(worst_decrease, succ_value - value + stage)
@@ -409,7 +408,8 @@ def calibrate_level(
     re-certifies at the returned level.
 
     Raises :class:`~so3mpc.errors.NoFeasibleLevel` when even the smallest
-    grid level fails.
+    grid level fails, and ``ValueError`` when ``n_samples`` is below 1: with
+    no samples every level would pass vacuously.
     """
     rng = np.random.default_rng(seed)
     unit_samples = _ellipsoid_samples(design_p, n_samples, rng)

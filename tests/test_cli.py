@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -57,6 +58,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("mpc", "N", "ten"),
+            ("terminal", "n_samples", "ten"),
+            ("terminal", "n_samples", 0),
+            ("terminal", "shrink", "ten"),
+            ("experiment", "n_steps", "ten"),
+            ("experiment", "seed", "ten"),
+            ("output", "csv_cadence_steps", "ten"),
+        ],
+    )
+    def test_bad_number_exits_2_naming_key(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert main(["design", "--config", str(path)]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+
 
 class TestDesignCommand:
     def test_writes_design_and_reports(self, fast_config, tmp_path, capsys):
@@ -94,6 +113,21 @@ class TestSimulateCommand:
         assert summary["steps"] == 4
         assert "config" in summary
         assert "converged" in capsys.readouterr().out
+
+    def test_trajectory_cadence_keeps_step_labels(self, fast_config, tmp_path):
+        with open(fast_config) as handle:
+            cfg = json.load(handle)
+        cfg["experiment"]["n_steps"] = 6
+        cfg["output"]["csv_cadence_steps"] = 3
+        path = tmp_path / "cadence.json"
+        path.write_text(json.dumps(cfg))
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", str(path), "--out", out]) == 0
+        assert main(["simulate", "--config", str(path), "--out", out]) == 0
+        with open(os.path.join(out, "trajectory.csv")) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["k"]) for row in rows] == [0, 3, 6]
+        assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 0.3, 0.6])
 
     def test_missing_design_exits_2(self, fast_config, tmp_path):
         out = str(tmp_path / "empty")

@@ -55,6 +55,10 @@ class TestLocalLawSuite:
         report = certify_local_law(ref_design, TORQUE_BOUND_REF, n_samples=1000, seed=42)
         assert report.passed
 
+    def test_no_samples_rejected(self, ref_design):
+        with pytest.raises(ValueError):
+            certify_local_law(ref_design, TORQUE_BOUND_REF, n_samples=0)
+
     def test_equilibrium_sample(self, ref_design, ref_system):
         state = SpacecraftState.identity()
         tau = ref_system.local_law(state)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc.errors import NotSolvable
@@ -84,6 +86,21 @@ class TestSolvability:
         ok, margin = check_solvability(hat([0, 0, 2.0]), np.eye(3))
         assert ok
         assert margin == pytest.approx(0.0, abs=1e-12)
+
+    @given(st.floats(min_value=-1e-12, max_value=1e-12))
+    @example(1e-13)
+    def test_verdict_matches_step_at_boundary(self, delta):
+        # min eig of J^2 + M^2/4 is about -delta: the draws straddle the
+        # boundary of the solvable region.
+        momentum = hat([0.0, 0.0, 2.0 + delta])
+        ok = check_solvability(momentum, np.eye(3)).ok
+        try:
+            solve_step_riccati(momentum, np.eye(3))
+        except NotSolvable:
+            solved = False
+        else:
+            solved = True
+        assert ok == solved
 
 
 class TestStepRiccati:

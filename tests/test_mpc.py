@@ -59,11 +59,11 @@ class TestGenericLayerOnFlatSystem:
         # finite-horizon optimum equals the infinite-horizon feedback.
         flat = DoubleIntegratorSystem()
         x0 = np.array([0.8, -0.2])
-        bounded = flat.with_terminal_level(2.0 * flat.lqr_value(x0))
+        bounded = flat.with_terminal_level(2.0 * flat.terminal_cost(x0))
         cfg = MpcConfig(horizon=10, solver=TIGHT)
         sol = solve_ocp(bounded, x0, cfg)
-        v_ref = flat.lqr_value(x0)
-        u_ref = flat.lqr_control(x0)
+        v_ref = flat.terminal_cost(x0)
+        u_ref = flat.local_law(x0)
         assert sol.cost == pytest.approx(v_ref, rel=1e-6)
         assert sol.first_control[0] == pytest.approx(u_ref[0], rel=1e-4)
 
@@ -184,7 +184,7 @@ class TestSolveOcp:
         # Inside the terminal set the local-law rollout is feasible, so the
         # solver, warm-started there, can only do better.
         state = spinning_state([0.15, -0.1, 0.2], [0.05, 0.0, -0.1], H_REF)
-        assert ref_system.in_terminal_set(state)
+        assert ref_system.terminal_cost(state) <= ref_system.terminal_level
         kappa_cost = horizon_cost(
             ref_system, state, steering_rollout(ref_system, state, 8)
         )

@@ -11,7 +11,6 @@ from so3mpc.terminal import (
     QuadraticCostData,
     StageWeights,
     TerminalDesign,
-    attitude_stage_cost,
     build_cost_data,
     build_linearization,
     calibrate_level,
@@ -198,38 +197,39 @@ class TestDare:
 
 
 class TestTerminalCostAndLaw:
-    def test_zero_at_equilibrium(self, ref_design):
+    def test_zero_at_equilibrium(self, ref_system):
         state = SpacecraftState.identity()
-        assert ref_design.terminal_cost(state) == 0.0
-        assert_allclose(ref_design.local_law(state), np.zeros(3))
+        assert ref_system.terminal_cost(state) == 0.0
+        assert_allclose(ref_system.local_law(state), np.zeros(3))
 
-    def test_positive_away_from_equilibrium(self, ref_design):
+    def test_positive_away_from_equilibrium(self, ref_system):
         rng = np.random.default_rng(2)
         for _ in range(100):
             xi = 0.5 * rng.standard_normal(6)
             state = SpacecraftState(exp_so3(xi[:3]), exp_so3(H_REF * xi[3:]))
             if np.linalg.norm(xi) < 1e-12:
                 continue
-            assert ref_design.terminal_cost(state) > 0.0
+            assert ref_system.terminal_cost(state) > 0.0
 
-    def test_out_of_chart(self, ref_design):
+    def test_out_of_chart(self, ref_system):
         state = SpacecraftState(exp_so3([0, 0, np.pi]), np.eye(3))
         with pytest.raises(OutOfChart):
-            ref_design.local_law(state)
+            ref_system.local_law(state)
 
-    def test_branch_cut_excluded_from_terminal_set(self, ref_design):
+    def test_branch_cut_excluded_from_terminal_set(self, ref_system):
         # The calibration ceiling keeps the level below min-eig(P) pi^2, so
         # 180-degree attitudes can never satisfy the terminal constraint and
         # the log's sign ambiguity never reaches the local law.
-        assert ref_design.c < np.linalg.eigvalsh(ref_design.P)[0] * np.pi**2
+        p = ref_system.design.P
+        assert ref_system.terminal_level < np.linalg.eigvalsh(p)[0] * np.pi**2
         rng = np.random.default_rng(21)
         for _ in range(20):
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             state = SpacecraftState(exp_so3(np.pi * axis), np.eye(3))
-            assert ref_design.terminal_cost(state) > ref_design.c
+            assert ref_system.terminal_cost(state) > ref_system.terminal_level
 
-    def test_linear_consistency_of_one_step(self, ref_design):
+    def test_linear_consistency_of_one_step(self, ref_system):
         # One integrator step under the local law matches the design model to
         # second order in the state.
         lin = build_linearization(H_REF, J_REF)
@@ -240,7 +240,7 @@ class TestTerminalCostAndLaw:
             xi *= 1e-4 * rng.uniform(0, 1) / np.linalg.norm(xi)
             state = SpacecraftState(exp_so3(xi[:3]), exp_so3(H_REF * xi[3:]))
             chart = coordinates(state, H_REF)
-            tau = ref_design.local_law(state)
+            tau = ref_system.local_law(state)
             nxt = lgvi_step(state, tau, H_REF, J_REF)
             predicted = lin.A @ chart + lin.B @ tau
             worst = max(worst, np.linalg.norm(coordinates(nxt, H_REF) - predicted))
@@ -269,6 +269,14 @@ class TestCalibration:
         )
         assert level_small < ref_design.c
 
+    def test_no_samples_rejected(self, ref_design, ref_weights):
+        # Zero samples would certify the chart ceiling vacuously.
+        with pytest.raises(ValueError):
+            calibrate_level(
+                ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
+                TORQUE_BOUND_REF, n_samples=0,
+            )
+
     def test_zero_torque_bound_infeasible(self, ref_design, ref_weights):
         with pytest.raises(NoFeasibleLevel):
             calibrate_level(
@@ -287,7 +295,7 @@ class TestCalibration:
             )
             assert margins["passed"]
 
-    def test_terminal_cost_dominates_stage_cost(self, ref_design, ref_weights):
+    def test_terminal_cost_dominates_stage_cost(self, ref_design, ref_system, ref_weights):
         # F(x) >= r L(x, 0) on chart samples, for the ratio computed from the
         # smallest terminal eigenvalue and the largest quadratic stage block:
         # the trace-form stage cost is below its quadratic majorant, so
@@ -303,8 +311,8 @@ class TestCalibration:
         samples = _ellipsoid_samples(ref_design.P, 200, rng)
         for xi in np.sqrt(ref_design.c) * samples:
             state = SpacecraftState(exp_so3(xi[:3]), exp_so3(H_REF * xi[3:]))
-            value = ref_design.terminal_cost(state)
-            stage_free = attitude_stage_cost(state, np.zeros(3), ref_weights, H_REF)
+            value = ref_system.terminal_cost(state)
+            stage_free = ref_system.stage_cost(state, np.zeros(3))
             assert value >= ratio * stage_free - 1e-9
 
 
