@@ -16,7 +16,6 @@ from .attitude import (
 )
 from .errors import (
     ConfigError,
-    DegenerateMatrix,
     Infeasible,
     NoConvergence,
     NoFeasibleLevel,
@@ -63,7 +62,6 @@ __all__ = [
     "AttitudeMpc",
     "ClosedLoopRun",
     "ConfigError",
-    "DegenerateMatrix",
     "DoubleIntegratorSystem",
     "Infeasible",
     "ManifoldSystem",

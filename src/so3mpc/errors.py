@@ -15,10 +15,6 @@ class NotRotation(So3MpcError):
     """A matrix that must lie in SO(3) violates orthogonality or orientation."""
 
 
-class DegenerateMatrix(So3MpcError):
-    """A matrix is rank-deficient or has non-positive determinant where forbidden."""
-
-
 class NotPositiveDefinite(So3MpcError):
     """A matrix that must be symmetric positive-definite is not."""
 

@@ -104,7 +104,8 @@ def write_trajectory_csv(
 
 def write_diagnostics_csv(path, run: ClosedLoopRun, h: float) -> None:
     """Rows: k, t, V_star, V_candidate, L, F_terminal, feasible,
-    penalty_violation, solver_iters."""
+    penalty_violation, solver_iters.  ``feasible`` is the solver's own
+    verdict, which applies its configured ``constraint_tol``."""
     header = [
         "k", "t", "V_star", "V_candidate", "L", "F_terminal",
         "feasible", "penalty_violation", "solver_iters",
@@ -118,7 +119,7 @@ def write_diagnostics_csv(path, run: ClosedLoopRun, h: float) -> None:
             repr(float(run.candidate_costs[k])),
             repr(float(run.stage_costs[k])),
             repr(float(run.terminal_values[k])),
-            str(int(run.violations[k] <= 1e-8)),
+            str(int(run.feasible[k])),
             repr(float(run.violations[k])),
             str(int(run.iterations[k])),
         ]
@@ -212,7 +213,8 @@ def certify_local_law(
     Checks, at the calibrated level (or an explicit override), that the local
     law respects the torque bound, maps the set into itself, and decreases
     the terminal cost by at least the stage cost.  Raises ``ValueError`` when
-    ``n_samples`` is below 1.
+    ``n_samples`` is below 1 and :class:`~so3mpc.errors.OutOfChart` when the
+    level lies above the chart ceiling of the terminal ellipsoid.
     """
     rng = np.random.default_rng(seed)
     samples = _ellipsoid_samples(design.P, n_samples, rng)

@@ -2,10 +2,11 @@
 
 The state is the pair (g, f): the attitude and the one-step attitude
 increment, both rotation matrices.  The attitude update is explicit,
-``g_next = g @ f``; the increment update is implicit and is resolved through
-a small symmetric matrix Riccati equation solved by Newton iteration.  Both
-updates keep the state on the group to round-off, which is what makes long
-prediction rollouts trustworthy inside an optimizer.
+``g_next = g @ f``; the increment update is implicit and is resolved by
+Newton iteration on the Cayley vector of the increment, a 3-vector, so the
+new increment is a rotation by construction.  Both updates keep the state on
+the group to round-off, which is what makes long prediction rollouts
+trustworthy inside an optimizer.
 """
 
 from __future__ import annotations
@@ -15,13 +16,16 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoConvergence, NotSolvable
-from .so3 import exp_so3, hat, log_so3, project_so3
+from .so3 import exp_so3, hat, log_so3
 from .validation import check_rotation, check_spd
 
 _EYE3 = np.eye(3)
 
-#: Re-orthonormalize the increment only when its drift exceeds this.
-ORTHO_DRIFT_TOL = 1e-12
+# Newton on the Cayley vector of the increment: the step size at which it
+# stops, and the iteration cap (quadratic convergence takes 2-5 iterations
+# on the solvable set; the linear convergence at margin zero about 20).
+_NEWTON_STEP_TOL = 1e-6
+_NEWTON_MAX_ITERS = 50
 
 DEFAULT_INERTIA = np.diag([1.0, 1.2, 1.5])
 DEFAULT_STEP_SECONDS = 0.1
@@ -63,98 +67,49 @@ def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.nda
 def check_solvability(momentum, inertia) -> Solvability:
     """Return whether the implicit step is solvable, plus the eigenvalue margin.
 
-    ``ok`` holds exactly when :func:`solve_step_riccati` does not raise
-    :class:`~so3mpc.errors.NotSolvable`.
-    """
-    return _step_spectrum(momentum, inertia)[-1]
-
-
-def _step_spectrum(momentum, inertia):
-    """M/2, the matrix J^2 + M^2/4 with its eigendecomposition, and the
-    solvability verdict: the step is solvable iff J^2 + M^2/4 is positive
-    semi-definite.
-
-    There is no round-off allowance below zero: just below it the Newton
-    start can make the Sylvester system singular, which fails untyped.
+    The step is solvable iff J^2 + M^2/4 is positive semi-definite; ``ok``
+    holds exactly when :func:`step_with_margin` does not raise
+    :class:`~so3mpc.errors.NotSolvable`.  There is no round-off allowance
+    below zero.
     """
     m_half = 0.5 * np.asarray(momentum, dtype=float)
     inertia = np.asarray(inertia, dtype=float)
-    target = inertia @ inertia + m_half @ m_half
-    evals, evecs = np.linalg.eigh(target)
-    margin = float(evals[0])
-    return m_half, target, evals, evecs, Solvability(margin >= 0.0, margin)
+    margin = float(np.linalg.eigvalsh(inertia @ inertia + m_half @ m_half)[0])
+    return Solvability(margin >= 0.0, margin)
 
 
-def _solve_increment(momentum, inertia, tol: float, max_iters: int):
-    """Solution S of the step Riccati equation, M/2, and the solvability margin."""
-    m_half, target, evals, evecs, solvability = _step_spectrum(momentum, inertia)
-    if not solvability.ok:
-        raise NotSolvable(
-            f"implicit step unsolvable: min eig of J^2 + M^2/4 is {solvability.margin:.3e}"
-        )
-    s = _riccati_newton(m_half, target, evals, evecs, tol, max_iters)
-    return s, m_half, solvability.margin
+def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, float]:
+    """The increment F in SO(3) with F J - J F^T = M, and the solvability margin.
 
-
-def riccati_residual(s, momentum, inertia) -> float:
-    """Frobenius norm of (M/2) S - S (M/2) - S^2 + J^2 + M^2/4."""
-    s = np.asarray(s, dtype=float)
-    m_half, target = _step_spectrum(momentum, inertia)[:2]
-    return float(np.linalg.norm(m_half @ s - s @ m_half - s @ s + target))
-
-
-def solve_step_riccati(momentum, inertia, tol: float = 1e-12, max_iters: int = 100) -> np.ndarray:
-    """Solve the quadratic matrix equation of the implicit increment update.
-
-    Newton iteration on G(S) = S^2 + S(M/2) - (M/2)S - J^2 - M^2/4, started
-    from the positive square root of J^2 + M^2/4.  Each step solves the 3x3
-    Sylvester equation (S - M/2) D + D (S + M/2) = -G(S), assembled as a
-    dense 9x9 linear system; the iteration preserves symmetry and converges
-    quadratically.
-
-    Returns the symmetric positive semi-definite solution S.
-
-    Raises:
-        NotSolvable: if J^2 + M^2/4 has a negative eigenvalue.
-        NoConvergence: if the residual does not reach ``tol`` in ``max_iters``.
+    F is the Cayley map of a 3-vector x, I + 2 (hat(x) + hat(x)^2) / (1 + x^T x),
+    so it stays on the group by construction.  With m = vee(M) the implicit
+    update reads r(x) = (tr J I - J) x - x cross J x - (1 + x^T x) m / 2 = 0,
+    solved by Newton from the linearized root (tr J I - J)^{-1} m / 2.  Since
+    r is quadratic, the residual after a step dx is exactly
+    -dx cross J dx - |dx|^2 m / 2, so stopping once |dx| <= _NEWTON_STEP_TOL
+    leaves a residual of order 1e-12, and under quadratic convergence the
+    last step is usually far smaller.  On the solvable set the iteration
+    converges to the branch with sym(F J) positive semi-definite,
+    quadratically for a positive margin and linearly at margin zero.
     """
-    return _solve_increment(momentum, inertia, tol, max_iters)[0]
-
-
-def _riccati_newton(
-    m_half: np.ndarray,
-    target: np.ndarray,
-    evals: np.ndarray,
-    evecs: np.ndarray,
-    tol: float,
-    max_iters: int,
-) -> np.ndarray:
-    s = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
-    kmat = np.zeros((9, 9))
-    blocks = kmat.reshape(3, 3, 3, 3)
-    sqrt_tol = np.sqrt(tol)
-    for _ in range(max_iters):
-        gap = s @ s + s @ m_half - m_half @ s - target
-        if np.sqrt((gap * gap).sum()) <= tol:
-            return 0.5 * (s + s.T)
-        a = s - m_half
-        bt = (s + m_half).T
-        # Row-major vec: vec(A X + X B) = (kron(A, I) + kron(I, B^T)) vec(X),
-        # assembled in place instead of through np.kron.
-        blocks[...] = 0.0
-        for r in range(3):
-            blocks[:, r, :, r] = a
-        for r in range(3):
-            blocks[r, :, r, :] += bt
-        delta = np.linalg.solve(kmat, -gap.reshape(9)).reshape(3, 3)
-        s = s + delta
-        s = 0.5 * (s + s.T)
-        # The Newton remainder is exactly delta @ delta, so once
-        # ||delta||_F <= sqrt(tol) the updated residual is already <= tol.
-        if np.sqrt((delta * delta).sum()) <= sqrt_tol:
-            return s
+    margin = check_solvability(momentum, inertia).margin
+    if margin < 0.0:
+        raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
+    m = np.array([momentum[2, 1], momentum[0, 2], momentum[1, 0]])
+    a = np.trace(inertia) * _EYE3 - inertia
+    x = np.linalg.solve(a, 0.5 * m)
+    for _ in range(_NEWTON_MAX_ITERS):
+        # x cross J x = hat(x) J x; hat(x) J also enters the Jacobian.
+        a_x = a - hat(x) @ inertia
+        r = a_x @ x - 0.5 * (1.0 + x @ x) * m
+        jac = a_x + hat(inertia @ x) - np.outer(m, x)
+        dx = np.linalg.solve(jac, -r)
+        x = x + dx
+        if dx @ dx <= _NEWTON_STEP_TOL**2:
+            xh = hat(x)
+            return _EYE3 + (2.0 / (1.0 + x @ x)) * (xh + xh @ xh), margin
     raise NoConvergence(
-        f"step Riccati Newton iteration did not reach {tol:.1e} in {max_iters} iterations"
+        f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )
 
 
@@ -169,18 +124,12 @@ def step_with_margin(
 ) -> tuple[SpacecraftState, float]:
     """One integrator step plus the solvability margin it consumed.
 
-    The margin is the smallest eigenvalue of J^2 + M^2/4; sharing its
-    eigendecomposition with the Riccati solve keeps the optimizer's rollout
-    loop cheap.
+    The margin is the smallest eigenvalue of J^2 + M^2/4, which the
+    optimizer keeps above its floor inside predicted rollouts.
     """
     inertia = np.asarray(inertia, dtype=float)
     m = momentum_matrix(state, torque, h, inertia)
-    s, m_half, margin = _solve_increment(m, inertia, 1e-12, 100)
-    # f_next = (M/2 + S) J^{-1}, via a solve since J is symmetric.
-    f_next = np.linalg.solve(inertia, (m_half + s).T).T
-    drift = np.linalg.norm(f_next.T @ f_next - _EYE3)
-    if drift > ORTHO_DRIFT_TOL:
-        f_next = project_so3(f_next)
+    f_next, margin = _implicit_increment(m, inertia)
     return SpacecraftState(state.g @ state.f, f_next), margin
 
 
@@ -273,8 +222,6 @@ __all__ = [
     "check_state",
     "momentum_matrix",
     "check_solvability",
-    "riccati_residual",
-    "solve_step_riccati",
     "lgvi_step",
     "step_with_margin",
     "rollout",

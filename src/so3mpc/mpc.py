@@ -11,14 +11,13 @@ penalty, and gradients by central finite differences of the rollout cost.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
-
-_BIG = 1e30
 
 
 class ManifoldSystem(abc.ABC):
@@ -216,13 +215,8 @@ class _Objective:
         self.level = system.terminal_level
 
     def full(self, torques: np.ndarray) -> float:
-        try:
-            data = _rollout_data(self.system, self.x0, torques)
-        except NotSolvable:
-            return _BIG
-        return self._value(
-            data.stage.sum(), (data.shortfalls**2).sum(), data.terminal
-        )
+        """Penalized value, or ``math.inf`` when the rollout is unsolvable."""
+        return self._tail_value(self.x0, torques, 0.0, 0.0)
 
     def _value(self, stage_sum: float, shortfall_sq: float, terminal: float) -> float:
         excess = max(0.0, terminal - self.level)
@@ -240,7 +234,13 @@ class _Objective:
 
     def gradient(self, torques: np.ndarray, fd_step: float) -> tuple[np.ndarray, float]:
         """Central-difference gradient, re-simulating only the rollout tail
-        affected by each perturbed control entry."""
+        affected by each perturbed control entry.
+
+        When one perturbed tail is unsolvable, the entry falls back to the
+        one-sided difference against the base value; when both are, the
+        gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
+        names the step and the entry.
+        """
         system = self.system
         try:
             data = _rollout_data(system, self.x0, torques)
@@ -266,14 +266,25 @@ class _Objective:
                         self._tail_value(x_i, tail, stage_prefix[i], short_prefix[i])
                     )
                 tail[0] = base_entry
-                grad[i, j] = (values[0] - values[1]) / (2.0 * fd_step)
+                up, down = values
+                if math.isfinite(up) and math.isfinite(down):
+                    grad[i, j] = (up - down) / (2.0 * fd_step)
+                elif math.isfinite(down):
+                    grad[i, j] = (base_value - down) / fd_step
+                elif math.isfinite(up):
+                    grad[i, j] = (up - base_value) / fd_step
+                else:
+                    raise RolloutFailure(
+                        f"finite-difference gradient undefined at step {i}, control "
+                        f"entry {j}: both perturbed rollouts are unsolvable"
+                    )
         return grad, base_value
 
     def _tail_value(self, x_start, tail, stage_prefix: float, short_prefix: float) -> float:
         try:
             data = _rollout_data(self.system, x_start, tail)
         except NotSolvable:
-            return _BIG
+            return math.inf
         return self._value(
             stage_prefix + data.stage.sum(),
             short_prefix + (data.shortfalls**2).sum(),
@@ -292,8 +303,6 @@ def _projected_gradient(
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int, float]:
     grad, value = objective.gradient(torques, settings.fd_step)
-    if value >= _BIG:
-        raise RolloutFailure("shooting objective could not be evaluated at the initial guess")
     # First trial step scaled by the gradient so penalty-dominated starts do
     # not waste dozens of backtracks.
     bb_step = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
@@ -477,6 +486,7 @@ class ClosedLoopRun:
     stage_costs: np.ndarray
     terminal_values: np.ndarray
     violations: np.ndarray
+    feasible: np.ndarray
     iterations: np.ndarray
     kkt_residuals: np.ndarray
     distances: np.ndarray
@@ -515,6 +525,7 @@ def closed_loop(
     stage_costs = []
     terminal_values = []
     violations = []
+    feasible = []
     iterations = []
     kkts = []
     distances = [system.distance(x0, system.equilibrium_state)]
@@ -537,6 +548,7 @@ def closed_loop(
         optimal_costs.append(solution.cost)
         terminal_values.append(solution.terminal_value)
         violations.append(solution.violation)
+        feasible.append(solution.feasible)
         iterations.append(solution.iterations)
         kkts.append(solution.kkt_residual)
         distance = system.distance(x, system.equilibrium_state)
@@ -554,6 +566,7 @@ def closed_loop(
         stage_costs=np.asarray(stage_costs, dtype=float),
         terminal_values=np.asarray(terminal_values, dtype=float),
         violations=np.asarray(violations, dtype=float),
+        feasible=np.asarray(feasible, dtype=bool),
         iterations=np.asarray(iterations, dtype=int),
         kkt_residuals=np.asarray(kkts, dtype=float),
         distances=np.asarray(distances, dtype=float),

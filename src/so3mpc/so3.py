@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMatrix
 from .validation import check_skew
 
 SMALL_ANGLE = 1e-8
@@ -122,23 +121,3 @@ def geodesic_distance(r1, r2) -> float:
     r2 = np.asarray(r2, dtype=float)
     return float(np.linalg.norm(log_so3(r1.T @ r2)))
 
-
-def project_so3(a) -> np.ndarray:
-    """Nearest rotation matrix in the Frobenius norm, via the polar factor.
-
-    Raises :class:`~so3mpc.errors.DegenerateMatrix` when ``a`` has
-    non-positive determinant or is numerically rank-deficient.
-    """
-    a = np.asarray(a, dtype=float)
-    det = np.linalg.det(a)
-    if det <= 0.0:
-        raise DegenerateMatrix(f"cannot project matrix with det = {det:.3e} onto SO(3)")
-    u, sing, vt = np.linalg.svd(a)
-    if sing[-1] <= 1e-12 * sing[0]:
-        raise DegenerateMatrix("cannot project a rank-deficient matrix onto SO(3)")
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r

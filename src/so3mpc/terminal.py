@@ -23,6 +23,7 @@ from .errors import (
     NotPositiveDefinite,
     NotSolvable,
     NotStabilizable,
+    OutOfChart,
 )
 from .lgvi import SpacecraftState, lgvi_step
 from .so3 import exp_so3, hat, log_so3
@@ -334,6 +335,18 @@ def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):
     return (radii[:, None] * directions) @ p_inv_half.T
 
 
+def _level_ceiling(design_p: np.ndarray, h: float) -> float:
+    """Largest level whose ellipsoid {xi^T P xi <= c} stays inside the chart.
+
+    On the ellipsoid |xi| <= sqrt(c / lambda_min(P)); keeping that below
+    min(pi, pi/h) keeps both the attitude vector and h times the rate vector
+    shorter than pi, where exp_so3 and log_so3 are mutually inverse.
+    """
+    lam_min = float(np.linalg.eigvalsh(design_p)[0])
+    chart_radius = min(np.pi, np.pi / h) * (1.0 - 1e-9)
+    return lam_min * chart_radius**2
+
+
 def evaluate_level(
     design_p: np.ndarray,
     design_k: np.ndarray,
@@ -351,7 +364,16 @@ def evaluate_level(
     excess of the successor, and the worst decrease defect
     F(x+) - F(x) + L(x, u).  All are violations: negative or tiny values mean
     the condition holds.
+
+    Raises :class:`~so3mpc.errors.OutOfChart` for a level above
+    :func:`_level_ceiling`: samples past the chart would be wrapped by the
+    exponential map and report the margins of other states.
     """
+    ceiling = _level_ceiling(design_p, h)
+    if level > ceiling:
+        raise OutOfChart(
+            f"level {level:.6g} exceeds the chart ceiling {ceiling:.6g} of the terminal ellipsoid"
+        )
     inertia = np.asarray(inertia, dtype=float)
     scale = np.sqrt(level)
     worst_torque = -np.inf
@@ -413,10 +435,7 @@ def calibrate_level(
     """
     rng = np.random.default_rng(seed)
     unit_samples = _ellipsoid_samples(design_p, n_samples, rng)
-    lam_min = float(np.linalg.eigvalsh(design_p)[0])
-    chart_radius = min(np.pi, np.pi / h) * (1.0 - 1e-9)
-    level_ceiling = lam_min * chart_radius**2
-    grid = np.geomspace(level_floor, level_ceiling, grid_points)
+    grid = np.geomspace(level_floor, _level_ceiling(design_p, h), grid_points)
 
     def passes(level: float) -> bool:
         report = evaluate_level(

@@ -17,12 +17,11 @@ from so3mpc.experiments import probe_discontinuity
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import (
     SpacecraftState,
+    _implicit_increment,
     free_momentum_drift,
     implicit_residual,
     momentum_matrix,
-    riccati_residual,
     rollout,
-    solve_step_riccati,
 )
 from so3mpc.mpc import MpcConfig, SolverSettings, closed_loop, solve_ocp
 from so3mpc.so3 import exp_so3, geodesic_distance, hat
@@ -104,7 +103,8 @@ def test_criterion_2_momentum_conservation():
 
 def test_criterion_3_riccati_kernels(ref_design, ref_weights):
     rng = np.random.default_rng(99)
-    worst_step = 0.0
+    worst_step = worst_ortho = 0.0
+    min_branch = np.inf
     for _ in range(1000):
         eigs = rng.uniform(0.5, 2.0, 3)
         basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -112,8 +112,12 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         m = hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction)
-        s = solve_step_riccati(m, inertia)
-        worst_step = max(worst_step, riccati_residual(s, m, inertia))
+        f, _ = _implicit_increment(m, inertia)
+        worst_step = max(worst_step, float(np.linalg.norm(f @ inertia - inertia @ f.T - m)))
+        worst_ortho = max(worst_ortho, float(np.linalg.norm(f.T @ f - np.eye(3))))
+        # The Riccati branch: S = sym(F J) is positive semi-definite.
+        fj = f @ inertia
+        min_branch = min(min_branch, float(np.linalg.eigvalsh(0.5 * (fj + fj.T))[0]))
 
     lin = build_linearization(H_REF, J_REF)
     cost = build_cost_data(ref_weights)
@@ -124,12 +128,20 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
     p_scalar = solve_dare(scalar_lin, scalar_cost)[0, 0]
     golden_gap = abs(p_scalar - (1.0 + np.sqrt(5.0)) / 2.0)
 
-    ok = worst_step <= 1e-10 and dare_res <= 1e-8 and golden_gap <= 1e-10
+    ok = (
+        worst_step <= 1e-10
+        and worst_ortho <= 1e-12
+        and min_branch >= -1e-12
+        and dare_res <= 1e-8
+        and golden_gap <= 1e-10
+    )
     _report(
         3,
-        "step-Riccati residuals, reference Riccati residual, scalar oracle",
+        "implicit-step residuals on the group and the Riccati branch, "
+        "reference Riccati residual, scalar oracle",
         ok,
-        f"step {worst_step:.2e}, dare {dare_res:.2e}, golden {golden_gap:.2e}",
+        f"step {worst_step:.2e}, ortho {worst_ortho:.2e}, min eig sym(FJ) {min_branch:.2e}, "
+        f"dare {dare_res:.2e}, golden {golden_gap:.2e}",
     )
 
 

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 from so3mpc.attitude import spinning_state
+from so3mpc.errors import OutOfChart
 from so3mpc.experiments import (
     audit_lyapunov,
     certify_local_law,
@@ -14,6 +16,7 @@ from so3mpc.experiments import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
+from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import MpcConfig, SolverSettings, closed_loop
 from so3mpc.so3 import exp_so3
@@ -71,10 +74,17 @@ class TestLocalLawSuite:
         assert abs(decrease) <= 1e-12
 
     def test_inflated_level_fails(self, ref_design):
-        report = certify_local_law(
-            ref_design, TORQUE_BOUND_REF, n_samples=500, seed=7,
-            level=100.0 * ref_design.c,
-        )
+        # 100 c lies above the chart ceiling: its samples would wrap around
+        # the exponential map and report the margins of other states.
+        with pytest.raises(OutOfChart):
+            certify_local_law(
+                ref_design, TORQUE_BOUND_REF, n_samples=500, seed=7,
+                level=100.0 * ref_design.c,
+            )
+
+    def test_tight_torque_bound_fails(self, ref_design):
+        # In the chart, a failing condition is reported, not raised.
+        report = certify_local_law(ref_design, 1.0, n_samples=500, seed=7)
         assert not report.passed
 
 
@@ -147,6 +157,20 @@ class TestCsvWriters:
             "feasible", "penalty_violation", "solver_iters",
         ]
         assert len(rows) == 4
+
+    def test_diagnostics_feasible_is_solver_verdict(self, tmp_path):
+        # A violation of 5e-7 is within constraint_tol = 1e-6, so the solver
+        # judged the step feasible; the writer must not apply its own bound.
+        settings = SolverSettings(constraint_tol=1e-6)
+        config = MpcConfig(horizon=4, solver=settings)
+        run = closed_loop(DoubleIntegratorSystem(), np.array([0.3, 0.0]), config, 2)
+        run = dataclasses.replace(run, violations=np.full(2, 5e-7))
+        path = tmp_path / "diag.csv"
+        write_diagnostics_csv(path, run, 0.1)
+        with open(path) as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["feasible"] for row in rows] == ["1", "1"]
+        assert [float(row["penalty_violation"]) for row in rows] == [5e-7, 5e-7]
 
 
 class TestDiscontinuityProbeMechanics:

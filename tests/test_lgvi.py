@@ -1,21 +1,20 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc.errors import NotSolvable
 from so3mpc.lgvi import (
     SpacecraftState,
+    _implicit_increment,
     check_solvability,
     free_momentum_drift,
     implicit_residual,
     lgvi_step,
     momentum_matrix,
     orthogonality_drift,
-    riccati_residual,
     rollout,
-    solve_step_riccati,
     spatial_momentum,
     step_with_margin,
 )
@@ -95,7 +94,7 @@ class TestSolvability:
         momentum = hat([0.0, 0.0, 2.0 + delta])
         ok = check_solvability(momentum, np.eye(3)).ok
         try:
-            solve_step_riccati(momentum, np.eye(3))
+            _implicit_increment(momentum, np.eye(3))
         except NotSolvable:
             solved = False
         else:
@@ -103,39 +102,80 @@ class TestSolvability:
         assert ok == solved
 
 
+def step_residual(f, momentum, inertia):
+    return np.linalg.norm(f @ inertia - inertia @ f.T - momentum)
+
+
+def orthogonality(f):
+    return np.linalg.norm(f.T @ f - np.eye(3))
+
+
+def sym(a):
+    return 0.5 * (a + a.T)
+
+
 class TestStepRiccati:
+    """The implicit-step kernel against the step Riccati equation: with
+    S = sym(F J), the increment is F = (M/2 + S) J^{-1}, and S is the
+    positive semi-definite root of (S - M/2)(S + M/2) = J^2."""
+
     def test_zero_momentum_gives_inertia(self):
-        assert_allclose(solve_step_riccati(np.zeros((3, 3)), J_REF), J_REF, atol=1e-12)
+        f, _ = _implicit_increment(np.zeros((3, 3)), J_REF)
+        assert_allclose(f, np.eye(3), atol=1e-12)
+        assert_allclose(sym(f @ J_REF), J_REF, atol=1e-12)
 
     def test_planar_spin_analytic_solution(self):
         # Substituting a planar increment into the implicit update gives
         # S = diag(cos a, cos a, 1) for a spherical body.
         angle = 0.1
         m = 2.0 * np.sin(angle) * hat([0, 0, 1.0])
-        s = solve_step_riccati(m, np.eye(3))
-        assert_allclose(s, np.diag([np.cos(angle), np.cos(angle), 1.0]), atol=1e-12)
-        f_next = (0.5 * m + s) @ np.eye(3)
-        assert_allclose(f_next, rot_z(angle), atol=1e-12)
+        f, _ = _implicit_increment(m, np.eye(3))
+        assert_allclose(f, rot_z(angle), atol=1e-12)
+        assert_allclose(sym(f), np.diag([np.cos(angle), np.cos(angle), 1.0]), atol=1e-12)
 
     def test_random_residuals(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
             m, inertia = random_solvable_pair(rng)
-            s = solve_step_riccati(m, inertia)
-            assert riccati_residual(s, m, inertia) <= 1e-10
-            assert np.linalg.eigvalsh(s)[0] >= -1e-12
+            f, _ = _implicit_increment(m, inertia)
+            assert step_residual(f, m, inertia) <= 1e-10
+            # The Riccati branch: S = sym(F J) is positive semi-definite.
+            assert np.linalg.eigvalsh(sym(f @ inertia))[0] >= -1e-12
 
     def test_factored_form(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             m, inertia = random_solvable_pair(rng)
-            s = solve_step_riccati(m, inertia)
+            f, _ = _implicit_increment(m, inertia)
+            s = sym(f @ inertia)
             gap = (s - 0.5 * m) @ (s + 0.5 * m) - inertia @ inertia
             assert np.linalg.norm(gap) <= 1e-10
 
     def test_unsolvable_raises(self):
         with pytest.raises(NotSolvable):
-            solve_step_riccati(hat([0, 0, 4.0]), np.eye(3))
+            _implicit_increment(hat([0, 0, 4.0]), np.eye(3))
+
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=1e-8, max_value=1.0),
+        st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2),
+        st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=3, max_size=3),
+    )
+    @example(1e-8, [1.0, 1.0, 1.0], 2, [0.0, 0.0, 0.0])
+    def test_on_group_without_projection_near_boundary(self, margin, eigs, axis, rotation):
+        # Diagonal J with M about a principal axis: J^2 + M^2/4 is diagonal
+        # with entries eigs[axis]^2 >= 1 >= margin and eigs[i]^2 - |m|^2/4.
+        # The rotation Q leaves the margin unchanged.
+        others = [eigs[i] for i in range(3) if i != axis]
+        size = 2.0 * np.sqrt(min(others) ** 2 - margin)
+        q = exp_so3(rotation)
+        inertia = q @ np.diag(eigs) @ q.T
+        m = q @ hat(size * np.eye(3)[axis]) @ q.T
+        f, step_margin = _implicit_increment(m, inertia)
+        assert step_margin == pytest.approx(margin, abs=1e-12)
+        assert step_residual(f, m, inertia) <= 1e-10
+        assert orthogonality(f) <= 1e-12
 
 
 class TestLgviStep:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +10,7 @@ from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
     MpcConfig,
+    _Objective,
     MpcController,
     SolverSettings,
     closed_loop,
@@ -27,6 +30,40 @@ TIGHT = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)
 def rot_z(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def adjoint_gradient(flat, x0, controls):
+    """Exact horizon-cost gradient of the double integrator by the adjoint
+    recursion: lam_N = 2 P x_N, g_i = 2 R u_i + B^T lam_{i+1},
+    lam_i = 2 Q x_i + A^T lam_{i+1}."""
+    xs = [x0]
+    for u in controls:
+        xs.append(flat.step(xs[-1], u))
+    lam = 2.0 * flat.P @ xs[-1]
+    grad = np.zeros((len(controls), 1))
+    for i in reversed(range(len(controls))):
+        grad[i, 0] = (2.0 * flat.R @ controls[i] + flat.B.T @ lam)[0]
+        lam = 2.0 * flat.Q @ xs[i] + flat.A.T @ lam
+    return grad
+
+
+class BoundedStepIntegrator(DoubleIntegratorSystem):
+    """Double integrator whose step is unsolvable for |u| > 1, the way the
+    attitude step is unsolvable past the momentum bound."""
+
+    def step(self, x, u):
+        if np.max(np.abs(u)) > 1.0:
+            raise NotSolvable(f"|u| = {np.max(np.abs(u)):.9f} exceeds 1")
+        return super().step(x, u)
+
+
+class KnifeEdgeIntegrator(DoubleIntegratorSystem):
+    """Double integrator solvable at u = 0.5 but not just beside it."""
+
+    def step(self, x, u):
+        if 0.0 < abs(float(u[0]) - 0.5) < 1e-3:
+            raise NotSolvable("u is next to 0.5")
+        return super().step(x, u)
 
 
 class TestGenericLayerOnFlatSystem:
@@ -95,16 +132,7 @@ class TestGenericLayerOnFlatSystem:
         for _ in range(10):
             x0 = rng.standard_normal(2)
             controls = rng.standard_normal((n, 1))
-            xs = [x0]
-            for u in controls:
-                xs.append(flat.step(xs[-1], u))
-            # Gradient by adjoint recursion: lam_N = 2 P x_N,
-            # g_i = 2 R u_i + B^T lam_{i+1}, lam_i = 2 Q x_i + A^T lam_{i+1}.
-            lam = 2.0 * flat.P @ xs[-1]
-            analytic = np.zeros((n, 1))
-            for i in reversed(range(n)):
-                analytic[i, 0] = (2.0 * flat.R @ controls[i] + flat.B.T @ lam)[0]
-                lam = 2.0 * flat.Q @ xs[i] + flat.A.T @ lam
+            analytic = adjoint_gradient(flat, x0, controls)
             fd = np.zeros((n, 1))
             delta = 1e-6
             for i in range(n):
@@ -115,6 +143,28 @@ class TestGenericLayerOnFlatSystem:
                     horizon_cost(flat, x0, up) - horizon_cost(flat, x0, down)
                 ) / (2.0 * delta)
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
+
+
+class TestObjectiveGradient:
+    def test_one_sided_next_to_unsolvable_control(self):
+        # u[2] + fd_step leaves the solvable set; the entry must fall back to
+        # the one-sided difference instead of a 1e30 sentinel.
+        system = BoundedStepIntegrator()
+        x0 = np.array([0.5, -0.3])
+        controls = np.array([[0.2], [-0.4], [1.0 - 5e-7], [0.1], [0.3]])
+        objective = _Objective(system, x0, 1e4)
+        grad, value = objective.gradient(controls, 1e-6)
+        assert value == pytest.approx(horizon_cost(system, x0, controls), rel=1e-14)
+        assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
+        over = controls.copy()
+        over[2, 0] = 1.0 + 5e-7
+        assert objective.full(over) == math.inf
+
+    def test_both_sides_unsolvable_names_step_and_entry(self):
+        system = KnifeEdgeIntegrator()
+        controls = np.array([[0.2], [0.5], [0.1]])
+        with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
+            _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls, 1e-6)
 
 
 class TestHorizonCost:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from so3mpc.errors import DegenerateMatrix, NotSkewSymmetric
-from so3mpc.so3 import exp_so3, geodesic_distance, hat, log_so3, project_so3, vee
+from so3mpc.errors import NotSkewSymmetric
+from so3mpc.so3 import exp_so3, geodesic_distance, hat, log_so3, vee
 
 
 def rot_z(angle):
@@ -158,29 +158,3 @@ class TestGeodesicDistance:
                 geodesic_distance(r1, r2), abs=1e-10
             )
 
-
-class TestProject:
-    def test_fixed_point(self):
-        rng = np.random.default_rng(12)
-        r = random_rotation(rng)
-        assert np.linalg.norm(project_so3(r) - r) <= 1e-12
-
-    def test_scaling_removed(self):
-        assert_allclose(project_so3(2.0 * np.eye(3)), np.eye(3), atol=1e-15)
-
-    def test_perturbed_rotation(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            r = random_rotation(rng)
-            a = r + 1e-6 * rng.standard_normal((3, 3))
-            p = project_so3(a)
-            assert np.linalg.norm(p.T @ p - np.eye(3)) <= 1e-12
-            assert np.linalg.det(p) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_nonpositive_determinant(self):
-        with pytest.raises(DegenerateMatrix):
-            project_so3(np.diag([1.0, 1.0, -1.0]))
-
-    def test_rejects_rank_deficient(self):
-        with pytest.raises(DegenerateMatrix):
-            project_so3(np.diag([1.0, 1.0, 0.0]))
