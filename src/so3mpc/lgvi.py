@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoConvergence, NotSolvable
-from .so3 import exp_so3, hat, log_so3
+from .so3 import _dot, exp_so3, hat, log_so3
 from .validation import check_rotation, check_spd
 
 _EYE3 = np.eye(3)
@@ -57,11 +57,22 @@ def check_state(state: SpacecraftState, atol: float = 1e-9) -> SpacecraftState:
 
 
 def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
-    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update."""
-    torque = np.asarray(torque, dtype=float).reshape(3)
+    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update.
+
+    Takes a stack of states and torques too: increments of shape
+    (..., 3, 3) and torques of shape (..., 3).
+    """
+    torque = np.asarray(torque, dtype=float)
     inertia = np.asarray(inertia, dtype=float)
     f = state.f
-    return inertia @ f - f.T @ inertia + (h * h) * hat(torque)
+    return inertia @ f - f.swapaxes(-1, -2) @ inertia + (h * h) * hat(torque)
+
+
+def _step_margin(momentum, inertia: np.ndarray):
+    """Smallest eigenvalue of J^2 + M^2/4, for one M or a stack of them:
+    the implicit step is solvable iff it is nonnegative."""
+    m_half = 0.5 * np.asarray(momentum, dtype=float)
+    return np.linalg.eigvalsh(inertia @ inertia + m_half @ m_half)[..., 0]
 
 
 def check_solvability(momentum, inertia) -> Solvability:
@@ -72,9 +83,7 @@ def check_solvability(momentum, inertia) -> Solvability:
     :class:`~so3mpc.errors.NotSolvable`.  There is no round-off allowance
     below zero.
     """
-    m_half = 0.5 * np.asarray(momentum, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    margin = float(np.linalg.eigvalsh(inertia @ inertia + m_half @ m_half)[0])
+    margin = float(_step_margin(momentum, np.asarray(inertia, dtype=float)))
     return Solvability(margin >= 0.0, margin)
 
 
@@ -92,7 +101,7 @@ def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, floa
     converges to the branch with sym(F J) positive semi-definite,
     quadratically for a positive margin and linearly at margin zero.
     """
-    margin = check_solvability(momentum, inertia).margin
+    margin = float(_step_margin(momentum, inertia))
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
     m = np.array([momentum[2, 1], momentum[0, 2], momentum[1, 0]])
@@ -108,6 +117,53 @@ def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, floa
         if dx @ dx <= _NEWTON_STEP_TOL**2:
             xh = hat(x)
             return _EYE3 + (2.0 / (1.0 + x @ x)) * (xh + xh @ xh), margin
+    raise NoConvergence(
+        f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
+    )
+
+
+def _implicit_increments(momentum, inertia) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_implicit_increment` for a stack of momenta, shape (n, 3, 3),
+    with one inertia, shape (3, 3), or one per row, shape (n, 3, 3).
+    Returns the increments, shape (n, 3, 3), and the margins, shape (n,).
+
+    Every row runs the scalar kernel's iteration from the same start and
+    stops after the same test on its own step, so it takes the same number
+    of iterations and agrees with the scalar kernel to round-off.  Raises
+    :class:`~so3mpc.errors.NotSolvable` naming the first unsolvable row.
+    """
+    momentum = np.asarray(momentum, dtype=float)
+    inertia = np.asarray(inertia, dtype=float)
+    margins = _step_margin(momentum, inertia)
+    unsolvable = np.flatnonzero(margins < 0.0)
+    if unsolvable.size:
+        row = int(unsolvable[0])
+        raise NotSolvable(
+            f"implicit step unsolvable in row {row}: min eig of J^2 + M^2/4 is {margins[row]:.3e}"
+        )
+    increments = np.empty_like(momentum)
+    rows = np.arange(len(momentum))
+    per_row = inertia.ndim == 3
+    m = np.stack([momentum[:, 2, 1], momentum[:, 0, 2], momentum[:, 1, 0]], axis=-1)
+    a = np.trace(inertia, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - inertia
+    x = np.linalg.solve(a, 0.5 * m[:, :, None])[:, :, 0]
+    for _ in range(_NEWTON_MAX_ITERS):
+        a_x = a - hat(x) @ inertia
+        r = (a_x @ x[:, :, None])[:, :, 0] - 0.5 * (1.0 + _dot(x, x))[:, None] * m
+        jx = (inertia @ x[:, :, None])[:, :, 0]
+        jac = a_x + hat(jx) - m[:, :, None] * x[:, None, :]
+        dx = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
+        x = x + dx
+        done = _dot(dx, dx) <= _NEWTON_STEP_TOL**2
+        xh = hat(x[done])
+        scale = 2.0 / (1.0 + _dot(x[done], x[done]))
+        increments[rows[done]] = _EYE3 + scale[:, None, None] * (xh + xh @ xh)
+        going = ~done
+        rows, x, m = rows[going], x[going], m[going]
+        if per_row:
+            inertia, a = inertia[going], a[going]
+        if not rows.size:
+            return increments, margins
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )

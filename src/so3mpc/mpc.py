@@ -154,6 +154,8 @@ class OcpSolution:
     kkt_residual: float
     violation: float
     states: tuple
+    # Per predicted step: how far the solvability margin fell below its floor.
+    shortfalls: np.ndarray
 
     @property
     def first_control(self) -> np.ndarray:
@@ -425,6 +427,7 @@ def solve_ocp(
         kkt_residual=float(kkt),
         violation=float(violation),
         states=tuple(data.states),
+        shortfalls=data.shortfalls,
     )
 
 
@@ -469,10 +472,28 @@ class MpcController:
         solution = solve_ocp(self.system, x, self.config, warm_start=warm)
         if not solution.feasible:
             raise Infeasible(
-                f"finite-horizon problem infeasible (violation {solution.violation:.3e})"
+                "finite-horizon problem infeasible: "
+                + _violated_constraints(solution, self.system.terminal_level, self.config.solver.constraint_tol)
             )
         self._previous = solution
         return solution.first_control, solution
+
+
+def _violated_constraints(solution: OcpSolution, level: float, tol: float) -> str:
+    """Each constraint the solution violates beyond ``tol``, and by how much."""
+    failed = []
+    excess = solution.terminal_value - level
+    if excess > tol:
+        failed.append(
+            f"terminal value {solution.terminal_value:.6g} exceeds the level {level:.6g} by {excess:.3e}"
+        )
+    if solution.shortfalls.max(initial=0.0) > tol:
+        step = int(np.argmax(solution.shortfalls))
+        failed.append(
+            f"solvability margin below its floor by {solution.shortfalls[step]:.3e} "
+            f"at predicted step {step}"
+        )
+    return "; ".join(failed)
 
 
 @dataclass

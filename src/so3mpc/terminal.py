@@ -25,8 +25,8 @@ from .errors import (
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import SpacecraftState, lgvi_step
-from .so3 import exp_so3, hat, log_so3
+from .lgvi import SpacecraftState, _implicit_increments, _step_margin, momentum_matrix
+from .so3 import _dot, exp_so3_rows, hat, log_so3, log_so3_rows
 from .validation import check_spd
 
 _EYE3 = np.eye(3)
@@ -56,13 +56,28 @@ class StageWeights:
 
     def stage_cost(self, state: SpacecraftState, torque, h: float) -> float:
         """Trace-form running cost of one step:
-        tr(Q_g (I - g)) + tr(Q_f (I - f)) / h^2 + u^T (tr(R) I - R) u / 2."""
+        tr(Q_g (I - g)) + tr(Q_f (I - f)) / h^2 + u^T (tr(R) I - R) u / 2.
+
+        Takes a stack of states and torques too, and returns one cost per row.
+        """
         torque = np.asarray(torque, dtype=float)
         trace_att, trace_rate = self._traces
-        g_term = trace_att - float((self.attitude * state.g.T).sum())
-        f_term = (trace_rate - float((self.rate * state.f.T).sum())) / (h * h)
-        u_term = 0.5 * float(torque @ self._torque_tilde @ torque)
+        g_term = trace_att - _trace_of_product(self.attitude, state.g)
+        f_term = (trace_rate - _trace_of_product(self.rate, state.f)) / (h * h)
+        u_term = 0.5 * _dot(torque @ self._torque_tilde, torque)
         return g_term + f_term + u_term
+
+
+def _trace_of_product(w: np.ndarray, m: np.ndarray):
+    """tr(W M) as the sum of W * M^T, one per matrix for a stack of M.
+
+    A single matrix keeps ``.T`` and a plain ``.sum()`` and gives a Python
+    float, which is faster; each matrix of a stack sums its nine products in
+    the same order.
+    """
+    if m.ndim == 2:
+        return float((w * m.T).sum())
+    return (w * m.swapaxes(-1, -2)).sum(axis=(-2, -1))
 
 
 def default_weights(inertia) -> StageWeights:
@@ -237,20 +252,27 @@ def lqr_gain(p, lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
 
 
 def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.ndarray:
-    """Chart coordinates (rotation vector of g, rotation vector of f over h)."""
-    zeta = log_so3(state.g, cut_sign=cut_sign)
-    omega = log_so3(state.f, cut_sign=cut_sign) / h
-    return np.concatenate([zeta, omega])
+    """Chart coordinates (rotation vector of g, rotation vector of f over h).
+
+    A stack of states, with g and f of shape (n, 3, 3), gives one row of
+    coordinates per state.
+    """
+    log = log_so3 if state.g.ndim == 2 else log_so3_rows
+    zeta = log(state.g, cut_sign=cut_sign)
+    omega = log(state.f, cut_sign=cut_sign) / h
+    return np.concatenate([zeta, omega], axis=-1)
 
 
 def terminal_value(p: np.ndarray, xi: np.ndarray) -> float:
-    """Terminal cost F = xi^T P xi at chart coordinates ``xi``."""
-    return float(xi @ p @ xi)
+    """Terminal cost F = xi^T P xi at chart coordinates ``xi``; one value per
+    row for a stack of coordinates."""
+    return _dot(xi @ p, xi)
 
 
 def feedback(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Local law u = -K xi at chart coordinates ``xi``."""
-    return -(k @ xi)
+    """Local law u = -K xi at chart coordinates ``xi``; one torque per row
+    for a stack of coordinates."""
+    return -(k @ xi[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -363,7 +385,10 @@ def evaluate_level(
     Returns a dict with the worst torque-bound excess, the worst terminal
     excess of the successor, and the worst decrease defect
     F(x+) - F(x) + L(x, u).  All are violations: negative or tiny values mean
-    the condition holds.
+    the condition holds.  Every sample is evaluated at once, as array
+    operations along the sample axis.  A sample whose step is unsolvable
+    makes the terminal excess infinite; the other two margins are then
+    taken over the samples whose step is solvable.
 
     Raises :class:`~so3mpc.errors.OutOfChart` for a level above
     :func:`_level_ceiling`: samples past the chart would be wrapped by the
@@ -375,27 +400,31 @@ def evaluate_level(
             f"level {level:.6g} exceeds the chart ceiling {ceiling:.6g} of the terminal ellipsoid"
         )
     inertia = np.asarray(inertia, dtype=float)
-    scale = np.sqrt(level)
-    worst_torque = -np.inf
-    worst_invariance = -np.inf
-    worst_decrease = -np.inf
-    for xi in scale * unit_samples:
-        state = SpacecraftState(exp_so3(xi[:3]), exp_so3(h * xi[3:]))
-        coords = coordinates(state, h)
-        torque = feedback(design_k, coords)
-        value = terminal_value(design_p, coords)
-        try:
-            successor = lgvi_step(state, torque, h, inertia)
-        except NotSolvable:
-            # The level reaches spin rates the integrator cannot step; treat
-            # as a hard violation of the invariance condition.
-            worst_invariance = np.inf
-            break
-        succ_value = terminal_value(design_p, coordinates(successor, h))
-        stage = weights.stage_cost(state, torque, h)
-        worst_torque = max(worst_torque, float(np.max(np.abs(torque))) - torque_bound)
-        worst_invariance = max(worst_invariance, succ_value - level)
-        worst_decrease = max(worst_decrease, succ_value - value + stage)
+    xi = np.sqrt(level) * unit_samples
+    state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
+    coords = coordinates(state, h)
+    torque = feedback(design_k, coords)
+    momentum = momentum_matrix(state, torque, h, inertia)
+    try:
+        f_next, _ = _implicit_increments(momentum, inertia)
+        solvable = slice(None)
+        worst_invariance = -np.inf
+    except NotSolvable:
+        # The level reaches spin rates the integrator cannot step: a hard
+        # violation of the invariance condition.  The other margins are
+        # taken over the samples that can be stepped.
+        solvable = _step_margin(momentum, inertia) >= 0.0
+        f_next, _ = _implicit_increments(momentum[solvable], inertia)
+        worst_invariance = np.inf
+    state = SpacecraftState(state.g[solvable], state.f[solvable])
+    coords, torque = coords[solvable], torque[solvable]
+    successor = SpacecraftState(state.g @ state.f, f_next)
+    succ_value = terminal_value(design_p, coordinates(successor, h))
+    value = terminal_value(design_p, coords)
+    stage = weights.stage_cost(state, torque, h)
+    worst_torque = float(np.max(np.abs(torque), initial=-np.inf)) - torque_bound
+    worst_invariance = max(worst_invariance, float(np.max(succ_value, initial=-np.inf)) - level)
+    worst_decrease = float(np.max(succ_value - value + stage, initial=-np.inf))
     return {
         "torque": worst_torque,
         "invariance": worst_invariance,

@@ -147,7 +147,7 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
 
 def test_criterion_4_local_law_certification(ref_design, ref_weights):
     rng = np.random.default_rng(777)
-    samples = _ellipsoid_samples(ref_design.P, 1000, rng)
+    samples = _ellipsoid_samples(ref_design.P, 100_000, rng)
     margins = evaluate_level(
         ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
         TORQUE_BOUND_REF, ref_design.c, samples,
@@ -155,7 +155,7 @@ def test_criterion_4_local_law_certification(ref_design, ref_weights):
     ok = margins["decrease"] <= 1e-10 and margins["invariance"] <= 0.0 and margins["torque"] <= 0.0
     _report(
         4,
-        "local law certified on 1000 fresh terminal-set samples",
+        "local law certified on 100000 fresh terminal-set samples",
         ok,
         f"decrease {margins['decrease']:.2e}, invariance {margins['invariance']:.2e}",
     )

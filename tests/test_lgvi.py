@@ -8,6 +8,7 @@ from so3mpc.errors import NotSolvable
 from so3mpc.lgvi import (
     SpacecraftState,
     _implicit_increment,
+    _implicit_increments,
     check_solvability,
     free_momentum_drift,
     implicit_residual,
@@ -176,6 +177,59 @@ class TestStepRiccati:
         assert step_margin == pytest.approx(margin, abs=1e-12)
         assert step_residual(f, m, inertia) <= 1e-10
         assert orthogonality(f) <= 1e-12
+
+
+def criterion_3_draws():
+    """The 1000 (momentum, inertia) pairs of acceptance criterion 3."""
+    rng = np.random.default_rng(99)
+    momenta, inertias = [], []
+    for _ in range(1000):
+        eigs = rng.uniform(0.5, 2.0, 3)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        inertias.append(basis @ np.diag(eigs) @ basis.T)
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        momenta.append(hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction))
+    return np.array(momenta), np.array(inertias)
+
+
+class TestBatchedKernel:
+    """The stacked twin of the implicit-step kernel against the kernel."""
+
+    def test_matches_scalar_kernel_on_criterion_3_draws(self):
+        momenta, inertias = criterion_3_draws()
+        increments, margins = _implicit_increments(momenta, inertias)
+        worst = 0.0
+        for f, margin, m, inertia in zip(increments, margins, momenta, inertias):
+            f_ref, margin_ref = _implicit_increment(m, inertia)
+            worst = max(worst, float(np.abs(f - f_ref).max()))
+            assert margin == margin_ref
+        assert worst <= 1e-12
+
+    def test_shared_inertia(self):
+        rng = np.random.default_rng(8)
+        momenta = np.array([random_solvable_pair(rng)[0] for _ in range(40)])
+        increments, _ = _implicit_increments(momenta, J_REF)
+        for f, m in zip(increments, momenta):
+            assert np.abs(f - _implicit_increment(m, J_REF)[0]).max() <= 1e-12
+
+    def test_one_unsolvable_row_raises(self):
+        momenta = np.array([np.zeros((3, 3)), hat([0.0, 0.0, 4.0]), hat([0.1, 0.0, 0.0])])
+        with pytest.raises(NotSolvable, match="row 1"):
+            _implicit_increments(momenta, np.eye(3))
+
+    def test_empty_stack(self):
+        increments, margins = _implicit_increments(np.zeros((0, 3, 3)), J_REF)
+        assert increments.shape == (0, 3, 3)
+        assert margins.shape == (0,)
+
+    def test_momentum_matrix_rows(self):
+        rng = np.random.default_rng(9)
+        f = np.array([exp_so3(H * rng.standard_normal(3)) for _ in range(20)])
+        torques = rng.standard_normal((20, 3))
+        stack = momentum_matrix(SpacecraftState(np.eye(3), f), torques, H, J_REF)
+        for m, f_row, tau in zip(stack, f, torques):
+            assert np.array_equal(m, momentum_matrix(SpacecraftState(np.eye(3), f_row), tau, H, J_REF))
 
 
 class TestLgviStep:

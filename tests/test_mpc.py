@@ -316,6 +316,37 @@ class TestController:
         with pytest.raises(Infeasible):
             controller.step(np.array([5.0, 0.0]))
 
+    def test_infeasible_names_terminal_excess(self):
+        flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
+        x0 = np.array([5.0, 0.0])
+        solution = solve_ocp(flat, x0, MpcConfig(horizon=3))
+        excess = solution.terminal_value - 1e-6
+        with pytest.raises(Infeasible) as excinfo:
+            MpcController(flat, MpcConfig(horizon=3)).step(x0)
+        message = str(excinfo.value)
+        assert "terminal value" in message
+        assert f"by {excess:.3e}" in message
+        assert "solvability" not in message
+
+    def test_infeasible_names_solvability_shortfall_and_step(self):
+        class ShortMargin(DoubleIntegratorSystem):
+            """Reports the margin 0.25 - position after each step; the floor
+            is zero, so positions past 0.25 fall short."""
+
+            def step_with_margin(self, x, u):
+                x_next = self.step(x, u)
+                return x_next, 0.25 - x_next[0]
+
+        # Coasting at unit speed with almost no control authority: the
+        # positions are 0.1, 0.2, 0.3 and 0.4, so steps 2 and 3 fall short,
+        # step 3 by 0.15.
+        system = ShortMargin(control_bound=1e-9)
+        with pytest.raises(Infeasible) as excinfo:
+            MpcController(system, MpcConfig(horizon=4)).step(np.array([0.0, 1.0]))
+        message = str(excinfo.value)
+        assert "solvability margin below its floor by 1.500e-01 at predicted step 3" in message
+        assert "terminal" not in message
+
 
 class TestClosedLoop:
     def test_stays_at_equilibrium(self, ref_system):

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc.errors import NotSkewSymmetric
-from so3mpc.so3 import exp_so3, geodesic_distance, hat, log_so3, vee
+from so3mpc.so3 import (
+    NEAR_PI,
+    exp_so3,
+    exp_so3_rows,
+    geodesic_distance,
+    hat,
+    log_so3,
+    log_so3_rows,
+    vee,
+)
 
 
 def rot_z(angle):
@@ -123,6 +134,82 @@ class TestExpLog:
             r = exp_so3(v)
             assert np.linalg.norm(r.T @ r - np.eye(3)) <= 1e-15
             assert_allclose(log_so3(r), v, atol=1e-16)
+
+
+def bitwise_equal(a, b):
+    """Equal values, including the signs of zeros."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def near_pi_rotation(axis, gap, exact_cut):
+    """Rotation by pi - gap about ``axis``; with ``exact_cut`` the exact
+    half-turn 2 n n^T - I, whose antisymmetric part is exactly zero."""
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    if exact_cut:
+        return 2.0 * np.outer(axis, axis) - np.eye(3)
+    return exp_so3((np.pi - gap) * axis)
+
+
+class TestNearPi:
+    """Rotation angles in [pi - 1e-2, pi]: across the edge of the NEAR_PI
+    band and onto the branch cut."""
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 1e-3
+        ),
+        st.floats(min_value=0.0, max_value=1e-2),
+        st.booleans(),
+        st.sampled_from([1.0, -1.0]),
+    )
+    @example([0.0, 0.0, 1.0], 0.0, True, -1.0)
+    @example([0.3, -0.5, 0.2], NEAR_PI, False, 1.0)
+    # Just outside a 1e-4 band the round trip reached 1.8e-12.
+    @example([0.3, -0.5, 0.2], 1e-4, False, 1.0)
+    def test_roundtrip_and_batched_log(self, axis, gap, exact_cut, cut_sign):
+        r = near_pi_rotation(axis, gap, exact_cut)
+        v = log_so3(r, cut_sign=cut_sign)
+        # pi up to the rounding of the norm itself: at theta = pi the
+        # computed length of theta * axis can come out an ulp or two above.
+        assert np.linalg.norm(v) <= np.pi * (1.0 + 4.0 * np.finfo(float).eps)
+        assert np.linalg.norm(exp_so3(v) - r) <= 1e-12
+        # A stack mixing this rotation with rotations off the band.
+        stack = np.array([r, np.eye(3), exp_so3([0.4, -1.0, 2.0]), r.T, exp_so3(1e-9 * np.ones(3))])
+        rows = log_so3_rows(stack, cut_sign=cut_sign)
+        for got, matrix in zip(rows, stack):
+            assert bitwise_equal(got, log_so3(matrix, cut_sign=cut_sign))
+
+    def test_exact_cut_follows_cut_sign(self):
+        r = near_pi_rotation([0.0, 0.0, 1.0], 0.0, True)
+        assert_allclose(log_so3_rows(r[None], cut_sign=1.0)[0], [0, 0, np.pi])
+        assert_allclose(log_so3_rows(r[None], cut_sign=-1.0)[0], [0, 0, -np.pi])
+
+
+class TestRows:
+    def test_hat_rows_bitwise(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal((50, 3))
+        v[::5, 1] = -0.0
+        stack = hat(v)
+        assert stack.shape == (50, 3, 3)
+        for got, row in zip(stack, v):
+            assert bitwise_equal(got, hat(row))
+
+    def test_exp_rows_match_exp(self):
+        rng = np.random.default_rng(13)
+        v = rng.standard_normal((600, 3)) * np.repeat([1e-12, 1e-9, 1e-7, 0.1, 1.0, 3.0], 100)[:, None]
+        stack = exp_so3_rows(v)
+        worst = max(np.abs(got - exp_so3(row)).max() for got, row in zip(stack, v))
+        # Round-off only: the twin squares by products, exp_so3 by pow.
+        assert worst <= 1e-14
+
+    def test_log_rows_bitwise_over_group(self):
+        rng = np.random.default_rng(14)
+        stack = np.array([random_rotation(rng) for _ in range(300)] + [np.eye(3)])
+        for got, matrix in zip(log_so3_rows(stack), stack):
+            assert bitwise_equal(got, log_so3(matrix))
 
 
 class TestGeodesicDistance:

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
-from so3mpc.errors import NoFeasibleLevel, NotStabilizable, OutOfChart
+from so3mpc.errors import NoFeasibleLevel, NotSolvable, NotStabilizable, OutOfChart
 from so3mpc.lgvi import SpacecraftState, lgvi_step
-from so3mpc.so3 import exp_so3
+from so3mpc.so3 import exp_so3, exp_so3_rows
 from so3mpc.terminal import (
     Linearization,
     QuadraticCostData,
@@ -19,11 +19,14 @@ from so3mpc.terminal import (
     default_weights,
     design_terminal,
     evaluate_level,
+    feedback,
     lqr_gain,
     skew_trace_identity_check,
     solve_dare,
+    terminal_value,
     tilde_transform,
     _ellipsoid_samples,
+    _level_ceiling,
 )
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF
@@ -255,7 +258,7 @@ class TestCalibration:
 
     def test_fresh_samples_certify(self, ref_design, ref_weights):
         rng = np.random.default_rng(99)
-        samples = _ellipsoid_samples(ref_design.P, 500, rng)
+        samples = _ellipsoid_samples(ref_design.P, 100_000, rng)
         margins = evaluate_level(
             ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
             TORQUE_BOUND_REF, ref_design.c, samples,
@@ -314,6 +317,97 @@ class TestCalibration:
             value = ref_system.terminal_cost(state)
             stage_free = ref_system.stage_cost(state, np.zeros(3))
             assert value >= ratio * stage_free - 1e-9
+
+
+J_ODD = np.diag([0.2, 1.0, 3.0])
+H_ODD = 0.5
+
+
+@pytest.fixture(scope="module")
+def odd_design():
+    """A design whose calibration meets levels with unsolvable steps."""
+    return design_terminal(J_ODD, H_ODD, default_weights(J_ODD), torque_bound=1.0, n_samples=300)
+
+
+def scalar_margins(design, weights, h, inertia, torque_bound, level, unit_samples):
+    """The certificate's margins by a loop over samples with the scalar
+    functions, over the samples whose step is solvable, plus the number of
+    unsolvable samples."""
+    torques, succ_values, decreases = [], [], []
+    unsolvable = 0
+    for xi in np.sqrt(level) * unit_samples:
+        state = SpacecraftState(exp_so3(xi[:3]), exp_so3(h * xi[3:]))
+        chart = coordinates(state, h)
+        torque = feedback(design.K, chart)
+        try:
+            successor = lgvi_step(state, torque, h, inertia)
+        except NotSolvable:
+            unsolvable += 1
+            continue
+        succ_value = terminal_value(design.P, coordinates(successor, h))
+        torques.append(float(np.max(np.abs(torque))) - torque_bound)
+        succ_values.append(succ_value - level)
+        decreases.append(
+            succ_value - terminal_value(design.P, chart) + weights.stage_cost(state, torque, h)
+        )
+    return max(torques), max(succ_values), max(decreases), unsolvable
+
+
+class TestBatchedCertificate:
+    """evaluate_level runs every sample as one array operation; the scalar
+    functions are its reference."""
+
+    def test_matches_scalar_loop(self, ref_design, ref_weights):
+        samples = _ellipsoid_samples(ref_design.P, 300, np.random.default_rng(5))
+        report = evaluate_level(
+            ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
+            TORQUE_BOUND_REF, ref_design.c, samples,
+        )
+        torque, invariance, decrease, unsolvable = scalar_margins(
+            ref_design, ref_weights, H_REF, J_REF, TORQUE_BOUND_REF, ref_design.c, samples
+        )
+        assert unsolvable == 0
+        assert report["torque"] == pytest.approx(torque, abs=1e-12)
+        assert report["invariance"] == pytest.approx(invariance, abs=1e-9)
+        assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
+
+    def test_odd_inertia_level(self, odd_design):
+        # Three of its nine level evaluations meet an unsolvable step.
+        assert odd_design.c == 28.316654095520573
+
+    def test_unsolvable_samples_fail_and_margins_ignore_order(self, odd_design):
+        weights = default_weights(J_ODD)
+        level = _level_ceiling(odd_design.P, H_ODD)
+        samples = _ellipsoid_samples(odd_design.P, 300, np.random.default_rng(0))
+        torque, _, decrease, unsolvable = scalar_margins(
+            odd_design, weights, H_ODD, J_ODD, 1.0, level, samples
+        )
+        assert 0 < unsolvable < len(samples)
+        for order in (samples, samples[::-1]):
+            report = evaluate_level(
+                odd_design.P, odd_design.K, weights, H_ODD, J_ODD, 1.0, level, order
+            )
+            assert report["invariance"] == np.inf
+            assert not report["passed"]
+            # Taken over the solvable samples, wherever they stand.
+            assert report["torque"] == pytest.approx(torque, abs=1e-12)
+            assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
+
+    def test_cost_formulas_take_stacks(self, ref_design, ref_weights):
+        rng = np.random.default_rng(6)
+        xi = rng.standard_normal((50, 6))
+        torques = rng.standard_normal((50, 3))
+        states = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(H_REF * xi[:, 3:]))
+        values = terminal_value(ref_design.P, xi)
+        laws = feedback(ref_design.K, xi)
+        stages = ref_weights.stage_cost(states, torques, H_REF)
+        chart = coordinates(states, H_REF)
+        for i in range(50):
+            state = SpacecraftState(states.g[i], states.f[i])
+            assert values[i] == pytest.approx(terminal_value(ref_design.P, xi[i]), rel=1e-14)
+            assert_allclose(laws[i], feedback(ref_design.K, xi[i]), rtol=1e-14, atol=1e-14)
+            assert stages[i] == pytest.approx(ref_weights.stage_cost(state, torques[i], H_REF), rel=1e-14)
+            assert np.array_equal(chart[i], coordinates(state, H_REF))
 
 
 class TestDesignSerialization:
