@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import NoConvergence, NotSolvable
-from .so3 import _dot, exp_so3, hat, log_so3
+from .so3 import exp_so3, hat, log_so3
 from .validation import check_rotation, check_spd
 
 _EYE3 = np.eye(3)
@@ -87,6 +87,83 @@ def check_solvability(momentum, inertia) -> Solvability:
     return Solvability(margin >= 0.0, margin)
 
 
+# The Newton iteration in components.  Every entry is a Python float (the
+# single step) or an array with one element per row (the stacked step).  Only
+# elementwise + - * / appear, which round alike on both, so the two steps
+# agree bit for bit; ``**`` and ``pow`` would not.
+
+
+def _trace_shift(j):
+    """tr J I - J, the linear part of the Cayley residual, as rows of entries."""
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
+    t = j00 + j11 + j22
+    return ((t - j00, -j01, -j02), (-j10, t - j11, -j12), (-j20, -j21, t - j22))
+
+
+def _solve3(a, b):
+    """Solve a x = b for a 3x3 ``a`` given as rows of entries, by Cramer's rule."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    b0, b1, b2 = b
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    return (
+        (c00 * b0 + (a02 * a21 - a01 * a22) * b1 + (a01 * a12 - a02 * a11) * b2) / det,
+        (c01 * b0 + (a00 * a22 - a02 * a20) * b1 + (a02 * a10 - a00 * a12) * b2) / det,
+        (c02 * b0 + (a01 * a20 - a00 * a21) * b1 + (a00 * a11 - a01 * a10) * b2) / det,
+    )
+
+
+def _newton_update(x, m, j, a):
+    """One Newton step on r(x) = a x - x cross J x - (1 + x^T x) m / 2,
+    with a = tr J I - J.  Returns the new x and |dx|^2."""
+    x0, x1, x2 = x
+    m0, m1, m2 = m
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    y0 = j00 * x0 + j01 * x1 + j02 * x2
+    y1 = j10 * x0 + j11 * x1 + j12 * x2
+    y2 = j20 * x0 + j21 * x1 + j22 * x2
+    s = 0.5 * (1.0 + (x0 * x0 + x1 * x1 + x2 * x2))
+    r0 = a00 * x0 + a01 * x1 + a02 * x2 - (x1 * y2 - x2 * y1) - s * m0
+    r1 = a10 * x0 + a11 * x1 + a12 * x2 - (x2 * y0 - x0 * y2) - s * m1
+    r2 = a20 * x0 + a21 * x1 + a22 * x2 - (x0 * y1 - x1 * y0) - s * m2
+    # The Jacobian a - hat(x) J + hat(J x) - m x^T.
+    jac = (
+        (
+            a00 + x2 * j10 - x1 * j20 - m0 * x0,
+            a01 + x2 * j11 - x1 * j21 - y2 - m0 * x1,
+            a02 + x2 * j12 - x1 * j22 + y1 - m0 * x2,
+        ),
+        (
+            a10 - x2 * j00 + x0 * j20 + y2 - m1 * x0,
+            a11 - x2 * j01 + x0 * j21 - m1 * x1,
+            a12 - x2 * j02 + x0 * j22 - y0 - m1 * x2,
+        ),
+        (
+            a20 + x1 * j00 - x0 * j10 - y1 - m2 * x0,
+            a21 + x1 * j01 - x0 * j11 + y0 - m2 * x1,
+            a22 + x1 * j02 - x0 * j12 - m2 * x2,
+        ),
+    )
+    d0, d1, d2 = _solve3(jac, (-r0, -r1, -r2))
+    return (x0 + d0, x1 + d1, x2 + d2), d0 * d0 + d1 * d1 + d2 * d2
+
+
+def _cayley(x):
+    """The rotation I + 2 (hat(x) + hat(x)^2) / (1 + x^T x) as rows of entries."""
+    x0, x1, x2 = x
+    q00, q11, q22 = x0 * x0, x1 * x1, x2 * x2
+    q01, q02, q12 = x0 * x1, x0 * x2, x1 * x2
+    s = 2.0 / (1.0 + (q00 + q11 + q22))
+    return (
+        (1.0 - s * (q11 + q22), s * (q01 - x2), s * (q02 + x1)),
+        (s * (q01 + x2), 1.0 - s * (q00 + q22), s * (q12 - x0)),
+        (s * (q02 - x1), s * (q12 + x0), 1.0 - s * (q00 + q11)),
+    )
+
+
 def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, float]:
     """The increment F in SO(3) with F J - J F^T = M, and the solvability margin.
 
@@ -100,23 +177,23 @@ def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, floa
     last step is usually far smaller.  On the solvable set the iteration
     converges to the branch with sym(F J) positive semi-definite,
     quadratically for a positive margin and linearly at margin zero.
+
+    The iteration runs on Python floats through the component formulas
+    :func:`_solve3`, :func:`_newton_update` and :func:`_cayley`, which
+    :func:`_implicit_increments` runs on arrays of rows.
     """
     margin = float(_step_margin(momentum, inertia))
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
-    m = np.array([momentum[2, 1], momentum[0, 2], momentum[1, 0]])
-    a = np.trace(inertia) * _EYE3 - inertia
-    x = np.linalg.solve(a, 0.5 * m)
+    rows = momentum.tolist()
+    m = (rows[2][1], rows[0][2], rows[1][0])
+    j = inertia.tolist()
+    a = _trace_shift(j)
+    x = _solve3(a, [0.5 * mi for mi in m])
     for _ in range(_NEWTON_MAX_ITERS):
-        # x cross J x = hat(x) J x; hat(x) J also enters the Jacobian.
-        a_x = a - hat(x) @ inertia
-        r = a_x @ x - 0.5 * (1.0 + x @ x) * m
-        jac = a_x + hat(inertia @ x) - np.outer(m, x)
-        dx = np.linalg.solve(jac, -r)
-        x = x + dx
-        if dx @ dx <= _NEWTON_STEP_TOL**2:
-            xh = hat(x)
-            return _EYE3 + (2.0 / (1.0 + x @ x)) * (xh + xh @ xh), margin
+        x, step = _newton_update(x, m, j, a)
+        if step <= _NEWTON_STEP_TOL**2:
+            return np.array(_cayley(x)), margin
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )
@@ -127,9 +204,9 @@ def _implicit_increments(momentum, inertia) -> tuple[np.ndarray, np.ndarray]:
     with one inertia, shape (3, 3), or one per row, shape (n, 3, 3).
     Returns the increments, shape (n, 3, 3), and the margins, shape (n,).
 
-    Every row runs the scalar kernel's iteration from the same start and
-    stops after the same test on its own step, so it takes the same number
-    of iterations and agrees with the scalar kernel to round-off.  Raises
+    Every row runs the scalar kernel's component formulas from the same
+    start and stops after the same test on its own step, so it equals the
+    scalar kernel's result bit for bit.  Raises
     :class:`~so3mpc.errors.NotSolvable` naming the first unsolvable row.
     """
     momentum = np.asarray(momentum, dtype=float)
@@ -143,25 +220,19 @@ def _implicit_increments(momentum, inertia) -> tuple[np.ndarray, np.ndarray]:
         )
     increments = np.empty_like(momentum)
     rows = np.arange(len(momentum))
-    per_row = inertia.ndim == 3
-    m = np.stack([momentum[:, 2, 1], momentum[:, 0, 2], momentum[:, 1, 0]], axis=-1)
-    a = np.trace(inertia, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - inertia
-    x = np.linalg.solve(a, 0.5 * m[:, :, None])[:, :, 0]
+    # Each entry of J, m and x is an array with one element per row.
+    j = np.broadcast_to(inertia, momentum.shape).transpose(1, 2, 0)
+    a = np.array(_trace_shift(j))
+    m = np.stack([momentum[:, 2, 1], momentum[:, 0, 2], momentum[:, 1, 0]])
+    x = np.array(_solve3(a, [0.5 * mi for mi in m]))
     for _ in range(_NEWTON_MAX_ITERS):
-        a_x = a - hat(x) @ inertia
-        r = (a_x @ x[:, :, None])[:, :, 0] - 0.5 * (1.0 + _dot(x, x))[:, None] * m
-        jx = (inertia @ x[:, :, None])[:, :, 0]
-        jac = a_x + hat(jx) - m[:, :, None] * x[:, None, :]
-        dx = np.linalg.solve(jac, -r[:, :, None])[:, :, 0]
-        x = x + dx
-        done = _dot(dx, dx) <= _NEWTON_STEP_TOL**2
-        xh = hat(x[done])
-        scale = 2.0 / (1.0 + _dot(x[done], x[done]))
-        increments[rows[done]] = _EYE3 + scale[:, None, None] * (xh + xh @ xh)
+        x, step = _newton_update(x, m, j, a)
+        x = np.array(x)
+        done = step <= _NEWTON_STEP_TOL**2
+        increments[rows[done]] = np.array(_cayley(x[:, done])).transpose(2, 0, 1)
         going = ~done
-        rows, x, m = rows[going], x[going], m[going]
-        if per_row:
-            inertia, a = inertia[going], a[going]
+        rows, x, m = rows[going], x[:, going], m[:, going]
+        j, a = j[..., going], a[..., going]
         if not rows.size:
             return increments, margins
     raise NoConvergence(

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from so3mpc.errors import NotSolvable
+from so3mpc import lgvi
+from so3mpc.errors import NoConvergence, NotSolvable
 from so3mpc.lgvi import (
     SpacecraftState,
     _implicit_increment,
@@ -40,6 +41,38 @@ def random_solvable_pair(rng, slack=0.95):
     # min eig of J^2 + M^2/4 stays nonnegative while |m| <= 2 min eig J.
     m = rng.uniform(0.0, slack) * 2.0 * eigs.min() * direction
     return hat(m), inertia
+
+
+def criterion_3_draws():
+    """The 1000 (momentum, inertia) pairs of acceptance criterion 3."""
+    rng = np.random.default_rng(99)
+    momenta, inertias = [], []
+    for _ in range(1000):
+        eigs = rng.uniform(0.5, 2.0, 3)
+        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        inertias.append(basis @ np.diag(eigs) @ basis.T)
+        direction = rng.standard_normal(3)
+        direction /= np.linalg.norm(direction)
+        momenta.append(hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction))
+    return np.array(momenta), np.array(inertias)
+
+
+def newton_oracle(momentum, inertia):
+    """The implicit step's Newton iteration in numpy matrix form, with
+    LAPACK solves: an independent reference for the component-form kernels."""
+    m = np.array([momentum[2, 1], momentum[0, 2], momentum[1, 0]])
+    a = np.trace(inertia) * np.eye(3) - inertia
+    x = np.linalg.solve(a, 0.5 * m)
+    for _ in range(50):
+        a_x = a - hat(x) @ inertia
+        r = a_x @ x - 0.5 * (1.0 + x @ x) * m
+        jac = a_x + hat(inertia @ x) - np.outer(m, x)
+        dx = np.linalg.solve(jac, -r)
+        x = x + dx
+        if dx @ dx <= 1e-6**2:
+            xh = hat(x)
+            return np.eye(3) + (2.0 / (1.0 + x @ x)) * (xh + xh @ xh)
+    raise AssertionError("oracle did not converge")
 
 
 class TestMomentumMatrix:
@@ -177,20 +210,29 @@ class TestStepRiccati:
         assert step_margin == pytest.approx(margin, abs=1e-12)
         assert step_residual(f, m, inertia) <= 1e-10
         assert orthogonality(f) <= 1e-12
+        # Both kernels stop within about 1e-9 of the root here; their
+        # round-off differences grow as the root's condition, 1/sqrt(margin)
+        # (at most 3.8e-16/sqrt(margin) over 6000 draws).
+        assert np.abs(f - newton_oracle(m, inertia)).max() <= 1e-14 / np.sqrt(margin)
 
+    def test_matches_oracle_on_criterion_3_draws(self):
+        momenta, inertias = criterion_3_draws()
+        worst = max(
+            float(np.abs(_implicit_increment(m, inertia)[0] - newton_oracle(m, inertia)).max())
+            for m, inertia in zip(momenta, inertias)
+        )
+        assert worst <= 1e-12
 
-def criterion_3_draws():
-    """The 1000 (momentum, inertia) pairs of acceptance criterion 3."""
-    rng = np.random.default_rng(99)
-    momenta, inertias = [], []
-    for _ in range(1000):
-        eigs = rng.uniform(0.5, 2.0, 3)
-        basis, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        inertias.append(basis @ np.diag(eigs) @ basis.T)
-        direction = rng.standard_normal(3)
-        direction /= np.linalg.norm(direction)
-        momenta.append(hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction))
-    return np.array(momenta), np.array(inertias)
+    def test_iteration_cap_raises(self, monkeypatch):
+        # The linearized root 0.375 e3 is far from the root tan(theta/2) e3
+        # with 2 sin(theta) = 1.5, about 0.45 e3, so one step cannot stop.
+        m, inertia = hat([0.0, 0.0, 1.5]), np.eye(3)
+        _implicit_increment(m, inertia)
+        monkeypatch.setattr(lgvi, "_NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NoConvergence):
+            _implicit_increment(m, inertia)
+        with pytest.raises(NoConvergence):
+            _implicit_increments(np.array([np.zeros((3, 3)), m]), inertia)
 
 
 class TestBatchedKernel:
@@ -199,19 +241,40 @@ class TestBatchedKernel:
     def test_matches_scalar_kernel_on_criterion_3_draws(self):
         momenta, inertias = criterion_3_draws()
         increments, margins = _implicit_increments(momenta, inertias)
-        worst = 0.0
         for f, margin, m, inertia in zip(increments, margins, momenta, inertias):
             f_ref, margin_ref = _implicit_increment(m, inertia)
-            worst = max(worst, float(np.abs(f - f_ref).max()))
+            assert np.array_equal(f, f_ref)
             assert margin == margin_ref
-        assert worst <= 1e-12
 
     def test_shared_inertia(self):
         rng = np.random.default_rng(8)
         momenta = np.array([random_solvable_pair(rng)[0] for _ in range(40)])
         increments, _ = _implicit_increments(momenta, J_REF)
         for f, m in zip(increments, momenta):
-            assert np.abs(f - _implicit_increment(m, J_REF)[0]).max() <= 1e-12
+            assert np.array_equal(f, _implicit_increment(m, J_REF)[0])
+
+    def test_per_row_inertia(self):
+        # Any SPD inertia per row and any momentum inside the solvable set,
+        # not only the momenta of criterion 3's bound.
+        rng = np.random.default_rng(12)
+        momenta, inertias = [], []
+        for _ in range(1000):
+            eigs = rng.uniform(0.1, 3.0, 3)
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            inertia = q @ np.diag(eigs) @ q.T
+            direction = rng.standard_normal(3)
+            direction /= np.linalg.norm(direction)
+            # Up to 5 % past the bound |m| <= 2 min eig J, inside which
+            # every direction is solvable.
+            m = hat(rng.uniform(0.0, 2.1) * eigs.min() * direction)
+            if check_solvability(m, inertia).ok:
+                momenta.append(m)
+                inertias.append(inertia)
+        momenta, inertias = np.array(momenta), np.array(inertias)
+        assert len(momenta) >= 950
+        increments, _ = _implicit_increments(momenta, inertias)
+        for f, m, inertia in zip(increments, momenta, inertias):
+            assert np.array_equal(f, _implicit_increment(m, inertia)[0])
 
     def test_one_unsolvable_row_raises(self):
         momenta = np.array([np.zeros((3, 3)), hat([0.0, 0.0, 4.0]), hat([0.1, 0.0, 0.0])])
