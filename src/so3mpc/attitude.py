@@ -17,7 +17,13 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import OutOfChart
-from .lgvi import DEFAULT_INERTIA, DEFAULT_STEP_SECONDS, SpacecraftState, step_with_margin
+from .lgvi import (
+    DEFAULT_INERTIA,
+    DEFAULT_STEP_SECONDS,
+    MARGIN_CUTOFF,
+    SpacecraftState,
+    step_with_margin,
+)
 from .mpc import ClosedLoopRun, ManifoldSystem, MpcConfig, OcpSolution, SolverSettings, closed_loop, solve_ocp
 from .so3 import exp_so3, geodesic_distance
 from .terminal import (
@@ -33,6 +39,23 @@ from .validation import check_spd, check_vector3
 
 DEFAULT_TORQUE_BOUND = 100.0
 DEFAULT_SOLVABILITY_FLOOR = 1e-6
+
+
+def _check_constraints(torque_bound, solvability_floor) -> tuple[float, float]:
+    """The torque bound and the solvability floor as floats, or ``ValueError``
+    naming the bad one.  NaN fails both checks: a NaN bound would skip the
+    clip and a NaN floor would never be met, switching either constraint off.
+    The floor must stay below the step's ``MARGIN_CUTOFF``, above which the
+    step reports a bound on the margin instead of LAPACK's value."""
+    torque_bound = float(torque_bound)
+    solvability_floor = float(solvability_floor)
+    if not torque_bound > 0.0:
+        raise ValueError(f"torque_bound must be positive or +inf, got {torque_bound}")
+    if not 0.0 <= solvability_floor < MARGIN_CUTOFF:
+        raise ValueError(
+            f"solvability_floor must lie in [0, {MARGIN_CUTOFF}), got {solvability_floor}"
+        )
+    return torque_bound, solvability_floor
 
 
 class SpacecraftAttitudeSystem(ManifoldSystem):
@@ -51,8 +74,9 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         self.inertia = np.asarray(design.inertia, dtype=float)
         self.h = float(design.h)
         self.weights = design.weights
-        self.torque_bound = float(torque_bound)
-        self.solvability_floor = float(solvability_floor)
+        self.torque_bound, self.solvability_floor = _check_constraints(
+            torque_bound, solvability_floor
+        )
         self.cut_sign = float(cut_sign)
         self._equilibrium = SpacecraftState.identity()
 
@@ -189,6 +213,7 @@ class AttitudeMpc:
 
     def fit(self, X=None, y=None) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller."""
+        _check_constraints(self.torque_bound, self.solvability_floor)
         inertia = DEFAULT_INERTIA if self.inertia is None else np.asarray(self.inertia, dtype=float)
         inertia = check_spd(inertia, "inertia")
         weights = self._resolved_weights(inertia)

@@ -27,6 +27,16 @@ _EYE3 = np.eye(3)
 _NEWTON_STEP_TOL = 1e-6
 _NEWTON_MAX_ITERS = 50
 
+# The solvability gate.  LAPACK's smallest eigenvalue of J^2 + M^2/4 (the
+# margin) is computed only where a certified lower bound on it falls below
+# MARGIN_CUTOFF.  Every threshold the margin is compared with (zero, and a
+# solvability floor, which must lie below the cutoff) is then compared with
+# LAPACK's value.  _MARGIN_ALLOWANCE, relative to |J|^2 + |m|^2/4, covers
+# the round-off of the bound and of LAPACK's eigenvalue: it is about 450
+# ulps of that scale, where LAPACK's error on these 3x3 matrices is a few.
+MARGIN_CUTOFF = 1e-2
+_MARGIN_ALLOWANCE = 1e-13
+
 DEFAULT_INERTIA = np.diag([1.0, 1.2, 1.5])
 DEFAULT_STEP_SECONDS = 0.1
 
@@ -56,16 +66,48 @@ def check_state(state: SpacecraftState, atol: float = 1e-9) -> SpacecraftState:
     return SpacecraftState(g, f)
 
 
-def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
-    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update.
+def _momentum(f, tau, hh, j):
+    """m = vee(J f - f^T J) + hh tau, the vector of the skew momentum M, from
+    the entries of f, tau and J: Python floats for one step, arrays with one
+    element per row for a stack, as in the Newton formulas below."""
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = f
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
+    t0, t1, t2 = tau
+    return (
+        (j20 * f01 + j21 * f11 + j22 * f21) - (f02 * j01 + f12 * j11 + f22 * j21) + hh * t0,
+        (j00 * f02 + j01 * f12 + j02 * f22) - (f00 * j02 + f10 * j12 + f20 * j22) + hh * t1,
+        (j10 * f00 + j11 * f10 + j12 * f20) - (f01 * j00 + f11 * j10 + f21 * j20) + hh * t2,
+    )
+
+
+def _entries(a, dims: int):
+    """The entries of ``a`` over its last ``dims`` axes, each an array over
+    the leading axes (a float for a single matrix or vector)."""
+    if a.ndim == dims:
+        return a.tolist()
+    return np.moveaxis(a, tuple(range(-dims, 0)), tuple(range(dims)))
+
+
+def _momentum_vector(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
+    """m = vee(J f - f^T J) + h^2 torque, the vector of :func:`momentum_matrix`.
 
     Takes a stack of states and torques too: increments of shape
-    (..., 3, 3) and torques of shape (..., 3).
+    (..., 3, 3) and torques of shape (..., 3) give shape (..., 3).
     """
     torque = np.asarray(torque, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    f = state.f
-    return inertia @ f - f.swapaxes(-1, -2) @ inertia + (h * h) * hat(torque)
+    m = _momentum(
+        _entries(state.f, 2),
+        _entries(torque, 1),
+        h * h,
+        _entries(np.asarray(inertia, dtype=float), 2),
+    )
+    return np.stack(m, axis=-1)
+
+
+def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
+    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update:
+    ``hat`` of :func:`_momentum_vector`, for one state or a stack."""
+    return hat(_momentum_vector(state, torque, h, inertia))
 
 
 def _step_margin(momentum, inertia: np.ndarray):
@@ -81,10 +123,60 @@ def check_solvability(momentum, inertia) -> Solvability:
     The step is solvable iff J^2 + M^2/4 is positive semi-definite; ``ok``
     holds exactly when :func:`step_with_margin` does not raise
     :class:`~so3mpc.errors.NotSolvable`.  There is no round-off allowance
-    below zero.
+    below zero.  The margin is always LAPACK's eigenvalue, never the bound
+    the step uses above ``MARGIN_CUTOFF``.
     """
     margin = float(_step_margin(momentum, np.asarray(inertia, dtype=float)))
     return Solvability(margin >= 0.0, margin)
+
+
+def _eigen_discs(j):
+    """Gershgorin's discs of a symmetric J from entries: each row's centre
+    minus and plus its radius, which bound the eigenvalues of J."""
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
+    r0 = abs(j01) + abs(j02)
+    r1 = abs(j10) + abs(j12)
+    r2 = abs(j20) + abs(j21)
+    return (j00 - r0, j11 - r1, j22 - r2), (j00 + r0, j11 + r1, j22 + r2)
+
+
+def _margin_bound(m, lo, hi):
+    """Certified lower bound on the margin from entries, for 0 <= lo <=
+    lambda_min(J) and hi >= lambda_max(J).
+
+    M^2 has eigenvalues 0, -|m|^2, -|m|^2, so by Weyl's inequality the
+    margin is at least lambda_min(J)^2 - |m|^2/4; less the allowance, the
+    bound also stays below LAPACK's value of the margin.
+    """
+    m0, m1, m2 = m
+    quarter = 0.25 * (m0 * m0 + m1 * m1 + m2 * m2)
+    return lo * lo - quarter - _MARGIN_ALLOWANCE * (hi * hi + quarter)
+
+
+def _margin(m, j, inertia: np.ndarray) -> float:
+    """The margin of one step: LAPACK's value where the bound of
+    :func:`_margin_bound` is below ``MARGIN_CUTOFF``, the bound above it."""
+    lows, highs = _eigen_discs(j)
+    bound = _margin_bound(m, max(min(lows), 0.0), max(highs))
+    if bound >= MARGIN_CUTOFF:
+        return bound
+    return float(_step_margin(hat(m), inertia))
+
+
+def _margins(m, inertia: np.ndarray) -> np.ndarray:
+    """:func:`_margin` of every row of ``m``, shape (n, 3), with one inertia,
+    shape (3, 3), or one per row, shape (n, 3, 3).  LAPACK runs only on the
+    rows in the band; every row equals the single step's margin bit for bit
+    (min and max are exact, so the reductions round alike)."""
+    lows, highs = _eigen_discs(_entries(inertia, 2))
+    lo = np.maximum(np.minimum(np.minimum(lows[0], lows[1]), lows[2]), 0.0)
+    hi = np.maximum(np.maximum(highs[0], highs[1]), highs[2])
+    margins = _margin_bound(m.T, lo, hi)
+    band = np.flatnonzero(~(margins >= MARGIN_CUTOFF))
+    if band.size:
+        in_band = inertia if inertia.ndim == 2 else inertia[band]
+        margins[band] = _step_margin(hat(m[band]), in_band)
+    return margins
 
 
 # The Newton iteration in components.  Every entry is a Python float (the
@@ -164,30 +256,41 @@ def _cayley(x):
     )
 
 
-def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, float]:
-    """The increment F in SO(3) with F J - J F^T = M, and the solvability margin.
+def _implicit_increment(m, inertia: np.ndarray) -> tuple[np.ndarray, float]:
+    """The increment F in SO(3) with F J - J F^T = hat(m), and the solvability
+    margin.  ``m`` is the momentum vector (three floats), ``inertia`` an array.
+
+    The margin is the smallest eigenvalue of J^2 + M^2/4 from LAPACK where a
+    certified lower bound on it is below ``MARGIN_CUTOFF``, and that bound
+    above it (see :func:`_margin`); the step raises
+    :class:`~so3mpc.errors.NotSolvable` iff LAPACK's value is negative.
 
     F is the Cayley map of a 3-vector x, I + 2 (hat(x) + hat(x)^2) / (1 + x^T x),
-    so it stays on the group by construction.  With m = vee(M) the implicit
-    update reads r(x) = (tr J I - J) x - x cross J x - (1 + x^T x) m / 2 = 0,
-    solved by Newton from the linearized root (tr J I - J)^{-1} m / 2.  Since
-    r is quadratic, the residual after a step dx is exactly
+    so it stays on the group by construction.  The implicit update reads
+    r(x) = (tr J I - J) x - x cross J x - (1 + x^T x) m / 2 = 0, solved by
+    Newton from the linearized root (tr J I - J)^{-1} m / 2.  Since r is
+    quadratic, the residual after a step dx is exactly
     -dx cross J dx - |dx|^2 m / 2, so stopping once |dx| <= _NEWTON_STEP_TOL
     leaves a residual of order 1e-12, and under quadratic convergence the
     last step is usually far smaller.  On the solvable set the iteration
     converges to the branch with sym(F J) positive semi-definite,
     quadratically for a positive margin and linearly at margin zero.
 
+    Near the solvability boundary F is less accurate than the residual: the
+    root is close to a double root, with condition about 1/sqrt(margin), so
+    the residual's 1e-12 leaves F within 3e-12 / sqrt(margin) of the exact
+    increment in every entry (at most about 1e-12 / sqrt(margin) against the
+    closed-form planar solution): up to 3e-8 at margin 1e-8, 3e-12 at
+    margin 1.
+
     The iteration runs on Python floats through the component formulas
     :func:`_solve3`, :func:`_newton_update` and :func:`_cayley`, which
     :func:`_implicit_increments` runs on arrays of rows.
     """
-    margin = float(_step_margin(momentum, inertia))
+    j = inertia.tolist()
+    margin = _margin(m, j, inertia)
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
-    rows = momentum.tolist()
-    m = (rows[2][1], rows[0][2], rows[1][0])
-    j = inertia.tolist()
     a = _trace_shift(j)
     x = _solve3(a, [0.5 * mi for mi in m])
     for _ in range(_NEWTON_MAX_ITERS):
@@ -199,9 +302,9 @@ def _implicit_increment(momentum, inertia: np.ndarray) -> tuple[np.ndarray, floa
     )
 
 
-def _implicit_increments(momentum, inertia) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_implicit_increment` for a stack of momenta, shape (n, 3, 3),
-    with one inertia, shape (3, 3), or one per row, shape (n, 3, 3).
+def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_implicit_increment` for a stack of momentum vectors, shape
+    (n, 3), with one inertia, shape (3, 3), or one per row, shape (n, 3, 3).
     Returns the increments, shape (n, 3, 3), and the margins, shape (n,).
 
     Every row runs the scalar kernel's component formulas from the same
@@ -209,21 +312,21 @@ def _implicit_increments(momentum, inertia) -> tuple[np.ndarray, np.ndarray]:
     scalar kernel's result bit for bit.  Raises
     :class:`~so3mpc.errors.NotSolvable` naming the first unsolvable row.
     """
-    momentum = np.asarray(momentum, dtype=float)
+    m = np.asarray(m, dtype=float)
     inertia = np.asarray(inertia, dtype=float)
-    margins = _step_margin(momentum, inertia)
+    margins = _margins(m, inertia)
     unsolvable = np.flatnonzero(margins < 0.0)
     if unsolvable.size:
         row = int(unsolvable[0])
         raise NotSolvable(
             f"implicit step unsolvable in row {row}: min eig of J^2 + M^2/4 is {margins[row]:.3e}"
         )
-    increments = np.empty_like(momentum)
-    rows = np.arange(len(momentum))
+    increments = np.empty((len(m), 3, 3))
+    rows = np.arange(len(m))
     # Each entry of J, m and x is an array with one element per row.
-    j = np.broadcast_to(inertia, momentum.shape).transpose(1, 2, 0)
+    j = np.broadcast_to(inertia, increments.shape).transpose(1, 2, 0)
     a = np.array(_trace_shift(j))
-    m = np.stack([momentum[:, 2, 1], momentum[:, 0, 2], momentum[:, 1, 0]])
+    m = m.T
     x = np.array(_solve3(a, [0.5 * mi for mi in m]))
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
@@ -252,10 +355,19 @@ def step_with_margin(
     """One integrator step plus the solvability margin it consumed.
 
     The margin is the smallest eigenvalue of J^2 + M^2/4, which the
-    optimizer keeps above its floor inside predicted rollouts.
+    optimizer keeps above its floor inside predicted rollouts.  It is
+    LAPACK's exact value below ``MARGIN_CUTOFF`` and a certified lower bound
+    on it above (see :func:`_implicit_increment`), so every comparison with
+    zero or with a floor below the cutoff sees the exact value.  The
+    momentum goes from the entries of f, torque and J straight into Newton.
     """
     inertia = np.asarray(inertia, dtype=float)
-    m = momentum_matrix(state, torque, h, inertia)
+    m = _momentum(
+        state.f.tolist(),
+        np.asarray(torque, dtype=float).reshape(3).tolist(),
+        h * h,
+        inertia.tolist(),
+    )
     f_next, margin = _implicit_increment(m, inertia)
     return SpacecraftState(state.g @ state.f, f_next), margin
 
@@ -347,6 +459,7 @@ __all__ = [
     "DEFAULT_INERTIA",
     "DEFAULT_STEP_SECONDS",
     "check_state",
+    "MARGIN_CUTOFF",
     "momentum_matrix",
     "check_solvability",
     "lgvi_step",

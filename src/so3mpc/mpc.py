@@ -170,6 +170,8 @@ class _RolloutData(NamedTuple):
 
 
 def _rollout_data(system: ManifoldSystem, x0, torques) -> _RolloutData:
+    """Roll out from ``x0``; :class:`~so3mpc.errors.NotSolvable` from a step
+    is raised again naming the step."""
     floor = system.step_margin_floor
     states = [x0]
     stage = np.empty(len(torques))
@@ -177,7 +179,10 @@ def _rollout_data(system: ManifoldSystem, x0, torques) -> _RolloutData:
     x = x0
     for i, u in enumerate(torques):
         stage[i] = system.stage_cost(x, u)
-        x, margin = system.step_with_margin(x, u)
+        try:
+            x, margin = system.step_with_margin(x, u)
+        except NotSolvable as err:
+            raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
         if margin < floor:
             shortfalls[i] = floor - margin
         states.append(x)

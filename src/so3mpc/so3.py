@@ -9,6 +9,8 @@ negative), so downstream consumers see a reproducible branch choice.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .validation import check_skew
@@ -64,13 +66,6 @@ def vee(s, atol: float = 1e-12) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
-def _antisym_vector(r: np.ndarray) -> np.ndarray:
-    """Vector of the antisymmetric part of ``r``; equals sin(theta) * axis on SO(3)."""
-    return 0.5 * np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
-    )
-
-
 def exp_so3(v) -> np.ndarray:
     """Rodrigues form of the matrix exponential of ``hat(v)``.
 
@@ -87,19 +82,6 @@ def exp_so3(v) -> np.ndarray:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / theta**2
     return _EYE3 + a * k + b * k2
-
-
-def _dot(a: np.ndarray, b: np.ndarray):
-    """Dot product along the last axis, one per row for stacks.
-
-    Every row is a BLAS dot, as ``a @ b`` and ``np.linalg.norm`` take it for
-    single vectors, so a row's result equals the single-vector one bit for
-    bit.  Single vectors keep the plain ``a @ b`` and give a Python float,
-    which is faster to compute with.
-    """
-    if a.ndim == 1:
-        return float(a @ b)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def exp_so3_rows(v) -> np.ndarray:
@@ -120,6 +102,22 @@ def exp_so3_rows(v) -> np.ndarray:
     return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
 
 
+def _log_terms(r):
+    """The vector s of the antisymmetric part of R, |s|^2 and (tr R - 1) / 2,
+    from the rows of entries of R: on SO(3), s = sin(theta) * axis and the
+    last is cos(theta).
+
+    Every entry is a Python float (one matrix) or an array with one element
+    per matrix (a stack).  Only elementwise + - * / appear, which round alike
+    on both, so a stack gives each matrix's values bit for bit.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r
+    s0 = 0.5 * (r21 - r12)
+    s1 = 0.5 * (r02 - r20)
+    s2 = 0.5 * (r10 - r01)
+    return (s0, s1, s2), s0 * s0 + s1 * s1 + s2 * s2, (r00 + r11 + r22 - 1.0) / 2.0
+
+
 def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
     """Principal branch of the matrix logarithm, returned as a rotation vector.
 
@@ -129,6 +127,11 @@ def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
     selects the representative whose largest-magnitude component is
     nonnegative.
 
+    Away from the cut the angle and the vector come from the entries of R
+    in Python floats (:func:`_log_terms`); the angle is numpy's ``arctan2``,
+    which :func:`log_so3_rows` applies to arrays, because ``math.atan2`` can
+    differ from it in the last bit.
+
     Args:
         r: Rotation matrix, shape (3, 3).
         cut_sign: Orientation of the tie-break at the branch cut (+1 or -1).
@@ -137,13 +140,13 @@ def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
         Rotation vector of length <= pi.
     """
     r = np.asarray(r, dtype=float)
-    s = _antisym_vector(r)
-    sin_theta = float(np.linalg.norm(s))
-    cos_theta = float(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
+    s, sin_sq, cos_theta = _log_terms(r.tolist())
+    sin_theta = math.sqrt(sin_sq)
+    cos_theta = min(max(cos_theta, -1.0), 1.0)
     theta = float(np.arctan2(sin_theta, cos_theta))
 
     if theta < SMALL_ANGLE:
-        return s
+        return np.array(s)
 
     if np.pi - theta < NEAR_PI:
         # Quadratic-term recovery: the symmetric part of R equals
@@ -156,33 +159,35 @@ def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
         col[idx] = max(col[idx], 0.0)
         axis = col / np.linalg.norm(col)
         if sin_theta >= _SIGN_FLOOR:
-            if float(axis @ s) < 0.0:
+            if float(axis @ np.array(s)) < 0.0:
                 axis = -axis
         elif cut_sign < 0.0:
             axis = -axis
         return theta * axis
 
-    return (theta / sin_theta) * s
+    scale = theta / sin_theta
+    s0, s1, s2 = s
+    return np.array((scale * s0, scale * s1, scale * s2))
 
 
 def log_so3_rows(r, cut_sign: float = 1.0) -> np.ndarray:
     """:func:`log_so3` of every matrix of ``r``: shape (n, 3, 3) to (n, 3).
 
-    Equal to ``log_so3`` row by row, bit for bit.  Rows within ``NEAR_PI``
-    of the branch cut are passed to ``log_so3`` itself, so the axis
-    recovery and the tie-break at the cut have one implementation.
+    Equal to ``log_so3`` row by row, bit for bit: the same
+    :func:`_log_terms` on arrays of entries, and the same ``sqrt``, clip and
+    ``arctan2``, which round alike on floats and arrays.  Rows within
+    ``NEAR_PI`` of the branch cut are passed to ``log_so3`` itself, so the
+    axis recovery and the tie-break at the cut have one implementation.
     """
     r = np.asarray(r, dtype=float)
-    s = 0.5 * np.stack(
-        [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=-1
-    )
-    sin_theta = np.sqrt(_dot(s, s))
-    cos_theta = np.clip((np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arctan2(sin_theta, cos_theta)
-    out = s.copy()
+    (s0, s1, s2), sin_sq, cos_theta = _log_terms(r.transpose(1, 2, 0))
+    sin_theta = np.sqrt(sin_sq)
+    theta = np.arctan2(sin_theta, np.clip(cos_theta, -1.0, 1.0))
     near_pi = np.pi - theta < NEAR_PI
-    regular = ~near_pi & (theta >= SMALL_ANGLE)
-    out[regular] = (theta[regular] / sin_theta[regular])[:, None] * s[regular]
+    regular = ~near_pi & ~(theta < SMALL_ANGLE)
+    # Small angles keep s itself: a scale of one.
+    scale = np.divide(theta, sin_theta, out=np.ones_like(theta), where=regular)
+    out = np.stack([scale * s0, scale * s1, scale * s2], axis=-1)
     for i in np.flatnonzero(near_pi):
         out[i] = log_so3(r[i], cut_sign=cut_sign)
     return out

@@ -25,8 +25,8 @@ from .errors import (
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import SpacecraftState, _implicit_increments, _step_margin, momentum_matrix
-from .so3 import _dot, exp_so3_rows, hat, log_so3, log_so3_rows
+from .lgvi import SpacecraftState, _implicit_increments, _margins, _momentum_vector
+from .so3 import exp_so3_rows, hat, log_so3, log_so3_rows
 from .validation import check_spd
 
 _EYE3 = np.eye(3)
@@ -48,36 +48,64 @@ class StageWeights:
         object.__setattr__(self, "torque", check_spd(self.torque, "torque weight"))
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        # Constant pieces of the stage cost, computed once per weight set.
+        # Constant pieces of the stage cost, computed once per weight set:
+        # the traces, and the weights' entries as Python floats.
         object.__setattr__(
             self, "_traces", (float(np.trace(self.attitude)), float(np.trace(self.rate)))
         )
-        object.__setattr__(self, "_torque_tilde", tilde_transform(self.torque))
+        object.__setattr__(
+            self,
+            "_entries",
+            (self.attitude.tolist(), self.rate.tolist(), tilde_transform(self.torque).tolist()),
+        )
 
     def stage_cost(self, state: SpacecraftState, torque, h: float) -> float:
         """Trace-form running cost of one step:
         tr(Q_g (I - g)) + tr(Q_f (I - f)) / h^2 + u^T (tr(R) I - R) u / 2.
 
-        Takes a stack of states and torques too, and returns one cost per row.
+        Takes a stack of states and torques too, and returns one cost per row,
+        equal to the single state's cost bit for bit: both are computed from
+        entries, floats for one state and arrays over the stack.
         """
         torque = np.asarray(torque, dtype=float)
+        if state.g.ndim == 2:
+            g, f, u = state.g.tolist(), state.f.tolist(), torque.tolist()
+        else:
+            g, f, u = state.g.transpose(1, 2, 0), state.f.transpose(1, 2, 0), torque.T
+        attitude, rate, torque_tilde = self._entries
         trace_att, trace_rate = self._traces
-        g_term = trace_att - _trace_of_product(self.attitude, state.g)
-        f_term = (trace_rate - _trace_of_product(self.rate, state.f)) / (h * h)
-        u_term = 0.5 * _dot(torque @ self._torque_tilde, torque)
+        g_term = trace_att - _trace_product(attitude, g)
+        f_term = (trace_rate - _trace_product(rate, f)) / (h * h)
+        u_term = 0.5 * _quadratic_form(torque_tilde, u)
         return g_term + f_term + u_term
 
 
-def _trace_of_product(w: np.ndarray, m: np.ndarray):
-    """tr(W M) as the sum of W * M^T, one per matrix for a stack of M.
+# The cost formulas in components.  Every entry is a Python float (one state)
+# or an array with one element per row (a stack); only elementwise + - * /
+# appear, which round alike on both, so a stack's rows equal the single
+# results bit for bit.
 
-    A single matrix keeps ``.T`` and a plain ``.sum()`` and gives a Python
-    float, which is faster; each matrix of a stack sums its nine products in
-    the same order.
-    """
-    if m.ndim == 2:
-        return float((w * m.T).sum())
-    return (w * m.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+def _trace_product(w, m):
+    """tr(W M) for 3x3 W and M given as rows of entries."""
+    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = w
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return (
+        (w00 * m00 + w01 * m10 + w02 * m20)
+        + (w10 * m01 + w11 * m11 + w12 * m21)
+        + (w20 * m02 + w21 * m12 + w22 * m22)
+    )
+
+
+def _quadratic_form(a, x):
+    """x^T A x for a 3x3 A given as rows of entries."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    x0, x1, x2 = x
+    return (
+        x0 * (a00 * x0 + a01 * x1 + a02 * x2)
+        + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
+        + x2 * (a20 * x0 + a21 * x1 + a22 * x2)
+    )
 
 
 def default_weights(inertia) -> StageWeights:
@@ -265,8 +293,16 @@ def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.n
 
 def terminal_value(p: np.ndarray, xi: np.ndarray) -> float:
     """Terminal cost F = xi^T P xi at chart coordinates ``xi``; one value per
-    row for a stack of coordinates."""
-    return _dot(xi @ p, xi)
+    row for a stack of coordinates.
+
+    Stays a BLAS product: for six coordinates it is as fast as the
+    component form, which also rounds differently, and a stack's rows are
+    BLAS dots like the single value's, so the two agree bit for bit.
+    """
+    v = xi @ p
+    if v.ndim == 1:
+        return float(v @ xi)
+    return (v[..., None, :] @ xi[..., :, None])[..., 0, 0]
 
 
 def feedback(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -404,7 +440,7 @@ def evaluate_level(
     state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
     coords = coordinates(state, h)
     torque = feedback(design_k, coords)
-    momentum = momentum_matrix(state, torque, h, inertia)
+    momentum = _momentum_vector(state, torque, h, inertia)
     try:
         f_next, _ = _implicit_increments(momentum, inertia)
         solvable = slice(None)
@@ -412,8 +448,8 @@ def evaluate_level(
     except NotSolvable:
         # The level reaches spin rates the integrator cannot step: a hard
         # violation of the invariance condition.  The other margins are
-        # taken over the samples that can be stepped.
-        solvable = _step_margin(momentum, inertia) >= 0.0
+        # taken over the samples that can be stepped, by the step's own test.
+        solvable = _margins(momentum, inertia) >= 0.0
         f_next, _ = _implicit_increments(momentum[solvable], inertia)
         worst_invariance = np.inf
     state = SpacecraftState(state.g[solvable], state.f[solvable])

@@ -112,7 +112,7 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         m = hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction)
-        f, _ = _implicit_increment(m, inertia)
+        f, _ = _implicit_increment([m[2, 1], m[0, 2], m[1, 0]], inertia)
         worst_step = max(worst_step, float(np.linalg.norm(f @ inertia - inertia @ f.T - m)))
         worst_ortho = max(worst_ortho, float(np.linalg.norm(f.T @ f - np.eye(3))))
         # The Riccati branch: S = sym(F J) is positive semi-definite.

@@ -9,7 +9,7 @@ from so3mpc.attitude import (
     spinning_state,
 )
 from so3mpc.errors import NotPositiveDefinite, OutOfChart
-from so3mpc.lgvi import SpacecraftState, lgvi_step
+from so3mpc.lgvi import MARGIN_CUTOFF, SpacecraftState, lgvi_step
 from so3mpc.mpc import SolverSettings
 from so3mpc.so3 import exp_so3
 
@@ -66,6 +66,26 @@ class TestAttitudeSystem:
     def test_projection_clips_to_bound(self, ref_design):
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=2.0)
         assert_allclose(system.project_control([5.0, -3.0, 1.0]), [2.0, -2.0, 1.0])
+
+    @pytest.mark.parametrize("floor", [np.nan, -1e-9, np.inf, MARGIN_CUTOFF, 0.5])
+    def test_rejects_bad_solvability_floor(self, ref_design, floor):
+        # A NaN floor would never be met and switch the constraint off; the
+        # step reports exact margins only below MARGIN_CUTOFF.
+        with pytest.raises(ValueError, match="solvability_floor"):
+            SpacecraftAttitudeSystem(ref_design, solvability_floor=floor)
+
+    @pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0, -np.inf])
+    def test_rejects_bad_torque_bound(self, ref_design, bound):
+        # A NaN bound would skip the clip in project_control.
+        with pytest.raises(ValueError, match="torque_bound"):
+            SpacecraftAttitudeSystem(ref_design, torque_bound=bound)
+
+    def test_accepts_constraint_edges(self, ref_design):
+        system = SpacecraftAttitudeSystem(
+            ref_design, torque_bound=np.inf, solvability_floor=0.0
+        )
+        assert_allclose(system.project_control([5e3, 0.0, 0.0]), [5e3, 0.0, 0.0])
+        SpacecraftAttitudeSystem(ref_design, solvability_floor=0.99 * MARGIN_CUTOFF)
 
     def test_margin_floor(self, ref_system):
         state = SpacecraftState.identity()
@@ -128,6 +148,14 @@ class TestEstimator:
         assert torques.shape == (2, 3)
         assert np.max(np.abs(torques[0])) <= 1e-8
         assert np.max(np.abs(torques[1])) > 0.0
+
+    @pytest.mark.parametrize(
+        "params", [{"solvability_floor": np.nan}, {"torque_bound": np.nan}]
+    )
+    def test_fit_rejects_bad_constraints_before_design(self, params):
+        (name,) = params
+        with pytest.raises(ValueError, match=name):
+            AttitudeMpc(terminal_samples=10, **params).fit()
 
     def test_fit_rejects_bad_inertia(self):
         with pytest.raises(NotPositiveDefinite):

@@ -7,9 +7,14 @@ from numpy.testing import assert_allclose
 from so3mpc import lgvi
 from so3mpc.errors import NoConvergence, NotSolvable
 from so3mpc.lgvi import (
+    MARGIN_CUTOFF,
     SpacecraftState,
+    _eigen_discs,
     _implicit_increment,
     _implicit_increments,
+    _margin,
+    _margin_bound,
+    _margins,
     check_solvability,
     free_momentum_drift,
     implicit_residual,
@@ -29,6 +34,11 @@ H = 0.1
 def rot_z(angle):
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def vector(momentum):
+    """The vector m of a skew momentum M = hat(m), or of each of a stack."""
+    return np.asarray(momentum)[..., [2, 0, 1], [1, 2, 0]]
 
 
 def random_solvable_pair(rng, slack=0.95):
@@ -128,7 +138,7 @@ class TestSolvability:
         momentum = hat([0.0, 0.0, 2.0 + delta])
         ok = check_solvability(momentum, np.eye(3)).ok
         try:
-            _implicit_increment(momentum, np.eye(3))
+            _implicit_increment(vector(momentum), np.eye(3))
         except NotSolvable:
             solved = False
         else:
@@ -154,7 +164,7 @@ class TestStepRiccati:
     positive semi-definite root of (S - M/2)(S + M/2) = J^2."""
 
     def test_zero_momentum_gives_inertia(self):
-        f, _ = _implicit_increment(np.zeros((3, 3)), J_REF)
+        f, _ = _implicit_increment(np.zeros(3), J_REF)
         assert_allclose(f, np.eye(3), atol=1e-12)
         assert_allclose(sym(f @ J_REF), J_REF, atol=1e-12)
 
@@ -163,7 +173,7 @@ class TestStepRiccati:
         # S = diag(cos a, cos a, 1) for a spherical body.
         angle = 0.1
         m = 2.0 * np.sin(angle) * hat([0, 0, 1.0])
-        f, _ = _implicit_increment(m, np.eye(3))
+        f, _ = _implicit_increment(vector(m), np.eye(3))
         assert_allclose(f, rot_z(angle), atol=1e-12)
         assert_allclose(sym(f), np.diag([np.cos(angle), np.cos(angle), 1.0]), atol=1e-12)
 
@@ -171,7 +181,7 @@ class TestStepRiccati:
         rng = np.random.default_rng(1)
         for _ in range(300):
             m, inertia = random_solvable_pair(rng)
-            f, _ = _implicit_increment(m, inertia)
+            f, _ = _implicit_increment(vector(m), inertia)
             assert step_residual(f, m, inertia) <= 1e-10
             # The Riccati branch: S = sym(F J) is positive semi-definite.
             assert np.linalg.eigvalsh(sym(f @ inertia))[0] >= -1e-12
@@ -180,14 +190,14 @@ class TestStepRiccati:
         rng = np.random.default_rng(2)
         for _ in range(100):
             m, inertia = random_solvable_pair(rng)
-            f, _ = _implicit_increment(m, inertia)
+            f, _ = _implicit_increment(vector(m), inertia)
             s = sym(f @ inertia)
             gap = (s - 0.5 * m) @ (s + 0.5 * m) - inertia @ inertia
             assert np.linalg.norm(gap) <= 1e-10
 
     def test_unsolvable_raises(self):
         with pytest.raises(NotSolvable):
-            _implicit_increment(hat([0, 0, 4.0]), np.eye(3))
+            _implicit_increment([0.0, 0.0, 4.0], np.eye(3))
 
     @settings(deadline=None)
     @given(
@@ -206,8 +216,11 @@ class TestStepRiccati:
         q = exp_so3(rotation)
         inertia = q @ np.diag(eigs) @ q.T
         m = q @ hat(size * np.eye(3)[axis]) @ q.T
-        f, step_margin = _implicit_increment(m, inertia)
-        assert step_margin == pytest.approx(margin, abs=1e-12)
+        f, step_margin = _implicit_increment(vector(m), inertia)
+        # LAPACK's value in the band below the cutoff, a lower bound above.
+        assert step_margin <= margin + 1e-12
+        if margin < MARGIN_CUTOFF:
+            assert step_margin == pytest.approx(margin, abs=1e-12)
         assert step_residual(f, m, inertia) <= 1e-10
         assert orthogonality(f) <= 1e-12
         # Both kernels stop within about 1e-9 of the root here; their
@@ -218,21 +231,44 @@ class TestStepRiccati:
     def test_matches_oracle_on_criterion_3_draws(self):
         momenta, inertias = criterion_3_draws()
         worst = max(
-            float(np.abs(_implicit_increment(m, inertia)[0] - newton_oracle(m, inertia)).max())
+            float(np.abs(_implicit_increment(vector(m), inertia)[0] - newton_oracle(m, inertia)).max())
             for m, inertia in zip(momenta, inertias)
         )
         assert worst <= 1e-12
+
+    @settings(deadline=None)
+    @given(
+        st.floats(min_value=1e-8, max_value=1.0),
+        st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=2),
+        st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=3, max_size=3),
+    )
+    @example(1e-8, [1.0, 1.0, 1.0], 2, [0.0, 0.0, 0.0])
+    @example(1e-8, [2.0, 2.0, 2.0], 0, [np.pi, 0.0, 0.0])
+    def test_accuracy_in_f_against_planar_solution(self, margin, eigs, axis, rotation):
+        # The docstring's bound: F within 3e-12 / sqrt(margin) of the exact
+        # increment.  With M = size Q e_k and diagonal J, the root is the
+        # rotation Q exp(theta hat(e_k)) Q^T with (J_i + J_j) sin(theta) = size,
+        # i and j the other two axes.
+        others = [eigs[i] for i in range(3) if i != axis]
+        size = 2.0 * np.sqrt(min(others) ** 2 - margin)
+        q = exp_so3(rotation)
+        inertia = q @ np.diag(eigs) @ q.T
+        f, _ = _implicit_increment(size * q[:, axis], inertia)
+        theta = np.arcsin(size / sum(others))
+        exact = q @ exp_so3(theta * np.eye(3)[axis]) @ q.T
+        assert np.abs(f - exact).max() <= 3e-12 / np.sqrt(margin)
 
     def test_iteration_cap_raises(self, monkeypatch):
         # The linearized root 0.375 e3 is far from the root tan(theta/2) e3
         # with 2 sin(theta) = 1.5, about 0.45 e3, so one step cannot stop.
         m, inertia = hat([0.0, 0.0, 1.5]), np.eye(3)
-        _implicit_increment(m, inertia)
+        _implicit_increment(vector(m), inertia)
         monkeypatch.setattr(lgvi, "_NEWTON_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
-            _implicit_increment(m, inertia)
+            _implicit_increment(vector(m), inertia)
         with pytest.raises(NoConvergence):
-            _implicit_increments(np.array([np.zeros((3, 3)), m]), inertia)
+            _implicit_increments(vector(np.array([np.zeros((3, 3)), m])), inertia)
 
 
 class TestBatchedKernel:
@@ -240,18 +276,18 @@ class TestBatchedKernel:
 
     def test_matches_scalar_kernel_on_criterion_3_draws(self):
         momenta, inertias = criterion_3_draws()
-        increments, margins = _implicit_increments(momenta, inertias)
+        increments, margins = _implicit_increments(vector(momenta), inertias)
         for f, margin, m, inertia in zip(increments, margins, momenta, inertias):
-            f_ref, margin_ref = _implicit_increment(m, inertia)
+            f_ref, margin_ref = _implicit_increment(vector(m), inertia)
             assert np.array_equal(f, f_ref)
             assert margin == margin_ref
 
     def test_shared_inertia(self):
         rng = np.random.default_rng(8)
         momenta = np.array([random_solvable_pair(rng)[0] for _ in range(40)])
-        increments, _ = _implicit_increments(momenta, J_REF)
+        increments, _ = _implicit_increments(vector(momenta), J_REF)
         for f, m in zip(increments, momenta):
-            assert np.array_equal(f, _implicit_increment(m, J_REF)[0])
+            assert np.array_equal(f, _implicit_increment(vector(m), J_REF)[0])
 
     def test_per_row_inertia(self):
         # Any SPD inertia per row and any momentum inside the solvable set,
@@ -272,17 +308,17 @@ class TestBatchedKernel:
                 inertias.append(inertia)
         momenta, inertias = np.array(momenta), np.array(inertias)
         assert len(momenta) >= 950
-        increments, _ = _implicit_increments(momenta, inertias)
+        increments, _ = _implicit_increments(vector(momenta), inertias)
         for f, m, inertia in zip(increments, momenta, inertias):
-            assert np.array_equal(f, _implicit_increment(m, inertia)[0])
+            assert np.array_equal(f, _implicit_increment(vector(m), inertia)[0])
 
     def test_one_unsolvable_row_raises(self):
         momenta = np.array([np.zeros((3, 3)), hat([0.0, 0.0, 4.0]), hat([0.1, 0.0, 0.0])])
         with pytest.raises(NotSolvable, match="row 1"):
-            _implicit_increments(momenta, np.eye(3))
+            _implicit_increments(vector(momenta), np.eye(3))
 
     def test_empty_stack(self):
-        increments, margins = _implicit_increments(np.zeros((0, 3, 3)), J_REF)
+        increments, margins = _implicit_increments(np.zeros((0, 3)), J_REF)
         assert increments.shape == (0, 3, 3)
         assert margins.shape == (0,)
 
@@ -328,14 +364,95 @@ class TestLgviStep:
             state = nxt
 
     def test_step_with_margin_matches(self):
-        state = SpacecraftState(np.eye(3), exp_so3(H * np.array([0.3, 0.2, 0.1])))
-        tau = np.array([0.1, -0.2, 0.3])
-        nxt, margin = step_with_margin(state, tau, H, J_REF)
-        alone = lgvi_step(state, tau, H, J_REF)
-        assert_allclose(nxt.g, alone.g)
-        assert_allclose(nxt.f, alone.f)
-        m = momentum_matrix(state, tau, H, J_REF)
-        assert margin == pytest.approx(check_solvability(m, J_REF).margin, abs=1e-14)
+        # The margin is LAPACK's exact value in the band below MARGIN_CUTOFF
+        # and a lower bound on it above; the verdict is LAPACK's everywhere.
+        cases = [
+            (J_REF, exp_so3(H * np.array([0.3, 0.2, 0.1])), np.array([0.1, -0.2, 0.3])),
+            # J = I turning 1.5 rad per step: margin cos(1.5)^2, about 0.005.
+            (np.eye(3), rot_z(1.5), np.zeros(3)),
+        ]
+        in_band = 0
+        for inertia, f, tau in cases:
+            state = SpacecraftState(np.eye(3), f)
+            nxt, margin = step_with_margin(state, tau, H, inertia)
+            alone = lgvi_step(state, tau, H, inertia)
+            assert np.array_equal(nxt.g, alone.g)
+            assert np.array_equal(nxt.f, alone.f)
+            exact = check_solvability(momentum_matrix(state, tau, H, inertia), inertia)
+            assert margin <= exact.margin
+            assert (margin >= 0.0) == exact.ok
+            if exact.margin < MARGIN_CUTOFF:
+                in_band += 1
+                assert margin == exact.margin
+        assert in_band == 1
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def random_inertia(eigs, rotation):
+    q = exp_so3(rotation)
+    inertia = q @ np.diag(eigs) @ q.T
+    return 0.5 * (inertia + inertia.T)
+
+
+class TestSolvabilityGate:
+    """The Weyl bound that spares LAPACK above MARGIN_CUTOFF, against
+    LAPACK's eigenvalue."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(st.floats(min_value=0.1, max_value=3.0), min_size=3, max_size=3),
+        st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=3, max_size=3),
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+        st.floats(min_value=0.0, max_value=1.2),
+    )
+    # J = I and |m| = 2: margin zero, and the bound is tight there.
+    @example([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0)
+    @example([1.0, 1.0, 1.0], [0.3, -0.2, 0.1], [1.0, -1.0, 0.5], 1.0)
+    @example([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 0.0)
+    @example([0.1, 3.0, 3.0], [0.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1.0)
+    def test_bound_below_lapack_and_stacks_agree(self, eigs, rotation, direction, scale):
+        inertia = random_inertia(eigs, rotation)
+        direction = np.asarray(direction)
+        norm = np.linalg.norm(direction)
+        m = np.zeros(3) if norm < 1e-9 else 2.0 * scale * min(eigs) * direction / norm
+        exact = check_solvability(hat(m), inertia).margin
+        lows, highs = _eigen_discs(inertia.tolist())
+        bound = _margin_bound(m.tolist(), max(min(lows), 0.0), max(highs))
+        assert bound <= exact
+        margin = _margin(m.tolist(), inertia.tolist(), inertia)
+        assert margin == (exact if bound < MARGIN_CUTOFF else bound)
+        # The stacked gate, with the inertia shared or per row.
+        for stacked in (inertia, inertia[None]):
+            assert _margins(m[None], stacked)[0] == margin
+
+    def test_verdicts_and_shortfalls_match_lapack(self):
+        # Steps from random spins, torques and inertias, many of them near
+        # the boundary: the verdict and the shortfall below every floor are
+        # LAPACK's.
+        rng = np.random.default_rng(21)
+        floors = (0.0, 1e-6, 1e-3, 0.99 * MARGIN_CUTOFF)
+        seen = {"bound": 0, "lapack": 0, "below cutoff": 0, "unsolvable": 0}
+        for _ in range(3000):
+            inertia = random_inertia(rng.uniform(0.5, 2.0, 3), rng.uniform(-np.pi, np.pi, 3))
+            state = SpacecraftState(np.eye(3), exp_so3(rng.uniform(0.0, 1.7) * unit(rng.standard_normal(3))))
+            tau = rng.uniform(-3.0, 3.0, 3)
+            exact = check_solvability(momentum_matrix(state, tau, H, inertia), inertia)
+            try:
+                _, margin = step_with_margin(state, tau, H, inertia)
+            except NotSolvable:
+                assert not exact.ok
+                seen["unsolvable"] += 1
+                continue
+            assert exact.ok
+            assert margin <= exact.margin
+            seen["lapack" if margin == exact.margin else "bound"] += 1
+            seen["below cutoff"] += exact.margin < MARGIN_CUTOFF
+            for floor in floors:
+                assert max(0.0, floor - margin) == max(0.0, floor - exact.margin)
+        assert min(seen.values()) >= 20
 
 
 class TestRollout:

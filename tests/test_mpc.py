@@ -167,6 +167,33 @@ class TestObjectiveGradient:
             _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls, 1e-6)
 
 
+class TestRolloutFailureNamesStep:
+    """An unsolvable predicted step is named, with the step's own reason."""
+
+    controls = np.array([[0.2], [-0.4], [1.5], [0.1]])
+
+    def test_horizon_cost(self):
+        with pytest.raises(RolloutFailure, match=r"step 2: \|u\| = 1\.5\d* exceeds 1") as excinfo:
+            horizon_cost(BoundedStepIntegrator(), np.array([0.5, -0.3]), self.controls)
+        assert excinfo.value.__cause__.step == 2
+
+    def test_gradient_base_rollout(self):
+        objective = _Objective(BoundedStepIntegrator(), np.array([0.5, -0.3]), 1e4)
+        with pytest.raises(RolloutFailure, match="step 2"):
+            objective.gradient(self.controls, 1e-6)
+
+    def test_solve_from_unsolvable_warm_start(self):
+        config = MpcConfig(horizon=4)
+        with pytest.raises(RolloutFailure, match="step 2"):
+            solve_ocp(BoundedStepIntegrator(), np.array([0.5, -0.3]), config, warm_start=self.controls)
+
+    def test_attitude_message_keeps_lapack_margin(self, ref_system):
+        torques = np.zeros((3, 3))
+        torques[1] = [0.0, 0.0, 5e3]
+        with pytest.raises(RolloutFailure, match=r"step 1: .*min eig of J\^2 \+ M\^2/4 is -"):
+            horizon_cost(ref_system, SpacecraftState.identity(), torques)
+
+
 class TestHorizonCost:
     def test_zero_at_equilibrium(self, ref_system):
         cost = horizon_cost(ref_system, SpacecraftState.identity(), np.zeros((10, 3)))

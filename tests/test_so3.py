@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from so3mpc.errors import NotSkewSymmetric
 from so3mpc.so3 import (
     NEAR_PI,
+    SMALL_ANGLE,
     exp_so3,
     exp_so3_rows,
     geodesic_distance,
@@ -210,6 +211,26 @@ class TestRows:
         stack = np.array([random_rotation(rng) for _ in range(300)] + [np.eye(3)])
         for got, matrix in zip(log_so3_rows(stack), stack):
             assert bitwise_equal(got, log_so3(matrix))
+
+
+    def test_log_matches_numpy_oracle(self):
+        # The component log against its former numpy form (norm, trace,
+        # clip, arctan2), off the NEAR_PI band: round-off only.
+        def numpy_log(r):
+            s = 0.5 * np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
+            sin_theta = np.linalg.norm(s)
+            theta = np.arctan2(sin_theta, np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0))
+            return s if theta < SMALL_ANGLE else (theta / sin_theta) * s
+
+        rng = np.random.default_rng(15)
+        axes = rng.standard_normal((700, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        angles = np.concatenate(
+            [10.0 ** rng.uniform(-12, 0, 300), rng.uniform(0.0, np.pi - 2 * NEAR_PI, 400)]
+        )
+        for axis, angle in zip(axes, angles):
+            r = exp_so3(angle * axis)
+            assert_allclose(log_so3(r), numpy_log(r), rtol=1e-14, atol=1e-15 * angle)
 
 
 class TestGeodesicDistance:

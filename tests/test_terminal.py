@@ -410,6 +410,30 @@ class TestBatchedCertificate:
             assert np.array_equal(chart[i], coordinates(state, H_REF))
 
 
+    def test_stage_cost_components_match_numpy_oracle_and_stacks(self, ref_design):
+        # The component stage cost against its former numpy form, for the
+        # reference weights and for full (non-diagonal) ones; a stack's rows
+        # equal the single costs bit for bit.
+        rng = np.random.default_rng(7)
+        full = StageWeights(*(a @ a.T + np.eye(3) for a in rng.standard_normal((3, 3, 3))), 0.1)
+        xi = rng.standard_normal((200, 6))
+        states = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(H_REF * xi[:, 3:]))
+        torques = 10.0 * rng.standard_normal((200, 3))
+        for weights in (ref_design.weights, full):
+            r_tilde = tilde_transform(weights.torque)
+            stages = weights.stage_cost(states, torques, H_REF)
+            for i in range(200):
+                g, f, u = states.g[i], states.f[i], torques[i]
+                oracle = (
+                    np.trace(weights.attitude) - (weights.attitude * g.T).sum()
+                    + (np.trace(weights.rate) - (weights.rate * f.T).sum()) / H_REF**2
+                    + 0.5 * (u @ r_tilde) @ u
+                )
+                single = weights.stage_cost(SpacecraftState(g, f), u, H_REF)
+                assert single == pytest.approx(oracle, rel=1e-13, abs=1e-12)
+                assert stages[i] == single
+
+
 class TestDesignSerialization:
     def test_roundtrip(self, ref_design, tmp_path):
         path = tmp_path / "design.json"
