@@ -288,7 +288,8 @@ def cmd_simulate(args) -> int:
             system, state0, mpc_config, cfg.n_steps, distance_tol=cfg.distance_tol
         )
     except Infeasible as err:
-        print(f"closed loop infeasible at step {err.step}: {err}", file=sys.stderr)
+        # The message already names the step: closed_loop prefixes it.
+        print(str(err), file=sys.stderr)
         return 3
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
@@ -348,7 +349,7 @@ def cmd_verify(args) -> int:
             try:
                 run = closed_loop(system, state0, mpc_config, cfg.n_steps, distance_tol=cfg.distance_tol)
             except Infeasible as err:
-                print(f"lyapunov suite: closed loop infeasible at step {err.step}", file=sys.stderr)
+                print(f"lyapunov suite: {err}", file=sys.stderr)
                 return 3
             reports.append(audit_lyapunov(run))
         elif suite == "discontinuity":
@@ -365,7 +366,7 @@ def cmd_verify(args) -> int:
                     )
                 )
             except Infeasible as err:
-                print(f"discontinuity suite: closed loop infeasible at step {err.step}", file=sys.stderr)
+                print(f"discontinuity suite: {err}", file=sys.stderr)
                 return 3
 
     payload = {

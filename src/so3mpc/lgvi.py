@@ -11,6 +11,7 @@ trustworthy inside an optimizer.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,6 +21,7 @@ from .so3 import exp_so3, hat, log_so3
 from .validation import check_rotation, check_spd
 
 _EYE3 = np.eye(3)
+_FLOAT64 = np.dtype(float)
 
 # Newton on the Cayley vector of the increment: the step size at which it
 # stops, and the iteration cap (quadratic convergence takes 2-5 iterations
@@ -153,11 +155,37 @@ def _margin_bound(m, lo, hi):
     return lo * lo - quarter - _MARGIN_ALLOWANCE * (hi * hi + quarter)
 
 
-def _margin(m, j, inertia: np.ndarray) -> float:
+class _InertiaConstants(NamedTuple):
+    """What a step needs of J besides the array: its entries, tr J I - J, and
+    the Gershgorin bounds lo <= lambda_min(J) (at least zero) and
+    hi >= lambda_max(J) of :func:`_margin_bound`."""
+
+    j: tuple
+    a: tuple
+    lo: float
+    hi: float
+
+
+def _inertia_constants(inertia: np.ndarray) -> _InertiaConstants:
+    """The constants of a float64 (3, 3) inertia, computed once per value of
+    its entries: the cache is keyed by the bytes, so an array mutated in
+    place gets its new constants."""
+    if inertia.shape != (3, 3):
+        raise ValueError(f"inertia must have shape (3, 3), got {inertia.shape}")
+    return _constants_of(inertia.tobytes())
+
+
+@functools.lru_cache(maxsize=16)
+def _constants_of(key: bytes) -> _InertiaConstants:
+    j = tuple(map(tuple, np.frombuffer(key).reshape(3, 3).tolist()))
+    lows, highs = _eigen_discs(j)
+    return _InertiaConstants(j, _trace_shift(j), max(min(lows), 0.0), max(highs))
+
+
+def _margin(m, constants: _InertiaConstants, inertia: np.ndarray) -> float:
     """The margin of one step: LAPACK's value where the bound of
     :func:`_margin_bound` is below ``MARGIN_CUTOFF``, the bound above it."""
-    lows, highs = _eigen_discs(j)
-    bound = _margin_bound(m, max(min(lows), 0.0), max(highs))
+    bound = _margin_bound(m, constants.lo, constants.hi)
     if bound >= MARGIN_CUTOFF:
         return bound
     return float(_step_margin(hat(m), inertia))
@@ -244,21 +272,26 @@ def _newton_update(x, m, j, a):
 
 
 def _cayley(x):
-    """The rotation I + 2 (hat(x) + hat(x)^2) / (1 + x^T x) as rows of entries."""
+    """The rotation I + 2 (hat(x) + hat(x)^2) / (1 + x^T x) as its nine
+    entries in row-major order."""
     x0, x1, x2 = x
     q00, q11, q22 = x0 * x0, x1 * x1, x2 * x2
     q01, q02, q12 = x0 * x1, x0 * x2, x1 * x2
     s = 2.0 / (1.0 + (q00 + q11 + q22))
     return (
-        (1.0 - s * (q11 + q22), s * (q01 - x2), s * (q02 + x1)),
-        (s * (q01 + x2), 1.0 - s * (q00 + q22), s * (q12 - x0)),
-        (s * (q02 - x1), s * (q12 + x0), 1.0 - s * (q00 + q11)),
+        1.0 - s * (q11 + q22), s * (q01 - x2), s * (q02 + x1),
+        s * (q01 + x2), 1.0 - s * (q00 + q22), s * (q12 - x0),
+        s * (q02 - x1), s * (q12 + x0), 1.0 - s * (q00 + q11),
     )
 
 
-def _implicit_increment(m, inertia: np.ndarray) -> tuple[np.ndarray, float]:
+def _implicit_increment(
+    m, inertia: np.ndarray, constants: _InertiaConstants | None = None
+) -> tuple[np.ndarray, float]:
     """The increment F in SO(3) with F J - J F^T = hat(m), and the solvability
-    margin.  ``m`` is the momentum vector (three floats), ``inertia`` an array.
+    margin.  ``m`` is the momentum vector (three floats), ``inertia`` an
+    array; ``constants`` are its :func:`_inertia_constants`, looked up here
+    when the caller has not already.
 
     The margin is the smallest eigenvalue of J^2 + M^2/4 from LAPACK where a
     certified lower bound on it is below ``MARGIN_CUTOFF``, and that bound
@@ -287,16 +320,18 @@ def _implicit_increment(m, inertia: np.ndarray) -> tuple[np.ndarray, float]:
     :func:`_solve3`, :func:`_newton_update` and :func:`_cayley`, which
     :func:`_implicit_increments` runs on arrays of rows.
     """
-    j = inertia.tolist()
-    margin = _margin(m, j, inertia)
+    if constants is None:
+        inertia = np.asarray(inertia, dtype=float)
+        constants = _inertia_constants(inertia)
+    margin = _margin(m, constants, inertia)
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
-    a = _trace_shift(j)
+    j, a = constants.j, constants.a
     x = _solve3(a, [0.5 * mi for mi in m])
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
         if step <= _NEWTON_STEP_TOL**2:
-            return np.array(_cayley(x)), margin
+            return np.array(_cayley(x)).reshape(3, 3), margin
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )
@@ -332,7 +367,7 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
         x, step = _newton_update(x, m, j, a)
         x = np.array(x)
         done = step <= _NEWTON_STEP_TOL**2
-        increments[rows[done]] = np.array(_cayley(x[:, done])).transpose(2, 0, 1)
+        increments[rows[done]] = np.array(_cayley(x[:, done])).T.reshape(-1, 3, 3)
         going = ~done
         rows, x, m = rows[going], x[:, going], m[:, going]
         j, a = j[..., going], a[..., going]
@@ -362,13 +397,11 @@ def step_with_margin(
     momentum goes from the entries of f, torque and J straight into Newton.
     """
     inertia = np.asarray(inertia, dtype=float)
-    m = _momentum(
-        state.f.tolist(),
-        np.asarray(torque, dtype=float).reshape(3).tolist(),
-        h * h,
-        inertia.tolist(),
-    )
-    f_next, margin = _implicit_increment(m, inertia)
+    constants = _inertia_constants(inertia)
+    if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64 or torque.shape != (3,):
+        torque = np.asarray(torque, dtype=float).reshape(3)
+    m = _momentum(state.f.tolist(), torque.tolist(), h * h, constants.j)
+    f_next, margin = _implicit_increment(m, inertia, constants)
     return SpacecraftState(state.g @ state.f, f_next), margin
 
 

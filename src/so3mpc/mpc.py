@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import abc
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -95,6 +96,10 @@ class SolverSettings:
     favor closed-loop throughput, where warm starts carry most of the
     optimality and the stability guarantees do not depend on solving to
     high precision.
+
+    The counts must be positive integers, every other knob positive and
+    finite, ``armijo_c1`` and ``armijo_shrink`` below one and ``step_min``
+    below ``step_max``; anything else raises ``ValueError`` naming the field.
     """
 
     max_iters: int = 200
@@ -112,22 +117,29 @@ class SolverSettings:
     step_max: float = 1e3
 
     def __post_init__(self):
-        positive = {
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "ftol_rel": self.ftol_rel,
-            "fd_step": self.fd_step,
-            "penalty_weight": self.penalty_weight,
-            "penalty_growth": self.penalty_growth,
-            "outer_rounds": self.outer_rounds,
-            "constraint_tol": self.constraint_tol,
-            "armijo_c1": self.armijo_c1,
-            "armijo_shrink": self.armijo_shrink,
-            "step_init": self.step_init,
-        }
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("max_iters", "outer_rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in (
+            "grad_tol", "ftol_rel", "fd_step", "penalty_weight", "penalty_growth",
+            "constraint_tol", "step_init", "step_min", "step_max",
+        ):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        for name in ("armijo_c1", "armijo_shrink"):
+            value = getattr(self, name)
+            if not _is_real(value) or not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        if not self.step_min < self.step_max:
+            raise ValueError(
+                f"step_min must be below step_max, got {self.step_min!r} and {self.step_max!r}"
+            )
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -221,41 +233,52 @@ class _Objective:
         self.weight = weight
         self.level = system.terminal_level
 
-    def full(self, torques: np.ndarray) -> float:
-        """Penalized value, or ``math.inf`` when the rollout is unsolvable."""
-        return self._tail_value(self.x0, torques, 0.0, 0.0)
+    def trial(self, torques: np.ndarray) -> tuple[float, Optional[_RolloutData]]:
+        """Penalized value and rollout data, or ``(math.inf, None)`` when the
+        rollout is unsolvable."""
+        try:
+            data = _rollout_data(self.system, self.x0, torques)
+        except NotSolvable:
+            return math.inf, None
+        return self._data_value(data), data
 
     def _value(self, stage_sum: float, shortfall_sq: float, terminal: float) -> float:
         excess = max(0.0, terminal - self.level)
         return float(stage_sum + terminal + self.weight * (excess**2 + shortfall_sq))
 
+    def _data_value(self, data: _RolloutData) -> float:
+        return self._value(data.stage.sum(), (data.shortfalls**2).sum(), data.terminal)
+
     def details(self, torques: np.ndarray) -> tuple[float, _RolloutData, float]:
         """(penalized value, rollout data, violation)."""
         data = _rollout_data(self.system, self.x0, torques)
-        value = self._value(data.stage.sum(), (data.shortfalls**2).sum(), data.terminal)
+        value = self._data_value(data)
         violation = max(
             max(0.0, data.terminal - self.level),
             float(data.shortfalls.max(initial=0.0)),
         )
         return value, data, violation
 
-    def gradient(self, torques: np.ndarray, fd_step: float) -> tuple[np.ndarray, float]:
+    def gradient(
+        self, torques: np.ndarray, fd_step: float, base: Optional[_RolloutData] = None
+    ) -> tuple[np.ndarray, float]:
         """Central-difference gradient, re-simulating only the rollout tail
         affected by each perturbed control entry.
 
+        ``base`` is the rollout of ``torques`` when the caller has it (the
+        line search's accepted trial); otherwise it is rolled out here.
         When one perturbed tail is unsolvable, the entry falls back to the
         one-sided difference against the base value; when both are, the
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
         names the step and the entry.
         """
-        system = self.system
-        try:
-            data = _rollout_data(system, self.x0, torques)
-        except NotSolvable as err:
-            raise RolloutFailure(f"prediction rollout failed: {err}") from err
-        base_value = self._value(
-            data.stage.sum(), (data.shortfalls**2).sum(), data.terminal
-        )
+        data = base
+        if data is None:
+            try:
+                data = _rollout_data(self.system, self.x0, torques)
+            except NotSolvable as err:
+                raise RolloutFailure(f"prediction rollout failed: {err}") from err
+        base_value = self._data_value(data)
         stage_prefix = np.concatenate([[0.0], np.cumsum(data.stage)])
         short_prefix = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)])
         n, m = torques.shape
@@ -324,7 +347,7 @@ def _projected_gradient(
         accepted = False
         for _ in range(60):
             candidate = _project_rows(system, torques - alpha * grad)
-            cand_value = objective.full(candidate)
+            cand_value, cand_data = objective.trial(candidate)
             decrease_ref = float((grad * (candidate - torques)).sum())
             if cand_value <= value + settings.armijo_c1 * decrease_ref:
                 accepted = True
@@ -335,7 +358,7 @@ def _projected_gradient(
         if not accepted:
             break
         improvement = value - cand_value
-        new_grad, _ = objective.gradient(candidate, settings.fd_step)
+        new_grad, _ = objective.gradient(candidate, settings.fd_step, base=cand_data)
         step_vec = candidate - torques
         grad_vec = new_grad - grad
         curvature = float((step_vec * grad_vec).sum())

@@ -26,7 +26,7 @@ from .errors import (
     OutOfChart,
 )
 from .lgvi import SpacecraftState, _implicit_increments, _margins, _momentum_vector
-from .so3 import exp_so3_rows, hat, log_so3, log_so3_rows
+from .so3 import _log_so3_pair, exp_so3_rows, hat, log_so3_rows
 from .validation import check_spd
 
 _EYE3 = np.eye(3)
@@ -283,11 +283,15 @@ def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.n
     """Chart coordinates (rotation vector of g, rotation vector of f over h).
 
     A stack of states, with g and f of shape (n, 3, 3), gives one row of
-    coordinates per state.
+    coordinates per state.  One state takes both logarithms in one pass
+    (:func:`~so3mpc.so3._log_so3_pair`); either way the result equals
+    ``concatenate([log_so3(g), log_so3(f) / h])`` bit for bit.
     """
-    log = log_so3 if state.g.ndim == 2 else log_so3_rows
-    zeta = log(state.g, cut_sign=cut_sign)
-    omega = log(state.f, cut_sign=cut_sign) / h
+    if state.g.ndim == 2:
+        (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(state.g, state.f, cut_sign)
+        return np.array((z0, z1, z2, w0 / h, w1 / h, w2 / h))
+    zeta = log_so3_rows(state.g, cut_sign=cut_sign)
+    omega = log_so3_rows(state.f, cut_sign=cut_sign) / h
     return np.concatenate([zeta, omega], axis=-1)
 
 

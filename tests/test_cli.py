@@ -54,6 +54,18 @@ class TestConfigParsing:
             parse_config({"mpc": {"solver": {"max_iters": -3}}})
         assert "mpc.solver" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_iters", 2.5), ("step_max", -1.0), ("armijo_shrink", 1.0), ("grad_tol", "nan")],
+    )
+    def test_bad_solver_setting_exits_2_naming_field(self, key, value, tmp_path, capsys):
+        # "nan" stands for a NaN, which strict JSON cannot hold.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mpc": {"solver": {key: value}}}).replace('"nan"', "NaN"))
+        assert main(["design", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "mpc.solver" in err and key in err
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
@@ -128,6 +140,25 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(handle))
         assert [int(row["k"]) for row in rows] == [0, 3, 6]
         assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 0.3, 0.6])
+
+    @pytest.mark.parametrize("command", [["simulate"], ["verify", "lyapunov"]])
+    def test_infeasible_names_step_once(self, command, fast_config, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", fast_config, "--out", out]) == 0
+        with open(fast_config) as handle:
+            cfg = json.load(handle)
+        # 0.01 Nm cannot reach the terminal set from 3 rad in four steps.
+        cfg["mpc"]["tau_max_Nm"] = 0.01
+        cfg["mpc"]["solver"] = {"max_iters": 2, "outer_rounds": 1}
+        cfg["experiment"]["initial_attitude_axis_angle_rad"] = [3.0, 0.0, 0.0]
+        path = tmp_path / "infeasible.json"
+        path.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        design = os.path.join(out, "design.json")
+        assert main(command + ["--config", str(path), "--out", out, "--design", design]) == 3
+        err = capsys.readouterr().err
+        assert err.count("closed loop infeasible at step 0") == 1
+        assert "terminal value" in err
 
     def test_missing_design_exits_2(self, fast_config, tmp_path):
         out = str(tmp_path / "empty")

@@ -12,9 +12,11 @@ from so3mpc.lgvi import (
     _eigen_discs,
     _implicit_increment,
     _implicit_increments,
+    _inertia_constants,
     _margin,
     _margin_bound,
     _margins,
+    _momentum_vector,
     check_solvability,
     free_momentum_drift,
     implicit_residual,
@@ -331,6 +333,43 @@ class TestBatchedKernel:
             assert np.array_equal(m, momentum_matrix(SpacecraftState(np.eye(3), f_row), tau, H, J_REF))
 
 
+class TestInertiaConstantsCache:
+    """The step looks the constants of its inertia up by the bytes of the
+    array, so a changed inertia never sees another's constants: each step
+    equals the stacked kernel, which reads the inertia afresh."""
+
+    state = SpacecraftState(np.eye(3), exp_so3(H * np.array([0.8, -0.6, 1.0])))
+    tau = np.array([0.5, -1.0, 0.25])
+
+    def check_step(self, inertia):
+        nxt, margin = step_with_margin(self.state, self.tau, H, inertia)
+        m = _momentum_vector(self.state, self.tau, H, inertia)
+        increments, margins = _implicit_increments(m[None], inertia.copy())
+        assert np.array_equal(nxt.f, increments[0])
+        assert margin == margins[0]
+        assert _inertia_constants(inertia).j == tuple(map(tuple, inertia.tolist()))
+
+    def test_follows_in_place_mutation(self):
+        rng = np.random.default_rng(31)
+        inertia = J_REF.copy()
+        for _ in range(20):
+            self.check_step(inertia)
+            inertia[...] = random_inertia(rng.uniform(0.5, 2.0, 3), rng.uniform(-np.pi, np.pi, 3))
+        # A one-ulp change is a new inertia too.
+        inertia[1, 1] = np.nextafter(inertia[1, 1], np.inf)
+        self.check_step(inertia)
+
+    def test_alternating_inertias(self):
+        pair = (J_REF.copy(), random_inertia([0.6, 1.4, 2.0], [0.3, -1.1, 2.0]))
+        for k in range(20):
+            self.check_step(pair[k % 2])
+
+    @pytest.mark.parametrize("inertia", [np.arange(1.0, 10.0), np.eye(3)[:2]])
+    def test_rejects_inertia_of_wrong_shape(self, inertia):
+        with pytest.raises(ValueError, match="shape"):
+            step_with_margin(self.state, self.tau, H, inertia)
+
+
 class TestLgviStep:
     def test_equilibrium(self):
         state = SpacecraftState.identity()
@@ -422,7 +461,7 @@ class TestSolvabilityGate:
         lows, highs = _eigen_discs(inertia.tolist())
         bound = _margin_bound(m.tolist(), max(min(lows), 0.0), max(highs))
         assert bound <= exact
-        margin = _margin(m.tolist(), inertia.tolist(), inertia)
+        margin = _margin(m.tolist(), _inertia_constants(inertia), inertia)
         assert margin == (exact if bound < MARGIN_CUTOFF else bound)
         # The stacked gate, with the inertia shared or per row.
         for stacked in (inertia, inertia[None]):

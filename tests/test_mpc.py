@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
@@ -11,6 +13,7 @@ from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
     MpcConfig,
     _Objective,
+    _project_rows,
     MpcController,
     SolverSettings,
     closed_loop,
@@ -20,7 +23,7 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 from so3mpc.so3 import exp_so3
-from so3mpc.attitude import rest_state, spinning_state
+from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 
 from conftest import H_REF, J_REF
 
@@ -158,13 +161,97 @@ class TestObjectiveGradient:
         assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
         over = controls.copy()
         over[2, 0] = 1.0 + 5e-7
-        assert objective.full(over) == math.inf
+        assert objective.trial(over) == (math.inf, None)
 
     def test_both_sides_unsolvable_names_step_and_entry(self):
         system = KnifeEdgeIntegrator()
         controls = np.array([[0.2], [0.5], [0.1]])
         with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
             _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls, 1e-6)
+
+    @pytest.mark.parametrize("which", ["attitude", "flat"])
+    def test_reused_base_rollout_matches_recomputed(self, which, ref_system):
+        # The line search hands its accepted rollout to the next gradient;
+        # that gradient must equal the one that rolls the base out itself.
+        if which == "attitude":
+            system, x0 = ref_system, spinning_state([0.5, -0.3, 0.8], [0.2, 0.1, -0.3], H_REF)
+            controls = np.random.default_rng(7).uniform(-20.0, 20.0, (10, 3))
+        else:
+            system, x0 = DoubleIntegratorSystem(), np.array([0.5, -0.3])
+            controls = np.array([[0.2], [-0.4], [0.7], [0.1], [0.3]])
+        objective = _Objective(system, x0, 1e4)
+        value, data = objective.trial(controls)
+        reused, reused_value = objective.gradient(controls, 1e-6, base=data)
+        fresh, fresh_value = objective.gradient(controls, 1e-6)
+        assert np.array_equal(reused, fresh)
+        assert reused_value == fresh_value == value
+
+
+class TestSolverSettings:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grad_tol", math.nan),
+            ("grad_tol", math.inf),
+            ("fd_step", math.inf),
+            ("ftol_rel", -1e-4),
+            ("penalty_weight", math.nan),
+            ("constraint_tol", 0.0),
+            ("max_iters", 2.5),
+            ("max_iters", 0),
+            ("max_iters", True),
+            ("outer_rounds", 1.5),
+            ("armijo_shrink", 1.0),
+            ("armijo_shrink", 2.0),
+            ("armijo_c1", 1.0),
+            ("step_init", math.inf),
+            ("step_max", -1.0),
+            ("step_max", 1e-14),
+            ("step_min", 1e3),
+            ("step_min", math.nan),
+        ],
+    )
+    def test_rejects_bad_value_naming_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SolverSettings(**{field: value})
+
+    def test_accepts_defaults_and_edges(self):
+        SolverSettings()
+        SolverSettings(max_iters=np.int64(3), outer_rounds=1, armijo_shrink=0.999, grad_tol=1e9)
+        SolverSettings(step_min=1e-3, step_max=2e-3)
+
+
+class TestKktAtSaturatedTorques:
+    """A cold solve at a 1 Nm bound ends with torques on the box, where the
+    projected-gradient optimality condition must hold entry by entry."""
+
+    SOLVER = SolverSettings(outer_rounds=1, ftol_rel=1e-15, max_iters=400)
+
+    @pytest.fixture(scope="class")
+    def weak_system(self, ref_design):
+        return SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
+
+    @settings(deadline=None, max_examples=8)
+    @given(
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        st.floats(min_value=0.5, max_value=1.5),
+    )
+    def test_gradient_points_outward_and_residual_reproduces(self, weak_system, direction, angle):
+        x0 = rest_state(angle * np.asarray(direction) / np.linalg.norm(direction))
+        solution = solve_ocp(weak_system, x0, MpcConfig(horizon=10, solver=self.SOLVER))
+        # One penalty round, so the reported residual used this weight.
+        objective = _Objective(weak_system, x0, self.SOLVER.penalty_weight)
+        grad, _ = objective.gradient(solution.torques, self.SOLVER.fd_step)
+        u = solution.torques
+        assert solution.kkt_residual == float(np.linalg.norm(u - _project_rows(weak_system, u - grad)))
+        assert solution.kkt_residual <= self.SOLVER.grad_tol
+        saturated = np.abs(u) == weak_system.torque_bound
+        assert saturated.any()
+        # At +bound the descent direction -grad must point up, at -bound down.
+        outward = grad[saturated] * np.sign(u[saturated])
+        assert np.all(outward <= self.SOLVER.grad_tol)
 
 
 class TestRolloutFailureNamesStep:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc.errors import NoFeasibleLevel, NotSolvable, NotStabilizable, OutOfChart
 from so3mpc.lgvi import SpacecraftState, lgvi_step
-from so3mpc.so3 import exp_so3, exp_so3_rows
+from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, log_so3
 from so3mpc.terminal import (
     Linearization,
     QuadraticCostData,
@@ -197,6 +199,52 @@ class TestDare:
         cost = QuadraticCostData(np.eye(2), np.zeros((2, 1)), np.eye(1))
         with pytest.raises(NotStabilizable):
             solve_dare(lin, cost)
+
+
+# Rotations by exactly pi: symmetric, so the antisymmetric part is zero.
+EXACT_CUTS = (
+    np.diag([-1.0, -1.0, 1.0]),
+    np.diag([1.0, -1.0, -1.0]),
+    np.array([[-0.28, 0.96, 0.0], [0.96, 0.28, 0.0], [0.0, 0.0, -1.0]]),
+)
+EDGE_ANGLES = (
+    0.0,
+    0.5 * SMALL_ANGLE,
+    SMALL_ANGLE,
+    2.0 * SMALL_ANGLE,
+    np.pi - 1.001 * NEAR_PI,
+    np.pi - NEAR_PI,
+    np.pi - 0.999 * NEAR_PI,
+    np.pi,
+)
+_axes = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+)
+_rotations = st.one_of(
+    st.builds(
+        lambda axis, angle: exp_so3(angle * np.asarray(axis) / np.linalg.norm(axis)),
+        _axes,
+        st.one_of(st.floats(min_value=0.0, max_value=np.pi), st.sampled_from(EDGE_ANGLES)),
+    ),
+    st.sampled_from(EXACT_CUTS),
+)
+
+
+class TestCoordinatesOnePass:
+    """The single-state chart coordinates take both logarithms in one pass;
+    they must equal the two separate ``log_so3`` calls bit for bit."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(_rotations, _rotations, st.sampled_from([1.0, -1.0]))
+    @example(EXACT_CUTS[0], EXACT_CUTS[2], -1.0)
+    @example(EXACT_CUTS[2], EXACT_CUTS[1], 1.0)
+    @example(np.eye(3), exp_so3([0.0, 0.0, np.pi - NEAR_PI]), -1.0)
+    @example(exp_so3([SMALL_ANGLE, 0.0, 0.0]), exp_so3([0.0, 0.5 * SMALL_ANGLE, 0.0]), 1.0)
+    def test_matches_separate_logs(self, g, f, cut_sign):
+        xi = coordinates(SpacecraftState(g, f), H_REF, cut_sign)
+        ref = np.concatenate([log_so3(g, cut_sign=cut_sign), log_so3(f, cut_sign=cut_sign) / H_REF])
+        assert xi.shape == (6,)
+        assert xi.tobytes() == ref.tobytes()
 
 
 class TestTerminalCostAndLaw:
