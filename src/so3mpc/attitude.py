@@ -214,6 +214,10 @@ class AttitudeMpc:
     def fit(self, X=None, y=None) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller."""
         _check_constraints(self.torque_bound, self.solvability_floor)
+        config = MpcConfig(
+            horizon=self.horizon,
+            solver=self.solver if self.solver is not None else SolverSettings(),
+        )
         inertia = DEFAULT_INERTIA if self.inertia is None else np.asarray(self.inertia, dtype=float)
         inertia = check_spd(inertia, "inertia")
         weights = self._resolved_weights(inertia)
@@ -232,10 +236,7 @@ class AttitudeMpc:
             solvability_floor=self.solvability_floor,
             cut_sign=self.cut_sign,
         )
-        self.config_ = MpcConfig(
-            horizon=self.horizon,
-            solver=self.solver if self.solver is not None else SolverSettings(),
-        )
+        self.config_ = config
         return self
 
     def _check_fitted(self) -> None:
@@ -261,19 +262,8 @@ class AttitudeMpc:
         return np.vstack([self.solve(state).first_control for state in X])
 
     def simulate(
-        self,
-        state0: SpacecraftState,
-        n_steps: int,
-        distance_tol: float = 1e-2,
-        stop_when_converged: bool = False,
+        self, state0: SpacecraftState, n_steps: int, distance_tol: float = 1e-2
     ) -> ClosedLoopRun:
         """Closed-loop run from ``state0`` with warm-started solves."""
         self._check_fitted()
-        return closed_loop(
-            self.system_,
-            state0,
-            self.config_,
-            n_steps,
-            distance_tol=distance_tol,
-            stop_when_converged=stop_when_converged,
-        )
+        return closed_loop(self.system_, state0, self.config_, n_steps, distance_tol=distance_tol)

@@ -64,9 +64,11 @@ class RunConfig:
 
 
 def default_config_dict() -> dict:
+    """The reference configuration.  ``weights.Q_f`` has no entry: when
+    omitted it follows ``physical.J_kgm2``, as in :func:`default_weights`."""
     return {
         "physical": {"J_kgm2": [1.0, 1.2, 1.5], "h_seconds": 0.1},
-        "weights": {"Q_g": 1.0, "Q_f": [1.0, 1.2, 1.5], "R": 2.0, "lambda": 0.1},
+        "weights": {"Q_g": 1.0, "R": 2.0, "lambda": 0.1},
         "mpc": {
             "N": 10,
             "tau_max_Nm": 100.0,
@@ -82,14 +84,6 @@ def default_config_dict() -> dict:
         },
         "output": {"directory": "out", "csv_cadence_steps": 1, "snapshot_seconds": 2.0},
     }
-
-
-def _get(section: dict, key: str, path: str, default=None):
-    if key in section:
-        return section[key]
-    if default is not None:
-        return default
-    raise ConfigError(f"{path}.{key}", "missing required key")
 
 
 def _positive(value, path: str, allow_inf: bool = False) -> float:
@@ -124,62 +118,53 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(section, "must be an object")
         merged[section].update(content)
 
+    merged["weights"].setdefault("Q_f", merged["physical"]["J_kgm2"])
+
     phys = merged["physical"]
-    inertia = as_matrix3(_get(phys, "J_kgm2", "physical"), "physical.J_kgm2")
-    h = _positive(_get(phys, "h_seconds", "physical"), "physical.h_seconds")
+    inertia = as_matrix3(phys["J_kgm2"], "physical.J_kgm2")
+    h = _positive(phys["h_seconds"], "physical.h_seconds")
 
     wsec = merged["weights"]
-    decay = wsec.get("lambda", 0.1)
+    attitude = as_matrix3(wsec["Q_g"], "weights.Q_g")
+    rate = as_matrix3(wsec["Q_f"], "weights.Q_f")
+    torque = as_matrix3(wsec["R"], "weights.R")
     try:
-        decay = float(decay)
-        weights = StageWeights(
-            as_matrix3(wsec.get("Q_g", 1.0), "weights.Q_g"),
-            as_matrix3(wsec.get("Q_f", np.diag(inertia).tolist()), "weights.Q_f"),
-            as_matrix3(wsec.get("R", 2.0), "weights.R"),
-            decay,
-        )
+        weights = StageWeights(attitude, rate, torque, float(wsec["lambda"]))
     except (ValueError, TypeError) as err:
         raise ConfigError("weights.lambda", str(err)) from None
 
     mpc = merged["mpc"]
-    horizon = _integer(_get(mpc, "N", "mpc", 10), "mpc.N", 1)
-    torque_bound = _positive(
-        _get(mpc, "tau_max_Nm", "mpc", 100.0), "mpc.tau_max_Nm", allow_inf=True
-    )
-    solver_kwargs = mpc.get("solver", {})
-    if not isinstance(solver_kwargs, dict):
+    horizon = _integer(mpc["N"], "mpc.N", 1)
+    torque_bound = _positive(mpc["tau_max_Nm"], "mpc.tau_max_Nm", allow_inf=True)
+    if not isinstance(mpc["solver"], dict):
         raise ConfigError("mpc.solver", "must be an object")
     try:
-        solver = SolverSettings(**solver_kwargs)
+        solver = SolverSettings(**mpc["solver"])
     except (TypeError, ValueError) as err:
         raise ConfigError("mpc.solver", str(err)) from None
 
     term = merged["terminal"]
-    terminal_samples = _integer(_get(term, "n_samples", "terminal", 1000), "terminal.n_samples", 1)
-    terminal_shrink = _positive(_get(term, "shrink", "terminal", 0.9), "terminal.shrink")
+    terminal_samples = _integer(term["n_samples"], "terminal.n_samples", 1)
+    terminal_shrink = _positive(term["shrink"], "terminal.shrink")
     if terminal_shrink > 1.0:
         raise ConfigError("terminal.shrink", f"must lie in (0, 1], got {terminal_shrink}")
 
     exp = merged["experiment"]
     try:
         initial_attitude = check_vector3(
-            exp.get("initial_attitude_axis_angle_rad", [0.0, 0.0, 0.0]),
-            "experiment.initial_attitude_axis_angle_rad",
+            exp["initial_attitude_axis_angle_rad"], "experiment.initial_attitude_axis_angle_rad"
         )
-        initial_rate = check_vector3(
-            exp.get("initial_rate_rad_s", [0.0, 0.0, 0.0]),
-            "experiment.initial_rate_rad_s",
-        )
+        initial_rate = check_vector3(exp["initial_rate_rad_s"], "experiment.initial_rate_rad_s")
     except ValueError as err:
         raise ConfigError("experiment", str(err)) from None
-    n_steps = _integer(exp.get("n_steps", 120), "experiment.n_steps", 1)
-    seed = _integer(exp.get("seed", 0), "experiment.seed", 0)
-    distance_tol = _positive(exp.get("distance_tol", 0.01), "experiment.distance_tol")
+    n_steps = _integer(exp["n_steps"], "experiment.n_steps", 1)
+    seed = _integer(exp["seed"], "experiment.seed", 0)
+    distance_tol = _positive(exp["distance_tol"], "experiment.distance_tol")
 
     out = merged["output"]
-    out_dir = str(out.get("directory", "out"))
-    csv_cadence = _integer(out.get("csv_cadence_steps", 1), "output.csv_cadence_steps", 1)
-    snapshot_seconds = _positive(out.get("snapshot_seconds", 2.0), "output.snapshot_seconds")
+    out_dir = str(out["directory"])
+    csv_cadence = _integer(out["csv_cadence_steps"], "output.csv_cadence_steps", 1)
+    snapshot_seconds = _positive(out["snapshot_seconds"], "output.snapshot_seconds")
 
     return RunConfig(
         inertia=inertia,

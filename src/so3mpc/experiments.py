@@ -26,7 +26,12 @@ from .lgvi import (
 )
 from .mpc import ClosedLoopRun, MpcConfig, closed_loop
 from .so3 import geodesic_distance, hat
-from .terminal import TerminalDesign, _ellipsoid_samples, evaluate_level
+from .terminal import DECREASE_SLACK, TerminalDesign, _ellipsoid_samples, evaluate_level
+
+# Spin scale of the conservation check's random start, and the slack of the
+# closed-loop cost audit.
+_CONSERVATION_RATE_SCALE = 0.35
+_LYAPUNOV_SLACK = 1e-8
 
 
 @dataclass
@@ -163,7 +168,6 @@ def verify_conservation(
     h: float,
     n_steps: int = 1000,
     seed: int = 0,
-    rate_scale: float = 0.35,
     out_dir: Optional[str] = None,
 ) -> ExperimentReport:
     """Free-dynamics diagnostics: group-membership drift and spatial
@@ -171,12 +175,12 @@ def verify_conservation(
     baseline for contrast."""
     inertia = np.asarray(inertia, dtype=float)
     rng = np.random.default_rng(seed)
-    state0 = random_spin_state(rng, rate_scale, h)
+    state0 = random_spin_state(rng, _CONSERVATION_RATE_SCALE, h)
 
     report = ExperimentReport(
         name="conservation",
         seed=seed,
-        config={"inertia": inertia.tolist(), "h": h, "n_steps": n_steps, "rate_scale": rate_scale},
+        config={"inertia": inertia.tolist(), "h": h, "n_steps": n_steps, "rate_scale": _CONSERVATION_RATE_SCALE},
     )
     states = rollout(state0, np.zeros((n_steps, 3)), h, inertia)
     ortho = orthogonality_drift(states)
@@ -206,7 +210,6 @@ def certify_local_law(
     n_samples: int = 1000,
     seed: int = 20_000,
     level: Optional[float] = None,
-    decrease_slack: float = 1e-10,
 ) -> ExperimentReport:
     """Re-run the terminal-set conditions on fresh samples.
 
@@ -221,7 +224,7 @@ def certify_local_law(
     target_level = design.c if level is None else float(level)
     margins = evaluate_level(
         design.P, design.K, design.weights, design.h, design.inertia,
-        torque_bound, target_level, samples, decrease_slack,
+        torque_bound, target_level, samples,
     )
     report = ExperimentReport(
         name="local-law",
@@ -231,35 +234,34 @@ def certify_local_law(
     report.add("torque bound respected on terminal set", margins["torque"] <= 0.0, margins["torque"])
     report.add("terminal set invariant under local law", margins["invariance"] <= 0.0, margins["invariance"])
     report.add(
-        f"terminal decrease defect <= {decrease_slack:g}",
-        margins["decrease"] <= decrease_slack,
+        f"terminal decrease defect <= {DECREASE_SLACK:g}",
+        margins["decrease"] <= DECREASE_SLACK,
         margins["decrease"],
     )
     return report
 
 
-def audit_lyapunov(
-    run: ClosedLoopRun,
-    slack: float = 1e-8,
-) -> ExperimentReport:
+def audit_lyapunov(run: ClosedLoopRun) -> ExperimentReport:
     """Check the candidate-cost decrease chain on a recorded run.
 
-    The chain V_candidate(x_{k+1}) - V*(x_k) + L(x_k, u_k) <= slack holds by
+    The chain V_candidate(x_{k+1}) - V*(x_k) + L(x_k, u_k) <= 1e-8 holds by
     construction of the shifted candidate, independent of solver quality;
     the optimal-cost decrease and the stage-cost summability bound
     sum L <= V*(x_0) are reported alongside.
     """
-    report = ExperimentReport(name="lyapunov", seed=0, config={"n_steps": run.n_steps, "slack": slack})
+    report = ExperimentReport(name="lyapunov", seed=0, config={"n_steps": run.n_steps, "slack": _LYAPUNOV_SLACK})
     if run.n_steps >= 2:
         chain = run.candidate_costs[1:] - run.optimal_costs[:-1] + run.stage_costs[:-1]
         worst_chain = float(np.nanmax(chain))
     else:
         worst_chain = -np.inf
-    report.add(f"candidate decrease chain <= {slack:g}", worst_chain <= slack, worst_chain)
+    report.add(
+        f"candidate decrease chain <= {_LYAPUNOV_SLACK:g}", worst_chain <= _LYAPUNOV_SLACK, worst_chain
+    )
 
     stage_total = float(run.stage_costs.sum())
     summability = stage_total - float(run.optimal_costs[0]) if run.n_steps else -np.inf
-    report.add("stage-cost total <= V*(x0)", summability <= slack, summability)
+    report.add("stage-cost total <= V*(x0)", summability <= _LYAPUNOV_SLACK, summability)
 
     if run.n_steps >= 2:
         vstar_steps = run.optimal_costs[1:] - run.optimal_costs[:-1] + run.stage_costs[:-1]
@@ -267,7 +269,7 @@ def audit_lyapunov(
     else:
         worst_vstar = -np.inf
     # Informational: holds when each solve at least matches its warm start.
-    report.add("optimal-cost decrease (solver-dependent)", worst_vstar <= slack, worst_vstar)
+    report.add("optimal-cost decrease (solver-dependent)", worst_vstar <= _LYAPUNOV_SLACK, worst_vstar)
     monotone = np.fmin.accumulate(np.where(np.isnan(run.candidate_costs), np.inf, run.candidate_costs))
     report.config["min_candidate_so_far_final"] = float(monotone[-1]) if run.n_steps else None
     return report

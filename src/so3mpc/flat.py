@@ -16,26 +16,19 @@ from .terminal import Linearization, QuadraticCostData, lqr_gain, solve_dare
 
 
 class DoubleIntegratorSystem(ManifoldSystem):
-    """Scalar position and velocity driven by a force input."""
+    """Scalar position and velocity driven by a force input, stepped every
+    0.1 s, with stage cost x^T diag(1, 0.5) x + 0.1 u^2."""
 
     control_dim = 1
 
-    def __init__(
-        self,
-        h: float = 0.1,
-        position_weight: float = 1.0,
-        velocity_weight: float = 0.5,
-        control_weight: float = 0.1,
-        terminal_level: float = 1e6,
-        control_bound: float = np.inf,
-    ):
-        self.h = float(h)
+    def __init__(self, terminal_level: float = 1e6, control_bound: float = np.inf):
+        self.h = 0.1
         self.A = np.array([[1.0, self.h], [0.0, 1.0]])
         self.B = np.array([[0.0], [self.h]])
-        self.Q = np.diag([float(position_weight), float(velocity_weight)])
-        self.R = np.array([[float(control_weight)]])
+        self.Q = np.diag([1.0, 0.5])
+        self.R = np.array([[0.1]])
         lin = Linearization(self.A, self.B)
-        cost = QuadraticCostData(self.Q, np.zeros((2, 1)), self.R)
+        cost = QuadraticCostData(self.Q, self.R)
         self.P = solve_dare(lin, cost)
         self.K = lqr_gain(self.P, lin, cost)
         self._terminal_level = float(terminal_level)
@@ -79,11 +72,4 @@ class DoubleIntegratorSystem(ManifoldSystem):
         return np.clip(u, -self.control_bound, self.control_bound)
 
     def with_terminal_level(self, level: float) -> "DoubleIntegratorSystem":
-        return DoubleIntegratorSystem(
-            h=self.h,
-            position_weight=self.Q[0, 0],
-            velocity_weight=self.Q[1, 1],
-            control_weight=self.R[0, 0],
-            terminal_level=level,
-            control_bound=self.control_bound,
-        )
+        return DoubleIntegratorSystem(terminal_level=level, control_bound=self.control_bound)

@@ -191,19 +191,14 @@ def _margin(m, constants: _InertiaConstants, inertia: np.ndarray) -> float:
     return float(_step_margin(hat(m), inertia))
 
 
-def _margins(m, inertia: np.ndarray) -> np.ndarray:
-    """:func:`_margin` of every row of ``m``, shape (n, 3), with one inertia,
-    shape (3, 3), or one per row, shape (n, 3, 3).  LAPACK runs only on the
-    rows in the band; every row equals the single step's margin bit for bit
-    (min and max are exact, so the reductions round alike)."""
-    lows, highs = _eigen_discs(_entries(inertia, 2))
-    lo = np.maximum(np.minimum(np.minimum(lows[0], lows[1]), lows[2]), 0.0)
-    hi = np.maximum(np.maximum(highs[0], highs[1]), highs[2])
-    margins = _margin_bound(m.T, lo, hi)
+def _margins(m, constants: _InertiaConstants, inertia: np.ndarray) -> np.ndarray:
+    """:func:`_margin` of every row of ``m``, shape (n, 3).  LAPACK runs only
+    on the rows in the band; every row equals the single step's margin bit
+    for bit."""
+    margins = _margin_bound(m.T, constants.lo, constants.hi)
     band = np.flatnonzero(~(margins >= MARGIN_CUTOFF))
     if band.size:
-        in_band = inertia if inertia.ndim == 2 else inertia[band]
-        margins[band] = _step_margin(hat(m[band]), in_band)
+        margins[band] = _step_margin(hat(m[band]), inertia)
     return margins
 
 
@@ -339,29 +334,25 @@ def _implicit_increment(
 
 def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_implicit_increment` for a stack of momentum vectors, shape
-    (n, 3), with one inertia, shape (3, 3), or one per row, shape (n, 3, 3).
-    Returns the increments, shape (n, 3, 3), and the margins, shape (n,).
+    (n, 3), with one inertia, shape (3, 3).  Returns the increments, shape
+    (n, 3, 3), and the margins, shape (n,).  A row whose margin is negative
+    is unsolvable: its increment is NaN.
 
-    Every row runs the scalar kernel's component formulas from the same
-    start and stops after the same test on its own step, so it equals the
-    scalar kernel's result bit for bit.  Raises
-    :class:`~so3mpc.errors.NotSolvable` naming the first unsolvable row.
+    Every solvable row runs the scalar kernel's component formulas, on the
+    same :func:`_inertia_constants`, from the same start and stops after the
+    same test on its own step, so it equals the scalar kernel's result bit
+    for bit.
     """
     m = np.asarray(m, dtype=float)
     inertia = np.asarray(inertia, dtype=float)
-    margins = _margins(m, inertia)
-    unsolvable = np.flatnonzero(margins < 0.0)
-    if unsolvable.size:
-        row = int(unsolvable[0])
-        raise NotSolvable(
-            f"implicit step unsolvable in row {row}: min eig of J^2 + M^2/4 is {margins[row]:.3e}"
-        )
-    increments = np.empty((len(m), 3, 3))
-    rows = np.arange(len(m))
-    # Each entry of J, m and x is an array with one element per row.
-    j = np.broadcast_to(inertia, increments.shape).transpose(1, 2, 0)
-    a = np.array(_trace_shift(j))
-    m = m.T
+    constants = _inertia_constants(inertia)
+    margins = _margins(m, constants, inertia)
+    increments = np.full((len(m), 3, 3), np.nan)
+    rows = np.flatnonzero(margins >= 0.0)
+    # Each entry of m and x is an array with one element per row; the
+    # entries of J and a are floats.
+    j, a = constants.j, constants.a
+    m = m[rows].T
     x = np.array(_solve3(a, [0.5 * mi for mi in m]))
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
@@ -370,7 +361,6 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
         increments[rows[done]] = np.array(_cayley(x[:, done])).T.reshape(-1, 3, 3)
         going = ~done
         rows, x, m = rows[going], x[:, going], m[:, going]
-        j, a = j[..., going], a[..., going]
         if not rows.size:
             return increments, margins
     raise NoConvergence(

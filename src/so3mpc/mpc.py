@@ -150,6 +150,8 @@ class MpcConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
 
@@ -481,9 +483,6 @@ class MpcController:
         self.config = config
         self._previous: Optional[OcpSolution] = None
 
-    def reset(self) -> None:
-        self._previous = None
-
     def candidate_sequence(self) -> Optional[np.ndarray]:
         """Shifted candidate from the previous solve, if one exists."""
         if self._previous is None or not self._previous.feasible:
@@ -537,7 +536,6 @@ class ClosedLoopRun:
     violations: np.ndarray
     feasible: np.ndarray
     iterations: np.ndarray
-    kkt_residuals: np.ndarray
     distances: np.ndarray
     converged: bool
     converged_step: Optional[int]
@@ -553,7 +551,6 @@ def closed_loop(
     config: MpcConfig,
     n_steps: int,
     distance_tol: float = 1e-2,
-    stop_when_converged: bool = False,
 ) -> ClosedLoopRun:
     """Run the receding-horizon law for ``n_steps`` steps from ``x0``.
 
@@ -576,7 +573,6 @@ def closed_loop(
     violations = []
     feasible = []
     iterations = []
-    kkts = []
     distances = [system.distance(x0, system.equilibrium_state)]
     converged_step = None
 
@@ -599,13 +595,10 @@ def closed_loop(
         violations.append(solution.violation)
         feasible.append(solution.feasible)
         iterations.append(solution.iterations)
-        kkts.append(solution.kkt_residual)
         distance = system.distance(x, system.equilibrium_state)
         distances.append(distance)
         if converged_step is None and distance < distance_tol:
             converged_step = k + 1
-        if stop_when_converged and converged_step is not None:
-            break
 
     return ClosedLoopRun(
         states=states,
@@ -617,7 +610,6 @@ def closed_loop(
         violations=np.asarray(violations, dtype=float),
         feasible=np.asarray(feasible, dtype=bool),
         iterations=np.asarray(iterations, dtype=int),
-        kkt_residuals=np.asarray(kkts, dtype=float),
         distances=np.asarray(distances, dtype=float),
         converged=converged_step is not None,
         converged_step=converged_step,

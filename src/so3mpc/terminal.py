@@ -21,15 +21,24 @@ from .errors import (
     NoConvergence,
     NoFeasibleLevel,
     NotPositiveDefinite,
-    NotSolvable,
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import SpacecraftState, _implicit_increments, _margins, _momentum_vector
+from .lgvi import SpacecraftState, _implicit_increments, _momentum_vector
 from .so3 import _log_so3_pair, exp_so3_rows, hat, log_so3_rows
 from .validation import check_spd
 
 _EYE3 = np.eye(3)
+
+# Fixed tolerances of the design: the Riccati iteration's stop, cap and
+# residual bound; the calibration grid's size and lowest level; and the slack
+# of the decrease condition F(x+) - F(x) + L(x, u) <= DECREASE_SLACK.
+_DARE_TOL = 1e-12
+_DARE_MAX_ITERS = 1_000_000
+_DARE_RESIDUAL_TOL = 1e-8
+_GRID_POINTS = 48
+_LEVEL_FLOOR = 1e-8
+DECREASE_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -121,11 +130,10 @@ class Linearization(NamedTuple):
 
 
 class QuadraticCostData(NamedTuple):
-    """Quadratic-form data (state block, cross block, control block) fed to
-    the Riccati equation."""
+    """Quadratic-form data (state block, control block) fed to the Riccati
+    equation; there is no state-control cross term."""
 
     Q: np.ndarray
-    N_cross: np.ndarray
     R_dare: np.ndarray
 
 
@@ -206,7 +214,7 @@ def build_cost_data(weights: StageWeights) -> QuadraticCostData:
         raise NotPositiveDefinite(
             f"tilde transform lost positive-definiteness: {err}"
         ) from err
-    return QuadraticCostData(q, np.zeros((6, 3)), r)
+    return QuadraticCostData(q, r)
 
 
 def _controllable(a: np.ndarray, b: np.ndarray) -> bool:
@@ -220,23 +228,18 @@ def _controllable(a: np.ndarray, b: np.ndarray) -> bool:
 def dare_residual(p, lin: Linearization, cost: QuadraticCostData) -> float:
     """Frobenius norm of the fixed-point defect of the Riccati equation."""
     a, b = lin
-    q, ncross, r = cost
-    apb = a.T @ p @ b + ncross
+    q, r = cost
+    apb = a.T @ p @ b
     defect = a.T @ p @ a - p + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
     return float(np.linalg.norm(defect))
 
 
-def solve_dare(
-    lin: Linearization,
-    cost: QuadraticCostData,
-    tol: float = 1e-12,
-    max_iters: int = 1_000_000,
-    residual_tol: float = 1e-8,
-) -> np.ndarray:
+def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
     """Stabilizing solution of the discrete-time algebraic Riccati equation.
 
     Iterates the Riccati difference equation from P = Q until successive
-    iterates agree to ``tol`` in the Frobenius norm, then checks the residual.
+    iterates agree to ``_DARE_TOL`` in the Frobenius norm, then checks the
+    residual against ``_DARE_RESIDUAL_TOL``.
 
     Raises:
         NotStabilizable: if the controllability matrix of (A, B) is rank
@@ -244,39 +247,39 @@ def solve_dare(
         NoConvergence: if the iteration stalls or the residual check fails.
     """
     a, b = lin
-    q, ncross, r = cost
+    q, r = cost
     if not _controllable(a, b):
         raise NotStabilizable("(A, B) has a rank-deficient controllability matrix")
     p = np.asarray(q, dtype=float).copy()
     converged = False
-    for _ in range(max_iters):
-        apb = a.T @ p @ b + ncross
+    for _ in range(_DARE_MAX_ITERS):
+        apb = a.T @ p @ b
         p_next = a.T @ p @ a + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
         p_next = 0.5 * (p_next + p_next.T)
         gap = float(np.linalg.norm(p_next - p))
         p = p_next
-        if gap < tol:
+        if gap < _DARE_TOL:
             converged = True
             break
     if not converged:
-        raise NoConvergence(f"Riccati iteration did not converge within {max_iters} steps")
+        raise NoConvergence(f"Riccati iteration did not converge within {_DARE_MAX_ITERS} steps")
     residual = dare_residual(p, lin, cost)
-    if residual > residual_tol:
-        raise NoConvergence(f"Riccati residual {residual:.3e} exceeds {residual_tol:.1e}")
+    if residual > _DARE_RESIDUAL_TOL:
+        raise NoConvergence(f"Riccati residual {residual:.3e} exceeds {_DARE_RESIDUAL_TOL:.1e}")
     return p
 
 
 def lqr_gain(p, lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
     """Feedback gain K of the law u = -K x associated with the Riccati
-    solution, computed as (B^T P B + R)^{-1} (A^T P B + N)^T."""
+    solution, computed as (B^T P B + R)^{-1} (A^T P B)^T."""
     a, b = lin
-    _, ncross, r = cost
+    _, r = cost
     inner = b.T @ p @ b + r
     try:
         check_spd(inner, "gain inner matrix")
     except NotPositiveDefinite as err:
         raise NotPositiveDefinite(f"gain inner matrix is singular: {err}") from err
-    return np.linalg.solve(inner, (a.T @ p @ b + ncross).T)
+    return np.linalg.solve(inner, (a.T @ p @ b).T)
 
 
 def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.ndarray:
@@ -418,7 +421,6 @@ def evaluate_level(
     torque_bound: float,
     level: float,
     unit_samples: np.ndarray,
-    decrease_slack: float = 1e-10,
 ) -> dict:
     """Worst margins of the three local-law conditions over scaled samples.
 
@@ -444,20 +446,15 @@ def evaluate_level(
     state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
     coords = coordinates(state, h)
     torque = feedback(design_k, coords)
-    momentum = _momentum_vector(state, torque, h, inertia)
-    try:
-        f_next, _ = _implicit_increments(momentum, inertia)
-        solvable = slice(None)
-        worst_invariance = -np.inf
-    except NotSolvable:
-        # The level reaches spin rates the integrator cannot step: a hard
-        # violation of the invariance condition.  The other margins are
-        # taken over the samples that can be stepped, by the step's own test.
-        solvable = _margins(momentum, inertia) >= 0.0
-        f_next, _ = _implicit_increments(momentum[solvable], inertia)
+    f_next, margins = _implicit_increments(_momentum_vector(state, torque, h, inertia), inertia)
+    worst_invariance = -np.inf
+    solvable = margins >= 0.0
+    if not solvable.all():
+        # An unsolvable step is a hard violation of the invariance condition;
+        # the other margins are taken over the samples that can be stepped.
         worst_invariance = np.inf
-    state = SpacecraftState(state.g[solvable], state.f[solvable])
-    coords, torque = coords[solvable], torque[solvable]
+        state = SpacecraftState(state.g[solvable], state.f[solvable])
+        coords, torque, f_next = coords[solvable], torque[solvable], f_next[solvable]
     successor = SpacecraftState(state.g @ state.f, f_next)
     succ_value = terminal_value(design_p, coordinates(successor, h))
     value = terminal_value(design_p, coords)
@@ -472,7 +469,7 @@ def evaluate_level(
         "passed": (
             worst_torque <= 0.0
             and worst_invariance <= 0.0
-            and worst_decrease <= decrease_slack
+            and worst_decrease <= DECREASE_SLACK
         ),
     }
 
@@ -487,13 +484,10 @@ def calibrate_level(
     n_samples: int = 1000,
     shrink: float = 0.9,
     seed: int = 0,
-    grid_points: int = 48,
-    level_floor: float = 1e-8,
-    decrease_slack: float = 1e-10,
 ) -> tuple[float, Certification]:
     """Largest certified level of the terminal ellipsoid.
 
-    Bisects a logarithmic grid between ``level_floor`` and the largest level
+    Bisects a logarithmic grid between ``_LEVEL_FLOOR`` and the largest level
     that stays inside the coordinate chart, certifying each candidate on the
     same pre-drawn sample directions, then applies the safety ``shrink`` and
     re-certifies at the returned level.
@@ -504,18 +498,18 @@ def calibrate_level(
     """
     rng = np.random.default_rng(seed)
     unit_samples = _ellipsoid_samples(design_p, n_samples, rng)
-    grid = np.geomspace(level_floor, _level_ceiling(design_p, h), grid_points)
+    grid = np.geomspace(_LEVEL_FLOOR, _level_ceiling(design_p, h), _GRID_POINTS)
 
     def passes(level: float) -> bool:
         report = evaluate_level(
             design_p, design_k, weights, h, inertia, torque_bound,
-            level, unit_samples, decrease_slack,
+            level, unit_samples,
         )
         return report["passed"]
 
     if not passes(grid[0]):
         raise NoFeasibleLevel(
-            f"no terminal level down to {level_floor:.1e} passes certification"
+            f"no terminal level down to {_LEVEL_FLOOR:.1e} passes certification"
         )
     lo, hi = 0, len(grid) - 1
     if passes(grid[hi]):
@@ -531,7 +525,7 @@ def calibrate_level(
     level = float(grid[lo] * shrink)
     final = evaluate_level(
         design_p, design_k, weights, h, inertia, torque_bound,
-        level, unit_samples, decrease_slack,
+        level, unit_samples,
     )
     if not final["passed"]:
         raise NoFeasibleLevel("shrunken level failed re-certification")
@@ -547,9 +541,6 @@ def design_terminal(
     n_samples: int = 1000,
     shrink: float = 0.9,
     seed: int = 0,
-    grid_points: int = 48,
-    level_floor: float = 1e-8,
-    decrease_slack: float = 1e-10,
 ) -> TerminalDesign:
     """Run the full terminal design pipeline and return the result."""
     inertia = check_spd(inertia, "inertia")
@@ -560,8 +551,6 @@ def design_terminal(
     level, certification = calibrate_level(
         p, k, weights, h, inertia, torque_bound,
         n_samples=n_samples, shrink=shrink, seed=seed,
-        grid_points=grid_points, level_floor=level_floor,
-        decrease_slack=decrease_slack,
     )
     return TerminalDesign(
         h=float(h), inertia=inertia, weights=weights,

@@ -63,21 +63,25 @@ def check_spd(a, name: str = "A", atol: float = 1e-12) -> np.ndarray:
 
 
 def as_matrix3(value, key: str) -> np.ndarray:
-    """Parse a config entry into a 3x3 matrix.
+    """Parse a config entry into a symmetric positive-definite 3x3 matrix.
 
     Accepts a scalar (multiple of the identity), a length-3 sequence
-    (diagonal), or a full 3x3 nested list.
+    (diagonal), or a full 3x3 nested list; anything else raises
+    :class:`~so3mpc.errors.ConfigError` naming ``key``.
     """
-    if np.isscalar(value):
-        num = float(value)
-        if not np.isfinite(num):
-            raise ConfigError(key, "must be finite")
-        return num * np.eye(3)
-    arr = np.asarray(value, dtype=float)
-    if arr.shape == (3,):
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(key, f"must be a number or a list of numbers, got {value!r}") from None
+    if arr.shape == ():
+        arr = arr * np.eye(3)
+    elif arr.shape == (3,):
         arr = np.diag(arr)
     if arr.shape != (3, 3):
         raise ConfigError(key, f"must be a scalar, length-3 list, or 3x3 matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ConfigError(key, "must be finite")
-    return arr
+    try:
+        return check_spd(arr, "matrix")
+    except NotPositiveDefinite as err:
+        raise ConfigError(key, str(err)) from None

@@ -124,7 +124,7 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
     dare_res = dare_residual(ref_design.P, lin, cost)
 
     scalar_lin = Linearization(np.array([[1.0]]), np.array([[1.0]]))
-    scalar_cost = QuadraticCostData(np.array([[1.0]]), np.zeros((1, 1)), np.array([[1.0]]))
+    scalar_cost = QuadraticCostData(np.array([[1.0]]), np.array([[1.0]]))
     p_scalar = solve_dare(scalar_lin, scalar_cost)[0, 0]
     golden_gap = abs(p_scalar - (1.0 + np.sqrt(5.0)) / 2.0)
 

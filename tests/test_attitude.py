@@ -157,6 +157,11 @@ class TestEstimator:
         with pytest.raises(ValueError, match=name):
             AttitudeMpc(terminal_samples=10, **params).fit()
 
+    @pytest.mark.parametrize("horizon", [2.5, True])
+    def test_fit_rejects_non_integer_horizon_before_design(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            AttitudeMpc(horizon=horizon, terminal_samples=10).fit()
+
     def test_fit_rejects_bad_inertia(self):
         with pytest.raises(NotPositiveDefinite):
             AttitudeMpc(inertia=np.diag([1.0, -1.0, 1.0])).fit()

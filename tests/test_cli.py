@@ -29,6 +29,19 @@ class TestConfigParsing:
         assert cfg.horizon == 10
         assert cfg.h == 0.1
         np.testing.assert_allclose(cfg.inertia, np.diag([1.0, 1.2, 1.5]))
+        np.testing.assert_array_equal(cfg.initial_attitude, [0.0, 0.0, np.pi])
+        # summary.json and verify_*.json record this snapshot.
+        assert cfg.raw["weights"] == {"Q_g": 1.0, "Q_f": [1.0, 1.2, 1.5], "R": 2.0, "lambda": 0.1}
+
+    def test_omitted_rate_weight_follows_inertia(self):
+        cfg = parse_config({"physical": {"J_kgm2": [0.2, 1.0, 3.0]}})
+        np.testing.assert_array_equal(cfg.weights.rate, np.diag([0.2, 1.0, 3.0]))
+        assert cfg.raw["weights"]["Q_f"] == [0.2, 1.0, 3.0]
+        full = [[1.0, 0.1, 0.0], [0.1, 1.2, 0.0], [0.0, 0.0, 1.5]]
+        cfg = parse_config({"physical": {"J_kgm2": full}})
+        np.testing.assert_array_equal(cfg.weights.rate, np.array(full))
+        cfg = parse_config({"physical": {"J_kgm2": [0.2, 1.0, 3.0]}, "weights": {"Q_f": 1.0}})
+        np.testing.assert_array_equal(cfg.weights.rate, np.eye(3))
 
     def test_scalar_and_diag_matrices(self):
         cfg = parse_config({"weights": {"Q_g": 2.0, "Q_f": [1.0, 2.0, 3.0]}})
@@ -65,6 +78,24 @@ class TestConfigParsing:
         assert main(["design", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "mpc.solver" in err and key in err
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("physical", "J_kgm2", "abc"),
+            ("physical", "J_kgm2", [1.0, -1.0, 1.0]),
+            ("weights", "Q_g", ["a", "b", "c"]),
+            ("weights", "Q_g", [1.0, -1.0, 1.0]),
+            ("weights", "Q_f", [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            ("weights", "Q_f", [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            ("weights", "R", -2.0),
+        ],
+    )
+    def test_bad_matrix_exits_2_naming_key(self, section, key, value, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert main(["design", "--config", str(path)]) == 2
+        assert f"configuration error: {section}.{key}" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):

@@ -278,11 +278,11 @@ class TestBatchedKernel:
 
     def test_matches_scalar_kernel_on_criterion_3_draws(self):
         momenta, inertias = criterion_3_draws()
-        increments, margins = _implicit_increments(vector(momenta), inertias)
-        for f, margin, m, inertia in zip(increments, margins, momenta, inertias):
+        for m, inertia in zip(momenta, inertias):
+            increments, margins = _implicit_increments(vector(m[None]), inertia)
             f_ref, margin_ref = _implicit_increment(vector(m), inertia)
-            assert np.array_equal(f, f_ref)
-            assert margin == margin_ref
+            assert np.array_equal(increments[0], f_ref)
+            assert margins[0] == margin_ref
 
     def test_shared_inertia(self):
         rng = np.random.default_rng(8)
@@ -292,8 +292,9 @@ class TestBatchedKernel:
             assert np.array_equal(f, _implicit_increment(vector(m), J_REF)[0])
 
     def test_per_row_inertia(self):
-        # Any SPD inertia per row and any momentum inside the solvable set,
-        # not only the momenta of criterion 3's bound.
+        # Any SPD inertia per draw and any momentum inside the solvable set,
+        # not only the momenta of criterion 3's bound; one stacked call per
+        # inertia.
         rng = np.random.default_rng(12)
         momenta, inertias = [], []
         for _ in range(1000):
@@ -308,16 +309,41 @@ class TestBatchedKernel:
             if check_solvability(m, inertia).ok:
                 momenta.append(m)
                 inertias.append(inertia)
-        momenta, inertias = np.array(momenta), np.array(inertias)
         assert len(momenta) >= 950
-        increments, _ = _implicit_increments(vector(momenta), inertias)
-        for f, m, inertia in zip(increments, momenta, inertias):
-            assert np.array_equal(f, _implicit_increment(vector(m), inertia)[0])
+        for m, inertia in zip(momenta, inertias):
+            increments, _ = _implicit_increments(vector(m[None]), inertia)
+            assert np.array_equal(increments[0], _implicit_increment(vector(m), inertia)[0])
 
-    def test_one_unsolvable_row_raises(self):
-        momenta = np.array([np.zeros((3, 3)), hat([0.0, 0.0, 4.0]), hat([0.1, 0.0, 0.0])])
-        with pytest.raises(NotSolvable, match="row 1"):
-            _implicit_increments(vector(momenta), np.eye(3))
+    def test_unsolvable_rows_return_lapack_margin_and_nan(self):
+        # The rows of the fixed example, then a stack of which about a quarter
+        # lies past the solvable set of J_REF (|m| > 2 min eig J is not always
+        # unsolvable, so the verdict is LAPACK's).
+        rng = np.random.default_rng(13)
+        direction = rng.standard_normal((400, 3))
+        direction /= np.linalg.norm(direction, axis=1)[:, None]
+        random_rows = rng.uniform(0.0, 3.0, (400, 1)) * direction
+        cases = [
+            (np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 4.0], [0.1, 0.0, 0.0]]), np.eye(3)),
+            (random_rows, J_REF),
+        ]
+        unsolvable = []
+        for rows, inertia in cases:
+            increments, margins = _implicit_increments(rows, inertia)
+            unsolvable.append(0)
+            for m, f, margin in zip(rows, increments, margins):
+                exact = check_solvability(hat(m), inertia)
+                if not exact.ok:
+                    unsolvable[-1] += 1
+                    assert margin == exact.margin < 0.0
+                    assert np.isnan(f).all()
+                    with pytest.raises(NotSolvable):
+                        _implicit_increment(m, inertia)
+                    continue
+                f_ref, margin_ref = _implicit_increment(m, inertia)
+                assert np.array_equal(f, f_ref)
+                assert margin == margin_ref
+        assert unsolvable[0] == 1
+        assert 50 <= unsolvable[1] <= 350
 
     def test_empty_stack(self):
         increments, margins = _implicit_increments(np.zeros((0, 3)), J_REF)
@@ -335,8 +361,9 @@ class TestBatchedKernel:
 
 class TestInertiaConstantsCache:
     """The step looks the constants of its inertia up by the bytes of the
-    array, so a changed inertia never sees another's constants: each step
-    equals the stacked kernel, which reads the inertia afresh."""
+    array, so a changed inertia never sees another's constants: the cached
+    entries equal the array's, and each step equals the stacked kernel on a
+    copy of the inertia."""
 
     state = SpacecraftState(np.eye(3), exp_so3(H * np.array([0.8, -0.6, 1.0])))
     tau = np.array([0.5, -1.0, 0.25])
@@ -463,9 +490,8 @@ class TestSolvabilityGate:
         assert bound <= exact
         margin = _margin(m.tolist(), _inertia_constants(inertia), inertia)
         assert margin == (exact if bound < MARGIN_CUTOFF else bound)
-        # The stacked gate, with the inertia shared or per row.
-        for stacked in (inertia, inertia[None]):
-            assert _margins(m[None], stacked)[0] == margin
+        # The stacked gate.
+        assert _margins(m[None], _inertia_constants(inertia), inertia)[0] == margin
 
     def test_verdicts_and_shortfalls_match_lapack(self):
         # Steps from random spins, torques and inertias, many of them near

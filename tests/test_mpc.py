@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -221,9 +221,21 @@ class TestSolverSettings:
         SolverSettings(step_min=1e-3, step_max=2e-3)
 
 
+class TestMpcConfig:
+    @pytest.mark.parametrize("horizon", [2.5, True, "10", None, 0])
+    def test_rejects_bad_horizon_naming_field(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            MpcConfig(horizon=horizon)
+
+    def test_accepts_numpy_integer(self):
+        assert MpcConfig(horizon=np.int64(3)).horizon == 3
+
+
 class TestKktAtSaturatedTorques:
-    """A cold solve at a 1 Nm bound ends with torques on the box, where the
-    projected-gradient optimality condition must hold entry by entry."""
+    """A cold solve at a 1 Nm bound mostly ends with torques on the box, where
+    the projected-gradient optimality condition must hold entry by entry.
+    Some starts near 0.5 rad need less than the bound (0.5 rad about
+    (0, 1, 1) peaks at 0.97 Nm); they check the residual only."""
 
     SOLVER = SolverSettings(outer_rounds=1, ftol_rel=1e-15, max_iters=400)
 
@@ -248,7 +260,7 @@ class TestKktAtSaturatedTorques:
         assert solution.kkt_residual == float(np.linalg.norm(u - _project_rows(weak_system, u - grad)))
         assert solution.kkt_residual <= self.SOLVER.grad_tol
         saturated = np.abs(u) == weak_system.torque_bound
-        assert saturated.any()
+        assume(saturated.any())
         # At +bound the descent direction -grad must point up, at -bound down.
         outward = grad[saturated] * np.sign(u[saturated])
         assert np.all(outward <= self.SOLVER.grad_tol)

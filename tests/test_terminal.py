@@ -119,7 +119,6 @@ class TestCostData:
         assert_allclose(cost.Q[:3, :3], 20.0 * np.eye(3))
         assert_allclose(cost.Q[3:, 3:], 10.0 * np.diag([2.7, 2.5, 2.2]))
         assert_allclose(cost.Q[:3, 3:], np.zeros((3, 3)))
-        assert_allclose(cost.N_cross, np.zeros((6, 3)))
         assert_allclose(cost.R_dare, 40.0 * np.eye(3))
 
     def test_decay_boundary_rejected(self):
@@ -144,13 +143,13 @@ class TestCostData:
 class TestDare:
     def test_scalar_golden_ratio(self):
         lin = Linearization(np.array([[1.0]]), np.array([[1.0]]))
-        cost = QuadraticCostData(np.array([[1.0]]), np.zeros((1, 1)), np.array([[1.0]]))
+        cost = QuadraticCostData(np.array([[1.0]]), np.array([[1.0]]))
         p = solve_dare(lin, cost)
         assert p[0, 0] == pytest.approx(GOLDEN, abs=1e-10)
 
     def test_scalar_gain(self):
         lin = Linearization(np.array([[1.0]]), np.array([[1.0]]))
-        cost = QuadraticCostData(np.array([[1.0]]), np.zeros((1, 1)), np.array([[1.0]]))
+        cost = QuadraticCostData(np.array([[1.0]]), np.array([[1.0]]))
         p = solve_dare(lin, cost)
         k = lqr_gain(p, lin, cost)
         assert k[0, 0] == pytest.approx(p[0, 0] / (p[0, 0] + 1.0), abs=1e-12)
@@ -160,7 +159,7 @@ class TestDare:
         lin = build_linearization(H_REF, J_REF)
         cost = build_cost_data(ref_weights)
         p1 = solve_dare(lin, cost)
-        scaled = QuadraticCostData(3.0 * cost.Q, cost.N_cross, 3.0 * cost.R_dare)
+        scaled = QuadraticCostData(3.0 * cost.Q, 3.0 * cost.R_dare)
         p3 = solve_dare(lin, scaled)
         assert_allclose(p3, 3.0 * p1, rtol=1e-9)
 
@@ -196,7 +195,7 @@ class TestDare:
 
     def test_not_stabilizable(self):
         lin = Linearization(np.eye(2), np.zeros((2, 1)))
-        cost = QuadraticCostData(np.eye(2), np.zeros((2, 1)), np.eye(1))
+        cost = QuadraticCostData(np.eye(2), np.eye(1))
         with pytest.raises(NotStabilizable):
             solve_dare(lin, cost)
 
