@@ -24,9 +24,21 @@ from .lgvi import (
     SpacecraftState,
     step_with_margin,
 )
-from .mpc import ClosedLoopRun, ManifoldSystem, MpcConfig, OcpSolution, SolverSettings, closed_loop, solve_ocp
+from .mpc import (
+    DEFAULT_DISTANCE_TOL,
+    ClosedLoopRun,
+    ManifoldSystem,
+    MpcConfig,
+    OcpSolution,
+    SolverSettings,
+    closed_loop,
+    solve_ocp,
+)
 from .so3 import exp_so3, geodesic_distance
 from .terminal import (
+    DEFAULT_TERMINAL_SAMPLES,
+    DEFAULT_TERMINAL_SHRINK,
+    DEFAULT_TORQUE_BOUND,
     StageWeights,
     TerminalDesign,
     coordinates,
@@ -37,7 +49,6 @@ from .terminal import (
 )
 from .validation import check_spd, check_vector3
 
-DEFAULT_TORQUE_BOUND = 100.0
 DEFAULT_SOLVABILITY_FLOOR = 1e-6
 
 
@@ -161,8 +172,8 @@ class AttitudeMpc:
         cost_decay: float = 0.1,
         torque_bound: float = DEFAULT_TORQUE_BOUND,
         solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
-        terminal_samples: int = 1000,
-        terminal_shrink: float = 0.9,
+        terminal_samples: int = DEFAULT_TERMINAL_SAMPLES,
+        terminal_shrink: float = DEFAULT_TERMINAL_SHRINK,
         seed: int = 0,
         cut_sign: float = 1.0,
         solver: Optional[SolverSettings] = None,
@@ -262,7 +273,7 @@ class AttitudeMpc:
         return np.vstack([self.solve(state).first_control for state in X])
 
     def simulate(
-        self, state0: SpacecraftState, n_steps: int, distance_tol: float = 1e-2
+        self, state0: SpacecraftState, n_steps: int, distance_tol: float = DEFAULT_DISTANCE_TOL
     ) -> ClosedLoopRun:
         """Closed-loop run from ``state0`` with warm-started solves."""
         self._check_fitted()

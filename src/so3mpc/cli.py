@@ -26,8 +26,11 @@ from .experiments import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from .mpc import MpcConfig, SolverSettings, closed_loop
+from .mpc import DEFAULT_DISTANCE_TOL, MpcConfig, SolverSettings, closed_loop
 from .terminal import (
+    DEFAULT_TERMINAL_SAMPLES,
+    DEFAULT_TERMINAL_SHRINK,
+    DEFAULT_TORQUE_BOUND,
     StageWeights,
     TerminalDesign,
     build_cost_data,
@@ -35,7 +38,7 @@ from .terminal import (
     dare_residual,
     design_terminal,
 )
-from .validation import as_matrix3, check_vector3
+from .validation import as_matrix3, check_vector3, is_number, is_numeric_tree
 
 VERIFY_SUITES = ("conservation", "local-law", "lyapunov", "discontinuity", "all")
 
@@ -71,41 +74,55 @@ def default_config_dict() -> dict:
         "weights": {"Q_g": 1.0, "R": 2.0, "lambda": 0.1},
         "mpc": {
             "N": 10,
-            "tau_max_Nm": 100.0,
+            "tau_max_Nm": DEFAULT_TORQUE_BOUND,
             "solver": {},
         },
-        "terminal": {"n_samples": 1000, "shrink": 0.9},
+        "terminal": {"n_samples": DEFAULT_TERMINAL_SAMPLES, "shrink": DEFAULT_TERMINAL_SHRINK},
         "experiment": {
             "initial_attitude_axis_angle_rad": [0.0, 0.0, 3.141592653589793],
             "initial_rate_rad_s": [0.0, 0.0, 0.0],
             "n_steps": 120,
             "seed": 0,
-            "distance_tol": 0.01,
+            "distance_tol": DEFAULT_DISTANCE_TOL,
         },
         "output": {"directory": "out", "csv_cadence_steps": 1, "snapshot_seconds": 2.0},
     }
 
 
 def _positive(value, path: str, allow_inf: bool = False) -> float:
+    if not is_number(value):
+        raise ConfigError(path, f"must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(path, f"must be a number, got {value!r}") from None
+    except OverflowError:
+        number = np.inf
     if np.isnan(number) or number <= 0 or (not allow_inf and np.isinf(number)):
         raise ConfigError(path, f"must be positive and finite, got {number}")
     return number
 
 
 def _integer(value, path: str, minimum: int) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+    """``value`` as an int: an integer, or a float with an integral value."""
+    number = None
+    if is_number(value):
+        try:
+            number = int(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is None or number != value:
         raise ConfigError(path, f"must be an integer, got {value!r}")
     if number < minimum:
         raise ConfigError(path, f"must be at least {minimum}, got {number}")
     return number
+
+
+def _vector3(value, path: str) -> np.ndarray:
+    if not is_numeric_tree(value):
+        raise ConfigError(path, f"must be a list of three numbers, got {value!r}")
+    try:
+        return check_vector3(value, "vector")
+    except ValueError as err:
+        raise ConfigError(path, str(err)) from None
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -128,9 +145,10 @@ def parse_config(data: dict) -> RunConfig:
     attitude = as_matrix3(wsec["Q_g"], "weights.Q_g")
     rate = as_matrix3(wsec["Q_f"], "weights.Q_f")
     torque = as_matrix3(wsec["R"], "weights.R")
+    decay = _positive(wsec["lambda"], "weights.lambda")
     try:
-        weights = StageWeights(attitude, rate, torque, float(wsec["lambda"]))
-    except (ValueError, TypeError) as err:
+        weights = StageWeights(attitude, rate, torque, decay)
+    except ValueError as err:
         raise ConfigError("weights.lambda", str(err)) from None
 
     mpc = merged["mpc"]
@@ -150,13 +168,10 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError("terminal.shrink", f"must lie in (0, 1], got {terminal_shrink}")
 
     exp = merged["experiment"]
-    try:
-        initial_attitude = check_vector3(
-            exp["initial_attitude_axis_angle_rad"], "experiment.initial_attitude_axis_angle_rad"
-        )
-        initial_rate = check_vector3(exp["initial_rate_rad_s"], "experiment.initial_rate_rad_s")
-    except ValueError as err:
-        raise ConfigError("experiment", str(err)) from None
+    initial_attitude = _vector3(
+        exp["initial_attitude_axis_angle_rad"], "experiment.initial_attitude_axis_angle_rad"
+    )
+    initial_rate = _vector3(exp["initial_rate_rad_s"], "experiment.initial_rate_rad_s")
     n_steps = _integer(exp["n_steps"], "experiment.n_steps", 1)
     seed = _integer(exp["seed"], "experiment.seed", 0)
     distance_tol = _positive(exp["distance_tol"], "experiment.distance_tol")

@@ -24,9 +24,16 @@ from .lgvi import (
     random_spin_state,
     rollout,
 )
-from .mpc import ClosedLoopRun, MpcConfig, closed_loop
+from .mpc import DEFAULT_DISTANCE_TOL, ClosedLoopRun, MpcConfig, closed_loop
 from .so3 import geodesic_distance, hat
-from .terminal import DECREASE_SLACK, TerminalDesign, _ellipsoid_samples, evaluate_level
+from .terminal import (
+    DECREASE_SLACK,
+    DEFAULT_TERMINAL_SAMPLES,
+    DEFAULT_TORQUE_BOUND,
+    TerminalDesign,
+    _ellipsoid_samples,
+    evaluate_level,
+)
 
 # Spin scale of the conservation check's random start, and the slack of the
 # closed-loop cost audit.
@@ -207,7 +214,7 @@ def verify_conservation(
 def certify_local_law(
     design: TerminalDesign,
     torque_bound: float,
-    n_samples: int = 1000,
+    n_samples: int = DEFAULT_TERMINAL_SAMPLES,
     seed: int = 20_000,
     level: Optional[float] = None,
 ) -> ExperimentReport:
@@ -278,9 +285,9 @@ def audit_lyapunov(run: ClosedLoopRun) -> ExperimentReport:
 def probe_discontinuity(
     design: TerminalDesign,
     config: MpcConfig,
-    torque_bound: float = 100.0,
+    torque_bound: float = DEFAULT_TORQUE_BOUND,
     n_steps: int = 120,
-    attitude_tol: float = 1e-2,
+    attitude_tol: float = DEFAULT_DISTANCE_TOL,
     out_dir: Optional[str] = None,
     cut_sign: float = 1.0,
     seed: int = 0,

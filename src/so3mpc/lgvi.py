@@ -392,7 +392,7 @@ def step_with_margin(
         torque = np.asarray(torque, dtype=float).reshape(3)
     m = _momentum(state.f.tolist(), torque.tolist(), h * h, constants.j)
     f_next, margin = _implicit_increment(m, inertia, constants)
-    return SpacecraftState(state.g @ state.f, f_next), margin
+    return SpacecraftState(state.g.dot(state.f), f_next), margin
 
 
 def rollout(

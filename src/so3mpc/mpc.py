@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
 
+# Distance to the equilibrium below which a closed loop counts as converged.
+DEFAULT_DISTANCE_TOL = 1e-2
+
 
 class ManifoldSystem(abc.ABC):
     """Contract between the receding-horizon layer and a concrete system.
@@ -158,14 +161,22 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class OcpSolution:
-    """Result of one finite-horizon solve."""
+    """Result of one finite-horizon solve.
+
+    ``kkt_residual`` is the norm of u - proj(u - grad) at the returned
+    torques under the last penalty round's objective.  It is ``None`` when
+    that round stopped on ``ftol_rel`` (two small relative improvements in a
+    row): the solver stops before the gradient at the accepted torques, which
+    would serve only this report.  A stop on ``grad_tol``, on a failed line
+    search or on ``max_iters`` reports it.
+    """
 
     torques: np.ndarray
     cost: float
     terminal_value: float
     feasible: bool
     iterations: int
-    kkt_residual: float
+    kkt_residual: Optional[float]
     violation: float
     states: tuple
     # Per predicted step: how far the solvability margin fell below its floor.
@@ -286,19 +297,16 @@ class _Objective:
         n, m = torques.shape
         grad = np.zeros((n, m))
         for i in range(n):
-            x_i = data.states[i]
+            x_i, stage_before, short_before = data.states[i], stage_prefix[i], short_prefix[i]
             tail = torques[i:].copy()
-            base_entry = tail[0].copy()
+            first = tail[0]
             for j in range(m):
-                values = []
-                for sign in (1.0, -1.0):
-                    tail[0] = base_entry
-                    tail[0, j] = base_entry[j] + sign * fd_step
-                    values.append(
-                        self._tail_value(x_i, tail, stage_prefix[i], short_prefix[i])
-                    )
-                tail[0] = base_entry
-                up, down = values
+                entry = first[j]
+                first[j] = entry + fd_step
+                up = self._tail_value(x_i, tail, stage_before, short_before)
+                first[j] = entry - fd_step
+                down = self._tail_value(x_i, tail, stage_before, short_before)
+                first[j] = entry
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * fd_step)
                 elif math.isfinite(down):
@@ -312,16 +320,34 @@ class _Objective:
                     )
         return grad, base_value
 
-    def _tail_value(self, x_start, tail, stage_prefix: float, short_prefix: float) -> float:
+    def _tail_value(self, x, tail, stage_prefix: float, short_prefix: float) -> float:
+        """Penalized value of the rollout whose first steps are summed in the
+        prefixes and whose tail runs ``tail`` from ``x``; ``math.inf`` when
+        the tail is unsolvable.
+
+        Equals :meth:`_value` on the prefixes plus the sums of the tail's
+        :func:`_rollout_data` bit for bit: the stage costs go through one
+        array and its numpy sum, and the shortfall array, all zeros unless
+        some margin falls below the floor, is only built in that case.
+        """
+        system = self.system
+        floor = system.step_margin_floor
+        stage = np.empty(len(tail))
+        shortfalls = None
         try:
-            data = _rollout_data(self.system, x_start, tail)
+            for i, u in enumerate(tail):
+                stage[i] = system.stage_cost(x, u)
+                x, margin = system.step_with_margin(x, u)
+                if margin < floor:
+                    if shortfalls is None:
+                        shortfalls = np.zeros(len(tail))
+                    shortfalls[i] = floor - margin
+            terminal = system.terminal_cost(x)
         except NotSolvable:
             return math.inf
-        return self._value(
-            stage_prefix + data.stage.sum(),
-            short_prefix + (data.shortfalls**2).sum(),
-            data.terminal,
-        )
+        if shortfalls is not None:
+            short_prefix = short_prefix + (shortfalls**2).sum()
+        return self._value(stage_prefix + stage.sum(), short_prefix, terminal)
 
 
 def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
@@ -333,7 +359,12 @@ def _projected_gradient(
     system: ManifoldSystem,
     torques: np.ndarray,
     settings: SolverSettings,
-) -> tuple[np.ndarray, int, float]:
+) -> tuple[np.ndarray, int, Optional[float]]:
+    """Projected gradient descent with Barzilai-Borwein steps and an Armijo
+    line search.  Returns the final torques, the iteration count and the
+    KKT residual at the final torques, or ``None`` when the relative
+    improvement test stopped the descent: that stop skips the last gradient,
+    so no residual is known."""
     grad, value = objective.gradient(torques, settings.fd_step)
     # First trial step scaled by the gradient so penalty-dominated starts do
     # not waste dozens of backtracks.
@@ -359,7 +390,16 @@ def _projected_gradient(
                 break
         if not accepted:
             break
-        improvement = value - cand_value
+        # One tiny improvement can be an artifact of a backtracked step that
+        # the Barzilai-Borwein step recovers from; require two in a row.  The
+        # second one stops before the candidate's gradient, which nothing
+        # after this point would read.
+        if value - cand_value <= settings.ftol_rel * max(1.0, abs(cand_value)):
+            small_improvements += 1
+            if small_improvements >= 2:
+                return candidate, iterations, None
+        else:
+            small_improvements = 0
         new_grad, _ = objective.gradient(candidate, settings.fd_step, base=cand_data)
         step_vec = candidate - torques
         grad_vec = new_grad - grad
@@ -370,14 +410,6 @@ def _projected_gradient(
             bb_step = settings.step_init
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
-        # One tiny improvement can be an artifact of a backtracked step that
-        # the Barzilai-Borwein step recovers from; require two in a row.
-        if improvement <= settings.ftol_rel * max(1.0, abs(value)):
-            small_improvements += 1
-            if small_improvements >= 2:
-                break
-        else:
-            small_improvements = 0
     return torques, iterations, kkt
 
 
@@ -432,7 +464,6 @@ def solve_ocp(
 
     weight = settings.penalty_weight
     total_iterations = 0
-    kkt = np.inf
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight)
         torques, iterations, kkt = _projected_gradient(
@@ -454,7 +485,7 @@ def solve_ocp(
         terminal_value=float(data.terminal),
         feasible=bool(violation <= settings.constraint_tol),
         iterations=total_iterations,
-        kkt_residual=float(kkt),
+        kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
         states=tuple(data.states),
         shortfalls=data.shortfalls,
@@ -550,7 +581,7 @@ def closed_loop(
     x0,
     config: MpcConfig,
     n_steps: int,
-    distance_tol: float = 1e-2,
+    distance_tol: float = DEFAULT_DISTANCE_TOL,
 ) -> ClosedLoopRun:
     """Run the receding-horizon law for ``n_steps`` steps from ``x0``.
 

@@ -24,7 +24,7 @@ from .errors import (
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import SpacecraftState, _implicit_increments, _momentum_vector
+from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum_vector
 from .so3 import _log_so3_pair, exp_so3_rows, hat, log_so3_rows
 from .validation import check_spd
 
@@ -39,6 +39,13 @@ _DARE_RESIDUAL_TOL = 1e-8
 _GRID_POINTS = 48
 _LEVEL_FLOOR = 1e-8
 DECREASE_SLACK = 1e-10
+
+# Defaults of the design shared by the library and the CLI: the torque bound
+# in N m, the number of certificate samples and the safety shrink applied to
+# the calibrated level.
+DEFAULT_TORQUE_BOUND = 100.0
+DEFAULT_TERMINAL_SAMPLES = 1000
+DEFAULT_TERMINAL_SHRINK = 0.9
 
 
 @dataclass(frozen=True)
@@ -76,7 +83,8 @@ class StageWeights:
         equal to the single state's cost bit for bit: both are computed from
         entries, floats for one state and arrays over the stack.
         """
-        torque = np.asarray(torque, dtype=float)
+        if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64:
+            torque = np.asarray(torque, dtype=float)
         if state.g.ndim == 2:
             g, f, u = state.g.tolist(), state.f.tolist(), torque.tolist()
         else:
@@ -303,12 +311,14 @@ def terminal_value(p: np.ndarray, xi: np.ndarray) -> float:
     row for a stack of coordinates.
 
     Stays a BLAS product: for six coordinates it is as fast as the
-    component form, which also rounds differently, and a stack's rows are
-    BLAS dots like the single value's, so the two agree bit for bit.
+    component form, which also rounds differently.  One state calls
+    ``ndarray.dot``, the same kernels as ``@`` with less dispatch.  A stack
+    goes through matrix products whose summation order may differ, so its
+    rows agree with the single values to about an ulp, not bit for bit.
     """
+    if xi.ndim == 1:
+        return float(xi.dot(p).dot(xi))
     v = xi @ p
-    if v.ndim == 1:
-        return float(v @ xi)
     return (v[..., None, :] @ xi[..., :, None])[..., 0, 0]
 
 
@@ -481,8 +491,8 @@ def calibrate_level(
     h: float,
     inertia,
     torque_bound: float,
-    n_samples: int = 1000,
-    shrink: float = 0.9,
+    n_samples: int = DEFAULT_TERMINAL_SAMPLES,
+    shrink: float = DEFAULT_TERMINAL_SHRINK,
     seed: int = 0,
 ) -> tuple[float, Certification]:
     """Largest certified level of the terminal ellipsoid.
@@ -537,9 +547,9 @@ def design_terminal(
     inertia,
     h: float,
     weights: StageWeights,
-    torque_bound: float = 100.0,
-    n_samples: int = 1000,
-    shrink: float = 0.9,
+    torque_bound: float = DEFAULT_TORQUE_BOUND,
+    n_samples: int = DEFAULT_TERMINAL_SAMPLES,
+    shrink: float = DEFAULT_TERMINAL_SHRINK,
     seed: int = 0,
 ) -> TerminalDesign:
     """Run the full terminal design pipeline and return the result."""

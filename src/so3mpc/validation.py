@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ConfigError, NotPositiveDefinite, NotRotation, NotSkewSymmetric
@@ -62,17 +64,35 @@ def check_spd(a, name: str = "A", atol: float = 1e-12) -> np.ndarray:
     return arr
 
 
+def is_number(value) -> bool:
+    """Whether ``value`` is a real number other than a boolean: a JSON
+    number, but not a string that spells one, nor ``true`` or ``false``."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_numeric_tree(value) -> bool:
+    """Whether ``value`` is a number or a (nested) list of numbers, in the
+    sense of :func:`is_number`."""
+    if isinstance(value, (list, tuple)):
+        return all(is_numeric_tree(item) for item in value)
+    return is_number(value)
+
+
 def as_matrix3(value, key: str) -> np.ndarray:
     """Parse a config entry into a symmetric positive-definite 3x3 matrix.
 
     Accepts a scalar (multiple of the identity), a length-3 sequence
-    (diagonal), or a full 3x3 nested list; anything else raises
+    (diagonal), or a full 3x3 nested list, of numbers; anything else,
+    strings and booleans included, raises
     :class:`~so3mpc.errors.ConfigError` naming ``key``.
     """
+    message = f"must be a number or a list of numbers, got {value!r}"
+    if not is_numeric_tree(value):
+        raise ConfigError(key, message)
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(key, f"must be a number or a list of numbers, got {value!r}") from None
+    except ValueError:
+        raise ConfigError(key, message) from None
     if arr.shape == ():
         arr = arr * np.eye(3)
     elif arr.shape == (3,):

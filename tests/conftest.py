@@ -2,11 +2,23 @@ import numpy as np
 import pytest
 
 from so3mpc.attitude import SpacecraftAttitudeSystem
+from so3mpc.errors import NotSolvable
+from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.terminal import default_weights, design_terminal
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H_REF = 0.1
 TORQUE_BOUND_REF = 100.0
+
+
+class BoundedStepIntegrator(DoubleIntegratorSystem):
+    """Double integrator whose step is unsolvable for |u| > 1, the way the
+    attitude step is unsolvable past the momentum bound."""
+
+    def step(self, x, u):
+        if np.max(np.abs(u)) > 1.0:
+            raise NotSolvable(f"|u| = {np.max(np.abs(u)):.9f} exceeds 1")
+        return super().step(x, u)
 
 
 @pytest.fixture(scope="session")

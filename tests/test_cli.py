@@ -119,6 +119,54 @@ class TestConfigParsing:
         assert main(["design", "--config", str(path)]) == 2
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("mpc", "N", "10"),
+            ("mpc", "N", True),
+            ("mpc", "tau_max_Nm", "5"),
+            ("mpc", "tau_max_Nm", True),
+            ("physical", "h_seconds", "0.1"),
+            ("physical", "J_kgm2", True),
+            ("physical", "J_kgm2", "2.0"),
+            ("physical", "J_kgm2", [1.0, True, 1.0]),
+            ("physical", "J_kgm2", [[1, 0, 0], [0, 1, 0], [0, 0, "1"]]),
+            ("weights", "Q_g", False),
+            ("weights", "Q_f", ["1", "1", "1"]),
+            ("weights", "R", [[True, 0, 0], [0, 1, 0], [0, 0, 1]]),
+            ("weights", "lambda", "0.1"),
+            ("weights", "lambda", True),
+            ("terminal", "n_samples", "150"),
+            ("terminal", "shrink", True),
+            ("experiment", "n_steps", True),
+            ("experiment", "distance_tol", "0.01"),
+            ("experiment", "initial_rate_rad_s", ["0", 0.0, 0.0]),
+            ("experiment", "initial_attitude_axis_angle_rad", [False, 0.0, 1.0]),
+            ("output", "snapshot_seconds", "2"),
+        ],
+    )
+    def test_string_or_boolean_exits_2_naming_key(self, section, key, value, tmp_path, capsys):
+        # Numbers spelled as JSON strings and booleans used to be read as
+        # numbers: "10" as 10, true as 1 and J = true as the unit inertia.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert main(["design", "--config", str(path)]) == 2
+        assert f"configuration error: {section}.{key}" in capsys.readouterr().err
+
+    def test_string_and_boolean_config_rejected(self):
+        # This config used to parse as horizon 10, bound 5.0 and J = I; the
+        # inertia is parsed first, so it is the key named.
+        with pytest.raises(ConfigError, match=r"physical\.J_kgm2"):
+            parse_config({"mpc": {"N": "10", "tau_max_Nm": "5"}, "physical": {"J_kgm2": True}})
+        with pytest.raises(ConfigError, match=r"mpc\.N"):
+            parse_config({"mpc": {"N": "10", "tau_max_Nm": "5"}})
+
+    def test_integral_float_and_infinite_bound_still_accepted(self):
+        cfg = parse_config({"mpc": {"N": 8.0, "tau_max_Nm": float("inf")}, "weights": {"Q_g": 2}})
+        assert cfg.horizon == 8 and isinstance(cfg.horizon, int)
+        assert cfg.torque_bound == float("inf")
+        np.testing.assert_array_equal(cfg.weights.attitude, 2.0 * np.eye(3))
+
 
 class TestDesignCommand:
     def test_writes_design_and_reports(self, fast_config, tmp_path, capsys):

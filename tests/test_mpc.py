@@ -25,7 +25,7 @@ from so3mpc.mpc import (
 from so3mpc.so3 import exp_so3
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 
-from conftest import H_REF, J_REF
+from conftest import H_REF, J_REF, BoundedStepIntegrator
 
 TIGHT = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)
 
@@ -48,16 +48,6 @@ def adjoint_gradient(flat, x0, controls):
         grad[i, 0] = (2.0 * flat.R @ controls[i] + flat.B.T @ lam)[0]
         lam = 2.0 * flat.Q @ xs[i] + flat.A.T @ lam
     return grad
-
-
-class BoundedStepIntegrator(DoubleIntegratorSystem):
-    """Double integrator whose step is unsolvable for |u| > 1, the way the
-    attitude step is unsolvable past the momentum bound."""
-
-    def step(self, x, u):
-        if np.max(np.abs(u)) > 1.0:
-            raise NotSolvable(f"|u| = {np.max(np.abs(u)):.9f} exceeds 1")
-        return super().step(x, u)
 
 
 class KnifeEdgeIntegrator(DoubleIntegratorSystem):
@@ -237,6 +227,8 @@ class TestKktAtSaturatedTorques:
     Some starts near 0.5 rad need less than the bound (0.5 rad about
     (0, 1, 1) peaks at 0.97 Nm); they check the residual only."""
 
+    # ftol_rel = 1e-15 also keeps the relative-improvement stop, after which
+    # no residual is reported, from ending these solves.
     SOLVER = SolverSettings(outer_rounds=1, ftol_rel=1e-15, max_iters=400)
 
     @pytest.fixture(scope="class")
