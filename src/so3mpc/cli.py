@@ -306,6 +306,7 @@ def cmd_simulate(args) -> int:
         "converged_step": run.converged_step,
         "final_distance": float(run.distances[-1]),
         "total_stage_cost": float(run.stage_costs.sum()),
+        "total_solver_iters": int(run.iterations.sum()),
         "traces": {"trajectory": traj_path, "diagnostics": diag_path, "snapshots": snap_path},
     }
     _write_summary(os.path.join(out_dir, "summary.json"), summary)

@@ -6,6 +6,10 @@ local feedback law.  The finite-horizon problem is transcribed by single
 shooting over the control sequence, with box bounds handled by projection,
 the terminal-set and step-solvability constraints by a growing quadratic
 penalty, and gradients by central finite differences of the rollout cost.
+Each penalty round descends along a limited-memory BFGS direction with
+two-metric projection onto the box (Bertsekas, 1982): the quasi-Newton step
+acts on the free entries, and entries that the box holds against an outward
+gradient take the projected-gradient step.
 """
 
 from __future__ import annotations
@@ -91,14 +95,19 @@ class ManifoldSystem(abc.ABC):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tuning knobs of the penalized projected-gradient shooting solver.
+    """Tuning knobs of the penalized quasi-Newton shooting solver.
 
     ``grad_tol`` bounds the projected-gradient norm at acceptance and
-    ``ftol_rel`` stops the iteration once an accepted step improves the
-    penalized objective by less than this relative amount; the defaults
+    ``ftol_rel`` stops the iteration once two accepted steps in a row improve
+    the penalized objective by less than this relative amount; the defaults
     favor closed-loop throughput, where warm starts carry most of the
     optimality and the stability guarantees do not depend on solving to
-    high precision.
+    high precision.  ``step_init``, ``step_min`` and ``step_max`` bound the
+    length of the projected-gradient step: the first step of every penalty
+    round is ``step_init / max(1, |grad|)``, later ones use the quasi-Newton
+    curvature scale.  The quasi-Newton step itself is tried at full length
+    first; ``armijo_c1`` and ``armijo_shrink`` govern the backtracking of
+    both.
 
     The counts must be positive integers, every other knob positive and
     finite, ``armijo_c1`` and ``armijo_shrink`` below one and ``step_min``
@@ -354,21 +363,76 @@ def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
     return np.vstack([system.project_control(u) for u in torques])
 
 
-def _projected_gradient(
+# Curvature pairs (step, gradient change) the quasi-Newton direction keeps.
+LBFGS_MEMORY = 5
+
+
+def _line_search(objective, system, torques, value, grad, direction, alpha, settings):
+    """Armijo backtracking along the projected path ``P(torques + alpha *
+    direction)``, measuring the decrease by ``grad`` times the projected
+    step.  Returns the accepted candidate, its value and rollout, or
+    ``None`` once ``alpha`` falls below ``step_min``."""
+    for _ in range(60):
+        candidate = _project_rows(system, torques + alpha * direction)
+        decrease_ref = float((grad * (candidate - torques)).sum())
+        # A projected quasi-Newton step can turn uphill; it is not rolled out.
+        if decrease_ref <= 0.0:
+            cand_value, cand_data = objective.trial(candidate)
+            if cand_value <= value + settings.armijo_c1 * decrease_ref:
+                return candidate, cand_value, cand_data
+        alpha *= settings.armijo_shrink
+        if alpha < settings.step_min:
+            break
+    return None
+
+
+def _quasi_newton_direction(grad, free, pairs, scale):
+    """Two-metric direction: the limited-memory BFGS step (two-loop
+    recursion, initial inverse Hessian ``scale`` times the identity) on the
+    ``free`` entries, from the curvature pairs restricted to them, and the
+    gradient step ``-scale * grad`` on the entries the box holds."""
+    q = np.where(free, grad, 0.0)
+    history = []
+    for s, y in reversed(pairs):
+        s, y = np.where(free, s, 0.0), np.where(free, y, 0.0)
+        sy = float((s * y).sum())
+        if sy <= 0.0:
+            continue
+        a = float((s * q).sum()) / sy
+        q -= a * y
+        history.append((s, y, sy, a))
+    r = scale * q
+    for s, y, sy, a in reversed(history):
+        r += (a - float((y * r).sum()) / sy) * s
+    return np.where(free, -r, -scale * grad)
+
+
+def _quasi_newton_descent(
     objective: _Objective,
     system: ManifoldSystem,
     torques: np.ndarray,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int, Optional[float]]:
-    """Projected gradient descent with Barzilai-Borwein steps and an Armijo
-    line search.  Returns the final torques, the iteration count and the
-    KKT residual at the final torques, or ``None`` when the relative
-    improvement test stopped the descent: that stop skips the last gradient,
-    so no residual is known."""
+    """Limited-memory BFGS descent with two-metric projection onto the box
+    and an Armijo search along the projected path.
+
+    An entry counts as held when the projected-gradient step would clip it,
+    i.e. it lies on or near the bound and the gradient points outward; it
+    takes that gradient step, and the curvature pairs act on the other
+    entries only.  An iteration with no curvature pair stored yet (the
+    first), and any whose quasi-Newton direction is not a descent direction
+    or finds no Armijo point, takes the scaled projected-gradient step
+    instead; the descent stops when that finds no Armijo point either.
+
+    Returns the final torques, the iteration count and the KKT residual at
+    the final torques, or ``None`` when the relative improvement test
+    stopped the descent: that stop skips the last gradient, so no residual
+    is known."""
     grad, value = objective.gradient(torques, settings.fd_step)
-    # First trial step scaled by the gradient so penalty-dominated starts do
-    # not waste dozens of backtracks.
-    bb_step = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
+    # First gradient step scaled by the gradient so penalty-dominated starts
+    # do not waste dozens of backtracks; later ones by the latest curvature.
+    scale = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
+    pairs = []
     iterations = 0
     small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
@@ -376,24 +440,23 @@ def _projected_gradient(
         if kkt <= settings.grad_tol:
             break
         iterations += 1
-        alpha = float(np.clip(bb_step, settings.step_min, settings.step_max))
-        accepted = False
-        for _ in range(60):
-            candidate = _project_rows(system, torques - alpha * grad)
-            cand_value, cand_data = objective.trial(candidate)
-            decrease_ref = float((grad * (candidate - torques)).sum())
-            if cand_value <= value + settings.armijo_c1 * decrease_ref:
-                accepted = True
-                break
-            alpha *= settings.armijo_shrink
-            if alpha < settings.step_min:
-                break
-        if not accepted:
+        step = float(np.clip(scale, settings.step_min, settings.step_max))
+        result = None
+        if pairs:
+            trial = torques - step * grad
+            free = _project_rows(system, trial) == trial
+            direction = _quasi_newton_direction(grad, free, pairs, step)
+            if float((grad * direction).sum()) < 0.0:
+                result = _line_search(objective, system, torques, value, grad, direction, 1.0, settings)
+        if result is None:
+            result = _line_search(objective, system, torques, value, grad, -grad, step, settings)
+        if result is None:
             break
+        candidate, cand_value, cand_data = result
         # One tiny improvement can be an artifact of a backtracked step that
-        # the Barzilai-Borwein step recovers from; require two in a row.  The
-        # second one stops before the candidate's gradient, which nothing
-        # after this point would read.
+        # the next one recovers from; require two in a row.  The second one
+        # stops before the candidate's gradient, which nothing after this
+        # point would read.
         if value - cand_value <= settings.ftol_rel * max(1.0, abs(cand_value)):
             small_improvements += 1
             if small_improvements >= 2:
@@ -401,13 +464,11 @@ def _projected_gradient(
         else:
             small_improvements = 0
         new_grad, _ = objective.gradient(candidate, settings.fd_step, base=cand_data)
-        step_vec = candidate - torques
-        grad_vec = new_grad - grad
-        curvature = float((step_vec * grad_vec).sum())
+        s, y = candidate - torques, new_grad - grad
+        curvature = float((s * y).sum())
         if curvature > 0.0:
-            bb_step = float((step_vec * step_vec).sum()) / curvature
-        else:
-            bb_step = settings.step_init
+            pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
+            scale = curvature / float((y * y).sum())
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt
@@ -466,7 +527,7 @@ def solve_ocp(
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight)
-        torques, iterations, kkt = _projected_gradient(
+        torques, iterations, kkt = _quasi_newton_descent(
             objective, system, torques, settings
         )
         total_iterations += iterations
@@ -524,11 +585,14 @@ class MpcController:
         """Solve at ``x`` and return the first control of the solution.
 
         Raises :class:`~so3mpc.errors.Infeasible` when the solver cannot
-        reach feasibility at ``x``.
+        reach feasibility at ``x``; the controller then forgets the previous
+        solution, whose shifted candidate belongs to an earlier state, and
+        the next step starts cold.
         """
         warm = self.candidate_sequence()
         solution = solve_ocp(self.system, x, self.config, warm_start=warm)
         if not solution.feasible:
+            self._previous = None
             raise Infeasible(
                 "finite-horizon problem infeasible: "
                 + _violated_constraints(solution, self.system.terminal_level, self.config.solver.constraint_tol)

@@ -203,6 +203,11 @@ class TestSimulateCommand:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["steps"] == 4
         assert "config" in summary
+        with open(tmp_path / "out" / "diagnostics.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 4
+        assert summary["total_solver_iters"] == sum(int(row["solver_iters"]) for row in rows)
+        assert summary["total_solver_iters"] >= 1
         assert "converged" in capsys.readouterr().out
 
     def test_trajectory_cadence_keeps_step_labels(self, fast_config, tmp_path):

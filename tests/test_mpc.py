@@ -434,6 +434,20 @@ class TestController:
         with pytest.raises(Infeasible):
             controller.step(np.array([5.0, 0.0]))
 
+    def test_infeasible_step_drops_stale_warm_start(self):
+        flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
+        controller = MpcController(flat, MpcConfig(horizon=3))
+        controller.step(np.zeros(2))
+        assert controller.candidate_sequence() is not None
+        with pytest.raises(Infeasible):
+            controller.step(np.array([5.0, 0.0]))
+        # The old candidate was shifted for the state before the failed
+        # step; stepping on starts cold.
+        assert controller.candidate_sequence() is None
+        u, solution = controller.step(np.zeros(2))
+        assert solution.feasible
+        assert_allclose(u, 0.0)
+
     def test_infeasible_names_terminal_excess(self):
         flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
         x0 = np.array([5.0, 0.0])

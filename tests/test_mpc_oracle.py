@@ -1,19 +1,25 @@
-"""The shooting solver against a reference copy of its earlier form.
+"""The shooting solver against a reference descent.
 
-``oracle_projected_gradient`` and ``OracleObjective`` are the descent loop
-and the central-difference gradient without two savings the package makes:
-the oracle evaluates the gradient at every accepted candidate, also the one
-that the relative-improvement stop then returns, and rolls every perturbed
-tail out through ``_rollout_data`` with its states list and shortfall
-array.  Solves through the oracle and through the package must agree bit
-for bit; only the gradient count and the reported KKT residual of an
-``ftol_rel`` stop differ.
+``oracle_projected_gradient`` is the projected-gradient descent with
+Barzilai-Borwein steps that the package used before its limited-memory
+quasi-Newton descent, and ``OracleObjective`` the central-difference
+gradient rolling every perturbed tail out through ``_rollout_data`` with
+its states list and shortfall array.  The two descents stop at different
+points, so they are compared by what a solve must deliver, not bit for bit:
+the package's solve is feasible whenever the reference's is, ends no higher
+on the penalized objective than ``ftol_rel`` allows and evaluates no more
+gradients.  Over a warm-started closed loop it needs at most 70 % of the
+reference's gradients.
 """
 
+import contextlib
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import so3mpc.mpc as mpc
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
@@ -27,6 +33,7 @@ from so3mpc.mpc import (
     _Objective,
     _project_rows,
     _rollout_data,
+    closed_loop,
     solve_ocp,
     warm_start_shift,
 )
@@ -91,7 +98,8 @@ class OracleObjective(_Objective):
 
 
 def oracle_projected_gradient(objective, system, torques, settings):
-    """The descent loop that evaluates the gradient at every accepted
+    """Reference descent: projected gradient with Barzilai-Borwein steps and
+    an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns."""
     grad, value = objective.gradient(torques, settings.fd_step)
     bb_step = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
@@ -136,115 +144,200 @@ def oracle_projected_gradient(objective, system, torques, settings):
     return torques, iterations, kkt
 
 
-def counted_solve(monkeypatch, system, x0, config, warm_start=None, oracle=False):
-    """Solve through the package or the oracle; return the solution, the
-    number of gradients evaluated and each penalty round's KKT residual."""
-    gradients = []
+class Counted(NamedTuple):
+    solution: object
+    # Torques at which each gradient was evaluated.
+    gradient_points: list
+    # (penalty weight, reported KKT residual) per penalty round.
+    rounds: list
+
+    @property
+    def gradients(self):
+        return len(self.gradient_points)
+
+    @property
+    def residuals(self):
+        return [kkt for _, kkt in self.rounds]
+
+
+@contextlib.contextmanager
+def counting(oracle=False):
+    """Route solves through the package's descent or the reference's and
+    record the torques of every gradient and, per penalty round, the weight
+    and the reported KKT residual."""
+    points = []
     rounds = []
     base = OracleObjective if oracle else _Objective
-    descent = oracle_projected_gradient if oracle else mpc._projected_gradient
+    descent = oracle_projected_gradient if oracle else mpc._quasi_newton_descent
 
-    class Counted(base):
-        def gradient(self, *args, **kwargs):
-            gradients.append(None)
-            return super().gradient(*args, **kwargs)
+    class Counting(base):
+        def gradient(self, torques, *args, **kwargs):
+            points.append(torques.copy())
+            return super().gradient(torques, *args, **kwargs)
 
-    def counted_descent(*args):
-        result = descent(*args)
-        rounds.append(result[2])
+    def counted_descent(objective, *args):
+        result = descent(objective, *args)
+        rounds.append((objective.weight, result[2]))
         return result
 
-    with monkeypatch.context() as patch:
-        patch.setattr(mpc, "_Objective", Counted)
-        patch.setattr(mpc, "_projected_gradient", counted_descent)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mpc, "_Objective", Counting)
+        patch.setattr(mpc, "_quasi_newton_descent", counted_descent)
+        yield points, rounds
+
+
+def counted_solve(system, x0, config, warm_start=None, oracle=False):
+    with counting(oracle) as (points, rounds):
         solution = solve_ocp(system, x0, config, warm_start=warm_start)
-    return solution, len(gradients), rounds
+    return Counted(solution, points, rounds)
 
 
-def compare_with_oracle(monkeypatch, system, x0, config, warm_start=None):
-    """Assert the package's solve equals the oracle's bit for bit, with one
-    gradient fewer per round stopped on ``ftol_rel``; return the package's
-    solution and its per-round residuals."""
-    new, new_grads, new_rounds = counted_solve(monkeypatch, system, x0, config, warm_start)
-    old, old_grads, old_rounds = counted_solve(
-        monkeypatch, system, x0, config, warm_start, oracle=True
-    )
-    assert new.torques.tobytes() == old.torques.tobytes()
-    assert new.shortfalls.tobytes() == old.shortfalls.tobytes()
-    assert repr(new.cost) == repr(old.cost)
-    assert repr(new.terminal_value) == repr(old.terminal_value)
-    assert repr(new.violation) == repr(old.violation)
-    assert new.iterations == old.iterations
-    assert new.feasible == old.feasible
-    assert len(new.states) == len(old.states)
-    for a, b in zip(new.states, old.states):
-        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-    assert len(new_rounds) == len(old_rounds)
-    assert None not in old_rounds
-    for mine, theirs in zip(new_rounds, old_rounds):
-        assert mine is None or mine == theirs
-    assert old_grads - new_grads == new_rounds.count(None)
-    assert new.kkt_residual == (None if new_rounds[-1] is None else old.kkt_residual)
-    return new, new_rounds
+def penalized_value(system, x0, torques, weight):
+    return _Objective(system, x0, weight).details(torques)[0]
+
+
+def check_against_oracle(system, x0, config, warm_start=None, strict=True):
+    """Solve through the package and the reference and assert that the
+    package's solve
+
+    - is feasible whenever the reference's is;
+    - ends, under the reference's last penalty weight, at a penalized
+      objective no higher than the reference's by more than ``ftol_rel``
+      relative, or, when neither reaches feasibility, at a violation no
+      higher by more than ``ftol_rel`` relative;
+    - evaluates no more gradients than the reference.
+
+    With ``strict=False`` the objective and violation may exceed the
+    reference's by ten times ``ftol_rel`` and the gradient count is not
+    compared: see ``test_relations_over_attitude_starts``.  Returns the
+    package's record."""
+    new = counted_solve(system, x0, config, warm_start)
+    old = counted_solve(system, x0, config, warm_start, oracle=True)
+    settings = config.solver
+    slack = settings.ftol_rel * (1.0 if strict else 10.0)
+    assert new.solution.feasible or not old.solution.feasible
+    if new.solution.feasible or old.solution.feasible:
+        weight = old.rounds[-1][0]
+        reference = penalized_value(system, x0, old.solution.torques, weight)
+        value = penalized_value(system, x0, new.solution.torques, weight)
+        assert value <= reference + slack * max(1.0, abs(reference))
+    else:
+        assert new.solution.violation <= old.solution.violation * (1.0 + slack)
+    if strict:
+        assert new.gradients <= old.gradients
+    assert new.solution.kkt_residual == new.residuals[-1]
+    # The package's report describes its own final torques.
+    _, data, violation = _Objective(system, x0, new.rounds[-1][0]).details(new.solution.torques)
+    assert repr(new.solution.violation) == repr(violation)
+    assert repr(new.solution.cost) == repr(float(data.stage.sum() + data.terminal))
+    return new
 
 
 class TestSolveMatchesOracle:
-    def test_warm_attitude_solve(self, monkeypatch, ref_system):
+    def test_warm_attitude_solve(self, ref_system):
         x0 = spinning_state([0.3, -0.2, 0.4], [0.02, -0.01, 0.015], H_REF)
         config = MpcConfig(horizon=10)
         first = solve_ocp(ref_system, x0, config)
         successor = ref_system.step(x0, first.first_control)
         warm = warm_start_shift(first, ref_system)
-        compare_with_oracle(monkeypatch, ref_system, successor, config, warm)
+        check_against_oracle(ref_system, successor, config, warm)
 
-    def test_cold_saturated_solve_at_1nm(self, monkeypatch, ref_design):
+    def test_cold_saturated_solve_at_1nm(self, ref_design):
         weak = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
         x0 = rest_state(1.2 * np.array([0.8, 0.5, -0.3]) / np.linalg.norm([0.8, 0.5, -0.3]))
-        solution, _ = compare_with_oracle(monkeypatch, weak, x0, MpcConfig(horizon=10))
-        assert np.abs(solution.torques).max() == weak.torque_bound
+        new = check_against_oracle(weak, x0, MpcConfig(horizon=10))
+        assert np.abs(new.solution.torques).max() == weak.torque_bound
 
-    def test_second_penalty_round(self, monkeypatch, ref_design):
+    def test_second_penalty_round(self, ref_design):
         # At 5 N m, three steps from 2.8 rad need a second, heavier round to
         # meet the terminal constraint.
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=5.0)
         config = MpcConfig(horizon=3, solver=SolverSettings(penalty_weight=1e2))
-        solution, rounds = compare_with_oracle(
-            monkeypatch, system, rest_state([0.0, 0.6 * 2.8, 0.8 * 2.8]), config
+        new = check_against_oracle(
+            system, rest_state([0.0, 0.6 * 2.8, 0.8 * 2.8]), config
         )
-        assert len(rounds) == 2
-        assert solution.feasible
+        assert len(new.rounds) == 2
+        assert new.solution.feasible
 
-    def test_residual_of_last_round_after_ftol_rounds(self, monkeypatch, ref_design):
+    def test_infeasible_start_stops_every_round_on_ftol(self, ref_design):
         # At 1 N m four steps cannot reach the terminal set from 2.8 rad: all
-        # six rounds run, the first five stop on ftol_rel and the last one
-        # on its line search, so its residual is reported.
+        # six rounds run, and each stops on ftol_rel, so no residual is
+        # reported.
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
-        solution, rounds = compare_with_oracle(
-            monkeypatch, system, rest_state([0.0, 0.6 * 2.8, 0.8 * 2.8]), MpcConfig(horizon=4)
-        )
-        assert rounds[:-1] == [None] * 5 and rounds[-1] is not None
-        assert not solution.feasible
+        new = check_against_oracle(system, rest_state([0.0, 0.6 * 2.8, 0.8 * 2.8]), MpcConfig(horizon=4))
+        assert new.residuals == [None] * 6
+        assert new.solution.kkt_residual is None
+        assert not new.solution.feasible
 
     @pytest.mark.parametrize("tight", [False, True])
-    def test_double_integrator(self, monkeypatch, tight):
+    def test_double_integrator(self, tight):
         system = DoubleIntegratorSystem(terminal_level=5.0, control_bound=0.5)
         solver = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12) if tight else SolverSettings()
-        solution, rounds = compare_with_oracle(
-            monkeypatch, system, np.array([1.0, 0.0]), MpcConfig(horizon=8, solver=solver)
+        new = check_against_oracle(
+            system, np.array([1.0, 0.0]), MpcConfig(horizon=8, solver=solver)
         )
         if tight:
             # Stopped on grad_tol: the residual is reported and small.
-            assert None not in rounds
-            assert solution.kkt_residual <= 1e-9
+            assert None not in new.residuals
+            assert new.solution.kkt_residual <= 1e-9
 
-    def test_ftol_stop_skips_one_gradient(self, monkeypatch, ref_system):
-        x0 = rest_state([0.4, 0.1, -0.2])
-        config = MpcConfig(horizon=6)
-        new, new_grads, rounds = counted_solve(monkeypatch, ref_system, x0, config)
-        _, old_grads, _ = counted_solve(monkeypatch, ref_system, x0, config, oracle=True)
-        assert rounds == [None]
-        assert old_grads - new_grads == 1
-        assert new.kkt_residual is None
+    def test_ftol_stop_skips_one_gradient(self, ref_system):
+        new = counted_solve(ref_system, rest_state([0.4, 0.1, -0.2]), MpcConfig(horizon=6))
+        assert new.residuals == [None]
+        assert new.solution.kkt_residual is None
+        returned = new.solution.torques.tobytes()
+        assert all(point.tobytes() != returned for point in new.gradient_points)
+
+    @settings(deadline=None, max_examples=10)
+    @given(
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3).filter(
+            lambda v: np.linalg.norm(v) > 0.1
+        ),
+        st.floats(min_value=0.1, max_value=3.0),
+        st.lists(st.floats(min_value=-0.2, max_value=0.2), min_size=3, max_size=3),
+        st.booleans(),
+    )
+    def test_relations_over_attitude_starts(self, ref_system, axis, angle, rate, warm):
+        # Both descents stop on the same loose ftol_rel rule, which bounds
+        # neither one's distance from the optimum, so per start the relations
+        # of the fixed cases above are no invariant.  Among about 2,000 draws
+        # from this strategy a Barzilai-Borwein step once ended 1.6e-4
+        # relative lower (0.5 rad about (1, 0, 1) spinning at (-0.125, 0,
+        # -0.1875) rad/s, warm), and some met the stop a few gradients
+        # sooner (0.1 rad about x spinning at 0.14 rad/s about z, cold: 7
+        # gradients against 10).  Here the objective may exceed the
+        # reference's by 10 ftol_rel; TestGradientCount bounds the gradients
+        # over a closed loop.
+        x0 = spinning_state(angle * np.asarray(axis) / np.linalg.norm(axis), rate, H_REF)
+        config = MpcConfig(horizon=10)
+        warm_start = None
+        if warm:
+            first = solve_ocp(ref_system, x0, config)
+            assume(first.feasible)
+            x0 = ref_system.step(x0, first.first_control)
+            warm_start = warm_start_shift(first, ref_system)
+        check_against_oracle(ref_system, x0, config, warm_start, strict=False)
+
+
+class TestGradientCount:
+    def test_regulate_loop_needs_at_most_70_percent_of_reference_gradients(self, ref_system):
+        # The benchmark's regulate start: 30 degrees about a fixed axis,
+        # spinning at 0.02 rad/s, then 30 warm-started steps.
+        axis = np.array([0.6, -0.4, 0.69282032])
+        spin = np.array([0.02, -0.01, 0.015])
+        x0 = spinning_state(
+            math.radians(30.0) * axis / np.linalg.norm(axis),
+            0.02 * spin / np.linalg.norm(spin),
+            H_REF,
+        )
+        gradients = []
+        for oracle in (False, True):
+            with counting(oracle) as (points, _):
+                run = closed_loop(ref_system, x0, MpcConfig(horizon=10), 30)
+            assert run.feasible.all()
+            gradients.append(len(points))
+        new, old = gradients
+        assert new <= 0.7 * old
 
 
 class TestLeanTailValue:
