@@ -42,6 +42,7 @@ from .mpc import (
     MpcConfig,
     MpcController,
     OcpSolution,
+    QuadraticModel,
     SolverSettings,
     closed_loop,
     solve_ocp,
@@ -76,6 +77,7 @@ __all__ = [
     "NotStabilizable",
     "OcpSolution",
     "OutOfChart",
+    "QuadraticModel",
     "RolloutFailure",
     "So3MpcError",
     "SolverSettings",

@@ -30,6 +30,7 @@ from .mpc import (
     ManifoldSystem,
     MpcConfig,
     OcpSolution,
+    QuadraticModel,
     SolverSettings,
     closed_loop,
     solve_ocp,
@@ -41,11 +42,13 @@ from .terminal import (
     DEFAULT_TORQUE_BOUND,
     StageWeights,
     TerminalDesign,
+    build_linearization,
     coordinates,
     default_weights,
     design_terminal,
     feedback,
     terminal_value,
+    tilde_transform,
 )
 from .validation import check_spd, check_vector3
 
@@ -90,6 +93,18 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         )
         self.cut_sign = float(cut_sign)
         self._equilibrium = SpacecraftState.identity()
+        # The trace-form costs are quadratic in exponential coordinates to
+        # second order, with the tilde transforms of their weights as
+        # Hessians; the terminal cost is exactly quadratic there.
+        lin = build_linearization(self.h, self.inertia)
+        zeros = np.zeros((3, 3))
+        state_hessian = np.block([
+            [tilde_transform(self.weights.attitude), zeros],
+            [zeros, tilde_transform(self.weights.rate)],
+        ])
+        self.quadratic_model = QuadraticModel(
+            lin.A, lin.B, state_hessian, tilde_transform(self.weights.torque), 2.0 * design.P
+        )
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
         return step_with_margin(x, u, self.h, self.inertia)[0]

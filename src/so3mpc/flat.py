@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mpc import ManifoldSystem
+from .mpc import ManifoldSystem, QuadraticModel
 from .terminal import Linearization, QuadraticCostData, lqr_gain, solve_dare
 
 
@@ -31,6 +31,7 @@ class DoubleIntegratorSystem(ManifoldSystem):
         cost = QuadraticCostData(self.Q, self.R)
         self.P = solve_dare(lin, cost)
         self.K = lqr_gain(self.P, lin, cost)
+        self.quadratic_model = QuadraticModel(self.A, self.B, 2.0 * self.Q, 2.0 * self.R, 2.0 * self.P)
         self._terminal_level = float(terminal_level)
         self.control_bound = float(control_bound)
 

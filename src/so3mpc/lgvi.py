@@ -91,7 +91,8 @@ def _entries(a, dims: int):
 
 
 def _momentum_vector(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
-    """m = vee(J f - f^T J) + h^2 torque, the vector of :func:`momentum_matrix`.
+    """m = vee(J f - f^T J) + h^2 torque, the vector of the skew momentum
+    M = J f - f^T J + h^2 hat(torque) that drives the implicit update.
 
     Takes a stack of states and torques too: increments of shape
     (..., 3, 3) and torques of shape (..., 3) give shape (..., 3).
@@ -104,12 +105,6 @@ def _momentum_vector(state: SpacecraftState, torque, h: float, inertia) -> np.nd
         _entries(np.asarray(inertia, dtype=float), 2),
     )
     return np.stack(m, axis=-1)
-
-
-def momentum_matrix(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
-    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update:
-    ``hat`` of :func:`_momentum_vector`, for one state or a stack."""
-    return hat(_momentum_vector(state, torque, h, inertia))
 
 
 def _step_margin(momentum, inertia: np.ndarray):
@@ -435,13 +430,6 @@ def spatial_momentum(state: SpacecraftState, inertia) -> np.ndarray:
     return state.g @ vec
 
 
-def implicit_residual(next_state: SpacecraftState, momentum, inertia) -> float:
-    """Norm of f_next J - J f_next^T - M; zero when the implicit update holds."""
-    inertia = np.asarray(inertia, dtype=float)
-    f = next_state.f
-    return float(np.linalg.norm(f @ inertia - inertia @ f.T - momentum))
-
-
 def random_spin_state(rng: np.random.Generator, rate_scale: float, h: float) -> SpacecraftState:
     """A random attitude with a random spin; used by conservation checks."""
     axis_angle = rng.uniform(-np.pi, np.pi) * _unit(rng.standard_normal(3))
@@ -483,14 +471,12 @@ __all__ = [
     "DEFAULT_STEP_SECONDS",
     "check_state",
     "MARGIN_CUTOFF",
-    "momentum_matrix",
     "check_solvability",
     "lgvi_step",
     "step_with_margin",
     "rollout",
     "body_rate",
     "spatial_momentum",
-    "implicit_residual",
     "random_spin_state",
     "free_momentum_drift",
     "orthogonality_drift",

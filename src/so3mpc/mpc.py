@@ -1,15 +1,18 @@
 """Receding-horizon control for systems whose state lives on a manifold.
 
 The layer is generic: any :class:`ManifoldSystem` supplies the discrete
-dynamics, a metric, stage and terminal costs, a terminal set level, and a
-local feedback law.  The finite-horizon problem is transcribed by single
-shooting over the control sequence, with box bounds handled by projection,
-the terminal-set and step-solvability constraints by a growing quadratic
-penalty, and gradients by central finite differences of the rollout cost.
-Each penalty round descends along a limited-memory BFGS direction with
-two-metric projection onto the box (Bertsekas, 1982): the quasi-Newton step
-acts on the free entries, and entries that the box holds against an outward
-gradient take the projected-gradient step.
+dynamics, a metric, stage and terminal costs, a terminal set level, a local
+feedback law, and a linear-quadratic model about its equilibrium.  The
+finite-horizon problem is transcribed by single shooting over the control
+sequence, with box bounds handled by projection, the terminal-set and
+step-solvability constraints by a growing quadratic penalty, and gradients
+by central finite differences of the rollout cost.  Each penalty round
+descends along a limited-memory BFGS direction with two-metric projection
+onto the box (Bertsekas, 1982): the quasi-Newton step acts on the free
+entries, and entries that the box holds against an outward gradient take
+the projected-gradient step.  The recursion's initial inverse Hessian is the
+inverse of the model's horizon Hessian on the free entries, scaled by the
+newest curvature pair (Nocedal & Wright, *Numerical Optimization*, ch. 7).
 """
 
 from __future__ import annotations
@@ -28,14 +31,30 @@ from .errors import Infeasible, NotSolvable, RolloutFailure
 DEFAULT_DISTANCE_TOL = 1e-2
 
 
+class QuadraticModel(NamedTuple):
+    """Linear-quadratic model of a system about its equilibrium, in the
+    coordinates of its terminal cost: the dynamics ``x+ = A x + B u`` and
+    the Hessians of the stage cost in the state (``Q``) and the control
+    (``R``) and of the terminal cost (``P``)."""
+
+    A: np.ndarray
+    B: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    P: np.ndarray
+
+
 class ManifoldSystem(abc.ABC):
     """Contract between the receding-horizon layer and a concrete system.
 
     States are opaque to this layer; only the operations below touch them.
-    Subclasses must set ``control_dim``.
+    Subclasses must set ``control_dim``, and ``quadratic_model`` in
+    ``__init__``: the solver preconditions its descent with the horizon
+    Hessian of that model.
     """
 
     control_dim: int = 0
+    quadratic_model: QuadraticModel
 
     @abc.abstractmethod
     def step(self, x, u):
@@ -102,12 +121,14 @@ class SolverSettings:
     the penalized objective by less than this relative amount; the defaults
     favor closed-loop throughput, where warm starts carry most of the
     optimality and the stability guarantees do not depend on solving to
-    high precision.  ``step_init``, ``step_min`` and ``step_max`` bound the
-    length of the projected-gradient step: the first step of every penalty
-    round is ``step_init / max(1, |grad|)``, later ones use the quasi-Newton
-    curvature scale.  The quasi-Newton step itself is tried at full length
-    first; ``armijo_c1`` and ``armijo_shrink`` govern the backtracking of
-    both.
+    high precision.  Every iteration first tries the quasi-Newton step,
+    preconditioned by the model's horizon Hessian, at full length.
+    ``step_init``, ``step_min`` and ``step_max`` bound the length of the
+    projected-gradient step, which moves the entries the box holds and is
+    the fallback when the quasi-Newton step fails: the first iteration of
+    every penalty round uses ``step_init / max(1, |grad|)``, later ones the
+    curvature scale of the latest pair.  ``armijo_c1`` and ``armijo_shrink``
+    govern the backtracking of both.
 
     The counts must be positive integers, every other knob positive and
     finite, ``armijo_c1`` and ``armijo_shrink`` below one and ``step_min``
@@ -386,11 +407,33 @@ def _line_search(objective, system, torques, value, grad, direction, alpha, sett
     return None
 
 
-def _quasi_newton_direction(grad, free, pairs, scale):
-    """Two-metric direction: the limited-memory BFGS step (two-loop
-    recursion, initial inverse Hessian ``scale`` times the identity) on the
-    ``free`` entries, from the curvature pairs restricted to them, and the
-    gradient step ``-scale * grad`` on the entries the box holds."""
+def _horizon_hessian(model: QuadraticModel, horizon: int) -> np.ndarray:
+    """Hessian of the horizon cost of ``model`` in the stacked controls,
+    H = sum_k G_k^T Q G_k + blockdiag(R) + G_N^T P G_N, where G_k maps the
+    controls to the state after k steps; an (N m) x (N m) matrix."""
+    a, b, q, r, p = model
+    n, m = b.shape
+    # Column block j of G_k is A^(k-1-j) B.
+    powers = [b]
+    for _ in range(horizon - 1):
+        powers.append(a @ powers[-1])
+    g = np.zeros((horizon * n, horizon * m))
+    for k in range(1, horizon + 1):
+        for j in range(k):
+            g[(k - 1) * n:k * n, j * m:(j + 1) * m] = powers[k - 1 - j]
+    weights = [q] * (horizon - 1) + [p]
+    weighted = np.vstack([w @ g[k * n:(k + 1) * n] for k, w in enumerate(weights)])
+    return g.T @ weighted + np.kron(np.eye(horizon), r)
+
+
+def _quasi_newton_direction(grad, free, pairs, scale, hessian):
+    """Two-metric direction: the limited-memory BFGS step on the ``free``
+    entries, from the curvature pairs restricted to them, and the gradient
+    step ``-scale * grad`` on the entries the box holds.
+
+    The two-loop recursion starts from gamma H_ff^-1 q, with H_ff the
+    ``hessian`` on the free entries and gamma = s.y / (y H_ff^-1 y) from the
+    newest pair kept, or 1 when there is none."""
     q = np.where(free, grad, 0.0)
     history = []
     for s, y in reversed(pairs):
@@ -401,7 +444,15 @@ def _quasi_newton_direction(grad, free, pairs, scale):
         a = float((s * q).sum()) / sy
         q -= a * y
         history.append((s, y, sy, a))
-    r = scale * q
+    index = free.ravel()
+    hessian_free = hessian[np.ix_(index, index)]
+    r = np.zeros(grad.size)
+    r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
+    if history:
+        _, y, sy, _ = history[0]
+        y_free = y.ravel()[index]
+        r *= sy / float(y_free @ np.linalg.solve(hessian_free, y_free))
+    r = r.reshape(grad.shape)
     for s, y, sy, a in reversed(history):
         r += (a - float((y * r).sum()) / sy) * s
     return np.where(free, -r, -scale * grad)
@@ -412,6 +463,7 @@ def _quasi_newton_descent(
     system: ManifoldSystem,
     torques: np.ndarray,
     settings: SolverSettings,
+    hessian: np.ndarray,
 ) -> tuple[np.ndarray, int, Optional[float]]:
     """Limited-memory BFGS descent with two-metric projection onto the box
     and an Armijo search along the projected path.
@@ -419,10 +471,12 @@ def _quasi_newton_descent(
     An entry counts as held when the projected-gradient step would clip it,
     i.e. it lies on or near the bound and the gradient points outward; it
     takes that gradient step, and the curvature pairs act on the other
-    entries only.  An iteration with no curvature pair stored yet (the
-    first), and any whose quasi-Newton direction is not a descent direction
-    or finds no Armijo point, takes the scaled projected-gradient step
-    instead; the descent stops when that finds no Armijo point either.
+    entries only.  ``hessian`` (:func:`_horizon_hessian`) is the initial
+    metric of the recursion, so every iteration, the first included, tries
+    a quasi-Newton direction at full length; one that is not a descent
+    direction or finds no Armijo point falls back to the scaled
+    projected-gradient step, and the descent stops when that finds no
+    Armijo point either.
 
     Returns the final torques, the iteration count and the KKT residual at
     the final torques, or ``None`` when the relative improvement test
@@ -441,13 +495,12 @@ def _quasi_newton_descent(
             break
         iterations += 1
         step = float(np.clip(scale, settings.step_min, settings.step_max))
+        trial = torques - step * grad
+        free = _project_rows(system, trial) == trial
+        direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         result = None
-        if pairs:
-            trial = torques - step * grad
-            free = _project_rows(system, trial) == trial
-            direction = _quasi_newton_direction(grad, free, pairs, step)
-            if float((grad * direction).sum()) < 0.0:
-                result = _line_search(objective, system, torques, value, grad, direction, 1.0, settings)
+        if float((grad * direction).sum()) < 0.0:
+            result = _line_search(objective, system, torques, value, grad, direction, 1.0, settings)
         if result is None:
             result = _line_search(objective, system, torques, value, grad, -grad, step, settings)
         if result is None:
@@ -523,12 +576,13 @@ def solve_ocp(
             )
     torques = _project_rows(system, torques)
 
+    hessian = _horizon_hessian(system.quadratic_model, config.horizon)
     weight = settings.penalty_weight
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight)
         torques, iterations, kkt = _quasi_newton_descent(
-            objective, system, torques, settings
+            objective, system, torques, settings, hessian
         )
         total_iterations += iterations
         try:

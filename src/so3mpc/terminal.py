@@ -25,7 +25,7 @@ from .errors import (
     OutOfChart,
 )
 from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum_vector
-from .so3 import _log_so3_pair, exp_so3_rows, hat, log_so3_rows
+from .so3 import _log_so3_pair, exp_so3_rows, log_so3_rows
 from .validation import check_spd
 
 _EYE3 = np.eye(3)
@@ -163,20 +163,6 @@ def tilde_transform(q) -> np.ndarray:
     if np.linalg.norm(q - q.T) > 1e-12 * max(1.0, np.linalg.norm(q)):
         raise ValueError("tilde_transform requires a symmetric matrix")
     return np.trace(q) * np.eye(q.shape[0]) - q
-
-
-def skew_trace_identity_check(a, b, r) -> float:
-    """Gap |trace(hat(a)^T R hat(b)) - a^T (trace(R) I - R) b|.
-
-    The identity underlies the quadratic expansion of the trace-form cost;
-    this helper exists so tests and diagnostics can confirm it numerically.
-    """
-    a = np.asarray(a, dtype=float).reshape(3)
-    b = np.asarray(b, dtype=float).reshape(3)
-    r = np.asarray(r, dtype=float)
-    lhs = float(np.trace(hat(a).T @ r @ hat(b)))
-    rhs = float(a @ (np.trace(r) * _EYE3 - r) @ b)
-    return abs(lhs - rhs)
 
 
 def build_linearization(h: float, inertia=None) -> Linearization:

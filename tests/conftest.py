@@ -4,11 +4,26 @@ import pytest
 from so3mpc.attitude import SpacecraftAttitudeSystem
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
+from so3mpc.lgvi import _momentum_vector
+from so3mpc.so3 import hat
 from so3mpc.terminal import default_weights, design_terminal
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H_REF = 0.1
 TORQUE_BOUND_REF = 100.0
+
+
+def momentum_matrix(state, torque, h, inertia):
+    """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update,
+    for one state or a stack."""
+    return hat(_momentum_vector(state, torque, h, inertia))
+
+
+def implicit_residual(next_state, momentum, inertia):
+    """Norm of f_next J - J f_next^T - M; zero when the implicit update holds."""
+    inertia = np.asarray(inertia, dtype=float)
+    f = next_state.f
+    return float(np.linalg.norm(f @ inertia - inertia @ f.T - momentum))
 
 
 class BoundedStepIntegrator(DoubleIntegratorSystem):

@@ -19,8 +19,6 @@ from so3mpc.lgvi import (
     SpacecraftState,
     _implicit_increment,
     free_momentum_drift,
-    implicit_residual,
-    momentum_matrix,
     rollout,
 )
 from so3mpc.mpc import MpcConfig, SolverSettings, closed_loop, solve_ocp
@@ -37,7 +35,7 @@ from so3mpc.terminal import (
     solve_dare,
 )
 
-from conftest import H_REF, J_REF, TORQUE_BOUND_REF
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, implicit_residual, momentum_matrix
 
 PROBE_SOLVER = SolverSettings(ftol_rel=1e-5)
 PROBE_STEPS = 120

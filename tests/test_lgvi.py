@@ -19,15 +19,15 @@ from so3mpc.lgvi import (
     _momentum_vector,
     check_solvability,
     free_momentum_drift,
-    implicit_residual,
     lgvi_step,
-    momentum_matrix,
     orthogonality_drift,
     rollout,
     spatial_momentum,
     step_with_margin,
 )
 from so3mpc.so3 import exp_so3, hat
+
+from conftest import implicit_residual, momentum_matrix
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H = 0.1

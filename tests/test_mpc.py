@@ -16,6 +16,7 @@ from so3mpc.mpc import (
     _project_rows,
     MpcController,
     SolverSettings,
+    _horizon_hessian,
     closed_loop,
     horizon_cost,
     solve_ocp,
@@ -383,6 +384,44 @@ class TestSolveOcp:
                 MpcConfig(horizon=5),
                 warm_start=np.zeros((3, 3)),
             )
+
+
+def second_differences(system, horizon, delta=1e-3):
+    """Central second differences of ``horizon_cost`` at the equilibrium
+    with zero torques, in the stacked controls."""
+    m = system.control_dim
+    basis = delta * np.eye(horizon * m)
+
+    def cost(u):
+        return horizon_cost(system, system.equilibrium_state, u.reshape(horizon, m))
+
+    hessian = np.empty((horizon * m, horizon * m))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis[i:], start=i):
+            value = (cost(a + b) - cost(a - b) - cost(b - a) + cost(-a - b)) / (4.0 * delta**2)
+            hessian[i, j] = hessian[j, i] = value
+    return hessian
+
+
+class TestHorizonHessian:
+    @pytest.mark.parametrize("which", ["flat", "attitude"])
+    def test_matches_second_differences_at_equilibrium(self, which, ref_system):
+        system = DoubleIntegratorSystem() if which == "flat" else ref_system
+        hessian = _horizon_hessian(system.quadratic_model, 6)
+        reference = second_differences(system, 6)
+        assert np.linalg.norm(hessian - reference) <= 1e-4 * np.linalg.norm(reference)
+
+    def test_double_integrator_solved_in_one_iteration(self):
+        # The model is the double integrator itself, so the first
+        # quasi-Newton step is the Newton step to the unconstrained optimum,
+        # whose cost the Riccati terminal weight gives in closed form.  The
+        # identity metric took 7 iterations here and stopped on ftol_rel.
+        system = DoubleIntegratorSystem()
+        x0 = np.array([0.8, -0.2])
+        sol = solve_ocp(system, x0, MpcConfig(horizon=10), warm_start=np.zeros((10, 1)))
+        assert sol.iterations == 1
+        assert sol.kkt_residual <= SolverSettings().grad_tol
+        assert sol.cost == pytest.approx(float(x0 @ system.P @ x0), rel=1e-9)
 
 
 class TestWarmStartShift:

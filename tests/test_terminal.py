@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from so3mpc.errors import NoFeasibleLevel, NotSolvable, NotStabilizable, OutOfChart
 from so3mpc.lgvi import SpacecraftState, lgvi_step
-from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, log_so3
+from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
     Linearization,
     QuadraticCostData,
@@ -23,7 +23,6 @@ from so3mpc.terminal import (
     evaluate_level,
     feedback,
     lqr_gain,
-    skew_trace_identity_check,
     solve_dare,
     terminal_value,
     tilde_transform,
@@ -64,6 +63,17 @@ class TestTildeTransform:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             tilde_transform(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+
+
+def skew_trace_identity_check(a, b, r) -> float:
+    """Gap |trace(hat(a)^T R hat(b)) - a^T (trace(R) I - R) b|: the identity
+    behind the quadratic expansion of the trace-form cost."""
+    a = np.asarray(a, dtype=float).reshape(3)
+    b = np.asarray(b, dtype=float).reshape(3)
+    r = np.asarray(r, dtype=float)
+    lhs = float(np.trace(hat(a).T @ r @ hat(b)))
+    rhs = float(a @ (np.trace(r) * np.eye(3) - r) @ b)
+    return abs(lhs - rhs)
 
 
 class TestSkewTraceIdentity:
