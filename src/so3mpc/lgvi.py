@@ -54,17 +54,10 @@ class SpacecraftState(NamedTuple):
         return cls(np.eye(3), np.eye(3))
 
 
-class Solvability(NamedTuple):
-    """Result of the implicit-step solvability test."""
-
-    ok: bool
-    margin: float
-
-
-def check_state(state: SpacecraftState, atol: float = 1e-9) -> SpacecraftState:
+def check_state(state: SpacecraftState) -> SpacecraftState:
     """Validate both rotation components of a state."""
-    g = check_rotation(state.g, "g", atol=atol)
-    f = check_rotation(state.f, "f", atol=atol)
+    g = check_rotation(state.g, "g")
+    f = check_rotation(state.f, "f")
     return SpacecraftState(g, f)
 
 
@@ -112,19 +105,6 @@ def _step_margin(momentum, inertia: np.ndarray):
     the implicit step is solvable iff it is nonnegative."""
     m_half = 0.5 * np.asarray(momentum, dtype=float)
     return np.linalg.eigvalsh(inertia @ inertia + m_half @ m_half)[..., 0]
-
-
-def check_solvability(momentum, inertia) -> Solvability:
-    """Return whether the implicit step is solvable, plus the eigenvalue margin.
-
-    The step is solvable iff J^2 + M^2/4 is positive semi-definite; ``ok``
-    holds exactly when :func:`step_with_margin` does not raise
-    :class:`~so3mpc.errors.NotSolvable`.  There is no round-off allowance
-    below zero.  The margin is always LAPACK's eigenvalue, never the bound
-    the step uses above ``MARGIN_CUTOFF``.
-    """
-    margin = float(_step_margin(momentum, np.asarray(inertia, dtype=float)))
-    return Solvability(margin >= 0.0, margin)
 
 
 def _eigen_discs(j):
@@ -466,12 +446,10 @@ def orthogonality_drift(states: Sequence[SpacecraftState]) -> float:
 
 __all__ = [
     "SpacecraftState",
-    "Solvability",
     "DEFAULT_INERTIA",
     "DEFAULT_STEP_SECONDS",
     "check_state",
     "MARGIN_CUTOFF",
-    "check_solvability",
     "lgvi_step",
     "step_with_margin",
     "rollout",

@@ -30,6 +30,23 @@ from .errors import Infeasible, NotSolvable, RolloutFailure
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
 
+# Fixed numerics of the shooting solver; the choices are in SolverSettings.
+# Central-difference step of the objective gradient.
+FD_STEP = 1e-6
+# Penalty weight of the first round, and its growth factor per round.
+PENALTY_WEIGHT = 1e4
+PENALTY_GROWTH = 10.0
+# Sufficient-decrease constant and backtracking factor of the Armijo search.
+ARMIJO_C1 = 1e-4
+ARMIJO_SHRINK = 0.5
+# Length of the first projected-gradient step of a round, divided by
+# max(1, |grad|), and the bounds on every such step.
+STEP_INIT = 1.0
+STEP_MIN = 1e-14
+STEP_MAX = 1e3
+# Curvature pairs (step, gradient change) the quasi-Newton direction keeps.
+LBFGS_MEMORY = 5
+
 
 class QuadraticModel(NamedTuple):
     """Linear-quadratic model of a system about its equilibrium, in the
@@ -121,54 +138,30 @@ class SolverSettings:
     the penalized objective by less than this relative amount; the defaults
     favor closed-loop throughput, where warm starts carry most of the
     optimality and the stability guarantees do not depend on solving to
-    high precision.  Every iteration first tries the quasi-Newton step,
-    preconditioned by the model's horizon Hessian, at full length.
-    ``step_init``, ``step_min`` and ``step_max`` bound the length of the
-    projected-gradient step, which moves the entries the box holds and is
-    the fallback when the quasi-Newton step fails: the first iteration of
-    every penalty round uses ``step_init / max(1, |grad|)``, later ones the
-    curvature scale of the latest pair.  ``armijo_c1`` and ``armijo_shrink``
-    govern the backtracking of both.
+    high precision.  ``max_iters`` caps the iterations of one penalty round,
+    and ``outer_rounds`` the rounds; a round whose violation is within
+    ``constraint_tol`` ends the solve.  The gradient step, penalty schedule
+    and line search are the module constants above.
 
-    The counts must be positive integers, every other knob positive and
-    finite, ``armijo_c1`` and ``armijo_shrink`` below one and ``step_min``
-    below ``step_max``; anything else raises ``ValueError`` naming the field.
+    The counts must be positive integers and the tolerances positive and
+    finite; anything else raises ``ValueError`` naming the field.
     """
 
     max_iters: int = 200
     grad_tol: float = 1e-3
     ftol_rel: float = 1e-4
-    fd_step: float = 1e-6
-    penalty_weight: float = 1e4
-    penalty_growth: float = 10.0
     outer_rounds: int = 6
     constraint_tol: float = 1e-8
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    step_init: float = 1.0
-    step_min: float = 1e-14
-    step_max: float = 1e3
 
     def __post_init__(self):
         for name in ("max_iters", "outer_rounds"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name in (
-            "grad_tol", "ftol_rel", "fd_step", "penalty_weight", "penalty_growth",
-            "constraint_tol", "step_init", "step_min", "step_max",
-        ):
+        for name in ("grad_tol", "ftol_rel", "constraint_tol"):
             value = getattr(self, name)
             if not _is_real(value) or not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        for name in ("armijo_c1", "armijo_shrink"):
-            value = getattr(self, name)
-            if not _is_real(value) or not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-        if not self.step_min < self.step_max:
-            raise ValueError(
-                f"step_min must be below step_max, got {self.step_min!r} and {self.step_max!r}"
-            )
 
 
 def _is_real(value) -> bool:
@@ -187,6 +180,8 @@ class MpcConfig:
             raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        if not isinstance(self.solver, SolverSettings):
+            raise ValueError(f"solver must be a SolverSettings, got {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -303,10 +298,10 @@ class _Objective:
         return value, data, violation
 
     def gradient(
-        self, torques: np.ndarray, fd_step: float, base: Optional[_RolloutData] = None
+        self, torques: np.ndarray, base: Optional[_RolloutData] = None
     ) -> tuple[np.ndarray, float]:
-        """Central-difference gradient, re-simulating only the rollout tail
-        affected by each perturbed control entry.
+        """Central-difference gradient with step ``FD_STEP``, re-simulating
+        only the rollout tail affected by each perturbed control entry.
 
         ``base`` is the rollout of ``torques`` when the caller has it (the
         line search's accepted trial); otherwise it is rolled out here.
@@ -332,17 +327,17 @@ class _Objective:
             first = tail[0]
             for j in range(m):
                 entry = first[j]
-                first[j] = entry + fd_step
+                first[j] = entry + FD_STEP
                 up = self._tail_value(x_i, tail, stage_before, short_before)
-                first[j] = entry - fd_step
+                first[j] = entry - FD_STEP
                 down = self._tail_value(x_i, tail, stage_before, short_before)
                 first[j] = entry
                 if math.isfinite(up) and math.isfinite(down):
-                    grad[i, j] = (up - down) / (2.0 * fd_step)
+                    grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
-                    grad[i, j] = (base_value - down) / fd_step
+                    grad[i, j] = (base_value - down) / FD_STEP
                 elif math.isfinite(up):
-                    grad[i, j] = (up - base_value) / fd_step
+                    grad[i, j] = (up - base_value) / FD_STEP
                 else:
                     raise RolloutFailure(
                         f"finite-difference gradient undefined at step {i}, control "
@@ -384,25 +379,21 @@ def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
     return np.vstack([system.project_control(u) for u in torques])
 
 
-# Curvature pairs (step, gradient change) the quasi-Newton direction keeps.
-LBFGS_MEMORY = 5
-
-
-def _line_search(objective, system, torques, value, grad, direction, alpha, settings):
+def _line_search(objective, system, torques, value, grad, direction, alpha):
     """Armijo backtracking along the projected path ``P(torques + alpha *
     direction)``, measuring the decrease by ``grad`` times the projected
     step.  Returns the accepted candidate, its value and rollout, or
-    ``None`` once ``alpha`` falls below ``step_min``."""
+    ``None`` once ``alpha`` falls below ``STEP_MIN``."""
     for _ in range(60):
         candidate = _project_rows(system, torques + alpha * direction)
         decrease_ref = float((grad * (candidate - torques)).sum())
         # A projected quasi-Newton step can turn uphill; it is not rolled out.
         if decrease_ref <= 0.0:
             cand_value, cand_data = objective.trial(candidate)
-            if cand_value <= value + settings.armijo_c1 * decrease_ref:
+            if cand_value <= value + ARMIJO_C1 * decrease_ref:
                 return candidate, cand_value, cand_data
-        alpha *= settings.armijo_shrink
-        if alpha < settings.step_min:
+        alpha *= ARMIJO_SHRINK
+        if alpha < STEP_MIN:
             break
     return None
 
@@ -482,10 +473,10 @@ def _quasi_newton_descent(
     the final torques, or ``None`` when the relative improvement test
     stopped the descent: that stop skips the last gradient, so no residual
     is known."""
-    grad, value = objective.gradient(torques, settings.fd_step)
+    grad, value = objective.gradient(torques)
     # First gradient step scaled by the gradient so penalty-dominated starts
     # do not waste dozens of backtracks; later ones by the latest curvature.
-    scale = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
+    scale = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     pairs = []
     iterations = 0
     small_improvements = 0
@@ -494,15 +485,15 @@ def _quasi_newton_descent(
         if kkt <= settings.grad_tol:
             break
         iterations += 1
-        step = float(np.clip(scale, settings.step_min, settings.step_max))
+        step = float(np.clip(scale, STEP_MIN, STEP_MAX))
         trial = torques - step * grad
         free = _project_rows(system, trial) == trial
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         result = None
         if float((grad * direction).sum()) < 0.0:
-            result = _line_search(objective, system, torques, value, grad, direction, 1.0, settings)
+            result = _line_search(objective, system, torques, value, grad, direction, 1.0)
         if result is None:
-            result = _line_search(objective, system, torques, value, grad, -grad, step, settings)
+            result = _line_search(objective, system, torques, value, grad, -grad, step)
         if result is None:
             break
         candidate, cand_value, cand_data = result
@@ -516,7 +507,7 @@ def _quasi_newton_descent(
                 return candidate, iterations, None
         else:
             small_improvements = 0
-        new_grad, _ = objective.gradient(candidate, settings.fd_step, base=cand_data)
+        new_grad, _ = objective.gradient(candidate, base=cand_data)
         s, y = candidate - torques, new_grad - grad
         curvature = float((s * y).sum())
         if curvature > 0.0:
@@ -577,7 +568,7 @@ def solve_ocp(
     torques = _project_rows(system, torques)
 
     hessian = _horizon_hessian(system.quadratic_model, config.horizon)
-    weight = settings.penalty_weight
+    weight = PENALTY_WEIGHT
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight)
@@ -591,7 +582,7 @@ def solve_ocp(
             raise RolloutFailure(f"prediction rollout failed: {err}") from err
         if violation <= settings.constraint_tol:
             break
-        weight *= settings.penalty_growth
+        weight *= PENALTY_GROWTH
 
     cost = float(data.stage.sum() + data.terminal)
     return OcpSolution(

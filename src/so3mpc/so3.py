@@ -56,13 +56,13 @@ def hat(v) -> np.ndarray:
     )
 
 
-def vee(s, atol: float = 1e-12) -> np.ndarray:
+def vee(s) -> np.ndarray:
     """Inverse of :func:`hat`.
 
     Raises :class:`~so3mpc.errors.NotSkewSymmetric` if ``s`` is not
-    skew-symmetric within ``atol``.
+    skew-symmetric within ``validation.SKEW_ATOL``.
     """
-    s = check_skew(s, "S", atol=atol)
+    s = check_skew(s, "S")
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 

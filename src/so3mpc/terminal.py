@@ -165,24 +165,20 @@ def tilde_transform(q) -> np.ndarray:
     return np.trace(q) * np.eye(q.shape[0]) - q
 
 
-def build_linearization(h: float, inertia=None) -> Linearization:
+def build_linearization(h: float, inertia) -> Linearization:
     """Double-integrator structure of the attitude dynamics in exponential
     coordinates: rotation vector integrates the rate, rate integrates the
     torque.
 
-    With ``inertia`` given, the control enters the rate row through the
-    inverse of trace(J) I - J, which is the exact Jacobian of the implicit
-    integrator step about the equilibrium; this is required for the terminal
-    decrease condition to hold on the nonlinear dynamics.  Without it the
-    rate row uses the identity coupling h I.
+    The control enters the rate row through h times the inverse of
+    trace(J) I - J, which is the exact Jacobian of the implicit integrator
+    step about the equilibrium; this is required for the terminal decrease
+    condition to hold on the nonlinear dynamics.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
     a = np.block([[_EYE3, h * _EYE3], [np.zeros((3, 3)), _EYE3]])
-    if inertia is None:
-        coupling = _EYE3
-    else:
-        coupling = np.linalg.inv(tilde_transform(np.asarray(inertia, dtype=float)))
+    coupling = np.linalg.inv(tilde_transform(np.asarray(inertia, dtype=float)))
     b = np.vstack([np.zeros((3, 3)), h * coupling])
     return Linearization(a, b)
 

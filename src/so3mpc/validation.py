@@ -10,6 +10,8 @@ from .errors import ConfigError, NotPositiveDefinite, NotRotation, NotSkewSymmet
 
 ROTATION_ATOL = 1e-9
 SKEW_ATOL = 1e-12
+# Asymmetry allowed by check_spd, relative to max(1, ||A||_F).
+SPD_SYMMETRY_RTOL = 1e-12
 
 
 def check_vector3(v, name: str = "v") -> np.ndarray:
@@ -31,32 +33,33 @@ def check_matrix3(a, name: str = "A") -> np.ndarray:
     return arr
 
 
-def check_rotation(r, name: str = "R", atol: float = ROTATION_ATOL) -> np.ndarray:
-    """Check membership in SO(3): orthogonal within ``atol`` and det = +1."""
+def check_rotation(r, name: str = "R") -> np.ndarray:
+    """Check membership in SO(3): orthogonal and det = +1, both within
+    ``ROTATION_ATOL``."""
     arr = check_matrix3(r, name)
     ortho = np.linalg.norm(arr.T @ arr - np.eye(3))
-    if ortho > atol:
+    if ortho > ROTATION_ATOL:
         raise NotRotation(f"{name} is not orthogonal: ||R^T R - I||_F = {ortho:.3e}")
     det = np.linalg.det(arr)
-    if abs(det - 1.0) > atol:
+    if abs(det - 1.0) > ROTATION_ATOL:
         raise NotRotation(f"{name} has det = {det:.12f}, expected 1")
     return arr
 
 
-def check_skew(s, name: str = "S", atol: float = SKEW_ATOL) -> np.ndarray:
+def check_skew(s, name: str = "S") -> np.ndarray:
     arr = check_matrix3(s, name)
     gap = np.linalg.norm(arr + arr.T)
-    if gap > atol:
+    if gap > SKEW_ATOL:
         raise NotSkewSymmetric(f"{name} is not skew-symmetric: ||S + S^T||_F = {gap:.3e}")
     return arr
 
 
-def check_spd(a, name: str = "A", atol: float = 1e-12) -> np.ndarray:
+def check_spd(a, name: str = "A") -> np.ndarray:
     """Check symmetric positive-definiteness (any square size)."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got {arr.shape}")
-    if np.linalg.norm(arr - arr.T) > atol * max(1.0, np.linalg.norm(arr)):
+    if np.linalg.norm(arr - arr.T) > SPD_SYMMETRY_RTOL * max(1.0, np.linalg.norm(arr)):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     eigs = np.linalg.eigvalsh(arr)
     if eigs[0] <= 0.0:

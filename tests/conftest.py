@@ -1,10 +1,12 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from so3mpc.attitude import SpacecraftAttitudeSystem
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
-from so3mpc.lgvi import _momentum_vector
+from so3mpc.lgvi import _momentum_vector, _step_margin
 from so3mpc.so3 import hat
 from so3mpc.terminal import default_weights, design_terminal
 
@@ -24,6 +26,27 @@ def implicit_residual(next_state, momentum, inertia):
     inertia = np.asarray(inertia, dtype=float)
     f = next_state.f
     return float(np.linalg.norm(f @ inertia - inertia @ f.T - momentum))
+
+
+class Solvability(NamedTuple):
+    """Result of the implicit-step solvability test."""
+
+    ok: bool
+    margin: float
+
+
+def check_solvability(momentum, inertia) -> Solvability:
+    """Whether the implicit step is solvable, plus the eigenvalue margin: the
+    LAPACK reference for the step's verdict.
+
+    The step is solvable iff J^2 + M^2/4 is positive semi-definite; ``ok``
+    holds exactly when ``step_with_margin`` does not raise
+    :class:`~so3mpc.errors.NotSolvable`.  There is no round-off allowance
+    below zero.  The margin is always LAPACK's eigenvalue, never the bound
+    the step uses above ``MARGIN_CUTOFF``.
+    """
+    margin = float(_step_margin(momentum, np.asarray(inertia, dtype=float)))
+    return Solvability(margin >= 0.0, margin)
 
 
 class BoundedStepIntegrator(DoubleIntegratorSystem):

@@ -162,6 +162,10 @@ class TestEstimator:
         with pytest.raises(ValueError, match="horizon"):
             AttitudeMpc(horizon=horizon, terminal_samples=10).fit()
 
+    def test_fit_rejects_non_settings_solver_before_design(self):
+        with pytest.raises(ValueError, match="solver"):
+            AttitudeMpc(solver={"max_iters": 3}, terminal_samples=10).fit()
+
     def test_fit_rejects_bad_inertia(self):
         with pytest.raises(NotPositiveDefinite):
             AttitudeMpc(inertia=np.diag([1.0, -1.0, 1.0])).fit()

@@ -67,14 +67,20 @@ class TestConfigParsing:
             parse_config({"mpc": {"solver": {"max_iters": -3}}})
         assert "mpc.solver" in str(excinfo.value)
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("max_iters", 2.5), ("step_max", -1.0), ("armijo_shrink", 1.0), ("grad_tol", "nan")],
-    )
+    @pytest.mark.parametrize("key, value", [("max_iters", 2.5), ("grad_tol", "nan")])
     def test_bad_solver_setting_exits_2_naming_field(self, key, value, tmp_path, capsys):
         # "nan" stands for a NaN, which strict JSON cannot hold.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mpc": {"solver": {key: value}}}).replace('"nan"', "NaN"))
+        assert main(["design", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "mpc.solver" in err and key in err
+
+    @pytest.mark.parametrize("key, value", [("fd_step", 1e-6), ("step_max", 1e3), ("armijo_shrink", 0.5)])
+    def test_removed_solver_key_exits_2_naming_key(self, key, value, tmp_path, capsys):
+        # Solver constants, not settings: even their own value is rejected.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mpc": {"solver": {key: value}}}))
         assert main(["design", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "mpc.solver" in err and key in err

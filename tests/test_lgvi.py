@@ -17,7 +17,6 @@ from so3mpc.lgvi import (
     _margin_bound,
     _margins,
     _momentum_vector,
-    check_solvability,
     free_momentum_drift,
     lgvi_step,
     orthogonality_drift,
@@ -27,7 +26,7 @@ from so3mpc.lgvi import (
 )
 from so3mpc.so3 import exp_so3, hat
 
-from conftest import implicit_residual, momentum_matrix
+from conftest import check_solvability, implicit_residual, momentum_matrix
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H = 0.1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
+    PENALTY_WEIGHT,
     MpcConfig,
     _Objective,
     _project_rows,
@@ -141,13 +143,13 @@ class TestGenericLayerOnFlatSystem:
 
 class TestObjectiveGradient:
     def test_one_sided_next_to_unsolvable_control(self):
-        # u[2] + fd_step leaves the solvable set; the entry must fall back to
+        # u[2] + FD_STEP leaves the solvable set; the entry must fall back to
         # the one-sided difference instead of a 1e30 sentinel.
         system = BoundedStepIntegrator()
         x0 = np.array([0.5, -0.3])
         controls = np.array([[0.2], [-0.4], [1.0 - 5e-7], [0.1], [0.3]])
         objective = _Objective(system, x0, 1e4)
-        grad, value = objective.gradient(controls, 1e-6)
+        grad, value = objective.gradient(controls)
         assert value == pytest.approx(horizon_cost(system, x0, controls), rel=1e-14)
         assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
         over = controls.copy()
@@ -158,7 +160,7 @@ class TestObjectiveGradient:
         system = KnifeEdgeIntegrator()
         controls = np.array([[0.2], [0.5], [0.1]])
         with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
-            _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls, 1e-6)
+            _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls)
 
     @pytest.mark.parametrize("which", ["attitude", "flat"])
     def test_reused_base_rollout_matches_recomputed(self, which, ref_system):
@@ -172,8 +174,8 @@ class TestObjectiveGradient:
             controls = np.array([[0.2], [-0.4], [0.7], [0.1], [0.3]])
         objective = _Objective(system, x0, 1e4)
         value, data = objective.trial(controls)
-        reused, reused_value = objective.gradient(controls, 1e-6, base=data)
-        fresh, fresh_value = objective.gradient(controls, 1e-6)
+        reused, reused_value = objective.gradient(controls, base=data)
+        fresh, fresh_value = objective.gradient(controls)
         assert np.array_equal(reused, fresh)
         assert reused_value == fresh_value == value
 
@@ -184,22 +186,12 @@ class TestSolverSettings:
         [
             ("grad_tol", math.nan),
             ("grad_tol", math.inf),
-            ("fd_step", math.inf),
             ("ftol_rel", -1e-4),
-            ("penalty_weight", math.nan),
             ("constraint_tol", 0.0),
             ("max_iters", 2.5),
             ("max_iters", 0),
             ("max_iters", True),
             ("outer_rounds", 1.5),
-            ("armijo_shrink", 1.0),
-            ("armijo_shrink", 2.0),
-            ("armijo_c1", 1.0),
-            ("step_init", math.inf),
-            ("step_max", -1.0),
-            ("step_max", 1e-14),
-            ("step_min", 1e3),
-            ("step_min", math.nan),
         ],
     )
     def test_rejects_bad_value_naming_field(self, field, value):
@@ -208,8 +200,11 @@ class TestSolverSettings:
 
     def test_accepts_defaults_and_edges(self):
         SolverSettings()
-        SolverSettings(max_iters=np.int64(3), outer_rounds=1, armijo_shrink=0.999, grad_tol=1e9)
-        SolverSettings(step_min=1e-3, step_max=2e-3)
+        SolverSettings(max_iters=np.int64(3), outer_rounds=1, grad_tol=1e9)
+
+    def test_fields_are_the_tuned_ones(self):
+        names = [f.name for f in dataclasses.fields(SolverSettings)]
+        assert names == ["max_iters", "grad_tol", "ftol_rel", "outer_rounds", "constraint_tol"]
 
 
 class TestMpcConfig:
@@ -220,6 +215,12 @@ class TestMpcConfig:
 
     def test_accepts_numpy_integer(self):
         assert MpcConfig(horizon=np.int64(3)).horizon == 3
+
+    @pytest.mark.parametrize("solver", [{"max_iters": 3}, None])
+    def test_rejects_non_settings_solver_naming_field(self, solver):
+        # A dict used to pass here and fail at the first solve.
+        with pytest.raises(ValueError, match="solver"):
+            MpcConfig(horizon=5, solver=solver)
 
 
 class TestKktAtSaturatedTorques:
@@ -247,8 +248,8 @@ class TestKktAtSaturatedTorques:
         x0 = rest_state(angle * np.asarray(direction) / np.linalg.norm(direction))
         solution = solve_ocp(weak_system, x0, MpcConfig(horizon=10, solver=self.SOLVER))
         # One penalty round, so the reported residual used this weight.
-        objective = _Objective(weak_system, x0, self.SOLVER.penalty_weight)
-        grad, _ = objective.gradient(solution.torques, self.SOLVER.fd_step)
+        objective = _Objective(weak_system, x0, PENALTY_WEIGHT)
+        grad, _ = objective.gradient(solution.torques)
         u = solution.torques
         assert solution.kkt_residual == float(np.linalg.norm(u - _project_rows(weak_system, u - grad)))
         assert solution.kkt_residual <= self.SOLVER.grad_tol
@@ -272,7 +273,7 @@ class TestRolloutFailureNamesStep:
     def test_gradient_base_rollout(self):
         objective = _Objective(BoundedStepIntegrator(), np.array([0.5, -0.3]), 1e4)
         with pytest.raises(RolloutFailure, match="step 2"):
-            objective.gradient(self.controls, 1e-6)
+            objective.gradient(self.controls)
 
     def test_solve_from_unsolvable_warm_start(self):
         config = MpcConfig(horizon=4)

@@ -57,7 +57,7 @@ def oracle_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
 class OracleObjective(_Objective):
     """:class:`_Objective` with the reference gradient and tail value."""
 
-    def gradient(self, torques, fd_step, base=None):
+    def gradient(self, torques, base=None):
         data = base
         if data is None:
             try:
@@ -77,18 +77,18 @@ class OracleObjective(_Objective):
                 values = []
                 for sign in (1.0, -1.0):
                     tail[0] = base_entry
-                    tail[0, j] = base_entry[j] + sign * fd_step
+                    tail[0, j] = base_entry[j] + sign * mpc.FD_STEP
                     values.append(
                         oracle_tail_value(self, x_i, tail, stage_prefix[i], short_prefix[i])
                     )
                 tail[0] = base_entry
                 up, down = values
                 if math.isfinite(up) and math.isfinite(down):
-                    grad[i, j] = (up - down) / (2.0 * fd_step)
+                    grad[i, j] = (up - down) / (2.0 * mpc.FD_STEP)
                 elif math.isfinite(down):
-                    grad[i, j] = (base_value - down) / fd_step
+                    grad[i, j] = (base_value - down) / mpc.FD_STEP
                 elif math.isfinite(up):
-                    grad[i, j] = (up - base_value) / fd_step
+                    grad[i, j] = (up - base_value) / mpc.FD_STEP
                 else:
                     raise RolloutFailure(
                         f"finite-difference gradient undefined at step {i}, control "
@@ -102,8 +102,8 @@ def oracle_projected_gradient(objective, system, torques, settings, _hessian=Non
     an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns.  It
     takes the package descent's arguments and ignores its Hessian."""
-    grad, value = objective.gradient(torques, settings.fd_step)
-    bb_step = settings.step_init / max(1.0, float(np.linalg.norm(grad)))
+    grad, value = objective.gradient(torques)
+    bb_step = mpc.STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
     small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
@@ -111,29 +111,29 @@ def oracle_projected_gradient(objective, system, torques, settings, _hessian=Non
         if kkt <= settings.grad_tol:
             break
         iterations += 1
-        alpha = float(np.clip(bb_step, settings.step_min, settings.step_max))
+        alpha = float(np.clip(bb_step, mpc.STEP_MIN, mpc.STEP_MAX))
         accepted = False
         for _ in range(60):
             candidate = _project_rows(system, torques - alpha * grad)
             cand_value, cand_data = objective.trial(candidate)
             decrease_ref = float((grad * (candidate - torques)).sum())
-            if cand_value <= value + settings.armijo_c1 * decrease_ref:
+            if cand_value <= value + mpc.ARMIJO_C1 * decrease_ref:
                 accepted = True
                 break
-            alpha *= settings.armijo_shrink
-            if alpha < settings.step_min:
+            alpha *= mpc.ARMIJO_SHRINK
+            if alpha < mpc.STEP_MIN:
                 break
         if not accepted:
             break
         improvement = value - cand_value
-        new_grad, _ = objective.gradient(candidate, settings.fd_step, base=cand_data)
+        new_grad, _ = objective.gradient(candidate, base=cand_data)
         step_vec = candidate - torques
         grad_vec = new_grad - grad
         curvature = float((step_vec * grad_vec).sum())
         if curvature > 0.0:
             bb_step = float((step_vec * step_vec).sum()) / curvature
         else:
-            bb_step = settings.step_init
+            bb_step = mpc.STEP_INIT
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
         if improvement <= settings.ftol_rel * max(1.0, abs(value)):

@@ -95,7 +95,7 @@ class TestSkewTraceIdentity:
 
 class TestLinearization:
     def test_blocks(self):
-        lin = build_linearization(0.1)
+        lin = build_linearization(0.1, J_REF)
         assert_allclose(lin.A[:3, 3:], 0.1 * np.eye(3))
         assert_allclose(lin.A[:3, :3], np.eye(3))
         assert_allclose(lin.A[3:, 3:], np.eye(3))
@@ -103,7 +103,8 @@ class TestLinearization:
         assert_allclose(lin.B[:3], np.zeros((3, 3)))
 
     def test_unit_step_identity_coupling(self):
-        lin = build_linearization(1.0)
+        # trace(J) I - J = I for J = I/2, so a unit step couples by I.
+        lin = build_linearization(1.0, 0.5 * np.eye(3))
         assert_allclose(lin.B, np.vstack([np.zeros((3, 3)), np.eye(3)]))
 
     def test_inertia_coupling_is_exact_jacobian(self):
@@ -113,14 +114,14 @@ class TestLinearization:
 
     def test_controllability(self):
         for h in (0.01, 0.1, 1.0, 7.3):
-            for inertia in (None, J_REF):
+            for inertia in (np.eye(3), J_REF):
                 lin = build_linearization(h, inertia)
                 ctrb = np.hstack([np.linalg.matrix_power(lin.A, k) @ lin.B for k in range(6)])
                 assert np.linalg.matrix_rank(ctrb) == 6
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            build_linearization(0.0)
+            build_linearization(0.0, J_REF)
 
 
 class TestCostData:
