@@ -13,6 +13,10 @@ entries, and entries that the box holds against an outward gradient take
 the projected-gradient step.  The recursion's initial inverse Hessian is the
 inverse of the model's horizon Hessian on the free entries, scaled by the
 newest curvature pair (Nocedal & Wright, *Numerical Optimization*, ch. 7).
+A solve warm-started at the previous solution's predicted successor extends
+the perturbed tails of that solution's last gradient by one step instead of
+re-running them: the "shift" initialization of Diehl, Bock & Schlöder's
+real-time iteration, applied to the gradient.
 """
 
 from __future__ import annotations
@@ -194,6 +198,12 @@ class OcpSolution:
     row): the solver stops before the gradient at the accepted torques, which
     would serve only this report.  A stop on ``grad_tol``, on a failed line
     search or on ``max_iters`` reports it.
+
+    ``_reuse`` is what a next solve on the same system and horizon may take
+    over (see :func:`solve_ocp`): the horizon Hessian, and the perturbed
+    tails of the last gradient whenever it was taken at the returned
+    torques, i.e. on every stop that reports ``kkt_residual``.  It takes no
+    part in comparisons.
     """
 
     torques: np.ndarray
@@ -206,10 +216,19 @@ class OcpSolution:
     states: tuple
     # Per predicted step: how far the solvability margin fell below its floor.
     shortfalls: np.ndarray
+    _reuse: Optional[_Reuse] = field(default=None, compare=False, repr=False)
 
     @property
     def first_control(self) -> np.ndarray:
         return self.torques[0]
+
+
+class _Reuse(NamedTuple):
+    """What one solve hands to the next on the same system and horizon."""
+
+    system: ManifoldSystem
+    hessian: np.ndarray
+    gradient: Optional[_GradientTails]
 
 
 class _RolloutData(NamedTuple):
@@ -261,15 +280,57 @@ def _as_control_array(torques, control_dim: int) -> np.ndarray:
     return arr
 
 
+class _Tail(NamedTuple):
+    """Raw rollout of a perturbed tail: its end state, stage costs,
+    shortfalls (``None`` while every margin keeps its floor) and terminal
+    value.  None of these depends on the penalty weight."""
+
+    end: object
+    stage: np.ndarray
+    shortfalls: Optional[np.ndarray]
+    terminal: float
+
+    @classmethod
+    def at(cls, x) -> _Tail:
+        """The tail of no steps at ``x``, which a fresh tail runs on from;
+        its terminal value is not evaluated."""
+        return cls(x, _NO_STAGES, None, math.nan)
+
+
+_NO_STAGES = np.empty(0)
+
+
+class _GradientTails(NamedTuple):
+    """The perturbed tails of one gradient at ``torques``: ``tails[i][2 j]``
+    raises control entry (i, j) by ``FD_STEP`` and ``tails[i][2 j + 1]``
+    lowers it, each ``None`` when a step is unsolvable.  ``successor`` is the
+    rollout's state after one step."""
+
+    torques: np.ndarray
+    successor: object
+    tails: list
+
+
 class _Objective:
     """Penalized shooting objective with cheap tail re-evaluation for
-    finite differences."""
+    finite differences.
 
-    def __init__(self, system: ManifoldSystem, x0, weight: float):
+    ``carried`` holds the tails of the previous solve's last gradient.  The
+    first gradient extends each of them by one step when it starts at their
+    successor state under their torques shifted by one step (the warm start
+    :func:`warm_start_shift` builds); otherwise it is ignored.  ``last``
+    holds the tails of the latest gradient.
+    """
+
+    def __init__(
+        self, system: ManifoldSystem, x0, weight: float, carried: Optional[_GradientTails] = None
+    ):
         self.system = system
         self.x0 = x0
         self.weight = weight
         self.level = system.terminal_level
+        self.carried = carried
+        self.last: Optional[_GradientTails] = None
 
     def trial(self, torques: np.ndarray) -> tuple[float, Optional[_RolloutData]]:
         """Penalized value and rollout data, or ``(math.inf, None)`` when the
@@ -309,6 +370,11 @@ class _Objective:
         one-sided difference against the base value; when both are, the
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
         names the step and the entry.
+
+        A carried tail of step i + 1 is this gradient's tail of step i
+        without its last step, so extending it gives the tail that a fresh
+        run would, bit for bit: the same steps, the same stage-cost array
+        and the same numpy sum.
         """
         data = base
         if data is None:
@@ -320,18 +386,34 @@ class _Objective:
         stage_prefix = np.concatenate([[0.0], np.cumsum(data.stage)])
         short_prefix = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)])
         n, m = torques.shape
+        carried, self.carried = self.carried, None
+        if carried is not None and not (
+            # States are opaque: compare whatever arrays they are made of.
+            np.array_equal(np.asarray(self.x0), np.asarray(carried.successor))
+            and np.array_equal(torques[:-1], carried.torques[1:])
+        ):
+            carried = None
+        appended = torques[-1:]
         grad = np.zeros((n, m))
+        tails = []
         for i in range(n):
-            x_i, stage_before, short_before = data.states[i], stage_prefix[i], short_prefix[i]
+            start = _Tail.at(data.states[i])
             tail = torques[i:].copy()
             first = tail[0]
+            row = []
             for j in range(m):
                 entry = first[j]
-                first[j] = entry + FD_STEP
-                up = self._tail_value(x_i, tail, stage_before, short_before)
-                first[j] = entry - FD_STEP
-                down = self._tail_value(x_i, tail, stage_before, short_before)
+                for k, delta in enumerate((FD_STEP, -FD_STEP)):
+                    if carried is not None and i + 1 < n:
+                        shorter = carried.tails[i + 1][2 * j + k]
+                        row.append(None if shorter is None else self._run_tail(shorter, appended))
+                    else:
+                        first[j] = entry + delta
+                        row.append(self._run_tail(start, tail))
                 first[j] = entry
+                up, down = (
+                    self._tail_value(raw, stage_prefix[i], short_prefix[i]) for raw in row[-2:]
+                )
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
@@ -343,36 +425,55 @@ class _Objective:
                         f"finite-difference gradient undefined at step {i}, control "
                         f"entry {j}: both perturbed rollouts are unsolvable"
                     )
+            tails.append(row)
+        self.last = _GradientTails(torques, data.states[1], tails)
         return grad, base_value
 
-    def _tail_value(self, x, tail, stage_prefix: float, short_prefix: float) -> float:
-        """Penalized value of the rollout whose first steps are summed in the
-        prefixes and whose tail runs ``tail`` from ``x``; ``math.inf`` when
-        the tail is unsolvable.
+    def _run_tail(self, start: _Tail, controls) -> Optional[_Tail]:
+        """``start`` run on under ``controls``; ``None`` when a step is
+        unsolvable.  A fresh tail starts from :meth:`_Tail.at`.
 
-        Equals :meth:`_value` on the prefixes plus the sums of the tail's
-        :func:`_rollout_data` bit for bit: the stage costs go through one
-        array and its numpy sum, and the shortfall array, all zeros unless
-        some margin falls below the floor, is only built in that case.
+        The stage costs go through one array, and the shortfall array, all
+        zeros unless some margin falls below the floor, is only built in
+        that case, so the sums equal those of :func:`_rollout_data` on the
+        whole tail bit for bit.
         """
         system = self.system
         floor = system.step_margin_floor
-        stage = np.empty(len(tail))
+        done = len(start.stage)
+        stage = np.empty(done + len(controls))
         shortfalls = None
+        if done:
+            stage[:done] = start.stage
+            if start.shortfalls is not None:
+                shortfalls = np.zeros(len(stage))
+                shortfalls[:done] = start.shortfalls
+        x = start.end
         try:
-            for i, u in enumerate(tail):
+            for i, u in enumerate(controls, done):
                 stage[i] = system.stage_cost(x, u)
                 x, margin = system.step_with_margin(x, u)
                 if margin < floor:
                     if shortfalls is None:
-                        shortfalls = np.zeros(len(tail))
+                        shortfalls = np.zeros(len(stage))
                     shortfalls[i] = floor - margin
+        except NotSolvable:
+            return None
+        try:
             terminal = system.terminal_cost(x)
         except NotSolvable:
+            terminal = math.inf
+        return _Tail(x, stage, shortfalls, terminal)
+
+    def _tail_value(self, tail: Optional[_Tail], stage_prefix: float, short_prefix: float) -> float:
+        """Penalized value of the rollout whose first steps are summed in the
+        prefixes and whose last ones are ``tail``; ``math.inf`` when the tail
+        is unsolvable."""
+        if tail is None:
             return math.inf
-        if shortfalls is not None:
-            short_prefix = short_prefix + (shortfalls**2).sum()
-        return self._value(stage_prefix + stage.sum(), short_prefix, terminal)
+        if tail.shortfalls is not None:
+            short_prefix = short_prefix + (tail.shortfalls**2).sum()
+        return self._value(stage_prefix + tail.stage.sum(), short_prefix, tail.terminal)
 
 
 def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
@@ -547,6 +648,7 @@ def solve_ocp(
     x0,
     config: MpcConfig,
     warm_start: Optional[np.ndarray] = None,
+    previous: Optional[OcpSolution] = None,
 ) -> OcpSolution:
     """Solve the finite-horizon problem at ``x0`` by penalized shooting.
 
@@ -555,6 +657,13 @@ def solve_ocp(
     step kept its solvability margin; an infeasible result signals that the
     solver could not steer ``x0`` into the terminal set, i.e. that ``x0``
     is numerically outside the horizon's domain of attraction.
+
+    ``previous`` is the last solution on the same ``system`` object and
+    horizon, if any; it changes the work done, never the result.  Its
+    horizon Hessian is reused.  When ``x0`` equals its predicted successor
+    ``states[1]`` entry for entry and the warm start is its shift (all but
+    the appended control), the first gradient extends the perturbed tails
+    of its last gradient by one step each instead of re-running them.
     """
     settings = config.solver
     if warm_start is None:
@@ -567,11 +676,16 @@ def solve_ocp(
             )
     torques = _project_rows(system, torques)
 
-    hessian = _horizon_hessian(system.quadratic_model, config.horizon)
+    reuse = None if previous is None else previous._reuse
+    if reuse is not None and reuse.system is system and len(previous.torques) == config.horizon:
+        hessian, carried = reuse.hessian, reuse.gradient
+    else:
+        hessian, carried = _horizon_hessian(system.quadratic_model, config.horizon), None
     weight = PENALTY_WEIGHT
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
-        objective = _Objective(system, x0, weight)
+        objective = _Objective(system, x0, weight, carried)
+        carried = None
         torques, iterations, kkt = _quasi_newton_descent(
             objective, system, torques, settings, hessian
         )
@@ -584,6 +698,10 @@ def solve_ocp(
             break
         weight *= PENALTY_GROWTH
 
+    # An ftol_rel stop returns torques that no gradient was taken at.
+    last = objective.last
+    if last is not None and not np.array_equal(last.torques, torques):
+        last = None
     cost = float(data.stage.sum() + data.terminal)
     return OcpSolution(
         torques=torques,
@@ -595,6 +713,7 @@ def solve_ocp(
         violation=float(violation),
         states=tuple(data.states),
         shortfalls=data.shortfalls,
+        _reuse=_Reuse(system, hessian, last),
     )
 
 
@@ -629,13 +748,18 @@ class MpcController:
     def step(self, x) -> tuple[np.ndarray, OcpSolution]:
         """Solve at ``x`` and return the first control of the solution.
 
+        The solve starts from the previous solution's shift and is handed
+        that solution, whose finite-difference tails it reuses when ``x`` is
+        the predicted successor (the nominal closed loop); the result is the
+        same as without it, bit for bit.
+
         Raises :class:`~so3mpc.errors.Infeasible` when the solver cannot
         reach feasibility at ``x``; the controller then forgets the previous
         solution, whose shifted candidate belongs to an earlier state, and
         the next step starts cold.
         """
         warm = self.candidate_sequence()
-        solution = solve_ocp(self.system, x, self.config, warm_start=warm)
+        solution = solve_ocp(self.system, x, self.config, warm_start=warm, previous=self._previous)
         if not solution.feasible:
             self._previous = None
             raise Infeasible(

@@ -59,6 +59,20 @@ class BoundedStepIntegrator(DoubleIntegratorSystem):
         return super().step(x, u)
 
 
+def assert_same_tail(a, b):
+    """Two raw finite-difference tails of the solver, or their ``None``
+    markers of an unsolvable step, equal bit for bit."""
+    assert (a is None) == (b is None)
+    if a is None:
+        return
+    assert np.array_equal(np.asarray(a.end), np.asarray(b.end))
+    assert np.array_equal(a.stage, b.stage)
+    assert (a.shortfalls is None) == (b.shortfalls is None)
+    if a.shortfalls is not None:
+        assert np.array_equal(a.shortfalls, b.shortfalls)
+    assert repr(a.terminal) == repr(b.terminal)
+
+
 @pytest.fixture(scope="session")
 def ref_weights():
     return default_weights(J_REF)

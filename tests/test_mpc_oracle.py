@@ -33,12 +33,13 @@ from so3mpc.mpc import (
     _Objective,
     _project_rows,
     _rollout_data,
+    _Tail,
     closed_loop,
     solve_ocp,
     warm_start_shift,
 )
 
-from conftest import H_REF, BoundedStepIntegrator
+from conftest import H_REF, BoundedStepIntegrator, assert_same_tail
 
 
 def oracle_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
@@ -342,9 +343,16 @@ class TestGradientCount:
         assert new <= 0.33 * old
 
 
+def lean_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
+    """The tail value as the package's gradient computes it."""
+    raw = objective._run_tail(_Tail.at(x_start), tail)
+    return objective._tail_value(raw, stage_prefix, short_prefix)
+
+
 class TestLeanTailValue:
-    """``_Objective._tail_value`` against the value built from a full
-    :func:`_rollout_data` of the same tail."""
+    """The value of a tail from ``_Objective._run_tail`` against the value
+    built from a full :func:`_rollout_data` of the same tail, and a tail run
+    in two pieces against the same tail run in one."""
 
     def test_matches_rollout_data_where_margins_fall_short(self, ref_design):
         # From rest, a first torque of 199.1-199.9 N m about z leaves a margin
@@ -359,7 +367,7 @@ class TestLeanTailValue:
             tail = rng.uniform(-1.0, 1.0, (6, 3))
             tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
             stage_prefix, short_prefix = rng.uniform(0.0, 10.0, 2)
-            value = objective._tail_value(x, tail, stage_prefix, short_prefix)
+            value = lean_tail_value(objective, x, tail, stage_prefix, short_prefix)
             expected = oracle_tail_value(objective, x, tail, stage_prefix, short_prefix)
             assert repr(value) == repr(expected)
             if math.isfinite(value):
@@ -371,14 +379,35 @@ class TestLeanTailValue:
         x = spinning_state([0.5, -0.3, 0.8], [0.2, 0.1, -0.3], H_REF)
         tail = np.random.default_rng(7).uniform(-20.0, 20.0, (10, 3))
         for prefixes in [(0.0, 0.0), (3.25, 0.0), (1.5, 2e-7)]:
-            value = objective._tail_value(x, tail, *prefixes)
+            value = lean_tail_value(objective, x, tail, *prefixes)
             assert repr(value) == repr(oracle_tail_value(objective, x, tail, *prefixes))
 
     def test_unsolvable_tail_is_infinite(self, ref_system):
         bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4)
         tail = np.array([[0.2], [1.5], [0.1]])
-        assert bounded._tail_value(np.array([0.5, -0.3]), tail, 1.0, 0.0) == math.inf
+        assert lean_tail_value(bounded, np.array([0.5, -0.3]), tail, 1.0, 0.0) == math.inf
         attitude = _Objective(ref_system, SpacecraftState.identity(), 1e4)
         torques = np.zeros((3, 3))
         torques[1] = [0.0, 0.0, 5e3]
-        assert attitude._tail_value(SpacecraftState.identity(), torques, 0.0, 0.0) == math.inf
+        assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0, 0.0) == math.inf
+        assert attitude._run_tail(_Tail.at(SpacecraftState.identity()), torques) is None
+
+    def test_tail_run_on_equals_tail_run_at_once(self, ref_design):
+        # The same near-floor tails as above, split after each step: the
+        # carried-tail gradient depends on this equality.
+        system = SpacecraftAttitudeSystem(ref_design, solvability_floor=9e-3)
+        objective = _Objective(system, SpacecraftState.identity(), 1e4)
+        rng = np.random.default_rng(12)
+        seen = {"short": 0, "unsolvable": 0}
+        for _ in range(20):
+            x = rest_state(rng.uniform(-0.3, 0.3, 3))
+            tail = rng.uniform(-1.0, 1.0, (6, 3))
+            tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
+            whole = objective._run_tail(_Tail.at(x), tail)
+            seen["unsolvable"] += whole is None
+            seen["short"] += whole is not None and whole.shortfalls is not None
+            for k in range(1, len(tail)):
+                head = objective._run_tail(_Tail.at(x), tail[:k])
+                run_on = None if head is None else objective._run_tail(head, tail[k:])
+                assert_same_tail(run_on, whole)
+        assert seen["short"] >= 5 and seen["unsolvable"] >= 1
