@@ -22,6 +22,7 @@ from .lgvi import (
     DEFAULT_STEP_SECONDS,
     MARGIN_CUTOFF,
     SpacecraftState,
+    check_state,
     step_with_margin,
 )
 from .mpc import (
@@ -270,9 +271,9 @@ class AttitudeMpc:
             raise RuntimeError("this AttitudeMpc instance is not fitted yet; call fit() first")
 
     def solve(self, state: SpacecraftState, warm_start=None) -> OcpSolution:
-        """Full finite-horizon solution at one state."""
+        """Full finite-horizon solution at one state, checked to lie in SO(3)^2."""
         self._check_fitted()
-        return solve_ocp(self.system_, state, self.config_, warm_start=warm_start)
+        return solve_ocp(self.system_, check_state(state), self.config_, warm_start=warm_start)
 
     def predict(
         self, X: Union[SpacecraftState, Iterable[SpacecraftState]]
@@ -290,6 +291,7 @@ class AttitudeMpc:
     def simulate(
         self, state0: SpacecraftState, n_steps: int, distance_tol: float = DEFAULT_DISTANCE_TOL
     ) -> ClosedLoopRun:
-        """Closed-loop run from ``state0`` with warm-started solves."""
+        """Closed-loop run from ``state0``, checked as in :meth:`solve`, with
+        warm-started solves."""
         self._check_fitted()
-        return closed_loop(self.system_, state0, self.config_, n_steps, distance_tol=distance_tol)
+        return closed_loop(self.system_, check_state(state0), self.config_, n_steps, distance_tol=distance_tol)

@@ -13,9 +13,13 @@ entries, and entries that the box holds against an outward gradient take
 the projected-gradient step.  The recursion's initial inverse Hessian is the
 inverse of the model's horizon Hessian on the free entries, scaled by the
 newest curvature pair (Nocedal & Wright, *Numerical Optimization*, ch. 7).
-A solve warm-started at the previous solution's predicted successor extends
-the perturbed tails of that solution's last gradient by one step instead of
-re-running them: the "shift" initialization of Diehl, Bock & Schlöder's
+Every prediction, whether the base rollout of a gradient, a line-search
+trial, the final check or a perturbed finite-difference tail, is one
+:class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
+by one formula, :meth:`_Objective.value`.  The runner continues any record,
+so a solve warm-started at the previous solution's predicted successor runs
+the perturbed tails of that solution's last gradient on by one step instead
+of re-running them: the "shift" initialization of Diehl, Bock & Schlöder's
 real-time iteration, applied to the gradient.
 """
 
@@ -100,7 +104,10 @@ class ManifoldSystem(abc.ABC):
 
     @abc.abstractmethod
     def terminal_cost(self, x) -> float:
-        """Terminal penalty; zero at the equilibrium state."""
+        """Terminal penalty; zero at the equilibrium state.  It must be
+        defined at every state that a solvable step reaches: the solver
+        takes a :class:`~so3mpc.errors.NotSolvable` from it for an
+        unsolvable rollout."""
 
     @property
     @abc.abstractmethod
@@ -200,10 +207,7 @@ class OcpSolution:
     search or on ``max_iters`` reports it.
 
     ``_reuse`` is what a next solve on the same system and horizon may take
-    over (see :func:`solve_ocp`): the horizon Hessian, and the perturbed
-    tails of the last gradient whenever it was taken at the returned
-    torques, i.e. on every stop that reports ``kkt_residual``.  It takes no
-    part in comparisons.
+    over (see :func:`solve_ocp`) and takes no part in comparisons.
     """
 
     torques: np.ndarray
@@ -224,49 +228,92 @@ class OcpSolution:
 
 
 class _Reuse(NamedTuple):
-    """What one solve hands to the next on the same system and horizon."""
+    """The horizon Hessian, and the perturbed tails of the last gradient
+    (:meth:`_Objective.gradient`) when it was taken at the returned torques,
+    i.e. on every stop that reports ``kkt_residual``."""
 
     system: ManifoldSystem
     hessian: np.ndarray
-    gradient: Optional[_GradientTails]
+    tails: Optional[list]
 
 
-class _RolloutData(NamedTuple):
+class _Rollout(NamedTuple):
+    """A prediction rollout: the states it visits (only the last one for a
+    finite-difference tail), its stage costs, shortfalls (``None`` while
+    every margin keeps its floor) and terminal value.  None of these depends
+    on the penalty weight."""
+
     states: list
     stage: np.ndarray
-    shortfalls: np.ndarray
+    shortfalls: Optional[np.ndarray]
     terminal: float
 
+    @classmethod
+    def at(cls, x) -> _Rollout:
+        """The rollout of no steps at ``x``; its terminal value is unset."""
+        return cls([x], np.empty(0), None, math.nan)
 
-def _rollout_data(system: ManifoldSystem, x0, torques) -> _RolloutData:
-    """Roll out from ``x0``; :class:`~so3mpc.errors.NotSolvable` from a step
-    is raised again naming the step."""
+    @property
+    def cost(self) -> float:
+        """Summed stage costs plus the terminal value."""
+        return float(self.stage.sum() + self.terminal)
+
+    @property
+    def shortfall_array(self) -> np.ndarray:
+        return np.zeros(len(self.stage)) if self.shortfalls is None else self.shortfalls
+
+
+def _roll_on(system: ManifoldSystem, start: _Rollout, controls, end_only: bool = False) -> _Rollout:
+    """``start`` run on under ``controls``, and the terminal value at its
+    end; :class:`~so3mpc.errors.NotSolvable` from a step is raised again
+    naming the step, counted from the start of ``start``.  With ``end_only``
+    the record keeps only the end state, all that a finite-difference tail
+    needs: holding every state of a gradient's tails alive wakes the
+    garbage collector and measured about 1 % slower closed loops.
+
+    The stage costs go through one array, and the shortfall array is built
+    only once some margin falls below the floor, so a rollout run on in
+    pieces equals the same rollout run at once bit for bit.
+    """
     floor = system.step_margin_floor
-    states = [x0]
-    stage = np.empty(len(torques))
-    shortfalls = np.zeros(len(torques))
-    x = x0
-    for i, u in enumerate(torques):
+    done = len(start.stage)
+    states = None if end_only else start.states.copy()
+    stage = np.empty(done + len(controls))
+    shortfalls = None
+    if done:
+        stage[:done] = start.stage
+        if start.shortfalls is not None:
+            shortfalls = np.zeros(len(stage))
+            shortfalls[:done] = start.shortfalls
+    x = start.states[-1]
+    for i, u in enumerate(controls, done):
         stage[i] = system.stage_cost(x, u)
         try:
             x, margin = system.step_with_margin(x, u)
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
         if margin < floor:
+            if shortfalls is None:
+                shortfalls = np.zeros(len(stage))
             shortfalls[i] = floor - margin
-        states.append(x)
-    return _RolloutData(states, stage, shortfalls, system.terminal_cost(x))
+        if states is not None:
+            states.append(x)
+    return _Rollout([x] if end_only else states, stage, shortfalls, system.terminal_cost(x))
+
+
+def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
+    """The rollout of ``torques`` from ``x0``; an unsolvable step raises
+    :class:`~so3mpc.errors.RolloutFailure` naming it."""
+    try:
+        return _roll_on(system, _Rollout.at(x0), torques)
+    except NotSolvable as err:
+        raise RolloutFailure(f"prediction rollout failed: {err}") from err
 
 
 def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
     """Cost of a candidate control sequence: summed stage costs plus the
     terminal penalty at the rolled-out endpoint."""
-    torques = _as_control_array(torques, system.control_dim)
-    try:
-        data = _rollout_data(system, x0, torques)
-    except NotSolvable as err:
-        raise RolloutFailure(f"prediction rollout failed: {err}") from err
-    return float(data.stage.sum() + data.terminal)
+    return _predict(system, x0, _as_control_array(torques, system.control_dim)).cost
 
 
 def _as_control_array(torques, control_dim: int) -> np.ndarray:
@@ -280,86 +327,50 @@ def _as_control_array(torques, control_dim: int) -> np.ndarray:
     return arr
 
 
-class _Tail(NamedTuple):
-    """Raw rollout of a perturbed tail: its end state, stage costs,
-    shortfalls (``None`` while every margin keeps its floor) and terminal
-    value.  None of these depends on the penalty weight."""
-
-    end: object
-    stage: np.ndarray
-    shortfalls: Optional[np.ndarray]
-    terminal: float
-
-    @classmethod
-    def at(cls, x) -> _Tail:
-        """The tail of no steps at ``x``, which a fresh tail runs on from;
-        its terminal value is not evaluated."""
-        return cls(x, _NO_STAGES, None, math.nan)
-
-
-_NO_STAGES = np.empty(0)
-
-
-class _GradientTails(NamedTuple):
-    """The perturbed tails of one gradient at ``torques``: ``tails[i][2 j]``
-    raises control entry (i, j) by ``FD_STEP`` and ``tails[i][2 j + 1]``
-    lowers it, each ``None`` when a step is unsolvable.  ``successor`` is the
-    rollout's state after one step."""
-
-    torques: np.ndarray
-    successor: object
-    tails: list
-
-
 class _Objective:
     """Penalized shooting objective with cheap tail re-evaluation for
-    finite differences.
-
-    ``carried`` holds the tails of the previous solve's last gradient.  The
-    first gradient extends each of them by one step when it starts at their
-    successor state under their torques shifted by one step (the warm start
-    :func:`warm_start_shift` builds); otherwise it is ignored.  ``last``
-    holds the tails of the latest gradient.
+    finite differences.  The first gradient runs on ``carried``, the tails
+    of the previous solve's last gradient, when :func:`solve_ocp` hands them
+    over; ``last`` holds the tails of the latest gradient.
     """
 
-    def __init__(
-        self, system: ManifoldSystem, x0, weight: float, carried: Optional[_GradientTails] = None
-    ):
+    def __init__(self, system: ManifoldSystem, x0, weight: float, carried: Optional[list] = None):
         self.system = system
         self.x0 = x0
         self.weight = weight
         self.level = system.terminal_level
         self.carried = carried
-        self.last: Optional[_GradientTails] = None
+        self.last: Optional[list] = None
 
-    def trial(self, torques: np.ndarray) -> tuple[float, Optional[_RolloutData]]:
-        """Penalized value and rollout data, or ``(math.inf, None)`` when the
+    def trial(self, torques: np.ndarray) -> tuple[float, Optional[_Rollout]]:
+        """Penalized value and rollout, or ``(math.inf, None)`` when the
         rollout is unsolvable."""
         try:
-            data = _rollout_data(self.system, self.x0, torques)
+            rollout = _roll_on(self.system, _Rollout.at(self.x0), torques)
         except NotSolvable:
             return math.inf, None
-        return self._data_value(data), data
+        return self.value(rollout), rollout
 
-    def _value(self, stage_sum: float, shortfall_sq: float, terminal: float) -> float:
-        excess = max(0.0, terminal - self.level)
-        return float(stage_sum + terminal + self.weight * (excess**2 + shortfall_sq))
+    def value(self, rollout, stage_prefix=0.0, short_prefix=0.0) -> float:
+        """Penalized value of the rollout whose first steps are summed in the
+        prefixes (stage costs and squared shortfalls) and whose last ones are
+        ``rollout``; ``math.inf`` when that is ``None``, i.e. unsolvable."""
+        if rollout is None:
+            return math.inf
+        if rollout.shortfalls is not None:
+            short_prefix = short_prefix + (rollout.shortfalls**2).sum()
+        excess = max(0.0, rollout.terminal - self.level)
+        penalty = self.weight * (excess**2 + short_prefix)
+        return float(stage_prefix + rollout.stage.sum() + rollout.terminal + penalty)
 
-    def _data_value(self, data: _RolloutData) -> float:
-        return self._value(data.stage.sum(), (data.shortfalls**2).sum(), data.terminal)
-
-    def details(self, torques: np.ndarray) -> tuple[float, _RolloutData, float]:
-        """(penalized value, rollout data, violation)."""
-        data = _rollout_data(self.system, self.x0, torques)
-        value = self._data_value(data)
-        violation = max(
-            max(0.0, data.terminal - self.level),
-            float(data.shortfalls.max(initial=0.0)),
-        )
-        return value, data, violation
+    def violation(self, rollout: _Rollout) -> float:
+        """The larger of the terminal value's excess over the level and the
+        largest shortfall."""
+        excess = max(0.0, rollout.terminal - self.level)
+        return max(excess, float(rollout.shortfall_array.max(initial=0.0)))
 
     def gradient(
-        self, torques: np.ndarray, base: Optional[_RolloutData] = None
+        self, torques: np.ndarray, base: Optional[_Rollout] = None
     ) -> tuple[np.ndarray, float]:
         """Central-difference gradient with step ``FD_STEP``, re-simulating
         only the rollout tail affected by each perturbed control entry.
@@ -371,33 +382,25 @@ class _Objective:
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
         names the step and the entry.
 
-        A carried tail of step i + 1 is this gradient's tail of step i
-        without its last step, so extending it gives the tail that a fresh
-        run would, bit for bit: the same steps, the same stage-cost array
-        and the same numpy sum.
+        The tails are kept in ``last``: ``last[i][2 j]`` raises control
+        entry (i, j) by ``FD_STEP`` and ``last[i][2 j + 1]`` lowers it, each
+        ``None`` when a step is unsolvable.  A carried tail of step i + 1 is
+        this gradient's tail of step i without its last step, so running it
+        on gives the tail that a fresh run would, bit for bit.
         """
-        data = base
-        if data is None:
-            try:
-                data = _rollout_data(self.system, self.x0, torques)
-            except NotSolvable as err:
-                raise RolloutFailure(f"prediction rollout failed: {err}") from err
-        base_value = self._data_value(data)
-        stage_prefix = np.concatenate([[0.0], np.cumsum(data.stage)])
-        short_prefix = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)])
+        system = self.system
+        if base is None:
+            base = _predict(system, self.x0, torques)
+        base_value = self.value(base)
+        stage_prefix = np.concatenate([[0.0], np.cumsum(base.stage)])
+        short_prefix = np.concatenate([[0.0], np.cumsum(base.shortfall_array**2)])
         n, m = torques.shape
         carried, self.carried = self.carried, None
-        if carried is not None and not (
-            # States are opaque: compare whatever arrays they are made of.
-            np.array_equal(np.asarray(self.x0), np.asarray(carried.successor))
-            and np.array_equal(torques[:-1], carried.torques[1:])
-        ):
-            carried = None
         appended = torques[-1:]
         grad = np.zeros((n, m))
         tails = []
         for i in range(n):
-            start = _Tail.at(data.states[i])
+            start = _Rollout.at(base.states[i])
             tail = torques[i:].copy()
             first = tail[0]
             row = []
@@ -405,15 +408,16 @@ class _Objective:
                 entry = first[j]
                 for k, delta in enumerate((FD_STEP, -FD_STEP)):
                     if carried is not None and i + 1 < n:
-                        shorter = carried.tails[i + 1][2 * j + k]
-                        row.append(None if shorter is None else self._run_tail(shorter, appended))
+                        begin, controls = carried[i + 1][2 * j + k], appended
                     else:
                         first[j] = entry + delta
-                        row.append(self._run_tail(start, tail))
+                        begin, controls = start, tail
+                    try:
+                        row.append(None if begin is None else _roll_on(system, begin, controls, end_only=True))
+                    except NotSolvable:
+                        row.append(None)
                 first[j] = entry
-                up, down = (
-                    self._tail_value(raw, stage_prefix[i], short_prefix[i]) for raw in row[-2:]
-                )
+                up, down = (self.value(r, stage_prefix[i], short_prefix[i]) for r in row[-2:])
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
@@ -426,73 +430,27 @@ class _Objective:
                         f"entry {j}: both perturbed rollouts are unsolvable"
                     )
             tails.append(row)
-        self.last = _GradientTails(torques, data.states[1], tails)
+        self.last = tails
         return grad, base_value
-
-    def _run_tail(self, start: _Tail, controls) -> Optional[_Tail]:
-        """``start`` run on under ``controls``; ``None`` when a step is
-        unsolvable.  A fresh tail starts from :meth:`_Tail.at`.
-
-        The stage costs go through one array, and the shortfall array, all
-        zeros unless some margin falls below the floor, is only built in
-        that case, so the sums equal those of :func:`_rollout_data` on the
-        whole tail bit for bit.
-        """
-        system = self.system
-        floor = system.step_margin_floor
-        done = len(start.stage)
-        stage = np.empty(done + len(controls))
-        shortfalls = None
-        if done:
-            stage[:done] = start.stage
-            if start.shortfalls is not None:
-                shortfalls = np.zeros(len(stage))
-                shortfalls[:done] = start.shortfalls
-        x = start.end
-        try:
-            for i, u in enumerate(controls, done):
-                stage[i] = system.stage_cost(x, u)
-                x, margin = system.step_with_margin(x, u)
-                if margin < floor:
-                    if shortfalls is None:
-                        shortfalls = np.zeros(len(stage))
-                    shortfalls[i] = floor - margin
-        except NotSolvable:
-            return None
-        try:
-            terminal = system.terminal_cost(x)
-        except NotSolvable:
-            terminal = math.inf
-        return _Tail(x, stage, shortfalls, terminal)
-
-    def _tail_value(self, tail: Optional[_Tail], stage_prefix: float, short_prefix: float) -> float:
-        """Penalized value of the rollout whose first steps are summed in the
-        prefixes and whose last ones are ``tail``; ``math.inf`` when the tail
-        is unsolvable."""
-        if tail is None:
-            return math.inf
-        if tail.shortfalls is not None:
-            short_prefix = short_prefix + (tail.shortfalls**2).sum()
-        return self._value(stage_prefix + tail.stage.sum(), short_prefix, tail.terminal)
 
 
 def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
     return np.vstack([system.project_control(u) for u in torques])
 
 
-def _line_search(objective, system, torques, value, grad, direction, alpha):
+def _line_search(objective, torques, value, grad, direction, alpha):
     """Armijo backtracking along the projected path ``P(torques + alpha *
     direction)``, measuring the decrease by ``grad`` times the projected
     step.  Returns the accepted candidate, its value and rollout, or
     ``None`` once ``alpha`` falls below ``STEP_MIN``."""
     for _ in range(60):
-        candidate = _project_rows(system, torques + alpha * direction)
+        candidate = _project_rows(objective.system, torques + alpha * direction)
         decrease_ref = float((grad * (candidate - torques)).sum())
         # A projected quasi-Newton step can turn uphill; it is not rolled out.
         if decrease_ref <= 0.0:
-            cand_value, cand_data = objective.trial(candidate)
+            cand_value, cand_rollout = objective.trial(candidate)
             if cand_value <= value + ARMIJO_C1 * decrease_ref:
-                return candidate, cand_value, cand_data
+                return candidate, cand_value, cand_rollout
         alpha *= ARMIJO_SHRINK
         if alpha < STEP_MIN:
             break
@@ -552,7 +510,6 @@ def _quasi_newton_direction(grad, free, pairs, scale, hessian):
 
 def _quasi_newton_descent(
     objective: _Objective,
-    system: ManifoldSystem,
     torques: np.ndarray,
     settings: SolverSettings,
     hessian: np.ndarray,
@@ -574,6 +531,7 @@ def _quasi_newton_descent(
     the final torques, or ``None`` when the relative improvement test
     stopped the descent: that stop skips the last gradient, so no residual
     is known."""
+    system = objective.system
     grad, value = objective.gradient(torques)
     # First gradient step scaled by the gradient so penalty-dominated starts
     # do not waste dozens of backtracks; later ones by the latest curvature.
@@ -592,12 +550,12 @@ def _quasi_newton_descent(
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         result = None
         if float((grad * direction).sum()) < 0.0:
-            result = _line_search(objective, system, torques, value, grad, direction, 1.0)
+            result = _line_search(objective, torques, value, grad, direction, 1.0)
         if result is None:
-            result = _line_search(objective, system, torques, value, grad, -grad, step)
+            result = _line_search(objective, torques, value, grad, -grad, step)
         if result is None:
             break
-        candidate, cand_value, cand_data = result
+        candidate, cand_value, cand_rollout = result
         # One tiny improvement can be an artifact of a backtracked step that
         # the next one recovers from; require two in a row.  The second one
         # stops before the candidate's gradient, which nothing after this
@@ -608,7 +566,7 @@ def _quasi_newton_descent(
                 return candidate, iterations, None
         else:
             small_improvements = 0
-        new_grad, _ = objective.gradient(candidate, base=cand_data)
+        new_grad, _ = objective.gradient(candidate, base=cand_rollout)
         s, y = candidate - torques, new_grad - grad
         curvature = float((s * y).sum())
         if curvature > 0.0:
@@ -656,7 +614,8 @@ def solve_ocp(
     within ``constraint_tol`` of the terminal level and that every predicted
     step kept its solvability margin; an infeasible result signals that the
     solver could not steer ``x0`` into the terminal set, i.e. that ``x0``
-    is numerically outside the horizon's domain of attraction.
+    is numerically outside the horizon's domain of attraction.  A warm start
+    of the wrong length or with a non-finite entry raises ``ValueError``.
 
     ``previous`` is the last solution on the same ``system`` object and
     horizon, if any; it changes the work done, never the result.  Its
@@ -671,49 +630,48 @@ def solve_ocp(
     else:
         torques = _as_control_array(np.array(warm_start, dtype=float, copy=True), system.control_dim)
         if torques.shape[0] != config.horizon:
-            raise ValueError(
-                f"warm start has {torques.shape[0]} steps, expected {config.horizon}"
-            )
+            raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
+        finite = np.isfinite(torques).all(axis=1)
+        if not finite.all():
+            step = int(np.argmin(finite))
+            raise ValueError(f"warm_start must be finite; step {step} is {torques[step]}")
     torques = _project_rows(system, torques)
 
     reuse = None if previous is None else previous._reuse
-    if reuse is not None and reuse.system is system and len(previous.torques) == config.horizon:
-        hessian, carried = reuse.hessian, reuse.gradient
-    else:
-        hessian, carried = _horizon_hessian(system.quadratic_model, config.horizon), None
+    if reuse is None or reuse.system is not system or len(previous.torques) != config.horizon:
+        reuse = _Reuse(system, _horizon_hessian(system.quadratic_model, config.horizon), None)
+    hessian, carried = reuse.hessian, reuse.tails
+    if carried is not None and not (
+        # States are opaque: compare whatever arrays they are made of.
+        np.array_equal(np.asarray(x0), np.asarray(previous.states[1]))
+        and np.array_equal(torques[:-1], previous.torques[1:])
+    ):
+        carried = None
     weight = PENALTY_WEIGHT
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight, carried)
         carried = None
-        torques, iterations, kkt = _quasi_newton_descent(
-            objective, system, torques, settings, hessian
-        )
+        torques, iterations, kkt = _quasi_newton_descent(objective, torques, settings, hessian)
         total_iterations += iterations
-        try:
-            _, data, violation = objective.details(torques)
-        except NotSolvable as err:
-            raise RolloutFailure(f"prediction rollout failed: {err}") from err
+        rollout = _predict(system, x0, torques)
+        violation = objective.violation(rollout)
         if violation <= settings.constraint_tol:
             break
         weight *= PENALTY_GROWTH
 
-    # An ftol_rel stop returns torques that no gradient was taken at.
-    last = objective.last
-    if last is not None and not np.array_equal(last.torques, torques):
-        last = None
-    cost = float(data.stage.sum() + data.terminal)
     return OcpSolution(
         torques=torques,
-        cost=cost,
-        terminal_value=float(data.terminal),
+        cost=rollout.cost,
+        terminal_value=float(rollout.terminal),
         feasible=bool(violation <= settings.constraint_tol),
         iterations=total_iterations,
         kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
-        states=tuple(data.states),
-        shortfalls=data.shortfalls,
-        _reuse=_Reuse(system, hessian, last),
+        states=tuple(rollout.states),
+        shortfalls=rollout.shortfall_array,
+        # An ftol_rel stop returns torques that no gradient was taken at.
+        _reuse=_Reuse(system, hessian, None if kkt is None else objective.last),
     )
 
 

@@ -8,7 +8,7 @@ from so3mpc.attitude import (
     rest_state,
     spinning_state,
 )
-from so3mpc.errors import NotPositiveDefinite, OutOfChart
+from so3mpc.errors import NotPositiveDefinite, NotRotation, OutOfChart
 from so3mpc.lgvi import MARGIN_CUTOFF, SpacecraftState, lgvi_step
 from so3mpc.mpc import SolverSettings
 from so3mpc.so3 import exp_so3
@@ -169,6 +169,24 @@ class TestEstimator:
     def test_fit_rejects_bad_inertia(self):
         with pytest.raises(NotPositiveDefinite):
             AttitudeMpc(inertia=np.diag([1.0, -1.0, 1.0])).fit()
+
+    @pytest.mark.parametrize("method", ["solve", "predict", "predict batch", "simulate"])
+    @pytest.mark.parametrize("bad", ["nan", "off orthogonal"])
+    def test_rejects_bad_attitude_naming_g(self, method, bad):
+        # Unchecked, a NaN attitude reached the margin's eigvalsh and raised
+        # numpy's LinAlgError.
+        est = AttitudeMpc(horizon=4, terminal_samples=200).fit()
+        g = np.eye(3)
+        g[0, 1] = np.nan if bad == "nan" else 1e-6
+        state = SpacecraftState(g, np.eye(3))
+        calls = {
+            "solve": lambda: est.solve(state),
+            "predict": lambda: est.predict(state),
+            "predict batch": lambda: est.predict([SpacecraftState.identity(), state]),
+            "simulate": lambda: est.simulate(state, 2),
+        }
+        with pytest.raises((ValueError, NotRotation), match=r"^g (must be finite|is not orthogonal)"):
+            calls[method]()
 
     def test_simulate_short_run(self):
         est = AttitudeMpc(

@@ -3,8 +3,9 @@
 ``oracle_projected_gradient`` is the projected-gradient descent with
 Barzilai-Borwein steps that the package used before its limited-memory
 quasi-Newton descents, and ``OracleObjective`` the central-difference
-gradient rolling every perturbed tail out through ``_rollout_data`` with
-its states list and shortfall array.  The two descents stop at different
+gradient rolling every perturbed tail out in full through
+``rollout_data``, with its states list and shortfall array, and
+valuing it through ``reference_value``.  The two descents stop at different
 points, so they are compared by what a solve must deliver, not bit for bit:
 the package's solve is feasible whenever the reference's is, ends no higher
 on the penalized objective than ``ftol_rel`` allows and evaluates no more
@@ -32,8 +33,8 @@ from so3mpc.mpc import (
     _kkt_residual,
     _Objective,
     _project_rows,
-    _rollout_data,
-    _Tail,
+    _roll_on,
+    _Rollout,
     closed_loop,
     solve_ocp,
     warm_start_shift,
@@ -42,30 +43,65 @@ from so3mpc.mpc import (
 from conftest import H_REF, BoundedStepIntegrator, assert_same_tail
 
 
+class RolloutData(NamedTuple):
+    states: list
+    stage: np.ndarray
+    shortfalls: np.ndarray
+    terminal: float
+
+
+def rollout_data(system, x0, torques) -> RolloutData:
+    """Roll out from ``x0`` in one piece, building the shortfall array even
+    when it stays zero; :class:`~so3mpc.errors.NotSolvable` from a step is
+    raised again naming the step."""
+    floor = system.step_margin_floor
+    states = [x0]
+    stage = np.empty(len(torques))
+    shortfalls = np.zeros(len(torques))
+    x = x0
+    for i, u in enumerate(torques):
+        stage[i] = system.stage_cost(x, u)
+        try:
+            x, margin = system.step_with_margin(x, u)
+        except NotSolvable as err:
+            raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
+        if margin < floor:
+            shortfalls[i] = floor - margin
+        states.append(x)
+    return RolloutData(states, stage, shortfalls, system.terminal_cost(x))
+
+
+def reference_value(objective, data, stage_prefix=0.0, short_prefix=0.0):
+    """Penalized value of a rollout whose first steps are summed in the
+    prefixes and whose last ones are the reference rollout ``data``."""
+    excess = max(0.0, data.terminal - objective.level)
+    penalty = excess**2 + (short_prefix + (data.shortfalls**2).sum())
+    return float(stage_prefix + data.stage.sum() + data.terminal + objective.weight * penalty)
+
+
+def reference_violation(objective, data):
+    return max(max(0.0, data.terminal - objective.level), float(data.shortfalls.max(initial=0.0)))
+
+
 def oracle_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
-    """The tail value through a full :func:`_rollout_data`."""
+    """The tail value through a full :func:`rollout_data`."""
     try:
-        data = _rollout_data(objective.system, x_start, tail)
+        data = rollout_data(objective.system, x_start, tail)
     except NotSolvable:
         return math.inf
-    return objective._value(
-        stage_prefix + data.stage.sum(),
-        short_prefix + (data.shortfalls**2).sum(),
-        data.terminal,
-    )
+    return reference_value(objective, data, stage_prefix, short_prefix)
 
 
 class OracleObjective(_Objective):
-    """:class:`_Objective` with the reference gradient and tail value."""
+    """:class:`_Objective` with the reference gradient and tail value.  It
+    rolls its base out itself: a handed-over rollout is the package's."""
 
     def gradient(self, torques, base=None):
-        data = base
-        if data is None:
-            try:
-                data = _rollout_data(self.system, self.x0, torques)
-            except NotSolvable as err:
-                raise RolloutFailure(f"prediction rollout failed: {err}") from err
-        base_value = self._data_value(data)
+        try:
+            data = rollout_data(self.system, self.x0, torques)
+        except NotSolvable as err:
+            raise RolloutFailure(f"prediction rollout failed: {err}") from err
+        base_value = reference_value(self, data)
         stage_prefix = np.concatenate([[0.0], np.cumsum(data.stage)])
         short_prefix = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)])
         n, m = torques.shape
@@ -98,11 +134,12 @@ class OracleObjective(_Objective):
         return grad, base_value
 
 
-def oracle_projected_gradient(objective, system, torques, settings, _hessian=None):
+def oracle_projected_gradient(objective, torques, settings, _hessian=None):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns.  It
     takes the package descent's arguments and ignores its Hessian."""
+    system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = mpc.STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
@@ -195,7 +232,8 @@ def counted_solve(system, x0, config, warm_start=None, oracle=False):
 
 
 def penalized_value(system, x0, torques, weight):
-    return _Objective(system, x0, weight).details(torques)[0]
+    objective = _Objective(system, x0, weight)
+    return reference_value(objective, rollout_data(system, x0, torques))
 
 
 def check_against_oracle(system, x0, config, warm_start=None, strict=True):
@@ -229,7 +267,8 @@ def check_against_oracle(system, x0, config, warm_start=None, strict=True):
         assert new.gradients <= old.gradients
     assert new.solution.kkt_residual == new.residuals[-1]
     # The package's report describes its own final torques.
-    _, data, violation = _Objective(system, x0, new.rounds[-1][0]).details(new.solution.torques)
+    data = rollout_data(system, x0, new.solution.torques)
+    violation = reference_violation(_Objective(system, x0, new.rounds[-1][0]), data)
     assert repr(new.solution.violation) == repr(violation)
     assert repr(new.solution.cost) == repr(float(data.stage.sum() + data.terminal))
     return new
@@ -343,16 +382,24 @@ class TestGradientCount:
         assert new <= 0.33 * old
 
 
+def lean_tail(objective, x_start, tail):
+    """A tail as the package's gradient runs it: its end state only, and
+    ``None`` when unsolvable."""
+    try:
+        return _roll_on(objective.system, _Rollout.at(x_start), tail, end_only=True)
+    except NotSolvable:
+        return None
+
+
 def lean_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
     """The tail value as the package's gradient computes it."""
-    raw = objective._run_tail(_Tail.at(x_start), tail)
-    return objective._tail_value(raw, stage_prefix, short_prefix)
+    return objective.value(lean_tail(objective, x_start, tail), stage_prefix, short_prefix)
 
 
 class TestLeanTailValue:
-    """The value of a tail from ``_Objective._run_tail`` against the value
-    built from a full :func:`_rollout_data` of the same tail, and a tail run
-    in two pieces against the same tail run in one."""
+    """The value of a tail from the package's rollout runner against the
+    value of a full :func:`rollout_data` of the same tail, and a tail
+    run in two pieces against the same tail run in one."""
 
     def test_matches_rollout_data_where_margins_fall_short(self, ref_design):
         # From rest, a first torque of 199.1-199.9 N m about z leaves a margin
@@ -371,7 +418,7 @@ class TestLeanTailValue:
             expected = oracle_tail_value(objective, x, tail, stage_prefix, short_prefix)
             assert repr(value) == repr(expected)
             if math.isfinite(value):
-                short_tails += bool(_rollout_data(system, x, tail).shortfalls.any())
+                short_tails += bool(rollout_data(system, x, tail).shortfalls.any())
         assert short_tails >= 10
 
     def test_matches_rollout_data_without_shortfall(self, ref_system):
@@ -381,6 +428,11 @@ class TestLeanTailValue:
         for prefixes in [(0.0, 0.0), (3.25, 0.0), (1.5, 2e-7)]:
             value = lean_tail_value(objective, x, tail, *prefixes)
             assert repr(value) == repr(oracle_tail_value(objective, x, tail, *prefixes))
+        full = _roll_on(ref_system, _Rollout.at(x), tail)
+        reference = rollout_data(ref_system, x, tail)
+        assert not reference.shortfalls.any()
+        assert_same_tail(full, reference._replace(shortfalls=None))
+        assert_same_tail(lean_tail(objective, x, tail), full._replace(states=full.states[-1:]))
 
     def test_unsolvable_tail_is_infinite(self, ref_system):
         bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4)
@@ -390,7 +442,9 @@ class TestLeanTailValue:
         torques = np.zeros((3, 3))
         torques[1] = [0.0, 0.0, 5e3]
         assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0, 0.0) == math.inf
-        assert attitude._run_tail(_Tail.at(SpacecraftState.identity()), torques) is None
+        with pytest.raises(NotSolvable, match="rollout failed at step 1") as excinfo:
+            _roll_on(ref_system, _Rollout.at(SpacecraftState.identity()), torques)
+        assert excinfo.value.step == 1
 
     def test_tail_run_on_equals_tail_run_at_once(self, ref_design):
         # The same near-floor tails as above, split after each step: the
@@ -403,11 +457,14 @@ class TestLeanTailValue:
             x = rest_state(rng.uniform(-0.3, 0.3, 3))
             tail = rng.uniform(-1.0, 1.0, (6, 3))
             tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
-            whole = objective._run_tail(_Tail.at(x), tail)
+            whole = lean_tail(objective, x, tail)
             seen["unsolvable"] += whole is None
             seen["short"] += whole is not None and whole.shortfalls is not None
             for k in range(1, len(tail)):
-                head = objective._run_tail(_Tail.at(x), tail[:k])
-                run_on = None if head is None else objective._run_tail(head, tail[k:])
+                head = lean_tail(objective, x, tail[:k])
+                try:
+                    run_on = None if head is None else _roll_on(system, head, tail[k:], end_only=True)
+                except NotSolvable:
+                    run_on = None
                 assert_same_tail(run_on, whole)
         assert seen["short"] >= 5 and seen["unsolvable"] >= 1

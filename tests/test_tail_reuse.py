@@ -18,6 +18,7 @@ from so3mpc.mpc import (
     MpcConfig,
     SolverSettings,
     _Objective,
+    _predict,
     closed_loop,
     horizon_cost,
     solve_ocp,
@@ -111,7 +112,7 @@ class TestCarriedGradient:
         previous = _Objective(system, x0, PENALTY_WEIGHT)
         previous.gradient(torques)
         carried_tails = previous.last
-        successor = carried_tails.successor
+        successor = _predict(system, x0, torques).states[1]
         # The raw tails do not depend on the weight, so they carry from one
         # penalty round to another.
         carried = _Objective(system, successor, 10.0 * PENALTY_WEIGHT, carried_tails)
@@ -124,13 +125,13 @@ class TestCarriedGradient:
         fresh_grad, fresh_value = fresh.gradient(shifted)
         assert np.array_equal(grad, fresh_grad)
         assert repr(value) == repr(fresh_value)
-        for row, fresh_row in zip(carried.last.tails, fresh.last.tails):
+        for row, fresh_row in zip(carried.last, fresh.last):
             for tail, fresh_tail in zip(row, fresh_row):
                 assert_same_tail(tail, fresh_tail)
         # The base rollout, one step per solvable carried tail, and one per
         # tail of the appended control.
         n, m = shifted.shape
-        solvable = sum(tail is not None for row in carried_tails.tails[1:] for tail in row)
+        solvable = sum(tail is not None for row in carried_tails[1:] for tail in row)
         assert carried_steps == n + solvable + 2 * m
         assert carried.carried is None
 
@@ -139,7 +140,7 @@ class TestCarriedGradient:
         torques[1, 2] = 200.0 - 5e-7
         objective = _Objective(ref_system, SpacecraftState.identity(), PENALTY_WEIGHT)
         objective.gradient(torques)
-        tails = [tail for row in objective.last.tails[1:] for tail in row]
+        tails = [tail for row in objective.last[1:] for tail in row]
         assert sum(tail is None for tail in tails) >= 5
         assert sum(tail is not None and tail.shortfalls is not None for tail in tails) >= 20
 
@@ -198,7 +199,7 @@ class TestCarriedSolve:
     def test_ftol_rel_stop_keeps_no_tails(self, ref_system):
         solution = solve_ocp(ref_system, rest_state([0.4, 0.1, -0.2]), MpcConfig(horizon=6))
         assert solution.kkt_residual is None
-        assert solution._reuse.gradient is None
+        assert solution._reuse.tails is None
         assert solution._reuse.hessian.shape == (18, 18)
 
 
