@@ -21,7 +21,6 @@ from .errors import (
     NoFeasibleLevel,
     NotPositiveDefinite,
     NotRotation,
-    NotSkewSymmetric,
     NotSolvable,
     NotStabilizable,
     OutOfChart,
@@ -72,7 +71,6 @@ __all__ = [
     "NoFeasibleLevel",
     "NotPositiveDefinite",
     "NotRotation",
-    "NotSkewSymmetric",
     "NotSolvable",
     "NotStabilizable",
     "OcpSolution",

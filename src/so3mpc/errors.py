@@ -7,10 +7,6 @@ class So3MpcError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class NotSkewSymmetric(So3MpcError):
-    """A matrix that must be skew-symmetric is not, beyond tolerance."""
-
-
 class NotRotation(So3MpcError):
     """A matrix that must lie in SO(3) violates orthogonality or orientation."""
 

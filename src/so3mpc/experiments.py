@@ -216,27 +216,25 @@ def certify_local_law(
     torque_bound: float,
     n_samples: int = DEFAULT_TERMINAL_SAMPLES,
     seed: int = 20_000,
-    level: Optional[float] = None,
 ) -> ExperimentReport:
     """Re-run the terminal-set conditions on fresh samples.
 
-    Checks, at the calibrated level (or an explicit override), that the local
-    law respects the torque bound, maps the set into itself, and decreases
-    the terminal cost by at least the stage cost.  Raises ``ValueError`` when
-    ``n_samples`` is below 1 and :class:`~so3mpc.errors.OutOfChart` when the
-    level lies above the chart ceiling of the terminal ellipsoid.
+    Checks, at the calibrated level, that the local law respects the torque
+    bound, maps the set into itself, and decreases the terminal cost by at
+    least the stage cost.  Raises ``ValueError`` when ``n_samples`` is below
+    1 and :class:`~so3mpc.errors.OutOfChart` when the level lies above the
+    chart ceiling of the terminal ellipsoid.
     """
     rng = np.random.default_rng(seed)
     samples = _ellipsoid_samples(design.P, n_samples, rng)
-    target_level = design.c if level is None else float(level)
     margins = evaluate_level(
         design.P, design.K, design.weights, design.h, design.inertia,
-        torque_bound, target_level, samples,
+        torque_bound, design.c, samples,
     )
     report = ExperimentReport(
         name="local-law",
         seed=seed,
-        config={"level": target_level, "n_samples": n_samples, "torque_bound": torque_bound},
+        config={"level": design.c, "n_samples": n_samples, "torque_bound": torque_bound},
     )
     report.add("torque bound respected on terminal set", margins["torque"] <= 0.0, margins["torque"])
     report.add("terminal set invariant under local law", margins["invariance"] <= 0.0, margins["invariance"])

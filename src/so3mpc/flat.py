@@ -71,6 +71,3 @@ class DoubleIntegratorSystem(ManifoldSystem):
         if not np.isfinite(self.control_bound):
             return u
         return np.clip(u, -self.control_bound, self.control_bound)
-
-    def with_terminal_level(self, level: float) -> "DoubleIntegratorSystem":
-        return DoubleIntegratorSystem(terminal_level=level, control_bound=self.control_bound)

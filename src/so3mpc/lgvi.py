@@ -62,9 +62,9 @@ def check_state(state: SpacecraftState) -> SpacecraftState:
 
 
 def _momentum(f, tau, hh, j):
-    """m = vee(J f - f^T J) + hh tau, the vector of the skew momentum M, from
-    the entries of f, tau and J: Python floats for one step, arrays with one
-    element per row for a stack, as in the Newton formulas below."""
+    """m = a + hh tau with hat(a) = J f - f^T J, the vector of the skew
+    momentum M, from the entries of f, tau and J: Python floats for one step,
+    arrays with one element per row for a stack, as in the Newton formulas."""
     (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = f
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
     t0, t1, t2 = tau
@@ -73,31 +73,6 @@ def _momentum(f, tau, hh, j):
         (j00 * f02 + j01 * f12 + j02 * f22) - (f00 * j02 + f10 * j12 + f20 * j22) + hh * t1,
         (j10 * f00 + j11 * f10 + j12 * f20) - (f01 * j00 + f11 * j10 + f21 * j20) + hh * t2,
     )
-
-
-def _entries(a, dims: int):
-    """The entries of ``a`` over its last ``dims`` axes, each an array over
-    the leading axes (a float for a single matrix or vector)."""
-    if a.ndim == dims:
-        return a.tolist()
-    return np.moveaxis(a, tuple(range(-dims, 0)), tuple(range(dims)))
-
-
-def _momentum_vector(state: SpacecraftState, torque, h: float, inertia) -> np.ndarray:
-    """m = vee(J f - f^T J) + h^2 torque, the vector of the skew momentum
-    M = J f - f^T J + h^2 hat(torque) that drives the implicit update.
-
-    Takes a stack of states and torques too: increments of shape
-    (..., 3, 3) and torques of shape (..., 3) give shape (..., 3).
-    """
-    torque = np.asarray(torque, dtype=float)
-    m = _momentum(
-        _entries(state.f, 2),
-        _entries(torque, 1),
-        h * h,
-        _entries(np.asarray(inertia, dtype=float), 2),
-    )
-    return np.stack(m, axis=-1)
 
 
 def _step_margin(momentum, inertia: np.ndarray):
@@ -396,12 +371,13 @@ def rollout(
 
 
 def body_rate(state: SpacecraftState, h: float) -> np.ndarray:
-    """Angular velocity vee(log f) / h implied by the increment."""
+    """Angular velocity log_so3(f) / h implied by the increment."""
     return log_so3(state.f) / h
 
 
 def spatial_momentum(state: SpacecraftState, inertia) -> np.ndarray:
-    """Momentum g vee(f J - J f^T), constant along torque-free trajectories."""
+    """Momentum g a, with hat(a) = f J - J f^T, constant along torque-free
+    trajectories."""
     inertia = np.asarray(inertia, dtype=float)
     a = state.f @ inertia - inertia @ state.f.T
     vec = 0.5 * np.array(

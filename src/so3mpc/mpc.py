@@ -34,6 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
+from .validation import is_number
 
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
@@ -94,10 +95,6 @@ class ManifoldSystem(abc.ABC):
     def equilibrium_state(self):
         """State fixed by the dynamics under the equilibrium control."""
 
-    @property
-    def equilibrium_control(self) -> np.ndarray:
-        return np.zeros(self.control_dim)
-
     @abc.abstractmethod
     def stage_cost(self, x, u) -> float:
         """Running cost; zero exactly at the equilibrium pair."""
@@ -120,8 +117,8 @@ class ManifoldSystem(abc.ABC):
 
     def steering_control(self, x) -> np.ndarray:
         """Heuristic control used to build cold-start guesses; defaults to
-        the equilibrium control."""
-        return self.equilibrium_control
+        zero, the equilibrium control."""
+        return np.zeros(self.control_dim)
 
     def project_control(self, u) -> np.ndarray:
         """Exact projection onto the control set; identity by default."""
@@ -171,12 +168,8 @@ class SolverSettings:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in ("grad_tol", "ftol_rel", "constraint_tol"):
             value = getattr(self, name)
-            if not _is_real(value) or not 0.0 < value < math.inf:
+            if not is_number(value) or not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -312,18 +305,26 @@ def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
 
 def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
     """Cost of a candidate control sequence: summed stage costs plus the
-    terminal penalty at the rolled-out endpoint."""
-    return _predict(system, x0, _as_control_array(torques, system.control_dim)).cost
+    terminal penalty at the rolled-out endpoint.  Controls of the wrong shape
+    or with a non-finite entry raise ``ValueError``."""
+    return _predict(system, x0, _as_control_array(torques, system.control_dim, "torques")).cost
 
 
-def _as_control_array(torques, control_dim: int) -> np.ndarray:
+def _as_control_array(torques, control_dim: int, name: str) -> np.ndarray:
+    """``torques`` as an (n, control_dim) float array, checked before any
+    rollout: a wrong shape, or a NaN or infinity, raises ``ValueError``
+    naming ``name`` and the first step with a non-finite entry."""
     arr = np.asarray(torques, dtype=float)
     if arr.size == 0:
         return arr.reshape(0, control_dim)
     if arr.ndim == 1:
         arr = arr.reshape(-1, control_dim)
     if arr.ndim != 2 or arr.shape[1] != control_dim:
-        raise ValueError(f"controls must have shape (n, {control_dim}), got {arr.shape}")
+        raise ValueError(f"{name} must have shape (n, {control_dim}), got {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise ValueError(f"{name} must be finite; step {step} is {arr[step]}")
     return arr
 
 
@@ -628,13 +629,9 @@ def solve_ocp(
     if warm_start is None:
         torques = steering_rollout(system, x0, config.horizon)
     else:
-        torques = _as_control_array(np.array(warm_start, dtype=float, copy=True), system.control_dim)
+        torques = _as_control_array(np.array(warm_start, dtype=float, copy=True), system.control_dim, "warm_start")
         if torques.shape[0] != config.horizon:
             raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
-        finite = np.isfinite(torques).all(axis=1)
-        if not finite.all():
-            step = int(np.argmin(finite))
-            raise ValueError(f"warm_start must be finite; step {step} is {torques[step]}")
     torques = _project_rows(system, torques)
 
     reuse = None if previous is None else previous._reuse
@@ -695,13 +692,16 @@ class MpcController:
     def __init__(self, system: ManifoldSystem, config: MpcConfig):
         self.system = system
         self.config = config
+        # The last feasible solution, and its shift once asked for.
         self._previous: Optional[OcpSolution] = None
+        self._candidate: Optional[np.ndarray] = None
 
     def candidate_sequence(self) -> Optional[np.ndarray]:
-        """Shifted candidate from the previous solve, if one exists."""
-        if self._previous is None or not self._previous.feasible:
-            return None
-        return warm_start_shift(self._previous, self.system)
+        """Shifted candidate from the previous solve, if one exists; it is
+        computed once per solve, however often it is asked for."""
+        if self._candidate is None and self._previous is not None:
+            self._candidate = warm_start_shift(self._previous, self.system)
+        return self._candidate
 
     def step(self, x) -> tuple[np.ndarray, OcpSolution]:
         """Solve at ``x`` and return the first control of the solution.
@@ -718,6 +718,7 @@ class MpcController:
         """
         warm = self.candidate_sequence()
         solution = solve_ocp(self.system, x, self.config, warm_start=warm, previous=self._previous)
+        self._candidate = None
         if not solution.feasible:
             self._previous = None
             raise Infeasible(

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from .validation import check_skew
-
 SMALL_ANGLE = 1e-8
 # Width of the band around 180 degrees where the axis is recovered from the
 # symmetric part of R instead of the (vanishing) antisymmetric part.  Outside
@@ -54,16 +52,6 @@ def hat(v) -> np.ndarray:
             [-v[1], v[0], 0.0],
         ]
     )
-
-
-def vee(s) -> np.ndarray:
-    """Inverse of :func:`hat`.
-
-    Raises :class:`~so3mpc.errors.NotSkewSymmetric` if ``s`` is not
-    skew-symmetric within ``validation.SKEW_ATOL``.
-    """
-    s = check_skew(s, "S")
-    return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
 def exp_so3(v) -> np.ndarray:

@@ -24,9 +24,9 @@ from .errors import (
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum_vector
+from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum
 from .so3 import _log_so3_pair, exp_so3_rows, log_so3_rows
-from .validation import check_spd
+from .validation import SPD_SYMMETRY_RTOL, check_spd
 
 _EYE3 = np.eye(3)
 
@@ -71,7 +71,7 @@ class StageWeights:
         )
         object.__setattr__(
             self,
-            "_entries",
+            "_weight_entries",
             (self.attitude.tolist(), self.rate.tolist(), tilde_transform(self.torque).tolist()),
         )
 
@@ -89,7 +89,7 @@ class StageWeights:
             g, f, u = state.g.tolist(), state.f.tolist(), torque.tolist()
         else:
             g, f, u = state.g.transpose(1, 2, 0), state.f.transpose(1, 2, 0), torque.T
-        attitude, rate, torque_tilde = self._entries
+        attitude, rate, torque_tilde = self._weight_entries
         trace_att, trace_rate = self._traces
         g_term = trace_att - _trace_product(attitude, g)
         f_term = (trace_rate - _trace_product(rate, f)) / (h * h)
@@ -160,7 +160,7 @@ def tilde_transform(q) -> np.ndarray:
     eigenvalues, so positive-definite inputs stay positive-definite.
     """
     q = np.asarray(q, dtype=float)
-    if np.linalg.norm(q - q.T) > 1e-12 * max(1.0, np.linalg.norm(q)):
+    if np.linalg.norm(q - q.T) > SPD_SYMMETRY_RTOL * max(1.0, np.linalg.norm(q)):
         raise ValueError("tilde_transform requires a symmetric matrix")
     return np.trace(q) * np.eye(q.shape[0]) - q
 
@@ -438,7 +438,8 @@ def evaluate_level(
     state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
     coords = coordinates(state, h)
     torque = feedback(design_k, coords)
-    f_next, margins = _implicit_increments(_momentum_vector(state, torque, h, inertia), inertia)
+    momentum = np.stack(_momentum(state.f.transpose(1, 2, 0), torque.T, h * h, inertia.tolist()), axis=-1)
+    f_next, margins = _implicit_increments(momentum, inertia)
     worst_invariance = -np.inf
     solvable = margins >= 0.0
     if not solvable.all():

@@ -6,11 +6,11 @@ import numbers
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NotRotation, NotSkewSymmetric
+from .errors import ConfigError, NotPositiveDefinite, NotRotation
 
 ROTATION_ATOL = 1e-9
-SKEW_ATOL = 1e-12
-# Asymmetry allowed by check_spd, relative to max(1, ||A||_F).
+# Asymmetry allowed in a matrix that must be symmetric (check_spd and
+# terminal.tilde_transform), relative to max(1, ||A||_F).
 SPD_SYMMETRY_RTOL = 1e-12
 
 
@@ -43,14 +43,6 @@ def check_rotation(r, name: str = "R") -> np.ndarray:
     det = np.linalg.det(arr)
     if abs(det - 1.0) > ROTATION_ATOL:
         raise NotRotation(f"{name} has det = {det:.12f}, expected 1")
-    return arr
-
-
-def check_skew(s, name: str = "S") -> np.ndarray:
-    arr = check_matrix3(s, name)
-    gap = np.linalg.norm(arr + arr.T)
-    if gap > SKEW_ATOL:
-        raise NotSkewSymmetric(f"{name} is not skew-symmetric: ||S + S^T||_F = {gap:.3e}")
     return arr
 
 

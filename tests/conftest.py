@@ -6,7 +6,7 @@ import pytest
 from so3mpc.attitude import SpacecraftAttitudeSystem
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
-from so3mpc.lgvi import _momentum_vector, _step_margin
+from so3mpc.lgvi import _momentum, _step_margin
 from so3mpc.so3 import hat
 from so3mpc.terminal import default_weights, design_terminal
 
@@ -15,10 +15,22 @@ H_REF = 0.1
 TORQUE_BOUND_REF = 100.0
 
 
+def momentum_vector(state, torque, h, inertia):
+    """The vector of the skew momentum M = J f - f^T J + h^2 hat(torque) that
+    drives the implicit update, by the step's own formula: for one state, or
+    for increments of shape (..., 3, 3) and torques of shape (..., 3)."""
+    f, torque = np.asarray(state.f, dtype=float), np.asarray(torque, dtype=float)
+    j = np.asarray(inertia, dtype=float).tolist()
+    if f.ndim == 2:
+        return np.array(_momentum(f.tolist(), torque.tolist(), h * h, j))
+    m = _momentum(np.moveaxis(f, (-2, -1), (0, 1)), np.moveaxis(torque, -1, 0), h * h, j)
+    return np.stack(m, axis=-1)
+
+
 def momentum_matrix(state, torque, h, inertia):
     """Skew matrix J f - f^T J + h^2 hat(torque) driving the implicit update,
     for one state or a stack."""
-    return hat(_momentum_vector(state, torque, h, inertia))
+    return hat(momentum_vector(state, torque, h, inertia))
 
 
 def implicit_residual(next_state, momentum, inertia):

@@ -221,7 +221,7 @@ def test_criterion_7_generic_layer_lqr_oracle():
     value_oracle = float(x0 @ p_oracle @ x0)
     control_oracle = float(-(k_oracle @ x0)[0])
 
-    bounded = flat.with_terminal_level(2.0 * value_oracle)
+    bounded = DoubleIntegratorSystem(terminal_level=2.0 * value_oracle)
     solution = solve_ocp(
         bounded, x0,
         MpcConfig(horizon=10, solver=SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)),

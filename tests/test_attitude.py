@@ -19,7 +19,7 @@ from conftest import H_REF, J_REF
 class TestAttitudeSystem:
     def test_equilibrium_contract(self, ref_system):
         x_e = ref_system.equilibrium_state
-        u_e = ref_system.equilibrium_control
+        u_e = np.zeros(ref_system.control_dim)
         nxt = ref_system.step(x_e, u_e)
         assert ref_system.distance(nxt, x_e) <= 1e-10
         assert ref_system.stage_cost(x_e, u_e) == 0.0

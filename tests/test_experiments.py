@@ -20,6 +20,7 @@ from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import MpcConfig, SolverSettings, closed_loop
 from so3mpc.so3 import exp_so3
+from so3mpc.terminal import _ellipsoid_samples, evaluate_level
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF
 
@@ -76,10 +77,11 @@ class TestLocalLawSuite:
     def test_inflated_level_fails(self, ref_design):
         # 100 c lies above the chart ceiling: its samples would wrap around
         # the exponential map and report the margins of other states.
+        samples = _ellipsoid_samples(ref_design.P, 500, np.random.default_rng(7))
         with pytest.raises(OutOfChart):
-            certify_local_law(
-                ref_design, TORQUE_BOUND_REF, n_samples=500, seed=7,
-                level=100.0 * ref_design.c,
+            evaluate_level(
+                ref_design.P, ref_design.K, ref_design.weights, ref_design.h, ref_design.inertia,
+                TORQUE_BOUND_REF, 100.0 * ref_design.c, samples,
             )
 
     def test_tight_torque_bound_fails(self, ref_design):

@@ -16,7 +16,6 @@ from so3mpc.lgvi import (
     _margin,
     _margin_bound,
     _margins,
-    _momentum_vector,
     free_momentum_drift,
     lgvi_step,
     orthogonality_drift,
@@ -26,7 +25,7 @@ from so3mpc.lgvi import (
 )
 from so3mpc.so3 import exp_so3, hat
 
-from conftest import check_solvability, implicit_residual, momentum_matrix
+from conftest import check_solvability, implicit_residual, momentum_matrix, momentum_vector
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H = 0.1
@@ -369,7 +368,7 @@ class TestInertiaConstantsCache:
 
     def check_step(self, inertia):
         nxt, margin = step_with_margin(self.state, self.tau, H, inertia)
-        m = _momentum_vector(self.state, self.tau, H, inertia)
+        m = momentum_vector(self.state, self.tau, H, inertia)
         increments, margins = _implicit_increments(m[None], inertia.copy())
         assert np.array_equal(nxt.f, increments[0])
         assert margin == margins[0]

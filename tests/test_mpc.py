@@ -13,10 +13,12 @@ from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
     PENALTY_WEIGHT,
+    ManifoldSystem,
     MpcConfig,
     _Objective,
     _project_rows,
     MpcController,
+    QuadraticModel,
     SolverSettings,
     _horizon_hessian,
     closed_loop,
@@ -62,11 +64,63 @@ class KnifeEdgeIntegrator(DoubleIntegratorSystem):
         return super().step(x, u)
 
 
+class ScalarIntegrator(ManifoldSystem):
+    """x+ = x + u with stage cost x^2 + u^2 and the Riccati terminal cost
+    P x^2, P = (1 + sqrt 5) / 2: a system that keeps every default of the
+    contract (steering control, control projection, margin floor)."""
+
+    control_dim = 1
+    P = (1.0 + math.sqrt(5.0)) / 2.0
+
+    def __init__(self):
+        one = np.ones((1, 1))
+        self.quadratic_model = QuadraticModel(one, one, 2.0 * one, 2.0 * one, 2.0 * self.P * one)
+
+    def step(self, x, u):
+        return x + u
+
+    def distance(self, x1, x2):
+        return float(np.linalg.norm(x1 - x2))
+
+    @property
+    def equilibrium_state(self):
+        return np.zeros(1)
+
+    def stage_cost(self, x, u):
+        return float(x @ x + u @ u)
+
+    def terminal_cost(self, x):
+        return float(self.P * x @ x)
+
+    @property
+    def terminal_level(self):
+        return 1e6
+
+    def local_law(self, x):
+        return -self.P / (1.0 + self.P) * x
+
+
+class TestContractDefaults:
+    def test_cold_solve_matches_lqr(self):
+        system = ScalarIntegrator()
+        x0 = np.array([0.7])
+        assert_allclose(system.steering_control(x0), [0.0])
+        assert_allclose(system.project_control([5.0]), [5.0])
+        assert system.step_margin_floor == 0.0
+        # The cold start is the steering rollout of zero controls.
+        assert_allclose(steering_rollout(system, x0, 6), np.zeros((6, 1)))
+        sol = solve_ocp(system, x0, MpcConfig(horizon=6, solver=TIGHT))
+        assert sol.feasible
+        assert not sol.shortfalls.any()
+        assert sol.cost == pytest.approx(system.terminal_cost(x0), rel=1e-9)
+        assert_allclose(sol.first_control, system.local_law(x0), rtol=1e-6)
+
+
 class TestGenericLayerOnFlatSystem:
     def test_equilibrium_invariants(self):
         flat = DoubleIntegratorSystem()
         x_e = flat.equilibrium_state
-        u_e = flat.equilibrium_control
+        u_e = np.zeros(flat.control_dim)
         assert flat.distance(flat.step(x_e, u_e), x_e) <= 1e-10
         assert flat.stage_cost(x_e, u_e) == 0.0
         assert flat.terminal_cost(x_e) == 0.0
@@ -92,7 +146,7 @@ class TestGenericLayerOnFlatSystem:
         # finite-horizon optimum equals the infinite-horizon feedback.
         flat = DoubleIntegratorSystem()
         x0 = np.array([0.8, -0.2])
-        bounded = flat.with_terminal_level(2.0 * flat.terminal_cost(x0))
+        bounded = DoubleIntegratorSystem(terminal_level=2.0 * flat.terminal_cost(x0))
         cfg = MpcConfig(horizon=10, solver=TIGHT)
         sol = solve_ocp(bounded, x0, cfg)
         v_ref = flat.terminal_cost(x0)
@@ -278,6 +332,27 @@ class TestNonFiniteWarmStart:
         warm[[4, 6], 0] = bad
         with pytest.raises(ValueError, match=r"warm_start must be finite; step 4 "):
             solve_ocp(DoubleIntegratorSystem(), np.array([1.0, -0.5]), MpcConfig(horizon=8), warm_start=warm)
+
+
+class TestNonFiniteHorizonCost:
+    """A candidate sequence with a NaN or an infinity is rejected by
+    ``horizon_cost`` as a warm start is, before any rollout."""
+
+    def test_attitude(self, ref_system):
+        # Unchecked, this reached the margin's eigvalsh and raised numpy's
+        # LinAlgError.
+        torques = np.zeros((5, 3))
+        torques[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"torques must be finite; step 2 "):
+            horizon_cost(ref_system, SpacecraftState.identity(), torques)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_double_integrator(self, bad):
+        # Unchecked, an infinity gave a NaN cost and a RuntimeWarning.
+        torques = np.zeros((8, 1))
+        torques[[3, 5], 0] = bad
+        with pytest.raises(ValueError, match=r"torques must be finite; step 3 "):
+            horizon_cost(DoubleIntegratorSystem(), np.array([1.0, -0.5]), torques)
 
 
 class TestRolloutFailureNamesStep:
@@ -539,6 +614,21 @@ class TestController:
 
 
 class TestClosedLoop:
+    def test_one_shift_per_step(self, ref_design):
+        class Counting(SpacecraftAttitudeSystem):
+            calls = 0
+
+            def local_law(self, x):
+                self.calls += 1
+                return super().local_law(x)
+
+        system = Counting(ref_design)
+        run = closed_loop(system, rest_state([0.3, 0.0, 0.1]), MpcConfig(horizon=5), 6)
+        assert run.n_steps == 6
+        # Steps 1 to 5 each shift the previous solution, appending one
+        # local-law control; the candidate cost and the warm start share it.
+        assert system.calls == 5
+
     def test_stays_at_equilibrium(self, ref_system):
         run = closed_loop(
             ref_system, SpacecraftState.identity(), MpcConfig(horizon=5), 5

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from so3mpc.errors import NotSkewSymmetric
 from so3mpc.so3 import (
     NEAR_PI,
     SMALL_ANGLE,
@@ -14,7 +13,6 @@ from so3mpc.so3 import (
     hat,
     log_so3,
     log_so3_rows,
-    vee,
 )
 
 
@@ -51,22 +49,6 @@ class TestHatVee:
             a, b = rng.standard_normal(3), rng.standard_normal(3)
             al, be = rng.standard_normal(2)
             assert_allclose(hat(al * a + be * b), al * hat(a) + be * hat(b), atol=1e-14)
-
-    def test_vee_inverse_example(self):
-        assert_allclose(vee([[0, 0, 0], [0, 0, -1], [0, 1, 0]]), [1, 0, 0])
-
-    def test_vee_zero(self):
-        assert_allclose(vee(np.zeros((3, 3))), [0, 0, 0])
-
-    def test_vee_hat_roundtrip(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            v = rng.standard_normal(3)
-            assert_allclose(vee(hat(v)), v)
-
-    def test_vee_rejects_non_skew(self):
-        with pytest.raises(NotSkewSymmetric):
-            vee(np.eye(3))
 
 
 class TestExpLog:

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from so3mpc.errors import NotPositiveDefinite, NotRotation, NotSkewSymmetric
-from so3mpc.so3 import exp_so3, hat, vee
+from so3mpc.errors import NotPositiveDefinite, NotRotation
+from so3mpc.so3 import exp_so3
 from so3mpc.validation import (
     ROTATION_ATOL,
-    SKEW_ATOL,
     SPD_SYMMETRY_RTOL,
     check_rotation,
     check_spd,
@@ -25,18 +24,6 @@ def test_rotation_tolerance(factor, rejected):
             check_rotation(scaled)
     else:
         check_rotation(scaled)
-
-
-@pytest.mark.parametrize("factor, rejected", [(0.1, False), (10.0, True)])
-def test_skew_tolerance_of_vee(factor, rejected):
-    # One diagonal entry d gives ||S + S^T||_F = 2 d.
-    s = hat([0.4, -1.1, 2.0])
-    s[0, 0] = factor * SKEW_ATOL
-    if rejected:
-        with pytest.raises(NotSkewSymmetric):
-            vee(s)
-    else:
-        np.testing.assert_array_equal(vee(s), [0.4, -1.1, 2.0])
 
 
 @pytest.mark.parametrize("factor, rejected", [(1.0, False), (2.0, True)])
