@@ -3,16 +3,14 @@
 ``SpacecraftAttitudeSystem`` wires the variational integrator, the
 trace-form stage cost, and a calibrated terminal design into the generic
 :class:`~so3mpc.mpc.ManifoldSystem` contract.  ``AttitudeMpc`` wraps the
-whole pipeline behind an estimator-style interface: hyperparameters in the
-constructor, the expensive design work in ``fit``, the control law in
-``predict``, so the controller drops into tooling that expects
-``get_params``/``set_params`` semantics.
+whole pipeline: hyperparameters in the constructor, the expensive design
+work in ``fit``, the control law at one state in ``predict``, and the closed
+loop in ``simulate``.
 """
 
 from __future__ import annotations
 
-import inspect
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -48,8 +46,8 @@ from .terminal import (
     default_weights,
     design_terminal,
     feedback,
+    stage_hessians,
     terminal_value,
-    tilde_transform,
 )
 from .validation import check_spd, check_vector3
 
@@ -83,7 +81,6 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         design: TerminalDesign,
         torque_bound: float = DEFAULT_TORQUE_BOUND,
         solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
-        cut_sign: float = 1.0,
     ):
         self.design = design
         self.inertia = np.asarray(design.inertia, dtype=float)
@@ -92,19 +89,13 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         self.torque_bound, self.solvability_floor = _check_constraints(
             torque_bound, solvability_floor
         )
-        self.cut_sign = float(cut_sign)
         self._equilibrium = SpacecraftState.identity()
         # The trace-form costs are quadratic in exponential coordinates to
         # second order, with the tilde transforms of their weights as
         # Hessians; the terminal cost is exactly quadratic there.
         lin = build_linearization(self.h, self.inertia)
-        zeros = np.zeros((3, 3))
-        state_hessian = np.block([
-            [tilde_transform(self.weights.attitude), zeros],
-            [zeros, tilde_transform(self.weights.rate)],
-        ])
         self.quadratic_model = QuadraticModel(
-            lin.A, lin.B, state_hessian, tilde_transform(self.weights.torque), 2.0 * design.P
+            lin.A, lin.B, *stage_hessians(self.weights), 2.0 * design.P
         )
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
@@ -130,14 +121,14 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return self.weights.stage_cost(x, u, self.h)
 
     def terminal_cost(self, x: SpacecraftState) -> float:
-        return terminal_value(self.design.P, coordinates(x, self.h, self.cut_sign))
+        return terminal_value(self.design.P, coordinates(x, self.h))
 
     @property
     def terminal_level(self) -> float:
         return self.design.c
 
     def local_law(self, x: SpacecraftState) -> np.ndarray:
-        xi = coordinates(x, self.h, self.cut_sign)
+        xi = coordinates(x, self.h)
         if np.linalg.norm(xi[:3]) >= np.pi or self.h * np.linalg.norm(xi[3:]) >= np.pi:
             raise OutOfChart("state lies outside the coordinate chart of the local law")
         return feedback(self.design.K, xi)
@@ -145,7 +136,7 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must
         # produce a deterministic direction even at the branch cut.
-        return feedback(self.design.K, coordinates(x, self.h, self.cut_sign))
+        return feedback(self.design.K, coordinates(x, self.h))
 
     def project_control(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -173,8 +164,7 @@ class AttitudeMpc:
     All hyperparameters are constructor arguments; ``fit`` runs the terminal
     design (Riccati solve, gain, terminal-set calibration) and freezes the
     fitted artifacts on trailing-underscore attributes; ``predict`` evaluates
-    the control law at a state.  ``fit`` takes and ignores the standard
-    ``(X, y)`` arguments so instances compose with pipeline tooling.
+    the control law at one state, and ``simulate`` runs the closed loop.
     """
 
     def __init__(
@@ -191,7 +181,6 @@ class AttitudeMpc:
         terminal_samples: int = DEFAULT_TERMINAL_SAMPLES,
         terminal_shrink: float = DEFAULT_TERMINAL_SHRINK,
         seed: int = 0,
-        cut_sign: float = 1.0,
         solver: Optional[SolverSettings] = None,
     ):
         self.inertia = inertia
@@ -206,24 +195,7 @@ class AttitudeMpc:
         self.terminal_samples = terminal_samples
         self.terminal_shrink = terminal_shrink
         self.seed = seed
-        self.cut_sign = cut_sign
         self.solver = solver
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "AttitudeMpc":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for AttitudeMpc")
-            setattr(self, name, value)
-        return self
 
     def _resolved_weights(self, inertia: np.ndarray) -> StageWeights:
         base = default_weights(inertia)
@@ -238,7 +210,7 @@ class AttitudeMpc:
             self.cost_decay,
         )
 
-    def fit(self, X=None, y=None) -> "AttitudeMpc":
+    def fit(self) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller."""
         _check_constraints(self.torque_bound, self.solvability_floor)
         config = MpcConfig(
@@ -261,7 +233,6 @@ class AttitudeMpc:
             self.design_,
             torque_bound=self.torque_bound,
             solvability_floor=self.solvability_floor,
-            cut_sign=self.cut_sign,
         )
         self.config_ = config
         return self
@@ -275,18 +246,10 @@ class AttitudeMpc:
         self._check_fitted()
         return solve_ocp(self.system_, check_state(state), self.config_, warm_start=warm_start)
 
-    def predict(
-        self, X: Union[SpacecraftState, Iterable[SpacecraftState]]
-    ) -> np.ndarray:
+    def predict(self, state: SpacecraftState) -> np.ndarray:
         """Control law evaluation: the first control of the finite-horizon
-        solution, solved cold so the result is a pure function of the state.
-
-        Accepts a single state or an iterable of states.
-        """
-        self._check_fitted()
-        if isinstance(X, SpacecraftState):
-            return self.solve(X).first_control
-        return np.vstack([self.solve(state).first_control for state in X])
+        solution, solved cold so the result is a pure function of the state."""
+        return self.solve(state).first_control
 
     def simulate(
         self, state0: SpacecraftState, n_steps: int, distance_tol: float = DEFAULT_DISTANCE_TOL

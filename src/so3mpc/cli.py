@@ -363,7 +363,6 @@ def cmd_verify(args) -> int:
                         n_steps=cfg.n_steps,
                         attitude_tol=cfg.distance_tol,
                         out_dir=out_dir,
-                        seed=cfg.seed,
                     )
                 )
             except Infeasible as err:

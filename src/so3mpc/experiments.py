@@ -287,8 +287,6 @@ def probe_discontinuity(
     n_steps: int = 120,
     attitude_tol: float = DEFAULT_DISTANCE_TOL,
     out_dir: Optional[str] = None,
-    cut_sign: float = 1.0,
-    seed: int = 0,
 ) -> ExperimentReport:
     """Two rest-to-rest closed loops straddling the 180-degree branch cut.
 
@@ -300,16 +298,15 @@ def probe_discontinuity(
     """
     report = ExperimentReport(
         name="discontinuity",
-        seed=seed,
+        seed=0,
         config={
             "n_steps": n_steps,
             "attitude_tol": attitude_tol,
             "torque_bound": torque_bound,
             "horizon": config.horizon,
-            "cut_sign": cut_sign,
         },
     )
-    system = SpacecraftAttitudeSystem(design, torque_bound=torque_bound, cut_sign=cut_sign)
+    system = SpacecraftAttitudeSystem(design, torque_bound=torque_bound)
     angles = {"on_cut": np.pi, "off_cut": -0.99 * np.pi}
     runs: dict[str, ClosedLoopRun] = {}
     for label, angle in angles.items():

@@ -13,6 +13,8 @@ entries, and entries that the box holds against an outward gradient take
 the projected-gradient step.  The recursion's initial inverse Hessian is the
 inverse of the model's horizon Hessian on the free entries, scaled by the
 newest curvature pair (Nocedal & Wright, *Numerical Optimization*, ch. 7).
+An Armijo search along the projected path tries each direction from full
+length, and a round ends where that search fails.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -48,8 +50,9 @@ PENALTY_GROWTH = 10.0
 # Sufficient-decrease constant and backtracking factor of the Armijo search.
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
-# Length of the first projected-gradient step of a round, divided by
-# max(1, |grad|), and the bounds on every such step.
+# Length of the first gradient step of a round, divided by max(1, |grad|),
+# and the bounds on every such step; the step picks the entries the box
+# holds and moves them.  STEP_MIN also ends the Armijo search.
 STEP_INIT = 1.0
 STEP_MIN = 1e-14
 STEP_MAX = 1e3
@@ -439,12 +442,13 @@ def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
     return np.vstack([system.project_control(u) for u in torques])
 
 
-def _line_search(objective, torques, value, grad, direction, alpha):
-    """Armijo backtracking along the projected path ``P(torques + alpha *
-    direction)``, measuring the decrease by ``grad`` times the projected
-    step.  Returns the accepted candidate, its value and rollout, or
-    ``None`` once ``alpha`` falls below ``STEP_MIN``."""
-    for _ in range(60):
+def _line_search(objective, torques, value, grad, direction):
+    """Armijo backtracking from the full step along the projected path
+    ``P(torques + alpha * direction)``, measuring the decrease by ``grad``
+    times the projected step.  Returns the accepted candidate, its value and
+    rollout, or ``None`` once ``alpha`` falls below ``STEP_MIN``."""
+    alpha = 1.0
+    while alpha >= STEP_MIN:
         candidate = _project_rows(objective.system, torques + alpha * direction)
         decrease_ref = float((grad * (candidate - torques)).sum())
         # A projected quasi-Newton step can turn uphill; it is not rolled out.
@@ -453,8 +457,6 @@ def _line_search(objective, torques, value, grad, direction, alpha):
             if cand_value <= value + ARMIJO_C1 * decrease_ref:
                 return candidate, cand_value, cand_rollout
         alpha *= ARMIJO_SHRINK
-        if alpha < STEP_MIN:
-            break
     return None
 
 
@@ -522,11 +524,10 @@ def _quasi_newton_descent(
     i.e. it lies on or near the bound and the gradient points outward; it
     takes that gradient step, and the curvature pairs act on the other
     entries only.  ``hessian`` (:func:`_horizon_hessian`) is the initial
-    metric of the recursion, so every iteration, the first included, tries
-    a quasi-Newton direction at full length; one that is not a descent
-    direction or finds no Armijo point falls back to the scaled
-    projected-gradient step, and the descent stops when that finds no
-    Armijo point either.
+    metric of the recursion, so every iteration, the first included,
+    searches along a quasi-Newton direction from full length; the descent
+    stops when that direction is not a descent direction or its search
+    finds no Armijo point.
 
     Returns the final torques, the iteration count and the KKT residual at
     the final torques, or ``None`` when the relative improvement test
@@ -534,8 +535,8 @@ def _quasi_newton_descent(
     is known."""
     system = objective.system
     grad, value = objective.gradient(torques)
-    # First gradient step scaled by the gradient so penalty-dominated starts
-    # do not waste dozens of backtracks; later ones by the latest curvature.
+    # Length of the gradient step that picks and moves the held entries:
+    # scaled by the gradient at first, by the latest curvature after that.
     scale = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     pairs = []
     iterations = 0
@@ -549,11 +550,9 @@ def _quasi_newton_descent(
         trial = torques - step * grad
         free = _project_rows(system, trial) == trial
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
-        result = None
-        if float((grad * direction).sum()) < 0.0:
-            result = _line_search(objective, torques, value, grad, direction, 1.0)
-        if result is None:
-            result = _line_search(objective, torques, value, grad, -grad, step)
+        if float((grad * direction).sum()) >= 0.0:
+            break
+        result = _line_search(objective, torques, value, grad, direction)
         if result is None:
             break
         candidate, cand_value, cand_rollout = result

@@ -3,8 +3,8 @@
 All maps are numerically exact to machine precision over the whole group,
 including the 180-degree rotations where the principal matrix logarithm is
 discontinuous.  The tie-break there is deterministic: the axis component of
-largest magnitude is made nonnegative (or nonpositive when ``cut_sign`` is
-negative), so downstream consumers see a reproducible branch choice.
+largest magnitude is made nonnegative, so downstream consumers see a
+reproducible branch choice.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ SMALL_ANGLE = 1e-8
 # 2e-12 just outside).
 NEAR_PI = 1e-3
 # Below this, the antisymmetric part is too small to orient the axis and the
-# sign convention takes over.  Any flip this close to the cut perturbs the
-# reconstructed rotation by at most ~3e-13, far inside round-trip tolerances.
+# tie-break stands.  Any flip this close to the cut perturbs the reconstructed
+# rotation by at most ~3e-13, far inside round-trip tolerances.
 _SIGN_FLOOR = 1e-13
 
 _EYE3 = np.eye(3)
@@ -106,14 +106,13 @@ def _log_terms(r):
     return (s0, s1, s2), s0 * s0 + s1 * s1 + s2 * s2, (r00 + r11 + r22 - 1.0) / 2.0
 
 
-def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
+def log_so3(r) -> np.ndarray:
     """Principal branch of the matrix logarithm, returned as a rotation vector.
 
     The result satisfies ``norm(log_so3(R)) <= pi`` up to the rounding of
     the norm (at the cut it can come out an ulp or two above).  At the
-    branch cut (trace = -1) the axis sign is ambiguous; ``cut_sign=+1``
-    selects the representative whose largest-magnitude component is
-    nonnegative.
+    branch cut (trace = -1) the axis sign is ambiguous; the representative
+    whose largest-magnitude component is nonnegative is returned.
 
     Away from the cut the angle and the vector come from the entries of R
     in Python floats (:func:`_log_terms`); the angle is numpy's ``arctan2``,
@@ -122,7 +121,6 @@ def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
 
     Args:
         r: Rotation matrix, shape (3, 3).
-        cut_sign: Orientation of the tie-break at the branch cut (+1 or -1).
 
     Returns:
         Rotation vector of length <= pi.
@@ -146,10 +144,7 @@ def log_so3(r, cut_sign: float = 1.0) -> np.ndarray:
         col = outer[:, idx].copy()
         col[idx] = max(col[idx], 0.0)
         axis = col / np.linalg.norm(col)
-        if sin_theta >= _SIGN_FLOOR:
-            if float(axis @ np.array(s)) < 0.0:
-                axis = -axis
-        elif cut_sign < 0.0:
+        if sin_theta >= _SIGN_FLOOR and float(axis @ np.array(s)) < 0.0:
             axis = -axis
         return theta * axis
 
@@ -164,7 +159,7 @@ def _log_regular(s, sin_theta: float, theta: float) -> tuple:
     return scale * s0, scale * s1, scale * s2
 
 
-def _log_so3_pair(r1: np.ndarray, r2: np.ndarray, cut_sign: float = 1.0) -> tuple:
+def _log_so3_pair(r1: np.ndarray, r2: np.ndarray) -> tuple:
     """``log_so3`` of two rotation matrices as two sequences of three floats,
     equal to it bit for bit, in one pass: both :func:`_log_terms` from entries and one
     ``arctan2`` over the two angles (which rounds as the single calls do).
@@ -177,17 +172,17 @@ def _log_so3_pair(r1: np.ndarray, r2: np.ndarray, cut_sign: float = 1.0) -> tupl
         (sin1, sin2), (min(max(cos1, -1.0), 1.0), min(max(cos2, -1.0), 1.0))
     ).tolist()
     if theta1 < SMALL_ANGLE or np.pi - theta1 < NEAR_PI:
-        v1 = log_so3(r1, cut_sign=cut_sign).tolist()
+        v1 = log_so3(r1).tolist()
     else:
         v1 = _log_regular(s1, sin1, theta1)
     if theta2 < SMALL_ANGLE or np.pi - theta2 < NEAR_PI:
-        v2 = log_so3(r2, cut_sign=cut_sign).tolist()
+        v2 = log_so3(r2).tolist()
     else:
         v2 = _log_regular(s2, sin2, theta2)
     return v1, v2
 
 
-def log_so3_rows(r, cut_sign: float = 1.0) -> np.ndarray:
+def log_so3_rows(r) -> np.ndarray:
     """:func:`log_so3` of every matrix of ``r``: shape (n, 3, 3) to (n, 3).
 
     Equal to ``log_so3`` row by row, bit for bit: the same
@@ -206,7 +201,7 @@ def log_so3_rows(r, cut_sign: float = 1.0) -> np.ndarray:
     scale = np.divide(theta, sin_theta, out=np.ones_like(theta), where=regular)
     out = np.stack([scale * s0, scale * s1, scale * s2], axis=-1)
     for i in np.flatnonzero(near_pi):
-        out[i] = log_so3(r[i], cut_sign=cut_sign)
+        out[i] = log_so3(r[i])
     return out
 
 

@@ -183,20 +183,23 @@ def build_linearization(h: float, inertia) -> Linearization:
     return Linearization(a, b)
 
 
-def build_cost_data(weights: StageWeights) -> QuadraticCostData:
-    """Quadratic cost blocks for the Riccati design, scaled by 1/decay.
+def stage_hessians(weights: StageWeights) -> QuadraticCostData:
+    """Hessians of the trace-form stage cost at the equilibrium, in chart
+    coordinates: blockdiag(tilde(Q_g), tilde(Q_f)) in the state and
+    tilde(R) in the control.  There is no state-control cross term."""
+    zeros = np.zeros((3, 3))
+    q = np.block([
+        [tilde_transform(weights.attitude), zeros],
+        [zeros, tilde_transform(weights.rate)],
+    ])
+    return QuadraticCostData(q, tilde_transform(weights.torque))
 
-    The attitude and rate blocks are the tilde transforms of the trace-form
-    weights; there is no state-control cross term.
-    """
-    q_att = tilde_transform(weights.attitude)
-    q_rate = tilde_transform(weights.rate)
-    r_t = tilde_transform(weights.torque)
+
+def build_cost_data(weights: StageWeights) -> QuadraticCostData:
+    """Quadratic cost blocks for the Riccati design: the
+    :func:`stage_hessians`, scaled by 1/decay."""
     scale = 1.0 / weights.decay
-    q = scale * np.block(
-        [[q_att, np.zeros((3, 3))], [np.zeros((3, 3)), q_rate]]
-    )
-    r = scale * r_t
+    q, r = (scale * block for block in stage_hessians(weights))
     try:
         check_spd(q, "state cost block")
         check_spd(r, "control cost block")
@@ -272,7 +275,7 @@ def lqr_gain(p, lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
     return np.linalg.solve(inner, (a.T @ p @ b).T)
 
 
-def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.ndarray:
+def coordinates(state: SpacecraftState, h: float) -> np.ndarray:
     """Chart coordinates (rotation vector of g, rotation vector of f over h).
 
     A stack of states, with g and f of shape (n, 3, 3), gives one row of
@@ -281,10 +284,10 @@ def coordinates(state: SpacecraftState, h: float, cut_sign: float = 1.0) -> np.n
     ``concatenate([log_so3(g), log_so3(f) / h])`` bit for bit.
     """
     if state.g.ndim == 2:
-        (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(state.g, state.f, cut_sign)
+        (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(state.g, state.f)
         return np.array((z0, z1, z2, w0 / h, w1 / h, w2 / h))
-    zeta = log_so3_rows(state.g, cut_sign=cut_sign)
-    omega = log_so3_rows(state.f, cut_sign=cut_sign) / h
+    zeta = log_so3_rows(state.g)
+    omega = log_so3_rows(state.f) / h
     return np.concatenate([zeta, omega], axis=-1)
 
 

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
-from so3mpc.experiments import probe_discontinuity
+from so3mpc.attitude import rest_state, spinning_state
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import (
     SpacecraftState,
@@ -31,7 +30,6 @@ from so3mpc.terminal import (
     build_linearization,
     dare_residual,
     evaluate_level,
-    lqr_gain,
     solve_dare,
 )
 

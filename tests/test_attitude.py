@@ -101,33 +101,8 @@ class TestAttitudeSystem:
         steering = ref_system.steering_control(state)
         assert steering[2] < 0.0
 
-    def test_cut_sign_flips_steering(self, ref_design):
-        plus = SpacecraftAttitudeSystem(ref_design, cut_sign=1.0)
-        minus = SpacecraftAttitudeSystem(ref_design, cut_sign=-1.0)
-        state = rest_state([0.0, 0.0, np.pi])
-        assert_allclose(
-            plus.steering_control(state), -minus.steering_control(state), atol=1e-12
-        )
-
 
 class TestEstimator:
-    def test_get_set_params_roundtrip(self):
-        est = AttitudeMpc(horizon=7, cost_decay=0.2)
-        params = est.get_params()
-        assert params["horizon"] == 7
-        assert params["cost_decay"] == 0.2
-        est.set_params(horizon=12)
-        assert est.get_params()["horizon"] == 12
-
-    def test_set_params_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            AttitudeMpc().set_params(not_a_parameter=3)
-
-    def test_clone_from_params(self):
-        est = AttitudeMpc(horizon=4, seed=3)
-        clone = AttitudeMpc(**est.get_params())
-        assert clone.get_params() == est.get_params()
-
     def test_predict_requires_fit(self):
         with pytest.raises(RuntimeError):
             AttitudeMpc().predict(SpacecraftState.identity())
@@ -137,17 +112,6 @@ class TestEstimator:
         assert est.design_.c > 0.0
         torque = est.predict(SpacecraftState.identity())
         assert np.max(np.abs(torque)) <= 1e-8
-
-    def test_predict_batch(self):
-        est = AttitudeMpc(horizon=4, terminal_samples=200).fit()
-        states = [
-            SpacecraftState.identity(),
-            spinning_state([0.1, 0.0, 0.0], [0.0, 0.0, 0.0], est.step_seconds),
-        ]
-        torques = est.predict(states)
-        assert torques.shape == (2, 3)
-        assert np.max(np.abs(torques[0])) <= 1e-8
-        assert np.max(np.abs(torques[1])) > 0.0
 
     @pytest.mark.parametrize(
         "params", [{"solvability_floor": np.nan}, {"torque_bound": np.nan}]
@@ -170,7 +134,7 @@ class TestEstimator:
         with pytest.raises(NotPositiveDefinite):
             AttitudeMpc(inertia=np.diag([1.0, -1.0, 1.0])).fit()
 
-    @pytest.mark.parametrize("method", ["solve", "predict", "predict batch", "simulate"])
+    @pytest.mark.parametrize("method", ["solve", "predict", "simulate"])
     @pytest.mark.parametrize("bad", ["nan", "off orthogonal"])
     def test_rejects_bad_attitude_naming_g(self, method, bad):
         # Unchecked, a NaN attitude reached the margin's eigvalsh and raised
@@ -182,7 +146,6 @@ class TestEstimator:
         calls = {
             "solve": lambda: est.solve(state),
             "predict": lambda: est.predict(state),
-            "predict batch": lambda: est.predict([SpacecraftState.identity(), state]),
             "simulate": lambda: est.simulate(state, 2),
         }
         with pytest.raises((ValueError, NotRotation), match=r"^g (must be finite|is not orthogonal)"):

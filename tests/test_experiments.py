@@ -176,37 +176,26 @@ class TestCsvWriters:
 
 
 class TestDiscontinuityProbeMechanics:
-    def test_cut_sign_flips_first_torque(self, ref_design, ref_system):
+    def test_probe_passes_with_opposite_first_torques(self, ref_design, tmp_path):
+        report = probe_discontinuity(ref_design, MpcConfig(horizon=10), out_dir=str(tmp_path))
+        assert report.passed, report.verdicts
+        assert report.seed == 0
+        first_tau_z = report.config["first_tau_z"]
+        assert first_tau_z["on_cut"] < 0.0 < first_tau_z["off_cut"]
+        assert "cut_sign" not in report.config
+        assert set(report.traces) == {"on_cut", "off_cut"}
+        for label in ("on_cut", "off_cut"):
+            for kind in ("trajectory", "diagnostics", "snapshots"):
+                assert (tmp_path / f"discontinuity_{label}_{kind}.csv").is_file()
+
+    def test_on_cut_first_torque_follows_branch_convention(self, ref_system):
         # The cold-start direction at the cut is inherited from the branch
-        # convention; swapping it mirrors the on-cut solution.
-        from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
+        # convention, whose axis at 180 degrees about z is +z.
+        from so3mpc.attitude import rest_state
         from so3mpc.mpc import solve_ocp
 
-        cfg = MpcConfig(horizon=10)
-        state = rest_state([0.0, 0.0, np.pi])
-        plus = solve_ocp(ref_system, state, cfg)
-        minus_system = SpacecraftAttitudeSystem(
-            ref_design, torque_bound=TORQUE_BOUND_REF, cut_sign=-1.0
-        )
-        minus = solve_ocp(minus_system, state, cfg)
-        assert plus.first_control[2] < 0.0
-        assert minus.first_control[2] > 0.0
-        np.testing.assert_allclose(
-            plus.first_control[2], -minus.first_control[2], rtol=1e-6
-        )
-
-    def test_off_cut_insensitive_to_convention(self, ref_design, ref_system):
-        from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
-        from so3mpc.mpc import solve_ocp
-
-        cfg = MpcConfig(horizon=10)
-        state = rest_state([0.0, 0.0, -0.99 * np.pi])
-        plus = solve_ocp(ref_system, state, cfg)
-        minus_system = SpacecraftAttitudeSystem(
-            ref_design, torque_bound=TORQUE_BOUND_REF, cut_sign=-1.0
-        )
-        minus = solve_ocp(minus_system, state, cfg)
-        np.testing.assert_allclose(plus.torques, minus.torques, atol=1e-12)
+        solution = solve_ocp(ref_system, rest_state([0.0, 0.0, np.pi]), MpcConfig(horizon=10))
+        assert solution.first_control[2] < 0.0
 
     def test_away_from_cut_single_smooth_run(self, ref_system):
         from so3mpc.attitude import rest_state

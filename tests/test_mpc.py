@@ -27,7 +27,6 @@ from so3mpc.mpc import (
     steering_rollout,
     warm_start_shift,
 )
-from so3mpc.so3 import exp_so3
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 
 from conftest import H_REF, J_REF, BoundedStepIntegrator

@@ -76,9 +76,6 @@ class TestExpLog:
     def test_log_small_planar(self):
         assert_allclose(log_so3(rot_z(0.3)), [0, 0, 0.3], atol=1e-12)
 
-    def test_log_cut_sign_flips_at_cut(self):
-        assert_allclose(log_so3(rot_z(np.pi), cut_sign=-1.0), [0, 0, -np.pi], atol=1e-12)
-
     def test_log_returns_principal_branch(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
@@ -145,29 +142,27 @@ class TestNearPi:
         ),
         st.floats(min_value=0.0, max_value=1e-2),
         st.booleans(),
-        st.sampled_from([1.0, -1.0]),
     )
-    @example([0.0, 0.0, 1.0], 0.0, True, -1.0)
-    @example([0.3, -0.5, 0.2], NEAR_PI, False, 1.0)
+    @example([0.0, 0.0, 1.0], 0.0, True)
+    @example([0.3, -0.5, 0.2], NEAR_PI, False)
     # Just outside a 1e-4 band the round trip reached 1.8e-12.
-    @example([0.3, -0.5, 0.2], 1e-4, False, 1.0)
-    def test_roundtrip_and_batched_log(self, axis, gap, exact_cut, cut_sign):
+    @example([0.3, -0.5, 0.2], 1e-4, False)
+    def test_roundtrip_and_batched_log(self, axis, gap, exact_cut):
         r = near_pi_rotation(axis, gap, exact_cut)
-        v = log_so3(r, cut_sign=cut_sign)
+        v = log_so3(r)
         # pi up to the rounding of the norm itself: at theta = pi the
         # computed length of theta * axis can come out an ulp or two above.
         assert np.linalg.norm(v) <= np.pi * (1.0 + 4.0 * np.finfo(float).eps)
         assert np.linalg.norm(exp_so3(v) - r) <= 1e-12
         # A stack mixing this rotation with rotations off the band.
         stack = np.array([r, np.eye(3), exp_so3([0.4, -1.0, 2.0]), r.T, exp_so3(1e-9 * np.ones(3))])
-        rows = log_so3_rows(stack, cut_sign=cut_sign)
+        rows = log_so3_rows(stack)
         for got, matrix in zip(rows, stack):
-            assert bitwise_equal(got, log_so3(matrix, cut_sign=cut_sign))
+            assert bitwise_equal(got, log_so3(matrix))
 
     def test_exact_cut_follows_cut_sign(self):
         r = near_pi_rotation([0.0, 0.0, 1.0], 0.0, True)
-        assert_allclose(log_so3_rows(r[None], cut_sign=1.0)[0], [0, 0, np.pi])
-        assert_allclose(log_so3_rows(r[None], cut_sign=-1.0)[0], [0, 0, -np.pi])
+        assert_allclose(log_so3_rows(r[None])[0], [0, 0, np.pi])
 
 
 class TestRows:

@@ -1,6 +1,5 @@
 """The input checks at the edges of their fixed tolerances."""
 
-import numpy as np
 import pytest
 
 from so3mpc.errors import NotPositiveDefinite, NotRotation
