@@ -21,6 +21,7 @@ from .lgvi import (
     MARGIN_CUTOFF,
     SpacecraftState,
     check_state,
+    step_jacobians,
     step_with_margin,
 )
 from .mpc import (
@@ -41,12 +42,12 @@ from .terminal import (
     DEFAULT_TORQUE_BOUND,
     StageWeights,
     TerminalDesign,
-    build_linearization,
     coordinates,
     default_weights,
     design_terminal,
     feedback,
     stage_hessians,
+    terminal_hessian,
     terminal_value,
 )
 from .validation import check_spd, check_vector3
@@ -90,13 +91,6 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
             torque_bound, solvability_floor
         )
         self._equilibrium = SpacecraftState.identity()
-        # The trace-form costs are quadratic in exponential coordinates to
-        # second order, with the tilde transforms of their weights as
-        # Hessians; the terminal cost is exactly quadratic there.
-        lin = build_linearization(self.h, self.inertia)
-        self.quadratic_model = QuadraticModel(
-            lin.A, lin.B, *stage_hessians(self.weights), 2.0 * design.P
-        )
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
         return step_with_margin(x, u, self.h, self.inertia)[0]
@@ -132,6 +126,20 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         if np.linalg.norm(xi[:3]) >= np.pi or self.h * np.linalg.norm(xi[3:]) >= np.pi:
             raise OutOfChart("state lies outside the coordinate chart of the local law")
         return feedback(self.design.K, xi)
+
+    def quadratic_model(self, states, torques) -> QuadraticModel:
+        """The step Jacobians of :func:`~so3mpc.lgvi.step_jacobians` between
+        consecutive states, the stage Hessians of
+        :func:`~so3mpc.terminal.stage_hessians` at every state but the last,
+        and the terminal Hessian of :func:`~so3mpc.terminal.terminal_hessian`
+        at the last, all in the tangent coordinates g exp(hat(zeta)),
+        f exp(h hat(omega))."""
+        f = np.array([x.f for x in states])
+        g = np.array([x.g for x in states[:-1]])
+        a, b = step_jacobians(f[:-1], f[1:], self.h, self.inertia)
+        q, r = stage_hessians(self.weights, SpacecraftState(g, f[:-1]))
+        p = terminal_hessian(self.design.P, states[-1], self.h)
+        return QuadraticModel(a, b, q, np.broadcast_to(r, (len(torques), 3, 3)), p)
 
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must

@@ -31,7 +31,6 @@ class DoubleIntegratorSystem(ManifoldSystem):
         cost = QuadraticCostData(self.Q, self.R)
         self.P = solve_dare(lin, cost)
         self.K = lqr_gain(self.P, lin, cost)
-        self.quadratic_model = QuadraticModel(self.A, self.B, 2.0 * self.Q, 2.0 * self.R, 2.0 * self.P)
         self._terminal_level = float(terminal_level)
         self.control_bound = float(control_bound)
 
@@ -62,6 +61,17 @@ class DoubleIntegratorSystem(ManifoldSystem):
 
     def local_law(self, x) -> np.ndarray:
         return -(self.K @ np.asarray(x, dtype=float))
+
+    def quadratic_model(self, states, torques) -> QuadraticModel:
+        """The system itself at every step: (A, B), 2Q, 2R and 2P."""
+        n = len(torques)
+        return QuadraticModel(
+            np.broadcast_to(self.A, (n, 2, 2)),
+            np.broadcast_to(self.B, (n, 2, 1)),
+            np.broadcast_to(2.0 * self.Q, (n, 2, 2)),
+            np.broadcast_to(2.0 * self.R, (n, 1, 1)),
+            2.0 * self.P,
+        )
 
     def steering_control(self, x) -> np.ndarray:
         return self.local_law(x)

@@ -345,6 +345,41 @@ def step_with_margin(
     return SpacecraftState(state.g.dot(state.f), f_next), margin
 
 
+def step_jacobians(f, f_next, h: float, inertia) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (A, B) of the step from increment ``f`` under some torque
+    to the increment ``f_next`` that the step returned, in the tangent
+    coordinates g exp(hat(zeta)), f exp(h hat(omega)) of the state and the
+    torque itself: (zeta, omega) at the successor is A (zeta, omega) + B du
+    to first order.  Stacks of increments, shape (n, 3, 3), give stacks of
+    Jacobians, shape (n, 6, 6) and (n, 6, 3).
+
+    The attitude row is (f^T, h I), from g f exp(hat(zeta')) =
+    g exp(hat(zeta)) f exp(h hat(omega)).  The increment row follows from the
+    implicit balance F J - J F^T = hat(m) by the implicit-function theorem:
+    perturbing F to F exp(hat(psi)) moves its left side by
+    hat(F S psi) with S = tr(J F) I - J F, and the momentum m by
+    (tr(J f) I - f^T J) h omega + h^2 du, so one 3x3 solve with S per step
+    gives both blocks.  At the identity this is :func:`~so3mpc.terminal.build_linearization`.
+    """
+    f = np.asarray(f, dtype=float)
+    f_next = np.asarray(f_next, dtype=float)
+    inertia = np.asarray(inertia, dtype=float)
+    f_t = np.swapaxes(f, -1, -2)
+    f_next_t = np.swapaxes(f_next, -1, -2)
+    j_next = inertia @ f_next
+    s = np.trace(j_next, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - j_next
+    f_t_j = f_t @ inertia
+    t = np.trace(f_t_j, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - f_t_j
+    rows = np.linalg.solve(s, np.concatenate([f_next_t @ t, h * f_next_t], axis=-1))
+    a = np.zeros(f.shape[:-2] + (6, 6))
+    a[..., :3, :3] = f_t
+    a[..., :3, 3:] = h * _EYE3
+    a[..., 3:, 3:] = rows[..., :3]
+    b = np.zeros(f.shape[:-2] + (6, 3))
+    b[..., 3:, :] = rows[..., 3:]
+    return a, b
+
+
 def rollout(
     state0: SpacecraftState, torques: Sequence, h: float, inertia
 ) -> list[SpacecraftState]:
@@ -428,6 +463,7 @@ __all__ = [
     "MARGIN_CUTOFF",
     "lgvi_step",
     "step_with_margin",
+    "step_jacobians",
     "rollout",
     "body_rate",
     "spatial_momentum",

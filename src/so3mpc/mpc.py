@@ -2,7 +2,7 @@
 
 The layer is generic: any :class:`ManifoldSystem` supplies the discrete
 dynamics, a metric, stage and terminal costs, a terminal set level, a local
-feedback law, and a linear-quadratic model about its equilibrium.  The
+feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
 sequence, with box bounds handled by projection, the terminal-set and
 step-solvability constraints by a growing quadratic penalty, and gradients
@@ -11,10 +11,14 @@ descends along a limited-memory BFGS direction with two-metric projection
 onto the box (Bertsekas, 1982): the quasi-Newton step acts on the free
 entries, and entries that the box holds against an outward gradient take
 the projected-gradient step.  The recursion's initial inverse Hessian is the
-inverse of the model's horizon Hessian on the free entries, scaled by the
-newest curvature pair (Nocedal & Wright, *Numerical Optimization*, ch. 7).
-An Armijo search along the projected path tries each direction from full
-length, and a round ends where that search fails.
+inverse of the Gauss-Newton Hessian of the horizon cost along the rollout of
+the current iterate (Bock & Plitt, 1984), time-varying as in discrete
+optimal control on Lie groups (Kobilarov & Marsden, 2011), on the free
+entries and scaled by the newest curvature pair (Nocedal & Wright,
+*Numerical Optimization*, ch. 7).  The curvature pairs carry what that model
+leaves out, above all the penalty's curvature.  An Armijo search along the
+projected path tries each direction from full length, and a round ends where
+that search fails.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -61,10 +65,12 @@ LBFGS_MEMORY = 5
 
 
 class QuadraticModel(NamedTuple):
-    """Linear-quadratic model of a system about its equilibrium, in the
-    coordinates of its terminal cost: the dynamics ``x+ = A x + B u`` and
-    the Hessians of the stage cost in the state (``Q``) and the control
-    (``R``) and of the terminal cost (``P``)."""
+    """Linear-quadratic model of a system along a predicted trajectory of N
+    steps, in tangent coordinates of its states: per step k, the Jacobians
+    ``A[k]`` and ``B[k]`` of the step (x_{k+1} = A[k] x_k + B[k] u_k to
+    first order) and the Hessians of the stage cost in the state (``Q[k]``)
+    and the control (``R[k]``), positive semidefinite; and the Hessian of the
+    terminal cost at the last state (``P``)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -77,13 +83,10 @@ class ManifoldSystem(abc.ABC):
     """Contract between the receding-horizon layer and a concrete system.
 
     States are opaque to this layer; only the operations below touch them.
-    Subclasses must set ``control_dim``, and ``quadratic_model`` in
-    ``__init__``: the solver preconditions its descent with the horizon
-    Hessian of that model.
+    Subclasses must set ``control_dim``.
     """
 
     control_dim: int = 0
-    quadratic_model: QuadraticModel
 
     @abc.abstractmethod
     def step(self, x, u):
@@ -117,6 +120,15 @@ class ManifoldSystem(abc.ABC):
     @abc.abstractmethod
     def local_law(self, x) -> np.ndarray:
         """Feedback law valid on the terminal set."""
+
+    @abc.abstractmethod
+    def quadratic_model(self, states, torques) -> QuadraticModel:
+        """Linear-quadratic model along a predicted rollout: ``states`` are
+        the N + 1 states that ``torques``, shape (N, control_dim), visit from
+        the first one.  The solver preconditions its descent with the
+        horizon Hessian of this model (:func:`_gauss_newton_hessian`); it
+        reads nothing of ``A[0]`` and ``Q[0]``, which act on the fixed
+        initial state."""
 
     def steering_control(self, x) -> np.ndarray:
         """Heuristic control used to build cold-start guesses; defaults to
@@ -224,12 +236,11 @@ class OcpSolution:
 
 
 class _Reuse(NamedTuple):
-    """The horizon Hessian, and the perturbed tails of the last gradient
-    (:meth:`_Objective.gradient`) when it was taken at the returned torques,
-    i.e. on every stop that reports ``kkt_residual``."""
+    """The perturbed tails of the last gradient (:meth:`_Objective.gradient`)
+    when it was taken at the returned torques, i.e. on every stop that
+    reports ``kkt_residual``."""
 
     system: ManifoldSystem
-    hessian: np.ndarray
     tails: Optional[list]
 
 
@@ -460,23 +471,26 @@ def _line_search(objective, torques, value, grad, direction):
     return None
 
 
-def _horizon_hessian(model: QuadraticModel, horizon: int) -> np.ndarray:
-    """Hessian of the horizon cost of ``model`` in the stacked controls,
-    H = sum_k G_k^T Q G_k + blockdiag(R) + G_N^T P G_N, where G_k maps the
-    controls to the state after k steps; an (N m) x (N m) matrix."""
+def _gauss_newton_hessian(model: QuadraticModel) -> np.ndarray:
+    """Gauss-Newton Hessian of the horizon cost in the stacked controls,
+    H = sum_k G_k^T Q[k] G_k + blockdiag(R[k]) + G_N^T P G_N over
+    k = 1 .. N - 1, where G_k maps the controls to the state after k steps;
+    an (N m) x (N m) matrix.  Column block j of G_k is
+    A[k-1] ... A[j+1] B[j] (Bock & Plitt, 1984)."""
     a, b, q, r, p = model
-    n, m = b.shape
-    # Column block j of G_k is A^(k-1-j) B.
-    powers = [b]
-    for _ in range(horizon - 1):
-        powers.append(a @ powers[-1])
-    g = np.zeros((horizon * n, horizon * m))
-    for k in range(1, horizon + 1):
-        for j in range(k):
-            g[(k - 1) * n:k * n, j * m:(j + 1) * m] = powers[k - 1 - j]
-    weights = [q] * (horizon - 1) + [p]
-    weighted = np.vstack([w @ g[k * n:(k + 1) * n] for k, w in enumerate(weights)])
-    return g.T @ weighted + np.kron(np.eye(horizon), r)
+    horizon, n, m = b.shape
+    # Row block k of g is G_{k+1}; its columns past the first k + 1 blocks
+    # stay zero.
+    g = np.zeros((horizon, n, horizon * m))
+    for k in range(horizon):
+        if k:
+            g[k, :, :k * m] = a[k] @ g[k - 1, :, :k * m]
+        g[k, :, k * m:(k + 1) * m] = b[k]
+    weights = np.concatenate([q[1:], p[None]])
+    hessian = g.reshape(-1, horizon * m).T @ (weights @ g).reshape(-1, horizon * m)
+    steps = np.arange(horizon)
+    hessian.reshape(horizon, m, horizon, m)[steps, :, steps, :] += r
+    return hessian
 
 
 def _quasi_newton_direction(grad, free, pairs, scale, hessian):
@@ -485,8 +499,11 @@ def _quasi_newton_direction(grad, free, pairs, scale, hessian):
     step ``-scale * grad`` on the entries the box holds.
 
     The two-loop recursion starts from gamma H_ff^-1 q, with H_ff the
-    ``hessian`` on the free entries and gamma = s.y / (y H_ff^-1 y) from the
-    newest pair kept, or 1 when there is none."""
+    ``hessian`` on the free entries, the Gauss-Newton Hessian at the current
+    torques (:func:`_gauss_newton_hessian`), and gamma = s.y / (y H_ff^-1 y)
+    from the newest pair kept, or 1 when there is none.  The pairs were
+    taken at earlier iterates, so they correct this iterate's metric with
+    the curvature it lacks."""
     q = np.where(free, grad, 0.0)
     history = []
     for s, y in reversed(pairs):
@@ -515,7 +532,6 @@ def _quasi_newton_descent(
     objective: _Objective,
     torques: np.ndarray,
     settings: SolverSettings,
-    hessian: np.ndarray,
 ) -> tuple[np.ndarray, int, Optional[float]]:
     """Limited-memory BFGS descent with two-metric projection onto the box
     and an Armijo search along the projected path.
@@ -523,18 +539,24 @@ def _quasi_newton_descent(
     An entry counts as held when the projected-gradient step would clip it,
     i.e. it lies on or near the bound and the gradient points outward; it
     takes that gradient step, and the curvature pairs act on the other
-    entries only.  ``hessian`` (:func:`_horizon_hessian`) is the initial
-    metric of the recursion, so every iteration, the first included,
-    searches along a quasi-Newton direction from full length; the descent
-    stops when that direction is not a descent direction or its search
-    finds no Armijo point.
+    entries only.  The initial metric of the recursion is the Gauss-Newton
+    Hessian (:func:`_gauss_newton_hessian`) of the system's
+    :meth:`~ManifoldSystem.quadratic_model` along the rollout of the current
+    torques, the one their gradient holds; it is built once per iteration,
+    after the KKT test, so a descent that stops at its first gradient builds
+    none.  Every iteration, the first included, searches along a
+    quasi-Newton direction from full length; the descent stops when that
+    direction is not a descent direction or its search finds no Armijo
+    point.  The curvature pairs carry what the model lacks, above all the
+    penalty's curvature.
 
     Returns the final torques, the iteration count and the KKT residual at
     the final torques, or ``None`` when the relative improvement test
     stopped the descent: that stop skips the last gradient, so no residual
     is known."""
     system = objective.system
-    grad, value = objective.gradient(torques)
+    rollout = _predict(system, objective.x0, torques)
+    grad, value = objective.gradient(torques, base=rollout)
     # Length of the gradient step that picks and moves the held entries:
     # scaled by the gradient at first, by the latest curvature after that.
     scale = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
@@ -549,6 +571,7 @@ def _quasi_newton_descent(
         step = float(np.clip(scale, STEP_MIN, STEP_MAX))
         trial = torques - step * grad
         free = _project_rows(system, trial) == trial
+        hessian = _gauss_newton_hessian(system.quadratic_model(rollout.states, torques))
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         if float((grad * direction).sum()) >= 0.0:
             break
@@ -572,7 +595,7 @@ def _quasi_newton_descent(
         if curvature > 0.0:
             pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
             scale = curvature / float((y * y).sum())
-        torques, grad, value = candidate, new_grad, cand_value
+        torques, grad, value, rollout = candidate, new_grad, cand_value, cand_rollout
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt
 
@@ -618,11 +641,11 @@ def solve_ocp(
     of the wrong length or with a non-finite entry raises ``ValueError``.
 
     ``previous`` is the last solution on the same ``system`` object and
-    horizon, if any; it changes the work done, never the result.  Its
-    horizon Hessian is reused.  When ``x0`` equals its predicted successor
-    ``states[1]`` entry for entry and the warm start is its shift (all but
-    the appended control), the first gradient extends the perturbed tails
-    of its last gradient by one step each instead of re-running them.
+    horizon, if any; it changes the work done, never the result.  When
+    ``x0`` equals its predicted successor ``states[1]`` entry for entry and
+    the warm start is its shift (all but the appended control), the first
+    gradient extends the perturbed tails of its last gradient by one step
+    each instead of re-running them.
     """
     settings = config.solver
     if warm_start is None:
@@ -634,21 +657,21 @@ def solve_ocp(
     torques = _project_rows(system, torques)
 
     reuse = None if previous is None else previous._reuse
-    if reuse is None or reuse.system is not system or len(previous.torques) != config.horizon:
-        reuse = _Reuse(system, _horizon_hessian(system.quadratic_model, config.horizon), None)
-    hessian, carried = reuse.hessian, reuse.tails
-    if carried is not None and not (
+    carried = None
+    if (
+        reuse is not None
+        and reuse.system is system
         # States are opaque: compare whatever arrays they are made of.
-        np.array_equal(np.asarray(x0), np.asarray(previous.states[1]))
+        and np.array_equal(np.asarray(x0), np.asarray(previous.states[1]))
         and np.array_equal(torques[:-1], previous.torques[1:])
     ):
-        carried = None
+        carried = reuse.tails
     weight = PENALTY_WEIGHT
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight, carried)
         carried = None
-        torques, iterations, kkt = _quasi_newton_descent(objective, torques, settings, hessian)
+        torques, iterations, kkt = _quasi_newton_descent(objective, torques, settings)
         total_iterations += iterations
         rollout = _predict(system, x0, torques)
         violation = objective.violation(rollout)
@@ -667,7 +690,7 @@ def solve_ocp(
         states=tuple(rollout.states),
         shortfalls=rollout.shortfall_array,
         # An ftol_rel stop returns torques that no gradient was taken at.
-        _reuse=_Reuse(system, hessian, None if kkt is None else objective.last),
+        _reuse=_Reuse(system, None if kkt is None else objective.last),
     )
 
 

@@ -25,6 +25,11 @@ NEAR_PI = 1e-3
 # rotation by at most ~3e-13, far inside round-trip tolerances.
 _SIGN_FLOOR = 1e-13
 
+# Below this angle the inverse right Jacobian takes the series of its
+# coefficient, which the closed form loses to cancellation (its error there
+# is about 1e-16 / theta^2).
+_JACOBIAN_SERIES_ANGLE = 1e-2
+
 _EYE3 = np.eye(3)
 
 
@@ -88,6 +93,29 @@ def exp_so3_rows(v) -> np.ndarray:
     a = np.where(small, 1.0 - theta**2 / 6.0 + theta**4 / 120.0, np.sin(t) / t)
     b = np.where(small, 0.5 - theta**2 / 24.0 + theta**4 / 720.0, (1.0 - np.cos(t)) / t**2)
     return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+
+
+def inverse_right_jacobian(v) -> np.ndarray:
+    """Derivative of ``log_so3(exp_so3(v) @ exp_so3(e))`` in ``e`` at zero,
+    I + hat(v) / 2 + c hat(v)^2 with c = (1 - (theta/2) cot(theta/2)) / theta^2
+    at theta = |v|, and hat(v)^2 = v v^T - theta^2 I.  The cotangent form
+    stays finite up to theta = pi, where c = 1 / pi^2; below
+    ``_JACOBIAN_SERIES_ANGLE`` c is its series
+    1/12 + theta^2/720 + theta^4/30240."""
+    v0, v1, v2 = np.asarray(v, dtype=float).reshape(3).tolist()
+    sq = v0 * v0 + v1 * v1 + v2 * v2
+    theta = math.sqrt(sq)
+    if theta < _JACOBIAN_SERIES_ANGLE:
+        c = 1.0 / 12.0 + sq / 720.0 + sq * sq / 30240.0
+    else:
+        half = 0.5 * theta
+        c = (1.0 - half * math.cos(half) / math.sin(half)) / sq
+    d = 1.0 - c * sq
+    return np.array([
+        [d + c * v0 * v0, c * v0 * v1 - 0.5 * v2, c * v0 * v2 + 0.5 * v1],
+        [c * v1 * v0 + 0.5 * v2, d + c * v1 * v1, c * v1 * v2 - 0.5 * v0],
+        [c * v2 * v0 - 0.5 * v1, c * v2 * v1 + 0.5 * v0, d + c * v2 * v2],
+    ])
 
 
 def _log_terms(r):

@@ -25,7 +25,7 @@ from .errors import (
     OutOfChart,
 )
 from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum
-from .so3 import _log_so3_pair, exp_so3_rows, log_so3_rows
+from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
 from .validation import SPD_SYMMETRY_RTOL, check_spd
 
 _EYE3 = np.eye(3)
@@ -183,23 +183,71 @@ def build_linearization(h: float, inertia) -> Linearization:
     return Linearization(a, b)
 
 
-def stage_hessians(weights: StageWeights) -> QuadraticCostData:
-    """Hessians of the trace-form stage cost at the equilibrium, in chart
-    coordinates: blockdiag(tilde(Q_g), tilde(Q_f)) in the state and
-    tilde(R) in the control.  There is no state-control cross term."""
-    zeros = np.zeros((3, 3))
-    q = np.block([
-        [tilde_transform(weights.attitude), zeros],
-        [zeros, tilde_transform(weights.rate)],
-    ])
-    return QuadraticCostData(q, tilde_transform(weights.torque))
+def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCostData:
+    """Hessians of the trace-form stage cost at ``state``, in the tangent
+    coordinates g exp(hat(zeta)), f exp(h hat(omega)) of
+    :func:`~so3mpc.lgvi.step_jacobians`: blockdiag(tilde(sym(Q_g g)),
+    tilde(sym(Q_f f))) in the state, each block with its negative
+    eigenvalues set to zero, and tilde(R) in the control.  There is no
+    state-control cross term.
+
+    The second-order term of tr(Q (I - g exp(hat(zeta)))) is
+    zeta^T tilde(sym(Q g)) zeta / 2, and the rate term's 1/h^2 cancels
+    against the h in its coordinate.  At the equilibrium both blocks are the
+    tilde transforms of the weights, the chart Hessians of the design, as
+    they are.  A stack of states, with g and f of shape (n, 3, 3), gives one
+    state block per state.
+    """
+    blocks = _clip_negative(np.stack([
+        _tilde_sym(weights.attitude @ state.g), _tilde_sym(weights.rate @ state.f)
+    ]))
+    q = np.zeros(state.g.shape[:-2] + (6, 6))
+    q[..., :3, :3] = blocks[0]
+    q[..., 3:, 3:] = blocks[1]
+    return QuadraticCostData(q, _tilde_sym(weights.torque))
+
+
+def _tilde_sym(m: np.ndarray) -> np.ndarray:
+    """tilde(sym(M)) = tr(M) I - (M + M^T) / 2, for one matrix or a stack;
+    a symmetric M gives :func:`tilde_transform` of it bit for bit."""
+    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
+    return np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - sym
+
+
+def _clip_negative(m: np.ndarray) -> np.ndarray:
+    """A stack of symmetric 3x3 matrices with each negative eigenvalue set to
+    zero.  A matrix that Sylvester's criterion (positive leading minors)
+    shows positive definite is returned as it is, without an
+    eigendecomposition."""
+    m00, m01, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
+    minor = m00 * m11 - m01 * m01
+    check = ~((m00 > 0.0) & (minor > 0.0) & (np.linalg.det(m) > 0.0))
+    if check.any():
+        values, vectors = np.linalg.eigh(m[check])
+        if (values < 0.0).any():
+            m = m.copy()
+            m[check] = (vectors * np.maximum(values, 0.0)[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    return m
+
+
+def terminal_hessian(p: np.ndarray, state: SpacecraftState, h: float) -> np.ndarray:
+    """Gauss-Newton Hessian 2 C^T P C of the terminal cost xi^T P xi at
+    ``state``, in the tangent coordinates of :func:`stage_hessians`.  C is
+    the Jacobian of :func:`coordinates` there, blockdiag of the inverse right
+    Jacobians of log_so3 at log g and at log f (the h of the rate coordinate
+    cancels); it stays finite up to the branch cut."""
+    xi = coordinates(state, h)
+    chart = np.zeros((6, 6))
+    chart[:3, :3] = inverse_right_jacobian(xi[:3])
+    chart[3:, 3:] = inverse_right_jacobian(h * xi[3:])
+    return 2.0 * (chart.T @ p @ chart)
 
 
 def build_cost_data(weights: StageWeights) -> QuadraticCostData:
     """Quadratic cost blocks for the Riccati design: the
-    :func:`stage_hessians`, scaled by 1/decay."""
+    :func:`stage_hessians` at the equilibrium, scaled by 1/decay."""
     scale = 1.0 / weights.decay
-    q, r = (scale * block for block in stage_hessians(weights))
+    q, r = (scale * block for block in stage_hessians(weights, SpacecraftState.identity()))
     try:
         check_spd(q, "state cost block")
         check_spd(r, "control cost block")

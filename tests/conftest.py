@@ -1,18 +1,41 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from so3mpc.attitude import SpacecraftAttitudeSystem
+from so3mpc.attitude import SpacecraftAttitudeSystem, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
-from so3mpc.lgvi import _momentum, _step_margin
-from so3mpc.so3 import hat
+from so3mpc.lgvi import SpacecraftState, _momentum, _step_margin
+from so3mpc.so3 import exp_so3, hat, log_so3
 from so3mpc.terminal import default_weights, design_terminal
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H_REF = 0.1
 TORQUE_BOUND_REF = 100.0
+
+
+def regulate_start():
+    """The benchmark's regulate start: 30 degrees about a fixed axis,
+    spinning at 0.02 rad/s."""
+    axis = np.array([0.6, -0.4, 0.69282032])
+    spin = np.array([0.02, -0.01, 0.015])
+    return spinning_state(
+        math.radians(30.0) * axis / np.linalg.norm(axis), 0.02 * spin / np.linalg.norm(spin), H_REF
+    )
+
+
+def perturbed(state, delta, h):
+    """``state`` moved by ``delta`` in the tangent coordinates of the
+    solver's model: g exp(hat(delta[:3])), f exp(h hat(delta[3:]))."""
+    return SpacecraftState(state.g @ exp_so3(delta[:3]), state.f @ exp_so3(h * delta[3:]))
+
+
+def tangent_offset(state, other, h):
+    """The tangent coordinates of ``other`` about ``state``, the inverse of
+    :func:`perturbed` near it."""
+    return np.concatenate([log_so3(state.g.T @ other.g), log_so3(state.f.T @ other.f) / h])
 
 
 def momentum_vector(state, torque, h, inertia):

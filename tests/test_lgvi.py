@@ -21,11 +21,20 @@ from so3mpc.lgvi import (
     orthogonality_drift,
     rollout,
     spatial_momentum,
+    step_jacobians,
     step_with_margin,
 )
 from so3mpc.so3 import exp_so3, hat
+from so3mpc.terminal import build_linearization
 
-from conftest import check_solvability, implicit_residual, momentum_matrix, momentum_vector
+from conftest import (
+    check_solvability,
+    implicit_residual,
+    momentum_matrix,
+    momentum_vector,
+    perturbed,
+    tangent_offset,
+)
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H = 0.1
@@ -449,6 +458,85 @@ class TestLgviStep:
                 in_band += 1
                 assert margin == exact.margin
         assert in_band == 1
+
+
+def central_jacobians(state, torque, h, inertia, delta=1e-6):
+    """Central differences of ``step_with_margin`` in the tangent
+    coordinates of :func:`~so3mpc.lgvi.step_jacobians`: the successor's
+    coordinates about the unperturbed successor, per state and torque entry."""
+    successor, _ = step_with_margin(state, torque, h, inertia)
+    a, b = np.zeros((6, 6)), np.zeros((6, 3))
+    for i in range(6):
+        d = delta * np.eye(6)[i]
+        up = step_with_margin(perturbed(state, d, h), torque, h, inertia)[0]
+        down = step_with_margin(perturbed(state, -d, h), torque, h, inertia)[0]
+        a[:, i] = (tangent_offset(successor, up, h) - tangent_offset(successor, down, h)) / (2.0 * delta)
+    for i in range(3):
+        d = delta * np.eye(3)[i]
+        up = step_with_margin(state, torque + d, h, inertia)[0]
+        down = step_with_margin(state, torque - d, h, inertia)[0]
+        b[:, i] = (tangent_offset(successor, up, h) - tangent_offset(successor, down, h)) / (2.0 * delta)
+    return successor, a, b
+
+
+class TestStepJacobians:
+    """The analytic step Jacobians against central differences of the step,
+    to 1e-6 relative in each block."""
+
+    def check(self, state, torque, inertia=J_REF):
+        successor, a_ref, b_ref = central_jacobians(state, torque, H, inertia)
+        a, b = step_jacobians(state.f, successor.f, H, inertia)
+        assert np.linalg.norm(a - a_ref) <= 1e-6 * np.linalg.norm(a_ref)
+        assert np.linalg.norm(b - b_ref) <= 1e-6 * np.linalg.norm(b_ref)
+        return a, b
+
+    def test_random_states(self):
+        rng = np.random.default_rng(21)
+        for k in range(12):
+            inertia = J_REF
+            if k % 3 == 2:
+                q = exp_so3(rng.uniform(-np.pi, np.pi, 3))
+                inertia = q @ np.diag(rng.uniform(0.5, 2.0, 3)) @ q.T
+            state = SpacecraftState(
+                exp_so3(rng.uniform(-np.pi, np.pi, 3)), exp_so3(H * rng.uniform(-3.0, 3.0, 3))
+            )
+            self.check(state, rng.uniform(-30.0, 30.0, 3), inertia)
+
+    @pytest.mark.parametrize("margin", [1e-2, 1e-4, 1e-6])
+    def test_margins_near_the_solvability_floor(self, margin):
+        # From rest a torque tau about z leaves a margin of 1 - (h^2 tau)^2 / 4;
+        # 1e-6 is the attitude system's default floor.
+        rng = np.random.default_rng(22)
+        state = SpacecraftState(exp_so3(rng.uniform(-np.pi, np.pi, 3)), np.eye(3))
+        torque = np.array([0.0, 0.0, 2.0 * np.sqrt(1.0 - margin) / H**2])
+        assert step_with_margin(state, torque, H, J_REF)[1] == pytest.approx(margin, rel=1e-6)
+        self.check(state, torque)
+
+    def test_saturated_torques(self):
+        # Every entry at the 100 N m bound, from spinning states.
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            state = SpacecraftState(
+                exp_so3(rng.uniform(-np.pi, np.pi, 3)), exp_so3(H * rng.uniform(-1.0, 1.0, 3))
+            )
+            self.check(state, 100.0 * rng.choice([-1.0, 1.0], 3))
+
+    def test_identity_is_the_design_linearization(self):
+        lin = build_linearization(H, J_REF)
+        a, b = step_jacobians(np.eye(3), np.eye(3), H, J_REF)
+        assert np.linalg.norm(a - lin.A) <= 1e-12 * np.linalg.norm(lin.A)
+        assert np.linalg.norm(b - lin.B) <= 1e-12 * np.linalg.norm(lin.B)
+
+    def test_stack_matches_single_steps(self):
+        rng = np.random.default_rng(24)
+        f = np.array([exp_so3(H * rng.uniform(-2.0, 2.0, 3)) for _ in range(5)])
+        f_next = np.array([exp_so3(H * rng.uniform(-2.0, 2.0, 3)) for _ in range(5)])
+        a, b = step_jacobians(f, f_next, H, J_REF)
+        assert a.shape == (5, 6, 6) and b.shape == (5, 6, 3)
+        for k in range(5):
+            a_k, b_k = step_jacobians(f[k], f_next[k], H, J_REF)
+            assert_allclose(a[k], a_k, rtol=1e-14, atol=1e-15)
+            assert_allclose(b[k], b_k, rtol=1e-14, atol=1e-15)
 
 
 def unit(v):

@@ -20,7 +20,8 @@ from so3mpc.mpc import (
     MpcController,
     QuadraticModel,
     SolverSettings,
-    _horizon_hessian,
+    _gauss_newton_hessian,
+    _predict,
     closed_loop,
     horizon_cost,
     solve_ocp,
@@ -28,8 +29,9 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
+from so3mpc.terminal import build_linearization, tilde_transform
 
-from conftest import H_REF, J_REF, BoundedStepIntegrator
+from conftest import H_REF, J_REF, BoundedStepIntegrator, tangent_offset
 
 TIGHT = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)
 
@@ -71,12 +73,12 @@ class ScalarIntegrator(ManifoldSystem):
     control_dim = 1
     P = (1.0 + math.sqrt(5.0)) / 2.0
 
-    def __init__(self):
-        one = np.ones((1, 1))
-        self.quadratic_model = QuadraticModel(one, one, 2.0 * one, 2.0 * one, 2.0 * self.P * one)
-
     def step(self, x, u):
         return x + u
+
+    def quadratic_model(self, states, torques):
+        ones = np.ones((len(torques), 1, 1))
+        return QuadraticModel(ones, ones, 2.0 * ones, 2.0 * ones, 2.0 * self.P * ones[0])
 
     def distance(self, x1, x2):
         return float(np.linalg.norm(x1 - x2))
@@ -496,13 +498,83 @@ def second_differences(system, horizon, delta=1e-3):
     return hessian
 
 
+def equilibrium_hessian(system, horizon):
+    """The Gauss-Newton Hessian along the rollout that rests at the
+    equilibrium under zero controls."""
+    m = system.control_dim
+    model = system.quadratic_model([system.equilibrium_state] * (horizon + 1), np.zeros((horizon, m)))
+    return _gauss_newton_hessian(model)
+
+
+def constant_model_hessian(a, b, q, r, p, horizon):
+    """H = sum_k G_k^T Q G_k + blockdiag(R) + G_N^T P G_N of one
+    time-invariant model, from the powers of A: the preconditioner of the
+    solver before its model varied along the rollout."""
+    n, m = b.shape
+    powers = [b]
+    for _ in range(horizon - 1):
+        powers.append(a @ powers[-1])
+    g = np.zeros((horizon * n, horizon * m))
+    for k in range(1, horizon + 1):
+        for j in range(k):
+            g[(k - 1) * n:k * n, j * m:(j + 1) * m] = powers[k - 1 - j]
+    weights = [q] * (horizon - 1) + [p]
+    weighted = np.vstack([w @ g[k * n:(k + 1) * n] for k, w in enumerate(weights)])
+    return g.T @ weighted + np.kron(np.eye(horizon), r)
+
+
 class TestHorizonHessian:
     @pytest.mark.parametrize("which", ["flat", "attitude"])
     def test_matches_second_differences_at_equilibrium(self, which, ref_system):
         system = DoubleIntegratorSystem() if which == "flat" else ref_system
-        hessian = _horizon_hessian(system.quadratic_model, 6)
+        hessian = equilibrium_hessian(system, 6)
         reference = second_differences(system, 6)
         assert np.linalg.norm(hessian - reference) <= 1e-4 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("which", ["flat", "attitude"])
+    def test_equals_constant_model_at_equilibrium(self, which, ref_design, ref_system):
+        # At rest at the equilibrium the time-varying model is the
+        # linear-quadratic model of the terminal design at every step.
+        if which == "flat":
+            system = DoubleIntegratorSystem()
+            blocks = (system.A, system.B, 2.0 * system.Q, 2.0 * system.R, 2.0 * system.P)
+        else:
+            system = ref_system
+            lin = build_linearization(H_REF, J_REF)
+            weights = ref_design.weights
+            q = scipy.linalg.block_diag(tilde_transform(weights.attitude), tilde_transform(weights.rate))
+            blocks = (lin.A, lin.B, q, tilde_transform(weights.torque), 2.0 * ref_design.P)
+        for horizon in (1, 2, 10):
+            reference = constant_model_hessian(*blocks, horizon)
+            hessian = equilibrium_hessian(system, horizon)
+            assert np.linalg.norm(hessian - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    def test_matches_rollout_sensitivities_away_from_equilibrium(self, ref_system):
+        # G_k from central differences of a spinning, tilted rollout in the
+        # tangent coordinates about its own states, weighted by the model's
+        # Q[k] and P: the condensing of the step Jacobians.
+        horizon = 5
+        x0 = spinning_state([0.4, 1.2, -0.9], [0.3, -0.5, 0.2], H_REF)
+        torques = np.random.default_rng(41).uniform(-20.0, 20.0, (horizon, 3))
+        states = rollout(x0, torques, H_REF, J_REF)
+        model = ref_system.quadratic_model(states, torques)
+        delta = 1e-6
+        g = np.zeros((horizon, 6, 3 * horizon))
+        for column in range(3 * horizon):
+            d = delta * np.eye(3 * horizon)[column].reshape(horizon, 3)
+            up, down = rollout(x0, torques + d, H_REF, J_REF), rollout(x0, torques - d, H_REF, J_REF)
+            for k in range(horizon):
+                offsets = (tangent_offset(states[k + 1], x, H_REF) for x in (up[k + 1], down[k + 1]))
+                g[k, :, column] = np.subtract(*offsets) / (2.0 * delta)
+        weights = list(model.Q[1:]) + [model.P]
+        reference = sum(g[k].T @ weights[k] @ g[k] for k in range(horizon))
+        reference += scipy.linalg.block_diag(*model.R)
+        hessian = _gauss_newton_hessian(model)
+        assert np.linalg.norm(hessian - reference) <= 1e-6 * np.linalg.norm(reference)
+        # Far from the equilibrium it differs from the constant model's (by
+        # 7.5 % here, where the control weight dominates both).
+        constant = equilibrium_hessian(ref_system, horizon)
+        assert np.linalg.norm(hessian - constant) > 0.05 * np.linalg.norm(hessian)
 
     def test_double_integrator_solved_in_one_iteration(self):
         # The model is the double integrator itself, so the first
@@ -515,6 +587,62 @@ class TestHorizonHessian:
         assert sol.iterations == 1
         assert sol.kkt_residual <= SolverSettings().grad_tol
         assert sol.cost == pytest.approx(float(x0 @ system.P @ x0), rel=1e-9)
+
+
+class RecordingAttitude(SpacecraftAttitudeSystem):
+    """Records each model build: its torques and states, and whether the
+    build itself stepped the dynamics or valued the terminal cost."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.builds = []
+        self.calls = 0
+
+    def step_with_margin(self, x, u):
+        self.calls += 1
+        return super().step_with_margin(x, u)
+
+    def terminal_cost(self, x):
+        self.calls += 1
+        return super().terminal_cost(x)
+
+    def quadratic_model(self, states, torques):
+        calls = self.calls
+        model = super().quadratic_model(states, torques)
+        self.builds.append((torques.copy(), list(states), self.calls == calls))
+        return model
+
+
+class TestModelBuild:
+    def test_one_build_per_iteration_at_its_iterate(self, ref_design, monkeypatch):
+        # A cold solve of three iterations: each builds the model once, on the
+        # states of the rollout whose gradient the iteration holds, without
+        # a step or a terminal-cost call of its own.
+        system = RecordingAttitude(ref_design)
+        points = []
+        gradient = _Objective.gradient
+
+        def recorded(objective, torques, base=None):
+            points.append(torques.copy())
+            return gradient(objective, torques, base)
+
+        monkeypatch.setattr(_Objective, "gradient", recorded)
+        x0 = rest_state([0.8, 0.2, -0.4])
+        solution = solve_ocp(system, x0, MpcConfig(horizon=6))
+        assert solution.iterations == len(system.builds) == 3
+        for (torques, states, quiet), point in zip(system.builds, points):
+            assert np.array_equal(torques, point)
+            expected = _predict(system, x0, torques).states
+            assert all(np.array_equal(a.g, b.g) and np.array_equal(a.f, b.f) for a, b in zip(states, expected))
+            assert quiet
+        assert not np.array_equal(system.builds[0][0], system.builds[-1][0])
+
+    def test_no_build_when_the_first_gradient_stops(self, ref_design):
+        system = RecordingAttitude(ref_design)
+        config = MpcConfig(horizon=10, solver=SolverSettings(grad_tol=1e9))
+        solution = solve_ocp(system, spinning_state([0.3, -0.2, 0.4], [0.02, -0.01, 0.015], H_REF), config)
+        assert solution.iterations == 0
+        assert system.builds == []
 
 
 class TestWarmStartShift:

@@ -40,7 +40,7 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 
-from conftest import H_REF, BoundedStepIntegrator, assert_same_tail
+from conftest import H_REF, BoundedStepIntegrator, assert_same_tail, regulate_start
 
 
 class RolloutData(NamedTuple):
@@ -134,11 +134,11 @@ class OracleObjective(_Objective):
         return grad, base_value
 
 
-def oracle_projected_gradient(objective, torques, settings, _hessian=None):
+def oracle_projected_gradient(objective, torques, settings):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns.  It
-    takes the package descent's arguments and ignores its Hessian."""
+    takes the package descent's arguments."""
     system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = mpc.STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
@@ -324,7 +324,11 @@ class TestSolveMatchesOracle:
             assert new.solution.kkt_residual <= 1e-9
 
     def test_ftol_stop_skips_one_gradient(self, ref_system):
-        new = counted_solve(ref_system, rest_state([0.4, 0.1, -0.2]), MpcConfig(horizon=6))
+        # Twice the angle of the rest starts that now stop on grad_tol at
+        # their second iteration (0.4, 0.1, -0.2 with N = 6 did so once the
+        # metric followed the rollout): this one stops on ftol_rel at its
+        # third.
+        new = counted_solve(ref_system, rest_state([0.8, 0.2, -0.4]), MpcConfig(horizon=6))
         assert new.residuals == [None]
         assert new.solution.kkt_residual is None
         returned = new.solution.torques.tobytes()
@@ -363,15 +367,8 @@ class TestSolveMatchesOracle:
 
 class TestGradientCount:
     def test_regulate_loop_at_most_a_third_of_reference_gradients(self, ref_system):
-        # The benchmark's regulate start: 30 degrees about a fixed axis,
-        # spinning at 0.02 rad/s, then 30 warm-started steps.
-        axis = np.array([0.6, -0.4, 0.69282032])
-        spin = np.array([0.02, -0.01, 0.015])
-        x0 = spinning_state(
-            math.radians(30.0) * axis / np.linalg.norm(axis),
-            0.02 * spin / np.linalg.norm(spin),
-            H_REF,
-        )
+        # The benchmark's regulate start, then 30 warm-started steps.
+        x0 = regulate_start()
         gradients = []
         for oracle in (False, True):
             with counting(oracle) as (points, _):
@@ -380,6 +377,31 @@ class TestGradientCount:
             gradients.append(len(points))
         new, old = gradients
         assert new <= 0.33 * old
+
+    def test_regulate_solves_stop_on_grad_tol_and_hand_on_tails(self, ref_system, monkeypatch):
+        # With the metric built along each iterate's rollout, 29 of the 30
+        # solves stop on grad_tol and 28 of them run the next solve's first
+        # gradient on their tails; with the equilibrium's constant metric,
+        # 14 and 13 did, and the rest stopped on ftol_rel.
+        carried = []
+
+        class Recording(_Objective):
+            def __init__(self, *args):
+                super().__init__(*args)
+                carried.append(self.carried is not None)
+
+        monkeypatch.setattr(mpc, "_Objective", Recording)
+        config = MpcConfig(horizon=10)
+        controller = mpc.MpcController(ref_system, config)
+        x, stops, takers = regulate_start(), 0, 0
+        for _ in range(30):
+            del carried[:]
+            u, solution = controller.step(x)
+            stops += solution.kkt_residual is not None and solution.kkt_residual <= config.solver.grad_tol
+            takers += carried[0]
+            x = ref_system.step(x, u)
+        assert stops >= 25
+        assert takers >= 25
 
 
 def lean_tail(objective, x_start, tail):

@@ -11,6 +11,7 @@ from so3mpc.so3 import (
     exp_so3_rows,
     geodesic_distance,
     hat,
+    inverse_right_jacobian,
     log_so3,
     log_so3_rows,
 )
@@ -243,3 +244,34 @@ class TestGeodesicDistance:
                 geodesic_distance(r1, r2), abs=1e-10
             )
 
+
+class TestInverseRightJacobian:
+    """d/de log(exp(v) exp(e)) at e = 0 against central differences of
+    ``log_so3``, across the series band and up to the cut."""
+
+    @pytest.mark.parametrize("angle", [0.0, 1e-6, 5e-3, 1.5e-2, 0.7, 2.0, 3.0, np.pi - 1e-2])
+    def test_matches_central_differences(self, angle):
+        axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+        v = angle * axis
+        r = exp_so3(v)
+        delta = 1e-6
+        ref = np.column_stack([
+            (log_so3(r @ exp_so3(delta * e)) - log_so3(r @ exp_so3(-delta * e))) / (2.0 * delta)
+            for e in np.eye(3)
+        ])
+        assert_allclose(inverse_right_jacobian(v), ref, rtol=0.0, atol=1e-8)
+
+    def test_series_meets_closed_form(self):
+        # Both sides of the series threshold agree to round-off.
+        v = np.array([0.6, 0.0, 0.8])
+        below = inverse_right_jacobian(np.nextafter(1e-2, 0.0) * v)
+        above = inverse_right_jacobian(1e-2 * v)
+        assert_allclose(below, above, rtol=0.0, atol=1e-13)
+
+    def test_finite_at_the_cut(self):
+        # At theta = pi the coefficient is 1/pi^2; the matrix stays bounded by
+        # pi/2 off the axis, the inverse of the right Jacobian's sin(pi/2)/(pi/2).
+        for v in (np.array([0.0, 0.0, np.pi]), log_so3(rot_z(np.pi))):
+            jac = inverse_right_jacobian(v)
+            assert np.all(np.isfinite(jac))
+            assert_allclose(np.linalg.svd(jac, compute_uv=False), [np.pi / 2, np.pi / 2, 1.0], rtol=1e-12)

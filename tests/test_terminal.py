@@ -24,13 +24,15 @@ from so3mpc.terminal import (
     feedback,
     lqr_gain,
     solve_dare,
+    stage_hessians,
+    terminal_hessian,
     terminal_value,
     tilde_transform,
     _ellipsoid_samples,
     _level_ceiling,
 )
 
-from conftest import H_REF, J_REF, TORQUE_BOUND_REF
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, perturbed
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -255,6 +257,92 @@ class TestCoordinatesOnePass:
         ref = np.concatenate([log_so3(g), log_so3(f) / H_REF])
         assert xi.shape == (6,)
         assert xi.tobytes() == ref.tobytes()
+
+
+def second_differences(fn, dim, delta=1e-4):
+    """Central second differences of ``fn`` at zero, a dim x dim matrix."""
+    basis = delta * np.eye(dim)
+    hessian = np.empty((dim, dim))
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            hessian[i, j] = (fn(a + b) - fn(a - b) - fn(b - a) + fn(-a - b)) / (4.0 * delta**2)
+    return hessian
+
+
+class TestTangentHessians:
+    """The stage and terminal Hessians that the solver's model reads along a
+    rollout, in the tangent coordinates g exp(hat(zeta)), f exp(h hat(omega))."""
+
+    def test_equilibrium_values_are_the_design_model(self, ref_weights, ref_design):
+        q, r = stage_hessians(ref_weights, SpacecraftState.identity())
+        expected = scipy.linalg.block_diag(
+            tilde_transform(ref_weights.attitude), tilde_transform(ref_weights.rate)
+        )
+        assert q.tobytes() == expected.tobytes()
+        assert r.tobytes() == tilde_transform(ref_weights.torque).tobytes()
+        p = terminal_hessian(ref_design.P, SpacecraftState.identity(), H_REF)
+        assert p.tobytes() == (2.0 * ref_design.P).tobytes()
+
+    def test_stage_hessian_matches_second_differences(self, ref_weights):
+        # States within 90 degrees, where both blocks are positive definite
+        # and nothing is clipped.
+        rng = np.random.default_rng(31)
+        u = np.zeros(3)
+        for _ in range(6):
+            state = SpacecraftState(
+                exp_so3(rng.uniform(-0.8, 0.8, 3)), exp_so3(H_REF * rng.uniform(-5.0, 5.0, 3))
+            )
+            q, _ = stage_hessians(ref_weights, state)
+            ref = second_differences(
+                lambda d: ref_weights.stage_cost(perturbed(state, d, H_REF), u, H_REF), 6
+            )
+            assert np.linalg.norm(q - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_stage_hessian_is_clipped_to_positive_semidefinite(self, ref_weights):
+        # With Q_g = I the attitude block has eigenvalues 2 cos(theta) (along
+        # the axis) and 1 + cos(theta) (twice): past 90 degrees the first is
+        # negative, and the clip sets it to zero.
+        axis = np.array([0.48, 0.6, 0.64])
+        for angle in (2.0, 3.0, np.pi):
+            state = SpacecraftState(exp_so3(angle * axis), np.eye(3))
+            q, _ = stage_hessians(ref_weights, state)
+            assert_allclose(q[:3, :3] @ axis, 0.0, atol=1e-12)
+            assert_allclose(
+                np.linalg.eigvalsh(q[:3, :3]), [0.0, 1.0 + np.cos(angle), 1.0 + np.cos(angle)], atol=1e-12
+            )
+            assert q[3:, 3:].tobytes() == tilde_transform(ref_weights.rate).tobytes()
+
+    def test_stack_matches_single_states(self, ref_weights):
+        rng = np.random.default_rng(32)
+        g = np.array([exp_so3(rng.uniform(-np.pi, np.pi, 3)) for _ in range(6)])
+        f = np.array([exp_so3(H_REF * rng.uniform(-20.0, 20.0, 3)) for _ in range(6)])
+        q, _ = stage_hessians(ref_weights, SpacecraftState(g, f))
+        for k in range(6):
+            single, _ = stage_hessians(ref_weights, SpacecraftState(g[k], f[k]))
+            assert_allclose(q[k], single, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("angle", [0.0, 0.4, 2.5, np.pi - 1e-6])
+    def test_terminal_hessian_is_the_chart_gauss_newton_term(self, ref_design, angle):
+        # 2 C^T P C with C from central differences of the chart coordinates.
+        axis = np.array([0.2, -0.6, 0.77])
+        state = SpacecraftState(
+            exp_so3(angle * axis / np.linalg.norm(axis)), exp_so3(H_REF * np.array([0.5, -0.2, 0.3]))
+        )
+        delta = 1e-7
+        chart = np.column_stack([
+            (coordinates(perturbed(state, delta * e, H_REF), H_REF)
+             - coordinates(perturbed(state, -delta * e, H_REF), H_REF)) / (2.0 * delta)
+            for e in np.eye(6)
+        ])
+        ref = 2.0 * chart.T @ ref_design.P @ chart
+        hessian = terminal_hessian(ref_design.P, state, H_REF)
+        assert np.linalg.norm(hessian - ref) <= 1e-6 * np.linalg.norm(ref)
+
+    def test_terminal_hessian_finite_at_the_cut(self, ref_design):
+        for g in (exp_so3([0.0, 0.0, np.pi]), np.diag([-1.0, -1.0, 1.0]), np.diag([1.0, -1.0, -1.0])):
+            hessian = terminal_hessian(ref_design.P, SpacecraftState(g, np.eye(3)), H_REF)
+            assert np.all(np.isfinite(hessian))
+            assert np.linalg.eigvalsh(hessian)[0] > 0.0
 
 
 class TestTerminalCostAndLaw:
