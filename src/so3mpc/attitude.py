@@ -26,6 +26,7 @@ from .lgvi import (
 )
 from .mpc import (
     DEFAULT_DISTANCE_TOL,
+    DEFAULT_HORIZON,
     ClosedLoopRun,
     ManifoldSystem,
     MpcConfig,
@@ -147,10 +148,7 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return feedback(self.design.K, coordinates(x, self.h))
 
     def project_control(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(self.torque_bound):
-            return u
-        return np.clip(u, -self.torque_bound, self.torque_bound)
+        return np.clip(np.asarray(u, dtype=float), -self.torque_bound, self.torque_bound)
 
 
 def rest_state(axis_angle) -> SpacecraftState:
@@ -169,21 +167,20 @@ def spinning_state(axis_angle, rate, h: float) -> SpacecraftState:
 class AttitudeMpc:
     """Receding-horizon attitude controller with a fit/predict workflow.
 
-    All hyperparameters are constructor arguments; ``fit`` runs the terminal
-    design (Riccati solve, gain, terminal-set calibration) and freezes the
-    fitted artifacts on trailing-underscore attributes; ``predict`` evaluates
-    the control law at one state, and ``simulate`` runs the closed loop.
+    All hyperparameters are constructor arguments; ``inertia=None`` is the
+    reference inertia and ``weights=None`` the :func:`default_weights` of the
+    inertia.  ``fit`` runs the terminal design (Riccati solve, gain,
+    terminal-set calibration) and freezes the fitted artifacts on
+    trailing-underscore attributes; ``predict`` evaluates the control law at
+    one state, and ``simulate`` runs the closed loop.
     """
 
     def __init__(
         self,
         inertia=None,
         step_seconds: float = DEFAULT_STEP_SECONDS,
-        horizon: int = 10,
-        attitude_weight=None,
-        rate_weight=None,
-        torque_weight=None,
-        cost_decay: float = 0.1,
+        horizon: int = DEFAULT_HORIZON,
+        weights: Optional[StageWeights] = None,
         torque_bound: float = DEFAULT_TORQUE_BOUND,
         solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
         terminal_samples: int = DEFAULT_TERMINAL_SAMPLES,
@@ -194,10 +191,7 @@ class AttitudeMpc:
         self.inertia = inertia
         self.step_seconds = step_seconds
         self.horizon = horizon
-        self.attitude_weight = attitude_weight
-        self.rate_weight = rate_weight
-        self.torque_weight = torque_weight
-        self.cost_decay = cost_decay
+        self.weights = weights
         self.torque_bound = torque_bound
         self.solvability_floor = solvability_floor
         self.terminal_samples = terminal_samples
@@ -205,33 +199,21 @@ class AttitudeMpc:
         self.seed = seed
         self.solver = solver
 
-    def _resolved_weights(self, inertia: np.ndarray) -> StageWeights:
-        base = default_weights(inertia)
-
-        def pick(value, default: np.ndarray) -> np.ndarray:
-            return default if value is None else np.asarray(value, dtype=float)
-
-        return StageWeights(
-            pick(self.attitude_weight, base.attitude),
-            pick(self.rate_weight, base.rate),
-            pick(self.torque_weight, base.torque),
-            self.cost_decay,
-        )
-
     def fit(self) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller."""
         _check_constraints(self.torque_bound, self.solvability_floor)
+        if self.weights is not None and not isinstance(self.weights, StageWeights):
+            raise ValueError(f"weights must be a StageWeights or None, got {self.weights!r}")
         config = MpcConfig(
             horizon=self.horizon,
             solver=self.solver if self.solver is not None else SolverSettings(),
         )
         inertia = DEFAULT_INERTIA if self.inertia is None else np.asarray(self.inertia, dtype=float)
         inertia = check_spd(inertia, "inertia")
-        weights = self._resolved_weights(inertia)
         self.design_ = design_terminal(
             inertia,
             self.step_seconds,
-            weights,
+            default_weights(inertia) if self.weights is None else self.weights,
             torque_bound=self.torque_bound,
             n_samples=self.terminal_samples,
             shrink=self.terminal_shrink,

@@ -26,11 +26,15 @@ from .experiments import (
     write_snapshot_csv,
     write_trajectory_csv,
 )
-from .mpc import DEFAULT_DISTANCE_TOL, MpcConfig, SolverSettings, closed_loop
+from .lgvi import DEFAULT_INERTIA, DEFAULT_STEP_SECONDS
+from .mpc import DEFAULT_DISTANCE_TOL, DEFAULT_HORIZON, MpcConfig, SolverSettings, closed_loop
 from .terminal import (
+    DEFAULT_ATTITUDE_WEIGHT,
+    DEFAULT_DECAY,
     DEFAULT_TERMINAL_SAMPLES,
     DEFAULT_TERMINAL_SHRINK,
     DEFAULT_TORQUE_BOUND,
+    DEFAULT_TORQUE_WEIGHT,
     StageWeights,
     TerminalDesign,
     build_cost_data,
@@ -67,13 +71,14 @@ class RunConfig:
 
 
 def default_config_dict() -> dict:
-    """The reference configuration.  ``weights.Q_f`` has no entry: when
-    omitted it follows ``physical.J_kgm2``, as in :func:`default_weights`."""
+    """The reference configuration, from the library's defaults.
+    ``weights.Q_f`` has no entry: when omitted it follows
+    ``physical.J_kgm2``, as in :func:`default_weights`."""
     return {
-        "physical": {"J_kgm2": [1.0, 1.2, 1.5], "h_seconds": 0.1},
-        "weights": {"Q_g": 1.0, "R": 2.0, "lambda": 0.1},
+        "physical": {"J_kgm2": np.diag(DEFAULT_INERTIA).tolist(), "h_seconds": DEFAULT_STEP_SECONDS},
+        "weights": {"Q_g": DEFAULT_ATTITUDE_WEIGHT, "R": DEFAULT_TORQUE_WEIGHT, "lambda": DEFAULT_DECAY},
         "mpc": {
-            "N": 10,
+            "N": DEFAULT_HORIZON,
             "tau_max_Nm": DEFAULT_TORQUE_BOUND,
             "solver": {},
         },
@@ -133,6 +138,9 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(section, "unknown configuration section")
         if not isinstance(content, dict):
             raise ConfigError(section, "must be an object")
+        for key in content:
+            if key not in merged[section] and (section, key) != ("weights", "Q_f"):
+                raise ConfigError(f"{section}.{key}", "unknown configuration key")
         merged[section].update(content)
 
     merged["weights"].setdefault("Q_f", merged["physical"]["J_kgm2"])
@@ -177,7 +185,9 @@ def parse_config(data: dict) -> RunConfig:
     distance_tol = _positive(exp["distance_tol"], "experiment.distance_tol")
 
     out = merged["output"]
-    out_dir = str(out["directory"])
+    out_dir = out["directory"]
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError("output.directory", f"must be a non-empty string, got {out_dir!r}")
     csv_cadence = _integer(out["csv_cadence_steps"], "output.csv_cadence_steps", 1)
     snapshot_seconds = _positive(out["snapshot_seconds"], "output.snapshot_seconds")
 
@@ -274,8 +284,7 @@ def cmd_simulate(args) -> int:
     cfg = _command_config(args)
     out_dir = args.out or cfg.out_dir
     design_path = args.design or os.path.join(out_dir, "design.json")
-    if not os.path.exists(design_path):
-        print(f"design file not found: {design_path} (run the design command first)", file=sys.stderr)
+    if _design_missing(design_path):
         return 2
     design = TerminalDesign.load(design_path)
     os.makedirs(out_dir, exist_ok=True)
@@ -317,14 +326,20 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _design_for_verify(cfg: RunConfig, design_path: str | None) -> TerminalDesign:
-    if design_path is not None and os.path.exists(design_path):
-        return TerminalDesign.load(design_path)
-    return _design(cfg)
+def _design_missing(path: str) -> bool:
+    """Whether the design file ``path`` is missing, reported on stderr."""
+    if os.path.exists(path):
+        return False
+    print(f"design file not found: {path} (run the design command first)", file=sys.stderr)
+    return True
 
 
 def cmd_verify(args) -> int:
+    """Run the suites on the design file named by ``--design``, or on a
+    fresh design of the configuration when none is named."""
     cfg = _command_config(args)
+    if args.design is not None and _design_missing(args.design):
+        return 2
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     out_dir = args.out or cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
@@ -339,7 +354,7 @@ def cmd_verify(args) -> int:
             )
             continue
         if design is None:
-            design = _design_for_verify(cfg, args.design)
+            design = _design(cfg) if args.design is None else TerminalDesign.load(args.design)
         if suite == "local-law":
             reports.append(
                 certify_local_law(design, cfg.torque_bound, n_samples=cfg.terminal_samples, seed=cfg.seed + 20_000)

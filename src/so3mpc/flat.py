@@ -77,7 +77,4 @@ class DoubleIntegratorSystem(ManifoldSystem):
         return self.local_law(x)
 
     def project_control(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if not np.isfinite(self.control_bound):
-            return u
-        return np.clip(u, -self.control_bound, self.control_bound)
+        return np.clip(np.asarray(u, dtype=float), -self.control_bound, self.control_bound)

@@ -318,6 +318,17 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _step_rows(state: SpacecraftState, torque: np.ndarray, h: float, inertia):
+    """:func:`step_with_margin` of every row of a stack of states, g and f of
+    shape (n, 3, 3), under torques of shape (n, 3): the successors and the
+    margins, shape (n,).  A row whose margin is negative is unsolvable: its
+    successor's increment is NaN (see :func:`_implicit_increments`)."""
+    inertia = np.asarray(inertia, dtype=float)
+    m = _momentum(state.f.transpose(1, 2, 0), torque.T, h * h, inertia.tolist())
+    f_next, margins = _implicit_increments(np.stack(m, axis=-1), inertia)
+    return SpacecraftState(state.g @ state.f, f_next), margins
+
+
 def lgvi_step(state: SpacecraftState, torque, h: float, inertia) -> SpacecraftState:
     """Advance one step: g_next = g f with the current increment, then the
     new increment from the implicit momentum balance."""
@@ -359,7 +370,8 @@ def step_jacobians(f, f_next, h: float, inertia) -> tuple[np.ndarray, np.ndarray
     perturbing F to F exp(hat(psi)) moves its left side by
     hat(F S psi) with S = tr(J F) I - J F, and the momentum m by
     (tr(J f) I - f^T J) h omega + h^2 du, so one 3x3 solve with S per step
-    gives both blocks.  At the identity this is :func:`~so3mpc.terminal.build_linearization`.
+    gives both blocks.  At the identity it is the terminal design's
+    linearization, :func:`~so3mpc.terminal.build_linearization`.
     """
     f = np.asarray(f, dtype=float)
     f_next = np.asarray(f_next, dtype=float)

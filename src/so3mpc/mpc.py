@@ -44,6 +44,8 @@ from .validation import is_number
 
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
+# Steps of the prediction horizon of the reference design.
+DEFAULT_HORIZON = 10
 
 # Fixed numerics of the shooting solver; the choices are in SolverSettings.
 # Central-difference step of the objective gradient.
@@ -191,7 +193,7 @@ class SolverSettings:
 class MpcConfig:
     """Horizon length and solver settings of the receding-horizon law."""
 
-    horizon: int = 10
+    horizon: int = DEFAULT_HORIZON
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):

@@ -40,23 +40,14 @@ def hat(v) -> np.ndarray:
     matrices, each equal to ``hat`` of its row bit for bit.
     """
     v = np.asarray(v, dtype=float)
-    if v.ndim > 1:
-        out = np.zeros(v.shape + (3,))
-        out[..., 0, 1] = -v[..., 2]
-        out[..., 0, 2] = v[..., 1]
-        out[..., 1, 0] = v[..., 2]
-        out[..., 1, 2] = -v[..., 0]
-        out[..., 2, 0] = -v[..., 1]
-        out[..., 2, 1] = v[..., 0]
-        return out
-    v = v.reshape(3)
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 def exp_so3(v) -> np.ndarray:

@@ -24,9 +24,9 @@ from .errors import (
     NotStabilizable,
     OutOfChart,
 )
-from .lgvi import _FLOAT64, SpacecraftState, _implicit_increments, _momentum
+from .lgvi import _FLOAT64, SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
-from .validation import SPD_SYMMETRY_RTOL, check_spd
+from .validation import check_spd
 
 _EYE3 = np.eye(3)
 
@@ -40,9 +40,13 @@ _GRID_POINTS = 48
 _LEVEL_FLOOR = 1e-8
 DECREASE_SLACK = 1e-10
 
-# Defaults of the design shared by the library and the CLI: the torque bound
-# in N m, the number of certificate samples and the safety shrink applied to
-# the calibrated level.
+# Defaults of the design shared by the library and the CLI: the attitude and
+# torque weights as multiples of the identity and the decay factor of
+# :func:`default_weights`, the torque bound in N m, the number of certificate
+# samples and the safety shrink applied to the calibrated level.
+DEFAULT_ATTITUDE_WEIGHT = 1.0
+DEFAULT_TORQUE_WEIGHT = 2.0
+DEFAULT_DECAY = 0.1
 DEFAULT_TORQUE_BOUND = 100.0
 DEFAULT_TERMINAL_SAMPLES = 1000
 DEFAULT_TERMINAL_SHRINK = 0.9
@@ -126,8 +130,14 @@ def _quadratic_form(a, x):
 
 
 def default_weights(inertia) -> StageWeights:
-    """Identity attitude weight, inertia-matched rate weight, 2I torque weight."""
-    return StageWeights(np.eye(3), np.asarray(inertia, dtype=float), 2.0 * np.eye(3), 0.1)
+    """Identity attitude weight, inertia-matched rate weight, 2I torque
+    weight and decay 0.1."""
+    return StageWeights(
+        DEFAULT_ATTITUDE_WEIGHT * _EYE3,
+        np.asarray(inertia, dtype=float),
+        DEFAULT_TORQUE_WEIGHT * _EYE3,
+        DEFAULT_DECAY,
+    )
 
 
 class Linearization(NamedTuple):
@@ -152,35 +162,32 @@ class Certification(NamedTuple):
     max_violation: float
 
 
-def tilde_transform(q) -> np.ndarray:
-    """Map a symmetric matrix Q to trace(Q) I - Q.
+def tilde_transform(m) -> np.ndarray:
+    """tilde(sym(M)) = tr(M) I - (M + M^T) / 2, for one matrix or a stack;
+    a symmetric Q maps to trace(Q) I - Q.
 
     Converts trace-form rotation costs into quadratic forms on rotation
-    vectors.  Each output eigenvalue is the sum of the complementary input
-    eigenvalues, so positive-definite inputs stay positive-definite.
+    vectors.  Each output eigenvalue of a symmetric input is the sum of the
+    complementary input eigenvalues, so positive-definite inputs stay
+    positive-definite.
     """
-    q = np.asarray(q, dtype=float)
-    if np.linalg.norm(q - q.T) > SPD_SYMMETRY_RTOL * max(1.0, np.linalg.norm(q)):
-        raise ValueError("tilde_transform requires a symmetric matrix")
-    return np.trace(q) * np.eye(q.shape[0]) - q
+    m = np.asarray(m, dtype=float)
+    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
+    return np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - sym
 
 
 def build_linearization(h: float, inertia) -> Linearization:
-    """Double-integrator structure of the attitude dynamics in exponential
-    coordinates: rotation vector integrates the rate, rate integrates the
-    torque.
+    """The design's (A, B): :func:`~so3mpc.lgvi.step_jacobians` at the
+    equilibrium, the exact Jacobian of the implicit integrator step there,
+    which the terminal decrease condition on the nonlinear dynamics needs.
 
-    The control enters the rate row through h times the inverse of
-    trace(J) I - J, which is the exact Jacobian of the implicit integrator
-    step about the equilibrium; this is required for the terminal decrease
-    condition to hold on the nonlinear dynamics.
+    It has the double-integrator structure of exponential coordinates: the
+    rotation vector integrates the rate, and the torque enters the rate row
+    through h times the inverse of trace(J) I - J.
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    a = np.block([[_EYE3, h * _EYE3], [np.zeros((3, 3)), _EYE3]])
-    coupling = np.linalg.inv(tilde_transform(np.asarray(inertia, dtype=float)))
-    b = np.vstack([np.zeros((3, 3)), h * coupling])
-    return Linearization(a, b)
+    return Linearization(*step_jacobians(_EYE3, _EYE3, h, inertia))
 
 
 def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCostData:
@@ -199,19 +206,12 @@ def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCo
     state block per state.
     """
     blocks = _clip_negative(np.stack([
-        _tilde_sym(weights.attitude @ state.g), _tilde_sym(weights.rate @ state.f)
+        tilde_transform(weights.attitude @ state.g), tilde_transform(weights.rate @ state.f)
     ]))
     q = np.zeros(state.g.shape[:-2] + (6, 6))
     q[..., :3, :3] = blocks[0]
     q[..., 3:, 3:] = blocks[1]
-    return QuadraticCostData(q, _tilde_sym(weights.torque))
-
-
-def _tilde_sym(m: np.ndarray) -> np.ndarray:
-    """tilde(sym(M)) = tr(M) I - (M + M^T) / 2, for one matrix or a stack;
-    a symmetric M gives :func:`tilde_transform` of it bit for bit."""
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    return np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - sym
+    return QuadraticCostData(q, tilde_transform(weights.torque))
 
 
 def _clip_negative(m: np.ndarray) -> np.ndarray:
@@ -266,13 +266,18 @@ def _controllable(a: np.ndarray, b: np.ndarray) -> bool:
     return np.linalg.matrix_rank(np.hstack(blocks)) == n
 
 
-def dare_residual(p, lin: Linearization, cost: QuadraticCostData) -> float:
-    """Frobenius norm of the fixed-point defect of the Riccati equation."""
+def _riccati_map(p, lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
+    """One step of the Riccati difference equation,
+    A^T P A + Q - A^T P B (B^T P B + R)^{-1} B^T P A."""
     a, b = lin
     q, r = cost
     apb = a.T @ p @ b
-    defect = a.T @ p @ a - p + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
-    return float(np.linalg.norm(defect))
+    return a.T @ p @ a + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
+
+
+def dare_residual(p, lin: Linearization, cost: QuadraticCostData) -> float:
+    """Frobenius norm of the fixed-point defect of the Riccati equation."""
+    return float(np.linalg.norm(_riccati_map(p, lin, cost) - p))
 
 
 def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
@@ -287,15 +292,12 @@ def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
             deficient.
         NoConvergence: if the iteration stalls or the residual check fails.
     """
-    a, b = lin
-    q, r = cost
-    if not _controllable(a, b):
+    if not _controllable(*lin):
         raise NotStabilizable("(A, B) has a rank-deficient controllability matrix")
-    p = np.asarray(q, dtype=float).copy()
+    p = np.asarray(cost.Q, dtype=float).copy()
     converged = False
     for _ in range(_DARE_MAX_ITERS):
-        apb = a.T @ p @ b
-        p_next = a.T @ p @ a + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
+        p_next = _riccati_map(p, lin, cost)
         p_next = 0.5 * (p_next + p_next.T)
         gap = float(np.linalg.norm(p_next - p))
         p = p_next
@@ -484,22 +486,19 @@ def evaluate_level(
         raise OutOfChart(
             f"level {level:.6g} exceeds the chart ceiling {ceiling:.6g} of the terminal ellipsoid"
         )
-    inertia = np.asarray(inertia, dtype=float)
     xi = np.sqrt(level) * unit_samples
     state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
     coords = coordinates(state, h)
     torque = feedback(design_k, coords)
-    momentum = np.stack(_momentum(state.f.transpose(1, 2, 0), torque.T, h * h, inertia.tolist()), axis=-1)
-    f_next, margins = _implicit_increments(momentum, inertia)
+    successor, margins = _step_rows(state, torque, h, inertia)
     worst_invariance = -np.inf
     solvable = margins >= 0.0
     if not solvable.all():
         # An unsolvable step is a hard violation of the invariance condition;
         # the other margins are taken over the samples that can be stepped.
         worst_invariance = np.inf
-        state = SpacecraftState(state.g[solvable], state.f[solvable])
-        coords, torque, f_next = coords[solvable], torque[solvable], f_next[solvable]
-    successor = SpacecraftState(state.g @ state.f, f_next)
+        state, successor = (SpacecraftState(x.g[solvable], x.f[solvable]) for x in (state, successor))
+        coords, torque = coords[solvable], torque[solvable]
     succ_value = terminal_value(design_p, coordinates(successor, h))
     value = terminal_value(design_p, coords)
     stage = weights.stage_cost(state, torque, h)

@@ -9,8 +9,8 @@ import numpy as np
 from .errors import ConfigError, NotPositiveDefinite, NotRotation
 
 ROTATION_ATOL = 1e-9
-# Asymmetry allowed in a matrix that must be symmetric (check_spd and
-# terminal.tilde_transform), relative to max(1, ||A||_F).
+# Asymmetry allowed in a matrix that must be symmetric positive-definite
+# (check_spd), relative to max(1, ||A||_F).
 SPD_SYMMETRY_RTOL = 1e-12
 
 

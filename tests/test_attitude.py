@@ -12,6 +12,7 @@ from so3mpc.errors import NotPositiveDefinite, NotRotation, OutOfChart
 from so3mpc.lgvi import MARGIN_CUTOFF, SpacecraftState, lgvi_step
 from so3mpc.mpc import SolverSettings
 from so3mpc.so3 import exp_so3
+from so3mpc.terminal import StageWeights
 
 from conftest import H_REF, J_REF
 
@@ -129,6 +130,16 @@ class TestEstimator:
     def test_fit_rejects_non_settings_solver_before_design(self):
         with pytest.raises(ValueError, match="solver"):
             AttitudeMpc(solver={"max_iters": 3}, terminal_samples=10).fit()
+
+    def test_fit_rejects_non_stage_weights_before_design(self):
+        with pytest.raises(ValueError, match="weights"):
+            AttitudeMpc(weights=2.0 * np.eye(3), terminal_samples=10).fit()
+
+    def test_fit_takes_stage_weights(self):
+        weights = StageWeights(2.0 * np.eye(3), np.diag([1.0, 1.2, 1.5]), np.eye(3), 0.2)
+        est = AttitudeMpc(horizon=4, weights=weights, terminal_samples=200).fit()
+        assert est.design_.weights is weights
+        assert est.system_.weights is weights
 
     def test_fit_rejects_bad_inertia(self):
         with pytest.raises(NotPositiveDefinite):

@@ -1,12 +1,17 @@
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from so3mpc.cli import default_config_dict, load_config, main, parse_config
+from so3mpc import AttitudeMpc, MpcConfig
+from so3mpc.cli import _design, default_config_dict, load_config, main, parse_config
 from so3mpc.errors import ConfigError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture()
@@ -61,6 +66,50 @@ class TestConfigParsing:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
             parse_config({"typo_section": {}})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("physical", "h_second"),
+            ("weights", "Q_h"),
+            ("mpc", "horizon"),
+            ("terminal", "samples"),
+            ("experiment", "steps"),
+            ("output", "dir"),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_key(self, section, key, tmp_path, capsys):
+        # Ignored before: {"physical": {"h_second": 0.5}} ran with h = 0.1.
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({section: {key: 0.5}}))
+        assert main(["design", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert f"configuration error: {section}.{key}: unknown configuration key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("directory", [None, 3, ""])
+    def test_output_directory_must_be_a_string(self, directory):
+        # A null directory used to write ./None/design.json.
+        with pytest.raises(ConfigError, match=r"^output\.directory"):
+            parse_config({"output": {"directory": directory}})
+
+    def test_readme_example_config_accepted(self):
+        example = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = parse_config(json.loads(example))
+        # It spells out the reference values, plus the default ftol_rel.
+        assert cfg.solver == parse_config({}).solver
+        cfg.raw["mpc"]["solver"] = {}
+        assert cfg.raw == parse_config({}).raw
+
+    def test_cli_defaults_are_the_library_defaults(self):
+        cfg = parse_config({})
+        cli_design = _design(cfg)
+        controller = AttitudeMpc().fit()
+        lib_design = controller.design_
+        assert cli_design.P.tobytes() == lib_design.P.tobytes()
+        assert cli_design.K.tobytes() == lib_design.K.tobytes()
+        assert cli_design.c == lib_design.c
+        assert cli_design.to_json_dict() == lib_design.to_json_dict()
+        assert MpcConfig(horizon=cfg.horizon, solver=cfg.solver) == controller.config_
+        assert cfg.torque_bound == controller.torque_bound
 
     def test_bad_solver_key_rejected(self):
         with pytest.raises(ConfigError) as excinfo:
@@ -273,6 +322,14 @@ class TestVerifyCommand:
         out = str(tmp_path / "out")
         code = main(["verify", "lyapunov", "--config", fast_config, "--out", out])
         assert code == 0
+
+    def test_missing_design_file_exits_2(self, fast_config, tmp_path, capsys):
+        # Ignored before: verify designed afresh and exited 0.
+        out = str(tmp_path / "out")
+        missing = str(tmp_path / "nope.json")
+        assert main(["verify", "local-law", "--config", fast_config, "--out", out, "--design", missing]) == 2
+        assert f"design file not found: {missing}" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unknown_suite_exits_2(self, fast_config):
         assert main(["verify", "nonsense", "--config", fast_config]) == 2

@@ -16,6 +16,7 @@ from so3mpc.lgvi import (
     _margin,
     _margin_bound,
     _margins,
+    _step_rows,
     free_momentum_drift,
     lgvi_step,
     orthogonality_drift,
@@ -352,6 +353,30 @@ class TestBatchedKernel:
         assert unsolvable[0] == 1
         assert 50 <= unsolvable[1] <= 350
 
+    def test_step_rows_match_single_steps(self):
+        # The certificate's stacked step: each solvable row is
+        # step_with_margin's successor and margin bit for bit, each
+        # unsolvable row has LAPACK's negative margin and a NaN increment.
+        rng = np.random.default_rng(14)
+        g = np.array([exp_so3(rng.uniform(-np.pi, np.pi, 3)) for _ in range(60)])
+        f = np.array([exp_so3(H * rng.uniform(-3.0, 3.0, 3)) for _ in range(60)])
+        torques = rng.uniform(-250.0, 250.0, (60, 3))
+        successors, margins = _step_rows(SpacecraftState(g, f), torques, H, J_REF)
+        unsolvable = 0
+        for k in range(60):
+            state = SpacecraftState(g[k], f[k])
+            assert np.array_equal(successors.g[k], g[k] @ f[k])
+            exact = check_solvability(momentum_matrix(state, torques[k], H, J_REF), J_REF)
+            if not exact.ok:
+                unsolvable += 1
+                assert margins[k] == exact.margin < 0.0
+                assert np.isnan(successors.f[k]).all()
+                continue
+            nxt, margin = step_with_margin(state, torques[k], H, J_REF)
+            assert np.array_equal(successors.f[k], nxt.f)
+            assert margins[k] == margin
+        assert 5 <= unsolvable <= 55
+
     def test_empty_stack(self):
         increments, margins = _implicit_increments(np.zeros((0, 3)), J_REF)
         assert increments.shape == (0, 3, 3)
@@ -522,10 +547,18 @@ class TestStepJacobians:
             self.check(state, 100.0 * rng.choice([-1.0, 1.0], 3))
 
     def test_identity_is_the_design_linearization(self):
-        lin = build_linearization(H, J_REF)
-        a, b = step_jacobians(np.eye(3), np.eye(3), H, J_REF)
-        assert np.linalg.norm(a - lin.A) <= 1e-12 * np.linalg.norm(lin.A)
-        assert np.linalg.norm(b - lin.B) <= 1e-12 * np.linalg.norm(lin.B)
+        # At the identity the step is a double integrator in exponential
+        # coordinates, with the torque entering the rate row through
+        # h (tr J I - J)^{-1}; the terminal design takes these Jacobians.
+        for inertia in (J_REF, np.array([[1.0, 0.1, 0.0], [0.1, 1.2, 0.05], [0.0, 0.05, 1.5]])):
+            a, b = step_jacobians(np.eye(3), np.eye(3), H, inertia)
+            a_ref = np.block([[np.eye(3), H * np.eye(3)], [np.zeros((3, 3)), np.eye(3)]])
+            coupling = H * np.linalg.inv(np.trace(inertia) * np.eye(3) - inertia)
+            b_ref = np.vstack([np.zeros((3, 3)), coupling])
+            assert np.linalg.norm(a - a_ref) <= 1e-12 * np.linalg.norm(a_ref)
+            assert np.linalg.norm(b - b_ref) <= 1e-12 * np.linalg.norm(b_ref)
+            lin = build_linearization(H, inertia)
+            assert lin.A.tobytes() == a.tobytes() and lin.B.tobytes() == b.tobytes()
 
     def test_stack_matches_single_steps(self):
         rng = np.random.default_rng(24)

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import so3mpc
@@ -63,3 +64,49 @@ def test_no_unused_imports():
     paths += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in _unused_imports(path)]
     assert unused == []
+
+
+def _module_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """The names that a module's top-level statements define, with lines;
+    dunder names such as ``__all__`` are left out."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [
+                (t.id, node.lineno) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)
+            ]
+    return [(name, line) for name, line in names if not name.startswith("__")]
+
+
+def _code_references(tree: ast.Module) -> set[str]:
+    """Names a module loads, reads as attributes or imports."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    # A name that no code in src/ uses, no benchmark file names and the
+    # README does not document is an orphan, such as a helper left behind
+    # when two implementations were merged.
+    trees = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "so3mpc").glob("*.py"))}
+    code_refs = set().union(*(_code_references(tree) for tree in trees.values()))
+    text = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    text += (ROOT / "README.md").read_text()
+    text_refs = set(re.findall(r"\w+", text))
+    orphans = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, tree in trees.items()
+        for name, line in _module_definitions(tree)
+        if name not in code_refs and name not in text_refs
+    ]
+    assert orphans == []

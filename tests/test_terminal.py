@@ -62,9 +62,22 @@ class TestTildeTransform:
                 atol=1e-12,
             )
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            tilde_transform(np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
+    def test_takes_symmetric_part(self):
+        # tilde(M) = tilde(sym(M)): the trace-form cost sees only sym(M).
+        m = np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]])
+        assert_allclose(tilde_transform(m), -0.5 * (m + m.T), atol=0.0)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            m = rng.standard_normal((3, 3))
+            sym = 0.5 * (m + m.T)
+            assert tilde_transform(m).tobytes() == tilde_transform(sym).tobytes()
+
+    def test_stack_matches_single_matrices(self):
+        stack = np.random.default_rng(3).standard_normal((7, 3, 3))
+        tilde = tilde_transform(stack)
+        assert tilde.shape == (7, 3, 3)
+        for m, t in zip(stack, tilde):
+            assert t.tobytes() == tilde_transform(m).tobytes()
 
 
 def skew_trace_identity_check(a, b, r) -> float:
