@@ -253,16 +253,34 @@ def _design(cfg: RunConfig) -> TerminalDesign:
     )
 
 
+def _output_dir(args, cfg: RunConfig) -> str:
+    """The output directory, created if needed; a path that cannot be made a
+    directory (a file is in the way, say) is a ConfigError naming it."""
+    out_dir = args.out or cfg.out_dir
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        key = "--out" if args.out else "output.directory"
+        raise ConfigError(key, f"cannot create directory {out_dir}: {err.strerror}") from None
+    return out_dir
+
+
 def cmd_design(args) -> int:
     cfg = _command_config(args)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
+    path = args.design or os.path.join(out_dir, "design.json")
+    if args.design is not None:
+        # Checked before the design runs, which takes about a second.
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ConfigError("--design", f"directory {parent} of {path} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError("--design", f"{path} is a directory")
     try:
         design = _design(cfg)
     except (NoFeasibleLevel, NoConvergence) as err:
         print(f"design failed: {err}", file=sys.stderr)
         return 2
-    path = args.design or os.path.join(out_dir, "design.json")
     design.save(path)
 
     lin = build_linearization(cfg.h, cfg.inertia)
@@ -287,7 +305,7 @@ def cmd_simulate(args) -> int:
     if _design_missing(design_path):
         return 2
     design = TerminalDesign.load(design_path)
-    os.makedirs(out_dir, exist_ok=True)
+    _output_dir(args, cfg)
 
     system = SpacecraftAttitudeSystem(design, torque_bound=cfg.torque_bound)
     state0 = spinning_state(cfg.initial_attitude, cfg.initial_rate, design.h)
@@ -338,14 +356,15 @@ def cmd_verify(args) -> int:
     """Run the suites on the design file named by ``--design``, or on a
     fresh design of the configuration when none is named."""
     cfg = _command_config(args)
-    if args.design is not None and _design_missing(args.design):
-        return 2
+    design = None
+    if args.design is not None:
+        if _design_missing(args.design):
+            return 2
+        design = TerminalDesign.load(args.design)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
-    out_dir = args.out or cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
 
     reports = []
-    design = None
     mpc_config = MpcConfig(horizon=cfg.horizon, solver=cfg.solver)
     for suite in suites:
         if suite == "conservation":
@@ -354,7 +373,7 @@ def cmd_verify(args) -> int:
             )
             continue
         if design is None:
-            design = _design(cfg) if args.design is None else TerminalDesign.load(args.design)
+            design = _design(cfg)
         if suite == "local-law":
             reports.append(
                 certify_local_law(design, cfg.torque_bound, n_samples=cfg.terminal_samples, seed=cfg.seed + 20_000)

@@ -57,6 +57,11 @@ class Infeasible(So3MpcError):
         self.step = step
 
 
+class DesignFileError(So3MpcError):
+    """A terminal design file is not valid JSON, lacks a key or holds a
+    malformed entry."""
+
+
 class ConfigError(So3MpcError):
     """A configuration file entry is missing or invalid; names the offending key."""
 

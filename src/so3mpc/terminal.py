@@ -18,11 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    DesignFileError,
     NoConvergence,
     NoFeasibleLevel,
     NotPositiveDefinite,
     NotStabilizable,
     OutOfChart,
+    So3MpcError,
 )
 from .lgvi import _FLOAT64, SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
@@ -30,11 +32,12 @@ from .validation import check_spd
 
 _EYE3 = np.eye(3)
 
-# Fixed tolerances of the design: the Riccati iteration's stop, cap and
-# residual bound; the calibration grid's size and lowest level; and the slack
-# of the decrease condition F(x+) - F(x) + L(x, u) <= DECREASE_SLACK.
+# Fixed tolerances of the design: the Riccati doubling's stop, cap (64
+# doublings stand for 2^64 Riccati steps) and residual bound; the calibration
+# grid's size and lowest level; and the slack of the decrease condition
+# F(x+) - F(x) + L(x, u) <= DECREASE_SLACK.
 _DARE_TOL = 1e-12
-_DARE_MAX_ITERS = 1_000_000
+_DARE_MAX_DOUBLINGS = 64
 _DARE_RESIDUAL_TOL = 1e-8
 _GRID_POINTS = 48
 _LEVEL_FLOOR = 1e-8
@@ -281,35 +284,52 @@ def dare_residual(p, lin: Linearization, cost: QuadraticCostData) -> float:
 
 
 def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
-    """Stabilizing solution of the discrete-time algebraic Riccati equation.
+    """Stabilizing solution of the discrete-time algebraic Riccati equation,
+    by the structure-preserving doubling algorithm.
 
-    Iterates the Riccati difference equation from P = Q until successive
-    iterates agree to ``_DARE_TOL`` in the Frobenius norm, then checks the
-    residual against ``_DARE_RESIDUAL_TOL``.
+    Starts from A_0 = A, G_0 = B R^{-1} B^T and H_0 = Q.  Each doubling sets
+    W = I + G_k H_k and
+
+        A_{k+1} = A_k W^{-1} A_k,
+        G_{k+1} = G_k + A_k W^{-1} G_k A_k^T,
+        H_{k+1} = H_k + A_k^T H_k W^{-1} A_k,
+
+    with G and H symmetrized.  H_k equals the Riccati difference equation's
+    iterate after 2^k steps from P = 0, so it converges to P quadratically.
+    Stops once successive H agree to ``_DARE_TOL`` in the Frobenius norm,
+    then checks the residual against ``_DARE_RESIDUAL_TOL``.
 
     Raises:
         NotStabilizable: if the controllability matrix of (A, B) is rank
             deficient.
-        NoConvergence: if the iteration stalls or the residual check fails.
+        NoConvergence: if ``_DARE_MAX_DOUBLINGS`` doublings do not converge
+            or the residual check fails.
     """
     if not _controllable(*lin):
         raise NotStabilizable("(A, B) has a rank-deficient controllability matrix")
-    p = np.asarray(cost.Q, dtype=float).copy()
-    converged = False
-    for _ in range(_DARE_MAX_ITERS):
-        p_next = _riccati_map(p, lin, cost)
-        p_next = 0.5 * (p_next + p_next.T)
-        gap = float(np.linalg.norm(p_next - p))
-        p = p_next
+    a, b = lin
+    g = b @ np.linalg.solve(cost.R_dare, b.T)
+    h = cost.Q
+    eye = np.eye(a.shape[0])
+    for _ in range(_DARE_MAX_DOUBLINGS):
+        w = eye + g @ h
+        w_inv_a = np.linalg.solve(w, a)
+        w_inv_g = np.linalg.solve(w, g)
+        h_next = h + a.T @ h @ w_inv_a
+        h_next = 0.5 * (h_next + h_next.T)
+        g = g + a @ w_inv_g @ a.T
+        g = 0.5 * (g + g.T)
+        a = a @ w_inv_a
+        gap = float(np.linalg.norm(h_next - h))
+        h = h_next
         if gap < _DARE_TOL:
-            converged = True
             break
-    if not converged:
-        raise NoConvergence(f"Riccati iteration did not converge within {_DARE_MAX_ITERS} steps")
-    residual = dare_residual(p, lin, cost)
+    else:
+        raise NoConvergence(f"Riccati doubling did not converge within {_DARE_MAX_DOUBLINGS} doublings")
+    residual = dare_residual(h, lin, cost)
     if residual > _DARE_RESIDUAL_TOL:
         raise NoConvergence(f"Riccati residual {residual:.3e} exceeds {_DARE_RESIDUAL_TOL:.1e}")
-    return p
+    return h
 
 
 def lqr_gain(p, lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
@@ -398,23 +418,29 @@ class TerminalDesign:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TerminalDesign":
-        weights = StageWeights(
-            np.asarray(data["Q_g"], dtype=float),
-            np.asarray(data["Q_f"], dtype=float),
-            np.asarray(data["R"], dtype=float),
-            float(data["lambda"]),
-        )
+        """Inverse of :meth:`to_json_dict`.  Raises
+        :class:`~so3mpc.errors.DesignFileError` naming a missing key or an
+        entry that does not convert."""
+        try:
+            weights = StageWeights(
+                _design_entry(data, _matrix(3, 3), "Q_g"),
+                _design_entry(data, _matrix(3, 3), "Q_f"),
+                _design_entry(data, _matrix(3, 3), "R"),
+                _design_entry(data, float, "lambda"),
+            )
+        except ValueError as err:
+            raise DesignFileError(f"weights: {err}") from None
         cert = Certification(
-            int(data["certification"]["n_samples"]),
-            float(data["certification"]["max_violation"]),
+            _design_entry(data, int, "certification", "n_samples"),
+            _design_entry(data, float, "certification", "max_violation"),
         )
         return cls(
-            h=float(data["h"]),
-            inertia=np.asarray(data["J"], dtype=float),
+            h=_design_entry(data, float, "h"),
+            inertia=_design_entry(data, _matrix(3, 3), "J"),
             weights=weights,
-            P=np.asarray(data["P"], dtype=float).reshape(6, 6),
-            K=np.asarray(data["K"], dtype=float).reshape(3, 6),
-            c=float(data["c"]),
+            P=_design_entry(data, _matrix(6, 6), "P"),
+            K=_design_entry(data, _matrix(3, 6), "K"),
+            c=_design_entry(data, float, "c"),
             certification=cert,
         )
 
@@ -425,8 +451,38 @@ class TerminalDesign:
 
     @classmethod
     def load(cls, path) -> "TerminalDesign":
+        """Read a file written by :meth:`save`.  Raises
+        :class:`~so3mpc.errors.DesignFileError` naming the file when it is
+        not valid JSON or does not hold a valid design."""
         with open(path) as handle:
-            return cls.from_json_dict(json.load(handle))
+            try:
+                data = json.load(handle)
+            except ValueError as err:
+                raise DesignFileError(f"{path}: invalid JSON: {err}") from None
+        try:
+            return cls.from_json_dict(data)
+        except So3MpcError as err:
+            raise DesignFileError(f"{path}: {err}") from None
+
+
+def _matrix(*shape):
+    """Converter of a nested list to a float array of ``shape``."""
+    return lambda value: np.asarray(value, dtype=float).reshape(shape)
+
+
+def _design_entry(data, convert, *keys):
+    """``convert(data[keys[0]][keys[1]]...)``, or a DesignFileError naming the
+    dotted key when it is missing or does not convert."""
+    name = ".".join(keys)
+    value = data
+    for key in keys:
+        if not isinstance(value, dict) or key not in value:
+            raise DesignFileError(f"missing key {name!r}")
+        value = value[key]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as err:
+        raise DesignFileError(f"key {name!r}: {err}") from None
 
 
 def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):

@@ -14,6 +14,14 @@ from so3mpc.errors import ConfigError
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+# Design file contents that load rejects, with the start of the message.
+MALFORMED_DESIGNS = [
+    ("", "invalid JSON"),
+    ('{"h": 0.1}', "missing key 'Q_g'"),
+    ("[]", "missing key 'Q_g'"),
+]
+
+
 @pytest.fixture()
 def fast_config(tmp_path):
     """Small, quick configuration for CLI round trips."""
@@ -239,6 +247,33 @@ class TestDesignCommand:
         path.write_text(json.dumps({"weights": {"lambda": 1.5}}))
         assert main(["design", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", [["design"], ["simulate"], ["verify", "conservation"]])
+    def test_out_path_that_is_a_file_exits_2(self, command, fast_config, tmp_path, capsys):
+        # Before, os.makedirs raised FileExistsError: a traceback and exit 1.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        design = tmp_path / "design.json"
+        assert main(["design", "--config", fast_config, "--out", str(tmp_path), "--design", str(design)]) == 0
+        capsys.readouterr()
+        args = ["--config", fast_config, "--out", str(blocker), "--design", str(design)]
+        assert main(command + args) == 2
+        assert f"configuration error: --out: cannot create directory {blocker}" in capsys.readouterr().err
+
+    def test_design_path_in_missing_directory_exits_2_before_designing(
+        self, fast_config, tmp_path, capsys, monkeypatch
+    ):
+        # Before, the whole design ran and save raised FileNotFoundError.
+        def no_design(*args, **kwargs):
+            raise AssertionError("the design ran")
+
+        monkeypatch.setattr("so3mpc.cli.design_terminal", no_design)
+        target = str(tmp_path / "nodir" / "d.json")
+        assert main(["design", "--config", fast_config, "--out", str(tmp_path / "out"), "--design", target]) == 2
+        assert f"configuration error: --design: directory {tmp_path / 'nodir'} of {target} does not exist" in (
+            capsys.readouterr().err
+        )
+        assert main(["design", "--config", fast_config, "--design", str(tmp_path)]) == 2
+
     def test_repeat_invocation_byte_identical(self, fast_config, tmp_path):
         out = str(tmp_path / "out")
         assert main(["design", "--config", fast_config, "--out", out]) == 0
@@ -303,6 +338,15 @@ class TestSimulateCommand:
         out = str(tmp_path / "empty")
         assert main(["simulate", "--config", fast_config, "--out", out]) == 2
 
+    @pytest.mark.parametrize(("content", "message"), MALFORMED_DESIGNS)
+    def test_malformed_design_exits_2_naming_file(self, content, message, fast_config, tmp_path, capsys):
+        # Before, JSONDecodeError or KeyError escaped: a traceback and exit 1.
+        design = tmp_path / "design.json"
+        design.write_text(content)
+        args = ["--config", fast_config, "--out", str(tmp_path / "out"), "--design", str(design)]
+        assert main(["simulate"] + args) == 2
+        assert f"error: {design}: {message}" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_conservation_suite_passes(self, fast_config, tmp_path, capsys):
@@ -330,6 +374,17 @@ class TestVerifyCommand:
         assert main(["verify", "local-law", "--config", fast_config, "--out", out, "--design", missing]) == 2
         assert f"design file not found: {missing}" in capsys.readouterr().err
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(("content", "message"), MALFORMED_DESIGNS)
+    def test_malformed_design_exits_2_naming_file(self, content, message, fast_config, tmp_path, capsys):
+        design = tmp_path / "design.json"
+        design.write_text(content)
+        out = tmp_path / "out"
+        args = ["--config", fast_config, "--out", str(out), "--design", str(design)]
+        assert main(["verify", "all"] + args) == 2
+        assert f"error: {design}: {message}" in capsys.readouterr().err
+        # Read before any suite runs.
+        assert not out.exists()
 
     def test_unknown_suite_exits_2(self, fast_config):
         assert main(["verify", "nonsense", "--config", fast_config]) == 2

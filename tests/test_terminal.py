@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from so3mpc.errors import NoFeasibleLevel, NotSolvable, NotStabilizable, OutOfChart
+from so3mpc import terminal
+from so3mpc.errors import (
+    DesignFileError,
+    NoConvergence,
+    NoFeasibleLevel,
+    NotSolvable,
+    NotStabilizable,
+    OutOfChart,
+)
 from so3mpc.lgvi import SpacecraftState, lgvi_step
 from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
@@ -35,6 +46,41 @@ from so3mpc.terminal import (
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF, perturbed
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+
+
+def fixed_point_dare(lin, cost):
+    """Oracle: the Riccati difference equation iterated from P = Q until an
+    update no longer changes P beyond round-off."""
+    a, b = lin
+    q, r = cost
+    p = q
+    for _ in range(200_000):
+        apb = a.T @ p @ b
+        p_next = a.T @ p @ a + q - apb @ np.linalg.solve(b.T @ p @ b + r, apb.T)
+        p_next = 0.5 * (p_next + p_next.T)
+        if np.linalg.norm(p_next - p) <= 1e-15 * np.linalg.norm(p_next):
+            return p_next
+        p = p_next
+    raise AssertionError("the fixed-point oracle did not converge")
+
+
+def random_spd(rng, scale):
+    m = rng.standard_normal((3, 3))
+    return scale * (m @ m.T / 3.0 + 0.2 * np.eye(3))
+
+
+def random_problem(seed, h):
+    """A seeded non-diagonal inertia (principal moments in [1, 2], so the
+    triangle inequalities hold, turned by a random rotation) with random
+    SPD weights and decay."""
+    rng = np.random.default_rng(seed)
+    turn = exp_so3(rng.uniform(-np.pi, np.pi, 3) / np.sqrt(3.0))
+    inertia = turn @ np.diag(rng.uniform(1.0, 2.0, 3)) @ turn.T
+    inertia = 0.5 * (inertia + inertia.T)
+    weights = StageWeights(
+        random_spd(rng, 1.0), random_spd(rng, 1.0), random_spd(rng, 2.0), rng.uniform(0.05, 0.5)
+    )
+    return build_linearization(h, inertia), build_cost_data(weights)
 
 
 class TestTildeTransform:
@@ -214,6 +260,32 @@ class TestDare:
         # P = A_cl^T P A_cl + Q + K^T R K is the completed-square form.
         rebuilt = a_cl.T @ p @ a_cl + cost.Q + k.T @ cost.R_dare @ k
         assert np.linalg.norm(rebuilt - p) <= 1e-8
+
+    @pytest.mark.parametrize("h", [0.05, 0.1, 0.5])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_doubling_matches_fixed_point_iteration(self, seed, h):
+        lin, cost = random_problem(seed, h)
+        p = solve_dare(lin, cost)
+        assert_allclose(p, fixed_point_dare(lin, cost), rtol=1e-10)
+        # Exactly symmetric: eigh and the certificate's samples read one triangle.
+        assert np.array_equal(p, p.T)
+
+    def test_double_integrator_matches_fixed_point_iteration(self):
+        lin = Linearization(np.array([[1.0, 0.1], [0.0, 1.0]]), np.array([[0.0], [0.1]]))
+        cost = QuadraticCostData(np.diag([1.0, 0.5]), np.array([[0.1]]))
+        assert_allclose(solve_dare(lin, cost), fixed_point_dare(lin, cost), rtol=1e-10)
+
+    def test_reference_residual_at_round_off(self, ref_weights):
+        lin = build_linearization(H_REF, J_REF)
+        cost = build_cost_data(ref_weights)
+        assert dare_residual(solve_dare(lin, cost), lin, cost) <= 5e-13
+
+    def test_doubling_cap_raises_no_convergence(self, ref_weights, monkeypatch):
+        monkeypatch.setattr(terminal, "_DARE_MAX_DOUBLINGS", 1)
+        lin = build_linearization(H_REF, J_REF)
+        cost = build_cost_data(ref_weights)
+        with pytest.raises(NoConvergence, match="1 doublings"):
+            solve_dare(lin, cost)
 
     def test_zero_state_zero_control(self, ref_design):
         xi = np.zeros(6)
@@ -619,3 +691,27 @@ class TestDesignSerialization:
         a.save(pa)
         b.save(pb)
         assert pa.read_bytes() == pb.read_bytes()
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("certification", {"n_samples": 1000}, "missing key 'certification.max_violation'"),
+            ("P", [1.0] * 35, "key 'P': cannot reshape"),
+            ("c", [1.0], "key 'c':"),
+            ("lambda", 1.5, "weights: decay must lie in (0, 1)"),
+        ],
+    )
+    def test_bad_entry_raises_design_file_error(self, ref_design, key, value, message):
+        data = ref_design.to_json_dict()
+        data[key] = value
+        with pytest.raises(DesignFileError) as err:
+            TerminalDesign.from_json_dict(data)
+        assert str(err.value).startswith(message)
+
+    def test_load_names_the_file(self, ref_design, tmp_path):
+        data = ref_design.to_json_dict()
+        data["Q_g"] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(DesignFileError, match=f"^{re.escape(str(path))}: attitude weight has non-positive"):
+            TerminalDesign.load(path)
