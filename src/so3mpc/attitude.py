@@ -96,8 +96,14 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
         return step_with_margin(x, u, self.h, self.inertia)[0]
 
-    def step_with_margin(self, x: SpacecraftState, u):
-        return step_with_margin(x, u, self.h, self.inertia)
+    def step_with_margin(self, x: SpacecraftState, u, near: Optional[SpacecraftState] = None):
+        """:func:`~so3mpc.lgvi.step_with_margin`, its Newton solve started at
+        the increment of ``near`` when one is given."""
+        start = None if near is None else near.f
+        return step_with_margin(x, u, self.h, self.inertia, start)
+
+    def step_near(self, x: SpacecraftState, u, near: SpacecraftState):
+        return self.step_with_margin(x, u, near)
 
     @property
     def step_margin_floor(self) -> float:

@@ -68,6 +68,8 @@ class RunConfig:
     csv_cadence: int
     snapshot_seconds: float
     raw: dict = field(default_factory=dict)
+    # Dotted keys the configuration file sets, as opposed to defaults.
+    explicit: frozenset = frozenset()
 
 
 def default_config_dict() -> dict:
@@ -209,6 +211,7 @@ def parse_config(data: dict) -> RunConfig:
         csv_cadence=csv_cadence,
         snapshot_seconds=snapshot_seconds,
         raw=merged,
+        explicit=frozenset(f"{section}.{key}" for section, content in data.items() for key in content),
     )
 
 
@@ -251,6 +254,41 @@ def _design(cfg: RunConfig) -> TerminalDesign:
         shrink=cfg.terminal_shrink,
         seed=cfg.seed,
     )
+
+
+def _design_values(source) -> dict:
+    """The entries that a design fixes, of a :class:`TerminalDesign` or a
+    :class:`RunConfig`, keyed by their configuration keys."""
+    weights = source.weights
+    return {
+        "physical.h_seconds": source.h,
+        "physical.J_kgm2": source.inertia,
+        "weights.Q_g": weights.attitude,
+        "weights.Q_f": weights.rate,
+        "weights.R": weights.torque,
+        "weights.lambda": weights.decay,
+    }
+
+
+def _adopt_design(cfg: RunConfig, design: TerminalDesign, path: str) -> None:
+    """Take h, J and the weights of the design read from ``path`` into
+    ``cfg``.  A key that the configuration file sets to another value is a
+    ConfigError naming the key and both values; a key left at its default
+    takes the design's value, in ``cfg.raw`` too, so that a summary records
+    what ran."""
+    configured = _design_values(cfg)
+    for key, value in _design_values(design).items():
+        if np.array_equal(value, configured[key]):
+            continue
+        if key in cfg.explicit:
+            raise ConfigError(
+                key,
+                f"is {np.asarray(configured[key]).tolist()} in the configuration but "
+                f"{np.asarray(value).tolist()} in the design file {path}",
+            )
+        section, name = key.split(".")
+        cfg.raw[section][name] = np.asarray(value).tolist()
+    cfg.h, cfg.inertia, cfg.weights = design.h, design.inertia, design.weights
 
 
 def _output_dir(args, cfg: RunConfig) -> str:
@@ -305,6 +343,7 @@ def cmd_simulate(args) -> int:
     if _design_missing(design_path):
         return 2
     design = TerminalDesign.load(design_path)
+    _adopt_design(cfg, design, design_path)
     _output_dir(args, cfg)
 
     system = SpacecraftAttitudeSystem(design, torque_bound=cfg.torque_bound)
@@ -353,14 +392,16 @@ def _design_missing(path: str) -> bool:
 
 
 def cmd_verify(args) -> int:
-    """Run the suites on the design file named by ``--design``, or on a
-    fresh design of the configuration when none is named."""
+    """Run the suites on the design file named by ``--design``, with its h
+    and J in the conservation suite too, or on a fresh design of the
+    configuration when none is named."""
     cfg = _command_config(args)
     design = None
     if args.design is not None:
         if _design_missing(args.design):
             return 2
         design = TerminalDesign.load(args.design)
+        _adopt_design(cfg, design, args.design)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     out_dir = _output_dir(args, cfg)
 

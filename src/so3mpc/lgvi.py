@@ -6,7 +6,10 @@ increment, both rotation matrices.  The attitude update is explicit,
 Newton iteration on the Cayley vector of the increment, a 3-vector, so the
 new increment is a rotation by construction.  Both updates keep the state on
 the group to round-off, which is what makes long prediction rollouts
-trustworthy inside an optimizer.
+trustworthy inside an optimizer.  A step may be handed an increment near
+the new one to start that iteration from: the optimizer's perturbed
+finite-difference rollouts pass the unperturbed rollout's, and then take
+about one Newton update per step instead of 1.7.
 """
 
 from __future__ import annotations
@@ -230,13 +233,23 @@ def _cayley(x):
     )
 
 
+def _cayley_vector(f):
+    """The Cayley vector vee(f - f^T) / (1 + tr f) of a rotation f given as
+    rows of entries, the x with :func:`_cayley` (x) = f; f must not be a
+    half turn, where 1 + tr f = 0."""
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = f
+    s = 1.0 + (f00 + f11 + f22)
+    return ((f21 - f12) / s, (f02 - f20) / s, (f10 - f01) / s)
+
+
 def _implicit_increment(
-    m, inertia: np.ndarray, constants: _InertiaConstants | None = None
+    m, inertia: np.ndarray, constants: _InertiaConstants | None = None, start=None
 ) -> tuple[np.ndarray, float]:
     """The increment F in SO(3) with F J - J F^T = hat(m), and the solvability
     margin.  ``m`` is the momentum vector (three floats), ``inertia`` an
     array; ``constants`` are its :func:`_inertia_constants`, looked up here
-    when the caller has not already.
+    when the caller has not already.  ``start``, a rotation array near F, is
+    where Newton starts instead of the linearized root (see below).
 
     The margin is the smallest eigenvalue of J^2 + M^2/4 from LAPACK where a
     certified lower bound on it is below ``MARGIN_CUTOFF``, and that bound
@@ -253,6 +266,15 @@ def _implicit_increment(
     last step is usually far smaller.  On the solvable set the iteration
     converges to the branch with sym(F J) positive semi-definite,
     quadratically for a positive margin and linearly at margin zero.
+
+    With ``start``, Newton starts at its Cayley vector
+    vee(start - start^T) / (1 + tr start) (:func:`_cayley_vector`) where the
+    margin is at least ``MARGIN_CUTOFF``.  A start within about 1e-6 of the
+    root stops after one update, and F moves from the unstarted result at
+    round-off only (at most 1e-10 for starts up to 1e-2 away).  Below the
+    cutoff the start is ignored: the two roots there lie within about
+    sqrt(margin) of each other, and a start 1e-2 away at margin 1e-8
+    converged to the other one.
 
     Near the solvability boundary F is less accurate than the residual: the
     root is close to a double root, with condition about 1/sqrt(margin), so
@@ -272,7 +294,10 @@ def _implicit_increment(
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
     j, a = constants.j, constants.a
-    x = _solve3(a, [0.5 * mi for mi in m])
+    if start is None or margin < MARGIN_CUTOFF:
+        x = _solve3(a, [0.5 * mi for mi in m])
+    else:
+        x = _cayley_vector(start.tolist())
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
         if step <= _NEWTON_STEP_TOL**2:
@@ -336,7 +361,7 @@ def lgvi_step(state: SpacecraftState, torque, h: float, inertia) -> SpacecraftSt
 
 
 def step_with_margin(
-    state: SpacecraftState, torque, h: float, inertia
+    state: SpacecraftState, torque, h: float, inertia, start=None
 ) -> tuple[SpacecraftState, float]:
     """One integrator step plus the solvability margin it consumed.
 
@@ -346,13 +371,16 @@ def step_with_margin(
     on it above (see :func:`_implicit_increment`), so every comparison with
     zero or with a floor below the cutoff sees the exact value.  The
     momentum goes from the entries of f, torque and J straight into Newton.
+    ``start``, an increment near the new one, is where Newton starts (see
+    :func:`_implicit_increment`); it changes the new increment at round-off
+    only.
     """
     inertia = np.asarray(inertia, dtype=float)
     constants = _inertia_constants(inertia)
     if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64 or torque.shape != (3,):
         torque = np.asarray(torque, dtype=float).reshape(3)
     m = _momentum(state.f.tolist(), torque.tolist(), h * h, constants.j)
-    f_next, margin = _implicit_increment(m, inertia, constants)
+    f_next, margin = _implicit_increment(m, inertia, constants, start)
     return SpacecraftState(state.g.dot(state.f), f_next), margin
 
 

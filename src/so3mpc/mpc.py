@@ -26,7 +26,11 @@ by one formula, :meth:`_Objective.value`.  The runner continues any record,
 so a solve warm-started at the previous solution's predicted successor runs
 the perturbed tails of that solution's last gradient on by one step instead
 of re-running them: the "shift" initialization of Diehl, Bock & Schlöder's
-real-time iteration, applied to the gradient.
+real-time iteration, applied to the gradient.  Each step of a perturbed tail
+is handed the base rollout's state after the same step
+(:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
+lies about one finite-difference step away; every other prediction steps
+as a pure function of state and control.
 """
 
 from __future__ import annotations
@@ -147,6 +151,15 @@ class ManifoldSystem(abc.ABC):
         Systems without an implicit step report an infinite margin.
         """
         return self.step(x, u), np.inf
+
+    def step_near(self, x, u, near):
+        """:meth:`step_with_margin` of ``x`` and ``u``, given a state
+        ``near`` close to the successor; the solver hands each step of a
+        finite-difference tail the base rollout's successor at the same step.
+        A system with an implicit step may start its solve there; the result
+        may differ from :meth:`step_with_margin` at round-off only.  By
+        default ``near`` is ignored."""
+        return self.step_with_margin(x, u)
 
     @property
     def step_margin_floor(self) -> float:
@@ -272,13 +285,17 @@ class _Rollout(NamedTuple):
         return np.zeros(len(self.stage)) if self.shortfalls is None else self.shortfalls
 
 
-def _roll_on(system: ManifoldSystem, start: _Rollout, controls, end_only: bool = False) -> _Rollout:
+def _roll_on(
+    system: ManifoldSystem, start: _Rollout, controls, end_only: bool = False, near=None
+) -> _Rollout:
     """``start`` run on under ``controls``, and the terminal value at its
     end; :class:`~so3mpc.errors.NotSolvable` from a step is raised again
     naming the step, counted from the start of ``start``.  With ``end_only``
     the record keeps only the end state, all that a finite-difference tail
     needs: holding every state of a gradient's tails alive wakes the
-    garbage collector and measured about 1 % slower closed loops.
+    garbage collector and measured about 1 % slower closed loops.  With
+    ``near``, one state per control, each step goes through
+    :meth:`ManifoldSystem.step_near` with its state.
 
     The stage costs go through one array, and the shortfall array is built
     only once some margin falls below the floor, so a rollout run on in
@@ -298,7 +315,10 @@ def _roll_on(system: ManifoldSystem, start: _Rollout, controls, end_only: bool =
     for i, u in enumerate(controls, done):
         stage[i] = system.stage_cost(x, u)
         try:
-            x, margin = system.step_with_margin(x, u)
+            if near is None:
+                x, margin = system.step_with_margin(x, u)
+            else:
+                x, margin = system.step_near(x, u, near[i - done])
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
         if margin < floor:
@@ -399,11 +419,16 @@ class _Objective:
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
         names the step and the entry.
 
+        Step k of every tail is handed ``base.states[k + 1]`` through
+        :meth:`ManifoldSystem.step_near`, which a carried tail's appended
+        step k = N - 1 gets as well.
+
         The tails are kept in ``last``: ``last[i][2 j]`` raises control
         entry (i, j) by ``FD_STEP`` and ``last[i][2 j + 1]`` lowers it, each
         ``None`` when a step is unsolvable.  A carried tail of step i + 1 is
-        this gradient's tail of step i without its last step, so running it
-        on gives the tail that a fresh run would, bit for bit.
+        this gradient's tail of step i without its last step, and its steps
+        were handed the same states (the base rollouts agree on them), so
+        running it on gives the tail that a fresh run would, bit for bit.
         """
         system = self.system
         if base is None:
@@ -425,12 +450,15 @@ class _Objective:
                 entry = first[j]
                 for k, delta in enumerate((FD_STEP, -FD_STEP)):
                     if carried is not None and i + 1 < n:
-                        begin, controls = carried[i + 1][2 * j + k], appended
+                        begin, controls, hints = carried[i + 1][2 * j + k], appended, base.states[n:]
                     else:
                         first[j] = entry + delta
-                        begin, controls = start, tail
+                        begin, controls, hints = start, tail, base.states[i + 1:]
                     try:
-                        row.append(None if begin is None else _roll_on(system, begin, controls, end_only=True))
+                        row.append(
+                            None if begin is None
+                            else _roll_on(system, begin, controls, end_only=True, near=hints)
+                        )
                     except NotSolvable:
                         row.append(None)
                 first[j] = entry

@@ -420,7 +420,9 @@ class TerminalDesign:
     def from_json_dict(cls, data: dict) -> "TerminalDesign":
         """Inverse of :meth:`to_json_dict`.  Raises
         :class:`~so3mpc.errors.DesignFileError` naming a missing key or an
-        entry that does not convert."""
+        entry that does not convert or is out of range: ``h`` and ``c`` must
+        be positive and finite, ``J`` and ``P`` symmetric positive definite,
+        ``K`` finite and ``certification.n_samples`` at least 1."""
         try:
             weights = StageWeights(
                 _design_entry(data, _matrix(3, 3), "Q_g"),
@@ -431,16 +433,16 @@ class TerminalDesign:
         except ValueError as err:
             raise DesignFileError(f"weights: {err}") from None
         cert = Certification(
-            _design_entry(data, int, "certification", "n_samples"),
+            _design_entry(data, _sample_count, "certification", "n_samples"),
             _design_entry(data, float, "certification", "max_violation"),
         )
         return cls(
-            h=_design_entry(data, float, "h"),
-            inertia=_design_entry(data, _matrix(3, 3), "J"),
+            h=_design_entry(data, _positive, "h"),
+            inertia=_design_entry(data, _spd_matrix(3), "J"),
             weights=weights,
-            P=_design_entry(data, _matrix(6, 6), "P"),
-            K=_design_entry(data, _matrix(3, 6), "K"),
-            c=_design_entry(data, float, "c"),
+            P=_design_entry(data, _spd_matrix(6), "P"),
+            K=_design_entry(data, _finite_matrix(3, 6), "K"),
+            c=_design_entry(data, _positive, "c"),
             certification=cert,
         )
 
@@ -468,6 +470,45 @@ class TerminalDesign:
 def _matrix(*shape):
     """Converter of a nested list to a float array of ``shape``."""
     return lambda value: np.asarray(value, dtype=float).reshape(shape)
+
+
+def _finite_matrix(*shape):
+    """:func:`_matrix` that rejects a NaN or infinite entry."""
+
+    def convert(value):
+        arr = _matrix(*shape)(value)
+        if not np.isfinite(arr).all():
+            raise ValueError("must be finite")
+        return arr
+
+    return convert
+
+
+def _spd_matrix(n):
+    """:func:`_finite_matrix` of shape (n, n) that rejects a matrix that is
+    not symmetric positive definite."""
+
+    def convert(value):
+        try:
+            return check_spd(_finite_matrix(n, n)(value), "matrix")
+        except NotPositiveDefinite as err:
+            raise ValueError(f"must be symmetric positive definite: {err}") from None
+
+    return convert
+
+
+def _positive(value) -> float:
+    number = float(value)
+    if not 0.0 < number < np.inf:
+        raise ValueError(f"must be positive and finite, got {number}")
+    return number
+
+
+def _sample_count(value) -> int:
+    number = int(value)
+    if number < 1:
+        raise ValueError(f"must be at least 1, got {number}")
+    return number
 
 
 def _design_entry(data, convert, *keys):

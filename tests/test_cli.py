@@ -397,6 +397,107 @@ class TestVerifyCommand:
         assert payload["suites"][0]["seed"] == 5
 
 
+class TestDesignOutOfRange:
+    @pytest.mark.parametrize(("key", "value"), [("h", -0.1), ("c", 0.0)])
+    def test_simulate_exits_2_naming_key(self, key, value, fast_config, tmp_path, capsys):
+        # Before, such a file ran the closed loop and exited 0.
+        out = str(tmp_path / "out")
+        assert main(["design", "--config", fast_config, "--out", out]) == 0
+        design = os.path.join(out, "design.json")
+        data = json.loads(Path(design).read_text())
+        data[key] = value
+        Path(design).write_text(json.dumps(data))
+        assert main(["simulate", "--config", fast_config, "--out", out]) == 2
+        assert f"error: {design}: key '{key}': must be positive and finite" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "summary.json"))
+
+    def test_verify_exits_2_on_p_not_positive_definite(self, fast_config, tmp_path, capsys):
+        assert main(["design", "--config", fast_config, "--out", str(tmp_path / "d")]) == 0
+        design = tmp_path / "d" / "design.json"
+        data = json.loads(design.read_text())
+        data["P"] = [-x for x in data["P"]]
+        design.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        args = ["--config", fast_config, "--out", str(out), "--design", str(design)]
+        assert main(["verify", "all"] + args) == 2
+        assert f"error: {design}: key 'P': must be symmetric positive definite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestDesignAgainstConfig:
+    """A design file that the configuration contradicts: a key the file sets
+    must match the design, and a key left at its default takes the design's
+    value."""
+
+    def design(self, fast_config, tmp_path, section, key, value):
+        """The design of ``fast_config`` with one entry changed; its path."""
+        with open(fast_config) as handle:
+            cfg = json.load(handle)
+        cfg[section][key] = value
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "design"
+        assert main(["design", "--config", str(path), "--out", str(out)]) == 0
+        return str(out / "design.json")
+
+    @pytest.mark.parametrize(
+        ("section", "key", "value", "shown"),
+        [
+            ("physical", "h_seconds", 0.2, "is 0.1 in the configuration but 0.2"),
+            ("physical", "J_kgm2", [0.8, 1.0, 1.3], "is [[1.0, 0.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 1.5]]"),
+            ("weights", "Q_g", 2.0, "is [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]"),
+            ("weights", "R", 3.0, "is [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]]"),
+            ("weights", "lambda", 0.2, "is 0.1 in the configuration but 0.2"),
+        ],
+    )
+    def test_configured_key_that_differs_exits_2(self, section, key, value, shown, fast_config, tmp_path, capsys):
+        # Before, simulate and verify ran on the design's values and exited 0.
+        design = self.design(fast_config, tmp_path, section, key, value)
+        capsys.readouterr()
+        for command in (["simulate"], ["verify", "all"]):
+            out = tmp_path / "out"
+            assert main(command + ["--config", fast_config, "--out", str(out), "--design", design]) == 2
+            err = capsys.readouterr().err
+            assert f"configuration error: {section}.{key}: {shown}" in err
+            assert f"in the design file {design}" in err
+            assert not out.exists()
+
+    def test_default_keys_take_the_design_values(self, fast_config, tmp_path):
+        design = self.design(fast_config, tmp_path, "physical", "h_seconds", 0.2)
+        with open(fast_config) as handle:
+            cfg = json.load(handle)
+        del cfg["physical"]
+        sparse = tmp_path / "sparse.json"
+        sparse.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        args = ["--config", str(sparse), "--out", str(out), "--design", design]
+        assert main(["simulate"] + args) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        # The summary records what ran, not the default 0.1.
+        assert summary["config"]["physical"]["h_seconds"] == 0.2
+        with open(out / "trajectory.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        assert float(rows[1]["t"]) == pytest.approx(0.2)
+        # The conservation suite runs at the design's h and J as well.
+        assert main(["verify", "conservation"] + args) == 0
+        report = json.loads((out / "verify_conservation.json").read_text())["suites"][0]
+        assert report["config"]["h"] == 0.2
+        assert report["config"]["inertia"] == np.diag([1.0, 1.2, 1.5]).tolist()
+
+    def test_conservation_suite_uses_the_design_inertia(self, fast_config, tmp_path):
+        design = self.design(fast_config, tmp_path, "physical", "J_kgm2", [0.8, 1.0, 1.3])
+        with open(fast_config) as handle:
+            cfg = json.load(handle)
+        del cfg["physical"]["J_kgm2"]
+        sparse = tmp_path / "sparse.json"
+        sparse.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["verify", "conservation", "--config", str(sparse), "--out", str(out), "--design", design]) == 0
+        payload = json.loads((out / "verify_conservation.json").read_text())
+        assert payload["suites"][0]["config"]["inertia"] == np.diag([0.8, 1.0, 1.3]).tolist()
+        assert payload["config"]["physical"]["J_kgm2"] == np.diag([0.8, 1.0, 1.3]).tolist()
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         assert main([]) == 2

@@ -9,6 +9,8 @@ from so3mpc.errors import NoConvergence, NotSolvable
 from so3mpc.lgvi import (
     MARGIN_CUTOFF,
     SpacecraftState,
+    _cayley,
+    _cayley_vector,
     _eigen_discs,
     _implicit_increment,
     _implicit_increments,
@@ -637,6 +639,90 @@ class TestSolvabilityGate:
             for floor in floors:
                 assert max(0.0, floor - margin) == max(0.0, floor - exact.margin)
         assert min(seen.values()) >= 20
+
+
+def check_start_value(state, torque, inertia, size, direction):
+    """The step started at its own successor's increment moved by ``size``
+    radians about ``direction`` equals the step from the linearized root to
+    1e-10, bit for bit below ``MARGIN_CUTOFF``, where the start is not
+    taken."""
+    axis = np.asarray(direction, dtype=float)
+    axis = unit(axis) if np.linalg.norm(axis) > 1e-3 else np.array([1.0, 0.0, 0.0])
+    try:
+        successor, margin = step_with_margin(state, torque, H, inertia)
+    except NotSolvable:
+        with pytest.raises(NotSolvable):
+            step_with_margin(state, torque, H, inertia, np.eye(3))
+        return
+    start = successor.f @ exp_so3(size * axis)
+    hinted, hinted_margin = step_with_margin(state, torque, H, inertia, start)
+    assert hinted_margin == margin
+    assert np.array_equal(hinted.g, successor.g)
+    assert np.abs(hinted.f - successor.f).max() <= 1e-10
+    if margin < MARGIN_CUTOFF:
+        assert np.array_equal(hinted.f, successor.f)
+
+
+HINT_SIZES = st.floats(min_value=-8.0, max_value=-2.0).map(lambda e: 10.0**e)
+DIRECTIONS = st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3)
+ANGLES = st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=3, max_size=3)
+
+
+class TestStartValue:
+    """The implicit step's optional start increment changes F at round-off
+    only: on random states, at saturated torques and near the solvability
+    floor, from starts 1e-8 to 1e-2 radians off."""
+
+    def test_cayley_vector_inverts_the_cayley_map(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            x = rng.uniform(-3.0, 3.0, 3)
+            f = np.array(_cayley(tuple(x))).reshape(3, 3)
+            assert_allclose(_cayley_vector(f.tolist()), x, rtol=1e-12, atol=1e-14)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        ANGLES,
+        st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=3),
+        st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=3, max_size=3),
+        st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=3, max_size=3),
+        ANGLES,
+        HINT_SIZES,
+        DIRECTIONS,
+    )
+    def test_random_states(self, attitude, rate, torque, eigs, rotation, size, direction):
+        state = SpacecraftState(exp_so3(attitude), exp_so3(H * np.asarray(rate)))
+        check_start_value(state, np.asarray(torque), random_inertia(eigs, rotation), size, direction)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        ANGLES,
+        st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=3),
+        st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+        HINT_SIZES,
+        DIRECTIONS,
+    )
+    def test_saturated_torques(self, attitude, rate, signs, size, direction):
+        state = SpacecraftState(exp_so3(attitude), exp_so3(H * np.asarray(rate)))
+        check_start_value(state, 100.0 * np.asarray(signs), J_REF, size, direction)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.floats(min_value=-8.0, max_value=-1.0).map(lambda e: 10.0**e),
+        ANGLES,
+        HINT_SIZES,
+        DIRECTIONS,
+    )
+    # Without the gate at MARGIN_CUTOFF, a start 1e-2 off at margin 1e-8
+    # converged to another root, 1e-2 away.
+    @example(1e-8, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
+    @example(1.5e-2, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
+    def test_margins_near_the_solvability_floor(self, margin, attitude, size, direction):
+        # From rest a torque tau about z leaves a margin of 1 - (h^2 tau)^2 / 4
+        # (see TestStepJacobians); the attitude system's floor is 1e-6.
+        state = SpacecraftState(exp_so3(attitude), np.eye(3))
+        torque = np.array([0.0, 0.0, 2.0 * np.sqrt(1.0 - margin) / H**2])
+        check_start_value(state, torque, J_REF, size, direction)
 
 
 class TestRollout:

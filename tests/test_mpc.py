@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from so3mpc import lgvi
 from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
@@ -31,7 +32,7 @@ from so3mpc.mpc import (
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.terminal import build_linearization, tilde_transform
 
-from conftest import H_REF, J_REF, BoundedStepIntegrator, tangent_offset
+from conftest import H_REF, J_REF, BoundedStepIntegrator, regulate_start, tangent_offset
 
 TIGHT = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)
 
@@ -598,9 +599,9 @@ class RecordingAttitude(SpacecraftAttitudeSystem):
         self.builds = []
         self.calls = 0
 
-    def step_with_margin(self, x, u):
+    def step_with_margin(self, x, u, near=None):
         self.calls += 1
-        return super().step_with_margin(x, u)
+        return super().step_with_margin(x, u, near)
 
     def terminal_cost(self, x):
         self.calls += 1
@@ -643,6 +644,85 @@ class TestModelBuild:
         solution = solve_ocp(system, spinning_state([0.3, -0.2, 0.4], [0.02, -0.01, 0.015], H_REF), config)
         assert solution.iterations == 0
         assert system.builds == []
+
+
+class HintRecordingAttitude(SpacecraftAttitudeSystem):
+    """Records the ``near`` state of every step, ``None`` for a plain step."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.hints = []
+
+    def step_with_margin(self, x, u, near=None):
+        self.hints.append(near)
+        return super().step_with_margin(x, u, near)
+
+
+class UnhintedAttitude(SpacecraftAttitudeSystem):
+    """Ignores the start value, as the contract's default does."""
+
+    def step_near(self, x, u, near):
+        return self.step_with_margin(x, u)
+
+
+class TestTailStartValue:
+    """Each finite-difference tail step starts its implicit solve at the base
+    rollout's successor; every other step starts at the linearized root."""
+
+    def test_tails_take_about_one_newton_update_per_step(self, ref_system, monkeypatch):
+        # The regulate start's first gradient: 1.00 updates per step, where
+        # starting every tail step at the linearized root took 1.62.
+        x0 = regulate_start()
+        torques = steering_rollout(ref_system, x0, 10)
+        base = _predict(ref_system, x0, torques)
+        counts = {"updates": 0, "steps": 0}
+        update, increment = lgvi._newton_update, lgvi._implicit_increment
+
+        def counted_update(*args):
+            counts["updates"] += 1
+            return update(*args)
+
+        def counted_increment(*args):
+            counts["steps"] += 1
+            return increment(*args)
+
+        monkeypatch.setattr(lgvi, "_newton_update", counted_update)
+        monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
+        _Objective(ref_system, x0, PENALTY_WEIGHT).gradient(torques, base=base)
+        assert counts["steps"] == 2 * 3 * 55
+        assert counts["updates"] <= 1.2 * counts["steps"]
+
+    @pytest.mark.parametrize("at", ["steering rollout", "solution"])
+    def test_gradient_matches_unhinted_gradient(self, ref_design, at):
+        # The start value moves the tails at round-off only: within the
+        # finite-difference gradient's own floor, about 6e-7.
+        system, unhinted = SpacecraftAttitudeSystem(ref_design), UnhintedAttitude(ref_design)
+        x0 = regulate_start()
+        torques = steering_rollout(system, x0, 10)
+        if at == "solution":
+            torques = solve_ocp(system, x0, MpcConfig(horizon=10)).torques
+        grad, value = _Objective(system, x0, PENALTY_WEIGHT).gradient(torques)
+        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT).gradient(torques)
+        assert repr(value) == repr(ref_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-6
+
+    def test_only_tails_take_the_hint(self, ref_design):
+        # A solve that stops at its first gradient: the base rollout and
+        # the final check step without a hint; tail i's step k (k >= i) is
+        # handed the base rollout's state k + 1.
+        system = HintRecordingAttitude(ref_design)
+        x0 = regulate_start()
+        config = MpcConfig(horizon=10, solver=SolverSettings(grad_tol=1e9))
+        solution = solve_ocp(system, x0, config, warm_start=np.zeros((10, 3)))
+        hints = system.hints
+        assert len(hints) == 10 + 2 * 3 * 55 + 10
+        assert hints[:10] == [None] * 10 and hints[-10:] == [None] * 10
+        expected = [k + 1 for i in range(10) for _ in range(2 * 3) for k in range(i, 10)]
+        states = solution.states
+        assert all(
+            np.array_equal(near.g, states[k].g) and np.array_equal(near.f, states[k].f)
+            for near, k in zip(hints[10:-10], expected)
+        )
 
 
 class TestWarmStartShift:

@@ -708,6 +708,48 @@ class TestDesignSerialization:
             TerminalDesign.from_json_dict(data)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        ("key", "bad", "message"),
+        [
+            ("h", lambda d: -0.1, "key 'h': must be positive and finite, got -0.1"),
+            ("h", lambda d: 0.0, "key 'h': must be positive and finite, got 0.0"),
+            ("h", lambda d: float("inf"), "key 'h': must be positive and finite, got inf"),
+            ("h", lambda d: float("nan"), "key 'h': must be positive and finite, got nan"),
+            ("J", lambda d: np.diag([1.0, -1.2, 1.5]).tolist(), "key 'J': must be symmetric positive definite"),
+            ("J", lambda d: [[1.0, 0.5, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 1.5]], "key 'J': must be symmetric positive definite"),
+            ("J", lambda d: np.diag([1.0, np.nan, 1.5]).tolist(), "key 'J': must be finite"),
+            ("P", lambda d: [-x for x in d["P"]], "key 'P': must be symmetric positive definite"),
+            ("P", lambda d: [0.0] * 36, "key 'P': must be symmetric positive definite"),
+            ("P", lambda d: d["P"][:35] + [float("inf")], "key 'P': must be finite"),
+            ("K", lambda d: d["K"][:4] + [float("nan")] + d["K"][5:], "key 'K': must be finite"),
+            ("K", lambda d: [float("-inf")] + d["K"][1:], "key 'K': must be finite"),
+            ("c", lambda d: 0.0, "key 'c': must be positive and finite, got 0.0"),
+            ("c", lambda d: -2456.6, "key 'c': must be positive and finite, got -2456.6"),
+            ("c", lambda d: float("inf"), "key 'c': must be positive and finite, got inf"),
+            ("c", lambda d: float("nan"), "key 'c': must be positive and finite, got nan"),
+        ],
+    )
+    def test_value_out_of_range_raises_design_file_error(self, ref_design, key, bad, message):
+        # The keys and types of these files are valid; their values are not.
+        data = ref_design.to_json_dict()
+        data[key] = bad(data)
+        with pytest.raises(DesignFileError) as err:
+            TerminalDesign.from_json_dict(data)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_sample_count_below_one_raises_design_file_error(self, ref_design, n_samples):
+        data = ref_design.to_json_dict()
+        data["certification"]["n_samples"] = n_samples
+        with pytest.raises(DesignFileError) as err:
+            TerminalDesign.from_json_dict(data)
+        assert str(err.value) == f"key 'certification.n_samples': must be at least 1, got {n_samples}"
+
+    def test_valid_file_loads_unchanged(self, ref_design):
+        data = ref_design.to_json_dict()
+        loaded = TerminalDesign.from_json_dict(json.loads(json.dumps(data)))
+        assert loaded.to_json_dict() == data
+
     def test_load_names_the_file(self, ref_design, tmp_path):
         data = ref_design.to_json_dict()
         data["Q_g"] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
