@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .terminal import (
     dare_residual,
     design_terminal,
 )
-from .validation import as_matrix3, check_vector3, is_number, is_numeric_tree
+from .validation import as_integer, as_matrix, as_positive, as_vector3, is_number
 
 VERIFY_SUITES = ("conservation", "local-law", "lyapunov", "discontinuity", "all")
 
@@ -96,40 +96,25 @@ def default_config_dict() -> dict:
     }
 
 
-def _positive(value, path: str, allow_inf: bool = False) -> float:
-    if not is_number(value):
-        raise ConfigError(path, f"must be a number, got {value!r}")
+def _entry(data: dict, key: str, convert, *args):
+    """``convert(value, *args)`` of the entry at the dotted ``key`` of
+    ``data``; a ``ValueError`` becomes a ConfigError naming the key."""
+    value = data
+    for part in key.split("."):
+        value = value[part]
     try:
-        number = float(value)
-    except OverflowError:
-        number = np.inf
-    if np.isnan(number) or number <= 0 or (not allow_inf and np.isinf(number)):
-        raise ConfigError(path, f"must be positive and finite, got {number}")
-    return number
-
-
-def _integer(value, path: str, minimum: int) -> int:
-    """``value`` as an int: an integer, or a float with an integral value."""
-    number = None
-    if is_number(value):
-        try:
-            number = int(value)
-        except (ValueError, OverflowError):
-            pass
-    if number is None or number != value:
-        raise ConfigError(path, f"must be an integer, got {value!r}")
-    if number < minimum:
-        raise ConfigError(path, f"must be at least {minimum}, got {number}")
-    return number
-
-
-def _vector3(value, path: str) -> np.ndarray:
-    if not is_numeric_tree(value):
-        raise ConfigError(path, f"must be a list of three numbers, got {value!r}")
-    try:
-        return check_vector3(value, "vector")
+        return convert(value, *args)
     except ValueError as err:
-        raise ConfigError(path, str(err)) from None
+        raise ConfigError(key, str(err)) from None
+
+
+def _matrix3(value) -> np.ndarray:
+    """An SPD 3x3 matrix, where a number stands for that multiple of the
+    identity and a list of three numbers for a diagonal."""
+    diagonal = [value] * 3 if is_number(value) else value
+    if isinstance(diagonal, list) and len(diagonal) == 3 and all(map(is_number, diagonal)):
+        value = [[d if i == j else 0.0 for j in range(3)] for i, d in enumerate(diagonal)]
+    return as_matrix(value, (3, 3), True)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -147,51 +132,46 @@ def parse_config(data: dict) -> RunConfig:
 
     merged["weights"].setdefault("Q_f", merged["physical"]["J_kgm2"])
 
-    phys = merged["physical"]
-    inertia = as_matrix3(phys["J_kgm2"], "physical.J_kgm2")
-    h = _positive(phys["h_seconds"], "physical.h_seconds")
+    inertia = _entry(merged, "physical.J_kgm2", _matrix3)
+    h = _entry(merged, "physical.h_seconds", as_positive, False)
 
-    wsec = merged["weights"]
-    attitude = as_matrix3(wsec["Q_g"], "weights.Q_g")
-    rate = as_matrix3(wsec["Q_f"], "weights.Q_f")
-    torque = as_matrix3(wsec["R"], "weights.R")
-    decay = _positive(wsec["lambda"], "weights.lambda")
+    attitude = _entry(merged, "weights.Q_g", _matrix3)
+    rate = _entry(merged, "weights.Q_f", _matrix3)
+    torque = _entry(merged, "weights.R", _matrix3)
+    decay = _entry(merged, "weights.lambda", as_positive, False)
     try:
         weights = StageWeights(attitude, rate, torque, decay)
     except ValueError as err:
         raise ConfigError("weights.lambda", str(err)) from None
 
-    mpc = merged["mpc"]
-    horizon = _integer(mpc["N"], "mpc.N", 1)
-    torque_bound = _positive(mpc["tau_max_Nm"], "mpc.tau_max_Nm", allow_inf=True)
-    if not isinstance(mpc["solver"], dict):
+    horizon = _entry(merged, "mpc.N", as_integer, 1)
+    torque_bound = _entry(merged, "mpc.tau_max_Nm", as_positive, True)
+    settings = merged["mpc"]["solver"]
+    if not isinstance(settings, dict):
         raise ConfigError("mpc.solver", "must be an object")
-    try:
-        solver = SolverSettings(**mpc["solver"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError("mpc.solver", str(err)) from None
+    for name in settings:
+        if name not in {f.name for f in fields(SolverSettings)}:
+            raise ConfigError(f"mpc.solver.{name}", "unknown configuration key")
+        # This field alone, so that an error is this field's.
+        _entry(merged, f"mpc.solver.{name}", lambda value: SolverSettings(**{name: value}))
+    solver = SolverSettings(**settings)
 
-    term = merged["terminal"]
-    terminal_samples = _integer(term["n_samples"], "terminal.n_samples", 1)
-    terminal_shrink = _positive(term["shrink"], "terminal.shrink")
+    terminal_samples = _entry(merged, "terminal.n_samples", as_integer, 1)
+    terminal_shrink = _entry(merged, "terminal.shrink", as_positive, False)
     if terminal_shrink > 1.0:
         raise ConfigError("terminal.shrink", f"must lie in (0, 1], got {terminal_shrink}")
 
-    exp = merged["experiment"]
-    initial_attitude = _vector3(
-        exp["initial_attitude_axis_angle_rad"], "experiment.initial_attitude_axis_angle_rad"
-    )
-    initial_rate = _vector3(exp["initial_rate_rad_s"], "experiment.initial_rate_rad_s")
-    n_steps = _integer(exp["n_steps"], "experiment.n_steps", 1)
-    seed = _integer(exp["seed"], "experiment.seed", 0)
-    distance_tol = _positive(exp["distance_tol"], "experiment.distance_tol")
+    initial_attitude = _entry(merged, "experiment.initial_attitude_axis_angle_rad", as_vector3)
+    initial_rate = _entry(merged, "experiment.initial_rate_rad_s", as_vector3)
+    n_steps = _entry(merged, "experiment.n_steps", as_integer, 1)
+    seed = _entry(merged, "experiment.seed", as_integer, 0)
+    distance_tol = _entry(merged, "experiment.distance_tol", as_positive, False)
 
-    out = merged["output"]
-    out_dir = out["directory"]
+    out_dir = merged["output"]["directory"]
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError("output.directory", f"must be a non-empty string, got {out_dir!r}")
-    csv_cadence = _integer(out["csv_cadence_steps"], "output.csv_cadence_steps", 1)
-    snapshot_seconds = _positive(out["snapshot_seconds"], "output.snapshot_seconds")
+    csv_cadence = _entry(merged, "output.csv_cadence_steps", as_integer, 1)
+    snapshot_seconds = _entry(merged, "output.snapshot_seconds", as_positive, False)
 
     return RunConfig(
         inertia=inertia,
@@ -240,7 +220,7 @@ def _command_config(args) -> RunConfig:
     """The configuration named by ``--config``, with ``--seed`` applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = _integer(args.seed, "--seed", 0)
+        cfg.seed = _entry({"--seed": args.seed}, "--seed", as_integer, 0)
     return cfg
 
 

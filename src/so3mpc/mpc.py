@@ -37,14 +37,13 @@ from __future__ import annotations
 
 import abc
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
-from .validation import is_number
+from .validation import as_integer, as_positive
 
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
@@ -167,6 +166,15 @@ class ManifoldSystem(abc.ABC):
         return 0.0
 
 
+def _convert_field(record, name: str, convert, *args) -> None:
+    """Set field ``name`` of the frozen ``record`` to ``convert(value, *args)``;
+    a ``ValueError`` is raised again naming the field."""
+    try:
+        object.__setattr__(record, name, convert(getattr(record, name), *args))
+    except ValueError as err:
+        raise ValueError(f"{name} {err}") from None
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Tuning knobs of the penalized quasi-Newton shooting solver.
@@ -181,8 +189,9 @@ class SolverSettings:
     ``constraint_tol`` ends the solve.  The gradient step, penalty schedule
     and line search are the module constants above.
 
-    The counts must be positive integers and the tolerances positive and
-    finite; anything else raises ``ValueError`` naming the field.
+    The counts must be positive integers, where a float with an integral
+    value counts, and the tolerances positive and finite numbers; anything
+    else raises ``ValueError`` naming the field.
     """
 
     max_iters: int = 200
@@ -193,13 +202,9 @@ class SolverSettings:
 
     def __post_init__(self):
         for name in ("max_iters", "outer_rounds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            _convert_field(self, name, as_integer, 1)
         for name in ("grad_tol", "ftol_rel", "constraint_tol"):
-            value = getattr(self, name)
-            if not is_number(value) or not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            _convert_field(self, name, as_positive, False)
 
 
 @dataclass(frozen=True)
@@ -210,10 +215,7 @@ class MpcConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
-            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        _convert_field(self, "horizon", as_integer, 1)
         if not isinstance(self.solver, SolverSettings):
             raise ValueError(f"solver must be a SolverSettings, got {self.solver!r}")
 

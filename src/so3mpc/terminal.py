@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lgvi import _FLOAT64, SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
-from .validation import check_spd
+from .validation import as_integer, as_matrix, as_number, as_positive, check_spd
 
 _EYE3 = np.eye(3)
 
@@ -42,6 +42,11 @@ _DARE_RESIDUAL_TOL = 1e-8
 _GRID_POINTS = 48
 _LEVEL_FLOOR = 1e-8
 DECREASE_SLACK = 1e-10
+# Largest difference, relative to the largest entry, between the P or K of a
+# design file and those recomputed from its h, J and weights.  At the
+# reference design a fixed-point and a Schur-method Riccati solve agree with
+# the doubling to 2e-15 and 7e-14.
+RECOMPUTE_RTOL = 1e-9
 
 # Defaults of the design shared by the library and the CLI: the attitude and
 # torque weights as multiples of the identity and the decay factor of
@@ -418,33 +423,37 @@ class TerminalDesign:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TerminalDesign":
-        """Inverse of :meth:`to_json_dict`.  Raises
-        :class:`~so3mpc.errors.DesignFileError` naming a missing key or an
-        entry that does not convert or is out of range: ``h`` and ``c`` must
-        be positive and finite, ``J`` and ``P`` symmetric positive definite,
-        ``K`` finite and ``certification.n_samples`` at least 1."""
+        """Inverse of :meth:`to_json_dict`.  Entries convert as in the
+        configuration (:mod:`~so3mpc.validation`); ``P`` and ``K`` must match
+        the design recomputed from h, J and the weights to ``RECOMPUTE_RTOL``
+        (the file's values are kept), and ``c`` must lie at or below
+        :func:`_level_ceiling`.  Anything else raises
+        :class:`~so3mpc.errors.DesignFileError` naming the key."""
         try:
             weights = StageWeights(
-                _design_entry(data, _matrix(3, 3), "Q_g"),
-                _design_entry(data, _matrix(3, 3), "Q_f"),
-                _design_entry(data, _matrix(3, 3), "R"),
-                _design_entry(data, float, "lambda"),
+                _design_entry(data, "Q_g", as_matrix, (3, 3), True),
+                _design_entry(data, "Q_f", as_matrix, (3, 3), True),
+                _design_entry(data, "R", as_matrix, (3, 3), True),
+                _design_entry(data, "lambda", as_positive, False),
             )
         except ValueError as err:
             raise DesignFileError(f"weights: {err}") from None
         cert = Certification(
-            _design_entry(data, _sample_count, "certification", "n_samples"),
-            _design_entry(data, float, "certification", "max_violation"),
+            _design_entry(data, "certification.n_samples", as_integer, 1),
+            _design_entry(data, "certification.max_violation", as_number),
         )
-        return cls(
-            h=_design_entry(data, _positive, "h"),
-            inertia=_design_entry(data, _spd_matrix(3), "J"),
-            weights=weights,
-            P=_design_entry(data, _spd_matrix(6), "P"),
-            K=_design_entry(data, _finite_matrix(3, 6), "K"),
-            c=_design_entry(data, _positive, "c"),
-            certification=cert,
-        )
+        h = _design_entry(data, "h", as_positive, False)
+        inertia = _design_entry(data, "J", as_matrix, (3, 3), True)
+        lin = build_linearization(h, inertia)
+        cost = build_cost_data(weights)
+        p = solve_dare(lin, cost)
+        design_p = _design_entry(data, "P", _recomputed, p)
+        design_k = _design_entry(data, "K", _recomputed, lqr_gain(p, lin, cost))
+        c = _design_entry(data, "c", as_positive, False)
+        ceiling = _level_ceiling(design_p, h)
+        if c > ceiling:
+            raise DesignFileError(f"key 'c': {c} exceeds the chart ceiling {ceiling:.6g} of the terminal ellipsoid")
+        return cls(h=h, inertia=inertia, weights=weights, P=design_p, K=design_k, c=c, certification=cert)
 
     def save(self, path) -> None:
         with open(path, "w") as handle:
@@ -467,63 +476,29 @@ class TerminalDesign:
             raise DesignFileError(f"{path}: {err}") from None
 
 
-def _matrix(*shape):
-    """Converter of a nested list to a float array of ``shape``."""
-    return lambda value: np.asarray(value, dtype=float).reshape(shape)
+def _recomputed(value, recomputed: np.ndarray) -> np.ndarray:
+    """``value``, a flat list as :meth:`TerminalDesign.to_json_dict` writes
+    it, as a matrix within ``RECOMPUTE_RTOL`` of ``recomputed``; NaN fails."""
+    stored = as_matrix(value, (recomputed.size,), False).reshape(recomputed.shape)
+    gap = float(np.max(np.abs(stored - recomputed)) / np.max(np.abs(recomputed)))
+    if not gap <= RECOMPUTE_RTOL:
+        raise ValueError(f"differs by {gap:.3e} relative from the value recomputed from h, J and the weights")
+    return stored
 
 
-def _finite_matrix(*shape):
-    """:func:`_matrix` that rejects a NaN or infinite entry."""
-
-    def convert(value):
-        arr = _matrix(*shape)(value)
-        if not np.isfinite(arr).all():
-            raise ValueError("must be finite")
-        return arr
-
-    return convert
-
-
-def _spd_matrix(n):
-    """:func:`_finite_matrix` of shape (n, n) that rejects a matrix that is
-    not symmetric positive definite."""
-
-    def convert(value):
-        try:
-            return check_spd(_finite_matrix(n, n)(value), "matrix")
-        except NotPositiveDefinite as err:
-            raise ValueError(f"must be symmetric positive definite: {err}") from None
-
-    return convert
-
-
-def _positive(value) -> float:
-    number = float(value)
-    if not 0.0 < number < np.inf:
-        raise ValueError(f"must be positive and finite, got {number}")
-    return number
-
-
-def _sample_count(value) -> int:
-    number = int(value)
-    if number < 1:
-        raise ValueError(f"must be at least 1, got {number}")
-    return number
-
-
-def _design_entry(data, convert, *keys):
-    """``convert(data[keys[0]][keys[1]]...)``, or a DesignFileError naming the
-    dotted key when it is missing or does not convert."""
-    name = ".".join(keys)
+def _design_entry(data, key: str, convert, *args):
+    """``convert(value, *args)`` of the entry at the dotted ``key`` of
+    ``data``, or a DesignFileError naming the key when it is missing or does
+    not convert."""
     value = data
-    for key in keys:
-        if not isinstance(value, dict) or key not in value:
-            raise DesignFileError(f"missing key {name!r}")
-        value = value[key]
+    for part in key.split("."):
+        if not isinstance(value, dict) or part not in value:
+            raise DesignFileError(f"missing key {key!r}")
+        value = value[part]
     try:
-        return convert(value)
-    except (TypeError, ValueError) as err:
-        raise DesignFileError(f"key {name!r}: {err}") from None
+        return convert(value, *args)
+    except ValueError as err:
+        raise DesignFileError(f"key {key!r}: {err}") from None
 
 
 def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):

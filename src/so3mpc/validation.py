@@ -1,12 +1,19 @@
-"""Input validation helpers used at the public API boundaries."""
+"""Input validation at the public API boundaries.
+
+The ``check_*`` functions test the arrays a caller passes.  The ``as_*``
+converters read one entry of a configuration or design file parsed from
+JSON, and raise ``ValueError`` with the bare reason; each loader names the
+key in its own error type, and ``SolverSettings`` the field.
+"""
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
-from .errors import ConfigError, NotPositiveDefinite, NotRotation
+from .errors import NotPositiveDefinite, NotRotation
 
 ROTATION_ATOL = 1e-9
 # Asymmetry allowed in a matrix that must be symmetric positive-definite
@@ -14,29 +21,24 @@ ROTATION_ATOL = 1e-9
 SPD_SYMMETRY_RTOL = 1e-12
 
 
-def check_vector3(v, name: str = "v") -> np.ndarray:
-    """Return ``v`` as a finite float vector of length 3."""
-    arr = np.asarray(v, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
-def check_matrix3(a, name: str = "A") -> np.ndarray:
+def _check_finite(a, shape: tuple, name: str) -> np.ndarray:
+    """Return ``a`` as a finite float array of ``shape``."""
     arr = np.asarray(a, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"{name} must have shape (3, 3), got {arr.shape}")
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite")
     return arr
+
+
+def check_vector3(v, name: str = "v") -> np.ndarray:
+    return _check_finite(v, (3,), name)
 
 
 def check_rotation(r, name: str = "R") -> np.ndarray:
     """Check membership in SO(3): orthogonal and det = +1, both within
     ``ROTATION_ATOL``."""
-    arr = check_matrix3(r, name)
+    arr = _check_finite(r, (3, 3), name)
     ortho = np.linalg.norm(arr.T @ arr - np.eye(3))
     if ortho > ROTATION_ATOL:
         raise NotRotation(f"{name} is not orthogonal: ||R^T R - I||_F = {ortho:.3e}")
@@ -73,30 +75,68 @@ def is_numeric_tree(value) -> bool:
     return is_number(value)
 
 
-def as_matrix3(value, key: str) -> np.ndarray:
-    """Parse a config entry into a symmetric positive-definite 3x3 matrix.
+def _as_float(value) -> float:
+    """A number in the sense of :func:`is_number` as a float, NaN and
+    infinities included; an integer beyond the float range is infinite."""
+    if not is_number(value):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
-    Accepts a scalar (multiple of the identity), a length-3 sequence
-    (diagonal), or a full 3x3 nested list, of numbers; anything else,
-    strings and booleans included, raises
-    :class:`~so3mpc.errors.ConfigError` naming ``key``.
-    """
+
+def as_number(value) -> float:
+    """``value`` as a finite float."""
+    number = _as_float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be finite, got {number}")
+    return number
+
+
+def as_positive(value, allow_inf: bool) -> float:
+    """``value`` as a positive float, finite unless ``allow_inf``."""
+    number = _as_float(value)
+    if not (0.0 < number < math.inf or allow_inf and number == math.inf):
+        raise ValueError(f"must be positive{'' if allow_inf else ' and finite'}, got {number}")
+    return number
+
+
+def as_integer(value, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``: an integer, or a float
+    with an integral value."""
+    if not is_number(value) or not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    number = int(value)
+    if number < minimum:
+        raise ValueError(f"must be at least {minimum}, got {number}")
+    return number
+
+
+def as_vector3(value) -> np.ndarray:
+    """``value``, a list of three numbers, as a finite float vector."""
+    if not is_numeric_tree(value):
+        raise ValueError(f"must be a list of three numbers, got {value!r}")
+    return check_vector3(value, "vector")
+
+
+def as_matrix(value, shape: tuple, spd: bool) -> np.ndarray:
+    """``value``, a number or nested list of numbers, as a float array of
+    ``shape``; with ``spd``, a finite one that :func:`check_spd` passes."""
     message = f"must be a number or a list of numbers, got {value!r}"
     if not is_numeric_tree(value):
-        raise ConfigError(key, message)
+        raise ValueError(message)
     try:
         arr = np.asarray(value, dtype=float)
-    except ValueError:
-        raise ConfigError(key, message) from None
-    if arr.shape == ():
-        arr = arr * np.eye(3)
-    elif arr.shape == (3,):
-        arr = np.diag(arr)
-    if arr.shape != (3, 3):
-        raise ConfigError(key, f"must be a scalar, length-3 list, or 3x3 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(key, "must be finite")
-    try:
-        return check_spd(arr, "matrix")
-    except NotPositiveDefinite as err:
-        raise ConfigError(key, str(err)) from None
+    except (ValueError, OverflowError):
+        raise ValueError(message) from None
+    if arr.shape != shape:
+        raise ValueError(f"must have shape {shape}, got shape {arr.shape}")
+    if spd:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("must be finite")
+        try:
+            check_spd(arr, "matrix")
+        except NotPositiveDefinite as err:
+            raise ValueError(f"must be symmetric positive definite: {err}") from None
+    return arr

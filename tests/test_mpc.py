@@ -272,6 +272,12 @@ class TestMpcConfig:
     def test_accepts_numpy_integer(self):
         assert MpcConfig(horizon=np.int64(3)).horizon == 3
 
+    def test_integral_float_counts_as_integer(self):
+        # As in the configuration file, where "N": 8.0 reads as 8.
+        config = MpcConfig(horizon=8.0, solver=SolverSettings(max_iters=50.0))
+        assert type(config.horizon) is int and config.horizon == 8
+        assert type(config.solver.max_iters) is int and config.solver.max_iters == 50
+
     @pytest.mark.parametrize("solver", [{"max_iters": 3}, None])
     def test_rejects_non_settings_solver_naming_field(self, solver):
         # A dict used to pass here and fail at the first solve.

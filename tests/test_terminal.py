@@ -696,7 +696,7 @@ class TestDesignSerialization:
         ("key", "value", "message"),
         [
             ("certification", {"n_samples": 1000}, "missing key 'certification.max_violation'"),
-            ("P", [1.0] * 35, "key 'P': cannot reshape"),
+            ("P", [1.0] * 35, "key 'P': must have shape (36,), got shape (35,)"),
             ("c", [1.0], "key 'c':"),
             ("lambda", 1.5, "weights: decay must lie in (0, 1)"),
         ],
@@ -718,11 +718,11 @@ class TestDesignSerialization:
             ("J", lambda d: np.diag([1.0, -1.2, 1.5]).tolist(), "key 'J': must be symmetric positive definite"),
             ("J", lambda d: [[1.0, 0.5, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 1.5]], "key 'J': must be symmetric positive definite"),
             ("J", lambda d: np.diag([1.0, np.nan, 1.5]).tolist(), "key 'J': must be finite"),
-            ("P", lambda d: [-x for x in d["P"]], "key 'P': must be symmetric positive definite"),
-            ("P", lambda d: [0.0] * 36, "key 'P': must be symmetric positive definite"),
-            ("P", lambda d: d["P"][:35] + [float("inf")], "key 'P': must be finite"),
-            ("K", lambda d: d["K"][:4] + [float("nan")] + d["K"][5:], "key 'K': must be finite"),
-            ("K", lambda d: [float("-inf")] + d["K"][1:], "key 'K': must be finite"),
+            ("P", lambda d: [-x for x in d["P"]], "key 'P': differs by 2.000e+00 relative"),
+            ("P", lambda d: [0.0] * 36, "key 'P': differs by 1.000e+00 relative"),
+            ("P", lambda d: d["P"][:35] + [float("inf")], "key 'P': differs by inf relative"),
+            ("K", lambda d: d["K"][:4] + [float("nan")] + d["K"][5:], "key 'K': differs by nan relative"),
+            ("K", lambda d: [float("-inf")] + d["K"][1:], "key 'K': differs by inf relative"),
             ("c", lambda d: 0.0, "key 'c': must be positive and finite, got 0.0"),
             ("c", lambda d: -2456.6, "key 'c': must be positive and finite, got -2456.6"),
             ("c", lambda d: float("inf"), "key 'c': must be positive and finite, got inf"),
@@ -731,6 +731,27 @@ class TestDesignSerialization:
     )
     def test_value_out_of_range_raises_design_file_error(self, ref_design, key, bad, message):
         # The keys and types of these files are valid; their values are not.
+        data = ref_design.to_json_dict()
+        data[key] = bad(data)
+        with pytest.raises(DesignFileError) as err:
+            TerminalDesign.from_json_dict(data)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        ("key", "bad", "message"),
+        [
+            # Symmetric positive definite, but not the Riccati solution.
+            ("P", lambda d: [2.0 * x for x in d["P"]], "key 'P': differs by 1.000e+00 relative"),
+            ("K", lambda d: [d["K"][0] * (1.0 + 1e-6)] + d["K"][1:], "key 'K': differs by"),
+            # Valid weights that P and K were not designed for.
+            ("Q_g", lambda d: (2.0 * np.eye(3)).tolist(), "key 'P': differs by"),
+            ("lambda", lambda d: 0.2, "key 'P': differs by"),
+            # Inside the chart only up to the ceiling, 2729.6 here.
+            ("c", lambda d: 1e9, "key 'c': 1000000000.0 exceeds the chart ceiling 2729.6 "),
+        ],
+    )
+    def test_content_that_the_design_does_not_give_raises_design_file_error(self, ref_design, key, bad, message):
+        # Each of these files loaded before: their entries are each valid.
         data = ref_design.to_json_dict()
         data[key] = bad(data)
         with pytest.raises(DesignFileError) as err:
@@ -755,5 +776,5 @@ class TestDesignSerialization:
         data["Q_g"] = [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         path = tmp_path / "design.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(DesignFileError, match=f"^{re.escape(str(path))}: attitude weight has non-positive"):
+        with pytest.raises(DesignFileError, match=f"^{re.escape(str(path))}: key 'Q_g': must be symmetric positive definite"):
             TerminalDesign.load(path)

@@ -1,8 +1,12 @@
-"""The input checks at the edges of their fixed tolerances."""
+"""The input checks at the edges of their fixed tolerances, and the
+converters that the configuration and the design file share."""
+
+import math
 
 import pytest
 
-from so3mpc.errors import NotPositiveDefinite, NotRotation
+from so3mpc.cli import parse_config
+from so3mpc.errors import ConfigError, DesignFileError, NotPositiveDefinite, NotRotation
 from so3mpc.so3 import exp_so3
 from so3mpc.validation import (
     ROTATION_ATOL,
@@ -10,6 +14,7 @@ from so3mpc.validation import (
     check_rotation,
     check_spd,
 )
+from so3mpc.terminal import TerminalDesign
 
 from conftest import J_REF
 
@@ -37,3 +42,65 @@ def test_spd_symmetry_tolerance_is_relative(factor, rejected):
             check_spd(a)
     else:
         check_spd(a)
+
+
+# One bad value of each sort, by name.
+BAD_VALUES = {
+    "string": "0.1",
+    "boolean": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "fraction": 2.7,
+    "zero": 0,
+    "negative": -1,
+}
+# Each kind of number: its keys in the configuration and in a design file,
+# and the bad values it rejects.
+KINDS = {
+    "positive": (
+        ["physical.h_seconds", "weights.lambda", "terminal.shrink", "experiment.distance_tol",
+         "output.snapshot_seconds", "mpc.solver.grad_tol", "mpc.solver.constraint_tol"],
+        ["h", "c", "lambda"],
+        ["string", "boolean", "nan", "inf", "zero", "negative"],
+    ),
+    "count": (
+        ["mpc.N", "terminal.n_samples", "experiment.n_steps", "output.csv_cadence_steps",
+         "mpc.solver.max_iters", "mpc.solver.outer_rounds"],
+        ["certification.n_samples"],
+        list(BAD_VALUES),
+    ),
+    "number": ([], ["certification.max_violation"], ["string", "boolean", "nan", "inf"]),
+}
+
+
+def _with_entry(data: dict, key: str, value) -> dict:
+    """``data`` with the entry at the dotted ``key`` set to ``value``."""
+    *path, name = key.split(".")
+    entry = data
+    for part in path:
+        entry = entry.setdefault(part, {})
+    entry[name] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "kind, label", [(kind, label) for kind, (_, _, labels) in KINDS.items() for label in labels]
+)
+def test_configuration_and_design_file_reject_alike(ref_design, kind, label):
+    # The design file used to read "h": "0.1" as 0.1, "c": true as 1.0 and
+    # n_samples 2.7 as 2, all of which the configuration rejects.
+    config_keys, design_keys, _ = KINDS[kind]
+    value = BAD_VALUES[label]
+    reasons = set()
+    for key in config_keys:
+        with pytest.raises(ConfigError) as err:
+            parse_config(_with_entry({}, key, value))
+        assert err.value.key == key
+        # A solver setting's reason starts with the field's name.
+        reasons.add(str(err.value).removeprefix(f"{key}: ").removeprefix(f"{key.split('.')[-1]} "))
+    for key in design_keys:
+        with pytest.raises(DesignFileError) as err:
+            TerminalDesign.from_json_dict(_with_entry(ref_design.to_json_dict(), key, value))
+        assert str(err.value).startswith(f"key '{key}': ")
+        reasons.add(str(err.value).removeprefix(f"key '{key}': "))
+    assert len(reasons) == 1, reasons
