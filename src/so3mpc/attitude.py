@@ -51,21 +51,26 @@ from .terminal import (
     terminal_hessian,
     terminal_value,
 )
-from .validation import check_spd, check_vector3
+from .validation import as_number, as_positive, check_spd, check_vector3
 
 DEFAULT_SOLVABILITY_FLOOR = 1e-6
 
 
 def _check_constraints(torque_bound, solvability_floor) -> tuple[float, float]:
     """The torque bound and the solvability floor as floats, or ``ValueError``
-    naming the bad one.  NaN fails both checks: a NaN bound would skip the
+    naming the bad one.  Both are read by the configuration's converters, so
+    a string or a boolean fails, and so does NaN: a NaN bound would skip the
     clip and a NaN floor would never be met, switching either constraint off.
     The floor must stay below the step's ``MARGIN_CUTOFF``, above which the
     step reports a bound on the margin instead of LAPACK's value."""
-    torque_bound = float(torque_bound)
-    solvability_floor = float(solvability_floor)
-    if not torque_bound > 0.0:
-        raise ValueError(f"torque_bound must be positive or +inf, got {torque_bound}")
+    try:
+        torque_bound = as_positive(torque_bound, True)
+    except ValueError as err:
+        raise ValueError(f"torque_bound {err}") from None
+    try:
+        solvability_floor = as_number(solvability_floor)
+    except ValueError as err:
+        raise ValueError(f"solvability_floor {err}") from None
     if not 0.0 <= solvability_floor < MARGIN_CUTOFF:
         raise ValueError(
             f"solvability_floor must lie in [0, {MARGIN_CUTOFF}), got {solvability_floor}"

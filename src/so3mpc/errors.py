@@ -43,7 +43,8 @@ class OutOfChart(So3MpcError):
 
 
 class NoFeasibleLevel(So3MpcError):
-    """No terminal-set level passes certification, even at the smallest grid value."""
+    """No terminal-set level passes certification, down to the calibration's
+    lowest level."""
 
 
 class Infeasible(So3MpcError):

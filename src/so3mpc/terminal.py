@@ -4,9 +4,12 @@ The pipeline linearizes the attitude dynamics in exponential coordinates,
 turns the trace-form stage cost into a quadratic form through the tilde
 transform, solves a discrete-time algebraic Riccati equation for the
 terminal weight, extracts the feedback gain, and then calibrates the
-largest ellipsoid level on which the resulting local law provably (by
-dense sampling) keeps the nonlinear closed loop inside the set while
-decreasing the terminal cost by at least the stage cost.
+ellipsoid level of the local law.  The level starts at the smaller of two
+closed-form ceilings, the chart's and the torque bound's; the two
+conditions without a closed form, that the nonlinear closed loop stays
+inside the set and decreases the terminal cost by at least the stage cost,
+are checked on dense samples, and only if they fail there is the level
+bisected down.
 """
 
 from __future__ import annotations
@@ -33,14 +36,14 @@ from .validation import as_integer, as_matrix, as_number, as_positive, check_spd
 _EYE3 = np.eye(3)
 
 # Fixed tolerances of the design: the Riccati doubling's stop, cap (64
-# doublings stand for 2^64 Riccati steps) and residual bound; the calibration
-# grid's size and lowest level; and the slack of the decrease condition
-# F(x+) - F(x) + L(x, u) <= DECREASE_SLACK.
+# doublings stand for 2^64 Riccati steps) and residual bound; the lowest
+# level and the relative width at which the level bisection stops; and the
+# slack of the decrease condition F(x+) - F(x) + L(x, u) <= DECREASE_SLACK.
 _DARE_TOL = 1e-12
 _DARE_MAX_DOUBLINGS = 64
 _DARE_RESIDUAL_TOL = 1e-8
-_GRID_POINTS = 48
 _LEVEL_FLOOR = 1e-8
+_LEVEL_RTOL = 1e-3
 DECREASE_SLACK = 1e-10
 # Largest difference, relative to the largest entry, between the P or K of a
 # design file and those recomputed from its h, J and weights.  At the
@@ -191,11 +194,17 @@ def build_linearization(h: float, inertia) -> Linearization:
 
     It has the double-integrator structure of exponential coordinates: the
     rotation vector integrates the rate, and the torque enters the rate row
-    through h times the inverse of trace(J) I - J.
+    through h times the inverse of trace(J) I - J.  Raises
+    :class:`~so3mpc.errors.NotStabilizable` when that matrix is singular in
+    floating point or an entry overflows (an inertia entry of 1e300, say).
     """
     if h <= 0.0:
         raise ValueError(f"step must be positive, got {h}")
-    return Linearization(*step_jacobians(_EYE3, _EYE3, h, inertia))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return Linearization(*step_jacobians(_EYE3, _EYE3, h, inertia))
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        raise NotStabilizable(f"no torque-to-rate map at the equilibrium: {err}") from None
 
 
 def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCostData:
@@ -307,31 +316,37 @@ def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
     Raises:
         NotStabilizable: if the controllability matrix of (A, B) is rank
             deficient.
-        NoConvergence: if ``_DARE_MAX_DOUBLINGS`` doublings do not converge
-            or the residual check fails.
+        NoConvergence: if ``_DARE_MAX_DOUBLINGS`` doublings do not converge,
+            the residual check fails, or an entry overflows or a solve meets
+            a singular matrix on the way (an extreme but finite step or
+            inertia, say); the overflow raises instead of warning.
     """
-    if not _controllable(*lin):
-        raise NotStabilizable("(A, B) has a rank-deficient controllability matrix")
-    a, b = lin
-    g = b @ np.linalg.solve(cost.R_dare, b.T)
-    h = cost.Q
-    eye = np.eye(a.shape[0])
-    for _ in range(_DARE_MAX_DOUBLINGS):
-        w = eye + g @ h
-        w_inv_a = np.linalg.solve(w, a)
-        w_inv_g = np.linalg.solve(w, g)
-        h_next = h + a.T @ h @ w_inv_a
-        h_next = 0.5 * (h_next + h_next.T)
-        g = g + a @ w_inv_g @ a.T
-        g = 0.5 * (g + g.T)
-        a = a @ w_inv_a
-        gap = float(np.linalg.norm(h_next - h))
-        h = h_next
-        if gap < _DARE_TOL:
-            break
-    else:
-        raise NoConvergence(f"Riccati doubling did not converge within {_DARE_MAX_DOUBLINGS} doublings")
-    residual = dare_residual(h, lin, cost)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if not _controllable(*lin):
+                raise NotStabilizable("(A, B) has a rank-deficient controllability matrix")
+            a, b = lin
+            g = b @ np.linalg.solve(cost.R_dare, b.T)
+            h = cost.Q
+            eye = np.eye(a.shape[0])
+            for _ in range(_DARE_MAX_DOUBLINGS):
+                w = eye + g @ h
+                w_inv_a = np.linalg.solve(w, a)
+                w_inv_g = np.linalg.solve(w, g)
+                h_next = h + a.T @ h @ w_inv_a
+                h_next = 0.5 * (h_next + h_next.T)
+                g = g + a @ w_inv_g @ a.T
+                g = 0.5 * (g + g.T)
+                a = a @ w_inv_a
+                gap = float(np.linalg.norm(h_next - h))
+                h = h_next
+                if gap < _DARE_TOL:
+                    break
+            else:
+                raise NoConvergence(f"Riccati doubling did not converge within {_DARE_MAX_DOUBLINGS} doublings")
+            residual = dare_residual(h, lin, cost)
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        raise NoConvergence(f"Riccati solve broke down: {err}") from None
     if residual > _DARE_RESIDUAL_TOL:
         raise NoConvergence(f"Riccati residual {residual:.3e} exceeds {_DARE_RESIDUAL_TOL:.1e}")
     return h
@@ -529,6 +544,16 @@ def _level_ceiling(design_p: np.ndarray, h: float) -> float:
     return lam_min * chart_radius**2
 
 
+def _torque_gain(design_p: np.ndarray, design_k: np.ndarray) -> float:
+    """max_i K_i P^-1 K_i^T, the square of the largest torque component that
+    the law u = -K xi asks for on the unit ellipsoid {xi^T P xi <= 1}: the
+    maximum of K_i xi there is sqrt(K_i P^-1 K_i^T), at xi proportional to
+    P^-1 K_i^T.  On the level-c ellipsoid the largest component is
+    sqrt(c * gain), so the torque bound holds exactly up to
+    c = tau^2 / gain."""
+    return float(np.max(np.einsum("ij,ji->i", design_k, np.linalg.solve(design_p, design_k.T))))
+
+
 def evaluate_level(
     design_p: np.ndarray,
     design_k: np.ndarray,
@@ -539,15 +564,16 @@ def evaluate_level(
     level: float,
     unit_samples: np.ndarray,
 ) -> dict:
-    """Worst margins of the three local-law conditions over scaled samples.
+    """Worst margins of the three local-law conditions at ``level``.
 
-    Returns a dict with the worst torque-bound excess, the worst terminal
-    excess of the successor, and the worst decrease defect
-    F(x+) - F(x) + L(x, u).  All are violations: negative or tiny values mean
-    the condition holds.  Every sample is evaluated at once, as array
-    operations along the sample axis.  A sample whose step is unsolvable
-    makes the terminal excess infinite; the other two margins are then
-    taken over the samples whose step is solvable.
+    Returns a dict with the torque-bound excess, the worst terminal excess
+    of the successor, and the worst decrease defect F(x+) - F(x) + L(x, u).
+    All are violations: negative or tiny values mean the condition holds.
+    The torque excess is exact, sqrt(level * max_i K_i P^-1 K_i^T) - tau
+    (:func:`_torque_gain`); the other two are taken over the scaled samples,
+    all evaluated at once as array operations along the sample axis.  A
+    sample whose step is unsolvable makes the terminal excess infinite; the
+    decrease defect is then taken over the samples whose step is solvable.
 
     Raises :class:`~so3mpc.errors.OutOfChart` for a level above
     :func:`_level_ceiling`: samples past the chart would be wrapped by the
@@ -574,7 +600,7 @@ def evaluate_level(
     succ_value = terminal_value(design_p, coordinates(successor, h))
     value = terminal_value(design_p, coords)
     stage = weights.stage_cost(state, torque, h)
-    worst_torque = float(np.max(np.abs(torque), initial=-np.inf)) - torque_bound
+    worst_torque = float(np.sqrt(level * _torque_gain(design_p, design_k))) - torque_bound
     worst_invariance = max(worst_invariance, float(np.max(succ_value, initial=-np.inf)) - level)
     worst_decrease = float(np.max(succ_value - value + stage, initial=-np.inf))
     return {
@@ -602,50 +628,38 @@ def calibrate_level(
 ) -> tuple[float, Certification]:
     """Largest certified level of the terminal ellipsoid.
 
-    Bisects a logarithmic grid between ``_LEVEL_FLOOR`` and the largest level
-    that stays inside the coordinate chart, certifying each candidate on the
-    same pre-drawn sample directions, then applies the safety ``shrink`` and
-    re-certifies at the returned level.
+    Starts at the smaller of the chart ceiling (:func:`_level_ceiling`) and
+    the torque ceiling tau^2 / max_i K_i P^-1 K_i^T (:func:`_torque_gain`),
+    both less a round-off margin, and checks it on pre-drawn samples.  Only
+    if invariance or decrease fails there, bisects between ``_LEVEL_FLOOR``
+    and it to ``_LEVEL_RTOL`` relative on the same samples.  Then applies the
+    safety ``shrink`` and re-certifies at the returned level.
 
-    Raises :class:`~so3mpc.errors.NoFeasibleLevel` when even the smallest
-    grid level fails, and ``ValueError`` when ``n_samples`` is below 1: with
-    no samples every level would pass vacuously.
+    Raises :class:`~so3mpc.errors.NoFeasibleLevel` when no level down to
+    ``_LEVEL_FLOOR`` passes, and ``ValueError`` when ``n_samples`` is below
+    1: with no samples every level would pass vacuously.
     """
-    rng = np.random.default_rng(seed)
-    unit_samples = _ellipsoid_samples(design_p, n_samples, rng)
-    grid = np.geomspace(_LEVEL_FLOOR, _level_ceiling(design_p, h), _GRID_POINTS)
+    unit_samples = _ellipsoid_samples(design_p, n_samples, np.random.default_rng(seed))
 
-    def passes(level: float) -> bool:
-        report = evaluate_level(
-            design_p, design_k, weights, h, inertia, torque_bound,
-            level, unit_samples,
-        )
-        return report["passed"]
+    def report(level: float) -> dict:
+        return evaluate_level(design_p, design_k, weights, h, inertia, torque_bound, level, unit_samples)
 
-    if not passes(grid[0]):
-        raise NoFeasibleLevel(
-            f"no terminal level down to {_LEVEL_FLOOR:.1e} passes certification"
-        )
-    lo, hi = 0, len(grid) - 1
-    if passes(grid[hi]):
-        lo = hi
-    else:
-        # Largest passing index, assuming violations grow with the level.
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if passes(grid[mid]):
-                lo = mid
-            else:
-                hi = mid
-    level = float(grid[lo] * shrink)
-    final = evaluate_level(
-        design_p, design_k, weights, h, inertia, torque_bound,
-        level, unit_samples,
-    )
+    torque_ceiling = torque_bound**2 / _torque_gain(design_p, design_k) * (1.0 - 1e-9)
+    level = min(_level_ceiling(design_p, h), torque_ceiling)
+    if level < _LEVEL_FLOOR or not report(level)["passed"]:
+        if not report(_LEVEL_FLOOR)["passed"]:
+            raise NoFeasibleLevel(f"no terminal level down to {_LEVEL_FLOOR:.1e} passes certification")
+        lo, hi = _LEVEL_FLOOR, level
+        # Largest passing level, assuming violations grow with the level.
+        while hi - lo > _LEVEL_RTOL * lo:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if report(mid)["passed"] else (lo, mid)
+        level = lo
+    level = float(level * shrink)
+    final = report(level)
     if not final["passed"]:
         raise NoFeasibleLevel("shrunken level failed re-certification")
-    max_violation = max(final["torque"], final["invariance"], final["decrease"])
-    return level, Certification(n_samples, float(max_violation))
+    return level, Certification(n_samples, max(final["torque"], final["invariance"], final["decrease"]))
 
 
 def design_terminal(

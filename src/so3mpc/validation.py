@@ -49,11 +49,15 @@ def check_rotation(r, name: str = "R") -> np.ndarray:
 
 
 def check_spd(a, name: str = "A") -> np.ndarray:
-    """Check symmetric positive-definiteness (any square size)."""
+    """Check symmetric positive-definiteness (any square size).  The
+    symmetry check divides by the largest entry when it exceeds 1, so that
+    the norms of a matrix with huge entries do not overflow."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got {arr.shape}")
-    if np.linalg.norm(arr - arr.T) > SPD_SYMMETRY_RTOL * max(1.0, np.linalg.norm(arr)):
+    scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
+    unit = arr / scale
+    if np.linalg.norm(unit - unit.T) > SPD_SYMMETRY_RTOL * max(1.0 / scale, np.linalg.norm(unit)):
         raise NotPositiveDefinite(f"{name} is not symmetric")
     eigs = np.linalg.eigvalsh(arr)
     if eigs[0] <= 0.0:

@@ -68,16 +68,18 @@ class TestAttitudeSystem:
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=2.0)
         assert_allclose(system.project_control([5.0, -3.0, 1.0]), [2.0, -2.0, 1.0])
 
-    @pytest.mark.parametrize("floor", [np.nan, -1e-9, np.inf, MARGIN_CUTOFF, 0.5])
+    @pytest.mark.parametrize("floor", [np.nan, -1e-9, np.inf, MARGIN_CUTOFF, 0.5, "1e-6", True])
     def test_rejects_bad_solvability_floor(self, ref_design, floor):
         # A NaN floor would never be met and switch the constraint off; the
         # step reports exact margins only below MARGIN_CUTOFF.
         with pytest.raises(ValueError, match="solvability_floor"):
             SpacecraftAttitudeSystem(ref_design, solvability_floor=floor)
 
-    @pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0, -np.inf])
+    @pytest.mark.parametrize("bound", [np.nan, 0.0, -1.0, -np.inf, "5", True])
     def test_rejects_bad_torque_bound(self, ref_design, bound):
-        # A NaN bound would skip the clip in project_control.
+        # A NaN bound would skip the clip in project_control; a string or a
+        # boolean is rejected as in the configuration (before, "5" and True
+        # loaded as 5.0 and 1.0).
         with pytest.raises(ValueError, match="torque_bound"):
             SpacecraftAttitudeSystem(ref_design, torque_bound=bound)
 

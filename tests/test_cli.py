@@ -430,6 +430,51 @@ class TestDesignOutOfRange:
         assert not out.exists()
 
 
+class TestExtremeInputs:
+    """A finite but extreme step or inertia gives one line and exit 2; before,
+    numpy's LinAlgError escaped with a traceback."""
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("h_seconds", 1e300, "design failed: Riccati solve broke down: overflow"),
+            ("J_kgm2", [1e300, 1.0, 1.0], "error: no torque-to-rate map at the equilibrium: Singular matrix"),
+        ],
+        ids=["h", "J"],
+    )
+    def test_design_exits_2(self, key, value, message, fast_config, tmp_path, capsys):
+        cfg = json.loads(Path(fast_config).read_text())
+        cfg["physical"][key] = value
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["design", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        ("key", "value", "message"),
+        [
+            ("h", 1e300, "Riccati solve broke down: overflow"),
+            ("J", [[1e300, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "no torque-to-rate map"),
+        ],
+        ids=["h", "J"],
+    )
+    def test_simulate_design_exits_2(self, key, value, message, fast_config, tmp_path, capsys):
+        assert main(["design", "--config", fast_config, "--out", str(tmp_path / "d")]) == 0
+        design = tmp_path / "d" / "design.json"
+        data = json.loads(design.read_text())
+        data[key] = value
+        design.write_text(json.dumps(data))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", fast_config, "--out", str(out), "--design", str(design)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {design}: {message}")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestDesignAgainstConfig:
     """A design file that the configuration contradicts: a key the file sets
     must match the design, and a key left at its default takes the design's

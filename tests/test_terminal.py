@@ -17,6 +17,7 @@ from so3mpc.errors import (
     NotStabilizable,
     OutOfChart,
 )
+from so3mpc.experiments import certify_local_law
 from so3mpc.lgvi import SpacecraftState, lgvi_step
 from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
@@ -296,6 +297,21 @@ class TestDare:
         cost = QuadraticCostData(np.eye(2), np.eye(1))
         with pytest.raises(NotStabilizable):
             solve_dare(lin, cost)
+
+    @pytest.mark.parametrize(
+        ("h", "inertia", "error", "message"),
+        [
+            (1e300, J_REF, NoConvergence, "overflow"),
+            (H_REF, np.diag([1e300, 1.0, 1.0]), NotStabilizable, "Singular matrix"),
+        ],
+        ids=["h", "J"],
+    )
+    def test_extreme_step_or_inertia_raises_typed_error(self, h, inertia, error, message):
+        # Before, numpy's LinAlgError escaped: "SVD did not converge" after an
+        # overflow in the controllability check, and "Singular matrix" where
+        # trace(J) I - J rounds to a singular matrix.
+        with pytest.raises(error, match=message):
+            design_terminal(inertia, h, default_weights(inertia))
 
 
 # Rotations by exactly pi: symmetric, so the antisymmetric part is zero.
@@ -584,6 +600,18 @@ def scalar_margins(design, weights, h, inertia, torque_bound, level, unit_sample
     return max(torques), max(succ_values), max(decreases), unsolvable
 
 
+def torque_gain(design):
+    """max_i K_i P^-1 K_i^T: the maximum of K_i xi on {xi^T P xi <= level} is
+    sqrt(level K_i P^-1 K_i^T)."""
+    return float(np.max(np.diag(design.K @ np.linalg.inv(design.P) @ design.K.T)))
+
+
+def exact_torque_margin(design, torque_bound, level):
+    """The largest torque component of the law on the level set, less the
+    bound, in closed form."""
+    return float(np.sqrt(level * torque_gain(design))) - torque_bound
+
+
 class TestBatchedCertificate:
     """evaluate_level runs every sample as one array operation; the scalar
     functions are its reference."""
@@ -598,13 +626,18 @@ class TestBatchedCertificate:
             ref_design, ref_weights, H_REF, J_REF, TORQUE_BOUND_REF, ref_design.c, samples
         )
         assert unsolvable == 0
-        assert report["torque"] == pytest.approx(torque, abs=1e-12)
+        # The torque margin is exact; the samples can only fall short of it.
+        assert report["torque"] == pytest.approx(
+            exact_torque_margin(ref_design, TORQUE_BOUND_REF, ref_design.c), rel=1e-12
+        )
+        assert report["torque"] >= torque
         assert report["invariance"] == pytest.approx(invariance, abs=1e-9)
         assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
 
     def test_odd_inertia_level(self, odd_design):
-        # Three of its nine level evaluations meet an unsolvable step.
-        assert odd_design.c == 28.316654095520573
+        # Its ceiling meets unsolvable steps, so the calibration bisects: 15
+        # level evaluations.
+        assert odd_design.c == 42.31890708652387
 
     def test_unsolvable_samples_fail_and_margins_ignore_order(self, odd_design):
         weights = default_weights(J_ODD)
@@ -620,8 +653,10 @@ class TestBatchedCertificate:
             )
             assert report["invariance"] == np.inf
             assert not report["passed"]
-            # Taken over the solvable samples, wherever they stand.
-            assert report["torque"] == pytest.approx(torque, abs=1e-12)
+            # Exact, whatever the samples; the decrease is taken over the
+            # solvable samples, wherever they stand.
+            assert report["torque"] == pytest.approx(exact_torque_margin(odd_design, 1.0, level), rel=1e-12)
+            assert report["torque"] >= torque
             assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
 
     def test_cost_formulas_take_stacks(self, ref_design, ref_weights):
@@ -758,6 +793,18 @@ class TestDesignSerialization:
             TerminalDesign.from_json_dict(data)
         assert str(err.value).startswith(message)
 
+    @pytest.mark.parametrize(
+        ("key", "value", "error"),
+        [("h", 1e300, NoConvergence), ("J", [[1e300, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], NotStabilizable)],
+        ids=["h", "J"],
+    )
+    def test_extreme_entry_raises_typed_error(self, ref_design, key, value, error):
+        # Before, numpy's LinAlgError escaped the recomputation of P and K.
+        data = ref_design.to_json_dict()
+        data[key] = value
+        with pytest.raises(error):
+            TerminalDesign.from_json_dict(data)
+
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_sample_count_below_one_raises_design_file_error(self, ref_design, n_samples):
         data = ref_design.to_json_dict()
@@ -778,3 +825,63 @@ class TestDesignSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(DesignFileError, match=f"^{re.escape(str(path))}: key 'Q_g': must be symmetric positive definite"):
             TerminalDesign.load(path)
+
+
+@pytest.fixture(scope="module")
+def certified_designs(ref_design, ref_weights, odd_design):
+    """Every design these tests build, with the torque bound it was built
+    for."""
+
+    def at(torque_bound, **kwargs):
+        return design_terminal(J_REF, H_REF, ref_weights, torque_bound=torque_bound, **kwargs), torque_bound
+
+    return {
+        "100 Nm": (ref_design, TORQUE_BOUND_REF),
+        "1 Nm": at(1.0),
+        "1 Nm, shrink 1": at(1.0, shrink=1.0),
+        "1e-3 Nm": at(1e-3),
+        "odd inertia": (odd_design, 1.0),
+    }
+
+
+class TestExactCeilings:
+    """The level starts at the closed-form chart and torque ceilings; only
+    invariance and decrease are sampled."""
+
+    @pytest.mark.parametrize("name", ["100 Nm", "1 Nm", "1 Nm, shrink 1", "1e-3 Nm", "odd inertia"])
+    def test_boundary_witness_respects_torque_bound(self, certified_designs, name):
+        # xi proportional to P^-1 K_i^T on the level-c boundary asks for the
+        # largest i-th torque component on the set.
+        design, torque_bound = certified_designs[name]
+        for direction in np.linalg.solve(design.P, design.K.T).T:
+            xi = direction * np.sqrt(design.c / terminal_value(design.P, direction))
+            assert terminal_value(design.P, xi) == pytest.approx(design.c, rel=1e-12)
+            assert np.max(np.abs(feedback(design.K, xi))) <= torque_bound
+
+    def test_shrink_one_stops_at_torque_ceiling(self, certified_designs):
+        design, _ = certified_designs["1 Nm, shrink 1"]
+        # The torque ceiling tau^2 / max_i K_i P^-1 K_i^T is 486.6733 here.
+        assert design.c <= 1.0 / torque_gain(design) < 486.68
+        assert design.c == pytest.approx(1.0 / torque_gain(design), rel=1e-8)
+        assert certify_local_law(design, 1.0, n_samples=1000, seed=3).passed
+
+    @pytest.mark.parametrize(
+        ("torque_bound", "binds"), [(TORQUE_BOUND_REF, "chart"), (1.0, "torque"), (1e-3, "torque")]
+    )
+    def test_level_independent_of_sample_count(self, ref_weights, torque_bound, binds):
+        design, more = (
+            design_terminal(J_REF, H_REF, ref_weights, torque_bound=torque_bound, n_samples=n)
+            for n in (1_000, 100_000)
+        )
+        assert design.c == more.c
+        ceiling = _level_ceiling(design.P, H_REF) if binds == "chart" else torque_bound**2 / torque_gain(design)
+        assert design.c == pytest.approx(0.9 * ceiling, rel=1e-8)
+
+    def test_smaller_torque_bound_fails_exactly(self, certified_designs):
+        # A design verified at a bound below the one it was built for fails
+        # on any samples, by the closed-form margin.
+        design, _ = certified_designs["1 Nm, shrink 1"]
+        report = certify_local_law(design, 0.999, n_samples=1, seed=0)
+        torque = report.verdicts[0]
+        assert not torque.passed
+        assert torque.margin == pytest.approx(exact_torque_margin(design, 0.999, design.c), rel=1e-12)
