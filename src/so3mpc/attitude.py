@@ -51,7 +51,7 @@ from .terminal import (
     terminal_hessian,
     terminal_value,
 )
-from .validation import as_number, as_positive, check_spd, check_vector3
+from .validation import as_number, as_parameter, as_positive, check_vector3
 
 DEFAULT_SOLVABILITY_FLOOR = 1e-6
 
@@ -63,14 +63,8 @@ def _check_constraints(torque_bound, solvability_floor) -> tuple[float, float]:
     clip and a NaN floor would never be met, switching either constraint off.
     The floor must stay below the step's ``MARGIN_CUTOFF``, above which the
     step reports a bound on the margin instead of LAPACK's value."""
-    try:
-        torque_bound = as_positive(torque_bound, True)
-    except ValueError as err:
-        raise ValueError(f"torque_bound {err}") from None
-    try:
-        solvability_floor = as_number(solvability_floor)
-    except ValueError as err:
-        raise ValueError(f"solvability_floor {err}") from None
+    torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
+    solvability_floor = as_parameter("solvability_floor", solvability_floor, as_number)
     if not 0.0 <= solvability_floor < MARGIN_CUTOFF:
         raise ValueError(
             f"solvability_floor must lie in [0, {MARGIN_CUTOFF}), got {solvability_floor}"
@@ -211,16 +205,17 @@ class AttitudeMpc:
         self.solver = solver
 
     def fit(self) -> "AttitudeMpc":
-        """Compute the terminal design and assemble the controller."""
-        _check_constraints(self.torque_bound, self.solvability_floor)
+        """Compute the terminal design and assemble the controller.
+        :func:`~so3mpc.terminal.design_terminal` checks the inertia and the
+        design arguments, and :class:`SpacecraftAttitudeSystem` the
+        constraints."""
         if self.weights is not None and not isinstance(self.weights, StageWeights):
             raise ValueError(f"weights must be a StageWeights or None, got {self.weights!r}")
         config = MpcConfig(
             horizon=self.horizon,
             solver=self.solver if self.solver is not None else SolverSettings(),
         )
-        inertia = DEFAULT_INERTIA if self.inertia is None else np.asarray(self.inertia, dtype=float)
-        inertia = check_spd(inertia, "inertia")
+        inertia = DEFAULT_INERTIA if self.inertia is None else self.inertia
         self.design_ = design_terminal(
             inertia,
             self.step_seconds,

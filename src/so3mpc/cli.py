@@ -1,8 +1,8 @@
 """Command-line interface: terminal design, closed-loop simulation, and
 verification suites, all driven by a JSON configuration file.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or configuration
-error, 3 runtime infeasibility.
+Exit codes, set by :func:`main` alone: 0 success, 1 verification failure,
+2 usage, configuration, design or file error, 3 runtime infeasibility.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attitude import SpacecraftAttitudeSystem, spinning_state
-from .errors import ConfigError, Infeasible, NoConvergence, NoFeasibleLevel, So3MpcError
+from .errors import ConfigError, Infeasible, So3MpcError
 from .experiments import (
     audit_lyapunov,
     certify_local_law,
@@ -42,7 +42,7 @@ from .terminal import (
     dare_residual,
     design_terminal,
 )
-from .validation import as_integer, as_matrix, as_positive, as_vector3, is_number
+from .validation import as_fraction, as_integer, as_matrix, as_positive, as_vector3, is_number
 
 VERIFY_SUITES = ("conservation", "local-law", "lyapunov", "discontinuity", "all")
 
@@ -157,9 +157,7 @@ def parse_config(data: dict) -> RunConfig:
     solver = SolverSettings(**settings)
 
     terminal_samples = _entry(merged, "terminal.n_samples", as_integer, 1)
-    terminal_shrink = _entry(merged, "terminal.shrink", as_positive, False)
-    if terminal_shrink > 1.0:
-        raise ConfigError("terminal.shrink", f"must lie in (0, 1], got {terminal_shrink}")
+    terminal_shrink = _entry(merged, "terminal.shrink", as_fraction)
 
     initial_attitude = _entry(merged, "experiment.initial_attitude_axis_angle_rad", as_vector3)
     initial_rate = _entry(merged, "experiment.initial_rate_rad_s", as_vector3)
@@ -283,22 +281,19 @@ def _output_dir(args, cfg: RunConfig) -> str:
     return out_dir
 
 
+def _closed_loop(cfg: RunConfig, design: TerminalDesign):
+    """The configured closed loop on ``design``."""
+    system = SpacecraftAttitudeSystem(design, torque_bound=cfg.torque_bound)
+    state0 = spinning_state(cfg.initial_attitude, cfg.initial_rate, design.h)
+    mpc_config = MpcConfig(horizon=cfg.horizon, solver=cfg.solver)
+    return closed_loop(system, state0, mpc_config, cfg.n_steps, distance_tol=cfg.distance_tol)
+
+
 def cmd_design(args) -> int:
     cfg = _command_config(args)
     out_dir = _output_dir(args, cfg)
     path = args.design or os.path.join(out_dir, "design.json")
-    if args.design is not None:
-        # Checked before the design runs, which takes about a second.
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise ConfigError("--design", f"directory {parent} of {path} does not exist")
-        if os.path.isdir(path):
-            raise ConfigError("--design", f"{path} is a directory")
-    try:
-        design = _design(cfg)
-    except (NoFeasibleLevel, NoConvergence) as err:
-        print(f"design failed: {err}", file=sys.stderr)
-        return 2
+    design = _design(cfg)
     design.save(path)
 
     lin = build_linearization(cfg.h, cfg.inertia)
@@ -320,23 +315,10 @@ def cmd_simulate(args) -> int:
     cfg = _command_config(args)
     out_dir = args.out or cfg.out_dir
     design_path = args.design or os.path.join(out_dir, "design.json")
-    if _design_missing(design_path):
-        return 2
     design = TerminalDesign.load(design_path)
     _adopt_design(cfg, design, design_path)
     _output_dir(args, cfg)
-
-    system = SpacecraftAttitudeSystem(design, torque_bound=cfg.torque_bound)
-    state0 = spinning_state(cfg.initial_attitude, cfg.initial_rate, design.h)
-    mpc_config = MpcConfig(horizon=cfg.horizon, solver=cfg.solver)
-    try:
-        run = closed_loop(
-            system, state0, mpc_config, cfg.n_steps, distance_tol=cfg.distance_tol
-        )
-    except Infeasible as err:
-        # The message already names the step: closed_loop prefixes it.
-        print(str(err), file=sys.stderr)
-        return 3
+    run = _closed_loop(cfg, design)
 
     traj_path = os.path.join(out_dir, "trajectory.csv")
     diag_path = os.path.join(out_dir, "diagnostics.csv")
@@ -363,14 +345,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _design_missing(path: str) -> bool:
-    """Whether the design file ``path`` is missing, reported on stderr."""
-    if os.path.exists(path):
-        return False
-    print(f"design file not found: {path} (run the design command first)", file=sys.stderr)
-    return True
-
-
 def cmd_verify(args) -> int:
     """Run the suites on the design file named by ``--design``, with its h
     and J in the conservation suite too, or on a fresh design of the
@@ -378,15 +352,12 @@ def cmd_verify(args) -> int:
     cfg = _command_config(args)
     design = None
     if args.design is not None:
-        if _design_missing(args.design):
-            return 2
         design = TerminalDesign.load(args.design)
         _adopt_design(cfg, design, args.design)
     suites = VERIFY_SUITES[:-1] if args.suite == "all" else (args.suite,)
     out_dir = _output_dir(args, cfg)
 
     reports = []
-    mpc_config = MpcConfig(horizon=cfg.horizon, solver=cfg.solver)
     for suite in suites:
         if suite == "conservation":
             reports.append(
@@ -400,10 +371,8 @@ def cmd_verify(args) -> int:
                 certify_local_law(design, cfg.torque_bound, n_samples=cfg.terminal_samples, seed=cfg.seed + 20_000)
             )
         elif suite == "lyapunov":
-            system = SpacecraftAttitudeSystem(design, torque_bound=cfg.torque_bound)
-            state0 = spinning_state(cfg.initial_attitude, cfg.initial_rate, design.h)
             try:
-                run = closed_loop(system, state0, mpc_config, cfg.n_steps, distance_tol=cfg.distance_tol)
+                run = _closed_loop(cfg, design)
             except Infeasible as err:
                 print(f"lyapunov suite: {err}", file=sys.stderr)
                 return 3
@@ -413,7 +382,7 @@ def cmd_verify(args) -> int:
                 reports.append(
                     probe_discontinuity(
                         design,
-                        mpc_config,
+                        MpcConfig(horizon=cfg.horizon, solver=cfg.solver),
                         torque_bound=cfg.torque_bound,
                         n_steps=cfg.n_steps,
                         attitude_tol=cfg.distance_tol,
@@ -477,7 +446,7 @@ def main(argv=None) -> int:
     except Infeasible as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 3
-    except So3MpcError as err:
+    except (So3MpcError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ from .terminal import (
     _ellipsoid_samples,
     evaluate_level,
 )
+from .validation import as_integer, as_parameter, as_positive
 
 # Spin scale of the conservation check's random start, and the slack of the
 # closed-loop cost audit.
@@ -221,10 +222,13 @@ def certify_local_law(
 
     Checks, at the calibrated level, that the local law respects the torque
     bound, maps the set into itself, and decreases the terminal cost by at
-    least the stage cost.  Raises ``ValueError`` when ``n_samples`` is below
-    1 and :class:`~so3mpc.errors.OutOfChart` when the level lies above the
-    chart ceiling of the terminal ellipsoid.
+    least the stage cost.  Raises ``ValueError`` naming the argument when
+    ``torque_bound`` is not positive (+inf allowed) or ``n_samples`` not an
+    integer of at least 1, and :class:`~so3mpc.errors.OutOfChart` when the
+    level lies above the chart ceiling of the terminal ellipsoid.
     """
+    torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
+    n_samples = as_parameter("n_samples", n_samples, as_integer, 1)
     rng = np.random.default_rng(seed)
     samples = _ellipsoid_samples(design.P, n_samples, rng)
     margins = evaluate_level(

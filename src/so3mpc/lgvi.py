@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NoConvergence, NotSolvable
 from .so3 import exp_so3, hat, log_so3
-from .validation import check_rotation, check_spd
+from .validation import check_controls, check_rotation, check_spd
 
 _EYE3 = np.eye(3)
 _FLOAT64 = np.dtype(float)
@@ -426,18 +426,15 @@ def rollout(
     """Roll the integrator over a torque sequence.
 
     Returns ``len(torques) + 1`` states, the first being ``state0``.
-    Raises :class:`~so3mpc.errors.NotSolvable` with the failing step index
-    if some step cannot be solved.
+    Torques of the wrong shape or with a NaN or infinity raise
+    ``ValueError`` naming the first bad step
+    (:func:`~so3mpc.validation.check_controls`); a step that cannot be
+    solved raises :class:`~so3mpc.errors.NotSolvable` with its index.
     """
     state0 = check_state(state0)
     inertia = check_spd(inertia, "inertia")
-    torques = np.asarray(torques, dtype=float)
-    if torques.size == 0:
-        torques = torques.reshape(0, 3)
-    if torques.ndim != 2 or torques.shape[1] != 3:
-        raise ValueError(f"torques must have shape (n, 3), got {torques.shape}")
     states = [state0]
-    for i, tau in enumerate(torques):
+    for i, tau in enumerate(check_controls(torques, 3, "torques")):
         try:
             states.append(lgvi_step(states[-1], tau, h, inertia))
         except NotSolvable as err:

@@ -43,7 +43,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
-from .validation import as_integer, as_positive
+from .validation import as_integer, as_positive, check_controls
 
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
@@ -345,25 +345,7 @@ def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
     """Cost of a candidate control sequence: summed stage costs plus the
     terminal penalty at the rolled-out endpoint.  Controls of the wrong shape
     or with a non-finite entry raise ``ValueError``."""
-    return _predict(system, x0, _as_control_array(torques, system.control_dim, "torques")).cost
-
-
-def _as_control_array(torques, control_dim: int, name: str) -> np.ndarray:
-    """``torques`` as an (n, control_dim) float array, checked before any
-    rollout: a wrong shape, or a NaN or infinity, raises ``ValueError``
-    naming ``name`` and the first step with a non-finite entry."""
-    arr = np.asarray(torques, dtype=float)
-    if arr.size == 0:
-        return arr.reshape(0, control_dim)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, control_dim)
-    if arr.ndim != 2 or arr.shape[1] != control_dim:
-        raise ValueError(f"{name} must have shape (n, {control_dim}), got {arr.shape}")
-    finite = np.isfinite(arr).all(axis=1)
-    if not finite.all():
-        step = int(np.argmin(finite))
-        raise ValueError(f"{name} must be finite; step {step} is {arr[step]}")
-    return arr
+    return _predict(system, x0, check_controls(torques, system.control_dim, "torques")).cost
 
 
 class _Objective:
@@ -683,7 +665,7 @@ def solve_ocp(
     if warm_start is None:
         torques = steering_rollout(system, x0, config.horizon)
     else:
-        torques = _as_control_array(np.array(warm_start, dtype=float, copy=True), system.control_dim, "warm_start")
+        torques = check_controls(np.array(warm_start, dtype=float, copy=True), system.control_dim, "warm_start")
         if torques.shape[0] != config.horizon:
             raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
     torques = _project_rows(system, torques)

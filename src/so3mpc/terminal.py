@@ -31,7 +31,7 @@ from .errors import (
 )
 from .lgvi import _FLOAT64, SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
-from .validation import as_integer, as_matrix, as_number, as_positive, check_spd
+from .validation import as_fraction, as_integer, as_matrix, as_number, as_parameter, as_positive, check_spd
 
 _EYE3 = np.eye(3)
 
@@ -142,10 +142,11 @@ def _quadratic_form(a, x):
 
 def default_weights(inertia) -> StageWeights:
     """Identity attitude weight, inertia-matched rate weight, 2I torque
-    weight and decay 0.1."""
+    weight and decay 0.1.  An inertia that is not symmetric positive-definite
+    raises :class:`~so3mpc.errors.NotPositiveDefinite` naming it."""
     return StageWeights(
         DEFAULT_ATTITUDE_WEIGHT * _EYE3,
-        np.asarray(inertia, dtype=float),
+        check_spd(inertia, "inertia"),
         DEFAULT_TORQUE_WEIGHT * _EYE3,
         DEFAULT_DECAY,
     )
@@ -478,13 +479,16 @@ class TerminalDesign:
     @classmethod
     def load(cls, path) -> "TerminalDesign":
         """Read a file written by :meth:`save`.  Raises
-        :class:`~so3mpc.errors.DesignFileError` naming the file when it is
-        not valid JSON or does not hold a valid design."""
-        with open(path) as handle:
-            try:
+        :class:`~so3mpc.errors.DesignFileError` naming the file when it
+        cannot be read (missing, a directory, not readable), is not valid
+        JSON or does not hold a valid design."""
+        try:
+            with open(path) as handle:
                 data = json.load(handle)
-            except ValueError as err:
-                raise DesignFileError(f"{path}: invalid JSON: {err}") from None
+        except OSError as err:
+            raise DesignFileError(f"{path}: cannot read: {err.strerror}") from None
+        except ValueError as err:
+            raise DesignFileError(f"{path}: invalid JSON: {err}") from None
         try:
             return cls.from_json_dict(data)
         except So3MpcError as err:
@@ -520,8 +524,6 @@ def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):
     """Unit-level samples: directions on the ellipsoid {x^T P x = 1}, half of
     them pulled inside with volume-uniform radii.  Scaling by sqrt(c) turns
     them into samples of the level-c set."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     evals, evecs = np.linalg.eigh(p)
     p_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
     directions = rng.standard_normal((n_samples, 6))
@@ -636,9 +638,14 @@ def calibrate_level(
     safety ``shrink`` and re-certifies at the returned level.
 
     Raises :class:`~so3mpc.errors.NoFeasibleLevel` when no level down to
-    ``_LEVEL_FLOOR`` passes, and ``ValueError`` when ``n_samples`` is below
-    1: with no samples every level would pass vacuously.
+    ``_LEVEL_FLOOR`` passes, and ``ValueError`` naming the argument when
+    ``torque_bound`` is not positive (+inf allowed), ``n_samples`` not an
+    integer of at least 1 (with no samples every level would pass
+    vacuously) or ``shrink`` not in (0, 1].
     """
+    torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
+    n_samples = as_parameter("n_samples", n_samples, as_integer, 1)
+    shrink = as_parameter("shrink", shrink, as_fraction)
     unit_samples = _ellipsoid_samples(design_p, n_samples, np.random.default_rng(seed))
 
     def report(level: float) -> dict:

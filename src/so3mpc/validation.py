@@ -2,8 +2,9 @@
 
 The ``check_*`` functions test the arrays a caller passes.  The ``as_*``
 converters read one entry of a configuration or design file parsed from
-JSON, and raise ``ValueError`` with the bare reason; each loader names the
-key in its own error type, and ``SolverSettings`` the field.
+JSON, or one scalar argument of a library call, and raise ``ValueError``
+with the bare reason; each loader names the key in its own error type,
+``SolverSettings`` the field, and :func:`as_parameter` the argument.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def check_spd(a, name: str = "A") -> np.ndarray:
     return arr
 
 
+def check_controls(torques, control_dim: int, name: str) -> np.ndarray:
+    """``torques`` as an (n, control_dim) float array, checked before any
+    rollout: a wrong shape, or a NaN or infinity, raises ``ValueError``
+    naming ``name`` and the first step with a non-finite entry."""
+    arr = np.asarray(torques, dtype=float)
+    if arr.size == 0:
+        return arr.reshape(0, control_dim)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, control_dim)
+    if arr.ndim != 2 or arr.shape[1] != control_dim:
+        raise ValueError(f"{name} must have shape (n, {control_dim}), got {arr.shape}")
+    finite = np.isfinite(arr).all(axis=1)
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise ValueError(f"{name} must be finite; step {step} is {arr[step]}")
+    return arr
+
+
 def is_number(value) -> bool:
     """Whether ``value`` is a real number other than a boolean: a JSON
     number, but not a string that spells one, nor ``true`` or ``false``."""
@@ -106,6 +125,14 @@ def as_positive(value, allow_inf: bool) -> float:
     return number
 
 
+def as_fraction(value) -> float:
+    """``value`` as a float in (0, 1]."""
+    number = _as_float(value)
+    if not 0.0 < number <= 1.0:
+        raise ValueError(f"must lie in (0, 1], got {number}")
+    return number
+
+
 def as_integer(value, minimum: int) -> int:
     """``value`` as an int of at least ``minimum``: an integer, or a float
     with an integral value."""
@@ -144,3 +171,12 @@ def as_matrix(value, shape: tuple, spd: bool) -> np.ndarray:
         except NotPositiveDefinite as err:
             raise ValueError(f"must be symmetric positive definite: {err}") from None
     return arr
+
+
+def as_parameter(name: str, value, convert, *args):
+    """``convert(value, *args)`` of the library argument ``name``; a
+    ``ValueError`` is raised again with the name in front."""
+    try:
+        return convert(value, *args)
+    except ValueError as err:
+        raise ValueError(f"{name} {err}") from None

@@ -147,6 +147,22 @@ class TestEstimator:
         with pytest.raises(NotPositiveDefinite):
             AttitudeMpc(inertia=np.diag([1.0, -1.0, 1.0])).fit()
 
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ({"terminal_shrink": 0.0}, "shrink"),
+            ({"terminal_shrink": True}, "shrink"),
+            ({"terminal_samples": True}, "n_samples"),
+            ({"terminal_samples": 2.5}, "n_samples"),
+            ({"terminal_samples": "10"}, "n_samples"),
+        ],
+    )
+    def test_fit_rejects_bad_design_argument(self, params, name):
+        # Before, shrink 0 fitted c = 0, a design its own loader rejects, True
+        # meant 1, and the samples ended in a bare TypeError.
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            AttitudeMpc(**params).fit()
+
     @pytest.mark.parametrize("method", ["solve", "predict", "simulate"])
     @pytest.mark.parametrize("bad", ["nan", "off orthogonal"])
     def test_rejects_bad_attitude_naming_g(self, method, bad):

@@ -257,20 +257,11 @@ class TestDesignCommand:
         assert main(command + args) == 2
         assert f"configuration error: --out: cannot create directory {blocker}" in capsys.readouterr().err
 
-    def test_design_path_in_missing_directory_exits_2_before_designing(
-        self, fast_config, tmp_path, capsys, monkeypatch
-    ):
-        # Before, the whole design ran and save raised FileNotFoundError.
-        def no_design(*args, **kwargs):
-            raise AssertionError("the design ran")
-
-        monkeypatch.setattr("so3mpc.cli.design_terminal", no_design)
+    def test_design_path_in_missing_directory_exits_2(self, fast_config, tmp_path, capsys):
+        # The design runs (a few milliseconds), then save fails naming the path.
         target = str(tmp_path / "nodir" / "d.json")
         assert main(["design", "--config", fast_config, "--out", str(tmp_path / "out"), "--design", target]) == 2
-        assert f"configuration error: --design: directory {tmp_path / 'nodir'} of {target} does not exist" in (
-            capsys.readouterr().err
-        )
-        assert main(["design", "--config", fast_config, "--design", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {target!r}\n"
 
     def test_repeat_invocation_byte_identical(self, fast_config, tmp_path):
         out = str(tmp_path / "out")
@@ -370,7 +361,7 @@ class TestVerifyCommand:
         out = str(tmp_path / "out")
         missing = str(tmp_path / "nope.json")
         assert main(["verify", "local-law", "--config", fast_config, "--out", out, "--design", missing]) == 2
-        assert f"design file not found: {missing}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {missing}: cannot read: No such file or directory\n"
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(("content", "message"), MALFORMED_DESIGNS)
@@ -437,7 +428,7 @@ class TestExtremeInputs:
     @pytest.mark.parametrize(
         ("key", "value", "message"),
         [
-            ("h_seconds", 1e300, "design failed: Riccati solve broke down: overflow"),
+            ("h_seconds", 1e300, "error: Riccati solve broke down: overflow"),
             ("J_kgm2", [1e300, 1.0, 1.0], "error: no torque-to-rate map at the equilibrium: Singular matrix"),
         ],
         ids=["h", "J"],
@@ -473,6 +464,55 @@ class TestExtremeInputs:
         assert err.startswith(f"error: {design}: {message}")
         assert err.count("\n") == 1
         assert not out.exists()
+
+
+class TestDirectoryInTheWay:
+    """A directory where the CLI reads or writes a file exits 2 with one
+    line naming the path; before, the OSError escaped with a traceback and
+    exit 1, the code of a failed verification."""
+
+    @staticmethod
+    def blocked(path: Path) -> str:
+        path.mkdir(parents=True)
+        return str(path)
+
+    def check_one_line(self, code, capsys, path):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert path in err
+
+    def test_default_design_file(self, fast_config, tmp_path, capsys):
+        path = self.blocked(tmp_path / "out" / "design.json")
+        code = main(["design", "--config", fast_config, "--out", str(tmp_path / "out")])
+        self.check_one_line(code, capsys, path)
+
+    def test_design_flag(self, fast_config, tmp_path, capsys):
+        path = self.blocked(tmp_path / "named.json")
+        code = main(["design", "--config", fast_config, "--out", str(tmp_path / "out"), "--design", path])
+        self.check_one_line(code, capsys, path)
+
+    @pytest.mark.parametrize("name", ["trajectory.csv", "summary.json"])
+    def test_simulate_output(self, name, fast_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["design", "--config", fast_config, "--out", str(out)]) == 0
+        path = self.blocked(out / name)
+        capsys.readouterr()
+        code = main(["simulate", "--config", fast_config, "--out", str(out)])
+        self.check_one_line(code, capsys, path)
+
+    @pytest.mark.parametrize("suite", ["conservation", "local-law"])
+    def test_verify_output(self, suite, fast_config, tmp_path, capsys):
+        path = self.blocked(tmp_path / "out" / f"verify_{suite}.json")
+        code = main(["verify", suite, "--config", fast_config, "--out", str(tmp_path / "out")])
+        self.check_one_line(code, capsys, path)
+
+    @pytest.mark.parametrize("command", [["simulate"], ["verify", "local-law"]])
+    def test_design_flag_read(self, command, fast_config, tmp_path, capsys):
+        path = self.blocked(tmp_path / "design.json")
+        code = main(command + ["--config", fast_config, "--out", str(tmp_path / "out"), "--design", path])
+        self.check_one_line(code, capsys, path)
+        assert not (tmp_path / "out").exists()
 
 
 class TestDesignAgainstConfig:

@@ -63,6 +63,16 @@ class TestLocalLawSuite:
         with pytest.raises(ValueError):
             certify_local_law(ref_design, TORQUE_BOUND_REF, n_samples=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("torque_bound", "5"), ("torque_bound", True), ("torque_bound", -1.0), ("n_samples", True), ("n_samples", 2.5)],
+    )
+    def test_bad_argument_raises_value_error_naming_it(self, ref_design, name, value):
+        # Before, "5" and 2.5 ended in a bare TypeError and True passed as 1.
+        arguments = {"torque_bound": TORQUE_BOUND_REF, "n_samples": 10, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            certify_local_law(ref_design, **arguments)
+
     def test_equilibrium_sample(self, ref_design, ref_system):
         state = SpacecraftState.identity()
         tau = ref_system.local_law(state)

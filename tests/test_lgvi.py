@@ -754,6 +754,15 @@ class TestRollout:
             rollout(state, torques, H, J_REF)
         assert excinfo.value.step == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_torque_names_step(self, bad):
+        # Before, NaN ended in numpy's LinAlgError and an infinity in a
+        # RuntimeWarning.
+        torques = np.zeros((5, 3))
+        torques[[2, 4], 1] = bad
+        with pytest.raises(ValueError, match=r"^torques must be finite; step 2 "):
+            rollout(SpacecraftState.identity(), torques, H, J_REF)
+
     def test_determinism(self):
         rng = np.random.default_rng(6)
         torques = rng.uniform(-1, 1, (100, 3))

@@ -527,12 +527,37 @@ class TestCalibration:
                 TORQUE_BOUND_REF, n_samples=0,
             )
 
-    def test_zero_torque_bound_infeasible(self, ref_design, ref_weights):
+    def test_vanishing_torque_bound_infeasible(self, ref_design, ref_weights):
+        # Its torque ceiling lies below the lowest level.
         with pytest.raises(NoFeasibleLevel):
             calibrate_level(
                 ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
-                torque_bound=0.0, n_samples=200, seed=0,
+                torque_bound=1e-9, n_samples=200, seed=0,
             )
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("torque_bound", "5"),
+            ("torque_bound", True),
+            ("torque_bound", 0.0),
+            ("torque_bound", np.nan),
+            ("n_samples", True),
+            ("n_samples", 2.5),
+            ("n_samples", "10"),
+            ("shrink", 0.0),
+            ("shrink", -1.0),
+            ("shrink", 1.5),
+            ("shrink", True),
+            ("shrink", np.nan),
+        ],
+    )
+    def test_bad_argument_raises_value_error_naming_it(self, name, value):
+        # Before, "5" and 2.5 ended in a bare TypeError, -1 in LinAlgError,
+        # True passed as 1, and shrink 0 designed c = 0, which the design
+        # file loader rejects.
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            design_terminal(J_REF, H_REF, default_weights(J_REF), **{name: value})
 
     def test_nested_levels(self, ref_design, ref_weights):
         # Conditions passing at the calibrated level also pass at half of it.

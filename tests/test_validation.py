@@ -58,7 +58,7 @@ BAD_VALUES = {
 # and the bad values it rejects.
 KINDS = {
     "positive": (
-        ["physical.h_seconds", "weights.lambda", "terminal.shrink", "experiment.distance_tol",
+        ["physical.h_seconds", "weights.lambda", "experiment.distance_tol",
          "output.snapshot_seconds", "mpc.solver.grad_tol", "mpc.solver.constraint_tol"],
         ["h", "c", "lambda"],
         ["string", "boolean", "nan", "inf", "zero", "negative"],
@@ -70,6 +70,7 @@ KINDS = {
         list(BAD_VALUES),
     ),
     "number": ([], ["certification.max_violation"], ["string", "boolean", "nan", "inf"]),
+    "fraction": (["terminal.shrink"], [], ["string", "boolean", "nan", "inf", "fraction", "zero", "negative"]),
 }
 
 
