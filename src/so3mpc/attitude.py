@@ -2,10 +2,14 @@
 
 ``SpacecraftAttitudeSystem`` wires the variational integrator, the
 trace-form stage cost, and a calibrated terminal design into the generic
-:class:`~so3mpc.mpc.ManifoldSystem` contract.  ``AttitudeMpc`` wraps the
-whole pipeline: hyperparameters in the constructor, the expensive design
-work in ``fit``, the control law at one state in ``predict``, and the closed
-loop in ``simulate``.
+:class:`~so3mpc.mpc.ManifoldSystem` contract.  Its predicted states are the
+ones :func:`~so3mpc.lgvi.step_with_margin` builds from entries: the step, the
+stage cost and the terminal cost read Python floats, and arrays are built
+only where a caller reads them, in ``OcpSolution.states``,
+``ClosedLoopRun.states`` and :meth:`~SpacecraftAttitudeSystem.quadratic_model`.
+``AttitudeMpc`` wraps the whole pipeline: hyperparameters in the
+constructor, the expensive design work in ``fit``, the control law at one
+state in ``predict``, and the closed loop in ``simulate``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .lgvi import (
     DEFAULT_STEP_SECONDS,
     MARGIN_CUTOFF,
     SpacecraftState,
+    _inertia_constants,
     check_state,
     step_jacobians,
     step_with_margin,
@@ -84,7 +89,10 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
     ):
         self.design = design
-        self.inertia = np.asarray(design.inertia, dtype=float)
+        # Every step takes the inertia's constants, looked up once here; the
+        # model reads their read-only array, so both see the same inertia.
+        self._constants = _inertia_constants(np.asarray(design.inertia, dtype=float))
+        self.inertia = self._constants.inertia
         self.h = float(design.h)
         self.weights = design.weights
         self.torque_bound, self.solvability_floor = _check_constraints(
@@ -93,13 +101,12 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         self._equilibrium = SpacecraftState.identity()
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
-        return step_with_margin(x, u, self.h, self.inertia)[0]
+        return step_with_margin(x, u, self.h, self._constants)[0]
 
     def step_with_margin(self, x: SpacecraftState, u, near: Optional[SpacecraftState] = None):
         """:func:`~so3mpc.lgvi.step_with_margin`, its Newton solve started at
         the increment of ``near`` when one is given."""
-        start = None if near is None else near.f
-        return step_with_margin(x, u, self.h, self.inertia, start)
+        return step_with_margin(x, u, self.h, self._constants, near)
 
     def step_near(self, x: SpacecraftState, u, near: SpacecraftState):
         return self.step_with_margin(x, u, near)
@@ -140,8 +147,8 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         and the terminal Hessian of :func:`~so3mpc.terminal.terminal_hessian`
         at the last, all in the tangent coordinates g exp(hat(zeta)),
         f exp(h hat(omega))."""
-        f = np.array([x.f for x in states])
-        g = np.array([x.g for x in states[:-1]])
+        f = np.array([x.entries[1] for x in states])
+        g = np.array([x.entries[0] for x in states[:-1]])
         a, b = step_jacobians(f[:-1], f[1:], self.h, self.inertia)
         q, r = stage_hessians(self.weights, SpacecraftState(g, f[:-1]))
         p = terminal_hessian(self.design.P, states[-1], self.h)

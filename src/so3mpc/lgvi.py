@@ -2,14 +2,23 @@
 
 The state is the pair (g, f): the attitude and the one-step attitude
 increment, both rotation matrices.  The attitude update is explicit,
-``g_next = g @ f``; the increment update is implicit and is resolved by
+``g_next = g f``; the increment update is implicit and is resolved by
 Newton iteration on the Cayley vector of the increment, a 3-vector, so the
 new increment is a rotation by construction.  Both updates keep the state on
 the group to round-off, which is what makes long prediction rollouts
-trustworthy inside an optimizer.  A step may be handed an increment near
-the new one to start that iteration from: the optimizer's perturbed
+trustworthy inside an optimizer.  A step may be handed a state near its
+successor to start that iteration from: the optimizer's perturbed
 finite-difference rollouts pass the unperturbed rollout's, and then take
 about one Newton update per step instead of 1.7.
+
+One step runs on Python floats: the entries of g and f go in, and the
+successor comes out as the entries of g f, summed in component order, the
+entries of the new increment and the Cayley vector they came from.  A state
+built from arrays is read through its entries, and a state the step built
+makes its arrays on first use, so the public functions on array states and
+the solver's predictions run the same kernel.  The terminal certificate
+steps stacks of states through the same component formulas on arrays
+(:func:`_step_rows`).
 """
 
 from __future__ import annotations
@@ -46,15 +55,84 @@ DEFAULT_INERTIA = np.diag([1.0, 1.2, 1.5])
 DEFAULT_STEP_SECONDS = 0.1
 
 
-class SpacecraftState(NamedTuple):
-    """Attitude ``g`` and one-step increment ``f``, both in SO(3)."""
+class SpacecraftState:
+    """Attitude ``g`` and one-step increment ``f``, both in SO(3).
 
-    g: np.ndarray
-    f: np.ndarray
+    Built from two arrays: shape (3, 3) for one state, or (n, 3, 3) for a
+    stack of them.  The integrator builds its successors from entries
+    instead (:func:`_state_of`): the rows of g and f as Python floats, and
+    the Cayley vector of f.  Such a state makes its arrays on first use, as
+    float64 (3, 3) arrays that are read-only, because the dynamics read the
+    entries; a state built from arrays reads its entries from them at each
+    use.  Either way it unpacks as ``g, f = state``, and ``np.asarray`` of it
+    is the (2, 3, 3) pair.
+    """
+
+    __slots__ = ("_g", "_f", "_rows", "_cayley")
+
+    def __init__(self, g, f):
+        self._g, self._f, self._rows, self._cayley = g, f, None, None
 
     @classmethod
     def identity(cls) -> "SpacecraftState":
         return cls(np.eye(3), np.eye(3))
+
+    @property
+    def g(self) -> np.ndarray:
+        if self._g is None:
+            self._make_arrays()
+        return self._g
+
+    @property
+    def f(self) -> np.ndarray:
+        if self._f is None:
+            self._make_arrays()
+        return self._f
+
+    def _make_arrays(self) -> None:
+        self._g, self._f = (np.array(rows) for rows in self._rows)
+        self._g.flags.writeable = self._f.flags.writeable = False
+
+    @property
+    def entries(self) -> tuple:
+        """g and f as rows of entries: Python floats for one state, and for
+        a stack arrays with one element per state, as the component formulas
+        take them."""
+        if self._rows is not None:
+            return self._rows
+        if self._g.ndim == 2:
+            return self._g.tolist(), self._f.tolist()
+        return self._g.transpose(1, 2, 0), self._f.transpose(1, 2, 0)
+
+    def __iter__(self):
+        return iter((self.g, self.f))
+
+    def __len__(self) -> int:
+        return 2
+
+    def __getitem__(self, index):
+        return (self.g, self.f)[index]
+
+    def __repr__(self) -> str:
+        return f"SpacecraftState(g={self.g!r}, f={self.f!r})"
+
+
+def _state_of(g, f, x) -> SpacecraftState:
+    """The state with rows of entries ``g`` and ``f``, where ``x`` is the
+    Cayley vector of ``f`` (:func:`_cayley`)."""
+    state = object.__new__(SpacecraftState)
+    state._g = state._f = None
+    state._rows = (g, f)
+    state._cayley = x
+    return state
+
+
+def _cayley_of(state: SpacecraftState):
+    """The Cayley vector of the increment of one state: the one the step
+    solved for, or :func:`_cayley_vector` of the entries of a state built
+    from arrays."""
+    x = state._cayley
+    return _cayley_vector(state.entries[1]) if x is None else x
 
 
 def check_state(state: SpacecraftState) -> SpacecraftState:
@@ -109,14 +187,15 @@ def _margin_bound(m, lo, hi):
 
 
 class _InertiaConstants(NamedTuple):
-    """What a step needs of J besides the array: its entries, tr J I - J, and
-    the Gershgorin bounds lo <= lambda_min(J) (at least zero) and
-    hi >= lambda_max(J) of :func:`_margin_bound`."""
+    """What a step needs of J: its entries, tr J I - J, the Gershgorin
+    bounds lo <= lambda_min(J) (at least zero) and hi >= lambda_max(J) of
+    :func:`_margin_bound`, and the array for LAPACK's margin, read-only."""
 
     j: tuple
     a: tuple
     lo: float
     hi: float
+    inertia: np.ndarray
 
 
 def _inertia_constants(inertia: np.ndarray) -> _InertiaConstants:
@@ -130,28 +209,29 @@ def _inertia_constants(inertia: np.ndarray) -> _InertiaConstants:
 
 @functools.lru_cache(maxsize=16)
 def _constants_of(key: bytes) -> _InertiaConstants:
-    j = tuple(map(tuple, np.frombuffer(key).reshape(3, 3).tolist()))
+    inertia = np.frombuffer(key).reshape(3, 3)
+    j = tuple(map(tuple, inertia.tolist()))
     lows, highs = _eigen_discs(j)
-    return _InertiaConstants(j, _trace_shift(j), max(min(lows), 0.0), max(highs))
+    return _InertiaConstants(j, _trace_shift(j), max(min(lows), 0.0), max(highs), inertia)
 
 
-def _margin(m, constants: _InertiaConstants, inertia: np.ndarray) -> float:
+def _margin(m, constants: _InertiaConstants) -> float:
     """The margin of one step: LAPACK's value where the bound of
     :func:`_margin_bound` is below ``MARGIN_CUTOFF``, the bound above it."""
     bound = _margin_bound(m, constants.lo, constants.hi)
     if bound >= MARGIN_CUTOFF:
         return bound
-    return float(_step_margin(hat(m), inertia))
+    return float(_step_margin(hat(m), constants.inertia))
 
 
-def _margins(m, constants: _InertiaConstants, inertia: np.ndarray) -> np.ndarray:
+def _margins(m, constants: _InertiaConstants) -> np.ndarray:
     """:func:`_margin` of every row of ``m``, shape (n, 3).  LAPACK runs only
     on the rows in the band; every row equals the single step's margin bit
     for bit."""
     margins = _margin_bound(m.T, constants.lo, constants.hi)
     band = np.flatnonzero(~(margins >= MARGIN_CUTOFF))
     if band.size:
-        margins[band] = _step_margin(hat(m[band]), inertia)
+        margins[band] = _step_margin(hat(m[band]), constants.inertia)
     return margins
 
 
@@ -220,16 +300,16 @@ def _newton_update(x, m, j, a):
 
 
 def _cayley(x):
-    """The rotation I + 2 (hat(x) + hat(x)^2) / (1 + x^T x) as its nine
-    entries in row-major order."""
+    """The rotation I + 2 (hat(x) + hat(x)^2) / (1 + x^T x) as rows of
+    entries."""
     x0, x1, x2 = x
     q00, q11, q22 = x0 * x0, x1 * x1, x2 * x2
     q01, q02, q12 = x0 * x1, x0 * x2, x1 * x2
     s = 2.0 / (1.0 + (q00 + q11 + q22))
     return (
-        1.0 - s * (q11 + q22), s * (q01 - x2), s * (q02 + x1),
-        s * (q01 + x2), 1.0 - s * (q00 + q22), s * (q12 - x0),
-        s * (q02 - x1), s * (q12 + x0), 1.0 - s * (q00 + q11),
+        (1.0 - s * (q11 + q22), s * (q01 - x2), s * (q02 + x1)),
+        (s * (q01 + x2), 1.0 - s * (q00 + q22), s * (q12 - x0)),
+        (s * (q02 - x1), s * (q12 + x0), 1.0 - s * (q00 + q11)),
     )
 
 
@@ -242,22 +322,33 @@ def _cayley_vector(f):
     return ((f21 - f12) / s, (f02 - f20) / s, (f10 - f01) / s)
 
 
-def _implicit_increment(
-    m, inertia: np.ndarray, constants: _InertiaConstants | None = None, start=None
-) -> tuple[np.ndarray, float]:
-    """The increment F in SO(3) with F J - J F^T = hat(m), and the solvability
-    margin.  ``m`` is the momentum vector (three floats), ``inertia`` an
-    array; ``constants`` are its :func:`_inertia_constants`, looked up here
-    when the caller has not already.  ``start``, a rotation array near F, is
-    where Newton starts instead of the linearized root (see below).
+def _product(a, b):
+    """The product of two 3x3 matrices given as rows of entries, as rows,
+    each entry summed in component order."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (
+        (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22),
+        (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22),
+        (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22),
+    )
+
+
+def _implicit_increment(m, constants: _InertiaConstants, start=None) -> tuple[tuple, float]:
+    """The Cayley vector x of the increment F in SO(3) with
+    F J - J F^T = hat(m), and the solvability margin.  ``m`` is the momentum
+    vector and ``constants`` are the :func:`_inertia_constants` of J.
+    ``start``, a Cayley vector near x, is where Newton starts instead of the
+    linearized root (see below).  All are Python floats.
 
     The margin is the smallest eigenvalue of J^2 + M^2/4 from LAPACK where a
     certified lower bound on it is below ``MARGIN_CUTOFF``, and that bound
     above it (see :func:`_margin`); the step raises
     :class:`~so3mpc.errors.NotSolvable` iff LAPACK's value is negative.
 
-    F is the Cayley map of a 3-vector x, I + 2 (hat(x) + hat(x)^2) / (1 + x^T x),
-    so it stays on the group by construction.  The implicit update reads
+    F is the Cayley map of x, I + 2 (hat(x) + hat(x)^2) / (1 + x^T x)
+    (:func:`_cayley`), so it stays on the group by construction.  The
+    implicit update reads
     r(x) = (tr J I - J) x - x cross J x - (1 + x^T x) m / 2 = 0, solved by
     Newton from the linearized root (tr J I - J)^{-1} m / 2.  Since r is
     quadratic, the residual after a step dx is exactly
@@ -267,14 +358,12 @@ def _implicit_increment(
     converges to the branch with sym(F J) positive semi-definite,
     quadratically for a positive margin and linearly at margin zero.
 
-    With ``start``, Newton starts at its Cayley vector
-    vee(start - start^T) / (1 + tr start) (:func:`_cayley_vector`) where the
-    margin is at least ``MARGIN_CUTOFF``.  A start within about 1e-6 of the
-    root stops after one update, and F moves from the unstarted result at
-    round-off only (at most 1e-10 for starts up to 1e-2 away).  Below the
-    cutoff the start is ignored: the two roots there lie within about
-    sqrt(margin) of each other, and a start 1e-2 away at margin 1e-8
-    converged to the other one.
+    Newton starts at ``start`` where the margin is at least
+    ``MARGIN_CUTOFF``.  A start within about 1e-6 of the root stops after
+    one update, and F moves from the unstarted result at round-off only (at
+    most 1e-10 for starts up to 1e-2 away).  Below the cutoff the start is
+    ignored: the two roots there lie within about sqrt(margin) of each
+    other, and a start 1e-2 away at margin 1e-8 converged to the other one.
 
     Near the solvability boundary F is less accurate than the residual: the
     root is close to a double root, with condition about 1/sqrt(margin), so
@@ -283,45 +372,41 @@ def _implicit_increment(
     closed-form planar solution): up to 3e-8 at margin 1e-8, 3e-12 at
     margin 1.
 
-    The iteration runs on Python floats through the component formulas
-    :func:`_solve3`, :func:`_newton_update` and :func:`_cayley`, which
-    :func:`_implicit_increments` runs on arrays of rows.
+    The iteration runs through the component formulas :func:`_solve3` and
+    :func:`_newton_update`, which :func:`_implicit_increments` runs on
+    arrays of rows.
     """
-    if constants is None:
-        inertia = np.asarray(inertia, dtype=float)
-        constants = _inertia_constants(inertia)
-    margin = _margin(m, constants, inertia)
+    margin = _margin(m, constants)
     if margin < 0.0:
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
     j, a = constants.j, constants.a
     if start is None or margin < MARGIN_CUTOFF:
         x = _solve3(a, [0.5 * mi for mi in m])
     else:
-        x = _cayley_vector(start.tolist())
+        x = start
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
         if step <= _NEWTON_STEP_TOL**2:
-            return np.array(_cayley(x)).reshape(3, 3), margin
+            return x, margin
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )
 
 
 def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_implicit_increment` for a stack of momentum vectors, shape
-    (n, 3), with one inertia, shape (3, 3).  Returns the increments, shape
-    (n, 3, 3), and the margins, shape (n,).  A row whose margin is negative
-    is unsolvable: its increment is NaN.
+    """The increments of :func:`_implicit_increment` for a stack of momentum
+    vectors, shape (n, 3), with one inertia, shape (3, 3).  Returns the
+    increments, shape (n, 3, 3), and the margins, shape (n,).  A row whose
+    margin is negative is unsolvable: its increment is NaN.
 
     Every solvable row runs the scalar kernel's component formulas, on the
     same :func:`_inertia_constants`, from the same start and stops after the
-    same test on its own step, so it equals the scalar kernel's result bit
-    for bit.
+    same test on its own step, so its increment equals :func:`_cayley` of the
+    scalar kernel's result bit for bit.
     """
     m = np.asarray(m, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    constants = _inertia_constants(inertia)
-    margins = _margins(m, constants, inertia)
+    constants = _inertia_constants(np.asarray(inertia, dtype=float))
+    margins = _margins(m, constants)
     increments = np.full((len(m), 3, 3), np.nan)
     rows = np.flatnonzero(margins >= 0.0)
     # Each entry of m and x is an array with one element per row; the
@@ -333,7 +418,7 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
         x, step = _newton_update(x, m, j, a)
         x = np.array(x)
         done = step <= _NEWTON_STEP_TOL**2
-        increments[rows[done]] = np.array(_cayley(x[:, done])).T.reshape(-1, 3, 3)
+        increments[rows[done]] = np.array(_cayley(x[:, done])).transpose(2, 0, 1)
         going = ~done
         rows, x, m = rows[going], x[:, going], m[:, going]
         if not rows.size:
@@ -347,9 +432,11 @@ def _step_rows(state: SpacecraftState, torque: np.ndarray, h: float, inertia):
     """:func:`step_with_margin` of every row of a stack of states, g and f of
     shape (n, 3, 3), under torques of shape (n, 3): the successors and the
     margins, shape (n,).  A row whose margin is negative is unsolvable: its
-    successor's increment is NaN (see :func:`_implicit_increments`)."""
+    successor's increment is NaN (see :func:`_implicit_increments`).  The
+    successor's g is numpy's product, which may differ from the single
+    step's component sums at round-off."""
     inertia = np.asarray(inertia, dtype=float)
-    m = _momentum(state.f.transpose(1, 2, 0), torque.T, h * h, inertia.tolist())
+    m = _momentum(state.entries[1], torque.T, h * h, inertia.tolist())
     f_next, margins = _implicit_increments(np.stack(m, axis=-1), inertia)
     return SpacecraftState(state.g @ state.f, f_next), margins
 
@@ -361,7 +448,7 @@ def lgvi_step(state: SpacecraftState, torque, h: float, inertia) -> SpacecraftSt
 
 
 def step_with_margin(
-    state: SpacecraftState, torque, h: float, inertia, start=None
+    state: SpacecraftState, torque, h: float, inertia, near=None
 ) -> tuple[SpacecraftState, float]:
     """One integrator step plus the solvability margin it consumed.
 
@@ -369,19 +456,28 @@ def step_with_margin(
     optimizer keeps above its floor inside predicted rollouts.  It is
     LAPACK's exact value below ``MARGIN_CUTOFF`` and a certified lower bound
     on it above (see :func:`_implicit_increment`), so every comparison with
-    zero or with a floor below the cutoff sees the exact value.  The
-    momentum goes from the entries of f, torque and J straight into Newton.
-    ``start``, an increment near the new one, is where Newton starts (see
+    zero or with a floor below the cutoff sees the exact value.
+
+    This is the one scalar step of the package: the momentum goes from the
+    entries of f, torque and J straight into Newton, and the successor is
+    built from the entries of g f and of the new increment
+    (:func:`_state_of`), for states built from arrays and for the successors
+    of earlier steps alike.  ``inertia`` is the (3, 3) array, or its
+    :func:`_inertia_constants`, which a caller that steps one inertia many
+    times looks up once.  ``near``, a state near the successor, is where
+    Newton starts: at the Cayley vector of its increment (see
     :func:`_implicit_increment`); it changes the new increment at round-off
     only.
     """
-    inertia = np.asarray(inertia, dtype=float)
-    constants = _inertia_constants(inertia)
+    constants = inertia
+    if type(constants) is not _InertiaConstants:
+        constants = _inertia_constants(np.asarray(inertia, dtype=float))
     if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64 or torque.shape != (3,):
         torque = np.asarray(torque, dtype=float).reshape(3)
-    m = _momentum(state.f.tolist(), torque.tolist(), h * h, constants.j)
-    f_next, margin = _implicit_increment(m, inertia, constants, start)
-    return SpacecraftState(state.g.dot(state.f), f_next), margin
+    g, f = state.entries
+    m = _momentum(f, torque.tolist(), h * h, constants.j)
+    x, margin = _implicit_increment(m, constants, None if near is None else _cayley_of(near))
+    return _state_of(_product(g, f), _cayley(x), x), margin
 
 
 def step_jacobians(f, f_next, h: float, inertia) -> tuple[np.ndarray, np.ndarray]:
@@ -432,11 +528,11 @@ def rollout(
     solved raises :class:`~so3mpc.errors.NotSolvable` with its index.
     """
     state0 = check_state(state0)
-    inertia = check_spd(inertia, "inertia")
+    constants = _inertia_constants(check_spd(inertia, "inertia"))
     states = [state0]
     for i, tau in enumerate(check_controls(torques, 3, "torques")):
         try:
-            states.append(lgvi_step(states[-1], tau, h, inertia))
+            states.append(lgvi_step(states[-1], tau, h, constants))
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
     return states

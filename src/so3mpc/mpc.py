@@ -31,6 +31,11 @@ is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
 as a pure function of state and control.
+States are opaque here: the solver stores what the system's step returns
+and hands it back to the system.  The attitude system's states carry their
+entries as Python floats and build arrays only when read, so the states of
+an :class:`OcpSolution` or a :class:`ClosedLoopRun` are arrays to a caller
+while no predicted step builds one.
 """
 
 from __future__ import annotations

@@ -178,24 +178,24 @@ def _log_regular(s, sin_theta: float, theta: float) -> tuple:
     return scale * s0, scale * s1, scale * s2
 
 
-def _log_so3_pair(r1: np.ndarray, r2: np.ndarray) -> tuple:
-    """``log_so3`` of two rotation matrices as two sequences of three floats,
-    equal to it bit for bit, in one pass: both :func:`_log_terms` from entries and one
-    ``arctan2`` over the two angles (which rounds as the single calls do).
-    An angle below ``SMALL_ANGLE`` or within ``NEAR_PI`` of the cut is
-    passed to ``log_so3`` itself."""
-    s1, sin_sq1, cos1 = _log_terms(r1.tolist())
-    s2, sin_sq2, cos2 = _log_terms(r2.tolist())
+def _log_so3_pair(r1, r2) -> tuple:
+    """``log_so3`` of two rotation matrices, given as rows of entries, as two
+    sequences of three floats, equal to it bit for bit, in one pass: both
+    :func:`_log_terms` and one ``arctan2`` over the two angles (which rounds
+    as the single calls do).  An angle below ``SMALL_ANGLE`` or within
+    ``NEAR_PI`` of the cut is passed to ``log_so3`` itself."""
+    s1, sin_sq1, cos1 = _log_terms(r1)
+    s2, sin_sq2, cos2 = _log_terms(r2)
     sin1, sin2 = math.sqrt(sin_sq1), math.sqrt(sin_sq2)
     theta1, theta2 = np.arctan2(
         (sin1, sin2), (min(max(cos1, -1.0), 1.0), min(max(cos2, -1.0), 1.0))
     ).tolist()
     if theta1 < SMALL_ANGLE or np.pi - theta1 < NEAR_PI:
-        v1 = log_so3(r1).tolist()
+        v1 = log_so3(np.array(r1)).tolist()
     else:
         v1 = _log_regular(s1, sin1, theta1)
     if theta2 < SMALL_ANGLE or np.pi - theta2 < NEAR_PI:
-        v2 = log_so3(r2).tolist()
+        v2 = log_so3(np.array(r2)).tolist()
     else:
         v2 = _log_regular(s2, sin2, theta2)
     return v1, v2

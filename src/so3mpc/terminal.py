@@ -100,10 +100,8 @@ class StageWeights:
         """
         if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64:
             torque = np.asarray(torque, dtype=float)
-        if state.g.ndim == 2:
-            g, f, u = state.g.tolist(), state.f.tolist(), torque.tolist()
-        else:
-            g, f, u = state.g.transpose(1, 2, 0), state.f.transpose(1, 2, 0), torque.T
+        g, f = state.entries
+        u = torque.tolist() if torque.ndim == 1 else torque.T
         attitude, rate, torque_tilde = self._weight_entries
         trace_att, trace_rate = self._traces
         g_term = trace_att - _trace_product(attitude, g)
@@ -197,10 +195,11 @@ def build_linearization(h: float, inertia) -> Linearization:
     rotation vector integrates the rate, and the torque enters the rate row
     through h times the inverse of trace(J) I - J.  Raises
     :class:`~so3mpc.errors.NotStabilizable` when that matrix is singular in
-    floating point or an entry overflows (an inertia entry of 1e300, say).
+    floating point or an entry overflows (an inertia entry of 1e300, say),
+    and ``ValueError`` naming ``h`` when the step is not a positive finite
+    number.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    h = as_parameter("h", h, as_positive, False)
     try:
         with np.errstate(over="raise", invalid="raise"):
             return Linearization(*step_jacobians(_EYE3, _EYE3, h, inertia))
@@ -370,12 +369,13 @@ def coordinates(state: SpacecraftState, h: float) -> np.ndarray:
     """Chart coordinates (rotation vector of g, rotation vector of f over h).
 
     A stack of states, with g and f of shape (n, 3, 3), gives one row of
-    coordinates per state.  One state takes both logarithms in one pass
-    (:func:`~so3mpc.so3._log_so3_pair`); either way the result equals
-    ``concatenate([log_so3(g), log_so3(f) / h])`` bit for bit.
+    coordinates per state.  One state takes both logarithms in one pass from
+    its entries (:func:`~so3mpc.so3._log_so3_pair`); either way the result
+    equals ``concatenate([log_so3(g), log_so3(f) / h])`` bit for bit.
     """
-    if state.g.ndim == 2:
-        (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(state.g, state.f)
+    g, f = state.entries
+    if not isinstance(g, np.ndarray):
+        (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(g, f)
         return np.array((z0, z1, z2, w0 / h, w1 / h, w2 / h))
     zeta = log_so3_rows(state.g)
     omega = log_so3_rows(state.f) / h
@@ -678,8 +678,11 @@ def design_terminal(
     shrink: float = DEFAULT_TERMINAL_SHRINK,
     seed: int = 0,
 ) -> TerminalDesign:
-    """Run the full terminal design pipeline and return the result."""
+    """Run the full terminal design pipeline and return the result.  The
+    step ``h`` must be a positive finite number, or ``ValueError`` names
+    it."""
     inertia = check_spd(inertia, "inertia")
+    h = as_parameter("h", h, as_positive, False)
     lin = build_linearization(h, inertia)
     cost = build_cost_data(weights)
     p = solve_dare(lin, cost)
@@ -689,6 +692,6 @@ def design_terminal(
         n_samples=n_samples, shrink=shrink, seed=seed,
     )
     return TerminalDesign(
-        h=float(h), inertia=inertia, weights=weights,
+        h=h, inertia=inertia, weights=weights,
         P=p, K=k, c=level, certification=certification,
     )

@@ -7,7 +7,14 @@ import pytest
 from so3mpc.attitude import SpacecraftAttitudeSystem, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
-from so3mpc.lgvi import SpacecraftState, _momentum, _step_margin
+from so3mpc.lgvi import (
+    SpacecraftState,
+    _cayley,
+    _implicit_increment,
+    _inertia_constants,
+    _momentum,
+    _step_margin,
+)
 from so3mpc.so3 import exp_so3, hat, log_so3
 from so3mpc.terminal import default_weights, design_terminal
 
@@ -48,6 +55,14 @@ def momentum_vector(state, torque, h, inertia):
         return np.array(_momentum(f.tolist(), torque.tolist(), h * h, j))
     m = _momentum(np.moveaxis(f, (-2, -1), (0, 1)), np.moveaxis(torque, -1, 0), h * h, j)
     return np.stack(m, axis=-1)
+
+
+def implicit_increment(m, inertia):
+    """The scalar kernel's increment at momentum vector ``m``, as an array,
+    and its margin: the Cayley map of the vector that
+    ``lgvi._implicit_increment`` solves for."""
+    x, margin = _implicit_increment(m, _inertia_constants(np.asarray(inertia, dtype=float)))
+    return np.array(_cayley(x)), margin
 
 
 def momentum_matrix(state, torque, h, inertia):

@@ -16,7 +16,6 @@ from so3mpc.attitude import rest_state, spinning_state
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import (
     SpacecraftState,
-    _implicit_increment,
     free_momentum_drift,
     rollout,
 )
@@ -33,7 +32,7 @@ from so3mpc.terminal import (
     solve_dare,
 )
 
-from conftest import H_REF, J_REF, TORQUE_BOUND_REF, implicit_residual, momentum_matrix
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, implicit_increment, implicit_residual, momentum_matrix
 
 PROBE_SOLVER = SolverSettings(ftol_rel=1e-5)
 PROBE_STEPS = 120
@@ -108,7 +107,7 @@ def test_criterion_3_riccati_kernels(ref_design, ref_weights):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         m = hat(rng.uniform(0.0, 0.95) * 2.0 * eigs.min() * direction)
-        f, _ = _implicit_increment([m[2, 1], m[0, 2], m[1, 0]], inertia)
+        f, _ = implicit_increment([m[2, 1], m[0, 2], m[1, 0]], inertia)
         worst_step = max(worst_step, float(np.linalg.norm(f @ inertia - inertia @ f.T - m)))
         worst_ortho = max(worst_ortho, float(np.linalg.norm(f.T @ f - np.eye(3))))
         # The Riccati branch: S = sym(F J) is positive semi-definite.

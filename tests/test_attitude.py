@@ -119,7 +119,7 @@ class TestEstimator:
     @pytest.mark.parametrize(
         "params", [{"solvability_floor": np.nan}, {"torque_bound": np.nan}]
     )
-    def test_fit_rejects_bad_constraints_before_design(self, params):
+    def test_fit_rejects_nan_constraint_naming_it(self, params):
         (name,) = params
         with pytest.raises(ValueError, match=name):
             AttitudeMpc(terminal_samples=10, **params).fit()
@@ -162,6 +162,13 @@ class TestEstimator:
         # meant 1, and the samples ended in a bare TypeError.
         with pytest.raises(ValueError, match=f"^{name} must "):
             AttitudeMpc(**params).fit()
+
+    @pytest.mark.parametrize("h", ["0.1", True, np.nan, 0, -1, np.inf])
+    def test_fit_rejects_bad_step_naming_h(self, h):
+        # Before, "0.1" ended in a bare TypeError, True designed at h = 1
+        # and NaN raised NoConvergence from the Riccati solve.
+        with pytest.raises(ValueError, match="^h must "):
+            AttitudeMpc(step_seconds=h).fit()
 
     @pytest.mark.parametrize("method", ["solve", "predict", "simulate"])
     @pytest.mark.parametrize("bad", ["nan", "off orthogonal"])

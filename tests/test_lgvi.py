@@ -12,7 +12,6 @@ from so3mpc.lgvi import (
     _cayley,
     _cayley_vector,
     _eigen_discs,
-    _implicit_increment,
     _implicit_increments,
     _inertia_constants,
     _margin,
@@ -32,6 +31,7 @@ from so3mpc.terminal import build_linearization
 
 from conftest import (
     check_solvability,
+    implicit_increment,
     implicit_residual,
     momentum_matrix,
     momentum_vector,
@@ -97,6 +97,33 @@ def newton_oracle(momentum, inertia):
     raise AssertionError("oracle did not converge")
 
 
+class TestSpacecraftState:
+    def test_unpacks_and_converts_as_the_pair(self):
+        g, f = exp_so3([0.3, -0.2, 0.1]), rot_z(0.1)
+        for state in (SpacecraftState(g, f), lgvi_step(SpacecraftState(g, f), np.zeros(3), H, J_REF)):
+            first, second = state
+            assert first is state.g and second is state.f
+            assert state[0] is state.g and state[1] is state.f and len(state) == 2
+            assert np.array_equal(np.asarray(state), np.stack([state.g, state.f]))
+
+    def test_entries_of_one_state_and_of_a_stack(self):
+        rng = np.random.default_rng(2)
+        g = np.array([exp_so3(rng.standard_normal(3)) for _ in range(4)])
+        f = np.array([exp_so3(H * rng.standard_normal(3)) for _ in range(4)])
+        rows_g, rows_f = SpacecraftState(g[1], f[1]).entries
+        assert rows_g == g[1].tolist() and rows_f == f[1].tolist()
+        stack_g, stack_f = SpacecraftState(g, f).entries
+        assert np.array_equal(np.asarray(stack_g)[:, :, 1], g[1])
+        assert np.array_equal(np.asarray(stack_f)[:, :, 1], f[1])
+
+    def test_successor_arrays_equal_its_entries(self):
+        nxt = lgvi_step(SpacecraftState(np.eye(3), rot_z(0.1)), [0.1, -0.2, 0.3], H, J_REF)
+        assert nxt.g.dtype == np.float64 and nxt.f.shape == (3, 3)
+        assert nxt.g.tolist() == [list(row) for row in nxt.entries[0]]
+        assert nxt.f.tolist() == [list(row) for row in nxt.entries[1]]
+        assert not nxt.g.flags.writeable and not nxt.f.flags.writeable
+
+
 class TestMomentumMatrix:
     def test_identity_increment_no_torque(self):
         state = SpacecraftState(np.eye(3), np.eye(3))
@@ -150,7 +177,7 @@ class TestSolvability:
         momentum = hat([0.0, 0.0, 2.0 + delta])
         ok = check_solvability(momentum, np.eye(3)).ok
         try:
-            _implicit_increment(vector(momentum), np.eye(3))
+            implicit_increment(vector(momentum), np.eye(3))
         except NotSolvable:
             solved = False
         else:
@@ -176,7 +203,7 @@ class TestStepRiccati:
     positive semi-definite root of (S - M/2)(S + M/2) = J^2."""
 
     def test_zero_momentum_gives_inertia(self):
-        f, _ = _implicit_increment(np.zeros(3), J_REF)
+        f, _ = implicit_increment(np.zeros(3), J_REF)
         assert_allclose(f, np.eye(3), atol=1e-12)
         assert_allclose(sym(f @ J_REF), J_REF, atol=1e-12)
 
@@ -185,7 +212,7 @@ class TestStepRiccati:
         # S = diag(cos a, cos a, 1) for a spherical body.
         angle = 0.1
         m = 2.0 * np.sin(angle) * hat([0, 0, 1.0])
-        f, _ = _implicit_increment(vector(m), np.eye(3))
+        f, _ = implicit_increment(vector(m), np.eye(3))
         assert_allclose(f, rot_z(angle), atol=1e-12)
         assert_allclose(sym(f), np.diag([np.cos(angle), np.cos(angle), 1.0]), atol=1e-12)
 
@@ -193,7 +220,7 @@ class TestStepRiccati:
         rng = np.random.default_rng(1)
         for _ in range(300):
             m, inertia = random_solvable_pair(rng)
-            f, _ = _implicit_increment(vector(m), inertia)
+            f, _ = implicit_increment(vector(m), inertia)
             assert step_residual(f, m, inertia) <= 1e-10
             # The Riccati branch: S = sym(F J) is positive semi-definite.
             assert np.linalg.eigvalsh(sym(f @ inertia))[0] >= -1e-12
@@ -202,14 +229,14 @@ class TestStepRiccati:
         rng = np.random.default_rng(2)
         for _ in range(100):
             m, inertia = random_solvable_pair(rng)
-            f, _ = _implicit_increment(vector(m), inertia)
+            f, _ = implicit_increment(vector(m), inertia)
             s = sym(f @ inertia)
             gap = (s - 0.5 * m) @ (s + 0.5 * m) - inertia @ inertia
             assert np.linalg.norm(gap) <= 1e-10
 
     def test_unsolvable_raises(self):
         with pytest.raises(NotSolvable):
-            _implicit_increment([0.0, 0.0, 4.0], np.eye(3))
+            implicit_increment([0.0, 0.0, 4.0], np.eye(3))
 
     @settings(deadline=None)
     @given(
@@ -228,7 +255,7 @@ class TestStepRiccati:
         q = exp_so3(rotation)
         inertia = q @ np.diag(eigs) @ q.T
         m = q @ hat(size * np.eye(3)[axis]) @ q.T
-        f, step_margin = _implicit_increment(vector(m), inertia)
+        f, step_margin = implicit_increment(vector(m), inertia)
         # LAPACK's value in the band below the cutoff, a lower bound above.
         assert step_margin <= margin + 1e-12
         if margin < MARGIN_CUTOFF:
@@ -243,7 +270,7 @@ class TestStepRiccati:
     def test_matches_oracle_on_criterion_3_draws(self):
         momenta, inertias = criterion_3_draws()
         worst = max(
-            float(np.abs(_implicit_increment(vector(m), inertia)[0] - newton_oracle(m, inertia)).max())
+            float(np.abs(implicit_increment(vector(m), inertia)[0] - newton_oracle(m, inertia)).max())
             for m, inertia in zip(momenta, inertias)
         )
         assert worst <= 1e-12
@@ -266,7 +293,7 @@ class TestStepRiccati:
         size = 2.0 * np.sqrt(min(others) ** 2 - margin)
         q = exp_so3(rotation)
         inertia = q @ np.diag(eigs) @ q.T
-        f, _ = _implicit_increment(size * q[:, axis], inertia)
+        f, _ = implicit_increment(size * q[:, axis], inertia)
         theta = np.arcsin(size / sum(others))
         exact = q @ exp_so3(theta * np.eye(3)[axis]) @ q.T
         assert np.abs(f - exact).max() <= 3e-12 / np.sqrt(margin)
@@ -275,10 +302,10 @@ class TestStepRiccati:
         # The linearized root 0.375 e3 is far from the root tan(theta/2) e3
         # with 2 sin(theta) = 1.5, about 0.45 e3, so one step cannot stop.
         m, inertia = hat([0.0, 0.0, 1.5]), np.eye(3)
-        _implicit_increment(vector(m), inertia)
+        implicit_increment(vector(m), inertia)
         monkeypatch.setattr(lgvi, "_NEWTON_MAX_ITERS", 1)
         with pytest.raises(NoConvergence):
-            _implicit_increment(vector(m), inertia)
+            implicit_increment(vector(m), inertia)
         with pytest.raises(NoConvergence):
             _implicit_increments(vector(np.array([np.zeros((3, 3)), m])), inertia)
 
@@ -290,7 +317,7 @@ class TestBatchedKernel:
         momenta, inertias = criterion_3_draws()
         for m, inertia in zip(momenta, inertias):
             increments, margins = _implicit_increments(vector(m[None]), inertia)
-            f_ref, margin_ref = _implicit_increment(vector(m), inertia)
+            f_ref, margin_ref = implicit_increment(vector(m), inertia)
             assert np.array_equal(increments[0], f_ref)
             assert margins[0] == margin_ref
 
@@ -299,7 +326,7 @@ class TestBatchedKernel:
         momenta = np.array([random_solvable_pair(rng)[0] for _ in range(40)])
         increments, _ = _implicit_increments(vector(momenta), J_REF)
         for f, m in zip(increments, momenta):
-            assert np.array_equal(f, _implicit_increment(vector(m), J_REF)[0])
+            assert np.array_equal(f, implicit_increment(vector(m), J_REF)[0])
 
     def test_per_row_inertia(self):
         # Any SPD inertia per draw and any momentum inside the solvable set,
@@ -322,7 +349,7 @@ class TestBatchedKernel:
         assert len(momenta) >= 950
         for m, inertia in zip(momenta, inertias):
             increments, _ = _implicit_increments(vector(m[None]), inertia)
-            assert np.array_equal(increments[0], _implicit_increment(vector(m), inertia)[0])
+            assert np.array_equal(increments[0], implicit_increment(vector(m), inertia)[0])
 
     def test_unsolvable_rows_return_lapack_margin_and_nan(self):
         # The rows of the fixed example, then a stack of which about a quarter
@@ -347,9 +374,9 @@ class TestBatchedKernel:
                     assert margin == exact.margin < 0.0
                     assert np.isnan(f).all()
                     with pytest.raises(NotSolvable):
-                        _implicit_increment(m, inertia)
+                        implicit_increment(m, inertia)
                     continue
-                f_ref, margin_ref = _implicit_increment(m, inertia)
+                f_ref, margin_ref = implicit_increment(m, inertia)
                 assert np.array_equal(f, f_ref)
                 assert margin == margin_ref
         assert unsolvable[0] == 1
@@ -609,10 +636,10 @@ class TestSolvabilityGate:
         lows, highs = _eigen_discs(inertia.tolist())
         bound = _margin_bound(m.tolist(), max(min(lows), 0.0), max(highs))
         assert bound <= exact
-        margin = _margin(m.tolist(), _inertia_constants(inertia), inertia)
+        margin = _margin(m.tolist(), _inertia_constants(inertia))
         assert margin == (exact if bound < MARGIN_CUTOFF else bound)
         # The stacked gate.
-        assert _margins(m[None], _inertia_constants(inertia), inertia)[0] == margin
+        assert _margins(m[None], _inertia_constants(inertia))[0] == margin
 
     def test_verdicts_and_shortfalls_match_lapack(self):
         # Steps from random spins, torques and inertias, many of them near
@@ -642,20 +669,20 @@ class TestSolvabilityGate:
 
 
 def check_start_value(state, torque, inertia, size, direction):
-    """The step started at its own successor's increment moved by ``size``
-    radians about ``direction`` equals the step from the linearized root to
-    1e-10, bit for bit below ``MARGIN_CUTOFF``, where the start is not
-    taken."""
+    """The step started near its own successor, at an increment moved by
+    ``size`` radians about ``direction``, equals the step from the linearized
+    root to 1e-10, bit for bit below ``MARGIN_CUTOFF``, where the start is
+    not taken."""
     axis = np.asarray(direction, dtype=float)
     axis = unit(axis) if np.linalg.norm(axis) > 1e-3 else np.array([1.0, 0.0, 0.0])
     try:
         successor, margin = step_with_margin(state, torque, H, inertia)
     except NotSolvable:
         with pytest.raises(NotSolvable):
-            step_with_margin(state, torque, H, inertia, np.eye(3))
+            step_with_margin(state, torque, H, inertia, SpacecraftState.identity())
         return
-    start = successor.f @ exp_so3(size * axis)
-    hinted, hinted_margin = step_with_margin(state, torque, H, inertia, start)
+    near = SpacecraftState(successor.g, successor.f @ exp_so3(size * axis))
+    hinted, hinted_margin = step_with_margin(state, torque, H, inertia, near)
     assert hinted_margin == margin
     assert np.array_equal(hinted.g, successor.g)
     assert np.abs(hinted.f - successor.f).max() <= 1e-10

@@ -185,6 +185,17 @@ class TestLinearization:
         with pytest.raises(ValueError):
             build_linearization(0.0, J_REF)
 
+    @pytest.mark.parametrize("h", ["0.1", True, np.nan, 0, -1, np.inf])
+    @pytest.mark.parametrize("entry", ["build_linearization", "design_terminal"])
+    def test_bad_step_raises_value_error_naming_h(self, entry, h):
+        # Before, "0.1" ended in a bare TypeError, True designed at h = 1
+        # and NaN raised NoConvergence from the Riccati solve.
+        with pytest.raises(ValueError, match="^h must "):
+            if entry == "build_linearization":
+                build_linearization(h, J_REF)
+            else:
+                design_terminal(J_REF, h, default_weights(J_REF))
+
 
 class TestCostData:
     def test_reference_values(self, ref_weights):
