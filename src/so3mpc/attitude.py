@@ -258,6 +258,7 @@ class AttitudeMpc:
         self, state0: SpacecraftState, n_steps: int, distance_tol: float = DEFAULT_DISTANCE_TOL
     ) -> ClosedLoopRun:
         """Closed-loop run from ``state0``, checked as in :meth:`solve`, with
-        warm-started solves."""
+        warm-started solves; :func:`~so3mpc.mpc.closed_loop` checks
+        ``n_steps`` and ``distance_tol``."""
         self._check_fitted()
         return closed_loop(self.system_, check_state(state0), self.config_, n_steps, distance_tol=distance_tol)

@@ -180,7 +180,9 @@ def verify_conservation(
 ) -> ExperimentReport:
     """Free-dynamics diagnostics: group-membership drift and spatial
     momentum drift over a long torque-free rollout, with a forward-Euler
-    baseline for contrast."""
+    baseline for contrast.  ``n_steps`` must be an integer of at least 1;
+    anything else raises ``ValueError`` naming it."""
+    n_steps = as_parameter("n_steps", n_steps, as_integer, 1)
     inertia = np.asarray(inertia, dtype=float)
     rng = np.random.default_rng(seed)
     state0 = random_spin_state(rng, _CONSERVATION_RATE_SCALE, h)

@@ -30,7 +30,11 @@ real-time iteration, applied to the gradient.  Each step of a perturbed tail
 is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
-as a pure function of state and control.
+as a pure function of state and control.  A record sums its stage costs and
+squared shortfalls as it goes, in Python floats and in step order; only the
+predictions that a caller reads per step keep per-step values, so a tail
+builds no array, and a tail's sums start at zero at its first state, so a
+carried tail run on by one step equals a fresh one bit for bit.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -48,7 +52,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import Infeasible, NotSolvable, RolloutFailure
-from .validation import as_integer, as_positive, check_controls
+from .validation import as_integer, as_parameter, as_positive, check_controls
 
 # Distance to the equilibrium below which a closed loop counts as converged.
 DEFAULT_DISTANCE_TOL = 1e-2
@@ -266,75 +270,76 @@ class _Reuse(NamedTuple):
     tails: Optional[list]
 
 
-class _Rollout(NamedTuple):
-    """A prediction rollout: the states it visits (only the last one for a
-    finite-difference tail), its stage costs, shortfalls (``None`` while
-    every margin keeps its floor) and terminal value.  None of these depends
-    on the penalty weight."""
+class _Rollout:
+    """A prediction rollout: the states it visits, its stage costs and
+    squared shortfalls (how far each margin fell below its floor) as running
+    sums of Python floats, added in step order, and its terminal value.  A
+    rollout run without start states (see :func:`_roll_on`) keeps every
+    state and, per step, the two sums before it (``prefixes``) and its
+    shortfall; a finite-difference tail keeps its end state only and
+    ``None`` for both lists.  None of these depends on the penalty weight.
+    A gradient builds 60 of them at N = 10, so this is a slotted class: a
+    ``NamedTuple``'s generated constructor takes about half as long again.
+    """
 
-    states: list
-    stage: np.ndarray
-    shortfalls: Optional[np.ndarray]
-    terminal: float
+    __slots__ = ("states", "stage", "squared", "terminal", "prefixes", "shortfalls")
+
+    def __init__(self, states, stage, squared, terminal, prefixes, shortfalls):
+        self.states, self.stage, self.squared, self.terminal = states, stage, squared, terminal
+        self.prefixes, self.shortfalls = prefixes, shortfalls
 
     @classmethod
     def at(cls, x) -> _Rollout:
         """The rollout of no steps at ``x``; its terminal value is unset."""
-        return cls([x], np.empty(0), None, math.nan)
+        return cls([x], 0.0, 0.0, math.nan, [], [])
 
     @property
     def cost(self) -> float:
         """Summed stage costs plus the terminal value."""
-        return float(self.stage.sum() + self.terminal)
-
-    @property
-    def shortfall_array(self) -> np.ndarray:
-        return np.zeros(len(self.stage)) if self.shortfalls is None else self.shortfalls
+        return float(self.stage + self.terminal)
 
 
-def _roll_on(
-    system: ManifoldSystem, start: _Rollout, controls, end_only: bool = False, near=None
-) -> _Rollout:
+def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _Rollout:
     """``start`` run on under ``controls``, and the terminal value at its
     end; :class:`~so3mpc.errors.NotSolvable` from a step is raised again
-    naming the step, counted from the start of ``start``.  With ``end_only``
-    the record keeps only the end state, all that a finite-difference tail
-    needs: holding every state of a gradient's tails alive wakes the
-    garbage collector and measured about 1 % slower closed loops.  With
-    ``near``, one state per control, each step goes through
-    :meth:`ManifoldSystem.step_near` with its state.
+    naming the step, counted from the first of ``controls``.
 
-    The stage costs go through one array, and the shortfall array is built
-    only once some margin falls below the floor, so a rollout run on in
-    pieces equals the same rollout run at once bit for bit.
+    Without ``near``, ``start`` is a rollout that keeps its steps, one from
+    :meth:`_Rollout.at` or run on from one, and the record keeps the new
+    steps too.  With ``near``, one state per control, the run is a
+    finite-difference tail: each step goes through
+    :meth:`ManifoldSystem.step_near` with its state, and the record keeps the
+    end state and the sums only, all that a tail's value reads.  Holding the
+    states of a gradient's tails alive wakes the garbage collector.
+
+    Either way the sums run on from those of ``start``, so a rollout run on
+    in pieces equals the same rollout run at once bit for bit.
     """
     floor = system.step_margin_floor
-    done = len(start.stage)
-    states = None if end_only else start.states.copy()
-    stage = np.empty(done + len(controls))
-    shortfalls = None
-    if done:
-        stage[:done] = start.stage
-        if start.shortfalls is not None:
-            shortfalls = np.zeros(len(stage))
-            shortfalls[:done] = start.shortfalls
-    x = start.states[-1]
-    for i, u in enumerate(controls, done):
-        stage[i] = system.stage_cost(x, u)
+    x, stage, squared = start.states[-1], start.stage, start.squared
+    keep = near is None
+    if keep:
+        states, prefixes, shortfalls = start.states.copy(), start.prefixes.copy(), start.shortfalls.copy()
+    # Indexed: iterating a numpy array ends by raising and catching an
+    # IndexError, about 1 us, which a one-step tail would pay on top of a
+    # step of 6 us.
+    for i in range(len(controls)):
+        u = controls[i]
+        if keep:
+            prefixes.append((stage, squared))
+        stage += system.stage_cost(x, u)
         try:
-            if near is None:
-                x, margin = system.step_with_margin(x, u)
-            else:
-                x, margin = system.step_near(x, u, near[i - done])
+            x, margin = system.step_with_margin(x, u) if keep else system.step_near(x, u, near[i])
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
-        if margin < floor:
-            if shortfalls is None:
-                shortfalls = np.zeros(len(stage))
-            shortfalls[i] = floor - margin
-        if states is not None:
+        shortfall = floor - margin if margin < floor else 0.0
+        squared += shortfall * shortfall
+        if keep:
             states.append(x)
-    return _Rollout([x] if end_only else states, stage, shortfalls, system.terminal_cost(x))
+            shortfalls.append(shortfall)
+    if keep:
+        return _Rollout(states, stage, squared, system.terminal_cost(x), prefixes, shortfalls)
+    return _Rollout([x], stage, squared, system.terminal_cost(x), None, None)
 
 
 def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
@@ -380,20 +385,20 @@ class _Objective:
     def value(self, rollout, stage_prefix=0.0, short_prefix=0.0) -> float:
         """Penalized value of the rollout whose first steps are summed in the
         prefixes (stage costs and squared shortfalls) and whose last ones are
-        ``rollout``; ``math.inf`` when that is ``None``, i.e. unsolvable."""
+        ``rollout``; ``math.inf`` when that is ``None``, i.e. unsolvable.
+        Each prefix and each of the rollout's sums is added once, so a tail
+        that a base rollout's prefix continues takes no per-step work here."""
         if rollout is None:
             return math.inf
-        if rollout.shortfalls is not None:
-            short_prefix = short_prefix + (rollout.shortfalls**2).sum()
         excess = max(0.0, rollout.terminal - self.level)
-        penalty = self.weight * (excess**2 + short_prefix)
-        return float(stage_prefix + rollout.stage.sum() + rollout.terminal + penalty)
+        penalty = self.weight * (excess**2 + (short_prefix + rollout.squared))
+        return float(stage_prefix + rollout.stage + rollout.terminal + penalty)
 
     def violation(self, rollout: _Rollout) -> float:
         """The larger of the terminal value's excess over the level and the
-        largest shortfall."""
+        largest shortfall of ``rollout``, one that keeps its steps."""
         excess = max(0.0, rollout.terminal - self.level)
-        return max(excess, float(rollout.shortfall_array.max(initial=0.0)))
+        return max(excess, max(rollout.shortfalls, default=0.0))
 
     def gradient(
         self, torques: np.ndarray, base: Optional[_Rollout] = None
@@ -410,30 +415,35 @@ class _Objective:
 
         Step k of every tail is handed ``base.states[k + 1]`` through
         :meth:`ManifoldSystem.step_near`, which a carried tail's appended
-        step k = N - 1 gets as well.
+        step k = N - 1 gets as well.  A tail of step i keeps its end state
+        and the sums of its own steps, from zero; its value adds them to the
+        base rollout's sums before step i, ``base.prefixes[i]``.
 
         The tails are kept in ``last``: ``last[i][2 j]`` raises control
         entry (i, j) by ``FD_STEP`` and ``last[i][2 j + 1]`` lowers it, each
         ``None`` when a step is unsolvable.  A carried tail of step i + 1 is
-        this gradient's tail of step i without its last step, and its steps
-        were handed the same states (the base rollouts agree on them), so
-        running it on gives the tail that a fresh run would, bit for bit.
+        this gradient's tail of step i without its last step, its sums
+        started at zero at the same state, and its steps were handed the same
+        states (the base rollouts agree on them), so running it on gives the
+        tail that a fresh run would, bit for bit.
         """
         system = self.system
         if base is None:
             base = _predict(system, self.x0, torques)
         base_value = self.value(base)
-        stage_prefix = np.concatenate([[0.0], np.cumsum(base.stage)])
-        short_prefix = np.concatenate([[0.0], np.cumsum(base.shortfall_array**2)])
         n, m = torques.shape
         carried, self.carried = self.carried, None
-        appended = torques[-1:]
+        # The tails run on lists of the rows, which index without building a
+        # numpy view per step.
+        rows = [torques[i] for i in range(n)]
+        appended = rows[-1:]
         grad = np.zeros((n, m))
         tails = []
         for i in range(n):
             start = _Rollout.at(base.states[i])
-            tail = torques[i:].copy()
-            first = tail[0]
+            first = torques[i].copy()
+            tail = [first] + rows[i + 1:]
+            prefix = base.prefixes[i]
             row = []
             for j in range(m):
                 entry = first[j]
@@ -444,14 +454,11 @@ class _Objective:
                         first[j] = entry + delta
                         begin, controls, hints = start, tail, base.states[i + 1:]
                     try:
-                        row.append(
-                            None if begin is None
-                            else _roll_on(system, begin, controls, end_only=True, near=hints)
-                        )
+                        row.append(None if begin is None else _roll_on(system, begin, controls, hints))
                     except NotSolvable:
                         row.append(None)
                 first[j] = entry
-                up, down = (self.value(r, stage_prefix[i], short_prefix[i]) for r in row[-2:])
+                up, down = self.value(row[-2], *prefix), self.value(row[-1], *prefix)
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
@@ -707,7 +714,7 @@ def solve_ocp(
         kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
         states=tuple(rollout.states),
-        shortfalls=rollout.shortfall_array,
+        shortfalls=np.array(rollout.shortfalls, dtype=float),
         # An ftol_rel stop returns torques that no gradient was taken at.
         _reuse=_Reuse(system, None if kkt is None else objective.last),
     )
@@ -823,9 +830,15 @@ def closed_loop(
     witness; NaN at the first step where no candidate exists yet), the stage
     cost actually paid, and solver diagnostics.
 
-    Raises :class:`~so3mpc.errors.Infeasible` with the failing step index
-    if any solve fails.
+    ``n_steps`` must be an integer of at least 1 and ``distance_tol`` a
+    positive finite number, read as the configuration's
+    ``experiment.n_steps`` and ``experiment.distance_tol`` are; anything else
+    raises ``ValueError`` naming the argument.  Raises
+    :class:`~so3mpc.errors.Infeasible` with the failing step index if any
+    solve fails.
     """
+    n_steps = as_parameter("n_steps", n_steps, as_integer, 1)
+    distance_tol = as_parameter("distance_tol", distance_tol, as_positive, False)
     controller = MpcController(system, config)
     x = x0
     states = [x0]

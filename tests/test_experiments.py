@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from so3mpc.attitude import spinning_state
+from so3mpc.attitude import AttitudeMpc, rest_state, spinning_state
 from so3mpc.errors import OutOfChart
 from so3mpc.experiments import (
     audit_lyapunov,
@@ -23,6 +23,43 @@ from so3mpc.so3 import exp_so3
 from so3mpc.terminal import _ellipsoid_samples, evaluate_level
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF
+
+
+class TestStepCountsAndTolerances:
+    """A closed loop or a long rollout reads its step count and distance
+    tolerance as the configuration reads ``experiment.n_steps`` and
+    ``experiment.distance_tol``.  Unchecked, 0 or -1 steps gave an empty run
+    that ``audit_lyapunov`` passed, ``True`` ran one step, 2.5 and "0.1"
+    raised bare ``TypeError``s, a NaN or negative tolerance never converged,
+    ``probe_discontinuity`` with 0 steps raised ``IndexError`` and
+    ``verify_conservation`` with -1 numpy's "negative dimensions"."""
+
+    @pytest.fixture(scope="class")
+    def entry_points(self, ref_design):
+        est = AttitudeMpc(horizon=4, terminal_samples=200).fit()
+        flat, start = DoubleIntegratorSystem(), rest_state([0.2, 0.1, 0.0])
+        return {
+            "closed_loop": lambda **kw: closed_loop(flat, np.array([1.0, 0.0]), MpcConfig(horizon=3), **kw),
+            "simulate": lambda **kw: est.simulate(start, **kw),
+            "probe_discontinuity": lambda **kw: probe_discontinuity(ref_design, MpcConfig(horizon=4), **kw),
+            "verify_conservation": lambda **kw: verify_conservation(J_REF, H_REF, **kw),
+        }
+
+    @pytest.mark.parametrize("entry", ["closed_loop", "simulate", "probe_discontinuity", "verify_conservation"])
+    @pytest.mark.parametrize("n_steps", [0, -1, True, 2.5, "3", np.nan])
+    def test_bad_step_count_raises_value_error_naming_it(self, entry_points, entry, n_steps):
+        with pytest.raises(ValueError, match="^n_steps must "):
+            entry_points[entry](n_steps=n_steps)
+
+    @pytest.mark.parametrize("entry", ["closed_loop", "simulate"])
+    @pytest.mark.parametrize("distance_tol", ["0.1", True, np.nan, 0.0, -0.1, np.inf])
+    def test_bad_distance_tol_raises_value_error_naming_it(self, entry_points, entry, distance_tol):
+        with pytest.raises(ValueError, match="^distance_tol must "):
+            entry_points[entry](n_steps=2, distance_tol=distance_tol)
+
+    @pytest.mark.parametrize("n_steps", [2.0, np.int64(2)])
+    def test_integral_float_and_numpy_integer_count(self, entry_points, n_steps):
+        assert entry_points["closed_loop"](n_steps=n_steps).n_steps == 2
 
 
 class TestConservationSuite:

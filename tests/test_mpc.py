@@ -13,6 +13,7 @@ from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
+    FD_STEP,
     PENALTY_WEIGHT,
     ManifoldSystem,
     MpcConfig,
@@ -197,7 +198,56 @@ class TestGenericLayerOnFlatSystem:
             assert np.linalg.norm(fd - analytic) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
 
 
+def full_central_differences(system, x0, torques):
+    """Central differences at ``FD_STEP`` of :func:`horizon_cost`, each
+    perturbed horizon rolled out in full from ``x0``: no tails, no start
+    states and no prefix sums."""
+    grad = np.zeros(torques.shape)
+    for index in np.ndindex(torques.shape):
+        up, down = torques.copy(), torques.copy()
+        up[index] += FD_STEP
+        down[index] -= FD_STEP
+        grad[index] = (horizon_cost(system, x0, up) - horizon_cost(system, x0, down)) / (2.0 * FD_STEP)
+    return grad
+
+
 class TestObjectiveGradient:
+    @pytest.mark.parametrize("point", ["regulate", "saturated", "floor"])
+    def test_attitude_gradient_equals_full_central_differences(self, point, ref_design, ref_system):
+        # At weight zero the penalized objective is the horizon cost, so the
+        # tails, their start states and the prefix sums may move the
+        # gradient by round-off only, about 1e-8 of its largest entry at
+        # FD_STEP.  Measured while the tails' stage costs were summed by
+        # numpy: 7.8e-9 (regulate), 1.5e-8 (saturated) and 5.3e-9 (floor);
+        # with the running sums 6.2e-9, 1.8e-8 and 5.3e-9.
+        system = ref_system
+        if point == "regulate":
+            # The warm start of the benchmark's second regulate solve.
+            solution = solve_ocp(ref_system, regulate_start(), MpcConfig(horizon=10))
+            x0, torques = solution.states[1], warm_start_shift(solution, ref_system)
+        elif point == "saturated":
+            system = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
+            axis = np.array([0.8, 0.5, -0.3])
+            x0 = rest_state(1.2 * axis / np.linalg.norm(axis))
+            torques = solve_ocp(system, x0, MpcConfig(horizon=10)).torques
+            assert (np.abs(torques) == 1.0).sum() >= 10
+        else:
+            # From rest, 199.99 N m about z leaves every later margin between
+            # 8e-5 and 1e-3: above the 1e-6 floor, on LAPACK's side of the
+            # gate.
+            x0 = SpacecraftState.identity()
+            torques = np.random.default_rng(5).uniform(-0.05, 0.05, (6, 3))
+            torques[1, 2] = 199.99
+            x, margins = x0, []
+            for u in torques:
+                x, margin = system.step_with_margin(x, u)
+                margins.append(margin)
+            assert all(system.solvability_floor < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
+        grad, value = _Objective(system, x0, 0.0).gradient(torques)
+        oracle = full_central_differences(system, x0, torques)
+        assert value == horizon_cost(system, x0, torques)
+        assert np.abs(grad - oracle).max() <= 5e-8 * np.abs(oracle).max()
+
     def test_one_sided_next_to_unsolvable_control(self):
         # u[2] + FD_STEP leaves the solvable set; the entry must fall back to
         # the one-sided difference instead of a 1e30 sentinel.

@@ -4,8 +4,9 @@
 Barzilai-Borwein steps that the package used before its limited-memory
 quasi-Newton descents, and ``OracleObjective`` the central-difference
 gradient rolling every perturbed tail out in full through
-``rollout_data``, with its states list and shortfall array, and
-valuing it through ``reference_value``.  The two descents stop at different
+``rollout_data``, with its states list and per-step arrays, and
+valuing it through ``reference_value``, which sums those arrays in step
+order as the package's running sums do.  The two descents stop at different
 points, so they are compared by what a solve must deliver, not bit for bit:
 the package's solve is feasible whenever the reference's is, ends no higher
 on the penalized objective than ``ftol_rel`` allows and evaluates no more
@@ -14,7 +15,9 @@ reference's gradients.
 """
 
 import contextlib
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -71,12 +74,30 @@ def rollout_data(system, x0, torques) -> RolloutData:
     return RolloutData(states, stage, shortfalls, system.terminal_cost(x))
 
 
+def in_step_order(values) -> float:
+    """The sum of ``values`` added one at a time from zero, the order of the
+    package's running sums; numpy's ``sum`` adds eight or more values
+    pairwise."""
+    return functools.reduce(operator.add, np.asarray(values, dtype=float).tolist(), 0.0)
+
+
 def reference_value(objective, data, stage_prefix=0.0, short_prefix=0.0):
     """Penalized value of a rollout whose first steps are summed in the
     prefixes and whose last ones are the reference rollout ``data``."""
     excess = max(0.0, data.terminal - objective.level)
-    penalty = excess**2 + (short_prefix + (data.shortfalls**2).sum())
-    return float(stage_prefix + data.stage.sum() + data.terminal + objective.weight * penalty)
+    penalty = excess**2 + (short_prefix + in_step_order(data.shortfalls**2))
+    return float(stage_prefix + in_step_order(data.stage) + data.terminal + objective.weight * penalty)
+
+
+def reference_record(data) -> _Rollout:
+    """The package's record of the reference rollout ``data``: its sums in
+    step order, and the sums before each step."""
+    stage = np.concatenate([[0.0], np.cumsum(data.stage)]).tolist()
+    squared = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)]).tolist()
+    return _Rollout(
+        data.states, stage[-1], squared[-1], data.terminal,
+        list(zip(stage[:-1], squared[:-1])), data.shortfalls.tolist(),
+    )
 
 
 def reference_violation(objective, data):
@@ -270,7 +291,7 @@ def check_against_oracle(system, x0, config, warm_start=None, strict=True):
     data = rollout_data(system, x0, new.solution.torques)
     violation = reference_violation(_Objective(system, x0, new.rounds[-1][0]), data)
     assert repr(new.solution.violation) == repr(violation)
-    assert repr(new.solution.cost) == repr(float(data.stage.sum() + data.terminal))
+    assert repr(new.solution.cost) == repr(float(in_step_order(data.stage) + data.terminal))
     return new
 
 
@@ -404,11 +425,17 @@ class TestGradientCount:
         assert takers >= 25
 
 
+def no_hints(tail):
+    """The ``near`` states of a finite-difference tail that is handed no
+    start for its steps; both systems here step as without one."""
+    return [None] * len(tail)
+
+
 def lean_tail(objective, x_start, tail):
-    """A tail as the package's gradient runs it: its end state only, and
-    ``None`` when unsolvable."""
+    """A tail as the package's gradient runs it, without start states: its
+    end state and sums only, and ``None`` when unsolvable."""
     try:
-        return _roll_on(objective.system, _Rollout.at(x_start), tail, end_only=True)
+        return _roll_on(objective.system, _Rollout.at(x_start), tail, no_hints(tail))
     except NotSolvable:
         return None
 
@@ -453,8 +480,9 @@ class TestLeanTailValue:
         full = _roll_on(ref_system, _Rollout.at(x), tail)
         reference = rollout_data(ref_system, x, tail)
         assert not reference.shortfalls.any()
-        assert_same_tail(full, reference._replace(shortfalls=None))
-        assert_same_tail(lean_tail(objective, x, tail), full._replace(states=full.states[-1:]))
+        assert_same_tail(full, reference_record(reference))
+        lean = _Rollout(full.states[-1:], full.stage, full.squared, full.terminal, None, None)
+        assert_same_tail(lean_tail(objective, x, tail), lean)
 
     def test_unsolvable_tail_is_infinite(self, ref_system):
         bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4)
@@ -481,11 +509,11 @@ class TestLeanTailValue:
             tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
             whole = lean_tail(objective, x, tail)
             seen["unsolvable"] += whole is None
-            seen["short"] += whole is not None and whole.shortfalls is not None
+            seen["short"] += whole is not None and whole.squared > 0.0
             for k in range(1, len(tail)):
                 head = lean_tail(objective, x, tail[:k])
                 try:
-                    run_on = None if head is None else _roll_on(system, head, tail[k:], end_only=True)
+                    run_on = None if head is None else _roll_on(system, head, tail[k:], no_hints(tail[k:]))
                 except NotSolvable:
                     run_on = None
                 assert_same_tail(run_on, whole)

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import so3mpc
@@ -25,6 +27,12 @@ BENCHMARK_NAMES = {
     "solve_ocp",
     "spinning_state",
 }
+
+
+# Parameters with a default, over every function, method and lambda of the
+# package.  A default is an option; options come only where a caller
+# chooses, so lower this when one goes and never raise it to pass.
+DEFAULTED_PARAMETER_CEILING = 51
 
 
 def test_every_exported_name_resolves():
@@ -110,3 +118,34 @@ def test_every_module_level_definition_is_referenced():
         if name not in code_refs and name not in text_refs
     ]
     assert orphans == []
+
+
+def _defaulted_parameters(path: Path) -> list[str]:
+    """Each parameter with a default in ``path``, as ``file:line: name(arg)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}({arg.arg})" for arg in defaulted]
+    return found
+
+
+def test_defaulted_parameters_within_ceiling():
+    paths = sorted((ROOT / "src" / "so3mpc").glob("*.py"))
+    found = [entry for path in paths for entry in _defaulted_parameters(path)]
+    assert len(found) <= DEFAULTED_PARAMETER_CEILING, "\n".join(found)
+
+
+def test_benchmark_tracer_selftest_passes():
+    # The benchmark's hand counts of one first-gradient solve (350 integrator
+    # steps and 62 terminal-cost calls for the attitude system) must hold
+    # for every change that keeps the finite-difference gradient.
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest: 0 failed" in done.stdout.splitlines()

@@ -137,7 +137,7 @@ class TestCarriedGradient:
         objective.gradient(torques)
         tails = [tail for row in objective.last[1:] for tail in row]
         assert sum(tail is None for tail in tails) >= 5
-        assert sum(tail is not None and tail.shortfalls is not None for tail in tails) >= 20
+        assert sum(tail is not None and tail.squared > 0.0 for tail in tails) >= 20
 
 
 class TestCarriedSolve:
