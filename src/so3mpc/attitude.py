@@ -104,7 +104,7 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return step_with_margin(x, u, self.h, self._constants)[0]
 
     def step_with_margin(self, x: SpacecraftState, u, near: Optional[SpacecraftState] = None):
-        """:func:`~so3mpc.lgvi.step_with_margin`, its Newton solve started at
+        """:func:`~so3mpc.lgvi.step_with_margin`, its implicit solve started at
         the increment of ``near`` when one is given."""
         return step_with_margin(x, u, self.h, self._constants, near)
 

@@ -180,8 +180,10 @@ def verify_conservation(
 ) -> ExperimentReport:
     """Free-dynamics diagnostics: group-membership drift and spatial
     momentum drift over a long torque-free rollout, with a forward-Euler
-    baseline for contrast.  ``n_steps`` must be an integer of at least 1;
-    anything else raises ``ValueError`` naming it."""
+    baseline for contrast.  ``h`` must be a positive finite number and
+    ``n_steps`` an integer of at least 1; anything else raises
+    ``ValueError`` naming it."""
+    h = as_parameter("h", h, as_positive, False)
     n_steps = as_parameter("n_steps", n_steps, as_integer, 1)
     inertia = np.asarray(inertia, dtype=float)
     rng = np.random.default_rng(seed)
@@ -300,8 +302,10 @@ def probe_discontinuity(
     just off it (-0.99 of 180 degrees).  Both must converge to the identity
     attitude; their initial torque z-components must have opposite signs,
     which is the executable witness that the receding-horizon law is
-    discontinuous at the cut.
+    discontinuous at the cut.  ``attitude_tol`` must be a positive finite
+    number; anything else raises ``ValueError`` naming it.
     """
+    attitude_tol = as_parameter("attitude_tol", attitude_tol, as_positive, False)
     report = ExperimentReport(
         name="discontinuity",
         seed=0,

@@ -57,6 +57,21 @@ class TestStepCountsAndTolerances:
         with pytest.raises(ValueError, match="^distance_tol must "):
             entry_points[entry](n_steps=2, distance_tol=distance_tol)
 
+    @pytest.mark.parametrize(
+        "entry, name", [("verify_conservation", "h"), ("probe_discontinuity", "attitude_tol")]
+    )
+    @pytest.mark.parametrize("bad", ["0.1", True, np.nan, -0.1])
+    def test_bad_step_or_attitude_tol_raises_value_error_naming_it(self, ref_design, entry, name, bad):
+        # Unchecked, h="0.1" ended in numpy's UFuncTypeError, NaN in "f must
+        # be finite", and -0.1 or True ran and passed; attitude_tol="0.1"
+        # ran both closed loops and then failed to format its verdict.
+        if entry == "verify_conservation":
+            run = lambda: verify_conservation(J_REF, bad, n_steps=3)
+        else:
+            run = lambda: probe_discontinuity(ref_design, MpcConfig(horizon=4), n_steps=2, attitude_tol=bad)
+        with pytest.raises(ValueError, match=f"^{name} must "):
+            run()
+
     @pytest.mark.parametrize("n_steps", [2.0, np.int64(2)])
     def test_integral_float_and_numpy_integer_count(self, entry_points, n_steps):
         assert entry_points["closed_loop"](n_steps=n_steps).n_steps == 2

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from so3mpc.lgvi import (
     _margin,
     _margin_bound,
     _margins,
+    _state_of,
     _step_rows,
     free_momentum_drift,
     lgvi_step,
@@ -668,11 +671,40 @@ class TestSolvabilityGate:
         assert min(seen.values()) >= 20
 
 
+@contextlib.contextmanager
+def counted_updates():
+    """Count the scalar kernel's chord and Newton updates inside the block."""
+    counts = {"chord": 0, "newton": 0}
+    chord, newton = lgvi._chord_update, lgvi._newton_update
+
+    def counted_chord(*args):
+        counts["chord"] += 1
+        return chord(*args)
+
+    def counted_newton(*args):
+        counts["newton"] += 1
+        return newton(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lgvi, "_chord_update", counted_chord)
+        patch.setattr(lgvi, "_newton_update", counted_newton)
+        yield counts
+
+
+def kernel_built(state):
+    """``state`` as the step builds its successors: entries, and the Cayley
+    vector of the increment kept beside them."""
+    x = _cayley_vector(state.f.tolist())
+    return _state_of(state.g.tolist(), _cayley(x), x)
+
+
 def check_start_value(state, torque, inertia, size, direction):
     """The step started near its own successor, at an increment moved by
     ``size`` radians about ``direction``, equals the step from the linearized
-    root to 1e-10, bit for bit below ``MARGIN_CUTOFF``, where the start is
-    not taken."""
+    root to 1e-10 and meets the implicit update to 1e-10, bit for bit below
+    ``MARGIN_CUTOFF``, where the start is not taken.  The start is built from
+    arrays and by the kernel; at or above the cutoff its first update is one
+    chord update."""
     axis = np.asarray(direction, dtype=float)
     axis = unit(axis) if np.linalg.norm(axis) > 1e-3 else np.array([1.0, 0.0, 0.0])
     try:
@@ -681,13 +713,18 @@ def check_start_value(state, torque, inertia, size, direction):
         with pytest.raises(NotSolvable):
             step_with_margin(state, torque, H, inertia, SpacecraftState.identity())
         return
-    near = SpacecraftState(successor.g, successor.f @ exp_so3(size * axis))
-    hinted, hinted_margin = step_with_margin(state, torque, H, inertia, near)
-    assert hinted_margin == margin
-    assert np.array_equal(hinted.g, successor.g)
-    assert np.abs(hinted.f - successor.f).max() <= 1e-10
-    if margin < MARGIN_CUTOFF:
-        assert np.array_equal(hinted.f, successor.f)
+    momentum = momentum_matrix(state, torque, H, inertia)
+    from_arrays = SpacecraftState(successor.g, successor.f @ exp_so3(size * axis))
+    for near in (from_arrays, kernel_built(from_arrays)):
+        with counted_updates() as counts:
+            hinted, hinted_margin = step_with_margin(state, torque, H, inertia, near)
+        assert hinted_margin == margin
+        assert np.array_equal(hinted.g, successor.g)
+        assert np.abs(hinted.f - successor.f).max() <= 1e-10
+        assert implicit_residual(hinted, momentum, inertia) <= 1e-10
+        assert counts["chord"] == (margin >= MARGIN_CUTOFF)
+        if margin < MARGIN_CUTOFF:
+            assert np.array_equal(hinted.f, successor.f)
 
 
 HINT_SIZES = st.floats(min_value=-8.0, max_value=-2.0).map(lambda e: 10.0**e)
@@ -696,9 +733,11 @@ ANGLES = st.lists(st.floats(min_value=-np.pi, max_value=np.pi), min_size=3, max_
 
 
 class TestStartValue:
-    """The implicit step's optional start increment changes F at round-off
-    only: on random states, at saturated torques and near the solvability
-    floor, from starts 1e-8 to 1e-2 radians off."""
+    """The implicit step's optional start state changes F at round-off only:
+    on random states, at saturated torques and near the solvability floor,
+    from starts 1e-8 to 1e-2 radians off.  At or above ``MARGIN_CUTOFF`` its
+    first update is a chord update with the inverse Jacobian kept on the
+    start state; below it the start is ignored."""
 
     def test_cayley_vector_inverts_the_cayley_map(self):
         rng = np.random.default_rng(31)
@@ -744,12 +783,61 @@ class TestStartValue:
     # converged to another root, 1e-2 away.
     @example(1e-8, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
     @example(1.5e-2, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
+    @example(1e-6, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
+    @example(1.0001 * MARGIN_CUTOFF, [0.0, 0.0, 0.0], 1e-2, [1.0, 1.0, 0.0])
+    @example(1.0001 * MARGIN_CUTOFF, [0.3, -0.2, 0.1], 1e-7, [0.0, 1.0, -1.0])
     def test_margins_near_the_solvability_floor(self, margin, attitude, size, direction):
         # From rest a torque tau about z leaves a margin of 1 - (h^2 tau)^2 / 4
         # (see TestStepJacobians); the attitude system's floor is 1e-6.
         state = SpacecraftState(exp_so3(attitude), np.eye(3))
         torque = np.array([0.0, 0.0, 2.0 * np.sqrt(1.0 - margin) / H**2])
         check_start_value(state, torque, J_REF, size, direction)
+
+    def test_far_start_falls_back_to_newton(self, monkeypatch):
+        # From 0.05 radians off, the chord update lands about 1e-4 from the
+        # root, short of the stop test, and Newton finishes from there.
+        state = SpacecraftState(exp_so3([0.3, -0.2, 0.4]), exp_so3(H * np.array([0.5, -0.3, 0.2])))
+        torque = np.array([2.0, -1.0, 0.5])
+        successor, _ = step_with_margin(state, torque, H, J_REF)
+        near = kernel_built(SpacecraftState(successor.g, successor.f @ exp_so3([0.05, 0.0, 0.0])))
+        with counted_updates() as counts:
+            hinted, _ = step_with_margin(state, torque, H, J_REF, near)
+        assert counts["chord"] == 1 and counts["newton"] >= 1
+        assert np.abs(hinted.f - successor.f).max() <= 1e-10
+        assert implicit_residual(hinted, momentum_matrix(state, torque, H, J_REF), J_REF) <= 1e-10
+        # The chord update counts against the iteration cap.
+        monkeypatch.setattr(lgvi, "_NEWTON_MAX_ITERS", 1)
+        with pytest.raises(NoConvergence):
+            step_with_margin(state, torque, H, J_REF, near)
+
+    def test_kept_inverse_is_the_same_whichever_step_reads_it_first(self):
+        # The tails of a gradient hand one base state to up to 2 N m steps,
+        # and a carried tail reads it after steps that a fresh one does not.
+        constants = _inertia_constants(J_REF)
+        state = SpacecraftState(exp_so3([0.3, -0.2, 0.4]), exp_so3(H * np.array([0.5, -0.3, 0.2])))
+        torque = np.array([2.0, -1.0, 0.5])
+        steps = [(perturbed(state, 1e-6 * e, H), torque) for e in np.eye(6)]
+        steps += [(state, torque + 1e-6 * e) for e in np.eye(3)]
+        runs = []
+        for order in (range(len(steps)), reversed(range(len(steps)))):
+            near = step_with_margin(state, torque, H, constants)[0]
+            successors = {i: step_with_margin(*steps[i], H, constants, near)[0] for i in order}
+            runs.append(repr((near._chord[1:], [successors[i].entries for i in range(len(steps))])))
+        assert runs[0] == runs[1]
+        # It holds near's Cayley vector x, the momentum m that x solves, and
+        # the inverse of r's Jacobian there times (1 + x^T x) / 2.
+        _, x, m, w = near._chord
+        x, a = np.array(x), np.array(constants.a)
+        assert_allclose(m, 2.0 * (a @ x - np.cross(x, J_REF @ x)) / (1.0 + x @ x), rtol=1e-14, atol=1e-16)
+        jacobian = a - hat(x) @ J_REF + hat(J_REF @ x) - np.outer(m, x)
+        assert_allclose(np.array(w) @ jacobian, 0.5 * (1.0 + x @ x) * np.eye(3), atol=1e-14)
+        # Read for another inertia, it is that inertia's.
+        other = _inertia_constants(np.diag([1.1, 1.3, 1.4]))
+        fresh = step_with_margin(state, torque, H, constants)[0]
+        for start in (near, fresh):
+            step_with_margin(state, torque, H, other, start)
+        assert near._chord[0] is other
+        assert repr(near._chord[1:]) == repr(fresh._chord[1:])
 
 
 class TestRollout:

@@ -727,26 +727,33 @@ class TestTailStartValue:
 
     def test_tails_take_about_one_newton_update_per_step(self, ref_system, monkeypatch):
         # The regulate start's first gradient: 1.00 updates per step, where
-        # starting every tail step at the linearized root took 1.62.
+        # starting every tail step at the linearized root took 1.62.  Each
+        # tail step's first update is a chord update, and all of them stop
+        # there.
         x0 = regulate_start()
         torques = steering_rollout(ref_system, x0, 10)
         base = _predict(ref_system, x0, torques)
-        counts = {"updates": 0, "steps": 0}
-        update, increment = lgvi._newton_update, lgvi._implicit_increment
+        counts = {"chord": 0, "newton": 0, "steps": 0}
+        chord, newton, increment = lgvi._chord_update, lgvi._newton_update, lgvi._implicit_increment
 
-        def counted_update(*args):
-            counts["updates"] += 1
-            return update(*args)
+        def counted_chord(*args):
+            counts["chord"] += 1
+            return chord(*args)
+
+        def counted_newton(*args):
+            counts["newton"] += 1
+            return newton(*args)
 
         def counted_increment(*args):
             counts["steps"] += 1
             return increment(*args)
 
-        monkeypatch.setattr(lgvi, "_newton_update", counted_update)
+        monkeypatch.setattr(lgvi, "_chord_update", counted_chord)
+        monkeypatch.setattr(lgvi, "_newton_update", counted_newton)
         monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
         _Objective(ref_system, x0, PENALTY_WEIGHT).gradient(torques, base=base)
-        assert counts["steps"] == 2 * 3 * 55
-        assert counts["updates"] <= 1.2 * counts["steps"]
+        assert counts["steps"] == counts["chord"] == 2 * 3 * 55
+        assert counts["chord"] + counts["newton"] <= 1.2 * counts["steps"]
 
     @pytest.mark.parametrize("at", ["steering rollout", "solution"])
     def test_gradient_matches_unhinted_gradient(self, ref_design, at):
