@@ -16,14 +16,15 @@ the 30-step regulate loop each of the 19,500 tail steps stops after that
 one update, and the 1,460 steps from the linearized root take 1.76 Newton
 updates on average.
 
-One step runs on Python floats: the entries of g and f go in, and the
-successor comes out as the entries of g f, summed in component order, the
-entries of the new increment and the Cayley vector they came from.  A state
-built from arrays is read through its entries, and a state the step built
-makes its arrays on first use, so the public functions on array states and
-the solver's predictions run the same kernel.  The terminal certificate
-steps stacks of states through the same component formulas on arrays
-(:func:`_step_rows`).
+One step runs on Python floats: the entries of g, f and the torque go in,
+and the successor comes out as the entries of g f, summed in component
+order, the entries of the new increment and the Cayley vector they came
+from.  A state built from arrays is read through its entries, and a state
+the step built makes its arrays on first use; the solver's predictions pass
+the torque as a list of floats, and other callers as an array, converted
+per step.  So the public functions on arrays and the solver's predictions
+run the same kernel.  The terminal certificate steps stacks of states
+through the same component formulas on arrays (:func:`_step_rows`).
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ import numpy as np
 
 from .errors import NoConvergence, NotSolvable
 from .so3 import exp_so3, hat, log_so3
-from .validation import check_controls, check_rotation, check_spd
+from .validation import as_parameter, as_positive, check_controls, check_rotation, check_spd, check_vector3
 
 _EYE3 = np.eye(3)
-_FLOAT64 = np.dtype(float)
 
 # Newton on the Cayley vector of the increment: the step size at which it
 # stops, and the iteration cap (quadratic convergence takes 2-5 iterations
@@ -523,8 +523,12 @@ def _step_rows(state: SpacecraftState, torque: np.ndarray, h: float, inertia):
 
 def lgvi_step(state: SpacecraftState, torque, h: float, inertia) -> SpacecraftState:
     """Advance one step: g_next = g f with the current increment, then the
-    new increment from the implicit momentum balance."""
-    return step_with_margin(state, torque, h, inertia)[0]
+    new increment from the implicit momentum balance.
+
+    ``h`` must be a positive finite number and ``torque`` three finite
+    entries; anything else raises ``ValueError`` naming the argument."""
+    h = as_parameter("h", h, as_positive, False)
+    return step_with_margin(state, check_vector3(torque, "torque"), h, inertia)[0]
 
 
 def step_with_margin(
@@ -548,15 +552,18 @@ def step_with_margin(
     the implicit solve starts: at the Cayley vector of its increment, with
     one chord update on the inverse Jacobian that ``near`` keeps (see
     :func:`_implicit_increment`); it changes the new increment at round-off
-    only.
+    only.  A ``list`` torque is taken as a ready row of three Python floats,
+    as the solver's predictions pass it, and is not converted; any other
+    torque is read as a float array of three entries.  Nothing here is
+    checked: :func:`lgvi_step` and :func:`rollout` check their arguments.
     """
     constants = inertia
     if type(constants) is not _InertiaConstants:
         constants = _inertia_constants(np.asarray(inertia, dtype=float))
-    if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64 or torque.shape != (3,):
-        torque = np.asarray(torque, dtype=float).reshape(3)
+    if type(torque) is not list:
+        torque = np.asarray(torque, dtype=float).reshape(3).tolist()
     g, f = state.entries
-    m = _momentum(f, torque.tolist(), h * h, constants.j)
+    m = _momentum(f, torque, h * h, constants.j)
     x, margin = _implicit_increment(m, constants, near)
     return _state_of(_product(g, f), _cayley(x), x), margin
 
@@ -605,15 +612,19 @@ def rollout(
     Returns ``len(torques) + 1`` states, the first being ``state0``.
     Torques of the wrong shape or with a NaN or infinity raise
     ``ValueError`` naming the first bad step
-    (:func:`~so3mpc.validation.check_controls`); a step that cannot be
-    solved raises :class:`~so3mpc.errors.NotSolvable` with its index.
+    (:func:`~so3mpc.validation.check_controls`), and so does an ``h`` that
+    is not a positive finite number; a step that cannot be solved raises
+    :class:`~so3mpc.errors.NotSolvable` with its index.  The arguments are
+    checked once, and the steps run :func:`step_with_margin` on rows of
+    floats.
     """
     state0 = check_state(state0)
+    h = as_parameter("h", h, as_positive, False)
     constants = _inertia_constants(check_spd(inertia, "inertia"))
     states = [state0]
-    for i, tau in enumerate(check_controls(torques, 3, "torques")):
+    for i, tau in enumerate(check_controls(torques, 3, "torques").tolist()):
         try:
-            states.append(lgvi_step(states[-1], tau, h, constants))
+            states.append(step_with_margin(states[-1], tau, h, constants)[0])
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
     return states

@@ -39,7 +39,11 @@ States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
 an :class:`OcpSolution` or a :class:`ClosedLoopRun` are arrays to a caller
-while no predicted step builds one.
+while no predicted step builds one.  Controls are arrays at the solver's
+boundary and between its iterations, where the projection, the line search
+and the quasi-Newton direction act on the whole (N, control_dim) sequence;
+a prediction receives them as rows of Python floats, converted once per
+rollout and once per gradient, and never per step.
 """
 
 from __future__ import annotations
@@ -98,6 +102,13 @@ class ManifoldSystem(abc.ABC):
 
     States are opaque to this layer; only the operations below touch them.
     Subclasses must set ``control_dim``.
+
+    Inside a prediction, :meth:`stage_cost`, :meth:`step_with_margin` and
+    :meth:`step_near` receive the control ``u`` as a list of
+    ``control_dim`` Python floats, a row of the solver's controls converted
+    once per rollout or per gradient.  :meth:`step` and the calls outside a
+    prediction (the closed loop's plant step and stage cost, the cold-start
+    guess) receive the float array the solver returns.
     """
 
     control_dim: int = 0
@@ -117,7 +128,8 @@ class ManifoldSystem(abc.ABC):
 
     @abc.abstractmethod
     def stage_cost(self, x, u) -> float:
-        """Running cost; zero exactly at the equilibrium pair."""
+        """Running cost; zero exactly at the equilibrium pair.  ``u`` is a
+        list of floats inside a prediction and an array outside one."""
 
     @abc.abstractmethod
     def terminal_cost(self, x) -> float:
@@ -150,7 +162,10 @@ class ManifoldSystem(abc.ABC):
         return np.zeros(self.control_dim)
 
     def project_control(self, u) -> np.ndarray:
-        """Exact projection onto the control set; identity by default."""
+        """Exact projection onto the control set, as a float array; identity
+        by default.  ``u`` is one control, shape (control_dim,), or a stack
+        of them, shape (N, control_dim), which is projected row by row: the
+        solver projects a whole control sequence in one call."""
         return np.asarray(u, dtype=float)
 
     def step_with_margin(self, x, u):
@@ -304,6 +319,11 @@ def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _R
     end; :class:`~so3mpc.errors.NotSolvable` from a step is raised again
     naming the step, counted from the first of ``controls``.
 
+    ``controls`` is a list of rows of Python floats, or an (n, control_dim)
+    float array, which is turned into one here, once: every step and stage
+    cost receives its control as a list of floats.  A row holds the same
+    numbers either way, so both give the same rollout bit for bit.
+
     Without ``near``, ``start`` is a rollout that keeps its steps, one from
     :meth:`_Rollout.at` or run on from one, and the record keeps the new
     steps too.  With ``near``, one state per control, the run is a
@@ -315,16 +335,14 @@ def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _R
     Either way the sums run on from those of ``start``, so a rollout run on
     in pieces equals the same rollout run at once bit for bit.
     """
+    if type(controls) is np.ndarray:
+        controls = controls.tolist()
     floor = system.step_margin_floor
     x, stage, squared = start.states[-1], start.stage, start.squared
     keep = near is None
     if keep:
         states, prefixes, shortfalls = start.states.copy(), start.prefixes.copy(), start.shortfalls.copy()
-    # Indexed: iterating a numpy array ends by raising and catching an
-    # IndexError, about 1 us, which a one-step tail would pay on top of a
-    # step of 6 us.
-    for i in range(len(controls)):
-        u = controls[i]
+    for i, u in enumerate(controls):
         if keep:
             prefixes.append((stage, squared))
         stage += system.stage_cost(x, u)
@@ -426,6 +444,13 @@ class _Objective:
         started at zero at the same state, and its steps were handed the same
         states (the base rollouts agree on them), so running it on gives the
         tail that a fresh run would, bit for bit.
+
+        The tails run on ``torques`` as rows of Python floats, converted once
+        here: a tail of step i is the list copy of row i with one entry
+        moved, then the rows after it, and a carried tail's appended step
+        takes the last row.  Python's float add rounds as numpy's does, so
+        every perturbed control equals the array entry plus ``FD_STEP`` bit
+        for bit.
         """
         system = self.system
         if base is None:
@@ -433,15 +458,13 @@ class _Objective:
         base_value = self.value(base)
         n, m = torques.shape
         carried, self.carried = self.carried, None
-        # The tails run on lists of the rows, which index without building a
-        # numpy view per step.
-        rows = [torques[i] for i in range(n)]
+        rows = torques.tolist()
         appended = rows[-1:]
         grad = np.zeros((n, m))
         tails = []
         for i in range(n):
             start = _Rollout.at(base.states[i])
-            first = torques[i].copy()
+            first = rows[i].copy()
             tail = [first] + rows[i + 1:]
             prefix = base.prefixes[i]
             row = []
@@ -475,10 +498,6 @@ class _Objective:
         return grad, base_value
 
 
-def _project_rows(system: ManifoldSystem, torques: np.ndarray) -> np.ndarray:
-    return np.vstack([system.project_control(u) for u in torques])
-
-
 def _line_search(objective, torques, value, grad, direction):
     """Armijo backtracking from the full step along the projected path
     ``P(torques + alpha * direction)``, measuring the decrease by ``grad``
@@ -486,7 +505,7 @@ def _line_search(objective, torques, value, grad, direction):
     rollout, or ``None`` once ``alpha`` falls below ``STEP_MIN``."""
     alpha = 1.0
     while alpha >= STEP_MIN:
-        candidate = _project_rows(objective.system, torques + alpha * direction)
+        candidate = objective.system.project_control(torques + alpha * direction)
         decrease_ref = float((grad * (candidate - torques)).sum())
         # A projected quasi-Newton step can turn uphill; it is not rolled out.
         if decrease_ref <= 0.0:
@@ -596,7 +615,7 @@ def _quasi_newton_descent(
         iterations += 1
         step = float(np.clip(scale, STEP_MIN, STEP_MAX))
         trial = torques - step * grad
-        free = _project_rows(system, trial) == trial
+        free = system.project_control(trial) == trial
         hessian = _gauss_newton_hessian(system.quadratic_model(rollout.states, torques))
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         if float((grad * direction).sum()) >= 0.0:
@@ -627,7 +646,7 @@ def _quasi_newton_descent(
 
 
 def _kkt_residual(system: ManifoldSystem, torques: np.ndarray, grad: np.ndarray) -> float:
-    projected = _project_rows(system, torques - grad)
+    projected = system.project_control(torques - grad)
     return float(np.linalg.norm(torques - projected))
 
 
@@ -680,7 +699,7 @@ def solve_ocp(
         torques = check_controls(np.array(warm_start, dtype=float, copy=True), system.control_dim, "warm_start")
         if torques.shape[0] != config.horizon:
             raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
-    torques = _project_rows(system, torques)
+    torques = system.project_control(torques)
 
     reuse = None if previous is None else previous._reuse
     carried = None

@@ -29,7 +29,7 @@ from .errors import (
     OutOfChart,
     So3MpcError,
 )
-from .lgvi import _FLOAT64, SpacecraftState, _step_rows, step_jacobians
+from .lgvi import SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
 from .validation import as_fraction, as_integer, as_matrix, as_number, as_parameter, as_positive, check_spd
 
@@ -96,12 +96,15 @@ class StageWeights:
 
         Takes a stack of states and torques too, and returns one cost per row,
         equal to the single state's cost bit for bit: both are computed from
-        entries, floats for one state and arrays over the stack.
+        entries, floats for one state and arrays over the stack.  A ``list``
+        torque is taken as a ready row of three Python floats, as the
+        solver's predictions pass it, and is not converted.
         """
-        if type(torque) is not np.ndarray or torque.dtype is not _FLOAT64:
+        u = torque
+        if type(u) is not list:
             torque = np.asarray(torque, dtype=float)
+            u = torque.tolist() if torque.ndim == 1 else torque.T
         g, f = state.entries
-        u = torque.tolist() if torque.ndim == 1 else torque.T
         attitude, rate, torque_tilde = self._weight_entries
         trace_att, trace_rate = self._traces
         g_term = trace_att - _trace_product(attitude, g)

@@ -73,7 +73,7 @@ def check_controls(torques, control_dim: int, name: str) -> np.ndarray:
     arr = np.asarray(torques, dtype=float)
     if arr.size == 0:
         return arr.reshape(0, control_dim)
-    if arr.ndim == 1:
+    if arr.ndim == 1 and arr.size % control_dim == 0:
         arr = arr.reshape(-1, control_dim)
     if arr.ndim != 2 or arr.shape[1] != control_dim:
         raise ValueError(f"{name} must have shape (n, {control_dim}), got {arr.shape}")

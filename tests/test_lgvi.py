@@ -878,6 +878,33 @@ class TestRollout:
         with pytest.raises(ValueError, match=r"^torques must be finite; step 2 "):
             rollout(SpacecraftState.identity(), torques, H, J_REF)
 
+    # (h, torque, message): each public entry raises ValueError naming the
+    # bad argument before any step, so no bad value reaches LAPACK.
+    BAD_INPUTS = [
+        ("0.1", [0.0, 0.0, 0.0], r"^h must be a number, got '0\.1'"),
+        (True, [0.0, 0.0, 0.0], r"^h must be a number, got True"),
+        (np.nan, [0.0, 0.0, 0.0], r"^h must be positive and finite, got nan"),
+        (-0.1, [0.0, 0.0, 0.0], r"^h must be positive and finite, got -0\.1"),
+        (0, [0.0, 0.0, 0.0], r"^h must be positive and finite, got 0\.0"),
+        (H, [np.nan, 0.0, 0.0], r"^torques? must be finite"),
+        (H, [0.0, np.inf, 0.0], r"^torques? must be finite"),
+        (H, [0.0, 0.0, -np.inf], r"^torques? must be finite"),
+    ]
+
+    @pytest.mark.parametrize("entry", ["lgvi_step", "rollout"])
+    @pytest.mark.parametrize("h, torque, message", BAD_INPUTS)
+    def test_bad_step_and_torque_raise_value_error_naming_them(self, entry, h, torque, message):
+        state = SpacecraftState.identity()
+        with pytest.raises(ValueError, match=message):
+            if entry == "lgvi_step":
+                lgvi_step(state, torque, h, J_REF)
+            else:
+                rollout(state, [torque], h, J_REF)
+
+    def test_flat_torques_of_the_wrong_length_name_the_argument(self):
+        with pytest.raises(ValueError, match=r"^torques must have shape \(n, 3\), got \(4,\)"):
+            rollout(SpacecraftState.identity(), [0.0, 0.0, 0.0, 0.0], H, J_REF)
+
     def test_determinism(self):
         rng = np.random.default_rng(6)
         torques = rng.uniform(-1, 1, (100, 3))

@@ -18,7 +18,6 @@ from so3mpc.mpc import (
     ManifoldSystem,
     MpcConfig,
     _Objective,
-    _project_rows,
     MpcController,
     QuadraticModel,
     SolverSettings,
@@ -90,6 +89,8 @@ class ScalarIntegrator(ManifoldSystem):
         return np.zeros(1)
 
     def stage_cost(self, x, u):
+        # Inside a prediction u is a list of floats.
+        u = np.asarray(u)
         return float(x @ x + u @ u)
 
     def terminal_cost(self, x):
@@ -117,6 +118,27 @@ class TestContractDefaults:
         assert not sol.shortfalls.any()
         assert sol.cost == pytest.approx(system.terminal_cost(x0), rel=1e-9)
         assert_allclose(sol.first_control, system.local_law(x0), rtol=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["attitude", "double integrator", "contract default"])
+def test_projection_of_a_stack_equals_its_rows(kind, ref_design):
+    # The solver projects a whole (N, m) control sequence in one call; that
+    # must equal the projection of each row, bit for bit, for entries inside
+    # the bound, at either bound and beyond it.
+    bound = 2.0
+    system = {
+        "attitude": lambda: SpacecraftAttitudeSystem(ref_design, torque_bound=bound),
+        "double integrator": lambda: DoubleIntegratorSystem(control_bound=bound),
+        "contract default": ScalarIntegrator,
+    }[kind]()
+    entries = [0.0, -0.0, 0.3, -1.7, bound, -bound, np.nextafter(bound, 0.0), 2.5, -40.0, 1e300]
+    stack = np.random.default_rng(57).permutation(entries * system.control_dim).reshape(-1, system.control_dim)
+    projected = system.project_control(stack)
+    rows = np.vstack([system.project_control(u) for u in stack])
+    assert projected.dtype == rows.dtype == np.float64 and projected.shape == rows.shape == stack.shape
+    assert projected.tobytes() == rows.tobytes()
+    if kind != "contract default":
+        assert np.abs(projected).max() == bound and (projected == -bound).any()
 
 
 class TestGenericLayerOnFlatSystem:
@@ -363,7 +385,7 @@ class TestKktAtSaturatedTorques:
         objective = _Objective(weak_system, x0, PENALTY_WEIGHT)
         grad, _ = objective.gradient(solution.torques)
         u = solution.torques
-        assert solution.kkt_residual == float(np.linalg.norm(u - _project_rows(weak_system, u - grad)))
+        assert solution.kkt_residual == float(np.linalg.norm(u - weak_system.project_control(u - grad)))
         assert solution.kkt_residual <= self.SOLVER.grad_tol
         saturated = np.abs(u) == weak_system.torque_bound
         assume(saturated.any())

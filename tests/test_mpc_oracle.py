@@ -35,7 +35,6 @@ from so3mpc.mpc import (
     SolverSettings,
     _kkt_residual,
     _Objective,
-    _project_rows,
     _roll_on,
     _Rollout,
     closed_loop,
@@ -173,7 +172,7 @@ def oracle_projected_gradient(objective, torques, settings):
         alpha = float(np.clip(bb_step, mpc.STEP_MIN, mpc.STEP_MAX))
         accepted = False
         for _ in range(60):
-            candidate = _project_rows(system, torques - alpha * grad)
+            candidate = system.project_control(torques - alpha * grad)
             cand_value, cand_data = objective.trial(candidate)
             decrease_ref = float((grad * (candidate - torques)).sum())
             if cand_value <= value + mpc.ARMIJO_C1 * decrease_ref:

@@ -21,10 +21,10 @@ from so3mpc.lgvi import (
     rollout,
     step_with_margin,
 )
-from so3mpc.mpc import MpcConfig, _predict, closed_loop, solve_ocp, warm_start_shift
+from so3mpc.mpc import FD_STEP, MpcConfig, _predict, _roll_on, _Rollout, closed_loop, solve_ocp, warm_start_shift
 from so3mpc.so3 import NEAR_PI, exp_so3, log_so3
 
-from conftest import H_REF, J_REF, regulate_start
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, regulate_start
 
 
 def as_arrays(state):
@@ -141,3 +141,72 @@ def test_solves_from_arrays_and_from_entries_agree(rebuild, ref_system):
     cold = solve_ocp(ref_system, regulate_start(), config)
     cold_rebuilt = solve_ocp(ref_system, rebuild(regulate_start()), config)
     assert np.array_equal(cold.torques, cold_rebuilt.torques)
+
+
+# Inside a prediction every control is a list of Python floats, converted
+# once per rollout or per gradient; a list and the equal float64 row must
+# give the same results bit for bit, compared by repr.
+
+
+def row_pairs():
+    """(state, torque, float64 row, list row): random states under random
+    and under saturated torques, each torque as it is and with one entry
+    moved by +FD_STEP or -FD_STEP, on the array as numpy adds and on the
+    list as the gradient adds.  Every step here is solvable."""
+    rng = np.random.default_rng(58)
+    for _ in range(12):
+        x = SpacecraftState(exp_so3(rng.uniform(-np.pi, np.pi, 3)), exp_so3(H_REF * rng.uniform(-1.0, 1.0, 3)))
+        for u in (rng.uniform(-30.0, 30.0, 3), TORQUE_BOUND_REF * rng.choice([-1.0, 1.0], 3)):
+            yield x, u, u, u.tolist()
+            for j in range(3):
+                for delta in (FD_STEP, -FD_STEP):
+                    array, row = u.copy(), u.tolist()
+                    array[j] = u[j] + delta
+                    row[j] = row[j] + delta
+                    yield x, u, array, row
+
+
+def outcome(successor, margin):
+    """repr of a step's successor entries, Cayley vector and margin."""
+    return repr((successor.entries, successor._cayley, margin))
+
+
+@pytest.mark.parametrize("started", [False, True], ids=["unstarted", "started near the successor"])
+def test_step_takes_a_list_row_as_the_equal_array(started):
+    for x, u, array, row in row_pairs():
+        # A tail step is handed the unperturbed successor.
+        near = step_with_margin(x, u, H_REF, J_REF)[0] if started else None
+        assert outcome(*step_with_margin(x, row, H_REF, J_REF, near)) == outcome(
+            *step_with_margin(x, array, H_REF, J_REF, near)
+        )
+
+
+def test_stage_cost_takes_a_list_row_as_the_equal_array(ref_design):
+    weights = ref_design.weights
+    for x, _, array, row in row_pairs():
+        assert repr(weights.stage_cost(x, row, H_REF)) == repr(weights.stage_cost(x, array, H_REF))
+
+
+def rollout_record(rollout):
+    """repr of everything a rollout record holds."""
+    states = [state.entries for state in rollout.states]
+    return repr((states, rollout.stage, rollout.squared, rollout.terminal, rollout.prefixes, rollout.shortfalls))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_rollout_takes_list_rows_as_the_equal_array(name, ref_design):
+    system = SpacecraftAttitudeSystem(ref_design, torque_bound=np.inf)
+    x0, torques = case_start(name)
+    base = _roll_on(system, _Rollout.at(x0), torques)
+    assert rollout_record(_roll_on(system, _Rollout.at(x0), torques.tolist())) == rollout_record(base)
+    # A finite-difference tail of step 1, each entry of its first control
+    # moved, its steps started at the base rollout's states.
+    start, near = _Rollout.at(base.states[1]), base.states[2:]
+    for j in range(3):
+        for delta in (FD_STEP, -FD_STEP):
+            array, rows = torques[1:].copy(), torques[1:].tolist()
+            array[0, j] = torques[1, j] + delta
+            rows[0][j] = rows[0][j] + delta
+            assert rollout_record(_roll_on(system, start, rows, near)) == rollout_record(
+                _roll_on(system, start, array, near)
+            )
