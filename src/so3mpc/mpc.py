@@ -696,7 +696,7 @@ def solve_ocp(
     if warm_start is None:
         torques = steering_rollout(system, x0, config.horizon)
     else:
-        torques = check_controls(np.array(warm_start, dtype=float, copy=True), system.control_dim, "warm_start")
+        torques = check_controls(warm_start, system.control_dim, "warm_start").copy()
         if torques.shape[0] != config.horizon:
             raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
     torques = system.project_control(torques)

@@ -71,19 +71,40 @@ def exp_so3(v) -> np.ndarray:
 def exp_so3_rows(v) -> np.ndarray:
     """:func:`exp_so3` of every row of ``v``: shape (n, 3) to (n, 3, 3).
 
-    Agrees with ``exp_so3`` row by row to round-off, not bit for bit: the
-    squares here are products, not Python's ``pow``.  ``exp_so3`` stays the
-    reference and builds every closed loop's initial state.
+    Writes R = I + a hat(v) + b (v v^T - |v|^2 I) entry by entry from the
+    components of v, with the diagonal of hat(v)^2 as -(v_j^2 + v_k^2), as
+    the product gives it.  Agrees with ``exp_so3`` row by row to round-off,
+    not bit for bit: the sums of products round differently from a matrix
+    product, and the series takes |v|^2 where ``exp_so3`` takes Python's
+    ``pow``.  ``exp_so3`` stays the reference and builds every closed
+    loop's initial state.
     """
-    v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1)
-    k = hat(v)
+    v0, v1, v2 = np.asarray(v, dtype=float).T
+    sq = v0 * v0 + v1 * v1 + v2 * v2
+    theta = np.sqrt(sq)
     small = theta < SMALL_ANGLE
-    # A nonzero stand-in keeps the unused closed form free of 0/0.
+    # A nonzero stand-in keeps the closed form free of 0/0 on the rows that
+    # then take the series.
     t = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0 - theta**2 / 6.0 + theta**4 / 120.0, np.sin(t) / t)
-    b = np.where(small, 0.5 - theta**2 / 24.0 + theta**4 / 720.0, (1.0 - np.cos(t)) / t**2)
-    return _EYE3 + a[:, None, None] * k + b[:, None, None] * (k @ k)
+    a = np.sin(t) / t
+    b = (1.0 - np.cos(t)) / (t * t)
+    if small.any():
+        s = sq[small]
+        a[small] = 1.0 - s / 6.0 + s * s / 120.0
+        b[small] = 0.5 - s / 24.0 + s * s / 720.0
+    a0, a1, a2 = a * v0, a * v1, a * v2
+    b0, b1, b2 = b * v0, b * v1, b * v2
+    out = np.empty((len(sq), 3, 3))
+    out[:, 0, 0] = 1.0 - (b1 * v1 + b2 * v2)
+    out[:, 1, 1] = 1.0 - (b0 * v0 + b2 * v2)
+    out[:, 2, 2] = 1.0 - (b0 * v0 + b1 * v1)
+    out[:, 0, 1] = b0 * v1 - a2
+    out[:, 1, 0] = b0 * v1 + a2
+    out[:, 0, 2] = b0 * v2 + a1
+    out[:, 2, 0] = b0 * v2 - a1
+    out[:, 1, 2] = b1 * v2 - a0
+    out[:, 2, 1] = b1 * v2 + a0
+    return out
 
 
 def inverse_right_jacobian(v) -> np.ndarray:

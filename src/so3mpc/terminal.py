@@ -80,65 +80,60 @@ class StageWeights:
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
         # Constant pieces of the stage cost, computed once per weight set:
-        # the traces, and the weights' entries as Python floats.
+        # the traces, and the entries of Q_g, Q_f and tilde(R), row by row,
+        # as one flat tuple of Python floats.
         object.__setattr__(
             self, "_traces", (float(np.trace(self.attitude)), float(np.trace(self.rate)))
         )
         object.__setattr__(
             self,
             "_weight_entries",
-            (self.attitude.tolist(), self.rate.tolist(), tilde_transform(self.torque).tolist()),
+            tuple(np.concatenate([self.attitude, self.rate, tilde_transform(self.torque)]).ravel().tolist()),
         )
 
     def stage_cost(self, state: SpacecraftState, torque, h: float) -> float:
         """Trace-form running cost of one step:
         tr(Q_g (I - g)) + tr(Q_f (I - f)) / h^2 + u^T (tr(R) I - R) u / 2.
 
-        Takes a stack of states and torques too, and returns one cost per row,
-        equal to the single state's cost bit for bit: both are computed from
-        entries, floats for one state and arrays over the stack.  A ``list``
-        torque is taken as a ready row of three Python floats, as the
-        solver's predictions pass it, and is not converted.
+        The one stage-cost formula, in components: every entry is a Python
+        float for one state, or an array with one element per row for a
+        stack of states and torques, which gives one cost per row.  Only
+        elementwise + - * / appear, which round alike on both, so a row's
+        cost equals the single state's bit for bit.  A ``list`` torque is
+        taken as a ready row of three Python floats, as the solver's
+        predictions pass it, and is not converted.
         """
         u = torque
         if type(u) is not list:
             torque = np.asarray(torque, dtype=float)
             u = torque.tolist() if torque.ndim == 1 else torque.T
         g, f = state.entries
-        attitude, rate, torque_tilde = self._weight_entries
+        (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = g
+        (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = f
+        u0, u1, u2 = u
+        (
+            a00, a01, a02, a10, a11, a12, a20, a21, a22,
+            q00, q01, q02, q10, q11, q12, q20, q21, q22,
+            t00, t01, t02, t10, t11, t12, t20, t21, t22,
+        ) = self._weight_entries
         trace_att, trace_rate = self._traces
-        g_term = trace_att - _trace_product(attitude, g)
-        f_term = (trace_rate - _trace_product(rate, f)) / (h * h)
-        u_term = 0.5 * _quadratic_form(torque_tilde, u)
-        return g_term + f_term + u_term
-
-
-# The cost formulas in components.  Every entry is a Python float (one state)
-# or an array with one element per row (a stack); only elementwise + - * /
-# appear, which round alike on both, so a stack's rows equal the single
-# results bit for bit.
-
-
-def _trace_product(w, m):
-    """tr(W M) for 3x3 W and M given as rows of entries."""
-    (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = w
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-    return (
-        (w00 * m00 + w01 * m10 + w02 * m20)
-        + (w10 * m01 + w11 * m11 + w12 * m21)
-        + (w20 * m02 + w21 * m12 + w22 * m22)
-    )
-
-
-def _quadratic_form(a, x):
-    """x^T A x for a 3x3 A given as rows of entries."""
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
-    x0, x1, x2 = x
-    return (
-        x0 * (a00 * x0 + a01 * x1 + a02 * x2)
-        + x1 * (a10 * x0 + a11 * x1 + a12 * x2)
-        + x2 * (a20 * x0 + a21 * x1 + a22 * x2)
-    )
+        # tr(Q_g g), tr(Q_f f) and u^T tilde(R) u.
+        att = (
+            (a00 * g00 + a01 * g10 + a02 * g20)
+            + (a10 * g01 + a11 * g11 + a12 * g21)
+            + (a20 * g02 + a21 * g12 + a22 * g22)
+        )
+        rate = (
+            (q00 * f00 + q01 * f10 + q02 * f20)
+            + (q10 * f01 + q11 * f11 + q12 * f21)
+            + (q20 * f02 + q21 * f12 + q22 * f22)
+        )
+        quad = (
+            u0 * (t00 * u0 + t01 * u1 + t02 * u2)
+            + u1 * (t10 * u0 + t11 * u1 + t12 * u2)
+            + u2 * (t20 * u0 + t21 * u1 + t22 * u2)
+        )
+        return (trace_att - att) + (trace_rate - rate) / (h * h) + 0.5 * quad
 
 
 def default_weights(inertia) -> StageWeights:
@@ -372,39 +367,46 @@ def coordinates(state: SpacecraftState, h: float) -> np.ndarray:
     """Chart coordinates (rotation vector of g, rotation vector of f over h).
 
     A stack of states, with g and f of shape (n, 3, 3), gives one row of
-    coordinates per state.  One state takes both logarithms in one pass from
-    its entries (:func:`~so3mpc.so3._log_so3_pair`); either way the result
-    equals ``concatenate([log_so3(g), log_so3(f) / h])`` bit for bit.
+    coordinates per state.  Both take the two logarithms in one pass: one
+    state from its entries (:func:`~so3mpc.so3._log_so3_pair`), a stack in
+    one :func:`~so3mpc.so3.log_so3_rows` call over g and f stacked together.
+    Either way the result equals ``concatenate([log_so3(g), log_so3(f) / h])``
+    bit for bit.
     """
     g, f = state.entries
     if not isinstance(g, np.ndarray):
         (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(g, f)
         return np.array((z0, z1, z2, w0 / h, w1 / h, w2 / h))
-    zeta = log_so3_rows(state.g)
-    omega = log_so3_rows(state.f) / h
-    return np.concatenate([zeta, omega], axis=-1)
+    n = len(state.g)
+    logs = log_so3_rows(np.concatenate([state.g, state.f]))
+    return np.concatenate([logs[:n], logs[n:] / h], axis=-1)
 
 
 def terminal_value(p: np.ndarray, xi: np.ndarray) -> float:
     """Terminal cost F = xi^T P xi at chart coordinates ``xi``; one value per
-    row for a stack of coordinates.
+    row for a stack of coordinates, shape (n, 6).
 
     Stays a BLAS product: for six coordinates it is as fast as the
     component form, which also rounds differently.  One state calls
     ``ndarray.dot``, the same kernels as ``@`` with less dispatch.  A stack
-    goes through matrix products whose summation order may differ, so its
-    rows agree with the single values to about an ulp, not bit for bit.
+    takes one product ``xi @ P`` and one ``einsum`` of its rows with those
+    of ``xi``, whose summation order may differ from the single form's, so
+    its rows agree with the single values to about an ulp, not bit for bit.
     """
     if xi.ndim == 1:
         return float(xi.dot(p).dot(xi))
-    v = xi @ p
-    return (v[..., None, :] @ xi[..., :, None])[..., 0, 0]
+    return np.einsum("ij,ij->i", xi @ p, xi)
 
 
 def feedback(k: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Local law u = -K xi at chart coordinates ``xi``; one torque per row
-    for a stack of coordinates."""
-    return -(k @ xi[..., None])[..., 0]
+    for a stack of coordinates, shape (n, 6).
+
+    One product ``-(xi @ K^T)`` for both.  For one state it equals
+    ``-(K @ xi)`` bit for bit; a stack's rows agree with the single torques
+    to round-off, as the matrix product may sum in another order.
+    """
+    return -(xi @ k.T)
 
 
 @dataclass(frozen=True)
@@ -530,7 +532,7 @@ def _ellipsoid_samples(p: np.ndarray, n_samples: int, rng: np.random.Generator):
     evals, evecs = np.linalg.eigh(p)
     p_inv_half = (evecs / np.sqrt(evals)) @ evecs.T
     directions = rng.standard_normal((n_samples, 6))
-    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    directions /= np.sqrt(np.einsum("ij,ij->i", directions, directions))[:, None]
     radii = np.ones(n_samples)
     interior = n_samples // 2
     radii[:interior] = rng.uniform(0.0, 1.0, interior) ** (1.0 / 6.0)
@@ -576,9 +578,17 @@ def evaluate_level(
     All are violations: negative or tiny values mean the condition holds.
     The torque excess is exact, sqrt(level * max_i K_i P^-1 K_i^T) - tau
     (:func:`_torque_gain`); the other two are taken over the scaled samples,
-    all evaluated at once as array operations along the sample axis.  A
-    sample whose step is unsolvable makes the terminal excess infinite; the
-    decrease defect is then taken over the samples whose step is solvable.
+    all evaluated at once as array operations along the sample axis: one
+    :func:`~so3mpc.so3.exp_so3_rows` call maps the attitude and rate halves
+    of every sample to its state, and the chart coordinates, the law, the
+    stacked step, the terminal values and the stage costs each act on the
+    whole stack.  A sample whose step is unsolvable makes the terminal
+    excess infinite; the decrease defect is then taken over the samples
+    whose step is solvable.
+
+    The logarithms, the step and the stage cost equal their single-state
+    forms bit for bit; the exponentials, the law and the terminal values
+    agree with theirs to round-off (see README, *Numerical conventions*).
 
     Raises :class:`~so3mpc.errors.OutOfChart` for a level above
     :func:`_level_ceiling`: samples past the chart would be wrapped by the
@@ -590,7 +600,9 @@ def evaluate_level(
             f"level {level:.6g} exceeds the chart ceiling {ceiling:.6g} of the terminal ellipsoid"
         )
     xi = np.sqrt(level) * unit_samples
-    state = SpacecraftState(exp_so3_rows(xi[:, :3]), exp_so3_rows(h * xi[:, 3:]))
+    n = len(xi)
+    rotations = exp_so3_rows(np.concatenate([xi[:, :3], h * xi[:, 3:]]))
+    state = SpacecraftState(rotations[:n], rotations[n:])
     coords = coordinates(state, h)
     torque = feedback(design_k, coords)
     successor, margins = _step_rows(state, torque, h, inertia)

@@ -22,9 +22,19 @@ ROTATION_ATOL = 1e-9
 SPD_SYMMETRY_RTOL = 1e-12
 
 
+def _float_array(a, name: str) -> np.ndarray:
+    """``a`` as a float array.  An input that does not convert (a word, an
+    object, a ragged nesting) raises ``ValueError`` naming ``name``, where
+    numpy's own error would not."""
+    try:
+        return np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an array of real numbers, got {type(a).__name__}") from None
+
+
 def _check_finite(a, shape: tuple, name: str) -> np.ndarray:
     """Return ``a`` as a finite float array of ``shape``."""
-    arr = np.asarray(a, dtype=float)
+    arr = _float_array(a, name)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -53,7 +63,7 @@ def check_spd(a, name: str = "A") -> np.ndarray:
     """Check symmetric positive-definiteness (any square size).  The
     symmetry check divides by the largest entry when it exceeds 1, so that
     the norms of a matrix with huge entries do not overflow."""
-    arr = np.asarray(a, dtype=float)
+    arr = _float_array(a, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"{name} must be square, got {arr.shape}")
     scale = max(1.0, float(np.max(np.abs(arr), initial=0.0)))
@@ -69,8 +79,9 @@ def check_spd(a, name: str = "A") -> np.ndarray:
 def check_controls(torques, control_dim: int, name: str) -> np.ndarray:
     """``torques`` as an (n, control_dim) float array, checked before any
     rollout: a wrong shape, or a NaN or infinity, raises ``ValueError``
-    naming ``name`` and the first step with a non-finite entry."""
-    arr = np.asarray(torques, dtype=float)
+    naming ``name`` and the first step with a non-finite entry, and so
+    does an input that does not convert to numbers."""
+    arr = _float_array(torques, name)
     if arr.size == 0:
         return arr.reshape(0, control_dim)
     if arr.ndim == 1 and arr.size % control_dim == 0:

@@ -179,10 +179,30 @@ class TestRows:
     def test_exp_rows_match_exp(self):
         rng = np.random.default_rng(13)
         v = rng.standard_normal((600, 3)) * np.repeat([1e-12, 1e-9, 1e-7, 0.1, 1.0, 3.0], 100)[:, None]
+        axes = rng.standard_normal((50, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        # Rows at exactly zero, at SMALL_ANGLE and an ulp either side, where
+        # the series and the closed form meet, and inside the NEAR_PI band.
+        edge = np.concatenate([
+            np.zeros((2, 3)),
+            SMALL_ANGLE * axes[:10],
+            np.nextafter(SMALL_ANGLE, 0.0) * axes[10:20],
+            np.nextafter(SMALL_ANGLE, 1.0) * axes[20:30],
+            (np.pi - rng.uniform(0.0, NEAR_PI, 10))[:, None] * axes[30:40],
+            np.pi * axes[40:],
+        ])
+        v = np.concatenate([edge, v])
         stack = exp_so3_rows(v)
+        assert stack.shape == (len(v), 3, 3)
+        assert np.array_equal(stack[:2], np.broadcast_to(np.eye(3), (2, 3, 3)))
         worst = max(np.abs(got - exp_so3(row)).max() for got, row in zip(stack, v))
-        # Round-off only: the twin squares by products, exp_so3 by pow.
+        # Round-off only: the rows sum products of components, exp_so3
+        # multiplies matrices and squares by pow.
         assert worst <= 1e-14
+        # R^T R = I to a few ulps: over 20,000 random rows both forms stay
+        # within about 2e-15.
+        orthogonality = np.abs(np.swapaxes(stack, -1, -2) @ stack - np.eye(3)).max()
+        assert orthogonality <= 4e-15
 
     def test_log_rows_bitwise_over_group(self):
         rng = np.random.default_rng(14)

@@ -18,7 +18,7 @@ from so3mpc.errors import (
     OutOfChart,
 )
 from so3mpc.experiments import certify_local_law
-from so3mpc.lgvi import SpacecraftState, lgvi_step
+from so3mpc.lgvi import SpacecraftState, lgvi_step, step_with_margin
 from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
     Linearization,
@@ -670,6 +670,35 @@ class TestBatchedCertificate:
         assert report["invariance"] == pytest.approx(invariance, abs=1e-9)
         assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
 
+    @pytest.mark.parametrize("name", ["100 Nm", "1 Nm"])
+    def test_margins_match_single_state_kernels(self, certified_designs, name):
+        # Oracle for the stacked pass at both reference designs: a loop over
+        # 200 seeded samples with the single-state kernels, from exp_so3 on.
+        # The stacked exponentials, law and terminal values round apart from
+        # theirs, so the worst margins agree to round-off of the level.
+        design, torque_bound = certified_designs[name]
+        weights, h = design.weights, design.h
+        samples = _ellipsoid_samples(design.P, 200, np.random.default_rng(31))
+        report = evaluate_level(
+            design.P, design.K, weights, h, design.inertia, torque_bound, design.c, samples
+        )
+        succ_values, decreases = [], []
+        for xi in np.sqrt(design.c) * samples:
+            state = SpacecraftState(exp_so3(xi[:3]), exp_so3(h * xi[3:]))
+            chart = coordinates(state, h)
+            torque = feedback(design.K, chart[None])[0]
+            successor, margin = step_with_margin(state, torque, h, design.inertia)
+            assert margin >= 0.0
+            succ_value = terminal_value(design.P, coordinates(successor, h))
+            succ_values.append(succ_value)
+            decreases.append(
+                succ_value - terminal_value(design.P, chart) + weights.stage_cost(state, torque, h)
+            )
+        tol = 1e-14 * design.c
+        assert report["invariance"] == pytest.approx(max(succ_values) - design.c, rel=0.0, abs=tol)
+        assert report["decrease"] == pytest.approx(max(decreases), rel=0.0, abs=tol)
+        assert report["passed"]
+
     def test_odd_inertia_level(self, odd_design):
         # Its ceiling meets unsolvable steps, so the calibration bisects: 15
         # level evaluations.
@@ -893,6 +922,19 @@ class TestExactCeilings:
             xi = direction * np.sqrt(design.c / terminal_value(design.P, direction))
             assert terminal_value(design.P, xi) == pytest.approx(design.c, rel=1e-12)
             assert np.max(np.abs(feedback(design.K, xi))) <= torque_bound
+
+    @pytest.mark.parametrize(
+        ("name", "level", "max_violation"),
+        [("100 Nm", 2456.6435414163557, -25.157357528170476), ("1 Nm", 438.00599989843374, -0.0513167024238278)],
+    )
+    def test_reference_calibration_is_pinned(self, certified_designs, name, level, max_violation):
+        # The design file's level and certificate at the reference inertia,
+        # step and weights, bit for bit.  Both levels are 0.9 times a closed
+        # -form ceiling, and the certificate's worst margin is the exact
+        # torque margin, so no rounding of the sampled pass moves them.
+        design, _ = certified_designs[name]
+        assert repr(design.c) == repr(level)
+        assert repr(design.certification.max_violation) == repr(max_violation)
 
     def test_shrink_one_stops_at_torque_ceiling(self, certified_designs):
         design, _ = certified_designs["1 Nm, shrink 1"]

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from so3mpc.attitude import rest_state, spinning_state
 from so3mpc.cli import parse_config
 from so3mpc.errors import ConfigError, DesignFileError, NotPositiveDefinite, NotRotation
 from so3mpc.so3 import exp_so3
@@ -14,9 +15,11 @@ from so3mpc.validation import (
     check_rotation,
     check_spd,
 )
-from so3mpc.terminal import TerminalDesign
+from so3mpc.lgvi import SpacecraftState, lgvi_step, rollout
+from so3mpc.mpc import MpcConfig, horizon_cost, solve_ocp
+from so3mpc.terminal import TerminalDesign, default_weights, design_terminal
 
-from conftest import J_REF
+from conftest import H_REF, J_REF
 
 
 @pytest.mark.parametrize("factor, rejected", [(0.1, False), (10.0, True)])
@@ -105,3 +108,42 @@ def test_configuration_and_design_file_reject_alike(ref_design, kind, label):
         assert str(err.value).startswith(f"key '{key}': ")
         reasons.add(str(err.value).removeprefix(f"key '{key}': "))
     assert len(reasons) == 1, reasons
+
+
+# Inputs that np.asarray(..., dtype=float) cannot convert: a word, an object,
+# a dict, a ragged nesting and a word among numbers.  (None converts, to NaN,
+# and fails the shape or finiteness check, which names the argument.)
+NON_NUMERIC = {
+    "word": "abc",
+    "object": object(),
+    "dict": {"x": 1.0},
+    "ragged": [[0.0, 0.0, 0.0], [0.0, 0.0]],
+    "word entry": [0.0, "a", 0.0],
+}
+
+# (public entry, the argument it names, the call with the bad value and the
+# reference system).
+NON_NUMERIC_ENTRIES = {
+    "lgvi_step": ("torque", lambda bad, _: lgvi_step(SpacecraftState.identity(), bad, H_REF, J_REF)),
+    "rollout": ("torques", lambda bad, _: rollout(SpacecraftState.identity(), bad, H_REF, J_REF)),
+    "rest_state": ("axis_angle", lambda bad, _: rest_state(bad)),
+    "spinning_state axis": ("axis_angle", lambda bad, _: spinning_state(bad, [0.0, 0.0, 0.0], H_REF)),
+    "spinning_state rate": ("rate", lambda bad, _: spinning_state([0.0, 0.0, 0.0], bad, H_REF)),
+    "horizon_cost": ("torques", lambda bad, system: horizon_cost(system, SpacecraftState.identity(), bad)),
+    "solve_ocp": (
+        "warm_start",
+        lambda bad, system: solve_ocp(system, SpacecraftState.identity(), MpcConfig(), warm_start=bad),
+    ),
+    "design_terminal": ("inertia", lambda bad, _: design_terminal(bad, H_REF, default_weights(J_REF))),
+}
+
+
+@pytest.mark.parametrize("entry", NON_NUMERIC_ENTRIES)
+@pytest.mark.parametrize("label", NON_NUMERIC)
+def test_non_numeric_input_raises_value_error_naming_the_argument(ref_system, entry, label):
+    # Before, a word reached numpy's own message ("could not convert string
+    # to float: 'abc'"), which names no argument, and an object a bare
+    # TypeError.
+    name, call = NON_NUMERIC_ENTRIES[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be an array of real numbers, got "):
+        call(NON_NUMERIC[label], ref_system)
