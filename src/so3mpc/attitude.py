@@ -7,6 +7,8 @@ ones :func:`~so3mpc.lgvi.step_with_margin` builds from entries: the step, the
 stage cost and the terminal cost read Python floats, and arrays are built
 only where a caller reads them, in ``OcpSolution.states``,
 ``ClosedLoopRun.states`` and :meth:`~SpacecraftAttitudeSystem.quadratic_model`.
+The solver's penalty charges every predicted step whose solvability margin
+falls below the fixed ``SOLVABILITY_FLOOR``.
 ``AttitudeMpc`` wraps the whole pipeline: hyperparameters in the
 constructor, the expensive design work in ``fit``, the control law at one
 state in ``predict``, and the closed loop in ``simulate``.
@@ -22,7 +24,6 @@ from .errors import OutOfChart
 from .lgvi import (
     DEFAULT_INERTIA,
     DEFAULT_STEP_SECONDS,
-    MARGIN_CUTOFF,
     SpacecraftState,
     _inertia_constants,
     check_state,
@@ -56,25 +57,12 @@ from .terminal import (
     terminal_hessian,
     terminal_value,
 )
-from .validation import as_number, as_parameter, as_positive, check_vector3
+from .validation import as_parameter, as_positive, check_vector3
 
-DEFAULT_SOLVABILITY_FLOOR = 1e-6
-
-
-def _check_constraints(torque_bound, solvability_floor) -> tuple[float, float]:
-    """The torque bound and the solvability floor as floats, or ``ValueError``
-    naming the bad one.  Both are read by the configuration's converters, so
-    a string or a boolean fails, and so does NaN: a NaN bound would skip the
-    clip and a NaN floor would never be met, switching either constraint off.
-    The floor must stay below the step's ``MARGIN_CUTOFF``, above which the
-    step reports a bound on the margin instead of LAPACK's value."""
-    torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
-    solvability_floor = as_parameter("solvability_floor", solvability_floor, as_number)
-    if not 0.0 <= solvability_floor < MARGIN_CUTOFF:
-        raise ValueError(
-            f"solvability_floor must lie in [0, {MARGIN_CUTOFF}), got {solvability_floor}"
-        )
-    return torque_bound, solvability_floor
+# Smallest solvability margin a predicted step may keep; the penalty charges
+# the shortfall below it.  It lies in [0, lgvi.MARGIN_CUTOFF), below the
+# margins that the step reports as a bound instead of LAPACK's value.
+SOLVABILITY_FLOOR = 1e-6
 
 
 class SpacecraftAttitudeSystem(ManifoldSystem):
@@ -82,12 +70,7 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
 
     control_dim = 3
 
-    def __init__(
-        self,
-        design: TerminalDesign,
-        torque_bound: float = DEFAULT_TORQUE_BOUND,
-        solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
-    ):
+    def __init__(self, design: TerminalDesign, torque_bound: float = DEFAULT_TORQUE_BOUND):
         self.design = design
         # Every step takes the inertia's constants, looked up once here; the
         # model reads their read-only array, so both see the same inertia.
@@ -95,9 +78,9 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         self.inertia = self._constants.inertia
         self.h = float(design.h)
         self.weights = design.weights
-        self.torque_bound, self.solvability_floor = _check_constraints(
-            torque_bound, solvability_floor
-        )
+        # Read as the configuration reads it, so a string, a boolean or NaN
+        # fails: a NaN bound would skip the clip in project_control.
+        self.torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
         self._equilibrium = SpacecraftState.identity()
 
     def step(self, x: SpacecraftState, u) -> SpacecraftState:
@@ -113,7 +96,7 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
 
     @property
     def step_margin_floor(self) -> float:
-        return self.solvability_floor
+        return SOLVABILITY_FLOOR
 
     def distance(self, x1: SpacecraftState, x2: SpacecraftState) -> float:
         return max(
@@ -194,7 +177,6 @@ class AttitudeMpc:
         horizon: int = DEFAULT_HORIZON,
         weights: Optional[StageWeights] = None,
         torque_bound: float = DEFAULT_TORQUE_BOUND,
-        solvability_floor: float = DEFAULT_SOLVABILITY_FLOOR,
         terminal_samples: int = DEFAULT_TERMINAL_SAMPLES,
         terminal_shrink: float = DEFAULT_TERMINAL_SHRINK,
         seed: int = 0,
@@ -205,7 +187,6 @@ class AttitudeMpc:
         self.horizon = horizon
         self.weights = weights
         self.torque_bound = torque_bound
-        self.solvability_floor = solvability_floor
         self.terminal_samples = terminal_samples
         self.terminal_shrink = terminal_shrink
         self.seed = seed
@@ -214,8 +195,8 @@ class AttitudeMpc:
     def fit(self) -> "AttitudeMpc":
         """Compute the terminal design and assemble the controller.
         :func:`~so3mpc.terminal.design_terminal` checks the inertia and the
-        design arguments, and :class:`SpacecraftAttitudeSystem` the
-        constraints."""
+        design arguments, and :class:`SpacecraftAttitudeSystem` the torque
+        bound."""
         if self.weights is not None and not isinstance(self.weights, StageWeights):
             raise ValueError(f"weights must be a StageWeights or None, got {self.weights!r}")
         config = MpcConfig(
@@ -232,11 +213,7 @@ class AttitudeMpc:
             shrink=self.terminal_shrink,
             seed=self.seed,
         )
-        self.system_ = SpacecraftAttitudeSystem(
-            self.design_,
-            torque_bound=self.torque_bound,
-            solvability_floor=self.solvability_floor,
-        )
+        self.system_ = SpacecraftAttitudeSystem(self.design_, torque_bound=self.torque_bound)
         self.config_ = config
         return self
 
@@ -244,10 +221,11 @@ class AttitudeMpc:
         if not hasattr(self, "system_"):
             raise RuntimeError("this AttitudeMpc instance is not fitted yet; call fit() first")
 
-    def solve(self, state: SpacecraftState, warm_start=None) -> OcpSolution:
-        """Full finite-horizon solution at one state, checked to lie in SO(3)^2."""
+    def solve(self, state: SpacecraftState) -> OcpSolution:
+        """Full finite-horizon solution at one state, checked to lie in SO(3)^2,
+        solved cold from the steering guess."""
         self._check_fitted()
-        return solve_ocp(self.system_, check_state(state), self.config_, warm_start=warm_start)
+        return solve_ocp(self.system_, check_state(state), self.config_)
 
     def predict(self, state: SpacecraftState) -> np.ndarray:
         """Control law evaluation: the first control of the finite-horizon

@@ -678,21 +678,3 @@ def orthogonality_drift(states: Sequence[SpacecraftState]) -> float:
             float(np.linalg.norm(f.T @ f - _EYE3)),
         )
     return worst
-
-
-__all__ = [
-    "SpacecraftState",
-    "DEFAULT_INERTIA",
-    "DEFAULT_STEP_SECONDS",
-    "check_state",
-    "MARGIN_CUTOFF",
-    "lgvi_step",
-    "step_with_margin",
-    "step_jacobians",
-    "rollout",
-    "body_rate",
-    "spatial_momentum",
-    "random_spin_state",
-    "free_momentum_drift",
-    "orthogonality_drift",
-]

@@ -10,11 +10,12 @@ by central finite differences of the rollout cost.  Each penalty round
 descends along a limited-memory BFGS direction with two-metric projection
 onto the box (Bertsekas, 1982): the quasi-Newton step acts on the free
 entries, and entries that the box holds against an outward gradient take
-the projected-gradient step.  The recursion's initial inverse Hessian is the
-inverse of the Gauss-Newton Hessian of the horizon cost along the rollout of
-the current iterate (Bock & Plitt, 1984), time-varying as in discrete
-optimal control on Lie groups (Kobilarov & Marsden, 2011), on the free
-entries and scaled by the newest curvature pair (Nocedal & Wright,
+the projected-gradient step, of length 1 / max(1, |grad|) at the round's
+first gradient for the whole round.  The recursion's initial inverse Hessian
+is the inverse of the Gauss-Newton Hessian of the horizon cost along the
+rollout of the current iterate (Bock & Plitt, 1984), time-varying as in
+discrete optimal control on Lie groups (Kobilarov & Marsden, 2011), on the
+free entries and scaled by the newest curvature pair (Nocedal & Wright,
 *Numerical Optimization*, ch. 7).  The curvature pairs carry what that model
 leaves out, above all the penalty's curvature.  An Armijo search along the
 projected path tries each direction from full length, and a round ends where
@@ -72,12 +73,8 @@ PENALTY_GROWTH = 10.0
 # Sufficient-decrease constant and backtracking factor of the Armijo search.
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
-# Length of the first gradient step of a round, divided by max(1, |grad|),
-# and the bounds on every such step; the step picks the entries the box
-# holds and moves them.  STEP_MIN also ends the Armijo search.
-STEP_INIT = 1.0
+# Step length below which the Armijo search gives up.
 STEP_MIN = 1e-14
-STEP_MAX = 1e3
 # Curvature pairs (step, gradient change) the quasi-Newton direction keeps.
 LBFGS_MEMORY = 5
 
@@ -190,15 +187,6 @@ class ManifoldSystem(abc.ABC):
         return 0.0
 
 
-def _convert_field(record, name: str, convert, *args) -> None:
-    """Set field ``name`` of the frozen ``record`` to ``convert(value, *args)``;
-    a ``ValueError`` is raised again naming the field."""
-    try:
-        object.__setattr__(record, name, convert(getattr(record, name), *args))
-    except ValueError as err:
-        raise ValueError(f"{name} {err}") from None
-
-
 @dataclass(frozen=True)
 class SolverSettings:
     """Tuning knobs of the penalized quasi-Newton shooting solver.
@@ -210,8 +198,8 @@ class SolverSettings:
     optimality and the stability guarantees do not depend on solving to
     high precision.  ``max_iters`` caps the iterations of one penalty round,
     and ``outer_rounds`` the rounds; a round whose violation is within
-    ``constraint_tol`` ends the solve.  The gradient step, penalty schedule
-    and line search are the module constants above.
+    ``constraint_tol`` ends the solve.  The penalty schedule and line search
+    are the module constants above.
 
     The counts must be positive integers, where a float with an integral
     value counts, and the tolerances positive and finite numbers; anything
@@ -226,9 +214,9 @@ class SolverSettings:
 
     def __post_init__(self):
         for name in ("max_iters", "outer_rounds"):
-            _convert_field(self, name, as_integer, 1)
+            object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_integer, 1))
         for name in ("grad_tol", "ftol_rel", "constraint_tol"):
-            _convert_field(self, name, as_positive, False)
+            object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_positive, False))
 
 
 @dataclass(frozen=True)
@@ -239,7 +227,7 @@ class MpcConfig:
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
-        _convert_field(self, "horizon", as_integer, 1)
+        object.__setattr__(self, "horizon", as_parameter("horizon", self.horizon, as_integer, 1))
         if not isinstance(self.solver, SolverSettings):
             raise ValueError(f"solver must be a SolverSettings, got {self.solver!r}")
 
@@ -538,10 +526,10 @@ def _gauss_newton_hessian(model: QuadraticModel) -> np.ndarray:
     return hessian
 
 
-def _quasi_newton_direction(grad, free, pairs, scale, hessian):
+def _quasi_newton_direction(grad, free, pairs, step, hessian):
     """Two-metric direction: the limited-memory BFGS step on the ``free``
     entries, from the curvature pairs restricted to them, and the gradient
-    step ``-scale * grad`` on the entries the box holds.
+    step ``-step * grad`` on the entries the box holds.
 
     The two-loop recursion starts from gamma H_ff^-1 q, with H_ff the
     ``hessian`` on the free entries, the Gauss-Newton Hessian at the current
@@ -570,7 +558,7 @@ def _quasi_newton_direction(grad, free, pairs, scale, hessian):
     r = r.reshape(grad.shape)
     for s, y, sy, a in reversed(history):
         r += (a - float((y * r).sum()) / sy) * s
-    return np.where(free, -r, -scale * grad)
+    return np.where(free, -r, -step * grad)
 
 
 def _quasi_newton_descent(
@@ -584,12 +572,13 @@ def _quasi_newton_descent(
     An entry counts as held when the projected-gradient step would clip it,
     i.e. it lies on or near the bound and the gradient points outward; it
     takes that gradient step, and the curvature pairs act on the other
-    entries only.  The initial metric of the recursion is the Gauss-Newton
-    Hessian (:func:`_gauss_newton_hessian`) of the system's
-    :meth:`~ManifoldSystem.quadratic_model` along the rollout of the current
-    torques, the one their gradient holds; it is built once per iteration,
-    after the KKT test, so a descent that stops at its first gradient builds
-    none.  Every iteration, the first included, searches along a
+    entries only.  The step's length is 1 / max(1, |grad|) at the round's
+    first gradient, fixed for the whole round.  The initial metric of the
+    recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
+    the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
+    of the current torques, the one their gradient holds; it is built once
+    per iteration, after the KKT test, so a descent that stops at its first
+    gradient builds none.  Every iteration, the first included, searches along a
     quasi-Newton direction from full length; the descent stops when that
     direction is not a descent direction or its search finds no Armijo
     point.  The curvature pairs carry what the model lacks, above all the
@@ -602,9 +591,9 @@ def _quasi_newton_descent(
     system = objective.system
     rollout = _predict(system, objective.x0, torques)
     grad, value = objective.gradient(torques, base=rollout)
-    # Length of the gradient step that picks and moves the held entries:
-    # scaled by the gradient at first, by the latest curvature after that.
-    scale = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
+    # Length of the gradient step that picks and moves the held entries,
+    # fixed for the round by its first gradient.
+    step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     pairs = []
     iterations = 0
     small_improvements = 0
@@ -613,7 +602,6 @@ def _quasi_newton_descent(
         if kkt <= settings.grad_tol:
             break
         iterations += 1
-        step = float(np.clip(scale, STEP_MIN, STEP_MAX))
         trial = torques - step * grad
         free = system.project_control(trial) == trial
         hessian = _gauss_newton_hessian(system.quadratic_model(rollout.states, torques))
@@ -636,10 +624,8 @@ def _quasi_newton_descent(
             small_improvements = 0
         new_grad, _ = objective.gradient(candidate, base=cand_rollout)
         s, y = candidate - torques, new_grad - grad
-        curvature = float((s * y).sum())
-        if curvature > 0.0:
+        if float((s * y).sum()) > 0.0:
             pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
-            scale = curvature / float((y * y).sum())
         torques, grad, value, rollout = candidate, new_grad, cand_value, cand_rollout
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt

@@ -4,7 +4,8 @@ The ``check_*`` functions test the arrays a caller passes.  The ``as_*``
 converters read one entry of a configuration or design file parsed from
 JSON, or one scalar argument of a library call, and raise ``ValueError``
 with the bare reason; each loader names the key in its own error type,
-``SolverSettings`` the field, and :func:`as_parameter` the argument.
+and :func:`as_parameter` the argument, or the field of ``SolverSettings``
+and ``MpcConfig``.
 """
 
 from __future__ import annotations
@@ -23,12 +24,17 @@ SPD_SYMMETRY_RTOL = 1e-12
 
 
 def _float_array(a, name: str) -> np.ndarray:
-    """``a`` as a float array.  An input that does not convert (a word, an
-    object, a ragged nesting) raises ``ValueError`` naming ``name``, where
-    numpy's own error would not."""
+    """``a`` as a float array.  An input that is not numbers (a word, also
+    one that spells a number, an object, a ragged nesting) or that overflows
+    a float raises ``ValueError`` naming ``name``, where numpy would parse
+    the string or raise its own error."""
     try:
-        return np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
+        arr = np.asarray(a)
+        kind = arr.dtype.kind
+        if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+            raise TypeError
+        return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be an array of real numbers, got {type(a).__name__}") from None
 
 

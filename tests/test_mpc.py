@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from so3mpc import lgvi
+from so3mpc import lgvi, mpc
 from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
@@ -264,7 +264,7 @@ class TestObjectiveGradient:
             for u in torques:
                 x, margin = system.step_with_margin(x, u)
                 margins.append(margin)
-            assert all(system.solvability_floor < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
+            assert all(system.step_margin_floor < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
         grad, value = _Objective(system, x0, 0.0).gradient(torques)
         oracle = full_central_differences(system, x0, torques)
         assert value == horizon_cost(system, x0, torques)
@@ -392,6 +392,36 @@ class TestKktAtSaturatedTorques:
         # At +bound the descent direction -grad must point up, at -bound down.
         outward = grad[saturated] * np.sign(u[saturated])
         assert np.all(outward <= self.SOLVER.grad_tol)
+
+
+class TestHeldEntryStep:
+    def test_step_is_fixed_per_round_by_its_first_gradient(self, ref_design, monkeypatch):
+        # The cold 1 N m solve of the oracle tests holds entries on the box
+        # at every iteration; they all take the gradient step of length
+        # 1 / max(1, |g0|), g0 the round's first gradient.  A per-iteration
+        # Barzilai-Borwein rescaling moved it (0.00735, 0.0268, 0.0120, ...).
+        firsts, calls = [], []
+        gradient, direction = _Objective.gradient, mpc._quasi_newton_direction
+
+        def recorded_gradient(objective, torques, base=None):
+            result = gradient(objective, torques, base)
+            if not firsts or firsts[-1][0] is not objective:
+                firsts.append((objective, result[0]))
+            return result
+
+        def recorded_direction(grad, free, pairs, step, hessian):
+            calls.append((step, int((~free).sum()), firsts[-1][1]))
+            return direction(grad, free, pairs, step, hessian)
+
+        monkeypatch.setattr(_Objective, "gradient", recorded_gradient)
+        monkeypatch.setattr(mpc, "_quasi_newton_direction", recorded_direction)
+        weak = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
+        axis = np.array([0.8, 0.5, -0.3])
+        solution = solve_ocp(weak, rest_state(1.2 * axis / np.linalg.norm(axis)), MpcConfig(horizon=10))
+        assert len(calls) == solution.iterations >= 5
+        for step, held, first in calls:
+            assert held >= 1
+            assert step == 1.0 / max(1.0, float(np.linalg.norm(first)))
 
 
 class TestNonFiniteWarmStart:

@@ -154,6 +154,12 @@ class OracleObjective(_Objective):
         return grad, base_value
 
 
+# The reference's first Barzilai-Borwein step, divided by max(1, |grad|), and
+# the upper bound on every step; the lower bound is the package's STEP_MIN.
+STEP_INIT = 1.0
+STEP_MAX = 1e3
+
+
 def oracle_projected_gradient(objective, torques, settings):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
@@ -161,7 +167,7 @@ def oracle_projected_gradient(objective, torques, settings):
     takes the package descent's arguments."""
     system = objective.system
     grad, value = objective.gradient(torques)
-    bb_step = mpc.STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
+    bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
     small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
@@ -169,7 +175,7 @@ def oracle_projected_gradient(objective, torques, settings):
         if kkt <= settings.grad_tol:
             break
         iterations += 1
-        alpha = float(np.clip(bb_step, mpc.STEP_MIN, mpc.STEP_MAX))
+        alpha = float(np.clip(bb_step, mpc.STEP_MIN, STEP_MAX))
         accepted = False
         for _ in range(60):
             candidate = system.project_control(torques - alpha * grad)
@@ -191,7 +197,7 @@ def oracle_projected_gradient(objective, torques, settings):
         if curvature > 0.0:
             bb_step = float((step_vec * step_vec).sum()) / curvature
         else:
-            bb_step = mpc.STEP_INIT
+            bb_step = STEP_INIT
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
         if improvement <= settings.ftol_rel * max(1.0, abs(value)):
@@ -444,6 +450,15 @@ def lean_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
     return objective.value(lean_tail(objective, x_start, tail), stage_prefix, short_prefix)
 
 
+class HighFloorAttitude(SpacecraftAttitudeSystem):
+    """The attitude system with a solvability floor of 9e-3, which puts the
+    margins of a first torque near 200 N m about z on both sides of it."""
+
+    @property
+    def step_margin_floor(self):
+        return 9e-3
+
+
 class TestLeanTailValue:
     """The value of a tail from the package's rollout runner against the
     value of a full :func:`rollout_data` of the same tail, and a tail
@@ -453,7 +468,7 @@ class TestLeanTailValue:
         # From rest, a first torque of 199.1-199.9 N m about z leaves a margin
         # of 1 - (h^2 tau)^2 / 4, about 0.002-0.018: mostly below the 0.009
         # floor, and later steps fall short or become unsolvable.
-        system = SpacecraftAttitudeSystem(ref_design, solvability_floor=9e-3)
+        system = HighFloorAttitude(ref_design)
         objective = _Objective(system, SpacecraftState.identity(), 1e4)
         rng = np.random.default_rng(11)
         short_tails = 0
@@ -498,7 +513,7 @@ class TestLeanTailValue:
     def test_tail_run_on_equals_tail_run_at_once(self, ref_design):
         # The same near-floor tails as above, split after each step: the
         # carried-tail gradient depends on this equality.
-        system = SpacecraftAttitudeSystem(ref_design, solvability_floor=9e-3)
+        system = HighFloorAttitude(ref_design)
         objective = _Objective(system, SpacecraftState.identity(), 1e4)
         rng = np.random.default_rng(12)
         seen = {"short": 0, "unsolvable": 0}

@@ -110,15 +110,19 @@ def test_configuration_and_design_file_reject_alike(ref_design, kind, label):
     assert len(reasons) == 1, reasons
 
 
-# Inputs that np.asarray(..., dtype=float) cannot convert: a word, an object,
-# a dict, a ragged nesting and a word among numbers.  (None converts, to NaN,
-# and fails the shape or finiteness check, which names the argument.)
+# Inputs that are not arrays of real numbers: a word, an object, a dict, a
+# ragged nesting and a word among numbers, which np.asarray(..., dtype=float)
+# cannot convert; words that spell numbers, which it parses; and an integer
+# beyond the float range, on which it raises OverflowError.  (None converts,
+# to NaN, and fails the shape or finiteness check, which names the argument.)
 NON_NUMERIC = {
     "word": "abc",
     "object": object(),
     "dict": {"x": 1.0},
     "ragged": [[0.0, 0.0, 0.0], [0.0, 0.0]],
     "word entry": [0.0, "a", 0.0],
+    "numeric words": ["1", "2", "3"],
+    "overflow": [10**400, 0.0, 0.0],
 }
 
 # (public entry, the argument it names, the call with the bad value and the
@@ -142,8 +146,9 @@ NON_NUMERIC_ENTRIES = {
 @pytest.mark.parametrize("label", NON_NUMERIC)
 def test_non_numeric_input_raises_value_error_naming_the_argument(ref_system, entry, label):
     # Before, a word reached numpy's own message ("could not convert string
-    # to float: 'abc'"), which names no argument, and an object a bare
-    # TypeError.
+    # to float: 'abc'"), which names no argument, an object a bare
+    # TypeError, numeric words converted to their numbers and an overflowing
+    # integer raised a bare OverflowError.
     name, call = NON_NUMERIC_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an array of real numbers, got "):
         call(NON_NUMERIC[label], ref_system)
