@@ -1,6 +1,11 @@
 """Command-line interface: terminal design, closed-loop simulation, and
 verification suites, all driven by a JSON configuration file.
 
+Each configuration key is declared once, on the :class:`RunConfig` field
+that it fills: its dotted key, its entry in the reference configuration and
+its converter.  :func:`default_config_dict`, the unknown-key check and the
+conversions of :func:`parse_config` read these declarations.
+
 Exit codes, set by :func:`main` alone: 0 success, 1 verification failure,
 2 usage, configuration, design or file error, 3 runtime infeasibility.
 """
@@ -8,6 +13,7 @@ Exit codes, set by :func:`main` alone: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import os
 import sys
@@ -47,61 +53,9 @@ from .validation import as_fraction, as_integer, as_matrix, as_positive, as_vect
 VERIFY_SUITES = ("conservation", "local-law", "lyapunov", "discontinuity", "all")
 
 
-@dataclass
-class RunConfig:
-    """Parsed configuration; every field has a working default."""
-
-    inertia: np.ndarray
-    h: float
-    weights: StageWeights
-    horizon: int
-    torque_bound: float
-    solver: SolverSettings
-    terminal_samples: int
-    terminal_shrink: float
-    initial_attitude: np.ndarray
-    initial_rate: np.ndarray
-    n_steps: int
-    seed: int
-    distance_tol: float
-    out_dir: str
-    csv_cadence: int
-    snapshot_seconds: float
-    raw: dict = field(default_factory=dict)
-    # Dotted keys the configuration file sets, as opposed to defaults.
-    explicit: frozenset = frozenset()
-
-
-def default_config_dict() -> dict:
-    """The reference configuration, from the library's defaults.
-    ``weights.Q_f`` has no entry: when omitted it follows
-    ``physical.J_kgm2``, as in :func:`default_weights`."""
-    return {
-        "physical": {"J_kgm2": np.diag(DEFAULT_INERTIA).tolist(), "h_seconds": DEFAULT_STEP_SECONDS},
-        "weights": {"Q_g": DEFAULT_ATTITUDE_WEIGHT, "R": DEFAULT_TORQUE_WEIGHT, "lambda": DEFAULT_DECAY},
-        "mpc": {
-            "N": DEFAULT_HORIZON,
-            "tau_max_Nm": DEFAULT_TORQUE_BOUND,
-            "solver": {},
-        },
-        "terminal": {"n_samples": DEFAULT_TERMINAL_SAMPLES, "shrink": DEFAULT_TERMINAL_SHRINK},
-        "experiment": {
-            "initial_attitude_axis_angle_rad": [0.0, 0.0, 3.141592653589793],
-            "initial_rate_rad_s": [0.0, 0.0, 0.0],
-            "n_steps": 120,
-            "seed": 0,
-            "distance_tol": DEFAULT_DISTANCE_TOL,
-        },
-        "output": {"directory": "out", "csv_cadence_steps": 1, "snapshot_seconds": 2.0},
-    }
-
-
-def _entry(data: dict, key: str, convert, *args):
-    """``convert(value, *args)`` of the entry at the dotted ``key`` of
-    ``data``; a ``ValueError`` becomes a ConfigError naming the key."""
-    value = data
-    for part in key.split("."):
-        value = value[part]
+def _converted(key: str, value, convert, *args):
+    """``convert(value, *args)``; a ``ValueError`` becomes a ConfigError
+    naming ``key``."""
     try:
         return convert(value, *args)
     except ValueError as err:
@@ -117,6 +71,88 @@ def _matrix3(value) -> np.ndarray:
     return as_matrix(value, (3, 3), True)
 
 
+def _directory(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"must be a non-empty string, got {value!r}")
+    return value
+
+
+def _solver(value) -> SolverSettings:
+    """The settings of an object of :class:`SolverSettings` fields, each
+    checked alone, so that an error names ``mpc.solver.<field>``."""
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    for name, setting in value.items():
+        key = f"mpc.solver.{name}"
+        if name not in {f.name for f in fields(SolverSettings)}:
+            raise ConfigError(key, "unknown configuration key")
+        _converted(key, setting, lambda value: SolverSettings(**{name: value}))
+    return SolverSettings(**value)
+
+
+def _key(key: str, default, convert, *args):
+    """A :class:`RunConfig` field read from the dotted configuration ``key``
+    as ``convert(value, *args)``; ``default`` is the key's entry in the
+    reference configuration, None for none."""
+    return field(metadata={"key": key, "default": default, "convert": convert, "args": args})
+
+
+@dataclass
+class RunConfig:
+    """Parsed configuration.  Each field but the last three declares its
+    key; the fields are converted in this order, so the first bad key is
+    the one named.  ``weights`` is assembled from the four weight fields."""
+
+    inertia: np.ndarray = _key("physical.J_kgm2", np.diag(DEFAULT_INERTIA).tolist(), _matrix3)
+    h: float = _key("physical.h_seconds", DEFAULT_STEP_SECONDS, as_positive, False)
+    attitude_weight: np.ndarray = _key("weights.Q_g", DEFAULT_ATTITUDE_WEIGHT, _matrix3)
+    # When omitted, Q_f follows physical.J_kgm2, as in default_weights.
+    rate_weight: np.ndarray = _key("weights.Q_f", None, _matrix3)
+    torque_weight: np.ndarray = _key("weights.R", DEFAULT_TORQUE_WEIGHT, _matrix3)
+    decay: float = _key("weights.lambda", DEFAULT_DECAY, as_positive, False)
+    horizon: int = _key("mpc.N", DEFAULT_HORIZON, as_integer, 1)
+    torque_bound: float = _key("mpc.tau_max_Nm", DEFAULT_TORQUE_BOUND, as_positive, True)
+    solver: SolverSettings = _key("mpc.solver", {}, _solver)
+    terminal_samples: int = _key("terminal.n_samples", DEFAULT_TERMINAL_SAMPLES, as_integer, 1)
+    terminal_shrink: float = _key("terminal.shrink", DEFAULT_TERMINAL_SHRINK, as_fraction)
+    initial_attitude: np.ndarray = _key(
+        "experiment.initial_attitude_axis_angle_rad", [0.0, 0.0, 3.141592653589793], as_vector3
+    )
+    initial_rate: np.ndarray = _key("experiment.initial_rate_rad_s", [0.0, 0.0, 0.0], as_vector3)
+    n_steps: int = _key("experiment.n_steps", 120, as_integer, 1)
+    seed: int = _key("experiment.seed", 0, as_integer, 0)
+    distance_tol: float = _key("experiment.distance_tol", DEFAULT_DISTANCE_TOL, as_positive, False)
+    out_dir: str = _key("output.directory", "out", _directory)
+    csv_cadence: int = _key("output.csv_cadence_steps", 1, as_integer, 1)
+    snapshot_seconds: float = _key("output.snapshot_seconds", 2.0, as_positive, False)
+    raw: dict
+    # Dotted keys the configuration file sets, as opposed to defaults.
+    explicit: frozenset
+    weights: StageWeights = field(init=False)
+
+    def __post_init__(self):
+        try:
+            self.weights = StageWeights(self.attitude_weight, self.rate_weight, self.torque_weight, self.decay)
+        except ValueError as err:
+            raise ConfigError("weights.lambda", str(err)) from None
+
+
+# Each declared field, by its dotted key.
+_DECLARED = {f.metadata["key"]: f for f in fields(RunConfig) if f.metadata}
+
+
+def default_config_dict() -> dict:
+    """The reference configuration, from the declarations.  ``weights.Q_f``
+    has no entry: when omitted it follows ``physical.J_kgm2``, as in
+    :func:`default_weights`."""
+    config = {}
+    for key, f in _DECLARED.items():
+        if f.metadata["default"] is not None:
+            section, name = key.split(".")
+            config.setdefault(section, {})[name] = copy.deepcopy(f.metadata["default"])
+    return config
+
+
 def parse_config(data: dict) -> RunConfig:
     """Validate a configuration dictionary, naming the offending key on error."""
     merged = default_config_dict()
@@ -125,72 +161,18 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(section, "unknown configuration section")
         if not isinstance(content, dict):
             raise ConfigError(section, "must be an object")
-        for key in content:
-            if key not in merged[section] and (section, key) != ("weights", "Q_f"):
-                raise ConfigError(f"{section}.{key}", "unknown configuration key")
+        for name in content:
+            if f"{section}.{name}" not in _DECLARED:
+                raise ConfigError(f"{section}.{name}", "unknown configuration key")
         merged[section].update(content)
-
     merged["weights"].setdefault("Q_f", merged["physical"]["J_kgm2"])
 
-    inertia = _entry(merged, "physical.J_kgm2", _matrix3)
-    h = _entry(merged, "physical.h_seconds", as_positive, False)
-
-    attitude = _entry(merged, "weights.Q_g", _matrix3)
-    rate = _entry(merged, "weights.Q_f", _matrix3)
-    torque = _entry(merged, "weights.R", _matrix3)
-    decay = _entry(merged, "weights.lambda", as_positive, False)
-    try:
-        weights = StageWeights(attitude, rate, torque, decay)
-    except ValueError as err:
-        raise ConfigError("weights.lambda", str(err)) from None
-
-    horizon = _entry(merged, "mpc.N", as_integer, 1)
-    torque_bound = _entry(merged, "mpc.tau_max_Nm", as_positive, True)
-    settings = merged["mpc"]["solver"]
-    if not isinstance(settings, dict):
-        raise ConfigError("mpc.solver", "must be an object")
-    for name in settings:
-        if name not in {f.name for f in fields(SolverSettings)}:
-            raise ConfigError(f"mpc.solver.{name}", "unknown configuration key")
-        # This field alone, so that an error is this field's.
-        _entry(merged, f"mpc.solver.{name}", lambda value: SolverSettings(**{name: value}))
-    solver = SolverSettings(**settings)
-
-    terminal_samples = _entry(merged, "terminal.n_samples", as_integer, 1)
-    terminal_shrink = _entry(merged, "terminal.shrink", as_fraction)
-
-    initial_attitude = _entry(merged, "experiment.initial_attitude_axis_angle_rad", as_vector3)
-    initial_rate = _entry(merged, "experiment.initial_rate_rad_s", as_vector3)
-    n_steps = _entry(merged, "experiment.n_steps", as_integer, 1)
-    seed = _entry(merged, "experiment.seed", as_integer, 0)
-    distance_tol = _entry(merged, "experiment.distance_tol", as_positive, False)
-
-    out_dir = merged["output"]["directory"]
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError("output.directory", f"must be a non-empty string, got {out_dir!r}")
-    csv_cadence = _entry(merged, "output.csv_cadence_steps", as_integer, 1)
-    snapshot_seconds = _entry(merged, "output.snapshot_seconds", as_positive, False)
-
-    return RunConfig(
-        inertia=inertia,
-        h=h,
-        weights=weights,
-        horizon=horizon,
-        torque_bound=torque_bound,
-        solver=solver,
-        terminal_samples=terminal_samples,
-        terminal_shrink=terminal_shrink,
-        initial_attitude=initial_attitude,
-        initial_rate=initial_rate,
-        n_steps=n_steps,
-        seed=seed,
-        distance_tol=distance_tol,
-        out_dir=out_dir,
-        csv_cadence=csv_cadence,
-        snapshot_seconds=snapshot_seconds,
-        raw=merged,
-        explicit=frozenset(f"{section}.{key}" for section, content in data.items() for key in content),
-    )
+    values = {}
+    for key, f in _DECLARED.items():
+        section, name = key.split(".")
+        values[f.name] = _converted(key, merged[section][name], f.metadata["convert"], *f.metadata["args"])
+    explicit = frozenset(f"{section}.{name}" for section, content in data.items() for name in content)
+    return RunConfig(**values, raw=merged, explicit=explicit)
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -218,7 +200,7 @@ def _command_config(args) -> RunConfig:
     """The configuration named by ``--config``, with ``--seed`` applied."""
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg.seed = _entry({"--seed": args.seed}, "--seed", as_integer, 0)
+        cfg.seed = _converted("--seed", args.seed, as_integer, 0)
     return cfg
 
 
@@ -234,39 +216,29 @@ def _design(cfg: RunConfig) -> TerminalDesign:
     )
 
 
-def _design_values(source) -> dict:
-    """The entries that a design fixes, of a :class:`TerminalDesign` or a
-    :class:`RunConfig`, keyed by their configuration keys."""
-    weights = source.weights
-    return {
-        "physical.h_seconds": source.h,
-        "physical.J_kgm2": source.inertia,
-        "weights.Q_g": weights.attitude,
-        "weights.Q_f": weights.rate,
-        "weights.R": weights.torque,
-        "weights.lambda": weights.decay,
-    }
-
-
 def _adopt_design(cfg: RunConfig, design: TerminalDesign, path: str) -> None:
     """Take h, J and the weights of the design read from ``path`` into
     ``cfg``.  A key that the configuration file sets to another value is a
     ConfigError naming the key and both values; a key left at its default
     takes the design's value, in ``cfg.raw`` too, so that a summary records
     what ran."""
-    configured = _design_values(cfg)
-    for key, value in _design_values(design).items():
-        if np.array_equal(value, configured[key]):
-            continue
-        if key in cfg.explicit:
-            raise ConfigError(
-                key,
-                f"is {np.asarray(configured[key]).tolist()} in the configuration but "
-                f"{np.asarray(value).tolist()} in the design file {path}",
-            )
-        section, name = key.split(".")
-        cfg.raw[section][name] = np.asarray(value).tolist()
-    cfg.h, cfg.inertia, cfg.weights = design.h, design.inertia, design.weights
+    w = design.weights
+    values = {"h": design.h, "inertia": design.inertia, "attitude_weight": w.attitude,
+              "rate_weight": w.rate, "torque_weight": w.torque, "decay": w.decay}
+    keys = {f.name: key for key, f in _DECLARED.items()}
+    for name, value in values.items():
+        key, configured = keys[name], getattr(cfg, name)
+        if not np.array_equal(value, configured):
+            if key in cfg.explicit:
+                raise ConfigError(
+                    key,
+                    f"is {np.asarray(configured).tolist()} in the configuration but "
+                    f"{np.asarray(value).tolist()} in the design file {path}",
+                )
+            section, entry = key.split(".")
+            cfg.raw[section][entry] = np.asarray(value).tolist()
+        setattr(cfg, name, value)
+    cfg.weights = w
 
 
 def _output_dir(args, cfg: RunConfig) -> str:

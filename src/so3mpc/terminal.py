@@ -639,9 +639,9 @@ def calibrate_level(
     h: float,
     inertia,
     torque_bound: float,
-    n_samples: int = DEFAULT_TERMINAL_SAMPLES,
-    shrink: float = DEFAULT_TERMINAL_SHRINK,
-    seed: int = 0,
+    n_samples: int,
+    shrink: float,
+    seed: int,
 ) -> tuple[float, Certification]:
     """Largest certified level of the terminal ellipsoid.
 

@@ -23,15 +23,28 @@ ROTATION_ATOL = 1e-9
 SPD_SYMMETRY_RTOL = 1e-12
 
 
+def _holds_bool(a) -> bool:
+    """Whether ``a``, or an entry of a (nested) list or tuple of it, is a
+    boolean or a boolean array."""
+    if isinstance(a, (list, tuple)):
+        return any(map(_holds_bool, a))
+    return isinstance(a, (bool, np.bool_)) or isinstance(a, np.ndarray) and a.dtype.kind == "b"
+
+
 def _float_array(a, name: str) -> np.ndarray:
     """``a`` as a float array.  An input that is not numbers (a word, also
-    one that spells a number, an object, a ragged nesting) or that overflows
-    a float raises ``ValueError`` naming ``name``, where numpy would parse
-    the string or raise its own error."""
+    one that spells a number, a boolean, an object, a ragged nesting) or
+    that overflows a float raises ``ValueError`` naming ``name``, where numpy
+    would parse the string, read a boolean as 0 or 1, or raise its own error.
+    An array is judged by its dtype alone, unless it holds objects."""
     try:
         arr = np.asarray(a)
         kind = arr.dtype.kind
-        if kind in "SU" or kind == "O" and any(isinstance(v, (str, bytes)) for v in arr.flat):
+        if (
+            kind in "SUb"
+            or kind == "O" and any(isinstance(v, (str, bytes, bool, np.bool_)) for v in arr.flat)
+            or not isinstance(a, np.ndarray) and _holds_bool(a)
+        ):
             raise TypeError
         return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
@@ -48,11 +61,11 @@ def _check_finite(a, shape: tuple, name: str) -> np.ndarray:
     return arr
 
 
-def check_vector3(v, name: str = "v") -> np.ndarray:
+def check_vector3(v, name: str) -> np.ndarray:
     return _check_finite(v, (3,), name)
 
 
-def check_rotation(r, name: str = "R") -> np.ndarray:
+def check_rotation(r, name: str) -> np.ndarray:
     """Check membership in SO(3): orthogonal and det = +1, both within
     ``ROTATION_ATOL``."""
     arr = _check_finite(r, (3, 3), name)
@@ -65,7 +78,7 @@ def check_rotation(r, name: str = "R") -> np.ndarray:
     return arr
 
 
-def check_spd(a, name: str = "A") -> np.ndarray:
+def check_spd(a, name: str) -> np.ndarray:
     """Check symmetric positive-definiteness (any square size).  The
     symmetry check divides by the largest entry when it exceeds 1, so that
     the norms of a matrix with huge entries do not overflow."""

@@ -36,7 +36,38 @@ def fast_config(tmp_path):
     return str(path)
 
 
+# The reference configuration, written out: a change to a declaration in
+# so3mpc.cli that moves a default fails here.  weights.Q_f has no entry, as
+# it follows physical.J_kgm2.
+REFERENCE_CONFIG = {
+    "physical": {"J_kgm2": [1.0, 1.2, 1.5], "h_seconds": 0.1},
+    "weights": {"Q_g": 1.0, "R": 2.0, "lambda": 0.1},
+    "mpc": {"N": 10, "tau_max_Nm": 100.0, "solver": {}},
+    "terminal": {"n_samples": 1000, "shrink": 0.9},
+    "experiment": {
+        "initial_attitude_axis_angle_rad": [0.0, 0.0, 3.141592653589793],
+        "initial_rate_rad_s": [0.0, 0.0, 0.0],
+        "n_steps": 120,
+        "seed": 0,
+        "distance_tol": 0.01,
+    },
+    "output": {"directory": "out", "csv_cadence_steps": 1, "snapshot_seconds": 2.0},
+}
+
+CONFIG_KEYS = [f"{section}.{key}" for section, entries in REFERENCE_CONFIG.items() for key in entries]
+
+
 class TestConfigParsing:
+    def test_reference_configuration(self):
+        assert default_config_dict() == REFERENCE_CONFIG
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS + ["weights.Q_f"])
+    def test_every_key_is_converted_and_named(self, key):
+        section, name = key.split(".")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config({section: {name: ["x"]}})
+        assert excinfo.value.key == key
+
     def test_defaults_parse(self):
         cfg = parse_config({})
         assert cfg.horizon == 10

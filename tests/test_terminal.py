@@ -21,6 +21,7 @@ from so3mpc.experiments import certify_local_law
 from so3mpc.lgvi import SpacecraftState, lgvi_step, step_with_margin
 from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
+    DEFAULT_TERMINAL_SHRINK,
     Linearization,
     QuadraticCostData,
     StageWeights,
@@ -526,7 +527,7 @@ class TestCalibration:
     def test_tiny_torque_bound_shrinks_level(self, ref_design, ref_weights):
         level_small, _ = calibrate_level(
             ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
-            torque_bound=1e-3, n_samples=200, seed=0,
+            torque_bound=1e-3, n_samples=200, shrink=DEFAULT_TERMINAL_SHRINK, seed=0,
         )
         assert level_small < ref_design.c
 
@@ -535,7 +536,7 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_level(
                 ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
-                TORQUE_BOUND_REF, n_samples=0,
+                TORQUE_BOUND_REF, n_samples=0, shrink=DEFAULT_TERMINAL_SHRINK, seed=0,
             )
 
     def test_vanishing_torque_bound_infeasible(self, ref_design, ref_weights):
@@ -543,7 +544,7 @@ class TestCalibration:
         with pytest.raises(NoFeasibleLevel):
             calibrate_level(
                 ref_design.P, ref_design.K, ref_weights, H_REF, J_REF,
-                torque_bound=1e-9, n_samples=200, seed=0,
+                torque_bound=1e-9, n_samples=200, shrink=DEFAULT_TERMINAL_SHRINK, seed=0,
             )
 
     @pytest.mark.parametrize(

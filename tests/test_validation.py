@@ -3,6 +3,7 @@ converters that the configuration and the design file share."""
 
 import math
 
+import numpy as np
 import pytest
 
 from so3mpc.attitude import rest_state, spinning_state
@@ -28,9 +29,9 @@ def test_rotation_tolerance(factor, rejected):
     scaled = (1.0 + factor * ROTATION_ATOL) * exp_so3([0.3, -0.2, 0.5])
     if rejected:
         with pytest.raises(NotRotation, match="not orthogonal"):
-            check_rotation(scaled)
+            check_rotation(scaled, "R")
     else:
-        check_rotation(scaled)
+        check_rotation(scaled, "R")
 
 
 @pytest.mark.parametrize("factor, rejected", [(1.0, False), (2.0, True)])
@@ -42,9 +43,9 @@ def test_spd_symmetry_tolerance_is_relative(factor, rejected):
     a[0, 1] = factor * 1e3 * SPD_SYMMETRY_RTOL
     if rejected:
         with pytest.raises(NotPositiveDefinite, match="not symmetric"):
-            check_spd(a)
+            check_spd(a, "A")
     else:
-        check_spd(a)
+        check_spd(a, "A")
 
 
 # One bad value of each sort, by name.
@@ -112,8 +113,9 @@ def test_configuration_and_design_file_reject_alike(ref_design, kind, label):
 
 # Inputs that are not arrays of real numbers: a word, an object, a dict, a
 # ragged nesting and a word among numbers, which np.asarray(..., dtype=float)
-# cannot convert; words that spell numbers, which it parses; and an integer
-# beyond the float range, on which it raises OverflowError.  (None converts,
+# cannot convert; words that spell numbers, which it parses; an integer
+# beyond the float range, on which it raises OverflowError; and booleans,
+# alone or among numbers, which it reads as 0 and 1.  (None converts,
 # to NaN, and fails the shape or finiteness check, which names the argument.)
 NON_NUMERIC = {
     "word": "abc",
@@ -123,6 +125,8 @@ NON_NUMERIC = {
     "word entry": [0.0, "a", 0.0],
     "numeric words": ["1", "2", "3"],
     "overflow": [10**400, 0.0, 0.0],
+    "booleans": [True, False, True],
+    "boolean entry": [True, 0.0, 1.0],
 }
 
 # (public entry, the argument it names, the call with the bad value and the
@@ -152,3 +156,19 @@ def test_non_numeric_input_raises_value_error_naming_the_argument(ref_system, en
     name, call = NON_NUMERIC_ENTRIES[entry]
     with pytest.raises(ValueError, match=f"^{name} must be an array of real numbers, got "):
         call(NON_NUMERIC[label], ref_system)
+
+
+@pytest.mark.parametrize(
+    "torque",
+    [
+        np.array([True, False, True]),
+        np.array([True, 0.0, 1.0], dtype=object),
+        [np.bool_(True), 0.0, 1.0],
+        [0.0, np.array(True), 1.0],
+    ],
+    ids=["boolean dtype", "object array", "numpy boolean entry", "boolean array entry"],
+)
+def test_boolean_arrays_and_entries_rejected(torque):
+    # numpy reads each as the torque (1, 0, 1).
+    with pytest.raises(ValueError, match="^torque must be an array of real numbers, got "):
+        lgvi_step(SpacecraftState.identity(), torque, H_REF, J_REF)
