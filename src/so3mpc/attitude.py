@@ -7,8 +7,9 @@ ones :func:`~so3mpc.lgvi.step_with_margin` builds from entries: the step, the
 stage cost and the terminal cost read Python floats, and arrays are built
 only where a caller reads them, in ``OcpSolution.states``,
 ``ClosedLoopRun.states`` and :meth:`~SpacecraftAttitudeSystem.quadratic_model`.
-The solver's penalty charges every predicted step whose solvability margin
-falls below the fixed ``SOLVABILITY_FLOOR``.
+A predicted step whose solvability margin falls below the fixed
+:data:`~so3mpc.lgvi.SOLVABILITY_FLOOR` counts as unsolvable, so every
+prediction the solver values stays inside the floor.
 ``AttitudeMpc`` wraps the whole pipeline: hyperparameters in the
 constructor, the expensive design work in ``fit``, the control law at one
 state in ``predict``, and the closed loop in ``simulate``.
@@ -20,10 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import OutOfChart
+from .errors import NotSolvable, OutOfChart
 from .lgvi import (
     DEFAULT_INERTIA,
     DEFAULT_STEP_SECONDS,
+    SOLVABILITY_FLOOR,
     SpacecraftState,
     _inertia_constants,
     check_state,
@@ -59,11 +61,6 @@ from .terminal import (
 )
 from .validation import as_parameter, as_positive, check_vector3
 
-# Smallest solvability margin a predicted step may keep; the penalty charges
-# the shortfall below it.  It lies in [0, lgvi.MARGIN_CUTOFF), below the
-# margins that the step reports as a bound instead of LAPACK's value.
-SOLVABILITY_FLOOR = 1e-6
-
 
 class SpacecraftAttitudeSystem(ManifoldSystem):
     """Attitude dynamics on SO(3) x SO(3) with a calibrated terminal design."""
@@ -88,15 +85,21 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
 
     def step_with_margin(self, x: SpacecraftState, u, near: Optional[SpacecraftState] = None):
         """:func:`~so3mpc.lgvi.step_with_margin`, its implicit solve started at
-        the increment of ``near`` when one is given."""
-        return step_with_margin(x, u, self.h, self._constants, near)
+        the increment of ``near`` when one is given.  A margin below
+        ``SOLVABILITY_FLOOR`` raises :class:`~so3mpc.errors.NotSolvable`: the
+        floor bounds the domain of the predictions.  The floor lies in
+        [0, ``MARGIN_CUTOFF``), so it is compared with LAPACK's margin, not
+        with the bound the step reports above the cutoff."""
+        successor, margin = step_with_margin(x, u, self.h, self._constants, near)
+        if margin < SOLVABILITY_FLOOR:
+            raise NotSolvable(
+                f"implicit step outside the domain: min eig of J^2 + M^2/4 is {margin:.3e}, "
+                f"below the floor {SOLVABILITY_FLOOR:.0e}"
+            )
+        return successor, margin
 
     def step_near(self, x: SpacecraftState, u, near: SpacecraftState):
         return self.step_with_margin(x, u, near)
-
-    @property
-    def step_margin_floor(self) -> float:
-        return SOLVABILITY_FLOOR
 
     def distance(self, x1: SpacecraftState, x2: SpacecraftState) -> float:
         return max(

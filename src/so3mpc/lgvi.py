@@ -48,13 +48,17 @@ _NEWTON_MAX_ITERS = 50
 
 # The solvability gate.  LAPACK's smallest eigenvalue of J^2 + M^2/4 (the
 # margin) is computed only where a certified lower bound on it falls below
-# MARGIN_CUTOFF.  Every threshold the margin is compared with (zero, and a
-# solvability floor, which must lie below the cutoff) is then compared with
+# MARGIN_CUTOFF.  Every threshold the margin is compared with (zero, and
+# SOLVABILITY_FLOOR, which must lie below the cutoff) is then compared with
 # LAPACK's value.  _MARGIN_ALLOWANCE, relative to |J|^2 + |m|^2/4, covers
 # the round-off of the bound and of LAPACK's eigenvalue: it is about 450
 # ulps of that scale, where LAPACK's error on these 3x3 matrices is a few.
 MARGIN_CUTOFF = 1e-2
 _MARGIN_ALLOWANCE = 1e-13
+# Smallest margin of a step inside the solver's domain: the attitude system
+# reports a predicted step below it as unsolvable, and the terminal-set
+# certificate counts a sample below it as a failed step.
+SOLVABILITY_FLOOR = 1e-6
 
 DEFAULT_INERTIA = np.diag([1.0, 1.2, 1.5])
 DEFAULT_STEP_SECONDS = 0.1

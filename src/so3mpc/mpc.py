@@ -4,13 +4,18 @@ The layer is generic: any :class:`ManifoldSystem` supplies the discrete
 dynamics, a metric, stage and terminal costs, a terminal set level, a local
 feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
-sequence, with box bounds handled by projection, the terminal-set and
-step-solvability constraints by a growing quadratic penalty, and gradients
-by central finite differences of the rollout cost.  Each penalty round
-descends along a limited-memory BFGS direction with two-metric projection
-onto the box (Bertsekas, 1982): the quasi-Newton step acts on the free
-entries, and entries that the box holds against an outward gradient take
-the projected-gradient step, of length 1 / max(1, |grad|) at the round's
+sequence, with box bounds handled by projection, the terminal-set constraint
+by a growing quadratic penalty, and gradients by central finite differences
+of the rollout cost.  The predictions are defined where every step is: a
+step that the system reports unsolvable
+(:class:`~so3mpc.errors.NotSolvable`) lies outside the objective's domain,
+so the line search backs off from a trial that takes one and a
+finite-difference tail that takes one gives way to the one-sided
+difference (Nocedal & Wright, *Numerical Optimization*, ch. 3).  Each
+penalty round descends along a limited-memory BFGS direction with two-metric
+projection onto the box (Bertsekas, 1982): the quasi-Newton step acts on the
+free entries, and entries that the box holds against an outward gradient
+take the projected-gradient step, of length 1 / max(1, |grad|) at the round's
 first gradient for the whole round.  The recursion's initial inverse Hessian
 is the inverse of the Gauss-Newton Hessian of the horizon cost along the
 rollout of the current iterate (Bock & Plitt, 1984), time-varying as in
@@ -31,11 +36,11 @@ real-time iteration, applied to the gradient.  Each step of a perturbed tail
 is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
-as a pure function of state and control.  A record sums its stage costs and
-squared shortfalls as it goes, in Python floats and in step order; only the
-predictions that a caller reads per step keep per-step values, so a tail
-builds no array, and a tail's sums start at zero at its first state, so a
-carried tail run on by one step equals a fresh one bit for bit.
+as a pure function of state and control.  A record sums its stage costs as
+it goes, in Python floats and in step order; only the predictions that a
+caller reads per step keep per-step values, so a tail builds no array, and a
+tail's sum starts at zero at its first state, so a carried tail run on by one
+step equals a fresh one bit for bit.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -106,6 +111,12 @@ class ManifoldSystem(abc.ABC):
     once per rollout or per gradient.  :meth:`step` and the calls outside a
     prediction (the closed loop's plant step and stage cost, the cold-start
     guess) receive the float array the solver returns.
+
+    The predictions step through :meth:`step_with_margin` and
+    :meth:`step_near`, and their domain is where these return: a step that
+    raises :class:`~so3mpc.errors.NotSolvable` is one that the solver never
+    values.  A system narrows that domain by raising there, as the attitude
+    system does below its solvability floor.
     """
 
     control_dim: int = 0
@@ -166,7 +177,8 @@ class ManifoldSystem(abc.ABC):
         return np.asarray(u, dtype=float)
 
     def step_with_margin(self, x, u):
-        """Dynamics step plus the solvability margin it consumed.
+        """Dynamics step plus the solvability margin it consumed; raises
+        :class:`~so3mpc.errors.NotSolvable` outside the predictions' domain.
 
         Systems without an implicit step report an infinite margin.
         """
@@ -181,11 +193,6 @@ class ManifoldSystem(abc.ABC):
         default ``near`` is ignored."""
         return self.step_with_margin(x, u)
 
-    @property
-    def step_margin_floor(self) -> float:
-        """Required solvability margin inside predicted rollouts."""
-        return 0.0
-
 
 @dataclass(frozen=True)
 class SolverSettings:
@@ -197,9 +204,9 @@ class SolverSettings:
     favor closed-loop throughput, where warm starts carry most of the
     optimality and the stability guarantees do not depend on solving to
     high precision.  ``max_iters`` caps the iterations of one penalty round,
-    and ``outer_rounds`` the rounds; a round whose violation is within
-    ``constraint_tol`` ends the solve.  The penalty schedule and line search
-    are the module constants above.
+    and ``outer_rounds`` the rounds; a round whose terminal value exceeds the
+    terminal level by at most ``constraint_tol`` ends the solve.  The
+    penalty schedule and line search are the module constants above.
 
     The counts must be positive integers, where a float with an integral
     value counts, and the tolerances positive and finite numbers; anything
@@ -243,6 +250,10 @@ class OcpSolution:
     would serve only this report.  A stop on ``grad_tol``, on a failed line
     search or on ``max_iters`` reports it.
 
+    ``violation`` is how far the terminal value exceeds the terminal level,
+    zero when it does not.  Every predicted step in ``states`` lies inside
+    the system's domain: the solver values no other rollout.
+
     ``_reuse`` is what a next solve on the same system and horizon may take
     over (see :func:`solve_ocp`) and takes no part in comparisons.
     """
@@ -255,8 +266,6 @@ class OcpSolution:
     kkt_residual: Optional[float]
     violation: float
     states: tuple
-    # Per predicted step: how far the solvability margin fell below its floor.
-    shortfalls: np.ndarray
     _reuse: Optional[_Reuse] = field(default=None, compare=False, repr=False)
 
     @property
@@ -274,27 +283,25 @@ class _Reuse(NamedTuple):
 
 
 class _Rollout:
-    """A prediction rollout: the states it visits, its stage costs and
-    squared shortfalls (how far each margin fell below its floor) as running
-    sums of Python floats, added in step order, and its terminal value.  A
-    rollout run without start states (see :func:`_roll_on`) keeps every
-    state and, per step, the two sums before it (``prefixes``) and its
-    shortfall; a finite-difference tail keeps its end state only and
-    ``None`` for both lists.  None of these depends on the penalty weight.
+    """A prediction rollout: the states it visits, its stage costs as a
+    running sum of Python floats, added in step order, and its terminal
+    value.  A rollout run without start states (see :func:`_roll_on`) keeps
+    every state and, per step, the sum before it (``prefixes``); a
+    finite-difference tail keeps its end state only and ``None`` for the
+    prefixes.  None of these depends on the penalty weight.
     A gradient builds 60 of them at N = 10, so this is a slotted class: a
     ``NamedTuple``'s generated constructor takes about half as long again.
     """
 
-    __slots__ = ("states", "stage", "squared", "terminal", "prefixes", "shortfalls")
+    __slots__ = ("states", "stage", "terminal", "prefixes")
 
-    def __init__(self, states, stage, squared, terminal, prefixes, shortfalls):
-        self.states, self.stage, self.squared, self.terminal = states, stage, squared, terminal
-        self.prefixes, self.shortfalls = prefixes, shortfalls
+    def __init__(self, states, stage, terminal, prefixes):
+        self.states, self.stage, self.terminal, self.prefixes = states, stage, terminal, prefixes
 
     @classmethod
     def at(cls, x) -> _Rollout:
         """The rollout of no steps at ``x``; its terminal value is unset."""
-        return cls([x], 0.0, 0.0, math.nan, [], [])
+        return cls([x], 0.0, math.nan, [])
 
     @property
     def cost(self) -> float:
@@ -317,35 +324,31 @@ def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _R
     steps too.  With ``near``, one state per control, the run is a
     finite-difference tail: each step goes through
     :meth:`ManifoldSystem.step_near` with its state, and the record keeps the
-    end state and the sums only, all that a tail's value reads.  Holding the
+    end state and the sum only, all that a tail's value reads.  Holding the
     states of a gradient's tails alive wakes the garbage collector.
 
-    Either way the sums run on from those of ``start``, so a rollout run on
+    Either way the sum runs on from that of ``start``, so a rollout run on
     in pieces equals the same rollout run at once bit for bit.
     """
     if type(controls) is np.ndarray:
         controls = controls.tolist()
-    floor = system.step_margin_floor
-    x, stage, squared = start.states[-1], start.stage, start.squared
+    x, stage = start.states[-1], start.stage
     keep = near is None
     if keep:
-        states, prefixes, shortfalls = start.states.copy(), start.prefixes.copy(), start.shortfalls.copy()
+        states, prefixes = start.states.copy(), start.prefixes.copy()
     for i, u in enumerate(controls):
         if keep:
-            prefixes.append((stage, squared))
+            prefixes.append(stage)
         stage += system.stage_cost(x, u)
         try:
-            x, margin = system.step_with_margin(x, u) if keep else system.step_near(x, u, near[i])
+            x, _ = system.step_with_margin(x, u) if keep else system.step_near(x, u, near[i])
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
-        shortfall = floor - margin if margin < floor else 0.0
-        squared += shortfall * shortfall
         if keep:
             states.append(x)
-            shortfalls.append(shortfall)
     if keep:
-        return _Rollout(states, stage, squared, system.terminal_cost(x), prefixes, shortfalls)
-    return _Rollout([x], stage, squared, system.terminal_cost(x), None, None)
+        return _Rollout(states, stage, system.terminal_cost(x), prefixes)
+    return _Rollout([x], stage, system.terminal_cost(x), None)
 
 
 def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
@@ -388,32 +391,23 @@ class _Objective:
             return math.inf, None
         return self.value(rollout), rollout
 
-    def value(self, rollout, stage_prefix=0.0, short_prefix=0.0) -> float:
-        """Penalized value of the rollout whose first steps are summed in the
-        prefixes (stage costs and squared shortfalls) and whose last ones are
-        ``rollout``; ``math.inf`` when that is ``None``, i.e. unsolvable.
-        Each prefix and each of the rollout's sums is added once, so a tail
-        that a base rollout's prefix continues takes no per-step work here."""
+    def value(self, rollout, stage_prefix=0.0) -> float:
+        """Penalized value of the rollout whose first steps' stage costs sum
+        to ``stage_prefix`` and whose last ones are ``rollout``; ``math.inf``
+        when that is ``None``, i.e. outside the domain.  The prefix and the
+        rollout's sum are added once, so a tail that a base rollout's prefix
+        continues takes no per-step work here."""
         if rollout is None:
             return math.inf
         excess = max(0.0, rollout.terminal - self.level)
-        penalty = self.weight * (excess**2 + (short_prefix + rollout.squared))
-        return float(stage_prefix + rollout.stage + rollout.terminal + penalty)
+        return float(stage_prefix + rollout.stage + rollout.terminal + self.weight * excess**2)
 
-    def violation(self, rollout: _Rollout) -> float:
-        """The larger of the terminal value's excess over the level and the
-        largest shortfall of ``rollout``, one that keeps its steps."""
-        excess = max(0.0, rollout.terminal - self.level)
-        return max(excess, max(rollout.shortfalls, default=0.0))
-
-    def gradient(
-        self, torques: np.ndarray, base: Optional[_Rollout] = None
-    ) -> tuple[np.ndarray, float]:
+    def gradient(self, torques: np.ndarray, base: _Rollout) -> tuple[np.ndarray, float]:
         """Central-difference gradient with step ``FD_STEP``, re-simulating
         only the rollout tail affected by each perturbed control entry.
 
-        ``base`` is the rollout of ``torques`` when the caller has it (the
-        line search's accepted trial); otherwise it is rolled out here.
+        ``base`` is the rollout of ``torques``: the descent's first one, or
+        the line search's accepted trial.
         When one perturbed tail is unsolvable, the entry falls back to the
         one-sided difference against the base value; when both are, the
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
@@ -422,13 +416,13 @@ class _Objective:
         Step k of every tail is handed ``base.states[k + 1]`` through
         :meth:`ManifoldSystem.step_near`, which a carried tail's appended
         step k = N - 1 gets as well.  A tail of step i keeps its end state
-        and the sums of its own steps, from zero; its value adds them to the
-        base rollout's sums before step i, ``base.prefixes[i]``.
+        and the sum of its own stage costs, from zero; its value adds it to
+        the base rollout's sum before step i, ``base.prefixes[i]``.
 
         The tails are kept in ``last``: ``last[i][2 j]`` raises control
         entry (i, j) by ``FD_STEP`` and ``last[i][2 j + 1]`` lowers it, each
         ``None`` when a step is unsolvable.  A carried tail of step i + 1 is
-        this gradient's tail of step i without its last step, its sums
+        this gradient's tail of step i without its last step, its sum
         started at zero at the same state, and its steps were handed the same
         states (the base rollouts agree on them), so running it on gives the
         tail that a fresh run would, bit for bit.
@@ -441,8 +435,6 @@ class _Objective:
         for bit.
         """
         system = self.system
-        if base is None:
-            base = _predict(system, self.x0, torques)
         base_value = self.value(base)
         n, m = torques.shape
         carried, self.carried = self.carried, None
@@ -469,7 +461,7 @@ class _Objective:
                     except NotSolvable:
                         row.append(None)
                 first[j] = entry
-                up, down = self.value(row[-2], *prefix), self.value(row[-1], *prefix)
+                up, down = self.value(row[-2], prefix), self.value(row[-1], prefix)
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
@@ -665,11 +657,16 @@ def solve_ocp(
     """Solve the finite-horizon problem at ``x0`` by penalized shooting.
 
     The reported ``feasible`` flag certifies that the terminal value is
-    within ``constraint_tol`` of the terminal level and that every predicted
-    step kept its solvability margin; an infeasible result signals that the
-    solver could not steer ``x0`` into the terminal set, i.e. that ``x0``
-    is numerically outside the horizon's domain of attraction.  A warm start
-    of the wrong length or with a non-finite entry raises ``ValueError``.
+    within ``constraint_tol`` of the terminal level; an infeasible result
+    signals that the solver could not steer ``x0`` into the terminal set,
+    i.e. that ``x0`` is numerically outside the horizon's domain of
+    attraction.  Every predicted step lies inside the system's domain (see
+    :class:`ManifoldSystem`), since the descent starts inside it and accepts
+    no trial outside it.  A warm start of the wrong length or with a
+    non-finite entry raises ``ValueError``, and one whose own rollout leaves
+    the domain raises :class:`~so3mpc.errors.RolloutFailure` naming the
+    predicted step; the cold guess (:func:`steering_rollout`) stops steering
+    at the last step inside it.
 
     ``previous`` is the last solution on the same ``system`` object and
     horizon, if any; it changes the work done, never the result.  When
@@ -705,7 +702,7 @@ def solve_ocp(
         torques, iterations, kkt = _quasi_newton_descent(objective, torques, settings)
         total_iterations += iterations
         rollout = _predict(system, x0, torques)
-        violation = objective.violation(rollout)
+        violation = max(0.0, rollout.terminal - objective.level)
         if violation <= settings.constraint_tol:
             break
         weight *= PENALTY_GROWTH
@@ -719,7 +716,6 @@ def solve_ocp(
         kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
         states=tuple(rollout.states),
-        shortfalls=np.array(rollout.shortfalls, dtype=float),
         # An ftol_rel stop returns torques that no gradient was taken at.
         _reuse=_Reuse(system, None if kkt is None else objective.last),
     )
@@ -774,29 +770,13 @@ class MpcController:
         self._candidate = None
         if not solution.feasible:
             self._previous = None
+            level = self.system.terminal_level
             raise Infeasible(
-                "finite-horizon problem infeasible: "
-                + _violated_constraints(solution, self.system.terminal_level, self.config.solver.constraint_tol)
+                f"finite-horizon problem infeasible: terminal value {solution.terminal_value:.6g} "
+                f"exceeds the level {level:.6g} by {solution.violation:.3e}"
             )
         self._previous = solution
         return solution.first_control, solution
-
-
-def _violated_constraints(solution: OcpSolution, level: float, tol: float) -> str:
-    """Each constraint the solution violates beyond ``tol``, and by how much."""
-    failed = []
-    excess = solution.terminal_value - level
-    if excess > tol:
-        failed.append(
-            f"terminal value {solution.terminal_value:.6g} exceeds the level {level:.6g} by {excess:.3e}"
-        )
-    if solution.shortfalls.max(initial=0.0) > tol:
-        step = int(np.argmax(solution.shortfalls))
-        failed.append(
-            f"solvability margin below its floor by {solution.shortfalls[step]:.3e} "
-            f"at predicted step {step}"
-        )
-    return "; ".join(failed)
 
 
 @dataclass

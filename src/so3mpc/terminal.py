@@ -29,7 +29,7 @@ from .errors import (
     OutOfChart,
     So3MpcError,
 )
-from .lgvi import SpacecraftState, _step_rows, step_jacobians
+from .lgvi import SOLVABILITY_FLOOR, SpacecraftState, _step_rows, step_jacobians
 from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_rows
 from .validation import as_fraction, as_integer, as_matrix, as_number, as_parameter, as_positive, check_spd
 
@@ -582,9 +582,11 @@ def evaluate_level(
     :func:`~so3mpc.so3.exp_so3_rows` call maps the attitude and rate halves
     of every sample to its state, and the chart coordinates, the law, the
     stacked step, the terminal values and the stage costs each act on the
-    whole stack.  A sample whose step is unsolvable makes the terminal
-    excess infinite; the decrease defect is then taken over the samples
-    whose step is solvable.
+    whole stack.  A sample whose step margin falls below
+    :data:`~so3mpc.lgvi.SOLVABILITY_FLOOR`, the solver's domain, makes the
+    terminal excess infinite; the decrease defect is then taken over the
+    samples whose step lies inside it.  So a certified level's local-law
+    step is one that the solver's predictions may take.
 
     The logarithms, the step and the stage cost equal their single-state
     forms bit for bit; the exponentials, the law and the terminal values
@@ -607,10 +609,10 @@ def evaluate_level(
     torque = feedback(design_k, coords)
     successor, margins = _step_rows(state, torque, h, inertia)
     worst_invariance = -np.inf
-    solvable = margins >= 0.0
+    solvable = margins >= SOLVABILITY_FLOOR
     if not solvable.all():
-        # An unsolvable step is a hard violation of the invariance condition;
-        # the other margins are taken over the samples that can be stepped.
+        # A step outside the domain is a hard violation of the invariance
+        # condition; the other margins are taken over the samples inside it.
         worst_invariance = np.inf
         state, successor = (SpacecraftState(x.g[solvable], x.f[solvable]) for x in (state, successor))
         coords, torque = coords[solvable], torque[solvable]

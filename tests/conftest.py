@@ -14,6 +14,7 @@ from so3mpc.lgvi import (
     _inertia_constants,
     _momentum,
     _step_margin,
+    step_with_margin,
 )
 from so3mpc.so3 import exp_so3, hat, log_so3
 from so3mpc.terminal import default_weights, design_terminal
@@ -99,6 +100,20 @@ def check_solvability(momentum, inertia) -> Solvability:
     return Solvability(margin >= 0.0, margin)
 
 
+def integrator_margins(system, x0, torques):
+    """The margin of every step of ``torques`` from ``x0`` as the integrator
+    reports it, below the attitude ``system``'s floor as well; ``None`` when
+    a step is unsolvable at any floor."""
+    x, margins = x0, []
+    for u in torques:
+        try:
+            x, margin = step_with_margin(x, np.asarray(u, dtype=float).tolist(), system.h, system._constants)
+        except NotSolvable:
+            return None
+        margins.append(margin)
+    return margins
+
+
 class BoundedStepIntegrator(DoubleIntegratorSystem):
     """Double integrator whose step is unsolvable for |u| > 1, the way the
     attitude step is unsolvable past the momentum bound."""
@@ -112,7 +127,7 @@ class BoundedStepIntegrator(DoubleIntegratorSystem):
 def assert_same_tail(a, b):
     """Two rollouts of the solver, or their ``None`` markers of an
     unsolvable step, equal bit for bit: the states they keep, their running
-    sums and terminal values, and their per-step values where they keep
+    sum and terminal value, and the sums before each step where they keep
     them."""
     assert (a is None) == (b is None)
     if a is None:
@@ -120,9 +135,8 @@ def assert_same_tail(a, b):
     assert len(a.states) == len(b.states)
     assert all(np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.states, b.states))
     assert repr(float(a.stage)) == repr(float(b.stage))
-    assert repr(float(a.squared)) == repr(float(b.squared))
     assert repr(a.terminal) == repr(b.terminal)
-    assert (a.prefixes, a.shortfalls) == (b.prefixes, b.shortfalls)
+    assert repr(a.prefixes) == repr(b.prefixes)
 
 
 @pytest.fixture(scope="session")

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from so3mpc.attitude import (
-    SOLVABILITY_FLOOR,
-    AttitudeMpc,
-    SpacecraftAttitudeSystem,
-    rest_state,
-    spinning_state,
-)
-from so3mpc.errors import NotPositiveDefinite, NotRotation, OutOfChart
-from so3mpc.lgvi import MARGIN_CUTOFF, SpacecraftState, lgvi_step
+from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state, spinning_state
+from so3mpc.errors import NotPositiveDefinite, NotRotation, NotSolvable, OutOfChart
+from so3mpc.lgvi import MARGIN_CUTOFF, SOLVABILITY_FLOOR, SpacecraftState, lgvi_step
+from so3mpc.lgvi import step_with_margin as lgvi_step_with_margin
 from so3mpc.mpc import SolverSettings
 from so3mpc.so3 import exp_so3
 from so3mpc.terminal import StageWeights
@@ -89,8 +84,18 @@ class TestAttitudeSystem:
     def test_margin_floor(self, ref_system):
         state = SpacecraftState.identity()
         _, margin = ref_system.step_with_margin(state, np.zeros(3))
-        assert margin >= ref_system.step_margin_floor
+        assert margin >= SOLVABILITY_FLOOR
         assert margin == pytest.approx(1.0)  # min eig of J^2 at rest
+        # From rest, 200 - 5e-7 N m about z leaves a margin of about 5e-9:
+        # solvable, but below the floor, so outside the predictions' domain.
+        # The plant step takes it.
+        torque = np.array([0.0, 0.0, 200.0 - 5e-7])
+        _, margin = lgvi_step_with_margin(state, torque, H_REF, J_REF)
+        assert 0.0 <= margin < SOLVABILITY_FLOOR
+        for step in (ref_system.step_with_margin, lambda x, u: ref_system.step_near(x, u, state)):
+            with pytest.raises(NotSolvable, match=f"is {margin:.3e}, below the floor 1e-06"):
+                step(state, torque)
+        ref_system.step(state, torque)
 
     def test_local_law_out_of_chart(self, ref_system):
         state = rest_state([0.0, 0.0, np.pi])

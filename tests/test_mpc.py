@@ -69,7 +69,7 @@ class KnifeEdgeIntegrator(DoubleIntegratorSystem):
 class ScalarIntegrator(ManifoldSystem):
     """x+ = x + u with stage cost x^2 + u^2 and the Riccati terminal cost
     P x^2, P = (1 + sqrt 5) / 2: a system that keeps every default of the
-    contract (steering control, control projection, margin floor)."""
+    contract (steering control, control projection, step with margin)."""
 
     control_dim = 1
     P = (1.0 + math.sqrt(5.0)) / 2.0
@@ -110,12 +110,12 @@ class TestContractDefaults:
         x0 = np.array([0.7])
         assert_allclose(system.steering_control(x0), [0.0])
         assert_allclose(system.project_control([5.0]), [5.0])
-        assert system.step_margin_floor == 0.0
+        assert system.step_with_margin(x0, np.array([0.3]))[1] == math.inf
         # The cold start is the steering rollout of zero controls.
         assert_allclose(steering_rollout(system, x0, 6), np.zeros((6, 1)))
         sol = solve_ocp(system, x0, MpcConfig(horizon=6, solver=TIGHT))
         assert sol.feasible
-        assert not sol.shortfalls.any()
+        assert sol.violation == 0.0
         assert sol.cost == pytest.approx(system.terminal_cost(x0), rel=1e-9)
         assert_allclose(sol.first_control, system.local_law(x0), rtol=1e-6)
 
@@ -255,7 +255,7 @@ class TestObjectiveGradient:
             assert (np.abs(torques) == 1.0).sum() >= 10
         else:
             # From rest, 199.99 N m about z leaves every later margin between
-            # 8e-5 and 1e-3: above the 1e-6 floor, on LAPACK's side of the
+            # 8e-5 and 1e-3: above SOLVABILITY_FLOOR, on LAPACK's side of the
             # gate.
             x0 = SpacecraftState.identity()
             torques = np.random.default_rng(5).uniform(-0.05, 0.05, (6, 3))
@@ -264,8 +264,8 @@ class TestObjectiveGradient:
             for u in torques:
                 x, margin = system.step_with_margin(x, u)
                 margins.append(margin)
-            assert all(system.step_margin_floor < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
-        grad, value = _Objective(system, x0, 0.0).gradient(torques)
+            assert all(lgvi.SOLVABILITY_FLOOR < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
+        grad, value = _Objective(system, x0, 0.0).gradient(torques, _predict(system, x0, torques))
         oracle = full_central_differences(system, x0, torques)
         assert value == horizon_cost(system, x0, torques)
         assert np.abs(grad - oracle).max() <= 5e-8 * np.abs(oracle).max()
@@ -277,7 +277,7 @@ class TestObjectiveGradient:
         x0 = np.array([0.5, -0.3])
         controls = np.array([[0.2], [-0.4], [1.0 - 5e-7], [0.1], [0.3]])
         objective = _Objective(system, x0, 1e4)
-        grad, value = objective.gradient(controls)
+        grad, value = objective.gradient(controls, _predict(system, x0, controls))
         assert value == pytest.approx(horizon_cost(system, x0, controls), rel=1e-14)
         assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
         over = controls.copy()
@@ -285,15 +285,16 @@ class TestObjectiveGradient:
         assert objective.trial(over) == (math.inf, None)
 
     def test_both_sides_unsolvable_names_step_and_entry(self):
-        system = KnifeEdgeIntegrator()
+        system, x0 = KnifeEdgeIntegrator(), np.array([0.5, -0.3])
         controls = np.array([[0.2], [0.5], [0.1]])
         with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
-            _Objective(system, np.array([0.5, -0.3]), 1e4).gradient(controls)
+            _Objective(system, x0, 1e4).gradient(controls, _predict(system, x0, controls))
 
     @pytest.mark.parametrize("which", ["attitude", "flat"])
     def test_reused_base_rollout_matches_recomputed(self, which, ref_system):
         # The line search hands its accepted rollout to the next gradient;
-        # that gradient must equal the one that rolls the base out itself.
+        # that gradient must equal the one handed the prediction of the same
+        # controls.
         if which == "attitude":
             system, x0 = ref_system, spinning_state([0.5, -0.3, 0.8], [0.2, 0.1, -0.3], H_REF)
             controls = np.random.default_rng(7).uniform(-20.0, 20.0, (10, 3))
@@ -303,7 +304,7 @@ class TestObjectiveGradient:
         objective = _Objective(system, x0, 1e4)
         value, data = objective.trial(controls)
         reused, reused_value = objective.gradient(controls, base=data)
-        fresh, fresh_value = objective.gradient(controls)
+        fresh, fresh_value = objective.gradient(controls, base=_predict(system, x0, controls))
         assert np.array_equal(reused, fresh)
         assert reused_value == fresh_value == value
 
@@ -383,7 +384,7 @@ class TestKktAtSaturatedTorques:
         solution = solve_ocp(weak_system, x0, MpcConfig(horizon=10, solver=self.SOLVER))
         # One penalty round, so the reported residual used this weight.
         objective = _Objective(weak_system, x0, PENALTY_WEIGHT)
-        grad, _ = objective.gradient(solution.torques)
+        grad, _ = objective.gradient(solution.torques, _predict(weak_system, x0, solution.torques))
         u = solution.torques
         assert solution.kkt_residual == float(np.linalg.norm(u - weak_system.project_control(u - grad)))
         assert solution.kkt_residual <= self.SOLVER.grad_tol
@@ -403,7 +404,7 @@ class TestHeldEntryStep:
         firsts, calls = [], []
         gradient, direction = _Objective.gradient, mpc._quasi_newton_direction
 
-        def recorded_gradient(objective, torques, base=None):
+        def recorded_gradient(objective, torques, base):
             result = gradient(objective, torques, base)
             if not firsts or firsts[-1][0] is not objective:
                 firsts.append((objective, result[0]))
@@ -476,9 +477,10 @@ class TestRolloutFailureNamesStep:
         assert excinfo.value.__cause__.step == 2
 
     def test_gradient_base_rollout(self):
-        objective = _Objective(BoundedStepIntegrator(), np.array([0.5, -0.3]), 1e4)
+        # A gradient is handed its base rollout; the prediction that builds
+        # it names the unsolvable step.
         with pytest.raises(RolloutFailure, match="step 2"):
-            objective.gradient(self.controls)
+            _predict(BoundedStepIntegrator(), np.array([0.5, -0.3]), self.controls)
 
     def test_solve_from_unsolvable_warm_start(self):
         config = MpcConfig(horizon=4)
@@ -731,7 +733,7 @@ class TestModelBuild:
         points = []
         gradient = _Objective.gradient
 
-        def recorded(objective, torques, base=None):
+        def recorded(objective, torques, base):
             points.append(torques.copy())
             return gradient(objective, torques, base)
 
@@ -816,8 +818,10 @@ class TestTailStartValue:
         torques = steering_rollout(system, x0, 10)
         if at == "solution":
             torques = solve_ocp(system, x0, MpcConfig(horizon=10)).torques
-        grad, value = _Objective(system, x0, PENALTY_WEIGHT).gradient(torques)
-        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT).gradient(torques)
+        grad, value = _Objective(system, x0, PENALTY_WEIGHT).gradient(torques, _predict(system, x0, torques))
+        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT).gradient(
+            torques, _predict(unhinted, x0, torques)
+        )
         assert repr(value) == repr(ref_value)
         assert np.abs(grad - ref_grad).max() <= 1e-6
 
@@ -915,24 +919,29 @@ class TestController:
         assert f"by {excess:.3e}" in message
         assert "solvability" not in message
 
-    def test_infeasible_names_solvability_shortfall_and_step(self):
+    def test_start_outside_the_domain_names_step(self):
         class ShortMargin(DoubleIntegratorSystem):
-            """Reports the margin 0.25 - position after each step; the floor
-            is zero, so positions past 0.25 fall short."""
+            """Reports the margin 0.25 - position after each step and raises
+            below zero, as the attitude system does below its floor: a
+            position past 0.25 is outside the domain."""
 
             def step_with_margin(self, x, u):
                 x_next = self.step(x, u)
-                return x_next, 0.25 - x_next[0]
+                margin = 0.25 - x_next[0]
+                if margin < 0.0:
+                    raise NotSolvable(f"margin {margin:.3e} below the floor 0")
+                return x_next, margin
 
         # Coasting at unit speed with almost no control authority: the
-        # positions are 0.1, 0.2, 0.3 and 0.4, so steps 2 and 3 fall short,
-        # step 3 by 0.15.
+        # positions are 0.1, 0.2, 0.3 and 0.4, so step 2 leaves the domain,
+        # by 0.05.  The cold guess stops steering there, and its rollout
+        # cannot start the descent.
         system = ShortMargin(control_bound=1e-9)
-        with pytest.raises(Infeasible) as excinfo:
+        with pytest.raises(RolloutFailure) as excinfo:
             MpcController(system, MpcConfig(horizon=4)).step(np.array([0.0, 1.0]))
         message = str(excinfo.value)
-        assert "solvability margin below its floor by 1.500e-01 at predicted step 3" in message
-        assert "terminal" not in message
+        assert "rollout failed at step 2: margin -5.000e-02 below the floor 0" in message
+        assert excinfo.value.__cause__.step == 2
 
 
 class TestClosedLoop:

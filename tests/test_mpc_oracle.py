@@ -42,35 +42,30 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 
-from conftest import H_REF, BoundedStepIntegrator, assert_same_tail, regulate_start
+from conftest import H_REF, BoundedStepIntegrator, assert_same_tail, integrator_margins, regulate_start
 
 
 class RolloutData(NamedTuple):
     states: list
     stage: np.ndarray
-    shortfalls: np.ndarray
     terminal: float
 
 
 def rollout_data(system, x0, torques) -> RolloutData:
-    """Roll out from ``x0`` in one piece, building the shortfall array even
-    when it stays zero; :class:`~so3mpc.errors.NotSolvable` from a step is
-    raised again naming the step."""
-    floor = system.step_margin_floor
+    """Roll out from ``x0`` in one piece, building the array of stage costs;
+    :class:`~so3mpc.errors.NotSolvable` from a step, which puts it outside
+    the objective's domain, is raised again naming the step."""
     states = [x0]
     stage = np.empty(len(torques))
-    shortfalls = np.zeros(len(torques))
     x = x0
     for i, u in enumerate(torques):
         stage[i] = system.stage_cost(x, u)
         try:
-            x, margin = system.step_with_margin(x, u)
+            x, _ = system.step_with_margin(x, u)
         except NotSolvable as err:
             raise NotSolvable(f"rollout failed at step {i}: {err}", step=i) from err
-        if margin < floor:
-            shortfalls[i] = floor - margin
         states.append(x)
-    return RolloutData(states, stage, shortfalls, system.terminal_cost(x))
+    return RolloutData(states, stage, system.terminal_cost(x))
 
 
 def in_step_order(values) -> float:
@@ -80,36 +75,32 @@ def in_step_order(values) -> float:
     return functools.reduce(operator.add, np.asarray(values, dtype=float).tolist(), 0.0)
 
 
-def reference_value(objective, data, stage_prefix=0.0, short_prefix=0.0):
-    """Penalized value of a rollout whose first steps are summed in the
-    prefixes and whose last ones are the reference rollout ``data``."""
+def reference_value(objective, data, stage_prefix=0.0):
+    """Penalized value of a rollout whose first steps' stage costs sum to
+    ``stage_prefix`` and whose last ones are the reference rollout
+    ``data``."""
     excess = max(0.0, data.terminal - objective.level)
-    penalty = excess**2 + (short_prefix + in_step_order(data.shortfalls**2))
-    return float(stage_prefix + in_step_order(data.stage) + data.terminal + objective.weight * penalty)
+    return float(stage_prefix + in_step_order(data.stage) + data.terminal + objective.weight * excess**2)
 
 
 def reference_record(data) -> _Rollout:
-    """The package's record of the reference rollout ``data``: its sums in
-    step order, and the sums before each step."""
+    """The package's record of the reference rollout ``data``: its stage
+    costs summed in step order, and the sum before each step."""
     stage = np.concatenate([[0.0], np.cumsum(data.stage)]).tolist()
-    squared = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)]).tolist()
-    return _Rollout(
-        data.states, stage[-1], squared[-1], data.terminal,
-        list(zip(stage[:-1], squared[:-1])), data.shortfalls.tolist(),
-    )
+    return _Rollout(data.states, stage[-1], data.terminal, stage[:-1])
 
 
 def reference_violation(objective, data):
-    return max(max(0.0, data.terminal - objective.level), float(data.shortfalls.max(initial=0.0)))
+    return max(0.0, data.terminal - objective.level)
 
 
-def oracle_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
+def oracle_tail_value(objective, x_start, tail, stage_prefix):
     """The tail value through a full :func:`rollout_data`."""
     try:
         data = rollout_data(objective.system, x_start, tail)
     except NotSolvable:
         return math.inf
-    return reference_value(objective, data, stage_prefix, short_prefix)
+    return reference_value(objective, data, stage_prefix)
 
 
 class OracleObjective(_Objective):
@@ -123,7 +114,6 @@ class OracleObjective(_Objective):
             raise RolloutFailure(f"prediction rollout failed: {err}") from err
         base_value = reference_value(self, data)
         stage_prefix = np.concatenate([[0.0], np.cumsum(data.stage)])
-        short_prefix = np.concatenate([[0.0], np.cumsum(data.shortfalls**2)])
         n, m = torques.shape
         grad = np.zeros((n, m))
         for i in range(n):
@@ -135,9 +125,7 @@ class OracleObjective(_Objective):
                 for sign in (1.0, -1.0):
                     tail[0] = base_entry
                     tail[0, j] = base_entry[j] + sign * mpc.FD_STEP
-                    values.append(
-                        oracle_tail_value(self, x_i, tail, stage_prefix[i], short_prefix[i])
-                    )
+                    values.append(oracle_tail_value(self, x_i, tail, stage_prefix[i]))
                 tail[0] = base_entry
                 up, down = values
                 if math.isfinite(up) and math.isfinite(down):
@@ -445,18 +433,35 @@ def lean_tail(objective, x_start, tail):
         return None
 
 
-def lean_tail_value(objective, x_start, tail, stage_prefix, short_prefix):
+def lean_tail_value(objective, x_start, tail, stage_prefix):
     """The tail value as the package's gradient computes it."""
-    return objective.value(lean_tail(objective, x_start, tail), stage_prefix, short_prefix)
+    return objective.value(lean_tail(objective, x_start, tail), stage_prefix)
 
 
 class HighFloorAttitude(SpacecraftAttitudeSystem):
     """The attitude system with a solvability floor of 9e-3, which puts the
-    margins of a first torque near 200 N m about z on both sides of it."""
+    margins of a first torque near 200 N m about z on both sides of it: a
+    step whose margin falls below it is outside the domain, as one below
+    ``SOLVABILITY_FLOOR`` is for the attitude system."""
 
-    @property
-    def step_margin_floor(self):
-        return 9e-3
+    floor = 9e-3
+
+    def step_with_margin(self, x, u, near=None):
+        successor, margin = super().step_with_margin(x, u, near)
+        if margin < self.floor:
+            raise NotSolvable(f"margin {margin:.3e} below the test floor {self.floor:.0e}")
+        return successor, margin
+
+
+def near_floor_tail(rng):
+    """A start at rest and six controls whose first is 198.2-199.9 N m about
+    z.  From rest that torque leaves a margin of 1 - (h^2 tau)^2 / 4, about
+    0.001-0.018: on either side of the 9e-3 floor, and later steps fall on
+    either side too."""
+    x = rest_state(rng.uniform(-0.3, 0.3, 3))
+    tail = rng.uniform(-0.3, 0.3, (6, 3))
+    tail[0, 2] = rng.uniform(198.2, 199.9) * rng.choice([-1.0, 1.0])
+    return x, tail
 
 
 class TestLeanTailValue:
@@ -464,48 +469,44 @@ class TestLeanTailValue:
     value of a full :func:`rollout_data` of the same tail, and a tail
     run in two pieces against the same tail run in one."""
 
-    def test_matches_rollout_data_where_margins_fall_short(self, ref_design):
-        # From rest, a first torque of 199.1-199.9 N m about z leaves a margin
-        # of 1 - (h^2 tau)^2 / 4, about 0.002-0.018: mostly below the 0.009
-        # floor, and later steps fall short or become unsolvable.
+    def test_matches_rollout_data_on_both_sides_of_the_floor(self, ref_design):
+        # A tail whose step falls below the floor is infinite on both sides;
+        # one that stays above it has the same value bit for bit.
         system = HighFloorAttitude(ref_design)
         objective = _Objective(system, SpacecraftState.identity(), 1e4)
         rng = np.random.default_rng(11)
-        short_tails = 0
+        seen = {"inside": 0, "below floor": 0}
         for _ in range(30):
-            x = rest_state(rng.uniform(-0.3, 0.3, 3))
-            tail = rng.uniform(-1.0, 1.0, (6, 3))
-            tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
-            stage_prefix, short_prefix = rng.uniform(0.0, 10.0, 2)
-            value = lean_tail_value(objective, x, tail, stage_prefix, short_prefix)
-            expected = oracle_tail_value(objective, x, tail, stage_prefix, short_prefix)
-            assert repr(value) == repr(expected)
+            x, tail = near_floor_tail(rng)
+            stage_prefix = rng.uniform(0.0, 10.0)
+            value = lean_tail_value(objective, x, tail, stage_prefix)
+            assert repr(value) == repr(oracle_tail_value(objective, x, tail, stage_prefix))
             if math.isfinite(value):
-                short_tails += bool(rollout_data(system, x, tail).shortfalls.any())
-        assert short_tails >= 10
+                seen["inside"] += 1
+            else:
+                seen["below floor"] += integrator_margins(system, x, tail) is not None
+        assert seen["inside"] >= 5 and seen["below floor"] >= 5
 
-    def test_matches_rollout_data_without_shortfall(self, ref_system):
+    def test_matches_rollout_data_inside_the_domain(self, ref_system):
         objective = _Objective(ref_system, SpacecraftState.identity(), 1e4)
         x = spinning_state([0.5, -0.3, 0.8], [0.2, 0.1, -0.3], H_REF)
         tail = np.random.default_rng(7).uniform(-20.0, 20.0, (10, 3))
-        for prefixes in [(0.0, 0.0), (3.25, 0.0), (1.5, 2e-7)]:
-            value = lean_tail_value(objective, x, tail, *prefixes)
-            assert repr(value) == repr(oracle_tail_value(objective, x, tail, *prefixes))
+        for stage_prefix in [0.0, 3.25, 1.5]:
+            value = lean_tail_value(objective, x, tail, stage_prefix)
+            assert repr(value) == repr(oracle_tail_value(objective, x, tail, stage_prefix))
         full = _roll_on(ref_system, _Rollout.at(x), tail)
-        reference = rollout_data(ref_system, x, tail)
-        assert not reference.shortfalls.any()
-        assert_same_tail(full, reference_record(reference))
-        lean = _Rollout(full.states[-1:], full.stage, full.squared, full.terminal, None, None)
+        assert_same_tail(full, reference_record(rollout_data(ref_system, x, tail)))
+        lean = _Rollout(full.states[-1:], full.stage, full.terminal, None)
         assert_same_tail(lean_tail(objective, x, tail), lean)
 
     def test_unsolvable_tail_is_infinite(self, ref_system):
         bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4)
         tail = np.array([[0.2], [1.5], [0.1]])
-        assert lean_tail_value(bounded, np.array([0.5, -0.3]), tail, 1.0, 0.0) == math.inf
+        assert lean_tail_value(bounded, np.array([0.5, -0.3]), tail, 1.0) == math.inf
         attitude = _Objective(ref_system, SpacecraftState.identity(), 1e4)
         torques = np.zeros((3, 3))
         torques[1] = [0.0, 0.0, 5e3]
-        assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0, 0.0) == math.inf
+        assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0) == math.inf
         with pytest.raises(NotSolvable, match="rollout failed at step 1") as excinfo:
             _roll_on(ref_system, _Rollout.at(SpacecraftState.identity()), torques)
         assert excinfo.value.step == 1
@@ -516,14 +517,11 @@ class TestLeanTailValue:
         system = HighFloorAttitude(ref_design)
         objective = _Objective(system, SpacecraftState.identity(), 1e4)
         rng = np.random.default_rng(12)
-        seen = {"short": 0, "unsolvable": 0}
+        seen = {"inside": 0, "below floor": 0}
         for _ in range(20):
-            x = rest_state(rng.uniform(-0.3, 0.3, 3))
-            tail = rng.uniform(-1.0, 1.0, (6, 3))
-            tail[0, 2] = rng.uniform(199.1, 199.9) * rng.choice([-1.0, 1.0])
+            x, tail = near_floor_tail(rng)
             whole = lean_tail(objective, x, tail)
-            seen["unsolvable"] += whole is None
-            seen["short"] += whole is not None and whole.squared > 0.0
+            seen["inside" if whole is not None else "below floor"] += 1
             for k in range(1, len(tail)):
                 head = lean_tail(objective, x, tail[:k])
                 try:
@@ -531,4 +529,29 @@ class TestLeanTailValue:
                 except NotSolvable:
                     run_on = None
                 assert_same_tail(run_on, whole)
-        assert seen["short"] >= 5 and seen["unsolvable"] >= 1
+        assert seen["inside"] >= 5 and seen["below floor"] >= 5
+
+
+class TestFloorBoundsTheSearch:
+    def test_line_search_backs_off_from_the_floor(self, ref_design, monkeypatch):
+        # A cold solve from a 4 rad/s spin about z: its line searches reject
+        # trials whose steps are solvable but fall below the 9e-3 floor, and
+        # every iterate they accept, like the solution, keeps every predicted
+        # margin at or above it.
+        system = HighFloorAttitude(ref_design)
+        x0 = spinning_state([0.0, 0.0, 0.5], [0.0, 0.0, 4.0], H_REF)
+        rejected = []
+        trial = _Objective.trial
+
+        def recorded_trial(objective, torques):
+            value, rollout = trial(objective, torques)
+            if rollout is None:
+                rejected.append(torques.copy())
+            return value, rollout
+
+        monkeypatch.setattr(_Objective, "trial", recorded_trial)
+        new = counted_solve(system, x0, MpcConfig(horizon=10))
+        assert new.solution.feasible
+        assert sum(integrator_margins(system, x0, torques) is not None for torques in rejected) >= 1
+        for torques in new.gradient_points + [new.solution.torques]:
+            assert min(integrator_margins(system, x0, torques)) >= system.floor

@@ -190,7 +190,7 @@ def test_stage_cost_takes_a_list_row_as_the_equal_array(ref_design):
 def rollout_record(rollout):
     """repr of everything a rollout record holds."""
     states = [state.entries for state in rollout.states]
-    return repr((states, rollout.stage, rollout.squared, rollout.terminal, rollout.prefixes, rollout.shortfalls))
+    return repr((states, rollout.stage, rollout.terminal, rollout.prefixes))
 
 
 @pytest.mark.parametrize("name", CASES)

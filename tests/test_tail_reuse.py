@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
-from so3mpc.lgvi import SpacecraftState
+from so3mpc.lgvi import SOLVABILITY_FLOOR, SpacecraftState
 from so3mpc.mpc import (
+    FD_STEP,
     PENALTY_WEIGHT,
     MpcConfig,
     SolverSettings,
@@ -25,13 +26,19 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 
-from conftest import BoundedStepIntegrator, assert_same_tail, regulate_start
+from conftest import BoundedStepIntegrator, assert_same_tail, integrator_margins, regulate_start
 
 # Stops every solve after its first gradient, which it reports.
 FIRST_GRADIENT = MpcConfig(horizon=10, solver=SolverSettings(grad_tol=1e9))
 # A rest attitude whose solve at N = 6 stops on ftol_rel, at its third
 # iteration.
 FTOL_START = [0.8, 0.2, -0.4]
+# From rest, a torque tau about z leaves a margin of 1 - (h^2 tau)^2 / 4,
+# zero at 200 N m.  Here every margin after it lies about 5e-9 above
+# SOLVABILITY_FLOOR, and raising that torque, or moving any other about z
+# by FD_STEP in the direction that adds to the spin, takes a margin below it.
+FLOOR_TORQUES = np.zeros((6, 3))
+FLOOR_TORQUES[1, 2] = 200.0 - 1.005e-4
 
 
 class CountingAttitude(SpacecraftAttitudeSystem):
@@ -63,7 +70,6 @@ def assert_same_solution(a, b):
     )
     assert (a.feasible, a.iterations) == (b.feasible, b.iterations)
     assert all(np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.states, b.states))
-    assert np.array_equal(a.shortfalls, b.shortfalls)
 
 
 class TestCarriedGradient:
@@ -85,14 +91,8 @@ class TestCarriedGradient:
             assert (np.abs(torques) == weak.torque_bound).sum() >= 10
             return weak, x0, torques, np.vstack([torques[1:], [[1.0, -1.0, 1.0]]])
         if request.param == "floor":
-            # From rest, a torque tau about z leaves a margin of
-            # 1 - (h^2 tau)^2 / 4, zero at 200 N m.  Here every margin after
-            # it falls below the 1e-6 floor, and raising that torque or
-            # perturbing a later one makes one tail of each pair unsolvable.
-            torques = np.zeros((6, 3))
-            torques[1, 2] = 200.0 - 5e-7
-            shifted = np.vstack([torques[1:], np.zeros((1, 3))])
-            return ref_system, SpacecraftState.identity(), torques, shifted
+            shifted = np.vstack([FLOOR_TORQUES[1:], np.zeros((1, 3))])
+            return ref_system, SpacecraftState.identity(), FLOOR_TORQUES, shifted
         # A double integrator whose step is unsolvable for |u| > 1, with one
         # control 5e-7 below that bound.
         torques = np.random.default_rng(3).uniform(-0.9, 0.9, (8, 1))
@@ -103,7 +103,7 @@ class TestCarriedGradient:
     def test_equals_fresh_gradient(self, case, monkeypatch):
         system, x0, torques, shifted = case
         previous = _Objective(system, x0, PENALTY_WEIGHT)
-        previous.gradient(torques)
+        previous.gradient(torques, _predict(system, x0, torques))
         carried_tails = previous.last
         successor = _predict(system, x0, torques).states[1]
         # The raw tails do not depend on the weight, so they carry from one
@@ -115,9 +115,9 @@ class TestCarriedGradient:
         monkeypatch.setattr(
             system, "step_with_margin", lambda x, u, *near: calls.append(1) or step(x, u, *near)
         )
-        grad, value = carried.gradient(shifted)
+        grad, value = carried.gradient(shifted, _predict(system, successor, shifted))
         carried_steps = len(calls)
-        fresh_grad, fresh_value = fresh.gradient(shifted)
+        fresh_grad, fresh_value = fresh.gradient(shifted, _predict(system, successor, shifted))
         assert np.array_equal(grad, fresh_grad)
         assert repr(value) == repr(fresh_value)
         for row, fresh_row in zip(carried.last, fresh.last):
@@ -130,14 +130,23 @@ class TestCarriedGradient:
         assert carried_steps == n + solvable + 2 * m
         assert carried.carried is None
 
-    def test_floor_case_has_shortfalls_and_unsolvable_tails(self, ref_system):
-        torques = np.zeros((6, 3))
-        torques[1, 2] = 200.0 - 5e-7
-        objective = _Objective(ref_system, SpacecraftState.identity(), PENALTY_WEIGHT)
-        objective.gradient(torques)
-        tails = [tail for row in objective.last[1:] for tail in row]
-        assert sum(tail is None for tail in tails) >= 5
-        assert sum(tail is not None and tail.squared > 0.0 for tail in tails) >= 20
+    def test_floor_case_has_tails_below_the_floor(self, ref_system):
+        # Every tail the gradient drops is solvable: it is outside the domain
+        # only because a margin falls below SOLVABILITY_FLOOR.
+        x0, torques = SpacecraftState.identity(), FLOOR_TORQUES
+        objective = _Objective(ref_system, x0, PENALTY_WEIGHT)
+        objective.gradient(torques, _predict(ref_system, x0, torques))
+        dropped = 0
+        for i, row in enumerate(objective.last):
+            for index, tail in enumerate(row):
+                if tail is None:
+                    j, k = divmod(index, 2)
+                    perturbed = torques.copy()
+                    perturbed[i, j] += (FD_STEP, -FD_STEP)[k]
+                    margins = integrator_margins(ref_system, x0, perturbed)
+                    assert margins is not None and min(margins) < SOLVABILITY_FLOOR
+                    dropped += 1
+        assert dropped >= 5
 
 
 class TestCarriedSolve:

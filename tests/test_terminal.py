@@ -18,7 +18,7 @@ from so3mpc.errors import (
     OutOfChart,
 )
 from so3mpc.experiments import certify_local_law
-from so3mpc.lgvi import SpacecraftState, lgvi_step, step_with_margin
+from so3mpc.lgvi import SOLVABILITY_FLOOR, SpacecraftState, lgvi_step, step_with_margin
 from so3mpc.so3 import NEAR_PI, SMALL_ANGLE, exp_so3, exp_so3_rows, hat, log_so3
 from so3mpc.terminal import (
     DEFAULT_TERMINAL_SHRINK,
@@ -615,8 +615,8 @@ def odd_design():
 
 def scalar_margins(design, weights, h, inertia, torque_bound, level, unit_samples):
     """The certificate's margins by a loop over samples with the scalar
-    functions, over the samples whose step is solvable, plus the number of
-    unsolvable samples."""
+    functions, over the samples whose step margin is at least
+    SOLVABILITY_FLOOR, plus the number of the other samples."""
     torques, succ_values, decreases = [], [], []
     unsolvable = 0
     for xi in np.sqrt(level) * unit_samples:
@@ -624,8 +624,10 @@ def scalar_margins(design, weights, h, inertia, torque_bound, level, unit_sample
         chart = coordinates(state, h)
         torque = feedback(design.K, chart)
         try:
-            successor = lgvi_step(state, torque, h, inertia)
+            successor, margin = step_with_margin(state, torque, h, inertia)
         except NotSolvable:
+            margin = -np.inf
+        if margin < SOLVABILITY_FLOOR:
             unsolvable += 1
             continue
         succ_value = terminal_value(design.P, coordinates(successor, h))
@@ -689,7 +691,7 @@ class TestBatchedCertificate:
             chart = coordinates(state, h)
             torque = feedback(design.K, chart[None])[0]
             successor, margin = step_with_margin(state, torque, h, design.inertia)
-            assert margin >= 0.0
+            assert margin >= SOLVABILITY_FLOOR
             succ_value = terminal_value(design.P, coordinates(successor, h))
             succ_values.append(succ_value)
             decreases.append(
@@ -724,6 +726,22 @@ class TestBatchedCertificate:
             assert report["torque"] == pytest.approx(exact_torque_margin(odd_design, 1.0, level), rel=1e-12)
             assert report["torque"] >= torque
             assert report["decrease"] == pytest.approx(decrease, abs=1e-9)
+
+    def test_sample_below_the_floor_fails_invariance(self, ref_design, ref_weights):
+        # A law whose torque at the first sample, at rest 0.5 rad about z, is
+        # 200 - 5e-7 N m about z: its step is solvable, at a margin of about
+        # 5e-9, but below the floor, so the solver's predictions could not
+        # take it.  The second sample, at the identity, steps inside it.
+        gain = np.zeros((3, 6))
+        gain[2, 2] = -(200.0 - 5e-7) / 0.5
+        samples = np.array([[0.0, 0.0, 0.5, 0.0, 0.0, 0.0], np.zeros(6)])
+        state = SpacecraftState(exp_so3(samples[0, :3]), np.eye(3))
+        torque = feedback(gain, coordinates(state, H_REF))
+        assert 0.0 <= step_with_margin(state, torque, H_REF, J_REF)[1] < SOLVABILITY_FLOOR
+        report = evaluate_level(ref_design.P, gain, ref_weights, H_REF, J_REF, 1e3, 1.0, samples)
+        assert report["invariance"] == np.inf
+        assert report["decrease"] == 0.0
+        assert not report["passed"]
 
     def test_cost_formulas_take_stacks(self, ref_design, ref_weights):
         rng = np.random.default_rng(6)
