@@ -28,19 +28,26 @@ that search fails.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
-by one formula, :meth:`_Objective.value`.  The runner continues any record,
-so a solve warm-started at the previous solution's predicted successor runs
-the perturbed tails of that solution's last gradient on by one step instead
-of re-running them: the "shift" initialization of Diehl, Bock & Schlöder's
-real-time iteration, applied to the gradient.  Each step of a perturbed tail
+by one formula, :meth:`_Objective.value`.  Each step of a perturbed tail
 is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
 as a pure function of state and control.  A record sums its stage costs as
 it goes, in Python floats and in step order; only the predictions that a
-caller reads per step keep per-step values, so a tail builds no array, and a
-tail's sum starts at zero at its first state, so a carried tail run on by one
-step equals a fresh one bit for bit.
+caller reads per step keep per-step values, so a tail builds no array.
+A solve warm-started at the shifted candidate of the previous solution
+(:func:`warm_start_shift`) takes one descent step from it: one gradient at
+the candidate and, when its KKT residual exceeds ``grad_tol``, one direction
+and one Armijo search; it keeps the accepted point if that is feasible and
+the candidate otherwise.  The candidate is feasible and its cost falls by
+at least the stage cost paid, a feasible descent step keeps both, and that
+is all recursive feasibility and the cost-decrease chain need: feasibility
+implies stability (Scokaert, Mayne & Rawlings, *Suboptimal model predictive
+control (feasibility implies stability)*, 1999).  One Newton-type step per
+sample is the real-time iteration of Diehl, Bock & Schlöder (*A real-time
+iteration scheme for nonlinear optimization in optimal feedback control*,
+2005).  Cold solves descend until a stop rule of :class:`SolverSettings`
+holds.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -56,7 +63,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -201,12 +208,14 @@ class SolverSettings:
     ``grad_tol`` bounds the projected-gradient norm at acceptance and
     ``ftol_rel`` stops the iteration once two accepted steps in a row improve
     the penalized objective by less than this relative amount; the defaults
-    favor closed-loop throughput, where warm starts carry most of the
-    optimality and the stability guarantees do not depend on solving to
-    high precision.  ``max_iters`` caps the iterations of one penalty round,
-    and ``outer_rounds`` the rounds; a round whose terminal value exceeds the
-    terminal level by at most ``constraint_tol`` ends the solve.  The
-    penalty schedule and line search are the module constants above.
+    favor closed-loop throughput, since the stability guarantees do not
+    depend on solving to high precision.  ``max_iters`` caps the iterations
+    of one penalty round, and ``outer_rounds`` the rounds; a round whose
+    terminal value exceeds the terminal level by at most ``constraint_tol``
+    ends the solve.  The penalty schedule and line search are the module
+    constants above.  A warm solve from a feasible shifted candidate takes
+    one iteration of one round whatever these caps say (see
+    :func:`solve_ocp`).
 
     The counts must be positive integers, where a float with an integral
     value counts, and the tolerances positive and finite numbers; anything
@@ -245,17 +254,16 @@ class OcpSolution:
 
     ``kkt_residual`` is the norm of u - proj(u - grad) at the returned
     torques under the last penalty round's objective.  It is ``None`` when
-    that round stopped on ``ftol_rel`` (two small relative improvements in a
-    row): the solver stops before the gradient at the accepted torques, which
-    would serve only this report.  A stop on ``grad_tol``, on a failed line
-    search or on ``max_iters`` reports it.
+    that round stopped after a line search, on ``ftol_rel`` (two small
+    relative improvements in a row) or on ``max_iters``: the solver stops
+    before the gradient at the accepted torques, which would serve only this
+    report.  Every warm solve from a shifted candidate that takes its step
+    stops so, on its cap of one iteration.  A stop on ``grad_tol`` or on a
+    failed line search reports it.
 
     ``violation`` is how far the terminal value exceeds the terminal level,
     zero when it does not.  Every predicted step in ``states`` lies inside
     the system's domain: the solver values no other rollout.
-
-    ``_reuse`` is what a next solve on the same system and horizon may take
-    over (see :func:`solve_ocp`) and takes no part in comparisons.
     """
 
     torques: np.ndarray
@@ -266,20 +274,10 @@ class OcpSolution:
     kkt_residual: Optional[float]
     violation: float
     states: tuple
-    _reuse: Optional[_Reuse] = field(default=None, compare=False, repr=False)
 
     @property
     def first_control(self) -> np.ndarray:
         return self.torques[0]
-
-
-class _Reuse(NamedTuple):
-    """The perturbed tails of the last gradient (:meth:`_Objective.gradient`)
-    when it was taken at the returned torques, i.e. on every stop that
-    reports ``kkt_residual``."""
-
-    system: ManifoldSystem
-    tails: Optional[list]
 
 
 class _Rollout:
@@ -298,19 +296,14 @@ class _Rollout:
     def __init__(self, states, stage, terminal, prefixes):
         self.states, self.stage, self.terminal, self.prefixes = states, stage, terminal, prefixes
 
-    @classmethod
-    def at(cls, x) -> _Rollout:
-        """The rollout of no steps at ``x``; its terminal value is unset."""
-        return cls([x], 0.0, math.nan, [])
-
     @property
     def cost(self) -> float:
         """Summed stage costs plus the terminal value."""
         return float(self.stage + self.terminal)
 
 
-def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _Rollout:
-    """``start`` run on under ``controls``, and the terminal value at its
+def _roll_on(system: ManifoldSystem, x0, controls, near=None) -> _Rollout:
+    """The rollout of ``controls`` from ``x0``, and the terminal value at its
     end; :class:`~so3mpc.errors.NotSolvable` from a step is raised again
     naming the step, counted from the first of ``controls``.
 
@@ -319,23 +312,19 @@ def _roll_on(system: ManifoldSystem, start: _Rollout, controls, near=None) -> _R
     cost receives its control as a list of floats.  A row holds the same
     numbers either way, so both give the same rollout bit for bit.
 
-    Without ``near``, ``start`` is a rollout that keeps its steps, one from
-    :meth:`_Rollout.at` or run on from one, and the record keeps the new
-    steps too.  With ``near``, one state per control, the run is a
+    Without ``near`` the record keeps every state and, per step, the sum
+    before it.  With ``near``, one state per control, the run is a
     finite-difference tail: each step goes through
     :meth:`ManifoldSystem.step_near` with its state, and the record keeps the
     end state and the sum only, all that a tail's value reads.  Holding the
     states of a gradient's tails alive wakes the garbage collector.
-
-    Either way the sum runs on from that of ``start``, so a rollout run on
-    in pieces equals the same rollout run at once bit for bit.
     """
     if type(controls) is np.ndarray:
         controls = controls.tolist()
-    x, stage = start.states[-1], start.stage
+    x, stage = x0, 0.0
     keep = near is None
     if keep:
-        states, prefixes = start.states.copy(), start.prefixes.copy()
+        states, prefixes = [x0], []
     for i, u in enumerate(controls):
         if keep:
             prefixes.append(stage)
@@ -355,7 +344,7 @@ def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
     """The rollout of ``torques`` from ``x0``; an unsolvable step raises
     :class:`~so3mpc.errors.RolloutFailure` naming it."""
     try:
-        return _roll_on(system, _Rollout.at(x0), torques)
+        return _roll_on(system, x0, torques)
     except NotSolvable as err:
         raise RolloutFailure(f"prediction rollout failed: {err}") from err
 
@@ -369,36 +358,28 @@ def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
 
 class _Objective:
     """Penalized shooting objective with cheap tail re-evaluation for
-    finite differences.  The first gradient runs on ``carried``, the tails
-    of the previous solve's last gradient, when :func:`solve_ocp` hands them
-    over; ``last`` holds the tails of the latest gradient.
-    """
+    finite differences."""
 
-    def __init__(self, system: ManifoldSystem, x0, weight: float, carried: Optional[list] = None):
+    def __init__(self, system: ManifoldSystem, x0, weight: float):
         self.system = system
         self.x0 = x0
         self.weight = weight
         self.level = system.terminal_level
-        self.carried = carried
-        self.last: Optional[list] = None
 
     def trial(self, torques: np.ndarray) -> tuple[float, Optional[_Rollout]]:
         """Penalized value and rollout, or ``(math.inf, None)`` when the
         rollout is unsolvable."""
         try:
-            rollout = _roll_on(self.system, _Rollout.at(self.x0), torques)
+            rollout = _roll_on(self.system, self.x0, torques)
         except NotSolvable:
             return math.inf, None
         return self.value(rollout), rollout
 
     def value(self, rollout, stage_prefix=0.0) -> float:
         """Penalized value of the rollout whose first steps' stage costs sum
-        to ``stage_prefix`` and whose last ones are ``rollout``; ``math.inf``
-        when that is ``None``, i.e. outside the domain.  The prefix and the
-        rollout's sum are added once, so a tail that a base rollout's prefix
-        continues takes no per-step work here."""
-        if rollout is None:
-            return math.inf
+        to ``stage_prefix`` and whose last ones are ``rollout``.  The prefix
+        and the rollout's sum are added once, so a tail that a base rollout's
+        prefix continues takes no per-step work here."""
         excess = max(0.0, rollout.terminal - self.level)
         return float(stage_prefix + rollout.stage + rollout.terminal + self.weight * excess**2)
 
@@ -414,54 +395,38 @@ class _Objective:
         names the step and the entry.
 
         Step k of every tail is handed ``base.states[k + 1]`` through
-        :meth:`ManifoldSystem.step_near`, which a carried tail's appended
-        step k = N - 1 gets as well.  A tail of step i keeps its end state
-        and the sum of its own stage costs, from zero; its value adds it to
-        the base rollout's sum before step i, ``base.prefixes[i]``.
-
-        The tails are kept in ``last``: ``last[i][2 j]`` raises control
-        entry (i, j) by ``FD_STEP`` and ``last[i][2 j + 1]`` lowers it, each
-        ``None`` when a step is unsolvable.  A carried tail of step i + 1 is
-        this gradient's tail of step i without its last step, its sum
-        started at zero at the same state, and its steps were handed the same
-        states (the base rollouts agree on them), so running it on gives the
-        tail that a fresh run would, bit for bit.
+        :meth:`ManifoldSystem.step_near`.  A tail of step i keeps its end
+        state and the sum of its own stage costs, from zero; its value adds
+        it to the base rollout's sum before step i, ``base.prefixes[i]``.
 
         The tails run on ``torques`` as rows of Python floats, converted once
         here: a tail of step i is the list copy of row i with one entry
-        moved, then the rows after it, and a carried tail's appended step
-        takes the last row.  Python's float add rounds as numpy's does, so
-        every perturbed control equals the array entry plus ``FD_STEP`` bit
-        for bit.
+        moved, then the rows after it.  Python's float add rounds as numpy's
+        does, so every perturbed control equals the array entry plus
+        ``FD_STEP`` bit for bit.
         """
         system = self.system
         base_value = self.value(base)
         n, m = torques.shape
-        carried, self.carried = self.carried, None
         rows = torques.tolist()
-        appended = rows[-1:]
         grad = np.zeros((n, m))
-        tails = []
         for i in range(n):
-            start = _Rollout.at(base.states[i])
+            start = base.states[i]
             first = rows[i].copy()
             tail = [first] + rows[i + 1:]
+            hints = base.states[i + 1:]
             prefix = base.prefixes[i]
-            row = []
             for j in range(m):
                 entry = first[j]
-                for k, delta in enumerate((FD_STEP, -FD_STEP)):
-                    if carried is not None and i + 1 < n:
-                        begin, controls, hints = carried[i + 1][2 * j + k], appended, base.states[n:]
-                    else:
-                        first[j] = entry + delta
-                        begin, controls, hints = start, tail, base.states[i + 1:]
+                values = []
+                for delta in (FD_STEP, -FD_STEP):
+                    first[j] = entry + delta
                     try:
-                        row.append(None if begin is None else _roll_on(system, begin, controls, hints))
+                        values.append(self.value(_roll_on(system, start, tail, hints), prefix))
                     except NotSolvable:
-                        row.append(None)
+                        values.append(math.inf)
                 first[j] = entry
-                up, down = self.value(row[-2], prefix), self.value(row[-1], prefix)
+                up, down = values
                 if math.isfinite(up) and math.isfinite(down):
                     grad[i, j] = (up - down) / (2.0 * FD_STEP)
                 elif math.isfinite(down):
@@ -473,8 +438,6 @@ class _Objective:
                         f"finite-difference gradient undefined at step {i}, control "
                         f"entry {j}: both perturbed rollouts are unsolvable"
                     )
-            tails.append(row)
-        self.last = tails
         return grad, base_value
 
 
@@ -556,6 +519,7 @@ def _quasi_newton_direction(grad, free, pairs, step, hessian):
 def _quasi_newton_descent(
     objective: _Objective,
     torques: np.ndarray,
+    rollout: _Rollout,
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int, Optional[float]]:
     """Limited-memory BFGS descent with two-metric projection onto the box
@@ -576,12 +540,13 @@ def _quasi_newton_descent(
     point.  The curvature pairs carry what the model lacks, above all the
     penalty's curvature.
 
-    Returns the final torques, the iteration count and the KKT residual at
-    the final torques, or ``None`` when the relative improvement test
-    stopped the descent: that stop skips the last gradient, so no residual
-    is known."""
+    ``rollout`` is the rollout of ``torques``.  Returns the final torques,
+    the iteration count and the KKT residual at the final torques, or
+    ``None`` when the descent stopped after a line search, on the relative
+    improvement test or on ``max_iters``: such a stop returns the accepted
+    torques before their gradient, which only a next iteration would read,
+    so no residual is known."""
     system = objective.system
-    rollout = _predict(system, objective.x0, torques)
     grad, value = objective.gradient(torques, base=rollout)
     # Length of the gradient step that picks and moves the held entries,
     # fixed for the round by its first gradient.
@@ -590,9 +555,7 @@ def _quasi_newton_descent(
     iterations = 0
     small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
-    for _ in range(settings.max_iters):
-        if kkt <= settings.grad_tol:
-            break
+    while kkt > settings.grad_tol:
         iterations += 1
         trial = torques - step * grad
         free = system.project_control(trial) == trial
@@ -605,15 +568,13 @@ def _quasi_newton_descent(
             break
         candidate, cand_value, cand_rollout = result
         # One tiny improvement can be an artifact of a backtracked step that
-        # the next one recovers from; require two in a row.  The second one
-        # stops before the candidate's gradient, which nothing after this
-        # point would read.
+        # the next one recovers from; require two in a row.
         if value - cand_value <= settings.ftol_rel * max(1.0, abs(cand_value)):
             small_improvements += 1
-            if small_improvements >= 2:
-                return candidate, iterations, None
         else:
             small_improvements = 0
+        if small_improvements >= 2 or iterations == settings.max_iters:
+            return candidate, iterations, None
         new_grad, _ = objective.gradient(candidate, base=cand_rollout)
         s, y = candidate - torques, new_grad - grad
         if float((s * y).sum()) > 0.0:
@@ -652,7 +613,7 @@ def solve_ocp(
     x0,
     config: MpcConfig,
     warm_start: Optional[np.ndarray] = None,
-    previous: Optional[OcpSolution] = None,
+    shifted: bool = False,
 ) -> OcpSolution:
     """Solve the finite-horizon problem at ``x0`` by penalized shooting.
 
@@ -668,44 +629,48 @@ def solve_ocp(
     predicted step; the cold guess (:func:`steering_rollout`) stops steering
     at the last step inside it.
 
-    ``previous`` is the last solution on the same ``system`` object and
-    horizon, if any; it changes the work done, never the result.  When
-    ``x0`` equals its predicted successor ``states[1]`` entry for entry and
-    the warm start is its shift (all but the appended control), the first
-    gradient extends the perturbed tails of its last gradient by one step
-    each instead of re-running them.
+    ``shifted`` marks the warm start as the shifted candidate of the previous
+    solution (:func:`warm_start_shift`); without a warm start it raises
+    ``ValueError``.  When the candidate's own rollout is feasible at ``x0``,
+    the solve takes one descent step from it: one penalty round at
+    ``PENALTY_WEIGHT`` capped at one iteration, which returns the accepted
+    point if that point is feasible and the candidate otherwise.  The result
+    is then feasible, and its cost exceeds the candidate's by at most the
+    penalty on the candidate's terminal excess, zero inside the terminal
+    set.  A candidate that is not feasible at ``x0`` gets every penalty
+    round, as any warm start does.
     """
     settings = config.solver
     if warm_start is None:
+        if shifted:
+            raise ValueError("shifted marks a warm start, but none was given")
         torques = steering_rollout(system, x0, config.horizon)
     else:
         torques = check_controls(warm_start, system.control_dim, "warm_start").copy()
         if torques.shape[0] != config.horizon:
             raise ValueError(f"warm_start has {torques.shape[0]} steps, expected {config.horizon}")
     torques = system.project_control(torques)
+    rollout = _predict(system, x0, torques)
 
-    reuse = None if previous is None else previous._reuse
-    carried = None
-    if (
-        reuse is not None
-        and reuse.system is system
-        # States are opaque: compare whatever arrays they are made of.
-        and np.array_equal(np.asarray(x0), np.asarray(previous.states[1]))
-        and np.array_equal(torques[:-1], previous.torques[1:])
-    ):
-        carried = reuse.tails
+    candidate = None
+    if shifted and rollout.terminal - system.terminal_level <= settings.constraint_tol:
+        candidate = torques, rollout
+        settings = replace(settings, max_iters=1, outer_rounds=1)
     weight = PENALTY_WEIGHT
     total_iterations = 0
-    for round_index in range(settings.outer_rounds):
-        objective = _Objective(system, x0, weight, carried)
-        carried = None
-        torques, iterations, kkt = _quasi_newton_descent(objective, torques, settings)
+    for _ in range(settings.outer_rounds):
+        objective = _Objective(system, x0, weight)
+        torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, settings)
         total_iterations += iterations
         rollout = _predict(system, x0, torques)
         violation = max(0.0, rollout.terminal - objective.level)
         if violation <= settings.constraint_tol:
             break
         weight *= PENALTY_GROWTH
+    if candidate is not None and violation > settings.constraint_tol:
+        # The step left the terminal set that the candidate ends in.
+        torques, rollout = candidate
+        violation = max(0.0, rollout.terminal - objective.level)
 
     return OcpSolution(
         torques=torques,
@@ -716,8 +681,6 @@ def solve_ocp(
         kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
         states=tuple(rollout.states),
-        # An ftol_rel stop returns torques that no gradient was taken at.
-        _reuse=_Reuse(system, None if kkt is None else objective.last),
     )
 
 
@@ -755,10 +718,10 @@ class MpcController:
     def step(self, x) -> tuple[np.ndarray, OcpSolution]:
         """Solve at ``x`` and return the first control of the solution.
 
-        The solve starts from the previous solution's shift and is handed
-        that solution, whose finite-difference tails it reuses when ``x`` is
-        the predicted successor (the nominal closed loop); the result is the
-        same as without it, bit for bit.
+        The first solve, and the one after an infeasible step, start cold.
+        Every other solve starts from the previous solution's shift, marked
+        ``shifted``, so that it takes one descent step from that candidate
+        when the candidate is feasible at ``x`` (see :func:`solve_ocp`).
 
         Raises :class:`~so3mpc.errors.Infeasible` when the solver cannot
         reach feasibility at ``x``; the controller then forgets the previous
@@ -766,7 +729,7 @@ class MpcController:
         the next step starts cold.
         """
         warm = self.candidate_sequence()
-        solution = solve_ocp(self.system, x, self.config, warm_start=warm, previous=self._previous)
+        solution = solve_ocp(self.system, x, self.config, warm_start=warm, shifted=warm is not None)
         self._candidate = None
         if not solution.feasible:
             self._previous = None
@@ -810,10 +773,13 @@ def closed_loop(
 ) -> ClosedLoopRun:
     """Run the receding-horizon law for ``n_steps`` steps from ``x0``.
 
-    Each record holds, per step, the optimal cost, the cost of the shifted
-    candidate evaluated at the current state (the recursive-feasibility
-    witness; NaN at the first step where no candidate exists yet), the stage
-    cost actually paid, and solver diagnostics.
+    Each record holds, per step, the cost of the returned solution
+    (``optimal_costs``: the optimum of a cold solve as far as the stop rules
+    reach, and at a warm step the result of one descent step from the
+    candidate), the cost of the shifted candidate evaluated at the current
+    state (the recursive-feasibility witness; NaN at the first step where no
+    candidate exists yet), the stage cost actually paid, and solver
+    diagnostics.
 
     ``n_steps`` must be an integer of at least 1 and ``distance_tol`` a
     positive finite number, read as the configuration's

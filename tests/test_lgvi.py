@@ -812,7 +812,7 @@ class TestStartValue:
 
     def test_kept_inverse_is_the_same_whichever_step_reads_it_first(self):
         # The tails of a gradient hand one base state to up to 2 N m steps,
-        # and a carried tail reads it after steps that a fresh one does not.
+        # which may read it in any order.
         constants = _inertia_constants(J_REF)
         state = SpacecraftState(exp_so3([0.3, -0.2, 0.4]), exp_so3(H * np.array([0.5, -0.3, 0.2])))
         torque = np.array([2.0, -1.0, 0.5])

@@ -10,8 +10,7 @@ order as the package's running sums do.  The two descents stop at different
 points, so they are compared by what a solve must deliver, not bit for bit:
 the package's solve is feasible whenever the reference's is, ends no higher
 on the penalized objective than ``ftol_rel`` allows and evaluates no more
-gradients.  Over a warm-started closed loop it needs at most a third of the
-reference's gradients.
+gradients.
 """
 
 import contextlib
@@ -37,12 +36,11 @@ from so3mpc.mpc import (
     _Objective,
     _roll_on,
     _Rollout,
-    closed_loop,
     solve_ocp,
     warm_start_shift,
 )
 
-from conftest import H_REF, BoundedStepIntegrator, assert_same_tail, integrator_margins, regulate_start
+from conftest import H_REF, BoundedStepIntegrator, assert_same_tail, integrator_margins
 
 
 class RolloutData(NamedTuple):
@@ -148,11 +146,11 @@ STEP_INIT = 1.0
 STEP_MAX = 1e3
 
 
-def oracle_projected_gradient(objective, torques, settings):
+def oracle_projected_gradient(objective, torques, rollout, settings):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns.  It
-    takes the package descent's arguments."""
+    takes the package descent's arguments and returns what it returns."""
     system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
@@ -366,8 +364,8 @@ class TestSolveMatchesOracle:
         # -0.1875) rad/s, warm), and some met the stop a few gradients
         # sooner (0.1 rad about x spinning at 0.14 rad/s about z, cold: 7
         # gradients against 10).  Here the objective may exceed the
-        # reference's by 10 ftol_rel; TestGradientCount bounds the gradients
-        # over a closed loop.
+        # reference's by 10 ftol_rel, and the gradient counts are not
+        # compared.
         x0 = spinning_state(angle * np.asarray(axis) / np.linalg.norm(axis), rate, H_REF)
         config = MpcConfig(horizon=10)
         warm_start = None
@@ -377,45 +375,6 @@ class TestSolveMatchesOracle:
             x0 = ref_system.step(x0, first.first_control)
             warm_start = warm_start_shift(first, ref_system)
         check_against_oracle(ref_system, x0, config, warm_start, strict=False)
-
-
-class TestGradientCount:
-    def test_regulate_loop_at_most_a_third_of_reference_gradients(self, ref_system):
-        # The benchmark's regulate start, then 30 warm-started steps.
-        x0 = regulate_start()
-        gradients = []
-        for oracle in (False, True):
-            with counting(oracle) as (points, _):
-                run = closed_loop(ref_system, x0, MpcConfig(horizon=10), 30)
-            assert run.feasible.all()
-            gradients.append(len(points))
-        new, old = gradients
-        assert new <= 0.33 * old
-
-    def test_regulate_solves_stop_on_grad_tol_and_hand_on_tails(self, ref_system, monkeypatch):
-        # With the metric built along each iterate's rollout, 29 of the 30
-        # solves stop on grad_tol and 28 of them run the next solve's first
-        # gradient on their tails; with the equilibrium's constant metric,
-        # 14 and 13 did, and the rest stopped on ftol_rel.
-        carried = []
-
-        class Recording(_Objective):
-            def __init__(self, *args):
-                super().__init__(*args)
-                carried.append(self.carried is not None)
-
-        monkeypatch.setattr(mpc, "_Objective", Recording)
-        config = MpcConfig(horizon=10)
-        controller = mpc.MpcController(ref_system, config)
-        x, stops, takers = regulate_start(), 0, 0
-        for _ in range(30):
-            del carried[:]
-            u, solution = controller.step(x)
-            stops += solution.kkt_residual is not None and solution.kkt_residual <= config.solver.grad_tol
-            takers += carried[0]
-            x = ref_system.step(x, u)
-        assert stops >= 25
-        assert takers >= 25
 
 
 def no_hints(tail):
@@ -428,14 +387,16 @@ def lean_tail(objective, x_start, tail):
     """A tail as the package's gradient runs it, without start states: its
     end state and sums only, and ``None`` when unsolvable."""
     try:
-        return _roll_on(objective.system, _Rollout.at(x_start), tail, no_hints(tail))
+        return _roll_on(objective.system, x_start, tail, no_hints(tail))
     except NotSolvable:
         return None
 
 
 def lean_tail_value(objective, x_start, tail, stage_prefix):
-    """The tail value as the package's gradient computes it."""
-    return objective.value(lean_tail(objective, x_start, tail), stage_prefix)
+    """The tail value as the package's gradient computes it: ``math.inf``
+    for an unsolvable tail, which lies outside the domain."""
+    rollout = lean_tail(objective, x_start, tail)
+    return math.inf if rollout is None else objective.value(rollout, stage_prefix)
 
 
 class HighFloorAttitude(SpacecraftAttitudeSystem):
@@ -466,8 +427,7 @@ def near_floor_tail(rng):
 
 class TestLeanTailValue:
     """The value of a tail from the package's rollout runner against the
-    value of a full :func:`rollout_data` of the same tail, and a tail
-    run in two pieces against the same tail run in one."""
+    value of a full :func:`rollout_data` of the same tail."""
 
     def test_matches_rollout_data_on_both_sides_of_the_floor(self, ref_design):
         # A tail whose step falls below the floor is infinite on both sides;
@@ -494,7 +454,7 @@ class TestLeanTailValue:
         for stage_prefix in [0.0, 3.25, 1.5]:
             value = lean_tail_value(objective, x, tail, stage_prefix)
             assert repr(value) == repr(oracle_tail_value(objective, x, tail, stage_prefix))
-        full = _roll_on(ref_system, _Rollout.at(x), tail)
+        full = _roll_on(ref_system, x, tail)
         assert_same_tail(full, reference_record(rollout_data(ref_system, x, tail)))
         lean = _Rollout(full.states[-1:], full.stage, full.terminal, None)
         assert_same_tail(lean_tail(objective, x, tail), lean)
@@ -508,28 +468,8 @@ class TestLeanTailValue:
         torques[1] = [0.0, 0.0, 5e3]
         assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0) == math.inf
         with pytest.raises(NotSolvable, match="rollout failed at step 1") as excinfo:
-            _roll_on(ref_system, _Rollout.at(SpacecraftState.identity()), torques)
+            _roll_on(ref_system, SpacecraftState.identity(), torques)
         assert excinfo.value.step == 1
-
-    def test_tail_run_on_equals_tail_run_at_once(self, ref_design):
-        # The same near-floor tails as above, split after each step: the
-        # carried-tail gradient depends on this equality.
-        system = HighFloorAttitude(ref_design)
-        objective = _Objective(system, SpacecraftState.identity(), 1e4)
-        rng = np.random.default_rng(12)
-        seen = {"inside": 0, "below floor": 0}
-        for _ in range(20):
-            x, tail = near_floor_tail(rng)
-            whole = lean_tail(objective, x, tail)
-            seen["inside" if whole is not None else "below floor"] += 1
-            for k in range(1, len(tail)):
-                head = lean_tail(objective, x, tail[:k])
-                try:
-                    run_on = None if head is None else _roll_on(system, head, tail[k:], no_hints(tail[k:]))
-                except NotSolvable:
-                    run_on = None
-                assert_same_tail(run_on, whole)
-        assert seen["inside"] >= 5 and seen["below floor"] >= 5
 
 
 class TestFloorBoundsTheSearch:

@@ -32,7 +32,7 @@ BENCHMARK_NAMES = {
 # Parameters with a default, over every function, method and lambda of the
 # package.  A default is an option; options come only where a caller
 # chooses, so lower this when one goes and never raise it to pass.
-DEFAULTED_PARAMETER_CEILING = 40
+DEFAULTED_PARAMETER_CEILING = 39
 
 
 def test_every_exported_name_resolves():

@@ -21,7 +21,7 @@ from so3mpc.lgvi import (
     rollout,
     step_with_margin,
 )
-from so3mpc.mpc import FD_STEP, MpcConfig, _predict, _roll_on, _Rollout, closed_loop, solve_ocp, warm_start_shift
+from so3mpc.mpc import FD_STEP, MpcConfig, _predict, _roll_on, closed_loop, solve_ocp, warm_start_shift
 from so3mpc.so3 import NEAR_PI, exp_so3, log_so3
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF, regulate_start
@@ -134,8 +134,8 @@ def test_solves_from_arrays_and_from_entries_agree(rebuild, ref_system):
     first = solve_ocp(ref_system, regulate_start(), config)
     x1 = first.states[1]
     warm = warm_start_shift(first, ref_system)
-    given = solve_ocp(ref_system, x1, config, warm_start=warm, previous=first)
-    rebuilt = solve_ocp(ref_system, rebuild(x1), config, warm_start=warm, previous=first)
+    given = solve_ocp(ref_system, x1, config, warm_start=warm)
+    rebuilt = solve_ocp(ref_system, rebuild(x1), config, warm_start=warm)
     assert np.array_equal(given.torques, rebuilt.torques)
     assert repr((given.cost, given.terminal_value)) == repr((rebuilt.cost, rebuilt.terminal_value))
     cold = solve_ocp(ref_system, regulate_start(), config)
@@ -197,11 +197,11 @@ def rollout_record(rollout):
 def test_rollout_takes_list_rows_as_the_equal_array(name, ref_design):
     system = SpacecraftAttitudeSystem(ref_design, torque_bound=np.inf)
     x0, torques = case_start(name)
-    base = _roll_on(system, _Rollout.at(x0), torques)
-    assert rollout_record(_roll_on(system, _Rollout.at(x0), torques.tolist())) == rollout_record(base)
+    base = _roll_on(system, x0, torques)
+    assert rollout_record(_roll_on(system, x0, torques.tolist())) == rollout_record(base)
     # A finite-difference tail of step 1, each entry of its first control
     # moved, its steps started at the base rollout's states.
-    start, near = _Rollout.at(base.states[1]), base.states[2:]
+    start, near = base.states[1], base.states[2:]
     for j in range(3):
         for delta in (FD_STEP, -FD_STEP):
             array, rows = torques[1:].copy(), torques[1:].tolist()
