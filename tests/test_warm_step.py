@@ -8,14 +8,23 @@ candidate otherwise.  Cold solves descend to the stop rules as before.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import so3mpc.mpc as mpc
-from so3mpc.attitude import AttitudeMpc, rest_state
+from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state
+from so3mpc.errors import Infeasible
 from so3mpc.flat import DoubleIntegratorSystem
-from so3mpc.mpc import MpcConfig, closed_loop, solve_ocp
+from so3mpc.mpc import (
+    MpcConfig,
+    MpcController,
+    closed_loop,
+    horizon_cost,
+    solve_ocp,
+    warm_start_shift,
+)
 
 from conftest import regulate_start
 
@@ -140,3 +149,166 @@ def test_step_out_of_the_terminal_set_keeps_the_candidate(monkeypatch):
 def test_shifted_needs_a_warm_start():
     with pytest.raises(ValueError, match="shifted"):
         solve_ocp(DoubleIntegratorSystem(), np.array([1.0, 0.0]), MpcConfig(horizon=4), shifted=True)
+
+
+def second_solve(model, start):
+    """The state after the first closed-loop step from ``start`` and the
+    shifted candidate of the first solve there."""
+    system, config = model.system_, model.config_
+    first = solve_ocp(system, start, config)
+    return first.states[1], warm_start_shift(first, system)
+
+
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_marked_solve_is_one_capped_round(name, request):
+    # When the step stays in the terminal set, the marked solve is the
+    # unmarked one under settings capped at one iteration of one round.
+    model_name, start, _ = LOOPS[name]
+    model = request.getfixturevalue(model_name)
+    system, config = model.system_, model.config_
+    x1, warm = second_solve(model, start())
+    capped = MpcConfig(config.horizon, replace(config.solver, max_iters=1, outer_rounds=1))
+    reference = solve_ocp(system, x1, capped, warm_start=warm)
+    assert reference.feasible
+    assert_same_solution(solve_ocp(system, x1, config, warm_start=warm, shifted=True), reference)
+
+
+def test_unmarked_candidate_descends_to_the_stop_rules(reference_model):
+    # The same candidate without the marker is solved as any warm start:
+    # here to grad_tol, at its second iteration.
+    system, config = reference_model.system_, reference_model.config_
+    x1, warm = second_solve(reference_model, regulate_start())
+    marked = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
+    unmarked = solve_ocp(system, x1, config, warm_start=warm)
+    assert marked.iterations == 1
+    assert marked.kkt_residual is None
+    assert unmarked.iterations > 1
+    assert unmarked.kkt_residual <= config.solver.grad_tol
+
+
+def test_converged_candidate_takes_no_step(reference_model):
+    # A candidate whose KKT residual is within grad_tol is returned after
+    # its gradient, with that residual.
+    system = reference_model.system_
+    config = MpcConfig(horizon=10, solver=mpc.SolverSettings(grad_tol=1e9))
+    x1, warm = second_solve(reference_model, regulate_start())
+    solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
+    assert np.array_equal(solution.torques, warm)
+    assert solution.iterations == 0
+    assert 0.0 < solution.kkt_residual <= config.solver.grad_tol
+    assert repr(solution.cost) == repr(horizon_cost(system, x1, warm))
+
+
+class CountingAttitude(SpacecraftAttitudeSystem):
+    """Counts its own integrator steps and terminal-cost calls."""
+
+    steps = 0
+    terminal_calls = 0
+
+    def step_with_margin(self, x, u, near=None):
+        self.steps += 1
+        return super().step_with_margin(x, u, near)
+
+    def terminal_cost(self, x):
+        self.terminal_calls += 1
+        return super().terminal_cost(x)
+
+
+def test_warm_solve_integrator_steps(reference_model, monkeypatch):
+    # The start rollout, the gradient's tails, one rollout per line-search
+    # trial and the rollout of the returned torques; no gradient at them.
+    system = CountingAttitude(reference_model.design_)
+    config = reference_model.config_
+    x1, warm = second_solve(reference_model, regulate_start())
+    trials = []
+    trial = mpc._Objective.trial
+    monkeypatch.setattr(
+        mpc._Objective, "trial", lambda objective, torques: trials.append(1) or trial(objective, torques)
+    )
+    solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
+    assert solution.iterations == 1
+    n, m = warm.shape
+    # Central differences at every entry: 2 m tails of N - i steps at step i.
+    tail_steps = m * n * (n + 1)
+    assert len(trials) >= 1
+    assert system.steps == n * (2 + len(trials)) + tail_steps
+    assert system.terminal_calls == 2 + len(trials) + 2 * m * n
+
+
+@pytest.mark.parametrize("stop", ["ftol_rel stop", "iteration cap"])
+def test_stop_after_a_line_search_takes_no_gradient_at_the_accepted_point(stop, ref_system, monkeypatch):
+    # Both stops return the accepted torques before their gradient: one
+    # gradient per iteration, none at the returned torques, no residual.
+    if stop == "ftol_rel stop":
+        # Stops on ftol_rel at its third iteration.
+        x0, config = rest_state([0.8, 0.2, -0.4]), MpcConfig(horizon=6)
+    else:
+        x0, config = regulate_start(), MpcConfig(horizon=10, solver=mpc.SolverSettings(max_iters=2))
+    points = []
+    gradient = mpc._Objective.gradient
+
+    def recorded_gradient(objective, torques, *args, **kwargs):
+        points.append(torques.copy())
+        return gradient(objective, torques, *args, **kwargs)
+
+    monkeypatch.setattr(mpc._Objective, "gradient", recorded_gradient)
+    solution = solve_ocp(ref_system, x0, config)
+    assert solution.feasible
+    assert solution.kkt_residual is None
+    if stop == "iteration cap":
+        assert solution.iterations == config.solver.max_iters
+    assert len(points) == solution.iterations
+    assert all(not np.array_equal(point, solution.torques) for point in points)
+
+
+def marked_loop(system, x0, config, n_steps):
+    """The records of :func:`closed_loop` from a loop of explicit solves,
+    each after the first marked ``shifted``."""
+    x, previous = x0, None
+    controls, optimal, candidates, iterations, terminal = [], [], [], [], []
+    for _ in range(n_steps):
+        warm = None if previous is None else warm_start_shift(previous, system)
+        candidates.append(math.nan if warm is None else horizon_cost(system, x, warm))
+        previous = solve_ocp(system, x, config, warm_start=warm, shifted=warm is not None)
+        assert previous.feasible
+        controls.append(previous.first_control)
+        optimal.append(previous.cost)
+        iterations.append(previous.iterations)
+        terminal.append(previous.terminal_value)
+        x = system.step(x, previous.first_control)
+    return controls, optimal, candidates, iterations, terminal
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (0.3, 0.2, 1.0)], ids=["default", "tilted"])
+def test_closed_loop_equals_loop_of_marked_solves(axis, reference_model):
+    # 40 steps of a slew from rest at 180 degrees, the default about z.
+    system, config = reference_model.system_, reference_model.config_
+    x0 = rest_state(np.pi * np.asarray(axis) / np.linalg.norm(axis))
+    run = closed_loop(system, x0, config, 40)
+    controls, optimal, candidates, iterations, terminal = marked_loop(system, x0, config, 40)
+    assert np.array_equal(run.controls, np.array(controls))
+    assert np.array_equal(run.optimal_costs, np.array(optimal))
+    assert np.array_equal(run.candidate_costs, np.array(candidates), equal_nan=True)
+    assert np.array_equal(run.iterations, np.array(iterations))
+    assert np.array_equal(run.terminal_values, np.array(terminal))
+
+
+def test_controller_marks_only_its_carried_candidate(monkeypatch):
+    # A cold first solve, a marked second, and after an infeasible step a
+    # cold solve again.
+    flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
+    controller = MpcController(flat, MpcConfig(horizon=3))
+    marks = []
+    solve = mpc.solve_ocp
+
+    def recorded_solve(*args, **kwargs):
+        marks.append((kwargs["warm_start"] is not None, kwargs["shifted"]))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
+    controller.step(np.zeros(2))
+    controller.step(np.zeros(2))
+    with pytest.raises(Infeasible):
+        controller.step(np.array([5.0, 0.0]))
+    controller.step(np.zeros(2))
+    assert marks == [(False, False), (True, True), (True, True), (False, False)]
