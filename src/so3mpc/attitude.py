@@ -55,8 +55,9 @@ from .terminal import (
     default_weights,
     design_terminal,
     feedback,
+    stage_gradient,
     stage_hessians,
-    terminal_hessian,
+    terminal_derivatives,
     terminal_value,
 )
 from .validation import as_parameter, as_positive, check_vector3
@@ -129,16 +130,28 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
     def quadratic_model(self, states, torques) -> QuadraticModel:
         """The step Jacobians of :func:`~so3mpc.lgvi.step_jacobians` between
         consecutive states, the stage Hessians of
-        :func:`~so3mpc.terminal.stage_hessians` at every state but the last,
-        and the terminal Hessian of :func:`~so3mpc.terminal.terminal_hessian`
-        at the last, all in the tangent coordinates g exp(hat(zeta)),
+        :func:`~so3mpc.terminal.stage_hessians` and the state gradients of
+        :func:`~so3mpc.terminal.stage_gradient` at every state but the last,
+        the torque gradients tilde(R) u, and the terminal gradient and
+        Hessian of :func:`~so3mpc.terminal.terminal_derivatives` at the last,
+        all in the tangent coordinates g exp(hat(zeta)),
         f exp(h hat(omega))."""
         f = np.array([x.entries[1] for x in states])
         g = np.array([x.entries[0] for x in states[:-1]])
         a, b = step_jacobians(f[:-1], f[1:], self.h, self.inertia)
-        q, r = stage_hessians(self.weights, SpacecraftState(g, f[:-1]))
-        p = terminal_hessian(self.design.P, states[-1], self.h)
-        return QuadraticModel(a, b, q, np.broadcast_to(r, (len(torques), 3, 3)), p)
+        stages = SpacecraftState(g, f[:-1])
+        q, r = stage_hessians(self.weights, stages)
+        p_grad, p = terminal_derivatives(self.design.P, states[-1], self.h)
+        return QuadraticModel(
+            a,
+            b,
+            q,
+            np.broadcast_to(r, (len(torques), 3, 3)),
+            p,
+            stage_gradient(self.weights, stages, self.h),
+            torques @ r,
+            p_grad,
+        )
 
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must

@@ -63,14 +63,19 @@ class DoubleIntegratorSystem(ManifoldSystem):
         return -(self.K @ np.asarray(x, dtype=float))
 
     def quadratic_model(self, states, torques) -> QuadraticModel:
-        """The system itself at every step: (A, B), 2Q, 2R and 2P."""
+        """The system itself at every step: (A, B), 2Q, 2R and 2P, with the
+        gradients 2Q x_k, 2R u_k and 2P x_N."""
         n = len(torques)
+        x = np.asarray(states, dtype=float)
         return QuadraticModel(
             np.broadcast_to(self.A, (n, 2, 2)),
             np.broadcast_to(self.B, (n, 2, 1)),
             np.broadcast_to(2.0 * self.Q, (n, 2, 2)),
             np.broadcast_to(2.0 * self.R, (n, 1, 1)),
             2.0 * self.P,
+            2.0 * x[:-1] @ self.Q,
+            2.0 * torques @ self.R,
+            2.0 * self.P @ x[-1],
         )
 
     def steering_control(self, x) -> np.ndarray:

@@ -5,9 +5,17 @@ dynamics, a metric, stage and terminal costs, a terminal set level, a local
 feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
 sequence, with box bounds handled by projection, the terminal-set constraint
-by a growing quadratic penalty, and gradients by central finite differences
-of the rollout cost.  The predictions are defined where every step is: a
-step that the system reports unsolvable
+by a growing quadratic penalty, and gradients from one of two sources.  A
+warm solve from a feasible shifted candidate takes its one gradient from the
+linear-quadratic model along the candidate, by one backward sweep of the
+adjoint of the linearized rollout over its step Jacobians and its cost
+gradients (:meth:`_Objective.model_gradient`; Lee, Leok & McClamroch, 2006,
+derive that adjoint for this integrator): the step of the real-time
+iteration is taken on the linearization itself (Diehl, Bock & Schlöder, *A
+real-time iteration scheme for nonlinear optimization in optimal feedback
+control*, 2005), and the same model gives its metric.  Every other gradient
+is central finite differences of the rollout cost.  The predictions are
+defined where every step is: a step that the system reports unsolvable
 (:class:`~so3mpc.errors.NotSolvable`) lies outside the objective's domain,
 so the line search backs off from a trial that takes one and a
 finite-difference tail that takes one gives way to the one-sided
@@ -36,18 +44,16 @@ as a pure function of state and control.  A record sums its stage costs as
 it goes, in Python floats and in step order; only the predictions that a
 caller reads per step keep per-step values, so a tail builds no array.
 A solve warm-started at the shifted candidate of the previous solution
-(:func:`warm_start_shift`) takes one descent step from it: one gradient at
-the candidate and, when its KKT residual exceeds ``grad_tol``, one direction
-and one Armijo search; it keeps the accepted point if that is feasible and
-the candidate otherwise.  The candidate is feasible and its cost falls by
-at least the stage cost paid, a feasible descent step keeps both, and that
-is all recursive feasibility and the cost-decrease chain need: feasibility
-implies stability (Scokaert, Mayne & Rawlings, *Suboptimal model predictive
-control (feasibility implies stability)*, 1999).  One Newton-type step per
-sample is the real-time iteration of Diehl, Bock & Schlöder (*A real-time
-iteration scheme for nonlinear optimization in optimal feedback control*,
-2005).  Cold solves descend until a stop rule of :class:`SolverSettings`
-holds.
+(:func:`warm_start_shift`) takes one descent step from it: one model
+gradient at the candidate and, when its KKT residual exceeds ``grad_tol``,
+one direction and one Armijo search; it keeps the accepted point if that is
+feasible and the candidate otherwise.  The candidate is feasible and its
+cost falls by at least the stage cost paid, a feasible descent step keeps
+both, and that is all recursive feasibility and the cost-decrease chain
+need: feasibility implies stability (Scokaert, Mayne & Rawlings, *Suboptimal
+model predictive control (feasibility implies stability)*, 1999).  One
+Newton-type step per sample is the real-time iteration cited above.  Cold
+solves descend until a stop rule of :class:`SolverSettings` holds.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -95,15 +101,21 @@ class QuadraticModel(NamedTuple):
     """Linear-quadratic model of a system along a predicted trajectory of N
     steps, in tangent coordinates of its states: per step k, the Jacobians
     ``A[k]`` and ``B[k]`` of the step (x_{k+1} = A[k] x_k + B[k] u_k to
-    first order) and the Hessians of the stage cost in the state (``Q[k]``)
-    and the control (``R[k]``), positive semidefinite; and the Hessian of the
-    terminal cost at the last state (``P``)."""
+    first order), the Hessians of the stage cost in the state (``Q[k]``)
+    and the control (``R[k]``), positive semidefinite, and its gradients in
+    the state (``q[k]``, shape (n,)) and the control (``r[k]``, shape (m,));
+    and the Hessian (``P``) and gradient (``p``) of the terminal cost at the
+    last state.  The solver reads nothing of ``A[0]``, ``Q[0]`` and
+    ``q[0]``, which act on the fixed initial state."""
 
     A: np.ndarray
     B: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     P: np.ndarray
+    q: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
 
 
 class ManifoldSystem(abc.ABC):
@@ -167,9 +179,11 @@ class ManifoldSystem(abc.ABC):
         """Linear-quadratic model along a predicted rollout: ``states`` are
         the N + 1 states that ``torques``, shape (N, control_dim), visit from
         the first one.  The solver preconditions its descent with the
-        horizon Hessian of this model (:func:`_gauss_newton_hessian`); it
-        reads nothing of ``A[0]`` and ``Q[0]``, which act on the fixed
-        initial state."""
+        horizon Hessian of this model (:func:`_gauss_newton_hessian`), and
+        a warm solve from a feasible shifted candidate takes its gradient
+        from the first-order terms by one backward sweep
+        (:meth:`_Objective.model_gradient`).  Neither reads ``A[0]``,
+        ``Q[0]`` or ``q[0]``, which act on the fixed initial state."""
 
     def steering_control(self, x) -> np.ndarray:
         """Heuristic control used to build cold-start guesses; defaults to
@@ -259,7 +273,10 @@ class OcpSolution:
     before the gradient at the accepted torques, which would serve only this
     report.  Every warm solve from a shifted candidate that takes its step
     stops so, on its cap of one iteration.  A stop on ``grad_tol`` or on a
-    failed line search reports it.
+    failed line search reports it, from the gradient at the returned
+    torques: central differences, except where a warm solve from a feasible
+    shifted candidate returns that candidate at its first gradient, which is
+    the model's backward sweep (see :func:`solve_ocp`).
 
     ``violation`` is how far the terminal value exceeds the terminal level,
     zero when it does not.  Every predicted step in ``states`` lies inside
@@ -357,8 +374,9 @@ def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
 
 
 class _Objective:
-    """Penalized shooting objective with cheap tail re-evaluation for
-    finite differences."""
+    """Penalized shooting objective, with its gradient by central differences
+    over cheap tail re-evaluations or by a backward sweep over the system's
+    linear-quadratic model."""
 
     def __init__(self, system: ManifoldSystem, x0, weight: float):
         self.system = system
@@ -440,6 +458,27 @@ class _Objective:
                     )
         return grad, base_value
 
+    def model_gradient(self, model: QuadraticModel, base: _Rollout) -> tuple[np.ndarray, float]:
+        """Gradient of the penalized value of ``base`` in its controls, from
+        ``model``, the system's model along ``base``, and that value.
+
+        One backward sweep of the adjoint of the linearized rollout (Lee,
+        Leok & McClamroch, *Optimal attitude control of a rigid body using
+        geometrically exact computations on SO(3)*, 2006), with F the
+        terminal value, c the level and w the weight:
+        lam_N = (1 + 2 w max(0, F - c)) p, g_k = B[k]^T lam_{k+1} + r[k] and
+        lam_k = A[k]^T lam_{k+1} + q[k].  It stops at g_0, so ``A[0]`` and
+        ``q[0]`` go unread.
+        """
+        a, b, r, q = model.A, model.B, model.r, model.q
+        lam = (1.0 + 2.0 * self.weight * max(0.0, base.terminal - self.level)) * model.p
+        grad = np.empty(r.shape)
+        for k in range(len(grad) - 1, -1, -1):
+            grad[k] = lam @ b[k] + r[k]
+            if k:
+                lam = lam @ a[k] + q[k]
+        return grad, self.value(base)
+
 
 def _line_search(objective, torques, value, grad, direction):
     """Armijo backtracking from the full step along the projected path
@@ -465,7 +504,7 @@ def _gauss_newton_hessian(model: QuadraticModel) -> np.ndarray:
     k = 1 .. N - 1, where G_k maps the controls to the state after k steps;
     an (N m) x (N m) matrix.  Column block j of G_k is
     A[k-1] ... A[j+1] B[j] (Bock & Plitt, 1984)."""
-    a, b, q, r, p = model
+    a, b, q, r, p = model.A, model.B, model.Q, model.R, model.P
     horizon, n, m = b.shape
     # Row block k of g is G_{k+1}; its columns past the first k + 1 blocks
     # stay zero.
@@ -520,6 +559,7 @@ def _quasi_newton_descent(
     objective: _Objective,
     torques: np.ndarray,
     rollout: _Rollout,
+    model: Optional[QuadraticModel],
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int, Optional[float]]:
     """Limited-memory BFGS descent with two-metric projection onto the box
@@ -534,20 +574,27 @@ def _quasi_newton_descent(
     the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
     of the current torques, the one their gradient holds; it is built once
     per iteration, after the KKT test, so a descent that stops at its first
-    gradient builds none.  Every iteration, the first included, searches along a
-    quasi-Newton direction from full length; the descent stops when that
-    direction is not a descent direction or its search finds no Armijo
-    point.  The curvature pairs carry what the model lacks, above all the
-    penalty's curvature.
+    central-difference gradient builds none.  Every iteration, the first
+    included, searches along a quasi-Newton direction from full length; the
+    descent stops when that direction is not a descent direction or its
+    search finds no Armijo point.  The curvature pairs carry what the model
+    lacks, above all the penalty's curvature.
 
-    ``rollout`` is the rollout of ``torques``.  Returns the final torques,
+    ``rollout`` is the rollout of ``torques``, and ``model`` the system's
+    model along it or ``None``.  Given a model, the first gradient is its
+    backward sweep (:meth:`_Objective.model_gradient`) and the first metric
+    its Hessian: one build serves both.  Every other gradient is central
+    differences (:meth:`_Objective.gradient`).  Returns the final torques,
     the iteration count and the KKT residual at the final torques, or
     ``None`` when the descent stopped after a line search, on the relative
     improvement test or on ``max_iters``: such a stop returns the accepted
     torques before their gradient, which only a next iteration would read,
     so no residual is known."""
     system = objective.system
-    grad, value = objective.gradient(torques, base=rollout)
+    if model is None:
+        grad, value = objective.gradient(torques, base=rollout)
+    else:
+        grad, value = objective.model_gradient(model, rollout)
     # Length of the gradient step that picks and moves the held entries,
     # fixed for the round by its first gradient.
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
@@ -559,7 +606,9 @@ def _quasi_newton_descent(
         iterations += 1
         trial = torques - step * grad
         free = system.project_control(trial) == trial
-        hessian = _gauss_newton_hessian(system.quadratic_model(rollout.states, torques))
+        if model is None:
+            model = system.quadratic_model(rollout.states, torques)
+        hessian = _gauss_newton_hessian(model)
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         if float((grad * direction).sum()) >= 0.0:
             break
@@ -579,7 +628,7 @@ def _quasi_newton_descent(
         s, y = candidate - torques, new_grad - grad
         if float((s * y).sum()) > 0.0:
             pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
-        torques, grad, value, rollout = candidate, new_grad, cand_value, cand_rollout
+        torques, grad, value, rollout, model = candidate, new_grad, cand_value, cand_rollout, None
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt
 
@@ -633,8 +682,11 @@ def solve_ocp(
     solution (:func:`warm_start_shift`); without a warm start it raises
     ``ValueError``.  When the candidate's own rollout is feasible at ``x0``,
     the solve takes one descent step from it: one penalty round at
-    ``PENALTY_WEIGHT`` capped at one iteration, which returns the accepted
-    point if that point is feasible and the candidate otherwise.  The result
+    ``PENALTY_WEIGHT`` capped at one iteration, whose gradient at the
+    candidate is the backward sweep over the system's model along it
+    (:meth:`_Objective.model_gradient`), and whose metric is the same
+    model's.  It returns the accepted point if that point is feasible and
+    the candidate otherwise.  The result
     is then feasible, and its cost exceeds the candidate's by at most the
     penalty on the candidate's terminal excess, zero inside the terminal
     set.  A candidate that is not feasible at ``x0`` gets every penalty
@@ -652,15 +704,16 @@ def solve_ocp(
     torques = system.project_control(torques)
     rollout = _predict(system, x0, torques)
 
-    candidate = None
+    candidate = model = None
     if shifted and rollout.terminal - system.terminal_level <= settings.constraint_tol:
         candidate = torques, rollout
+        model = system.quadratic_model(rollout.states, torques)
         settings = replace(settings, max_iters=1, outer_rounds=1)
     weight = PENALTY_WEIGHT
     total_iterations = 0
     for _ in range(settings.outer_rounds):
         objective = _Objective(system, x0, weight)
-        torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, settings)
+        torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, model, settings)
         total_iterations += iterations
         rollout = _predict(system, x0, torques)
         violation = max(0.0, rollout.terminal - objective.level)

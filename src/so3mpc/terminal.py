@@ -229,6 +229,29 @@ def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCo
     return QuadraticCostData(q, tilde_transform(weights.torque))
 
 
+def stage_gradient(weights: StageWeights, state: SpacecraftState, h: float) -> np.ndarray:
+    """Gradient of the trace-form stage cost in the state at ``state``, in
+    the tangent coordinates of :func:`stage_hessians`:
+    (2 vee(skew(Q_g g)), 2 vee(skew(Q_f f)) / h).  A stack of states, with g
+    and f of shape (n, 3, 3), gives one row per state.  The torque part of
+    the cost is the quadratic u^T tilde(R) u / 2, whose gradient is its
+    Hessian times u.
+
+    The first-order term of tr(Q (I - g exp(hat(zeta)))) is
+    -tr(Q g hat(zeta)) = 2 vee(skew(Q g)) . zeta, and the rate term's 1/h^2
+    meets the h in its coordinate once.
+    """
+    return np.concatenate(
+        [_twice_skew_vector(weights.attitude @ state.g), _twice_skew_vector(weights.rate @ state.f) / h], axis=-1
+    )
+
+
+def _twice_skew_vector(m: np.ndarray) -> np.ndarray:
+    """2 vee(skew(M)) = (M_21 - M_12, M_02 - M_20, M_10 - M_01), for one
+    matrix or a stack."""
+    return m[..., (2, 0, 1), (1, 2, 0)] - m[..., (1, 2, 0), (2, 0, 1)]
+
+
 def _clip_negative(m: np.ndarray) -> np.ndarray:
     """A stack of symmetric 3x3 matrices with each negative eigenvalue set to
     zero.  A matrix that Sylvester's criterion (positive leading minors)
@@ -245,17 +268,18 @@ def _clip_negative(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def terminal_hessian(p: np.ndarray, state: SpacecraftState, h: float) -> np.ndarray:
-    """Gauss-Newton Hessian 2 C^T P C of the terminal cost xi^T P xi at
-    ``state``, in the tangent coordinates of :func:`stage_hessians`.  C is
-    the Jacobian of :func:`coordinates` there, blockdiag of the inverse right
-    Jacobians of log_so3 at log g and at log f (the h of the rate coordinate
-    cancels); it stays finite up to the branch cut."""
+def terminal_derivatives(p: np.ndarray, state: SpacecraftState, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient 2 C^T P xi and Gauss-Newton Hessian 2 C^T P C of the terminal
+    cost xi^T P xi at ``state``, in the tangent coordinates of
+    :func:`stage_hessians`, from one evaluation of the chart coordinates xi
+    and of C.  C is the Jacobian of :func:`coordinates` there, blockdiag of
+    the inverse right Jacobians of log_so3 at log g and at log f (the h of
+    the rate coordinate cancels); it stays finite up to the branch cut."""
     xi = coordinates(state, h)
     chart = np.zeros((6, 6))
     chart[:3, :3] = inverse_right_jacobian(xi[:3])
     chart[3:, 3:] = inverse_right_jacobian(h * xi[3:])
-    return 2.0 * (chart.T @ p @ chart)
+    return 2.0 * (chart.T @ (p @ xi)), 2.0 * (chart.T @ p @ chart)
 
 
 def build_cost_data(weights: StageWeights) -> QuadraticCostData:

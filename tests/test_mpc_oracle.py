@@ -146,11 +146,13 @@ STEP_INIT = 1.0
 STEP_MAX = 1e3
 
 
-def oracle_projected_gradient(objective, torques, rollout, settings):
+def oracle_projected_gradient(objective, torques, rollout, model, settings):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
     candidate, also the one its relative-improvement stop then returns.  It
-    takes the package descent's arguments and returns what it returns."""
+    takes the package descent's arguments and returns what it returns; it
+    reads neither the rollout nor the model, and takes every gradient by
+    central differences."""
     system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))

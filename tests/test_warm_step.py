@@ -2,9 +2,11 @@
 
 Every closed-loop solve after the first starts from the shifted candidate
 of the previous solution, marked ``shifted``.  When that candidate is
-feasible, the solve takes one gradient at it and at most one direction and
-line search, and returns the accepted point if it is feasible and the
-candidate otherwise.  Cold solves descend to the stop rules as before.
+feasible, the solve builds the linear-quadratic model along it once, takes
+the gradient there from the model's backward sweep and at most one
+direction, preconditioned by the same model, and line search, and returns
+the accepted point if it is feasible and the candidate otherwise.  Cold
+solves descend to the stop rules on central differences as before.
 """
 
 import math
@@ -41,23 +43,29 @@ def assert_same_solution(a, b):
 
 
 def counted_loop(monkeypatch, system, x0, config, n_steps):
-    """The closed loop, and per solve the solution, the number of gradients
-    it took and whether it was marked ``shifted``."""
+    """The closed loop, and per solve the solution, the numbers of
+    central-difference gradients and of model builds it took, and whether
+    it was marked ``shifted``."""
     solves = []
-    gradients = [0]
-    gradient, solve = mpc._Objective.gradient, mpc.solve_ocp
+    counts = {"gradients": 0, "models": 0}
+    gradient, model, solve = mpc._Objective.gradient, type(system).quadratic_model, mpc.solve_ocp
 
-    def counted_gradient(objective, *args, **kwargs):
-        gradients[0] += 1
-        return gradient(objective, *args, **kwargs)
+    def counted(name, method):
+        def counted_method(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        return counted_method
 
     def recorded_solve(*args, **kwargs):
-        before = gradients[0]
+        before = dict(counts)
         solution = solve(*args, **kwargs)
-        solves.append((solution, gradients[0] - before, kwargs.get("shifted", False)))
+        taken = {name: counts[name] - before[name] for name in counts}
+        solves.append((solution, taken, kwargs.get("shifted", False)))
         return solution
 
-    monkeypatch.setattr(mpc._Objective, "gradient", counted_gradient)
+    monkeypatch.setattr(mpc._Objective, "gradient", counted("gradients", gradient))
+    monkeypatch.setattr(type(system), "quadratic_model", counted("models", model))
     monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
     run = closed_loop(system, x0, config, n_steps)
     monkeypatch.undo()
@@ -94,9 +102,11 @@ def test_warm_solves_take_one_step(name, request, monkeypatch):
     assert run.feasible.all()
     assert len(solves) == n_steps
     assert [shifted for _, _, shifted in solves] == [False] + [True] * (n_steps - 1)
-    for solution, gradients, _ in solves[1:]:
+    for solution, taken, _ in solves[1:]:
         assert solution.iterations <= 1
-        assert gradients == 1
+        # No central differences: one model serves the gradient and the
+        # metric.
+        assert taken == {"gradients": 0, "models": 1}
     assert np.all(run.optimal_costs[1:] <= run.candidate_costs[1:])
     # The first solve is cold, and cold solves descend as before.
     assert_same_solution(solves[0][0], solve_ocp(model.system_, x0, model.config_))
@@ -161,15 +171,28 @@ def second_solve(model, start):
 
 @pytest.mark.parametrize("name", list(LOOPS))
 def test_marked_solve_is_one_capped_round(name, request):
-    # When the step stays in the terminal set, the marked solve is the
-    # unmarked one under settings capped at one iteration of one round.
+    # When the step stays in the terminal set, the marked solve is one round
+    # of the descent at PENALTY_WEIGHT, capped at one iteration and started
+    # with the model along the candidate, and the rollout of its result.
     model_name, start, _ = LOOPS[name]
     model = request.getfixturevalue(model_name)
     system, config = model.system_, model.config_
     x1, warm = second_solve(model, start())
-    capped = MpcConfig(config.horizon, replace(config.solver, max_iters=1, outer_rounds=1))
-    reference = solve_ocp(system, x1, capped, warm_start=warm)
-    assert reference.feasible
+    capped = replace(config.solver, max_iters=1, outer_rounds=1)
+    rollout = mpc._predict(system, x1, warm)
+    torques, iterations, kkt = mpc._quasi_newton_descent(
+        mpc._Objective(system, x1, mpc.PENALTY_WEIGHT),
+        warm,
+        rollout,
+        system.quadratic_model(rollout.states, warm),
+        capped,
+    )
+    final = mpc._predict(system, x1, torques)
+    violation = max(0.0, final.terminal - system.terminal_level)
+    assert violation <= capped.constraint_tol
+    reference = mpc.OcpSolution(
+        torques, final.cost, float(final.terminal), True, iterations, kkt, float(violation), tuple(final.states)
+    )
     assert_same_solution(solve_ocp(system, x1, config, warm_start=warm, shifted=True), reference)
 
 
@@ -215,8 +238,9 @@ class CountingAttitude(SpacecraftAttitudeSystem):
 
 
 def test_warm_solve_integrator_steps(reference_model, monkeypatch):
-    # The start rollout, the gradient's tails, one rollout per line-search
-    # trial and the rollout of the returned torques; no gradient at them.
+    # The start rollout, one rollout per line-search trial and the rollout
+    # of the returned torques: the model's gradient steps nothing and values
+    # no terminal cost, and no gradient is taken at the returned torques.
     system = CountingAttitude(reference_model.design_)
     config = reference_model.config_
     x1, warm = second_solve(reference_model, regulate_start())
@@ -227,12 +251,10 @@ def test_warm_solve_integrator_steps(reference_model, monkeypatch):
     )
     solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
     assert solution.iterations == 1
-    n, m = warm.shape
-    # Central differences at every entry: 2 m tails of N - i steps at step i.
-    tail_steps = m * n * (n + 1)
+    n = len(warm)
     assert len(trials) >= 1
-    assert system.steps == n * (2 + len(trials)) + tail_steps
-    assert system.terminal_calls == 2 + len(trials) + 2 * m * n
+    assert system.steps == n * (2 + len(trials))
+    assert system.terminal_calls == 2 + len(trials)
 
 
 @pytest.mark.parametrize("stop", ["ftol_rel stop", "iteration cap"])
