@@ -12,9 +12,9 @@ finite-difference rollouts pass the unperturbed rollout's.  The first
 update from such a start is a chord update, the Newton update with the
 inverse Jacobian at the start state in place of the one at the iterate;
 that state keeps the inverse, so the tail steps handed it share one.  In
-the 30-step regulate loop, whose warm solves take their gradient from the
-linear-quadratic model, the tail steps are the 990 of the cold first
-solve's three gradients; each stops after that one update, and the 1,250
+the 30-step regulate loop, which takes every gradient but the cold first
+solve's first from the linear-quadratic model, the tail steps are the 330
+of that one gradient; each stops after that one update, and the 1,250
 steps from the linearized root take 1.74 Newton updates on average.
 
 One step runs on Python floats: the entries of g, f and the torque go in,

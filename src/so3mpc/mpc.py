@@ -6,15 +6,19 @@ feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
 sequence, with box bounds handled by projection, the terminal-set constraint
 by a growing quadratic penalty, and gradients from one of two sources.  A
-warm solve from a feasible shifted candidate takes its one gradient from the
-linear-quadratic model along the candidate, by one backward sweep of the
-adjoint of the linearized rollout over its step Jacobians and its cost
-gradients (:meth:`_Objective.model_gradient`; Lee, Leok & McClamroch, 2006,
-derive that adjoint for this integrator): the step of the real-time
-iteration is taken on the linearization itself (Diehl, Bock & Schlöder, *A
-real-time iteration scheme for nonlinear optimization in optimal feedback
-control*, 2005), and the same model gives its metric.  Every other gradient
-is central finite differences of the rollout cost.  The predictions are
+solve not marked as a warm start from a shifted candidate takes central
+finite differences of the rollout cost once, at its starting point.  Every
+other gradient (at each accepted iterate, at the start of each penalty
+round after the first, and the one gradient of a warm solve from a
+feasible shifted candidate) comes from the linear-quadratic model along
+the rollout of its point, by one backward sweep of the adjoint of the
+linearized rollout over its step Jacobians and its cost gradients
+(:meth:`_Objective.model_gradient`; Lee, Leok & McClamroch, 2006, derive
+that adjoint for this integrator).  As in the real-time iteration (Diehl,
+Bock & Schlöder, *A real-time iteration scheme for nonlinear optimization
+in optimal feedback control*, 2005), the step is taken on the
+linearization itself, and the model built for a gradient also gives the
+next iteration its metric.  The predictions are
 defined where every step is: a step that the system reports unsolvable
 (:class:`~so3mpc.errors.NotSolvable`) lies outside the objective's domain,
 so the line search backs off from a trial that takes one and a
@@ -105,7 +109,9 @@ class QuadraticModel(NamedTuple):
     and the control (``R[k]``), positive semidefinite, and its gradients in
     the state (``q[k]``, shape (n,)) and the control (``r[k]``, shape (m,));
     and the Hessian (``P``) and gradient (``p``) of the terminal cost at the
-    last state.  The solver reads nothing of ``A[0]``, ``Q[0]`` and
+    last state.  The solver builds one at every point whose gradient it
+    takes after a solve's first, and takes that gradient and the next
+    iteration's metric from it.  It reads nothing of ``A[0]``, ``Q[0]`` and
     ``q[0]``, which act on the fixed initial state."""
 
     A: np.ndarray
@@ -180,8 +186,8 @@ class ManifoldSystem(abc.ABC):
         the N + 1 states that ``torques``, shape (N, control_dim), visit from
         the first one.  The solver preconditions its descent with the
         horizon Hessian of this model (:func:`_gauss_newton_hessian`), and
-        a warm solve from a feasible shifted candidate takes its gradient
-        from the first-order terms by one backward sweep
+        takes every gradient but the first of an unmarked solve from the
+        first-order terms by one backward sweep
         (:meth:`_Objective.model_gradient`).  Neither reads ``A[0]``,
         ``Q[0]`` or ``q[0]``, which act on the fixed initial state."""
 
@@ -274,9 +280,9 @@ class OcpSolution:
     report.  Every warm solve from a shifted candidate that takes its step
     stops so, on its cap of one iteration.  A stop on ``grad_tol`` or on a
     failed line search reports it, from the gradient at the returned
-    torques: central differences, except where a warm solve from a feasible
-    shifted candidate returns that candidate at its first gradient, which is
-    the model's backward sweep (see :func:`solve_ocp`).
+    torques: central differences where an unmarked solve returns its
+    starting point at its first gradient, and the model's backward sweep
+    everywhere else (see :func:`solve_ocp`).
 
     ``violation`` is how far the terminal value exceeds the terminal level,
     zero when it does not.  Every predicted step in ``states`` lies inside
@@ -405,8 +411,8 @@ class _Objective:
         """Central-difference gradient with step ``FD_STEP``, re-simulating
         only the rollout tail affected by each perturbed control entry.
 
-        ``base`` is the rollout of ``torques``: the descent's first one, or
-        the line search's accepted trial.
+        ``base`` is the rollout of ``torques``.  The solver takes this
+        gradient once per unmarked solve, at its starting point.
         When one perturbed tail is unsolvable, the entry falls back to the
         one-sided difference against the base value; when both are, the
         gradient is undefined and :class:`~so3mpc.errors.RolloutFailure`
@@ -572,19 +578,21 @@ def _quasi_newton_descent(
     first gradient, fixed for the whole round.  The initial metric of the
     recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
     the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
-    of the current torques, the one their gradient holds; it is built once
-    per iteration, after the KKT test, so a descent that stops at its first
-    central-difference gradient builds none.  Every iteration, the first
-    included, searches along a quasi-Newton direction from full length; the
-    descent stops when that direction is not a descent direction or its
-    search finds no Armijo point.  The curvature pairs carry what the model
-    lacks, above all the penalty's curvature.
+    of the current torques, the one their gradient holds.  The model is
+    built once per point: at each accepted point, where its backward sweep
+    (:meth:`_Objective.model_gradient`) gives that point's gradient and its
+    Hessian the next iteration's metric, so one build serves both.  Every
+    iteration, the first included, searches along a quasi-Newton direction
+    from full length; the descent stops when that direction is not a
+    descent direction or its search finds no Armijo point.  The curvature
+    pairs carry what the model lacks, above all the penalty's curvature.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's
     model along it or ``None``.  Given a model, the first gradient is its
-    backward sweep (:meth:`_Objective.model_gradient`) and the first metric
-    its Hessian: one build serves both.  Every other gradient is central
-    differences (:meth:`_Objective.gradient`).  Returns the final torques,
+    sweep and the first metric its Hessian.  Without one, the first
+    gradient is central differences (:meth:`_Objective.gradient`), and the
+    model for the first metric is built after the KKT test, so a descent
+    that stops at that gradient builds none.  Returns the final torques,
     the iteration count and the KKT residual at the final torques, or
     ``None`` when the descent stopped after a line search, on the relative
     improvement test or on ``max_iters``: such a stop returns the accepted
@@ -624,11 +632,12 @@ def _quasi_newton_descent(
             small_improvements = 0
         if small_improvements >= 2 or iterations == settings.max_iters:
             return candidate, iterations, None
-        new_grad, _ = objective.gradient(candidate, base=cand_rollout)
+        model = system.quadratic_model(cand_rollout.states, candidate)
+        new_grad, _ = objective.model_gradient(model, cand_rollout)
         s, y = candidate - torques, new_grad - grad
         if float((s * y).sum()) > 0.0:
             pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
-        torques, grad, value, rollout, model = candidate, new_grad, cand_value, cand_rollout, None
+        torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt
 
@@ -691,6 +700,11 @@ def solve_ocp(
     penalty on the candidate's terminal excess, zero inside the terminal
     set.  A candidate that is not feasible at ``x0`` gets every penalty
     round, as any warm start does.
+
+    Any other solve takes central differences once, at its starting point:
+    every gradient after that is the backward sweep over the model along
+    its point's rollout, and each penalty round after the first starts with
+    the model along the rollout of the torques the round before returned.
     """
     settings = config.solver
     if warm_start is None:
@@ -711,7 +725,9 @@ def solve_ocp(
         settings = replace(settings, max_iters=1, outer_rounds=1)
     weight = PENALTY_WEIGHT
     total_iterations = 0
-    for _ in range(settings.outer_rounds):
+    for round_index in range(settings.outer_rounds):
+        if round_index:
+            model = system.quadratic_model(rollout.states, torques)
         objective = _Objective(system, x0, weight)
         torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, model, settings)
         total_iterations += iterations

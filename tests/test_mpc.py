@@ -29,7 +29,7 @@ from so3mpc.mpc import (
     steering_rollout,
     warm_start_shift,
 )
-from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
+from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.so3 import NEAR_PI
 from so3mpc.terminal import build_linearization, tilde_transform
 
@@ -388,10 +388,24 @@ class TestKktAtSaturatedTorques:
     def test_gradient_points_outward_and_residual_reproduces(self, weak_system, direction, angle):
         x0 = rest_state(angle * np.asarray(direction) / np.linalg.norm(direction))
         solution = solve_ocp(weak_system, x0, MpcConfig(horizon=10, solver=self.SOLVER))
-        # One penalty round, so the reported residual used this weight.
+        # One penalty round, so the reported residual used this weight.  A
+        # solve that iterated took the gradient at its returned torques from
+        # the model along their rollout; one that stopped at its first took
+        # central differences.
         objective = _Objective(weak_system, x0, PENALTY_WEIGHT)
-        grad, _ = objective.gradient(solution.torques, _predict(weak_system, x0, solution.torques))
         u = solution.torques
+        base = _predict(weak_system, x0, u)
+        differences, value = objective.gradient(u, base)
+        if solution.iterations:
+            grad, _ = objective.model_gradient(weak_system.quadratic_model(base.states, u), base)
+            # Central differences agree within 1e-6 of their largest entry,
+            # up to their round-off floor, which decides where the solve
+            # converged off the box: there the gradient is about 1e-6, and
+            # the differences stray by up to 6.8 eps |value| / FD_STEP.
+            floor = 16.0 * np.finfo(float).eps * abs(value) / FD_STEP
+            assert np.abs(grad - differences).max() <= 1e-6 * np.abs(differences).max() + floor
+        else:
+            grad = differences
         assert solution.kkt_residual == float(np.linalg.norm(u - weak_system.project_control(u - grad)))
         assert solution.kkt_residual <= self.SOLVER.grad_tol
         saturated = np.abs(u) == weak_system.torque_bound
@@ -678,12 +692,38 @@ def gradient_point(name, ref_design, ref_system):
     return ref_system, x0, np.random.default_rng(7).uniform(-1e-3, 1e-3, (10, 3)), 0.0
 
 
+def swept_points(monkeypatch, system, x0, config):
+    """Solve cold and return, per model sweep the solve took, its objective,
+    the torques of the model it swept and the rollout it was handed."""
+    builds, sweeps = [], []
+    build, sweep = type(system).quadratic_model, _Objective.model_gradient
+
+    def recorded_build(self, states, torques):
+        model = build(self, states, torques)
+        builds.append((model, torques.copy()))
+        return model
+
+    def recorded_sweep(objective, model, base):
+        sweeps.append((objective, model, base))
+        return sweep(objective, model, base)
+
+    monkeypatch.setattr(type(system), "quadratic_model", recorded_build)
+    monkeypatch.setattr(_Objective, "model_gradient", recorded_sweep)
+    solve_ocp(system, x0, config)
+    monkeypatch.undo()
+    return [
+        (objective, next(torques for built, torques in builds if built is model), base)
+        for objective, model, base in sweeps
+    ]
+
+
 class TestModelGradient:
-    """The backward sweep over the linear-quadratic model, which a warm solve
-    from a feasible shifted candidate takes in place of central differences,
-    is the gradient of the penalized objective: measured against full
-    re-rollouts at ``FD_STEP``, it agrees to 3.3e-9 to 7.5e-8 of the largest
-    entry at these points."""
+    """The backward sweep over the linear-quadratic model, which every
+    gradient after an unmarked solve's first and every marked warm solve's
+    gradient take in place of central differences, is the gradient of the
+    penalized objective: measured against full re-rollouts at ``FD_STEP``,
+    it agrees to 3.3e-9 to 7.5e-8 of the largest entry at these points, and
+    to 3.8e-9 to 4.7e-8 at the cold solves' iterates below."""
 
     @pytest.mark.parametrize(
         "name", ["random 1", "random 2", "random 3", "penalty active", "saturated", "floor", "near the cut"]
@@ -711,6 +751,35 @@ class TestModelGradient:
         grad, value = objective.model_gradient(system.quadratic_model(base.states, torques), base)
         oracle = full_central_differences(objective, torques)
         assert value == objective.value(base)
+        assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_saturated_cold_iterates_equal_full_central_differences(self, monkeypatch):
+        # The 1 N m, N = 40 slew's cold first solve from rest at pi: its 7
+        # iterations sweep at the first 6 accepted points, each with 28 to
+        # 34 of its 120 torque entries on the box.
+        model = AttitudeMpc(horizon=40, torque_bound=1.0).fit()
+        system = model.system_
+        x0 = rest_state([0.0, 0.0, math.pi])
+        points = swept_points(monkeypatch, system, x0, model.config_)
+        assert len(points) == 6
+        for objective, torques, base in points:
+            assert objective.weight == PENALTY_WEIGHT
+            assert (np.abs(torques) == 1.0).sum() >= 28
+            grad, _ = objective.model_gradient(system.quadratic_model(base.states, torques), base)
+            oracle = full_central_differences(objective, torques)
+            assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
+
+    def test_second_round_start_equals_full_central_differences(self, ref_system, monkeypatch):
+        # Three steps from 2.9 rad at rest: the first round stops outside the
+        # terminal set, and the heavier second round starts with the model's
+        # sweep there, the penalty active.
+        x0 = rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9])
+        points = swept_points(monkeypatch, ref_system, x0, MpcConfig(horizon=3))
+        objective, torques, base = next(point for point in points if point[0].weight > PENALTY_WEIGHT)
+        assert objective.weight == PENALTY_WEIGHT * mpc.PENALTY_GROWTH
+        assert base.terminal > ref_system.terminal_level
+        grad, _ = objective.model_gradient(ref_system.quadratic_model(base.states, torques), base)
+        oracle = full_central_differences(objective, torques)
         assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
 
     @pytest.mark.parametrize("weight", [0.0, PENALTY_WEIGHT])
@@ -822,23 +891,32 @@ class TestModelBuild:
     def test_one_build_per_iteration_at_its_iterate(self, ref_design, monkeypatch):
         # A cold solve of three iterations: each builds the model once, on the
         # states of the rollout whose gradient the iteration holds, without
-        # a step or a terminal-cost call of its own.
+        # a step or a terminal-cost call of its own.  The first holds the
+        # central-difference gradient at the start; the build at each
+        # accepted point gives that point's gradient by its sweep.
         system = RecordingAttitude(ref_design)
-        points = []
-        gradient = _Objective.gradient
+        bases = []
+        gradient, sweep = _Objective.gradient, _Objective.model_gradient
 
-        def recorded(objective, torques, base):
-            points.append(torques.copy())
-            return gradient(objective, torques, base)
+        def recorded(method):
+            def recorded_method(objective, first, base):
+                bases.append(base)
+                return method(objective, first, base)
 
-        monkeypatch.setattr(_Objective, "gradient", recorded)
+            return recorded_method
+
+        monkeypatch.setattr(_Objective, "gradient", recorded(gradient))
+        monkeypatch.setattr(_Objective, "model_gradient", recorded(sweep))
         x0 = rest_state([0.8, 0.2, -0.4])
         solution = solve_ocp(system, x0, MpcConfig(horizon=6))
-        assert solution.iterations == len(system.builds) == 3
-        for (torques, states, quiet), point in zip(system.builds, points):
-            assert np.array_equal(torques, point)
-            expected = _predict(system, x0, torques).states
-            assert all(np.array_equal(a.g, b.g) and np.array_equal(a.f, b.f) for a, b in zip(states, expected))
+        assert solution.iterations == len(system.builds) == len(bases) == 3
+
+        def same_states(first, second):
+            return all(np.array_equal(a.g, b.g) and np.array_equal(a.f, b.f) for a, b in zip(first, second))
+
+        for (torques, states, quiet), base in zip(system.builds, bases):
+            assert same_states(states, _predict(system, x0, torques).states)
+            assert same_states(states, base.states)
             assert quiet
         assert not np.array_equal(system.builds[0][0], system.builds[-1][0])
 

@@ -199,14 +199,16 @@ def oracle_projected_gradient(objective, torques, rollout, model, settings):
 
 class Counted(NamedTuple):
     solution: object
-    # Torques at which each gradient was evaluated.
+    # Torques at which each central-difference gradient was evaluated.
     gradient_points: list
+    # The rollout handed to each model sweep.
+    sweep_bases: list
     # (penalty weight, reported KKT residual) per penalty round.
     rounds: list
 
     @property
     def gradients(self):
-        return len(self.gradient_points)
+        return len(self.gradient_points) + len(self.sweep_bases)
 
     @property
     def residuals(self):
@@ -216,9 +218,11 @@ class Counted(NamedTuple):
 @contextlib.contextmanager
 def counting(oracle=False):
     """Route solves through the package's descent or the reference's and
-    record the torques of every gradient and, per penalty round, the weight
-    and the reported KKT residual."""
+    record the torques of every central-difference gradient, the rollout of
+    every model sweep and, per penalty round, the weight and the reported
+    KKT residual."""
     points = []
+    sweeps = []
     rounds = []
     base = OracleObjective if oracle else _Objective
     descent = oracle_projected_gradient if oracle else mpc._quasi_newton_descent
@@ -228,6 +232,10 @@ def counting(oracle=False):
             points.append(torques.copy())
             return super().gradient(torques, *args, **kwargs)
 
+        def model_gradient(self, model, base):
+            sweeps.append(base)
+            return super().model_gradient(model, base)
+
     def counted_descent(objective, *args):
         result = descent(objective, *args)
         rounds.append((objective.weight, result[2]))
@@ -236,13 +244,13 @@ def counting(oracle=False):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mpc, "_Objective", Counting)
         patch.setattr(mpc, "_quasi_newton_descent", counted_descent)
-        yield points, rounds
+        yield points, sweeps, rounds
 
 
 def counted_solve(system, x0, config, warm_start=None, oracle=False):
-    with counting(oracle) as (points, rounds):
+    with counting(oracle) as (points, sweeps, rounds):
         solution = solve_ocp(system, x0, config, warm_start=warm_start)
-    return Counted(solution, points, rounds)
+    return Counted(solution, points, sweeps, rounds)
 
 
 def penalized_value(system, x0, torques, weight):
@@ -347,6 +355,8 @@ class TestSolveMatchesOracle:
         assert new.solution.kkt_residual is None
         returned = new.solution.torques.tobytes()
         assert all(point.tobytes() != returned for point in new.gradient_points)
+        end = np.asarray(new.solution.states[-1])
+        assert all(not np.array_equal(np.asarray(base.states[-1]), end) for base in new.sweep_bases)
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -491,9 +501,20 @@ class TestFloorBoundsTheSearch:
                 rejected.append(torques.copy())
             return value, rollout
 
+        accepted = []
+        line_search = mpc._line_search
+
+        def recorded_line_search(*args):
+            result = line_search(*args)
+            if result is not None:
+                accepted.append(result[0])
+            return result
+
         monkeypatch.setattr(_Objective, "trial", recorded_trial)
+        monkeypatch.setattr(mpc, "_line_search", recorded_line_search)
         new = counted_solve(system, x0, MpcConfig(horizon=10))
         assert new.solution.feasible
         assert sum(integrator_margins(system, x0, torques) is not None for torques in rejected) >= 1
-        for torques in new.gradient_points + [new.solution.torques]:
+        assert accepted
+        for torques in new.gradient_points + accepted + [new.solution.torques]:
             assert min(integrator_margins(system, x0, torques)) >= system.floor

@@ -6,7 +6,8 @@ feasible, the solve builds the linear-quadratic model along it once, takes
 the gradient there from the model's backward sweep and at most one
 direction, preconditioned by the same model, and line search, and returns
 the accepted point if it is feasible and the candidate otherwise.  Cold
-solves descend to the stop rules on central differences as before.
+solves descend to the stop rules, with central differences at their
+starting point only and the model's sweep at every later point.
 """
 
 import math
@@ -44,10 +45,10 @@ def assert_same_solution(a, b):
 
 def counted_loop(monkeypatch, system, x0, config, n_steps):
     """The closed loop, and per solve the solution, the numbers of
-    central-difference gradients and of model builds it took, and whether
-    it was marked ``shifted``."""
+    central-difference gradients, of model builds and of model sweeps it
+    took, and whether it was marked ``shifted``."""
     solves = []
-    counts = {"gradients": 0, "models": 0}
+    counts = {"gradients": 0, "models": 0, "sweeps": 0}
     gradient, model, solve = mpc._Objective.gradient, type(system).quadratic_model, mpc.solve_ocp
 
     def counted(name, method):
@@ -66,6 +67,7 @@ def counted_loop(monkeypatch, system, x0, config, n_steps):
 
     monkeypatch.setattr(mpc._Objective, "gradient", counted("gradients", gradient))
     monkeypatch.setattr(type(system), "quadratic_model", counted("models", model))
+    monkeypatch.setattr(mpc._Objective, "model_gradient", counted("sweeps", mpc._Objective.model_gradient))
     monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
     run = closed_loop(system, x0, config, n_steps)
     monkeypatch.undo()
@@ -106,10 +108,83 @@ def test_warm_solves_take_one_step(name, request, monkeypatch):
         assert solution.iterations <= 1
         # No central differences: one model serves the gradient and the
         # metric.
-        assert taken == {"gradients": 0, "models": 1}
+        assert taken == {"gradients": 0, "models": 1, "sweeps": 1}
     assert np.all(run.optimal_costs[1:] <= run.candidate_costs[1:])
     # The first solve is cold, and cold solves descend as before.
     assert_same_solution(solves[0][0], solve_ocp(model.system_, x0, model.config_))
+
+
+def gradient_log(monkeypatch, system):
+    """The log, in call order, of a solve's central-difference gradients
+    (``("differences", weight)``), model builds (``("build", model)``) and
+    model sweeps (``("sweep", model, weight)``)."""
+    log = []
+    gradient, build, sweep = mpc._Objective.gradient, type(system).quadratic_model, mpc._Objective.model_gradient
+
+    def logged_gradient(objective, *args, **kwargs):
+        log.append(("differences", objective.weight))
+        return gradient(objective, *args, **kwargs)
+
+    def logged_build(*args):
+        model = build(*args)
+        log.append(("build", model))
+        return model
+
+    def logged_sweep(objective, model, base):
+        log.append(("sweep", model, objective.weight))
+        return sweep(objective, model, base)
+
+    monkeypatch.setattr(mpc._Objective, "gradient", logged_gradient)
+    monkeypatch.setattr(type(system), "quadratic_model", logged_build)
+    monkeypatch.setattr(mpc._Objective, "model_gradient", logged_sweep)
+    return log
+
+
+COLD_SOLVES = {
+    # The first solves of the loops above, and their iteration counts.
+    "regulate": 3,
+    "default slew": 5,
+    "1 N m, N = 40": 7,
+    # Three steps from 2.9 rad at rest: the first round stops just outside
+    # the terminal set after 11 iterations, and a second, heavier round
+    # moves inside it in 7.
+    "second penalty round": 18,
+}
+
+
+@pytest.mark.parametrize("name", list(COLD_SOLVES))
+def test_unmarked_solve_takes_one_central_difference_gradient(name, request, monkeypatch):
+    # Central differences run once, at the solve's starting point.  Every
+    # later gradient, in the first round and at the start of the next, is
+    # the sweep over a model built along its point's rollout just before it,
+    # and that build is the next iteration's metric; the first iteration's
+    # metric is one more build.
+    if name in LOOPS:
+        model_name, start, _ = LOOPS[name]
+        model = request.getfixturevalue(model_name)
+        system, x0, config = model.system_, start(), model.config_
+    else:
+        system = request.getfixturevalue("reference_model").system_
+        x0, config = rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9]), MpcConfig(horizon=3)
+    log = gradient_log(monkeypatch, system)
+    solution = solve_ocp(system, x0, config)
+    monkeypatch.undo()
+    assert solution.feasible
+    assert solution.iterations == COLD_SOLVES[name]
+    gradients = [event for event in log if event[0] != "build"]
+    assert gradients[0] == ("differences", mpc.PENALTY_WEIGHT)
+    sweeps = gradients[1:]
+    assert all(event[0] == "sweep" for event in sweeps)
+    assert len(sweeps) >= solution.iterations - 1
+    for index, event in enumerate(log):
+        if event[0] == "sweep":
+            assert log[index - 1][0] == "build" and log[index - 1][1] is event[1]
+    assert len(log) - len(gradients) == len(sweeps) + 1
+    weights = {event[-1] for event in gradients}
+    if name in LOOPS:
+        assert weights == {mpc.PENALTY_WEIGHT}
+    else:
+        assert weights == {mpc.PENALTY_WEIGHT, mpc.PENALTY_WEIGHT * mpc.PENALTY_GROWTH}
 
 
 def test_infeasible_candidate_gets_every_penalty_round(reference_model):
@@ -260,27 +335,33 @@ def test_warm_solve_integrator_steps(reference_model, monkeypatch):
 @pytest.mark.parametrize("stop", ["ftol_rel stop", "iteration cap"])
 def test_stop_after_a_line_search_takes_no_gradient_at_the_accepted_point(stop, ref_system, monkeypatch):
     # Both stops return the accepted torques before their gradient: one
-    # gradient per iteration, none at the returned torques, no residual.
+    # gradient per iteration, central differences or the model's sweep,
+    # none at the returned torques, no residual.
     if stop == "ftol_rel stop":
         # Stops on ftol_rel at its third iteration.
         x0, config = rest_state([0.8, 0.2, -0.4]), MpcConfig(horizon=6)
     else:
         x0, config = regulate_start(), MpcConfig(horizon=10, solver=mpc.SolverSettings(max_iters=2))
-    points = []
-    gradient = mpc._Objective.gradient
+    ends = []
+    gradient, model_gradient = mpc._Objective.gradient, mpc._Objective.model_gradient
 
-    def recorded_gradient(objective, torques, *args, **kwargs):
-        points.append(torques.copy())
-        return gradient(objective, torques, *args, **kwargs)
+    def recorded(method):
+        # Both sources take the rollout of the point as ``base``.
+        def recorded_method(objective, first, base):
+            ends.append(np.asarray(base.states[-1]))
+            return method(objective, first, base)
 
-    monkeypatch.setattr(mpc._Objective, "gradient", recorded_gradient)
+        return recorded_method
+
+    monkeypatch.setattr(mpc._Objective, "gradient", recorded(gradient))
+    monkeypatch.setattr(mpc._Objective, "model_gradient", recorded(model_gradient))
     solution = solve_ocp(ref_system, x0, config)
     assert solution.feasible
     assert solution.kkt_residual is None
     if stop == "iteration cap":
         assert solution.iterations == config.solver.max_iters
-    assert len(points) == solution.iterations
-    assert all(not np.array_equal(point, solution.torques) for point in points)
+    assert len(ends) == solution.iterations
+    assert all(not np.array_equal(end, np.asarray(solution.states[-1])) for end in ends)
 
 
 def marked_loop(system, x0, config, n_steps):
