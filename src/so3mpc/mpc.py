@@ -44,7 +44,15 @@ by one formula, :meth:`_Objective.value`.  Each step of a perturbed tail
 is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
-as a pure function of state and control.  A record sums its stage costs as
+as a pure function of state and control.  The attitude system's step keeps
+each predicted state's last such step (:class:`~so3mpc.lgvi.SpacecraftState`),
+so the predictions that repeat an earlier one from the same states take no
+implicit solve: a cold solve's rollout of its steering guess, the closed
+loop's plant step and the first N - 1 steps of the shifted candidate, which
+repeat the previous solution's rollout, ``solve_ocp``'s rollout of the
+candidate after the closed loop's :func:`horizon_cost` of it, and the
+rollout of the returned torques after the line search accepted them.  Their
+stage and terminal costs are evaluated again.  A record sums its stage costs as
 it goes, in Python floats and in step order; only the predictions that a
 caller reads per step keep per-step values, so a tail builds no array.
 A solve warm-started at the shifted candidate of the previous solution
@@ -341,6 +349,12 @@ def _roll_on(system: ManifoldSystem, x0, controls, near=None) -> _Rollout:
     :meth:`ManifoldSystem.step_near` with its state, and the record keeps the
     end state and the sum only, all that a tail's value reads.  Holding the
     states of a gradient's tails alive wakes the garbage collector.
+
+    Stepping is a pure function of state and control, so a run without
+    ``near`` may repeat an earlier one from the same states: the attitude
+    system's step then returns the successors its states kept and solves
+    nothing (see the module docstring), while the stage and terminal costs
+    here are evaluated again.  A tail's steps keep nothing.
     """
     if type(controls) is np.ndarray:
         controls = controls.tolist()

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
+from so3mpc import lgvi
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
+from so3mpc.errors import NotSolvable
 from so3mpc.lgvi import (
     MARGIN_CUTOFF,
     SpacecraftState,
@@ -21,7 +23,18 @@ from so3mpc.lgvi import (
     rollout,
     step_with_margin,
 )
-from so3mpc.mpc import FD_STEP, MpcConfig, _predict, _roll_on, closed_loop, solve_ocp, warm_start_shift
+from so3mpc.mpc import (
+    FD_STEP,
+    PENALTY_WEIGHT,
+    MpcConfig,
+    _Objective,
+    _predict,
+    _roll_on,
+    closed_loop,
+    solve_ocp,
+    steering_rollout,
+    warm_start_shift,
+)
 from so3mpc.so3 import NEAR_PI, exp_so3, log_so3
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF, regulate_start
@@ -210,3 +223,139 @@ def test_rollout_takes_list_rows_as_the_equal_array(name, ref_design):
             assert rollout_record(_roll_on(system, start, rows, near)) == rollout_record(
                 _roll_on(system, start, array, near)
             )
+
+
+# The kernel keeps each state's last unstarted step: a repeat from the same
+# state object, with an equal torque row, the same h and the same inertia
+# constants, returns the successor and margin it kept without solving.
+
+
+def counted_solves(monkeypatch):
+    """The number of implicit solves the kernel runs from here on."""
+    counts = {"solves": 0}
+    increment = lgvi._implicit_increment
+
+    def counted_increment(*args):
+        counts["solves"] += 1
+        return increment(*args)
+
+    monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
+    return counts
+
+
+ROW = [3.0, -1.5, 2.25]
+
+
+def built_state():
+    """A state the kernel built, spinning away from the regulate start."""
+    return step_with_margin(regulate_start(), [1.0, -2.0, 0.5], H_REF, J_REF)[0]
+
+
+def copy_of(state):
+    """A fresh state object holding the same entries and Cayley vector."""
+    return _state_of(*state.entries, state._cayley)
+
+
+@pytest.mark.parametrize("row", [ROW, [0.0, -0.0, 2.25]], ids=["nonzero", "signed zeros"])
+def test_repeated_step_returns_the_kept_successor(row, monkeypatch):
+    x = built_state()
+    successor, margin = step_with_margin(x, row, H_REF, J_REF)
+    counts = counted_solves(monkeypatch)
+    for torque in (row, list(row), np.array(row)):
+        repeat, repeat_margin = step_with_margin(x, torque, H_REF, J_REF)
+        assert repeat is successor and repeat_margin == margin
+    assert counts["solves"] == 0
+    fresh = step_with_margin(copy_of(x), row, H_REF, J_REF)
+    assert counts["solves"] == 1
+    assert outcome(successor, margin) == outcome(*fresh)
+
+
+def test_row_mutated_after_the_step_misses(monkeypatch):
+    # The finite-difference gradient moves an entry of its first row in
+    # place, so the kernel keeps a copy of the row, not the row.
+    x, row = built_state(), list(ROW)
+    successor, _ = step_with_margin(x, row, H_REF, J_REF)
+    counts = counted_solves(monkeypatch)
+    row[1] = row[1] + FD_STEP
+    moved = step_with_margin(x, row, H_REF, J_REF)
+    assert counts["solves"] == 1 and moved[0] is not successor
+    assert outcome(*moved) == outcome(*step_with_margin(copy_of(x), [ROW[0], ROW[1] + FD_STEP, ROW[2]], H_REF, J_REF))
+
+
+@pytest.mark.parametrize(
+    "h, inertia, torque",
+    [(0.05, J_REF, ROW), (H_REF, np.diag([1.0, 1.2, 1.6]), ROW), (H_REF, J_REF, np.array([3.0, -1.5, 2.5]))],
+    ids=["another h", "another inertia", "array torque of other values"],
+)
+def test_other_step_misses(h, inertia, torque, monkeypatch):
+    x = built_state()
+    successor, _ = step_with_margin(x, ROW, H_REF, J_REF)
+    counts = counted_solves(monkeypatch)
+    other = step_with_margin(x, torque, h, inertia)
+    assert counts["solves"] == 1 and other[0] is not successor
+    assert outcome(*other) == outcome(*step_with_margin(copy_of(x), torque, h, inertia))
+
+
+def test_zero_of_the_other_sign_misses(monkeypatch):
+    # -0.0 == 0.0 in Python, but a step can tell them apart: with -0.0
+    # products of the inertia's zeros the momentum entry is -0.0 under a
+    # torque of -0.0 and 0.0 under 0.0, and so is the Cayley vector solved
+    # for.  A row hits only if it is equal bit for bit.
+    inertia = np.array([[1.0, -0.0, -0.0], [-0.0, 1.2, -0.0], [-0.0, -0.0, 1.5]])
+    rest = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    x = _state_of(rest, ((1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0)), None)
+    kept, torque = [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]
+    fresh = step_with_margin(copy_of(x), torque, H_REF, inertia)
+    assert outcome(*fresh) != outcome(*step_with_margin(copy_of(x), kept, H_REF, inertia))
+    step_with_margin(x, kept, H_REF, inertia)
+    counts = counted_solves(monkeypatch)
+    assert outcome(*step_with_margin(x, torque, H_REF, inertia)) == outcome(*fresh)
+    assert counts["solves"] == 1
+
+
+def test_started_step_neither_reads_nor_keeps(monkeypatch):
+    # A finite-difference tail step is handed a start value: it solves even
+    # where the state has kept that very step, and keeps nothing, so the
+    # tails run as they would without the kept steps and hold no states.
+    x = built_state()
+    near = step_with_margin(built_state(), ROW, H_REF, J_REF)[0]
+    counts = counted_solves(monkeypatch)
+    started = step_with_margin(x, ROW, H_REF, J_REF, near)
+    assert counts["solves"] == 1 and x._next is None
+    successor, _ = step_with_margin(x, ROW, H_REF, J_REF)
+    again = step_with_margin(x, ROW, H_REF, J_REF, near)
+    assert counts["solves"] == 3 and x._next[3] is successor
+    assert outcome(*again) == outcome(*started)
+
+
+def test_gradient_tails_keep_nothing(ref_system):
+    # After a central-difference gradient each base state still keeps its
+    # step in the base rollout, though every tail stepped from it.
+    x0 = regulate_start()
+    torques = steering_rollout(ref_system, x0, 10)
+    base = _predict(ref_system, x0, torques)
+    _Objective(ref_system, x0, PENALTY_WEIGHT).gradient(torques, base)
+    for state, successor in zip(base.states[1:-1], base.states[2:]):
+        assert state._next[3] is successor
+    assert base.states[-1]._next is None
+
+
+def test_array_state_keeps_nothing(monkeypatch):
+    # A caller's arrays may be writable, so a step from them is solved anew.
+    x = as_arrays(built_state())
+    counts = counted_solves(monkeypatch)
+    first = step_with_margin(x, ROW, H_REF, J_REF)
+    again = step_with_margin(x, ROW, H_REF, J_REF)
+    assert counts["solves"] == 2 and x._next is None and again[0] is not first[0]
+
+
+def test_unsolvable_step_keeps_nothing():
+    # From rest, 300 N m about z gives a momentum of 3 and a negative margin.
+    x = copy_of(rest_state([0.0, 0.0, 1.0]))
+    with pytest.raises(NotSolvable):
+        step_with_margin(x, [0.0, 0.0, 300.0], H_REF, J_REF)
+    assert x._next is None
+    kept = step_with_margin(x, ROW, H_REF, J_REF)[0]
+    with pytest.raises(NotSolvable):
+        step_with_margin(x, [0.0, 0.0, 300.0], H_REF, J_REF)
+    assert x._next[3] is kept

@@ -16,6 +16,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import so3mpc.attitude as attitude
+import so3mpc.lgvi as lgvi
 import so3mpc.mpc as mpc
 from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state
 from so3mpc.errors import Infeasible
@@ -112,6 +114,66 @@ def test_warm_solves_take_one_step(name, request, monkeypatch):
     assert np.all(run.optimal_costs[1:] <= run.candidate_costs[1:])
     # The first solve is cold, and cold solves descend as before.
     assert_same_solution(solves[0][0], solve_ocp(model.system_, x0, model.config_))
+
+
+def run_record(run):
+    """repr of every column of a closed-loop run, its states' entries
+    included."""
+    columns = (
+        run.controls, run.optimal_costs, run.candidate_costs, run.stage_costs, run.terminal_values,
+        run.violations, run.feasible, run.iterations, run.distances,
+    )
+    states = [np.asarray(x).tolist() for x in run.states]
+    return repr(([column.tolist() for column in columns], states, run.converged, run.converged_step))
+
+
+def kernel_counted_loop(monkeypatch, model, x0, n_steps, fresh):
+    """The closed loop and the numbers of kernel steps and of implicit
+    solves it took; with ``fresh``, every step the system takes is handed a
+    copy of its state, so that no step finds one the state has kept."""
+    counts = {"steps": 0, "solves": 0}
+    step, increment = attitude.step_with_margin, lgvi._implicit_increment
+
+    def counted_step(state, *args):
+        counts["steps"] += 1
+        if fresh and state._rows is not None:
+            state = lgvi._state_of(*state.entries, state._cayley)
+        return step(state, *args)
+
+    def counted_increment(*args):
+        counts["solves"] += 1
+        return increment(*args)
+
+    monkeypatch.setattr(attitude, "step_with_margin", counted_step)
+    monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
+    run = closed_loop(model.system_, x0, model.config_, n_steps)
+    monkeypatch.undo()
+    return run, counts
+
+
+# Kernel steps and implicit solves of each loop: a repeated step takes no
+# solve.  The cold solve's first rollout repeats its steering guess; the
+# plant step repeats the solution's first step, and the shifted candidate's
+# first N - 1 steps the rest of the solution's rollout; solve_ocp's rollout
+# of the candidate repeats the candidate's horizon_cost; the rollout of the
+# returned torques repeats the accepted line-search trial.
+KEPT_STEP_COUNTS = {
+    "regulate": (1580, 719),
+    "default slew": (5321, 1760),
+    "1 N m, N = 40": (11070, 7345),
+}
+
+
+@pytest.mark.parametrize("name", list(LOOPS))
+def test_kept_steps_leave_the_closed_loop_unchanged(name, request, monkeypatch):
+    model_name, start, n_steps = LOOPS[name]
+    model = request.getfixturevalue(model_name)
+    run, counts = kernel_counted_loop(monkeypatch, model, start(), n_steps, fresh=False)
+    reference, reference_counts = kernel_counted_loop(monkeypatch, model, start(), n_steps, fresh=True)
+    assert run_record(run) == run_record(reference)
+    steps, solves = KEPT_STEP_COUNTS[name]
+    assert reference_counts == {"steps": steps, "solves": steps}
+    assert counts == {"steps": steps, "solves": solves}
 
 
 def gradient_log(monkeypatch, system):
@@ -324,12 +386,20 @@ def test_warm_solve_integrator_steps(reference_model, monkeypatch):
     monkeypatch.setattr(
         mpc._Objective, "trial", lambda objective, torques: trials.append(1) or trial(objective, torques)
     )
+    solves = []
+    increment = lgvi._implicit_increment
+    monkeypatch.setattr(lgvi, "_implicit_increment", lambda *args: solves.append(1) or increment(*args))
     solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
     assert solution.iterations == 1
     n = len(warm)
     assert len(trials) >= 1
     assert system.steps == n * (2 + len(trials))
     assert system.terminal_calls == 2 + len(trials)
+    # Kernel solves: the candidate's first n - 1 steps repeat the first
+    # solution's rollout from x1, which its states keep, and the rollout of
+    # the returned torques repeats the accepted trial, the last one rolled
+    # out; only the candidate's appended step and the trials solve.
+    assert len(solves) == 1 + n * len(trials)
 
 
 @pytest.mark.parametrize("stop", ["ftol_rel stop", "iteration cap"])
