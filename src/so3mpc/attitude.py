@@ -17,6 +17,7 @@ state in ``predict``, and the closed loop in ``simulate``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -55,8 +56,7 @@ from .terminal import (
     default_weights,
     design_terminal,
     feedback,
-    stage_gradient,
-    stage_hessians,
+    stage_derivatives,
     terminal_derivatives,
     terminal_value,
 )
@@ -129,29 +129,26 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
 
     def quadratic_model(self, states, torques) -> QuadraticModel:
         """The step Jacobians of :func:`~so3mpc.lgvi.step_jacobians` between
-        consecutive states, the stage Hessians of
-        :func:`~so3mpc.terminal.stage_hessians` and the state gradients of
-        :func:`~so3mpc.terminal.stage_gradient` at every state but the last,
-        the torque gradients tilde(R) u, and the terminal gradient and
-        Hessian of :func:`~so3mpc.terminal.terminal_derivatives` at the last,
-        all in the tangent coordinates g exp(hat(zeta)),
-        f exp(h hat(omega))."""
-        f = np.array([x.entries[1] for x in states])
-        g = np.array([x.entries[0] for x in states[:-1]])
+        consecutive states, the stage gradients and Hessians of
+        :func:`~so3mpc.terminal.stage_derivatives` at every state but the
+        last, the torque Hessian tilde(R) of the weights and the gradients
+        tilde(R) u, and the terminal gradient and Hessian of
+        :func:`~so3mpc.terminal.terminal_derivatives` at the last, all in the
+        tangent coordinates g exp(hat(zeta)), f exp(h hat(omega)).  The
+        entries of all N + 1 states are read into one (N + 1, 2, 3, 3) array,
+        in one pass."""
+        n = len(torques)
+        entries = np.fromiter(
+            chain.from_iterable(chain.from_iterable(chain.from_iterable(x.entries)) for x in states),
+            float,
+            18 * (n + 1),
+        ).reshape(n + 1, 2, 3, 3)
+        f = entries[:, 1]
         a, b = step_jacobians(f[:-1], f[1:], self.h, self.inertia)
-        stages = SpacecraftState(g, f[:-1])
-        q, r = stage_hessians(self.weights, stages)
+        q_grad, q = stage_derivatives(self.weights, entries[:-1], self.h)
         p_grad, p = terminal_derivatives(self.design.P, states[-1], self.h)
-        return QuadraticModel(
-            a,
-            b,
-            q,
-            np.broadcast_to(r, (len(torques), 3, 3)),
-            p,
-            stage_gradient(self.weights, stages, self.h),
-            torques @ r,
-            p_grad,
-        )
+        r = self.weights.torque_hessian
+        return QuadraticModel(a, b, q, np.broadcast_to(r, (n, 3, 3)), p, q_grad, torques @ r, p_grad)
 
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must

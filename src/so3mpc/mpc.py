@@ -11,14 +11,18 @@ finite differences of the rollout cost once, at its starting point.  Every
 other gradient (at each accepted iterate, at the start of each penalty
 round after the first, and the one gradient of a warm solve from a
 feasible shifted candidate) comes from the linear-quadratic model along
-the rollout of its point, by one backward sweep of the adjoint of the
-linearized rollout over its step Jacobians and its cost gradients
-(:meth:`_Objective.model_gradient`; Lee, Leok & McClamroch, 2006, derive
-that adjoint for this integrator).  As in the real-time iteration (Diehl,
+the rollout of its point.  Each model is condensed once: one forward
+recursion over its step Jacobians gives the sensitivity matrix G of the
+states to the controls (:func:`_sensitivities`; Bock & Plitt, 1984), the
+gradient is the one product G^T w + r with the cost gradients
+(:meth:`_Objective.model_gradient`, the adjoint of the linearized rollout
+that Lee, Leok & McClamroch, 2006, derive for this integrator, in condensed
+form), and the Gauss-Newton metric is G^T W G + blockdiag(R) from the same
+G (:func:`_gauss_newton_hessian`).  As in the real-time iteration (Diehl,
 Bock & Schlöder, *A real-time iteration scheme for nonlinear optimization
 in optimal feedback control*, 2005), the step is taken on the
-linearization itself, and the model built for a gradient also gives the
-next iteration its metric.  The predictions are
+linearization itself, and the model condensed for a gradient also gives
+the next iteration its metric.  The predictions are
 defined where every step is: a step that the system reports unsolvable
 (:class:`~so3mpc.errors.NotSolvable`) lies outside the objective's domain,
 so the line search backs off from a trial that takes one and a
@@ -118,8 +122,9 @@ class QuadraticModel(NamedTuple):
     the state (``q[k]``, shape (n,)) and the control (``r[k]``, shape (m,));
     and the Hessian (``P``) and gradient (``p``) of the terminal cost at the
     last state.  The solver builds one at every point whose gradient it
-    takes after a solve's first, and takes that gradient and the next
-    iteration's metric from it.  It reads nothing of ``A[0]``, ``Q[0]`` and
+    takes after a solve's first and condenses it once, into the sensitivity
+    matrix of :func:`_sensitivities`, which gives that gradient and the next
+    iteration's metric.  It reads nothing of ``A[0]``, ``Q[0]`` and
     ``q[0]``, which act on the fixed initial state."""
 
     A: np.ndarray
@@ -192,12 +197,14 @@ class ManifoldSystem(abc.ABC):
     def quadratic_model(self, states, torques) -> QuadraticModel:
         """Linear-quadratic model along a predicted rollout: ``states`` are
         the N + 1 states that ``torques``, shape (N, control_dim), visit from
-        the first one.  The solver preconditions its descent with the
-        horizon Hessian of this model (:func:`_gauss_newton_hessian`), and
-        takes every gradient but the first of an unmarked solve from the
-        first-order terms by one backward sweep
-        (:meth:`_Objective.model_gradient`).  Neither reads ``A[0]``,
-        ``Q[0]`` or ``q[0]``, which act on the fixed initial state."""
+        the first one.  The solver condenses it once into the sensitivity
+        matrix G of the states to the controls (:func:`_sensitivities`),
+        preconditions its descent with the horizon Hessian G^T W G +
+        blockdiag(R) (:func:`_gauss_newton_hessian`), and takes every
+        gradient but the first of an unmarked solve from the first-order
+        terms as G^T w + r (:meth:`_Objective.model_gradient`).  None of
+        them reads ``A[0]``, ``Q[0]`` or ``q[0]``, which act on the fixed
+        initial state."""
 
     def steering_control(self, x) -> np.ndarray:
         """Heuristic control used to build cold-start guesses; defaults to
@@ -289,7 +296,7 @@ class OcpSolution:
     stops so, on its cap of one iteration.  A stop on ``grad_tol`` or on a
     failed line search reports it, from the gradient at the returned
     torques: central differences where an unmarked solve returns its
-    starting point at its first gradient, and the model's backward sweep
+    starting point at its first gradient, and the model's gradient
     everywhere else (see :func:`solve_ocp`).
 
     ``violation`` is how far the terminal value exceeds the terminal level,
@@ -395,8 +402,8 @@ def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
 
 class _Objective:
     """Penalized shooting objective, with its gradient by central differences
-    over cheap tail re-evaluations or by a backward sweep over the system's
-    linear-quadratic model."""
+    over cheap tail re-evaluations or from the system's linear-quadratic
+    model through its sensitivity matrix."""
 
     def __init__(self, system: ManifoldSystem, x0, weight: float):
         self.system = system
@@ -478,26 +485,23 @@ class _Objective:
                     )
         return grad, base_value
 
-    def model_gradient(self, model: QuadraticModel, base: _Rollout) -> tuple[np.ndarray, float]:
+    def model_gradient(
+        self, model: QuadraticModel, sensitivity: np.ndarray, base: _Rollout
+    ) -> tuple[np.ndarray, float]:
         """Gradient of the penalized value of ``base`` in its controls, from
-        ``model``, the system's model along ``base``, and that value.
+        ``model``, the system's model along ``base``, and its
+        ``sensitivity`` matrix G (:func:`_sensitivities`); and that value.
 
-        One backward sweep of the adjoint of the linearized rollout (Lee,
-        Leok & McClamroch, *Optimal attitude control of a rigid body using
-        geometrically exact computations on SO(3)*, 2006), with F the
-        terminal value, c the level and w the weight:
-        lam_N = (1 + 2 w max(0, F - c)) p, g_k = B[k]^T lam_{k+1} + r[k] and
-        lam_k = A[k]^T lam_{k+1} + q[k].  It stops at g_0, so ``A[0]`` and
-        ``q[0]`` go unread.
+        With F the terminal value, c the level and w the weight, it is the
+        one product G^T (q[1], ..., q[N-1], (1 + 2 w max(0, F - c)) p) + r,
+        the adjoint of the linearized rollout (Lee, Leok & McClamroch,
+        *Optimal attitude control of a rigid body using geometrically exact
+        computations on SO(3)*, 2006) in condensed form.
+        It reads nothing of ``q[0]``, which acts on the fixed initial state.
         """
-        a, b, r, q = model.A, model.B, model.r, model.q
-        lam = (1.0 + 2.0 * self.weight * max(0.0, base.terminal - self.level)) * model.p
-        grad = np.empty(r.shape)
-        for k in range(len(grad) - 1, -1, -1):
-            grad[k] = lam @ b[k] + r[k]
-            if k:
-                lam = lam @ a[k] + q[k]
-        return grad, self.value(base)
+        scale = 1.0 + 2.0 * self.weight * max(0.0, base.terminal - self.level)
+        weights = np.concatenate([model.q[1:].ravel(), scale * model.p])
+        return (weights @ sensitivity).reshape(model.r.shape) + model.r, self.value(base)
 
 
 def _line_search(objective, torques, value, grad, direction):
@@ -518,25 +522,35 @@ def _line_search(objective, torques, value, grad, direction):
     return None
 
 
-def _gauss_newton_hessian(model: QuadraticModel) -> np.ndarray:
-    """Gauss-Newton Hessian of the horizon cost in the stacked controls,
-    H = sum_k G_k^T Q[k] G_k + blockdiag(R[k]) + G_N^T P G_N over
-    k = 1 .. N - 1, where G_k maps the controls to the state after k steps;
-    an (N m) x (N m) matrix.  Column block j of G_k is
-    A[k-1] ... A[j+1] B[j] (Bock & Plitt, 1984)."""
-    a, b, q, r, p = model.A, model.B, model.Q, model.R, model.P
+def _sensitivities(model: QuadraticModel) -> np.ndarray:
+    """Sensitivity matrix G of the model's rollout, (N n) x (N m): row block
+    k maps the stacked controls to the state after k + 1 steps, and its
+    column block j is A[k] ... A[j+1] B[j] for j <= k and zero after
+    (Bock & Plitt, 1984).  This is the one forward recursion over the model;
+    the gradient (:meth:`_Objective.model_gradient`) and the Gauss-Newton
+    Hessian (:func:`_gauss_newton_hessian`) both read G.  ``A[0]`` goes
+    unread."""
+    a, b = model.A, model.B
     horizon, n, m = b.shape
-    # Row block k of g is G_{k+1}; its columns past the first k + 1 blocks
-    # stay zero.
     g = np.zeros((horizon, n, horizon * m))
-    for k in range(horizon):
-        if k:
-            g[k, :, :k * m] = a[k] @ g[k - 1, :, :k * m]
+    g[0, :, :m] = b[0]
+    for k in range(1, horizon):
+        np.matmul(a[k], g[k - 1, :, :k * m], out=g[k, :, :k * m])
         g[k, :, k * m:(k + 1) * m] = b[k]
-    weights = np.concatenate([q[1:], p[None]])
-    hessian = g.reshape(-1, horizon * m).T @ (weights @ g).reshape(-1, horizon * m)
+    return g.reshape(horizon * n, horizon * m)
+
+
+def _gauss_newton_hessian(model: QuadraticModel, sensitivity: np.ndarray) -> np.ndarray:
+    """Gauss-Newton Hessian of the horizon cost in the stacked controls,
+    H = G^T W G + blockdiag(R[k]) with W = blockdiag(Q[1], ..., Q[N-1], P)
+    and G the model's ``sensitivity`` matrix (:func:`_sensitivities`); an
+    (N m) x (N m) matrix."""
+    horizon, n, m = model.B.shape
+    weights = np.concatenate([model.Q[1:], model.P[None]])
+    weighted = (weights @ sensitivity.reshape(horizon, n, horizon * m)).reshape(horizon * n, horizon * m)
+    hessian = sensitivity.T @ weighted
     steps = np.arange(horizon)
-    hessian.reshape(horizon, m, horizon, m)[steps, :, steps, :] += r
+    hessian.reshape(horizon, m, horizon, m)[steps, :, steps, :] += model.R
     return hessian
 
 
@@ -550,7 +564,8 @@ def _quasi_newton_direction(grad, free, pairs, step, hessian):
     torques (:func:`_gauss_newton_hessian`), and gamma = s.y / (y H_ff^-1 y)
     from the newest pair kept, or 1 when there is none.  The pairs were
     taken at earlier iterates, so they correct this iterate's metric with
-    the curvature it lacks."""
+    the curvature it lacks.  When every entry is free, as in a warm step
+    off the box, the whole ``hessian`` is solved, with no copy of it."""
     q = np.where(free, grad, 0.0)
     history = []
     for s, y in reversed(pairs):
@@ -562,9 +577,13 @@ def _quasi_newton_direction(grad, free, pairs, step, hessian):
         q -= a * y
         history.append((s, y, sy, a))
     index = free.ravel()
-    hessian_free = hessian[np.ix_(index, index)]
-    r = np.zeros(grad.size)
-    r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
+    if index.all():
+        hessian_free = hessian
+        r = np.linalg.solve(hessian, q.ravel())
+    else:
+        hessian_free = hessian[np.ix_(index, index)]
+        r = np.zeros(grad.size)
+        r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
     if history:
         _, y, sy, _ = history[0]
         y_free = y.ravel()[index]
@@ -593,20 +612,21 @@ def _quasi_newton_descent(
     recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
     the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
     of the current torques, the one their gradient holds.  The model is
-    built once per point: at each accepted point, where its backward sweep
-    (:meth:`_Objective.model_gradient`) gives that point's gradient and its
-    Hessian the next iteration's metric, so one build serves both.  Every
+    built and condensed once per point: at each accepted point, its
+    sensitivity matrix (:func:`_sensitivities`) gives that point's gradient
+    (:meth:`_Objective.model_gradient`) and the next iteration's metric, so
+    one build and one forward recursion serve both.  Every
     iteration, the first included, searches along a quasi-Newton direction
     from full length; the descent stops when that direction is not a
     descent direction or its search finds no Armijo point.  The curvature
     pairs carry what the model lacks, above all the penalty's curvature.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's
-    model along it or ``None``.  Given a model, the first gradient is its
-    sweep and the first metric its Hessian.  Without one, the first
+    model along it or ``None``.  Given a model, the first gradient and the
+    first metric are its own.  Without one, the first
     gradient is central differences (:meth:`_Objective.gradient`), and the
-    model for the first metric is built after the KKT test, so a descent
-    that stops at that gradient builds none.  Returns the final torques,
+    model for the first metric is built and condensed after the KKT test,
+    so a descent that stops at that gradient builds none.  Returns the final torques,
     the iteration count and the KKT residual at the final torques, or
     ``None`` when the descent stopped after a line search, on the relative
     improvement test or on ``max_iters``: such a stop returns the accepted
@@ -616,7 +636,8 @@ def _quasi_newton_descent(
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
     else:
-        grad, value = objective.model_gradient(model, rollout)
+        sensitivity = _sensitivities(model)
+        grad, value = objective.model_gradient(model, sensitivity, rollout)
     # Length of the gradient step that picks and moves the held entries,
     # fixed for the round by its first gradient.
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
@@ -630,7 +651,8 @@ def _quasi_newton_descent(
         free = system.project_control(trial) == trial
         if model is None:
             model = system.quadratic_model(rollout.states, torques)
-        hessian = _gauss_newton_hessian(model)
+            sensitivity = _sensitivities(model)
+        hessian = _gauss_newton_hessian(model, sensitivity)
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
         if float((grad * direction).sum()) >= 0.0:
             break
@@ -647,7 +669,8 @@ def _quasi_newton_descent(
         if small_improvements >= 2 or iterations == settings.max_iters:
             return candidate, iterations, None
         model = system.quadratic_model(cand_rollout.states, candidate)
-        new_grad, _ = objective.model_gradient(model, cand_rollout)
+        sensitivity = _sensitivities(model)
+        new_grad, _ = objective.model_gradient(model, sensitivity, cand_rollout)
         s, y = candidate - torques, new_grad - grad
         if float((s * y).sum()) > 0.0:
             pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
@@ -706,9 +729,9 @@ def solve_ocp(
     ``ValueError``.  When the candidate's own rollout is feasible at ``x0``,
     the solve takes one descent step from it: one penalty round at
     ``PENALTY_WEIGHT`` capped at one iteration, whose gradient at the
-    candidate is the backward sweep over the system's model along it
+    candidate comes from the system's model along it
     (:meth:`_Objective.model_gradient`), and whose metric is the same
-    model's.  It returns the accepted point if that point is feasible and
+    model's, through the same sensitivity matrix.  It returns the accepted point if that point is feasible and
     the candidate otherwise.  The result
     is then feasible, and its cost exceeds the candidate's by at most the
     penalty on the candidate's terminal excess, zero inside the terminal
@@ -716,8 +739,8 @@ def solve_ocp(
     round, as any warm start does.
 
     Any other solve takes central differences once, at its starting point:
-    every gradient after that is the backward sweep over the model along
-    its point's rollout, and each penalty round after the first starts with
+    every gradient after that comes from the model along its point's
+    rollout, and each penalty round after the first starts with
     the model along the rollout of the torques the round before returned.
     """
     settings = config.solver
@@ -862,7 +885,11 @@ def closed_loop(
     candidate), the cost of the shifted candidate evaluated at the current
     state (the recursive-feasibility witness; NaN at the first step where no
     candidate exists yet), the stage cost actually paid, and solver
-    diagnostics.
+    diagnostics.  ``converged_step`` is the first step after which the
+    distance to the equilibrium stays below ``distance_tol`` to the end of
+    the run, and ``None`` when the last step's distance is not below it;
+    ``converged`` says whether there is one.  A run that comes within the
+    tolerance and leaves it again has not converged there.
 
     ``n_steps`` must be an integer of at least 1 and ``distance_tol`` a
     positive finite number, read as the configuration's
@@ -908,7 +935,9 @@ def closed_loop(
         iterations.append(solution.iterations)
         distance = system.distance(x, system.equilibrium_state)
         distances.append(distance)
-        if converged_step is None and distance < distance_tol:
+        if distance >= distance_tol:
+            converged_step = None
+        elif converged_step is None:
             converged_step = k + 1
 
     return ClosedLoopRun(

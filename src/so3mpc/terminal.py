@@ -66,7 +66,10 @@ DEFAULT_TERMINAL_SHRINK = 0.9
 @dataclass(frozen=True)
 class StageWeights:
     """Weights of the running cost: attitude, rate, torque, and the decay
-    factor splitting the stage cost from the terminal design."""
+    factor splitting the stage cost from the terminal design.
+
+    ``torque_hessian`` is tilde(R), the Hessian of the stage cost in the
+    torque, computed once per weight set as a read-only array."""
 
     attitude: np.ndarray
     rate: np.ndarray
@@ -80,15 +83,21 @@ class StageWeights:
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
         # Constant pieces of the stage cost, computed once per weight set:
-        # the traces, and the entries of Q_g, Q_f and tilde(R), row by row,
-        # as one flat tuple of Python floats.
+        # the torque Hessian tilde(R), read-only, the stacked (Q_g, Q_f)
+        # that stage_derivatives multiplies the (g, f) pairs by, the traces,
+        # and the entries of Q_g, Q_f and tilde(R), row by row, as one flat
+        # tuple of Python floats.
+        torque_hessian = tilde_transform(self.torque)
+        torque_hessian.flags.writeable = False
+        object.__setattr__(self, "torque_hessian", torque_hessian)
+        object.__setattr__(self, "_state_weights", np.stack([self.attitude, self.rate]))
         object.__setattr__(
             self, "_traces", (float(np.trace(self.attitude)), float(np.trace(self.rate)))
         )
         object.__setattr__(
             self,
             "_weight_entries",
-            tuple(np.concatenate([self.attitude, self.rate, tilde_transform(self.torque)]).ravel().tolist()),
+            tuple(np.concatenate([self.attitude, self.rate, torque_hessian]).ravel().tolist()),
         )
 
     def stage_cost(self, state: SpacecraftState, torque, h: float) -> float:
@@ -205,73 +214,64 @@ def build_linearization(h: float, inertia) -> Linearization:
         raise NotStabilizable(f"no torque-to-rate map at the equilibrium: {err}") from None
 
 
-def stage_hessians(weights: StageWeights, state: SpacecraftState) -> QuadraticCostData:
-    """Hessians of the trace-form stage cost at ``state``, in the tangent
-    coordinates g exp(hat(zeta)), f exp(h hat(omega)) of
-    :func:`~so3mpc.lgvi.step_jacobians`: blockdiag(tilde(sym(Q_g g)),
-    tilde(sym(Q_f f))) in the state, each block with its negative
-    eigenvalues set to zero, and tilde(R) in the control.  There is no
-    state-control cross term.
+def stage_derivatives(weights: StageWeights, pairs: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the trace-form stage cost in the state, in
+    the tangent coordinates g exp(hat(zeta)), f exp(h hat(omega)) of
+    :func:`~so3mpc.lgvi.step_jacobians`, at the states whose (g, f) are
+    ``pairs``: shape (2, 3, 3) for one state (``np.asarray`` of it), or
+    (n, 2, 3, 3) for n states, which give one row and one (6, 6) block per
+    state.  Both come from one product of the weights with the pairs,
+    M = (Q_g g, Q_f f).
 
-    The second-order term of tr(Q (I - g exp(hat(zeta)))) is
-    zeta^T tilde(sym(Q g)) zeta / 2, and the rate term's 1/h^2 cancels
-    against the h in its coordinate.  At the equilibrium both blocks are the
-    tilde transforms of the weights, the chart Hessians of the design, as
-    they are.  A stack of states, with g and f of shape (n, 3, 3), gives one
-    state block per state.
+    The gradient is (2 vee(skew(Q_g g)), 2 vee(skew(Q_f f)) / h), and the
+    Hessian blockdiag(tilde(sym(Q_g g)), tilde(sym(Q_f f))), each block with
+    its negative eigenvalues set to zero.  The first-order term of
+    tr(Q (I - g exp(hat(zeta)))) is -tr(Q g hat(zeta)) =
+    2 vee(skew(Q g)) . zeta and its second-order term
+    zeta^T tilde(sym(Q g)) zeta / 2; the rate term's 1/h^2 meets the h in
+    its coordinate once in the gradient and cancels against it in the
+    Hessian.  At the equilibrium the gradient is zero and the Hessian is
+    blockdiag(tilde(Q_g), tilde(Q_f)), the chart Hessian of the design
+    (:func:`build_cost_data`).  The torque part of the cost is the quadratic
+    u^T tilde(R) u / 2, whose Hessian is ``weights.torque_hessian`` and
+    whose gradient that times u; there is no state-control cross term.
     """
-    blocks = _clip_negative(np.stack([
-        tilde_transform(weights.attitude @ state.g), tilde_transform(weights.rate @ state.f)
-    ]))
-    q = np.zeros(state.g.shape[:-2] + (6, 6))
-    q[..., :3, :3] = blocks[0]
-    q[..., 3:, 3:] = blocks[1]
-    return QuadraticCostData(q, tilde_transform(weights.torque))
+    products = weights._state_weights @ pairs
+    # 2 vee(skew(M)) = (M_21 - M_12, M_02 - M_20, M_10 - M_01).
+    gradient = (products - np.swapaxes(products, -1, -2))[..., (2, 0, 1), (1, 2, 0)]
+    gradient[..., 1, :] /= h
+    blocks = _clip_negative(tilde_transform(products))
+    return gradient.reshape(gradient.shape[:-2] + (6,)), _block_diagonal(blocks[..., 0, :, :], blocks[..., 1, :, :])
 
 
-def stage_gradient(weights: StageWeights, state: SpacecraftState, h: float) -> np.ndarray:
-    """Gradient of the trace-form stage cost in the state at ``state``, in
-    the tangent coordinates of :func:`stage_hessians`:
-    (2 vee(skew(Q_g g)), 2 vee(skew(Q_f f)) / h).  A stack of states, with g
-    and f of shape (n, 3, 3), gives one row per state.  The torque part of
-    the cost is the quadratic u^T tilde(R) u / 2, whose gradient is its
-    Hessian times u.
-
-    The first-order term of tr(Q (I - g exp(hat(zeta)))) is
-    -tr(Q g hat(zeta)) = 2 vee(skew(Q g)) . zeta, and the rate term's 1/h^2
-    meets the h in its coordinate once.
-    """
-    return np.concatenate(
-        [_twice_skew_vector(weights.attitude @ state.g), _twice_skew_vector(weights.rate @ state.f) / h], axis=-1
-    )
-
-
-def _twice_skew_vector(m: np.ndarray) -> np.ndarray:
-    """2 vee(skew(M)) = (M_21 - M_12, M_02 - M_20, M_10 - M_01), for one
-    matrix or a stack."""
-    return m[..., (2, 0, 1), (1, 2, 0)] - m[..., (1, 2, 0), (2, 0, 1)]
+def _block_diagonal(attitude: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """blockdiag(attitude, rate) of two 3x3 blocks, or of two stacks."""
+    q = np.zeros(attitude.shape[:-2] + (6, 6))
+    q[..., :3, :3] = attitude
+    q[..., 3:, 3:] = rate
+    return q
 
 
 def _clip_negative(m: np.ndarray) -> np.ndarray:
     """A stack of symmetric 3x3 matrices with each negative eigenvalue set to
-    zero.  A matrix that Sylvester's criterion (positive leading minors)
-    shows positive definite is returned as it is, without an
-    eigendecomposition."""
-    m00, m01, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]
-    minor = m00 * m11 - m01 * m01
-    check = ~((m00 > 0.0) & (minor > 0.0) & (np.linalg.det(m) > 0.0))
-    if check.any():
-        values, vectors = np.linalg.eigh(m[check])
-        if (values < 0.0).any():
-            m = m.copy()
-            m[check] = (vectors * np.maximum(values, 0.0)[..., None, :]) @ np.swapaxes(vectors, -1, -2)
+    zero.  A stack that has a Cholesky factor, every matrix positive
+    definite, is returned as it is, without an eigendecomposition; otherwise
+    the matrices with a negative eigenvalue are rebuilt from theirs."""
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        values, vectors = np.linalg.eigh(m)
+        negative = (values < 0.0).any(axis=-1)
+        values, vectors = np.maximum(values[negative], 0.0), vectors[negative]
+        m = m.copy()
+        m[negative] = (vectors * values[..., None, :]) @ np.swapaxes(vectors, -1, -2)
     return m
 
 
 def terminal_derivatives(p: np.ndarray, state: SpacecraftState, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Gradient 2 C^T P xi and Gauss-Newton Hessian 2 C^T P C of the terminal
     cost xi^T P xi at ``state``, in the tangent coordinates of
-    :func:`stage_hessians`, from one evaluation of the chart coordinates xi
+    :func:`stage_derivatives`, from one evaluation of the chart coordinates xi
     and of C.  C is the Jacobian of :func:`coordinates` there, blockdiag of
     the inverse right Jacobians of log_so3 at log g and at log f (the h of
     the rate coordinate cancels); it stays finite up to the branch cut."""
@@ -283,10 +283,13 @@ def terminal_derivatives(p: np.ndarray, state: SpacecraftState, h: float) -> tup
 
 
 def build_cost_data(weights: StageWeights) -> QuadraticCostData:
-    """Quadratic cost blocks for the Riccati design: the
-    :func:`stage_hessians` at the equilibrium, scaled by 1/decay."""
+    """Quadratic cost blocks for the Riccati design: the stage cost's
+    Hessians at the equilibrium, blockdiag(tilde(Q_g), tilde(Q_f)) in the
+    state (:func:`stage_derivatives` there) and tilde(R) in the torque,
+    scaled by 1/decay."""
     scale = 1.0 / weights.decay
-    q, r = (scale * block for block in stage_hessians(weights, SpacecraftState.identity()))
+    q = scale * _block_diagonal(tilde_transform(weights.attitude), tilde_transform(weights.rate))
+    r = scale * weights.torque_hessian
     try:
         check_spd(q, "state cost block")
         check_spd(r, "control cost block")

@@ -23,6 +23,7 @@ from so3mpc.mpc import (
     SolverSettings,
     _gauss_newton_hessian,
     _predict,
+    _sensitivities,
     closed_loop,
     horizon_cost,
     solve_ocp,
@@ -56,6 +57,36 @@ def adjoint_gradient(flat, x0, controls):
         grad[i, 0] = (2.0 * flat.R @ controls[i] + flat.B.T @ lam)[0]
         lam = 2.0 * flat.Q @ xs[i] + flat.A.T @ lam
     return grad
+
+
+def adjoint_sweep(objective, model, base):
+    """The penalized value's gradient from ``model`` by one backward sweep of
+    the adjoint of the linearized rollout, with F the terminal value, c the
+    level and w the weight: lam_N = (1 + 2 w max(0, F - c)) p,
+    g_k = B[k]^T lam_{k+1} + r[k] and lam_k = A[k]^T lam_{k+1} + q[k].  The
+    recursion the solver ran before it condensed each model once; the
+    oracle of :meth:`_Objective.model_gradient`."""
+    lam = (1.0 + 2.0 * objective.weight * max(0.0, base.terminal - objective.level)) * model.p
+    grad = np.empty(model.r.shape)
+    for k in range(len(grad) - 1, -1, -1):
+        grad[k] = lam @ model.B[k] + model.r[k]
+        if k:
+            lam = lam @ model.A[k] + model.q[k]
+    return grad
+
+
+def model_gradient(objective, model, base):
+    """The solver's gradient from ``model`` along ``base``, through the
+    model's sensitivity matrix, and the penalized value of ``base``."""
+    return objective.model_gradient(model, _sensitivities(model), base)
+
+
+def assert_condensed_equals_sweep(objective, model, base):
+    """The condensed gradient equals the backward sweep within 1e-12 of its
+    largest entry."""
+    grad, _ = model_gradient(objective, model, base)
+    sweep = adjoint_sweep(objective, model, base)
+    assert np.abs(grad - sweep).max() <= 1e-12 * np.abs(sweep).max()
 
 
 class KnifeEdgeIntegrator(DoubleIntegratorSystem):
@@ -397,7 +428,7 @@ class TestKktAtSaturatedTorques:
         base = _predict(weak_system, x0, u)
         differences, value = objective.gradient(u, base)
         if solution.iterations:
-            grad, _ = objective.model_gradient(weak_system.quadratic_model(base.states, u), base)
+            grad, _ = model_gradient(objective, weak_system.quadratic_model(base.states, u), base)
             # Central differences agree within 1e-6 of their largest entry,
             # up to their round-off floor, which decides where the solve
             # converged off the box: there the gradient is about 1e-6, and
@@ -634,7 +665,7 @@ def equilibrium_hessian(system, horizon):
     equilibrium under zero controls."""
     m = system.control_dim
     model = system.quadratic_model([system.equilibrium_state] * (horizon + 1), np.zeros((horizon, m)))
-    return _gauss_newton_hessian(model)
+    return _gauss_newton_hessian(model, _sensitivities(model))
 
 
 def constant_model_hessian(a, b, q, r, p, horizon):
@@ -693,8 +724,9 @@ def gradient_point(name, ref_design, ref_system):
 
 
 def swept_points(monkeypatch, system, x0, config):
-    """Solve cold and return, per model sweep the solve took, its objective,
-    the torques of the model it swept and the rollout it was handed."""
+    """Solve cold and return, per model gradient the solve took, its
+    objective, the torques of the model it read and the rollout it was
+    handed."""
     builds, sweeps = [], []
     build, sweep = type(system).quadratic_model, _Objective.model_gradient
 
@@ -703,9 +735,9 @@ def swept_points(monkeypatch, system, x0, config):
         builds.append((model, torques.copy()))
         return model
 
-    def recorded_sweep(objective, model, base):
+    def recorded_sweep(objective, model, sensitivity, base):
         sweeps.append((objective, model, base))
-        return sweep(objective, model, base)
+        return sweep(objective, model, sensitivity, base)
 
     monkeypatch.setattr(type(system), "quadratic_model", recorded_build)
     monkeypatch.setattr(_Objective, "model_gradient", recorded_sweep)
@@ -718,12 +750,14 @@ def swept_points(monkeypatch, system, x0, config):
 
 
 class TestModelGradient:
-    """The backward sweep over the linear-quadratic model, which every
-    gradient after an unmarked solve's first and every marked warm solve's
-    gradient take in place of central differences, is the gradient of the
-    penalized objective: measured against full re-rollouts at ``FD_STEP``,
-    it agrees to 3.3e-9 to 7.5e-8 of the largest entry at these points, and
-    to 3.8e-9 to 4.7e-8 at the cold solves' iterates below."""
+    """The gradient from the linear-quadratic model, G^T w + r through the
+    model's sensitivity matrix, which every gradient after an unmarked
+    solve's first and every marked warm solve's gradient take in place of
+    central differences, is the gradient of the penalized objective:
+    measured against full re-rollouts at ``FD_STEP``, it agrees to 3.3e-9 to
+    7.5e-8 of the largest entry at these points, and to 3.8e-9 to 4.7e-8 at
+    the cold solves' iterates below.  It equals the backward adjoint sweep
+    over the same model (:func:`adjoint_sweep`) to round-off."""
 
     @pytest.mark.parametrize(
         "name", ["random 1", "random 2", "random 3", "penalty active", "saturated", "floor", "near the cut"]
@@ -748,10 +782,18 @@ class TestModelGradient:
             angle = np.linalg.norm(so3.log_so3(base.states[-1].g))
             assert math.pi - NEAR_PI < angle < math.pi
         objective = _Objective(system, x0, weight)
-        grad, value = objective.model_gradient(system.quadratic_model(base.states, torques), base)
+        model = system.quadratic_model(base.states, torques)
+        grad, value = model_gradient(objective, model, base)
         oracle = full_central_differences(objective, torques)
         assert value == objective.value(base)
         assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
+        assert_condensed_equals_sweep(objective, model, base)
+        # The penalty is active at one point only; at every point, the sweep
+        # and the condensing also agree with it active, at a heavier weight
+        # and a level just below the terminal value.
+        heavier = _Objective(system, x0, PENALTY_WEIGHT * mpc.PENALTY_GROWTH)
+        heavier.level = base.terminal - 0.5
+        assert_condensed_equals_sweep(heavier, model, base)
 
     def test_saturated_cold_iterates_equal_full_central_differences(self, monkeypatch):
         # The 1 N m, N = 40 slew's cold first solve from rest at pi: its 7
@@ -765,9 +807,18 @@ class TestModelGradient:
         for objective, torques, base in points:
             assert objective.weight == PENALTY_WEIGHT
             assert (np.abs(torques) == 1.0).sum() >= 28
-            grad, _ = objective.model_gradient(system.quadratic_model(base.states, torques), base)
+            quadratic = system.quadratic_model(base.states, torques)
+            grad, _ = model_gradient(objective, quadratic, base)
             oracle = full_central_differences(objective, torques)
             assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
+            # Every iterate ends inside the terminal set, so the penalty is
+            # inactive there; a level just below the terminal value makes it
+            # active on the same model.
+            assert base.terminal < objective.level
+            assert_condensed_equals_sweep(objective, quadratic, base)
+            active = _Objective(system, x0, PENALTY_WEIGHT)
+            active.level = base.terminal - 0.5
+            assert_condensed_equals_sweep(active, quadratic, base)
 
     def test_second_round_start_equals_full_central_differences(self, ref_system, monkeypatch):
         # Three steps from 2.9 rad at rest: the first round stops outside the
@@ -778,21 +829,24 @@ class TestModelGradient:
         objective, torques, base = next(point for point in points if point[0].weight > PENALTY_WEIGHT)
         assert objective.weight == PENALTY_WEIGHT * mpc.PENALTY_GROWTH
         assert base.terminal > ref_system.terminal_level
-        grad, _ = objective.model_gradient(ref_system.quadratic_model(base.states, torques), base)
+        quadratic = ref_system.quadratic_model(base.states, torques)
+        grad, _ = model_gradient(objective, quadratic, base)
         oracle = full_central_differences(objective, torques)
         assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
+        assert_condensed_equals_sweep(objective, quadratic, base)
 
     @pytest.mark.parametrize("weight", [0.0, PENALTY_WEIGHT])
     def test_double_integrator_equals_adjoint(self, weight):
         # Inside the default level the penalty is zero at either weight, and
-        # the sweep is the exact adjoint recursion of the horizon cost.
+        # the model's gradient is the exact adjoint recursion of the horizon
+        # cost.
         flat = DoubleIntegratorSystem()
         rng = np.random.default_rng(11)
         for _ in range(5):
             x0, controls = rng.standard_normal(2), rng.standard_normal((6, 1))
             base = _predict(flat, x0, controls)
             objective = _Objective(flat, x0, weight)
-            grad, _ = objective.model_gradient(flat.quadratic_model(base.states, controls), base)
+            grad, _ = model_gradient(objective, flat.quadratic_model(base.states, controls), base)
             reference = adjoint_gradient(flat, x0, controls)
             assert_allclose(grad, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max())
 
@@ -840,15 +894,30 @@ class TestHorizonHessian:
             for k in range(horizon):
                 offsets = (tangent_offset(states[k + 1], x, H_REF) for x in (up[k + 1], down[k + 1]))
                 g[k, :, column] = np.subtract(*offsets) / (2.0 * delta)
+        sensitivity = _sensitivities(model)
+        assert np.linalg.norm(sensitivity - g.reshape(-1, 3 * horizon)) <= 1e-6 * np.linalg.norm(g)
         weights = list(model.Q[1:]) + [model.P]
         reference = sum(g[k].T @ weights[k] @ g[k] for k in range(horizon))
         reference += scipy.linalg.block_diag(*model.R)
-        hessian = _gauss_newton_hessian(model)
+        hessian = _gauss_newton_hessian(model, sensitivity)
         assert np.linalg.norm(hessian - reference) <= 1e-6 * np.linalg.norm(reference)
         # Far from the equilibrium it differs from the constant model's (by
         # 7.5 % here, where the control weight dominates both).
         constant = equilibrium_hessian(ref_system, horizon)
         assert np.linalg.norm(hessian - constant) > 0.05 * np.linalg.norm(hessian)
+
+    def test_double_integrator_equals_constant_model_along_rollouts(self):
+        # The double integrator's model is the same at every state, so along
+        # any rollout its metric is the constant model's.
+        flat = DoubleIntegratorSystem()
+        blocks = (flat.A, flat.B, 2.0 * flat.Q, 2.0 * flat.R, 2.0 * flat.P)
+        rng = np.random.default_rng(12)
+        for horizon in (1, 2, 7):
+            x0, controls = rng.standard_normal(2), rng.standard_normal((horizon, 1))
+            model = flat.quadratic_model(_predict(flat, x0, controls).states, controls)
+            reference = constant_model_hessian(*blocks, horizon)
+            hessian = _gauss_newton_hessian(model, _sensitivities(model))
+            assert np.linalg.norm(hessian - reference) <= 1e-12 * np.linalg.norm(reference)
 
     def test_double_integrator_solved_in_one_iteration(self):
         # The model is the double integrator itself, so the first
@@ -893,20 +962,22 @@ class TestModelBuild:
         # states of the rollout whose gradient the iteration holds, without
         # a step or a terminal-cost call of its own.  The first holds the
         # central-difference gradient at the start; the build at each
-        # accepted point gives that point's gradient by its sweep.
+        # accepted point gives that point's gradient through its sensitivity
+        # matrix.
         system = RecordingAttitude(ref_design)
         bases = []
-        gradient, sweep = _Objective.gradient, _Objective.model_gradient
+        gradient, condensed = _Objective.gradient, _Objective.model_gradient
 
         def recorded(method):
-            def recorded_method(objective, first, base):
-                bases.append(base)
-                return method(objective, first, base)
+            # Both sources take the rollout of the point as ``base``, last.
+            def recorded_method(objective, *args, **kwargs):
+                bases.append(kwargs.get("base", args[-1]))
+                return method(objective, *args, **kwargs)
 
             return recorded_method
 
         monkeypatch.setattr(_Objective, "gradient", recorded(gradient))
-        monkeypatch.setattr(_Objective, "model_gradient", recorded(sweep))
+        monkeypatch.setattr(_Objective, "model_gradient", recorded(condensed))
         x0 = rest_state([0.8, 0.2, -0.4])
         solution = solve_ocp(system, x0, MpcConfig(horizon=6))
         assert solution.iterations == len(system.builds) == len(bases) == 3
@@ -1139,6 +1210,28 @@ class TestClosedLoop:
         assert np.max(np.abs(run.controls)) <= 1e-8
         assert run.distances[-1] <= 1e-10
         assert run.converged
+
+    def test_converged_step_is_where_the_distance_stays_below_the_tolerance(self):
+        # A run that comes within the tolerance and leaves it again has not
+        # converged there: the step counts from the last entry into it.
+        class Scripted(DoubleIntegratorSystem):
+            def __init__(self, distances):
+                super().__init__()
+                self.script = iter(distances)
+
+            def distance(self, x1, x2):
+                return next(self.script)
+
+        cases = [
+            ([1.0, 0.5, 0.001, 0.002], 2),
+            ([1.0, 0.001, 0.5, 0.001, 0.001], 3),
+            ([1.0, 0.001, 0.001, 0.01], None),
+            ([0.001, 0.001, 0.001], 1),
+        ]
+        for distances, step in cases:
+            run = closed_loop(Scripted(distances), np.array([0.1, 0.0]), MpcConfig(horizon=3), len(distances) - 1)
+            assert run.converged_step == step
+            assert run.converged == (step is not None)
 
     def test_small_tumble_converges_and_chain_holds(self, ref_system):
         state0 = spinning_state([0.3, -0.2, 0.25], [0.02, 0.01, -0.01], H_REF)

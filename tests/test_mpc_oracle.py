@@ -232,9 +232,9 @@ def counting(oracle=False):
             points.append(torques.copy())
             return super().gradient(torques, *args, **kwargs)
 
-        def model_gradient(self, model, base):
+        def model_gradient(self, model, sensitivity, base):
             sweeps.append(base)
-            return super().model_gradient(model, base)
+            return super().model_gradient(model, sensitivity, base)
 
     def counted_descent(objective, *args):
         result = descent(objective, *args)

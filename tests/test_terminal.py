@@ -37,8 +37,7 @@ from so3mpc.terminal import (
     feedback,
     lqr_gain,
     solve_dare,
-    stage_gradient,
-    stage_hessians,
+    stage_derivatives,
     terminal_derivatives,
     terminal_value,
     tilde_transform,
@@ -388,16 +387,21 @@ class TestTangentHessians:
     rollout, in the tangent coordinates g exp(hat(zeta)), f exp(h hat(omega))."""
 
     def test_equilibrium_values_are_the_design_model(self, ref_weights, ref_design):
-        q, r = stage_hessians(ref_weights, SpacecraftState.identity())
+        q_grad, q = stage_derivatives(ref_weights, np.asarray(SpacecraftState.identity()), H_REF)
         expected = scipy.linalg.block_diag(
             tilde_transform(ref_weights.attitude), tilde_transform(ref_weights.rate)
         )
         assert q.tobytes() == expected.tobytes()
+        assert not q_grad.any()
+        r = ref_weights.torque_hessian
         assert r.tobytes() == tilde_transform(ref_weights.torque).tobytes()
+        assert not r.flags.writeable
+        cost = build_cost_data(ref_weights)
+        assert cost.Q.tobytes() == (q / ref_weights.decay).tobytes()
+        assert cost.R_dare.tobytes() == (r / ref_weights.decay).tobytes()
         p_grad, p = terminal_derivatives(ref_design.P, SpacecraftState.identity(), H_REF)
         assert p.tobytes() == (2.0 * ref_design.P).tobytes()
         assert not p_grad.any()
-        assert not stage_gradient(ref_weights, SpacecraftState.identity(), H_REF).any()
 
     def test_stage_hessian_matches_second_differences(self, ref_weights):
         # States within 90 degrees, where both blocks are positive definite
@@ -408,7 +412,7 @@ class TestTangentHessians:
             state = SpacecraftState(
                 exp_so3(rng.uniform(-0.8, 0.8, 3)), exp_so3(H_REF * rng.uniform(-5.0, 5.0, 3))
             )
-            q, _ = stage_hessians(ref_weights, state)
+            _, q = stage_derivatives(ref_weights, np.asarray(state), H_REF)
             ref = second_differences(
                 lambda d: ref_weights.stage_cost(perturbed(state, d, H_REF), u, H_REF), 6
             )
@@ -421,7 +425,7 @@ class TestTangentHessians:
         axis = np.array([0.48, 0.6, 0.64])
         for angle in (2.0, 3.0, np.pi):
             state = SpacecraftState(exp_so3(angle * axis), np.eye(3))
-            q, _ = stage_hessians(ref_weights, state)
+            _, q = stage_derivatives(ref_weights, np.asarray(state), H_REF)
             assert_allclose(q[:3, :3] @ axis, 0.0, atol=1e-12)
             assert_allclose(
                 np.linalg.eigvalsh(q[:3, :3]), [0.0, 1.0 + np.cos(angle), 1.0 + np.cos(angle)], atol=1e-12
@@ -438,9 +442,9 @@ class TestTangentHessians:
                 exp_so3(rng.uniform(-3.0, 3.0, 3)), exp_so3(H_REF * rng.uniform(-20.0, 20.0, 3))
             )
             u = rng.uniform(-50.0, 50.0, 3)
-            q_grad = stage_gradient(ref_weights, state, H_REF)
+            q_grad, _ = stage_derivatives(ref_weights, np.asarray(state), H_REF)
             # The torque part is quadratic: its Hessian times u.
-            r_grad = stage_hessians(ref_weights, state).R_dare @ u
+            r_grad = ref_weights.torque_hessian @ u
             q_ref = np.array([
                 ref_weights.stage_cost(perturbed(state, delta * e, H_REF), u, H_REF)
                 - ref_weights.stage_cost(perturbed(state, -delta * e, H_REF), u, H_REF)
@@ -457,12 +461,10 @@ class TestTangentHessians:
         rng = np.random.default_rng(32)
         g = np.array([exp_so3(rng.uniform(-np.pi, np.pi, 3)) for _ in range(6)])
         f = np.array([exp_so3(H_REF * rng.uniform(-20.0, 20.0, 3)) for _ in range(6)])
-        q, _ = stage_hessians(ref_weights, SpacecraftState(g, f))
-        q_grad = stage_gradient(ref_weights, SpacecraftState(g, f), H_REF)
+        q_grad, q = stage_derivatives(ref_weights, np.stack([g, f], axis=1), H_REF)
         for k in range(6):
-            single, _ = stage_hessians(ref_weights, SpacecraftState(g[k], f[k]))
+            single_grad, single = stage_derivatives(ref_weights, np.asarray(SpacecraftState(g[k], f[k])), H_REF)
             assert_allclose(q[k], single, rtol=1e-13, atol=1e-13)
-            single_grad = stage_gradient(ref_weights, SpacecraftState(g[k], f[k]), H_REF)
             assert_allclose(q_grad[k], single_grad, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("angle", [0.0, 0.4, 2.5, np.pi - 1e-6])

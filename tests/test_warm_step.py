@@ -3,11 +3,13 @@
 Every closed-loop solve after the first starts from the shifted candidate
 of the previous solution, marked ``shifted``.  When that candidate is
 feasible, the solve builds the linear-quadratic model along it once, takes
-the gradient there from the model's backward sweep and at most one
+the gradient there from the model and at most one
 direction, preconditioned by the same model, and line search, and returns
 the accepted point if it is feasible and the candidate otherwise.  Cold
 solves descend to the stop rules, with central differences at their
-starting point only and the model's sweep at every later point.
+starting point only and the model's gradient at every later point.  Each
+model is condensed once, into the sensitivity matrix that gives both its
+gradient and its metric.
 """
 
 import math
@@ -47,10 +49,11 @@ def assert_same_solution(a, b):
 
 def counted_loop(monkeypatch, system, x0, config, n_steps):
     """The closed loop, and per solve the solution, the numbers of
-    central-difference gradients, of model builds and of model sweeps it
-    took, and whether it was marked ``shifted``."""
+    central-difference gradients, of model builds, of their condensings into
+    a sensitivity matrix and of model gradients it took, and whether it was
+    marked ``shifted``."""
     solves = []
-    counts = {"gradients": 0, "models": 0, "sweeps": 0}
+    counts = {"gradients": 0, "models": 0, "condensings": 0, "sweeps": 0}
     gradient, model, solve = mpc._Objective.gradient, type(system).quadratic_model, mpc.solve_ocp
 
     def counted(name, method):
@@ -69,6 +72,7 @@ def counted_loop(monkeypatch, system, x0, config, n_steps):
 
     monkeypatch.setattr(mpc._Objective, "gradient", counted("gradients", gradient))
     monkeypatch.setattr(type(system), "quadratic_model", counted("models", model))
+    monkeypatch.setattr(mpc, "_sensitivities", counted("condensings", mpc._sensitivities))
     monkeypatch.setattr(mpc._Objective, "model_gradient", counted("sweeps", mpc._Objective.model_gradient))
     monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
     run = closed_loop(system, x0, config, n_steps)
@@ -108,9 +112,9 @@ def test_warm_solves_take_one_step(name, request, monkeypatch):
     assert [shifted for _, _, shifted in solves] == [False] + [True] * (n_steps - 1)
     for solution, taken, _ in solves[1:]:
         assert solution.iterations <= 1
-        # No central differences: one model serves the gradient and the
-        # metric.
-        assert taken == {"gradients": 0, "models": 1, "sweeps": 1}
+        # No central differences: one model, condensed once, serves the
+        # gradient and the metric.
+        assert taken == {"gradients": 0, "models": 1, "condensings": 1, "sweeps": 1}
     assert np.all(run.optimal_costs[1:] <= run.candidate_costs[1:])
     # The first solve is cold, and cold solves descend as before.
     assert_same_solution(solves[0][0], solve_ocp(model.system_, x0, model.config_))
@@ -192,9 +196,9 @@ def gradient_log(monkeypatch, system):
         log.append(("build", model))
         return model
 
-    def logged_sweep(objective, model, base):
+    def logged_sweep(objective, model, sensitivity, base):
         log.append(("sweep", model, objective.weight))
-        return sweep(objective, model, base)
+        return sweep(objective, model, sensitivity, base)
 
     monkeypatch.setattr(mpc._Objective, "gradient", logged_gradient)
     monkeypatch.setattr(type(system), "quadratic_model", logged_build)
@@ -229,10 +233,20 @@ def test_unmarked_solve_takes_one_central_difference_gradient(name, request, mon
         system = request.getfixturevalue("reference_model").system_
         x0, config = rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9]), MpcConfig(horizon=3)
     log = gradient_log(monkeypatch, system)
+    condensed, sensitivities = [], mpc._sensitivities
+
+    def recorded_sensitivities(model):
+        condensed.append(model)
+        return sensitivities(model)
+
+    monkeypatch.setattr(mpc, "_sensitivities", recorded_sensitivities)
     solution = solve_ocp(system, x0, config)
     monkeypatch.undo()
     assert solution.feasible
     assert solution.iterations == COLD_SOLVES[name]
+    # Each model built is condensed once, and nothing else is.
+    built = [event[1] for event in log if event[0] == "build"]
+    assert len(condensed) == len(built) and all(a is b for a, b in zip(condensed, built))
     gradients = [event for event in log if event[0] != "build"]
     assert gradients[0] == ("differences", mpc.PENALTY_WEIGHT)
     sweeps = gradients[1:]
@@ -416,10 +430,11 @@ def test_stop_after_a_line_search_takes_no_gradient_at_the_accepted_point(stop, 
     gradient, model_gradient = mpc._Objective.gradient, mpc._Objective.model_gradient
 
     def recorded(method):
-        # Both sources take the rollout of the point as ``base``.
-        def recorded_method(objective, first, base):
+        # Both sources take the rollout of the point as ``base``, last.
+        def recorded_method(objective, *args, **kwargs):
+            base = kwargs.get("base", args[-1])
             ends.append(np.asarray(base.states[-1]))
-            return method(objective, first, base)
+            return method(objective, *args, **kwargs)
 
         return recorded_method
 
