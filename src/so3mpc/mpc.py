@@ -564,8 +564,7 @@ def _quasi_newton_direction(grad, free, pairs, step, hessian):
     torques (:func:`_gauss_newton_hessian`), and gamma = s.y / (y H_ff^-1 y)
     from the newest pair kept, or 1 when there is none.  The pairs were
     taken at earlier iterates, so they correct this iterate's metric with
-    the curvature it lacks.  When every entry is free, as in a warm step
-    off the box, the whole ``hessian`` is solved, with no copy of it."""
+    the curvature it lacks."""
     q = np.where(free, grad, 0.0)
     history = []
     for s, y in reversed(pairs):
@@ -577,13 +576,9 @@ def _quasi_newton_direction(grad, free, pairs, step, hessian):
         q -= a * y
         history.append((s, y, sy, a))
     index = free.ravel()
-    if index.all():
-        hessian_free = hessian
-        r = np.linalg.solve(hessian, q.ravel())
-    else:
-        hessian_free = hessian[np.ix_(index, index)]
-        r = np.zeros(grad.size)
-        r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
+    hessian_free = hessian[np.ix_(index, index)]
+    r = np.zeros(grad.size)
+    r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
     if history:
         _, y, sy, _ = history[0]
         y_free = y.ravel()[index]
@@ -935,7 +930,7 @@ def closed_loop(
         iterations.append(solution.iterations)
         distance = system.distance(x, system.equilibrium_state)
         distances.append(distance)
-        if distance >= distance_tol:
+        if not distance < distance_tol:
             converged_step = None
         elif converged_step is None:
             converged_step = k + 1

@@ -906,19 +906,6 @@ class TestHorizonHessian:
         constant = equilibrium_hessian(ref_system, horizon)
         assert np.linalg.norm(hessian - constant) > 0.05 * np.linalg.norm(hessian)
 
-    def test_double_integrator_equals_constant_model_along_rollouts(self):
-        # The double integrator's model is the same at every state, so along
-        # any rollout its metric is the constant model's.
-        flat = DoubleIntegratorSystem()
-        blocks = (flat.A, flat.B, 2.0 * flat.Q, 2.0 * flat.R, 2.0 * flat.P)
-        rng = np.random.default_rng(12)
-        for horizon in (1, 2, 7):
-            x0, controls = rng.standard_normal(2), rng.standard_normal((horizon, 1))
-            model = flat.quadratic_model(_predict(flat, x0, controls).states, controls)
-            reference = constant_model_hessian(*blocks, horizon)
-            hessian = _gauss_newton_hessian(model, _sensitivities(model))
-            assert np.linalg.norm(hessian - reference) <= 1e-12 * np.linalg.norm(reference)
-
     def test_double_integrator_solved_in_one_iteration(self):
         # The model is the double integrator itself, so the first
         # quasi-Newton step is the Newton step to the unconstrained optimum,
@@ -1227,6 +1214,8 @@ class TestClosedLoop:
             ([1.0, 0.001, 0.5, 0.001, 0.001], 3),
             ([1.0, 0.001, 0.001, 0.01], None),
             ([0.001, 0.001, 0.001], 1),
+            ([1.0, 0.001, float("nan"), 0.001], 3),
+            ([1.0, 0.001, 0.001, float("nan")], None),
         ]
         for distances, step in cases:
             run = closed_loop(Scripted(distances), np.array([0.1, 0.0]), MpcConfig(horizon=3), len(distances) - 1)
