@@ -39,8 +39,9 @@ discrete optimal control on Lie groups (Kobilarov & Marsden, 2011), on the
 free entries and scaled by the newest curvature pair (Nocedal & Wright,
 *Numerical Optimization*, ch. 7).  The curvature pairs carry what that model
 leaves out, above all the penalty's curvature.  An Armijo search along the
-projected path tries each direction from full length, and a round ends where
-that search fails.
+projected path tries each direction from full length.  Where it fails along a
+direction built with pairs, they are dropped and the pairless direction is
+searched once; a round ends where a search fails without pairs.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -613,8 +614,11 @@ def _quasi_newton_descent(
     one build and one forward recursion serve both.  Every
     iteration, the first included, searches along a quasi-Newton direction
     from full length; the descent stops when that direction is not a
-    descent direction or its search finds no Armijo point.  The curvature
-    pairs carry what the model lacks, above all the penalty's curvature.
+    descent direction or its search finds no Armijo point.  A search that
+    fails along a direction built with curvature pairs drops them and
+    searches once more along the Gauss-Newton direction before stopping.
+    The curvature pairs carry what the model lacks, above all the penalty's
+    curvature.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's
     model along it or ``None``.  Given a model, the first gradient and the
@@ -652,6 +656,15 @@ def _quasi_newton_descent(
         if float((grad * direction).sum()) >= 0.0:
             break
         result = _line_search(objective, torques, value, grad, direction)
+        if result is None and pairs:
+            # The pairs can bend the direction where no Armijo point is
+            # left: drop them and search once along the Gauss-Newton
+            # direction, the L-BFGS memory reset (Nocedal & Wright,
+            # *Numerical Optimization*, ch. 7).
+            pairs = []
+            result = _line_search(
+                objective, torques, value, grad, _quasi_newton_direction(grad, free, pairs, step, hessian)
+            )
         if result is None:
             break
         candidate, cand_value, cand_rollout = result

@@ -1,10 +1,13 @@
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
-from so3mpc.attitude import SpacecraftAttitudeSystem, spinning_state
+import so3mpc.attitude as attitude
+import so3mpc.lgvi as lgvi
+import so3mpc.mpc as mpc
+from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import (
@@ -25,13 +28,39 @@ TORQUE_BOUND_REF = 100.0
 
 
 def regulate_start():
-    """The benchmark's regulate start: 30 degrees about a fixed axis,
-    spinning at 0.02 rad/s."""
+    """The regulate benchmark's seed-0 start, by its own expressions: 30
+    degrees about a fixed axis, spinning at 0.02 rad/s."""
     axis = np.array([0.6, -0.4, 0.69282032])
     spin = np.array([0.02, -0.01, 0.015])
     return spinning_state(
-        math.radians(30.0) * axis / np.linalg.norm(axis), 0.02 * spin / np.linalg.norm(spin), H_REF
+        math.radians(30.0) * (axis / np.linalg.norm(axis)), 0.02 * (spin / np.linalg.norm(spin)), H_REF
     )
+
+
+def slew_start():
+    """The default simulate's start: rest at pi about z."""
+    return rest_state([0.0, 0.0, math.pi])
+
+
+def count_calls(patch, **targets):
+    """Count calls for as long as ``patch``, a ``pytest.MonkeyPatch``,
+    holds.  Each keyword names a count and gives the function as
+    ``(owner, name)`` or ``(owner, name, tally)``: a call adds 1, or
+    ``tally`` of its arguments.  Returns the counts, a dict the wrappers
+    update.  Wrappers of one function stack, the last one set outermost."""
+    counts = {}
+    for key, (owner, name, *tally) in targets.items():
+        counts[key] = 0
+        patch.setattr(owner, name, _counted(counts, key, getattr(owner, name), *tally))
+    return counts
+
+
+def _counted(counts, key, function, tally=None):
+    def counted(*args, **kwargs):
+        counts[key] += 1 if tally is None else tally(*args, **kwargs)
+        return function(*args, **kwargs)
+
+    return counted
 
 
 def perturbed(state, delta, h):
@@ -155,3 +184,111 @@ def ref_design(ref_weights):
 @pytest.fixture(scope="session")
 def ref_system(ref_design):
     return SpacecraftAttitudeSystem(ref_design, torque_bound=TORQUE_BOUND_REF)
+
+
+class ReferenceLoop(NamedTuple):
+    """A reference closed loop: the ``AttitudeMpc`` arguments, the start
+    and the number of steps.  ``tests/test_reference_runs.py`` pins what
+    each one gives."""
+
+    params: dict
+    start: Callable
+    n_steps: int
+
+
+REFERENCE_LOOPS = {
+    # The default simulate: N = 10, 100 N m, from rest at pi about z.
+    "default simulate": ReferenceLoop({}, slew_start, 120),
+    # The regulate benchmark's seed-0 start, 30 steps: still settling.
+    "regulate": ReferenceLoop({}, regulate_start, 30),
+    # The slew where the torque box binds: 1 N m, N = 40, 30 steps.
+    "1 N m, N = 40": ReferenceLoop(dict(horizon=40, torque_bound=1.0), slew_start, 30),
+}
+
+
+class CountedRun(NamedTuple):
+    """A closed loop run under :func:`count_calls`: the run, the counts over
+    the whole loop, and per solve the solution, the counts it took and
+    whether it was marked ``shifted``."""
+
+    run: object
+    counts: dict
+    solves: list
+
+
+@pytest.fixture(scope="session")
+def fitted():
+    """One fitted ``AttitudeMpc`` per distinct set of arguments."""
+    models = {}
+
+    def fit(params):
+        key = tuple(sorted(params.items()))
+        if key not in models:
+            models[key] = AttitudeMpc(**params).fit()
+        return models[key]
+
+    return fit
+
+
+@pytest.fixture(scope="session")
+def reference_run(fitted):
+    """The counted run of each reference loop, run once per session."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            loop = REFERENCE_LOOPS[name]
+            runs[name] = counted_run(fitted(loop.params), loop.start(), loop.n_steps)
+        return runs[name]
+
+    return run
+
+
+def counted_run(model, x0, n_steps):
+    """``model.simulate(x0, n_steps)`` as a :class:`CountedRun`.  It counts
+    kernel calls, those that receive an array torque, implicit solves, the
+    solves handed a start value and the chord and Newton updates those
+    take, central-difference gradients, model builds, their condensings and
+    model gradients."""
+    started = [False]
+
+    def starts(m, constants, near=None):
+        # Every update runs inside an implicit solve, so the flag set at a
+        # solve's entry is that solve's while its updates run.
+        started[0] = near is not None
+        return started[0]
+
+    def in_started(*args):
+        return started[0]
+
+    def array_torque(state, torque, *args):
+        return isinstance(torque, np.ndarray)
+
+    solves = []
+    with pytest.MonkeyPatch.context() as patch:
+        counts = count_calls(
+            patch,
+            # The system calls the kernel through its own module's name.
+            kernel_calls=(attitude, "step_with_margin"),
+            array_torques=(attitude, "step_with_margin", array_torque),
+            implicit_solves=(lgvi, "_implicit_increment"),
+            started_steps=(lgvi, "_implicit_increment", starts),
+            started_chord_updates=(lgvi, "_chord_update", in_started),
+            started_newton_updates=(lgvi, "_newton_update", in_started),
+            gradients=(mpc._Objective, "gradient"),
+            models=(SpacecraftAttitudeSystem, "quadratic_model"),
+            condensings=(mpc, "_sensitivities"),
+            sweeps=(mpc._Objective, "model_gradient"),
+        )
+        solve = mpc.solve_ocp
+
+        def recorded_solve(*args, **kwargs):
+            before = dict(counts)
+            solution = solve(*args, **kwargs)
+            taken = {key: counts[key] - before[key] for key in counts}
+            solves.append((solution, taken, kwargs.get("shifted", False)))
+            return solution
+
+        patch.setattr(mpc, "solve_ocp", recorded_solve)
+        run = model.simulate(x0, n_steps)
+    return CountedRun(run, counts, solves)

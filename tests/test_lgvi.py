@@ -34,6 +34,7 @@ from so3mpc.terminal import build_linearization
 
 from conftest import (
     check_solvability,
+    count_calls,
     implicit_increment,
     implicit_residual,
     momentum_matrix,
@@ -674,21 +675,8 @@ class TestSolvabilityGate:
 @contextlib.contextmanager
 def counted_updates():
     """Count the scalar kernel's chord and Newton updates inside the block."""
-    counts = {"chord": 0, "newton": 0}
-    chord, newton = lgvi._chord_update, lgvi._newton_update
-
-    def counted_chord(*args):
-        counts["chord"] += 1
-        return chord(*args)
-
-    def counted_newton(*args):
-        counts["newton"] += 1
-        return newton(*args)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lgvi, "_chord_update", counted_chord)
-        patch.setattr(lgvi, "_newton_update", counted_newton)
-        yield counts
+        yield count_calls(patch, chord=(lgvi, "_chord_update"), newton=(lgvi, "_newton_update"))
 
 
 def kernel_built(state):

@@ -1,96 +1,98 @@
 """The reference closed loops, pinned.
 
-One table holds, per reference run, its total stage cost, its solver
-iteration total and its converged step.  A change that moves one of them
-fails here and edits the table, so the move shows in its diff.  The totals
-are stable to round-off: a start rate perturbed by 1e-15 rad/s moves them
-by at most 2e-13 relative, with the same iteration totals, so the cost is
-held at 1e-9 relative and the counts exactly.  The values were measured on
-one platform (Python 3.11, numpy 2.4, x86-64); the tolerance leaves room
-for another BLAS or numpy build.
+One table holds every count of the reference loops of ``conftest.py``:
+per loop, its total stage cost, its solver iteration total, its converged
+step, and the counts of its one counted run.  A change that moves one of
+them fails here and edits the table, so the move shows in its diff; other
+tests, the README and the docstrings cite this table rather than copy its
+counts.  The totals are stable to round-off: a start rate perturbed by
+1e-15 rad/s moves them by at most 2e-13 relative, with the same iteration
+totals, so the cost is held at 1e-9 relative and the counts exactly.  The
+values were measured on one platform (Python 3.11, numpy 2.4, x86-64); the
+tolerance leaves room for another BLAS or numpy build, and a failing row
+prints the whole measured row beside the pinned one.
 """
 
-import math
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from so3mpc.attitude import AttitudeMpc, rest_state
-
-from conftest import regulate_start
+from conftest import REFERENCE_LOOPS, regulate_start, slew_start
 
 COST_RTOL = 1e-9
 
 
 class Reference(NamedTuple):
-    # AttitudeMpc arguments, the start and the number of steps.
-    params: dict
-    start: object
-    n_steps: int
-    # The pinned results.
     total_stage_cost: float
     iterations: int
     converged_step: object
-
-
-def _slew_start():
-    return rest_state([0.0, 0.0, math.pi])
+    # Calls of the kernel, lgvi.step_with_margin, through the system; the
+    # implicit solves they run, which a repeat of a step its state kept
+    # skips; and the calls handed a numpy torque, where every prediction
+    # hands a list of floats.
+    kernel_calls: int
+    implicit_solves: int
+    array_torques: int
+    # The finite-difference tail steps handed a start value, and the chord
+    # and Newton updates they take.
+    started_steps: int
+    started_updates: int
+    # Iterations of the cold first solve; every warm solve takes at most
+    # one (tests/test_warm_step.py).
+    cold_iterations: int
 
 
 REFERENCE_RUNS = {
-    # The default simulate: N = 10, 100 N m, from rest at pi about z.
-    "default simulate": Reference({}, _slew_start, 120, 571.3955647637102, 121, 66),
-    # The regulate benchmark's seed-0 start, 30 steps: still settling.
-    "regulate": Reference({}, regulate_start, 30, 19.36316711349569, 32, None),
-    # The slew where the torque box binds: 1 N m, N = 40, 30 steps.
-    "1 N m, N = 40": Reference(dict(horizon=40, torque_bound=1.0), _slew_start, 30, 149.30158327271647, 36, None),
+    "default simulate": Reference(571.3955647637162, 121, 66, 5321, 1760, 130, 330, 330, 5),
+    "regulate": Reference(19.363167113498278, 32, None, 1580, 719, 40, 330, 330, 3),
+    "1 N m, N = 40": Reference(149.30158327271644, 36, None, 11070, 7345, 70, 4920, 4920, 7),
 }
 
 
-@pytest.fixture(scope="module")
-def fitted():
-    """One fitted controller per distinct set of arguments."""
-    models = {}
+def measured_row(counted):
+    run, counts = counted.run, counted.counts
+    return Reference(
+        float(run.stage_costs.sum()),
+        int(run.iterations.sum()),
+        run.converged_step,
+        counts["kernel_calls"],
+        counts["implicit_solves"],
+        counts["array_torques"],
+        counts["started_steps"],
+        counts["started_chord_updates"] + counts["started_newton_updates"],
+        int(run.iterations[0]),
+    )
 
-    def fit(params):
-        key = tuple(sorted(params.items()))
-        if key not in models:
-            models[key] = AttitudeMpc(**params).fit()
-        return models[key]
 
-    return fit
-
-
-@pytest.fixture(scope="module")
-def reference_run(fitted):
-    """The closed loop of each reference row, run once."""
-    runs = {}
-
-    def run(name):
-        if name not in runs:
-            row = REFERENCE_RUNS[name]
-            runs[name] = fitted(row.params).simulate(row.start(), row.n_steps)
-        return runs[name]
-
-    return run
+def test_table_covers_the_reference_loops():
+    assert list(REFERENCE_RUNS) == list(REFERENCE_LOOPS)
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_RUNS))
 def test_reference_run(name, reference_run):
-    row = REFERENCE_RUNS[name]
-    run = reference_run(name)
+    pinned, counted = REFERENCE_RUNS[name], reference_run(name)
+    run, measured = counted.run, measured_row(counted)
     assert run.feasible.all()
-    total = float(run.stage_costs.sum())
-    assert abs(total - row.total_stage_cost) <= COST_RTOL * row.total_stage_cost, (total, row.total_stage_cost)
-    assert int(run.iterations.sum()) == row.iterations
-    assert run.converged_step == row.converged_step
-    assert run.converged == (row.converged_step is not None)
+    assert run.converged == (run.converged_step is not None)
+    cost_holds = abs(measured.total_stage_cost - pinned.total_stage_cost) <= COST_RTOL * pinned.total_stage_cost
+    counts_hold = measured._replace(total_stage_cost=pinned.total_stage_cost) == pinned
+    assert cost_holds and counts_hold, f"\nmeasured {measured}\npinned   {pinned}"
+
+
+def test_regulate_start_is_the_benchmark_seed_0_start(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    ours, benchmark = regulate_start(), workloads.regulate_start(0)
+    assert np.array_equal(ours.g, benchmark.g)
+    assert np.array_equal(ours.f, benchmark.f)
 
 
 def test_default_simulate_stays_converged(reference_run):
-    # From step 66 on, every distance is below the tolerance.
-    run = reference_run("default simulate")
+    # From its converged step on, every distance is below the tolerance.
+    run = reference_run("default simulate").run
     step = REFERENCE_RUNS["default simulate"].converged_step
     assert run.converged
     assert np.all(run.distances[step:] < 1e-2)
@@ -101,7 +103,7 @@ def test_binding_slew_that_leaves_the_tolerance_is_not_converged(fitted):
     # 1 N m, N = 40, 120 steps from rest at pi: the distance first falls
     # below the tolerance at step 72, climbs back to about four times it and
     # ends above it.  A flag latched at the first crossing said converged.
-    run = fitted(REFERENCE_RUNS["1 N m, N = 40"].params).simulate(_slew_start(), 120)
+    run = fitted(REFERENCE_LOOPS["1 N m, N = 40"].params).simulate(slew_start(), 120)
     below = np.flatnonzero(run.distances < 1e-2)
     assert below[0] == 72
     assert run.distances[72:].max() > 3.0 * 1e-2

@@ -37,7 +37,7 @@ from so3mpc.mpc import (
 )
 from so3mpc.so3 import NEAR_PI, exp_so3, log_so3
 
-from conftest import H_REF, J_REF, TORQUE_BOUND_REF, regulate_start
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, count_calls, regulate_start
 
 
 def as_arrays(state):
@@ -230,19 +230,6 @@ def test_rollout_takes_list_rows_as_the_equal_array(name, ref_design):
 # constants, returns the successor and margin it kept without solving.
 
 
-def counted_solves(monkeypatch):
-    """The number of implicit solves the kernel runs from here on."""
-    counts = {"solves": 0}
-    increment = lgvi._implicit_increment
-
-    def counted_increment(*args):
-        counts["solves"] += 1
-        return increment(*args)
-
-    monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
-    return counts
-
-
 ROW = [3.0, -1.5, 2.25]
 
 
@@ -260,7 +247,7 @@ def copy_of(state):
 def test_repeated_step_returns_the_kept_successor(row, monkeypatch):
     x = built_state()
     successor, margin = step_with_margin(x, row, H_REF, J_REF)
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     for torque in (row, list(row), np.array(row)):
         repeat, repeat_margin = step_with_margin(x, torque, H_REF, J_REF)
         assert repeat is successor and repeat_margin == margin
@@ -275,7 +262,7 @@ def test_row_mutated_after_the_step_misses(monkeypatch):
     # place, so the kernel keeps a copy of the row, not the row.
     x, row = built_state(), list(ROW)
     successor, _ = step_with_margin(x, row, H_REF, J_REF)
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     row[1] = row[1] + FD_STEP
     moved = step_with_margin(x, row, H_REF, J_REF)
     assert counts["solves"] == 1 and moved[0] is not successor
@@ -290,7 +277,7 @@ def test_row_mutated_after_the_step_misses(monkeypatch):
 def test_other_step_misses(h, inertia, torque, monkeypatch):
     x = built_state()
     successor, _ = step_with_margin(x, ROW, H_REF, J_REF)
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     other = step_with_margin(x, torque, h, inertia)
     assert counts["solves"] == 1 and other[0] is not successor
     assert outcome(*other) == outcome(*step_with_margin(copy_of(x), torque, h, inertia))
@@ -308,7 +295,7 @@ def test_zero_of_the_other_sign_misses(monkeypatch):
     fresh = step_with_margin(copy_of(x), torque, H_REF, inertia)
     assert outcome(*fresh) != outcome(*step_with_margin(copy_of(x), kept, H_REF, inertia))
     step_with_margin(x, kept, H_REF, inertia)
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     assert outcome(*step_with_margin(x, torque, H_REF, inertia)) == outcome(*fresh)
     assert counts["solves"] == 1
 
@@ -319,7 +306,7 @@ def test_started_step_neither_reads_nor_keeps(monkeypatch):
     # tails run as they would without the kept steps and hold no states.
     x = built_state()
     near = step_with_margin(built_state(), ROW, H_REF, J_REF)[0]
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     started = step_with_margin(x, ROW, H_REF, J_REF, near)
     assert counts["solves"] == 1 and x._next is None
     successor, _ = step_with_margin(x, ROW, H_REF, J_REF)
@@ -343,7 +330,7 @@ def test_gradient_tails_keep_nothing(ref_system):
 def test_array_state_keeps_nothing(monkeypatch):
     # A caller's arrays may be writable, so a step from them is solved anew.
     x = as_arrays(built_state())
-    counts = counted_solves(monkeypatch)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     first = step_with_margin(x, ROW, H_REF, J_REF)
     again = step_with_margin(x, ROW, H_REF, J_REF)
     assert counts["solves"] == 2 and x._next is None and again[0] is not first[0]

@@ -21,7 +21,7 @@ import pytest
 import so3mpc.attitude as attitude
 import so3mpc.lgvi as lgvi
 import so3mpc.mpc as mpc
-from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state
+from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
 from so3mpc.errors import Infeasible
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.mpc import (
@@ -33,7 +33,7 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 
-from conftest import regulate_start
+from conftest import REFERENCE_LOOPS, count_calls, counted_run, regulate_start
 
 
 def assert_same_solution(a, b):
@@ -47,77 +47,27 @@ def assert_same_solution(a, b):
     assert all(np.array_equal(np.asarray(x), np.asarray(y)) for x, y in zip(a.states, b.states))
 
 
-def counted_loop(monkeypatch, system, x0, config, n_steps):
-    """The closed loop, and per solve the solution, the numbers of
-    central-difference gradients, of model builds, of their condensings into
-    a sensitivity matrix and of model gradients it took, and whether it was
-    marked ``shifted``."""
-    solves = []
-    counts = {"gradients": 0, "models": 0, "condensings": 0, "sweeps": 0}
-    gradient, model, solve = mpc._Objective.gradient, type(system).quadratic_model, mpc.solve_ocp
-
-    def counted(name, method):
-        def counted_method(*args, **kwargs):
-            counts[name] += 1
-            return method(*args, **kwargs)
-
-        return counted_method
-
-    def recorded_solve(*args, **kwargs):
-        before = dict(counts)
-        solution = solve(*args, **kwargs)
-        taken = {name: counts[name] - before[name] for name in counts}
-        solves.append((solution, taken, kwargs.get("shifted", False)))
-        return solution
-
-    monkeypatch.setattr(mpc._Objective, "gradient", counted("gradients", gradient))
-    monkeypatch.setattr(type(system), "quadratic_model", counted("models", model))
-    monkeypatch.setattr(mpc, "_sensitivities", counted("condensings", mpc._sensitivities))
-    monkeypatch.setattr(mpc._Objective, "model_gradient", counted("sweeps", mpc._Objective.model_gradient))
-    monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
-    run = closed_loop(system, x0, config, n_steps)
-    monkeypatch.undo()
-    return run, solves
-
-
 @pytest.fixture(scope="module")
-def reference_model():
-    return AttitudeMpc().fit()
+def reference_model(fitted):
+    return fitted({})
 
 
-@pytest.fixture(scope="module")
-def binding_model():
-    """The 1 N m design, where the torque box binds, at N = 40, where the
-    slew from rest at pi is feasible."""
-    return AttitudeMpc(horizon=40, torque_bound=1.0).fit()
-
-
-LOOPS = {
-    # The benchmark's regulate start, 30 steps.
-    "regulate": ("reference_model", regulate_start, 30),
-    # The default simulate: from rest at pi about z, 120 steps.
-    "default slew": ("reference_model", lambda: rest_state([0.0, 0.0, math.pi]), 120),
-    "1 N m, N = 40": ("binding_model", lambda: rest_state([0.0, 0.0, math.pi]), 30),
-}
-
-
-@pytest.mark.parametrize("name", list(LOOPS))
-def test_warm_solves_take_one_step(name, request, monkeypatch):
-    model_name, start, n_steps = LOOPS[name]
-    model = request.getfixturevalue(model_name)
-    x0 = start()
-    run, solves = counted_loop(monkeypatch, model.system_, x0, model.config_, n_steps)
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_warm_solves_take_one_step(name, reference_run, fitted):
+    loop = REFERENCE_LOOPS[name]
+    model = fitted(loop.params)
+    run, solves = reference_run(name).run, reference_run(name).solves
     assert run.feasible.all()
-    assert len(solves) == n_steps
-    assert [shifted for _, _, shifted in solves] == [False] + [True] * (n_steps - 1)
+    assert len(solves) == loop.n_steps
+    assert [shifted for _, _, shifted in solves] == [False] + [True] * (loop.n_steps - 1)
     for solution, taken, _ in solves[1:]:
         assert solution.iterations <= 1
         # No central differences: one model, condensed once, serves the
         # gradient and the metric.
-        assert taken == {"gradients": 0, "models": 1, "condensings": 1, "sweeps": 1}
+        assert (taken["gradients"], taken["models"], taken["condensings"], taken["sweeps"]) == (0, 1, 1, 1)
     assert np.all(run.optimal_costs[1:] <= run.candidate_costs[1:])
     # The first solve is cold, and cold solves descend as before.
-    assert_same_solution(solves[0][0], solve_ocp(model.system_, x0, model.config_))
+    assert_same_solution(solves[0][0], solve_ocp(model.system_, loop.start(), model.config_))
 
 
 def run_record(run):
@@ -131,53 +81,30 @@ def run_record(run):
     return repr(([column.tolist() for column in columns], states, run.converged, run.converged_step))
 
 
-def kernel_counted_loop(monkeypatch, model, x0, n_steps, fresh):
-    """The closed loop and the numbers of kernel steps and of implicit
-    solves it took; with ``fresh``, every step the system takes is handed a
-    copy of its state, so that no step finds one the state has kept."""
-    counts = {"steps": 0, "solves": 0}
-    step, increment = attitude.step_with_margin, lgvi._implicit_increment
+# A repeated step takes no solve.  The cold solve's first rollout repeats
+# its steering guess; the plant step repeats the solution's first step, and
+# the shifted candidate's first N - 1 steps the rest of the solution's
+# rollout; solve_ocp's rollout of the candidate repeats the candidate's
+# horizon_cost; the rollout of the returned torques repeats the accepted
+# line-search trial.  tests/test_reference_runs.py pins the kernel calls and
+# implicit solves of each loop.
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_kept_steps_leave_the_closed_loop_unchanged(name, reference_run, fitted, monkeypatch):
+    # Every step of the fresh run is handed a copy of its state, so that no
+    # step finds one the state has kept: each one solves.
+    loop, kept = REFERENCE_LOOPS[name], reference_run(name)
+    step = attitude.step_with_margin
 
-    def counted_step(state, *args):
-        counts["steps"] += 1
-        if fresh and state._rows is not None:
+    def fresh_step(state, *args):
+        if state._rows is not None:
             state = lgvi._state_of(*state.entries, state._cayley)
         return step(state, *args)
 
-    def counted_increment(*args):
-        counts["solves"] += 1
-        return increment(*args)
-
-    monkeypatch.setattr(attitude, "step_with_margin", counted_step)
-    monkeypatch.setattr(lgvi, "_implicit_increment", counted_increment)
-    run = closed_loop(model.system_, x0, model.config_, n_steps)
-    monkeypatch.undo()
-    return run, counts
-
-
-# Kernel steps and implicit solves of each loop: a repeated step takes no
-# solve.  The cold solve's first rollout repeats its steering guess; the
-# plant step repeats the solution's first step, and the shifted candidate's
-# first N - 1 steps the rest of the solution's rollout; solve_ocp's rollout
-# of the candidate repeats the candidate's horizon_cost; the rollout of the
-# returned torques repeats the accepted line-search trial.
-KEPT_STEP_COUNTS = {
-    "regulate": (1580, 719),
-    "default slew": (5321, 1760),
-    "1 N m, N = 40": (11070, 7345),
-}
-
-
-@pytest.mark.parametrize("name", list(LOOPS))
-def test_kept_steps_leave_the_closed_loop_unchanged(name, request, monkeypatch):
-    model_name, start, n_steps = LOOPS[name]
-    model = request.getfixturevalue(model_name)
-    run, counts = kernel_counted_loop(monkeypatch, model, start(), n_steps, fresh=False)
-    reference, reference_counts = kernel_counted_loop(monkeypatch, model, start(), n_steps, fresh=True)
-    assert run_record(run) == run_record(reference)
-    steps, solves = KEPT_STEP_COUNTS[name]
-    assert reference_counts == {"steps": steps, "solves": steps}
-    assert counts == {"steps": steps, "solves": solves}
+    monkeypatch.setattr(attitude, "step_with_margin", fresh_step)
+    fresh = counted_run(fitted(loop.params), loop.start(), loop.n_steps)
+    assert run_record(kept.run) == run_record(fresh.run)
+    assert fresh.counts["implicit_solves"] == fresh.counts["kernel_calls"] == kept.counts["kernel_calls"]
+    assert kept.counts["implicit_solves"] < kept.counts["kernel_calls"]
 
 
 def gradient_log(monkeypatch, system):
@@ -206,32 +133,27 @@ def gradient_log(monkeypatch, system):
     return log
 
 
-COLD_SOLVES = {
-    # The first solves of the loops above, and their iteration counts.
-    "regulate": 3,
-    "default slew": 5,
-    "1 N m, N = 40": 7,
-    # Three steps from 2.9 rad at rest: the first round stops just outside
-    # the terminal set after 11 iterations, and a second, heavier round
-    # moves inside it in 7.
-    "second penalty round": 18,
-}
-
-
-@pytest.mark.parametrize("name", list(COLD_SOLVES))
-def test_unmarked_solve_takes_one_central_difference_gradient(name, request, monkeypatch):
+@pytest.mark.parametrize("name", [*REFERENCE_LOOPS, "second penalty round"])
+def test_unmarked_solve_takes_one_central_difference_gradient(name, reference_run, fitted, monkeypatch):
     # Central differences run once, at the solve's starting point.  Every
     # later gradient, in the first round and at the start of the next, is
     # the sweep over a model built along its point's rollout just before it,
     # and that build is the next iteration's metric; the first iteration's
     # metric is one more build.
-    if name in LOOPS:
-        model_name, start, _ = LOOPS[name]
-        model = request.getfixturevalue(model_name)
-        system, x0, config = model.system_, start(), model.config_
+    if name in REFERENCE_LOOPS:
+        # The first solve of the loop, whose iterations the reference-run
+        # table pins.
+        loop = REFERENCE_LOOPS[name]
+        model = fitted(loop.params)
+        system, x0, config = model.system_, loop.start(), model.config_
+        iterations = reference_run(name).run.iterations[0]
     else:
-        system = request.getfixturevalue("reference_model").system_
+        # Three steps from 2.9 rad at rest: the first round stops just
+        # outside the terminal set after 11 iterations, and a second,
+        # heavier round moves inside it in 7.
+        system = fitted({}).system_
         x0, config = rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9]), MpcConfig(horizon=3)
+        iterations = 18
     log = gradient_log(monkeypatch, system)
     condensed, sensitivities = [], mpc._sensitivities
 
@@ -243,7 +165,7 @@ def test_unmarked_solve_takes_one_central_difference_gradient(name, request, mon
     solution = solve_ocp(system, x0, config)
     monkeypatch.undo()
     assert solution.feasible
-    assert solution.iterations == COLD_SOLVES[name]
+    assert solution.iterations == iterations
     # Each model built is condensed once, and nothing else is.
     built = [event[1] for event in log if event[0] == "build"]
     assert len(condensed) == len(built) and all(a is b for a, b in zip(condensed, built))
@@ -257,7 +179,7 @@ def test_unmarked_solve_takes_one_central_difference_gradient(name, request, mon
             assert log[index - 1][0] == "build" and log[index - 1][1] is event[1]
     assert len(log) - len(gradients) == len(sweeps) + 1
     weights = {event[-1] for event in gradients}
-    if name in LOOPS:
+    if name in REFERENCE_LOOPS:
         assert weights == {mpc.PENALTY_WEIGHT}
     else:
         assert weights == {mpc.PENALTY_WEIGHT, mpc.PENALTY_WEIGHT * mpc.PENALTY_GROWTH}
@@ -320,15 +242,15 @@ def second_solve(model, start):
     return first.states[1], warm_start_shift(first, system)
 
 
-@pytest.mark.parametrize("name", list(LOOPS))
-def test_marked_solve_is_one_capped_round(name, request):
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_marked_solve_is_one_capped_round(name, fitted):
     # When the step stays in the terminal set, the marked solve is one round
     # of the descent at PENALTY_WEIGHT, capped at one iteration and started
     # with the model along the candidate, and the rollout of its result.
-    model_name, start, _ = LOOPS[name]
-    model = request.getfixturevalue(model_name)
+    loop = REFERENCE_LOOPS[name]
+    model = fitted(loop.params)
     system, config = model.system_, model.config_
-    x1, warm = second_solve(model, start())
+    x1, warm = second_solve(model, loop.start())
     capped = replace(config.solver, max_iters=1, outer_rounds=1)
     rollout = mpc._predict(system, x1, warm)
     torques, iterations, kkt = mpc._quasi_newton_descent(
@@ -395,25 +317,19 @@ def test_warm_solve_integrator_steps(reference_model, monkeypatch):
     system = CountingAttitude(reference_model.design_)
     config = reference_model.config_
     x1, warm = second_solve(reference_model, regulate_start())
-    trials = []
-    trial = mpc._Objective.trial
-    monkeypatch.setattr(
-        mpc._Objective, "trial", lambda objective, torques: trials.append(1) or trial(objective, torques)
-    )
-    solves = []
-    increment = lgvi._implicit_increment
-    monkeypatch.setattr(lgvi, "_implicit_increment", lambda *args: solves.append(1) or increment(*args))
+    counts = count_calls(monkeypatch, trials=(mpc._Objective, "trial"), solves=(lgvi, "_implicit_increment"))
     solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
     assert solution.iterations == 1
     n = len(warm)
-    assert len(trials) >= 1
-    assert system.steps == n * (2 + len(trials))
-    assert system.terminal_calls == 2 + len(trials)
+    trials = counts["trials"]
+    assert trials >= 1
+    assert system.steps == n * (2 + trials)
+    assert system.terminal_calls == 2 + trials
     # Kernel solves: the candidate's first n - 1 steps repeat the first
     # solution's rollout from x1, which its states keep, and the rollout of
     # the returned torques repeats the accepted trial, the last one rolled
     # out; only the candidate's appended step and the trials solve.
-    assert len(solves) == 1 + n * len(trials)
+    assert counts["solves"] == 1 + n * trials
 
 
 @pytest.mark.parametrize("stop", ["ftol_rel stop", "iteration cap"])
