@@ -181,10 +181,11 @@ def verify_conservation(
     """Free-dynamics diagnostics: group-membership drift and spatial
     momentum drift over a long torque-free rollout, with a forward-Euler
     baseline for contrast.  ``h`` must be a positive finite number and
-    ``n_steps`` an integer of at least 1; anything else raises
-    ``ValueError`` naming it."""
+    ``n_steps`` and ``seed`` integers of at least 1 and 0; anything else
+    raises ``ValueError`` naming it."""
     h = as_parameter("h", h, as_positive, False)
     n_steps = as_parameter("n_steps", n_steps, as_integer, 1)
+    seed = as_parameter("seed", seed, as_integer, 0)
     inertia = np.asarray(inertia, dtype=float)
     rng = np.random.default_rng(seed)
     state0 = random_spin_state(rng, _CONSERVATION_RATE_SCALE, h)
@@ -227,12 +228,14 @@ def certify_local_law(
     Checks, at the calibrated level, that the local law respects the torque
     bound, maps the set into itself, and decreases the terminal cost by at
     least the stage cost.  Raises ``ValueError`` naming the argument when
-    ``torque_bound`` is not positive (+inf allowed) or ``n_samples`` not an
-    integer of at least 1, and :class:`~so3mpc.errors.OutOfChart` when the
-    level lies above the chart ceiling of the terminal ellipsoid.
+    ``torque_bound`` is not positive (+inf allowed), ``n_samples`` not an
+    integer of at least 1 or ``seed`` not one of at least 0, and
+    :class:`~so3mpc.errors.OutOfChart` when the level lies above the chart
+    ceiling of the terminal ellipsoid.
     """
     torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
     n_samples = as_parameter("n_samples", n_samples, as_integer, 1)
+    seed = as_parameter("seed", seed, as_integer, 0)
     rng = np.random.default_rng(seed)
     samples = _ellipsoid_samples(design.P, n_samples, rng)
     margins = evaluate_level(

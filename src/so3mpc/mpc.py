@@ -41,7 +41,9 @@ free entries and scaled by the newest curvature pair (Nocedal & Wright,
 leaves out, above all the penalty's curvature.  An Armijo search along the
 projected path tries each direction from full length.  Where it fails along a
 direction built with pairs, they are dropped and the pairless direction is
-searched once; a round ends where a search fails without pairs.
+searched once.  A round ends where its projected KKT residual falls to
+``grad_tol``, where a search fails without pairs, where an accepted step
+leaves the penalized value unchanged, or at ``max_iters``.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -70,7 +72,7 @@ both, and that is all recursive feasibility and the cost-decrease chain
 need: feasibility implies stability (Scokaert, Mayne & Rawlings, *Suboptimal
 model predictive control (feasibility implies stability)*, 1999).  One
 Newton-type step per sample is the real-time iteration cited above.  Cold
-solves descend until a stop rule of :class:`SolverSettings` holds.
+solves descend until their KKT residual falls to ``grad_tol``.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -241,11 +243,10 @@ class ManifoldSystem(abc.ABC):
 class SolverSettings:
     """Tuning knobs of the penalized quasi-Newton shooting solver.
 
-    ``grad_tol`` bounds the projected-gradient norm at acceptance and
-    ``ftol_rel`` stops the iteration once two accepted steps in a row improve
-    the penalized objective by less than this relative amount; the defaults
-    favor closed-loop throughput, since the stability guarantees do not
-    depend on solving to high precision.  ``max_iters`` caps the iterations
+    ``grad_tol`` bounds the projected KKT residual, the norm of u -
+    proj(u - grad), at which a penalty round stops; the default favors
+    closed-loop throughput, since the stability guarantees do not depend on
+    solving to high precision.  ``max_iters`` caps the iterations
     of one penalty round, and ``outer_rounds`` the rounds; a round whose
     terminal value exceeds the terminal level by at most ``constraint_tol``
     ends the solve.  The penalty schedule and line search are the module
@@ -260,14 +261,13 @@ class SolverSettings:
 
     max_iters: int = 200
     grad_tol: float = 1e-3
-    ftol_rel: float = 1e-4
     outer_rounds: int = 6
     constraint_tol: float = 1e-8
 
     def __post_init__(self):
         for name in ("max_iters", "outer_rounds"):
             object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_integer, 1))
-        for name in ("grad_tol", "ftol_rel", "constraint_tol"):
+        for name in ("grad_tol", "constraint_tol"):
             object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_positive, False))
 
 
@@ -290,14 +290,13 @@ class OcpSolution:
 
     ``kkt_residual`` is the norm of u - proj(u - grad) at the returned
     torques under the last penalty round's objective.  It is ``None`` when
-    that round stopped after a line search, on ``ftol_rel`` (two small
-    relative improvements in a row) or on ``max_iters``: the solver stops
-    before the gradient at the accepted torques, which would serve only this
-    report.  Every warm solve from a shifted candidate that takes its step
-    stops so, on its cap of one iteration.  A stop on ``grad_tol`` or on a
-    failed line search reports it, from the gradient at the returned
-    torques: central differences where an unmarked solve returns its
-    starting point at its first gradient, and the model's gradient
+    that round stopped on ``max_iters``: the solver stops before the
+    gradient at the accepted torques, which would serve only this report.
+    Every warm solve from a shifted candidate that takes its step stops so,
+    on its cap of one iteration.  Every other stop of the descent (see
+    :func:`_quasi_newton_descent`) reports it, from the gradient at the
+    returned torques: central differences where an unmarked solve returns
+    its starting point at its first gradient, and the model's gradient
     everywhere else (see :func:`solve_ocp`).
 
     ``violation`` is how far the terminal value exceeds the terminal level,
@@ -613,12 +612,10 @@ def _quasi_newton_descent(
     (:meth:`_Objective.model_gradient`) and the next iteration's metric, so
     one build and one forward recursion serve both.  Every
     iteration, the first included, searches along a quasi-Newton direction
-    from full length; the descent stops when that direction is not a
-    descent direction or its search finds no Armijo point.  A search that
-    fails along a direction built with curvature pairs drops them and
-    searches once more along the Gauss-Newton direction before stopping.
-    The curvature pairs carry what the model lacks, above all the penalty's
-    curvature.
+    from full length.  A search that fails along a direction built with
+    curvature pairs drops them and searches once more along the
+    Gauss-Newton direction.  The curvature pairs carry what the model
+    lacks, above all the penalty's curvature.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's
     model along it or ``None``.  Given a model, the first gradient and the
@@ -626,11 +623,12 @@ def _quasi_newton_descent(
     gradient is central differences (:meth:`_Objective.gradient`), and the
     model for the first metric is built and condensed after the KKT test,
     so a descent that stops at that gradient builds none.  Returns the final torques,
-    the iteration count and the KKT residual at the final torques, or
-    ``None`` when the descent stopped after a line search, on the relative
-    improvement test or on ``max_iters``: such a stop returns the accepted
-    torques before their gradient, which only a next iteration would read,
-    so no residual is known."""
+    the iteration count and the KKT residual at the final torques.  The
+    descent stops where that residual is at most ``grad_tol``, where a
+    search without pairs fails, where an accepted step leaves the value
+    unchanged (returning the torques before it), or on ``max_iters``, which
+    returns the accepted torques before their gradient and ``None`` for the
+    residual, since only a next iteration would read that gradient."""
     system = objective.system
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
@@ -642,7 +640,6 @@ def _quasi_newton_descent(
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     pairs = []
     iterations = 0
-    small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
     while kkt > settings.grad_tol:
         iterations += 1
@@ -653,8 +650,6 @@ def _quasi_newton_descent(
             sensitivity = _sensitivities(model)
         hessian = _gauss_newton_hessian(model, sensitivity)
         direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
-        if float((grad * direction).sum()) >= 0.0:
-            break
         result = _line_search(objective, torques, value, grad, direction)
         if result is None and pairs:
             # The pairs can bend the direction where no Armijo point is
@@ -668,14 +663,12 @@ def _quasi_newton_descent(
         if result is None:
             break
         candidate, cand_value, cand_rollout = result
-        # One tiny improvement can be an artifact of a backtracked step that
-        # the next one recovers from; require two in a row.
-        if value - cand_value <= settings.ftol_rel * max(1.0, abs(cand_value)):
-            small_improvements += 1
-        else:
-            small_improvements = 0
-        if small_improvements >= 2 or iterations == settings.max_iters:
+        if iterations == settings.max_iters:
             return candidate, iterations, None
+        if not cand_value < value:
+            # An accepted step that gains nothing ends the round where it
+            # stands, with the residual already known there.
+            break
         model = system.quadratic_model(cand_rollout.states, candidate)
         sensitivity = _sensitivities(model)
         new_grad, _ = objective.model_gradient(model, sensitivity, cand_rollout)

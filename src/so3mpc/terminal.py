@@ -685,11 +685,13 @@ def calibrate_level(
     ``_LEVEL_FLOOR`` passes, and ``ValueError`` naming the argument when
     ``torque_bound`` is not positive (+inf allowed), ``n_samples`` not an
     integer of at least 1 (with no samples every level would pass
-    vacuously) or ``shrink`` not in (0, 1].
+    vacuously), ``shrink`` not in (0, 1] or ``seed`` not an integer of at
+    least 0 (``None`` would draw a level that no run reproduces).
     """
     torque_bound = as_parameter("torque_bound", torque_bound, as_positive, True)
     n_samples = as_parameter("n_samples", n_samples, as_integer, 1)
     shrink = as_parameter("shrink", shrink, as_fraction)
+    seed = as_parameter("seed", seed, as_integer, 0)
     unit_samples = _ellipsoid_samples(design_p, n_samples, np.random.default_rng(seed))
 
     def report(level: float) -> dict:

@@ -34,7 +34,6 @@ from so3mpc.terminal import (
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF, implicit_increment, implicit_residual, momentum_matrix
 
-PROBE_SOLVER = SolverSettings(ftol_rel=1e-5)
 PROBE_STEPS = 120
 
 
@@ -49,7 +48,7 @@ def _report(number: int, description: str, passed: bool, detail: str = "") -> No
 def probe_runs(ref_system):
     """Closed loops from rest at +180, -0.99*180, and -0.98*180 degrees
     about z, shared between the discontinuity and locality criteria."""
-    config = MpcConfig(horizon=10, solver=PROBE_SOLVER)
+    config = MpcConfig(horizon=10)
     runs = {}
     timings = {}
     for name, angle in (("pi", np.pi), ("m99", -0.99 * np.pi), ("m98", -0.98 * np.pi)):
@@ -221,7 +220,7 @@ def test_criterion_7_generic_layer_lqr_oracle():
     bounded = DoubleIntegratorSystem(terminal_level=2.0 * value_oracle)
     solution = solve_ocp(
         bounded, x0,
-        MpcConfig(horizon=10, solver=SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12)),
+        MpcConfig(horizon=10, solver=SolverSettings(max_iters=500, grad_tol=1e-9)),
     )
     cost_err = abs(solution.cost - value_oracle) / abs(value_oracle)
     control_err = abs(solution.first_control[0] - control_oracle) / abs(control_oracle)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from so3mpc import AttitudeMpc, MpcConfig
+from so3mpc import AttitudeMpc, MpcConfig, SolverSettings
 from so3mpc.cli import _design, default_config_dict, load_config, main, parse_config
 from so3mpc.errors import ConfigError
 
@@ -132,8 +133,10 @@ class TestConfigParsing:
 
     def test_readme_example_config_accepted(self):
         example = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
-        cfg = parse_config(json.loads(example))
-        # It spells out the reference values, plus the default ftol_rel.
+        given = json.loads(example)
+        cfg = parse_config(given)
+        # It spells out the reference values, every solver setting included.
+        assert list(given["mpc"]["solver"]) == [f.name for f in dataclasses.fields(SolverSettings)]
         assert cfg.solver == parse_config({}).solver
         cfg.raw["mpc"]["solver"] = {}
         assert cfg.raw == parse_config({}).raw
@@ -163,9 +166,12 @@ class TestConfigParsing:
         assert main(["design", "--config", str(path)]) == 2
         assert f"configuration error: mpc.solver.{key}: {key} must be" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("fd_step", 1e-6), ("step_max", 1e3), ("armijo_shrink", 0.5)])
+    @pytest.mark.parametrize(
+        "key, value", [("fd_step", 1e-6), ("step_max", 1e3), ("armijo_shrink", 0.5), ("ftol_rel", 1e-4)]
+    )
     def test_removed_solver_key_exits_2_naming_key(self, key, value, tmp_path, capsys):
-        # Solver constants, not settings: even their own value is rejected.
+        # Solver constants, not settings, or a stop rule that is gone: even
+        # their own value is rejected.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"mpc": {"solver": {key: value}}}))
         assert main(["design", "--config", str(path)]) == 2

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import MpcConfig, SolverSettings, closed_loop
 from so3mpc.so3 import exp_so3
-from so3mpc.terminal import _ellipsoid_samples, evaluate_level
+from so3mpc.terminal import _ellipsoid_samples, calibrate_level, evaluate_level
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF
 
@@ -75,6 +76,38 @@ class TestStepCountsAndTolerances:
     @pytest.mark.parametrize("n_steps", [2.0, np.int64(2)])
     def test_integral_float_and_numpy_integer_count(self, entry_points, n_steps):
         assert entry_points["closed_loop"](n_steps=n_steps).n_steps == 2
+
+
+class TestSeed:
+    """The seeded calls read ``seed`` as the configuration reads
+    ``experiment.seed``.  Numpy's generator took it unchecked: ``None``
+    drew operating-system entropy, so the certified level was not
+    reproducible, ``True`` ran as 1, and -1, 1.5 and "a" raised numpy's own
+    errors, which do not name ``seed``."""
+
+    @pytest.fixture(scope="class")
+    def entry_points(self, ref_design):
+        d = ref_design
+        return {
+            "calibrate_level": lambda seed: calibrate_level(
+                d.P, d.K, d.weights, d.h, d.inertia, TORQUE_BOUND_REF, n_samples=50, shrink=0.9, seed=seed
+            ),
+            "fit": lambda seed: AttitudeMpc(terminal_samples=50, seed=seed).fit(),
+            "certify_local_law": lambda seed: certify_local_law(d, TORQUE_BOUND_REF, n_samples=50, seed=seed),
+            "verify_conservation": lambda seed: verify_conservation(J_REF, H_REF, n_steps=3, seed=seed),
+        }
+
+    @pytest.mark.parametrize("entry", ["calibrate_level", "fit", "certify_local_law", "verify_conservation"])
+    @pytest.mark.parametrize("seed", [None, True, -1, 1.5, "a"])
+    def test_bad_seed_raises_value_error_naming_it(self, entry_points, entry, seed):
+        with pytest.raises(ValueError, match="^seed must "):
+            entry_points[entry](seed)
+
+    @pytest.mark.parametrize("entry", ["certify_local_law", "verify_conservation"])
+    def test_integral_float_and_numpy_integer_seed(self, entry_points, entry):
+        reports = [entry_points[entry](seed).to_json_dict() for seed in (3, 3.0, np.int64(3))]
+        assert reports[0]["seed"] == 3
+        assert all(json.dumps(report) == json.dumps(reports[0]) for report in reports)
 
 
 class TestConservationSuite:
@@ -174,7 +207,7 @@ class TestLyapunovAudit:
     def test_crippled_solver_keeps_candidate_chain(self, ref_system):
         # A single-iteration solver wrecks optimality but not the chain,
         # which only depends on the shifted candidate's construction.
-        settings = SolverSettings(max_iters=1, grad_tol=1e-16, ftol_rel=1e-16)
+        settings = SolverSettings(max_iters=1, grad_tol=1e-16)
         state0 = spinning_state([0.25, 0.1, -0.15], [0.0, 0.0, 0.0], H_REF)
         run = closed_loop(ref_system, state0, MpcConfig(horizon=6, solver=settings), 12)
         report = audit_lyapunov(run)

@@ -9,7 +9,7 @@ valuing it through ``reference_value``, which sums those arrays in step
 order as the package's running sums do.  The two descents stop at different
 points, so they are compared by what a solve must deliver, not bit for bit:
 the package's solve is feasible whenever the reference's is, ends no higher
-on the penalized objective than ``ftol_rel`` allows and evaluates no more
+on the penalized objective than ``VALUE_RTOL`` allows and evaluates no more
 gradients.
 """
 
@@ -149,15 +149,17 @@ STEP_MAX = 1e3
 def oracle_projected_gradient(objective, torques, rollout, model, settings):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
-    candidate, also the one its relative-improvement stop then returns.  It
-    takes the package descent's arguments and returns what it returns; it
-    reads neither the rollout nor the model, and takes every gradient by
-    central differences."""
+    candidate.  It stops as the package's descent does: on its KKT residual,
+    where its search finds no point, at an accepted step that leaves the
+    value unchanged, or on ``max_iters``.  It takes the package descent's
+    arguments and returns what it returns, also where it stops on
+    ``max_iters`` (with the residual at the returned torques, which it
+    knows); it reads neither the rollout nor the model, and takes every
+    gradient by central differences."""
     system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
-    small_improvements = 0
     kkt = _kkt_residual(system, torques, grad)
     for _ in range(settings.max_iters):
         if kkt <= settings.grad_tol:
@@ -175,9 +177,8 @@ def oracle_projected_gradient(objective, torques, rollout, model, settings):
             alpha *= mpc.ARMIJO_SHRINK
             if alpha < mpc.STEP_MIN:
                 break
-        if not accepted:
+        if not accepted or not cand_value < value:
             break
-        improvement = value - cand_value
         new_grad, _ = objective.gradient(candidate, base=cand_data)
         step_vec = candidate - torques
         grad_vec = new_grad - grad
@@ -188,12 +189,6 @@ def oracle_projected_gradient(objective, torques, rollout, model, settings):
             bb_step = STEP_INIT
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
-        if improvement <= settings.ftol_rel * max(1.0, abs(value)):
-            small_improvements += 1
-            if small_improvements >= 2:
-                break
-        else:
-            small_improvements = 0
     return torques, iterations, kkt
 
 
@@ -258,25 +253,29 @@ def penalized_value(system, x0, torques, weight):
     return reference_value(objective, rollout_data(system, x0, torques))
 
 
+# Relative slack of the package's penalized objective, or violation, over
+# the reference's.
+VALUE_RTOL = 1e-4
+
+
 def check_against_oracle(system, x0, config, warm_start=None, strict=True):
     """Solve through the package and the reference and assert that the
     package's solve
 
     - is feasible whenever the reference's is;
     - ends, under the reference's last penalty weight, at a penalized
-      objective no higher than the reference's by more than ``ftol_rel``
+      objective no higher than the reference's by more than ``VALUE_RTOL``
       relative, or, when neither reaches feasibility, at a violation no
-      higher by more than ``ftol_rel`` relative;
+      higher by more than ``VALUE_RTOL`` relative;
     - evaluates no more gradients than the reference.
 
     With ``strict=False`` the objective and violation may exceed the
-    reference's by ten times ``ftol_rel`` and the gradient count is not
+    reference's by ten times ``VALUE_RTOL`` and the gradient count is not
     compared: see ``test_relations_over_attitude_starts``.  Returns the
     package's record."""
     new = counted_solve(system, x0, config, warm_start)
     old = counted_solve(system, x0, config, warm_start, oracle=True)
-    settings = config.solver
-    slack = settings.ftol_rel * (1.0 if strict else 10.0)
+    slack = VALUE_RTOL * (1.0 if strict else 10.0)
     assert new.solution.feasible or not old.solution.feasible
     if new.solution.feasible or old.solution.feasible:
         weight = old.rounds[-1][0]
@@ -312,51 +311,38 @@ class TestSolveMatchesOracle:
         assert np.abs(new.solution.torques).max() == weak.torque_bound
 
     def test_second_penalty_round(self, ref_system):
-        # Three steps from 2.9 rad at rest: the first round, at the default
-        # weight, stops on ftol_rel just outside the terminal set, and a
-        # second, heavier round moves the torques inside it.
+        # Two steps from 2.74 rad at rest: the first round, at the default
+        # weight, stops on grad_tol 1.0e-6 outside the terminal set, and each
+        # heavier round divides the excess by ten, until the fourth ends
+        # within constraint_tol.
         new = check_against_oracle(
-            ref_system, rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9]), MpcConfig(horizon=3)
+            ref_system, rest_state([0.0, 0.6 * 2.74, 0.8 * 2.74]), MpcConfig(horizon=2)
         )
-        assert len(new.rounds) == 2
+        assert len(new.rounds) == 4
+        assert new.residuals[0] <= SolverSettings().grad_tol
         assert new.solution.feasible
 
     def test_infeasible_start_runs_every_round(self, ref_design):
         # At 1 N m four steps cannot reach the terminal set from 2.8 rad: all
-        # six rounds run.  The first stops on ftol_rel and reports no
-        # residual; once the saturated torques minimize the violation, the
-        # heavier rounds find no Armijo point and report theirs.
+        # six rounds run.  Once the saturated torques minimize the violation,
+        # each round finds no Armijo point, or gains nothing by the point it
+        # accepts, and reports the residual where it stands.
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
         new = check_against_oracle(system, rest_state([0.0, 0.6 * 2.8, 0.8 * 2.8]), MpcConfig(horizon=4))
         assert len(new.rounds) == 6
-        assert new.residuals[0] is None
-        assert new.solution.kkt_residual is not None
+        assert None not in new.residuals
         assert not new.solution.feasible
 
     @pytest.mark.parametrize("tight", [False, True])
     def test_double_integrator(self, tight):
         system = DoubleIntegratorSystem(terminal_level=5.0, control_bound=0.5)
-        solver = SolverSettings(max_iters=500, grad_tol=1e-9, ftol_rel=1e-12) if tight else SolverSettings()
+        solver = SolverSettings(max_iters=500, grad_tol=1e-9) if tight else SolverSettings()
         new = check_against_oracle(
             system, np.array([1.0, 0.0]), MpcConfig(horizon=8, solver=solver)
         )
-        if tight:
-            # Stopped on grad_tol: the residual is reported and small.
-            assert None not in new.residuals
-            assert new.solution.kkt_residual <= 1e-9
-
-    def test_ftol_stop_skips_one_gradient(self, ref_system):
-        # Twice the angle of the rest starts that now stop on grad_tol at
-        # their second iteration (0.4, 0.1, -0.2 with N = 6 did so once the
-        # metric followed the rollout): this one stops on ftol_rel at its
-        # third.
-        new = counted_solve(ref_system, rest_state([0.8, 0.2, -0.4]), MpcConfig(horizon=6))
-        assert new.residuals == [None]
-        assert new.solution.kkt_residual is None
-        returned = new.solution.torques.tobytes()
-        assert all(point.tobytes() != returned for point in new.gradient_points)
-        end = np.asarray(new.solution.states[-1])
-        assert all(not np.array_equal(np.asarray(base.states[-1]), end) for base in new.sweep_bases)
+        # Stopped on grad_tol: the residual is reported and small.
+        assert None not in new.residuals
+        assert new.solution.kkt_residual <= solver.grad_tol
 
     @settings(deadline=None, max_examples=10)
     @given(
@@ -368,16 +354,13 @@ class TestSolveMatchesOracle:
         st.booleans(),
     )
     def test_relations_over_attitude_starts(self, ref_system, axis, angle, rate, warm):
-        # Both descents stop on the same loose ftol_rel rule, which bounds
-        # neither one's distance from the optimum, so per start the relations
-        # of the fixed cases above are no invariant.  Among about 2,000 draws
-        # from this strategy a Barzilai-Borwein step once ended 1.6e-4
-        # relative lower (0.5 rad about (1, 0, 1) spinning at (-0.125, 0,
-        # -0.1875) rad/s, warm), and some met the stop a few gradients
-        # sooner (0.1 rad about x spinning at 0.14 rad/s about z, cold: 7
-        # gradients against 10).  Here the objective may exceed the
-        # reference's by 10 ftol_rel, and the gradient counts are not
-        # compared.
+        # Both descents stop on the same grad_tol, which bounds neither one's
+        # distance from the optimum, so per start the relations of the fixed
+        # cases above are no invariant, though over 400 seeded draws from
+        # this distribution the package ended at most 1.3e-8 relative above
+        # the reference and never took more gradients.  Here the objective
+        # may exceed the reference's by 10 VALUE_RTOL, and the gradient
+        # counts are not compared.
         x0 = spinning_state(angle * np.asarray(axis) / np.linalg.norm(axis), rate, H_REF)
         config = MpcConfig(horizon=10)
         warm_start = None

@@ -1,10 +1,12 @@
 import ast
+import dataclasses
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import so3mpc
+from so3mpc import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,6 +35,11 @@ BENCHMARK_NAMES = {
 # package.  A default is an option; options come only where a caller
 # chooses, so lower this when one goes and never raise it to pass.
 DEFAULTED_PARAMETER_CEILING = 39
+
+# Configuration knobs: the declared keys of the CLI configuration, with
+# mpc.solver counted as the SolverSettings fields it takes.  Lower this when
+# one goes and never raise it to pass.
+CONFIGURATION_KNOB_CEILING = 22
 
 
 def test_every_exported_name_resolves():
@@ -162,6 +169,12 @@ def test_defaulted_parameters_within_ceiling():
     paths = sorted((ROOT / "src" / "so3mpc").glob("*.py"))
     found = [entry for path in paths for entry in _defaulted_parameters(path)]
     assert len(found) <= DEFAULTED_PARAMETER_CEILING, "\n".join(found)
+
+
+def test_configuration_knobs_within_ceiling():
+    knobs = [key for key in cli._DECLARED if key != "mpc.solver"]
+    knobs += [f"mpc.solver.{f.name}" for f in dataclasses.fields(so3mpc.SolverSettings)]
+    assert len(knobs) <= CONFIGURATION_KNOB_CEILING, "\n".join(knobs)
 
 
 def test_benchmark_tracer_selftest_passes():

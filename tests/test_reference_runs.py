@@ -47,7 +47,7 @@ class Reference(NamedTuple):
 REFERENCE_RUNS = {
     "default simulate": Reference(571.3955647637162, 121, 66, 5321, 1760, 130, 330, 330, 5),
     "regulate": Reference(19.363167113498278, 32, None, 1580, 719, 40, 330, 330, 3),
-    "1 N m, N = 40": Reference(149.30158327271644, 36, None, 11070, 7345, 70, 4920, 4920, 7),
+    "1 N m, N = 40": Reference(149.30158327280418, 37, None, 11110, 7385, 70, 4920, 4920, 8),
 }
 
 
