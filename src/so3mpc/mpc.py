@@ -5,7 +5,7 @@ dynamics, a metric, stage and terminal costs, a terminal set level, a local
 feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
 sequence, with box bounds handled by projection, the terminal-set constraint
-by a growing quadratic penalty, and gradients from one of two sources.  A
+by an augmented Lagrangian, and gradients from one of two sources.  A
 solve not marked as a warm start from a shifted candidate takes central
 finite differences of the rollout cost once, at its starting point.  Every
 other gradient (at each accepted iterate, at the start of each penalty
@@ -71,8 +71,8 @@ cost falls by at least the stage cost paid, a feasible descent step keeps
 both, and that is all recursive feasibility and the cost-decrease chain
 need: feasibility implies stability (Scokaert, Mayne & Rawlings, *Suboptimal
 model predictive control (feasibility implies stability)*, 1999).  One
-Newton-type step per sample is the real-time iteration cited above.  Cold
-solves descend until their KKT residual falls to ``grad_tol``.
+Newton-type step per sample is the real-time iteration cited above.  A
+cold solve reports its KKT residual where it stops, ``None`` on ``max_iters``.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -289,15 +289,11 @@ class OcpSolution:
     """Result of one finite-horizon solve.
 
     ``kkt_residual`` is the norm of u - proj(u - grad) at the returned
-    torques under the last penalty round's objective.  It is ``None`` when
-    that round stopped on ``max_iters``: the solver stops before the
-    gradient at the accepted torques, which would serve only this report.
-    Every warm solve from a shifted candidate that takes its step stops so,
-    on its cap of one iteration.  Every other stop of the descent (see
-    :func:`_quasi_newton_descent`) reports it, from the gradient at the
-    returned torques: central differences where an unmarked solve returns
-    its starting point at its first gradient, and the model's gradient
-    everywhere else (see :func:`solve_ocp`).
+    torques under the last penalty round's objective, from the gradient
+    there (see :func:`solve_ocp`).  It is ``None`` when that round stopped
+    on ``max_iters``, before the gradient at the accepted torques, which
+    would serve only this report: every warm solve from a shifted candidate
+    that takes its step stops so, on its cap of one iteration.
 
     ``violation`` is how far the terminal value exceeds the terminal level,
     zero when it does not.  Every predicted step in ``states`` lies inside
@@ -403,13 +399,16 @@ def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
 class _Objective:
     """Penalized shooting objective, with its gradient by central differences
     over cheap tail re-evaluations or from the system's linear-quadratic
-    model through its sensitivity matrix."""
+    model through its sensitivity matrix.  Its penalty w max(0, F - c + s)^2
+    on the terminal value F, with the ``shift`` s of the level c, is the
+    augmented Lagrangian of F <= c with multiplier 2 w s, up to a constant
+    (Powell, 1969); ``level`` is c - s."""
 
-    def __init__(self, system: ManifoldSystem, x0, weight: float):
+    def __init__(self, system: ManifoldSystem, x0, weight: float, shift: float):
         self.system = system
         self.x0 = x0
         self.weight = weight
-        self.level = system.terminal_level
+        self.level = system.terminal_level - shift
 
     def trial(self, torques: np.ndarray) -> tuple[float, Optional[_Rollout]]:
         """Penalized value and rollout, or ``(math.inf, None)`` when the
@@ -492,8 +491,8 @@ class _Objective:
         ``model``, the system's model along ``base``, and its
         ``sensitivity`` matrix G (:func:`_sensitivities`); and that value.
 
-        With F the terminal value, c the level and w the weight, it is the
-        one product G^T (q[1], ..., q[N-1], (1 + 2 w max(0, F - c)) p) + r,
+        With F, c - s and w as in :class:`_Objective`, it is the one product
+        G^T (q[1], ..., q[N-1], (1 + 2 w max(0, F - c + s)) p) + r,
         the adjoint of the linearized rollout (Lee, Leok & McClamroch,
         *Optimal attitude control of a rigid body using geometrically exact
         computations on SO(3)*, 2006) in condensed form.
@@ -606,29 +605,28 @@ def _quasi_newton_descent(
     first gradient, fixed for the whole round.  The initial metric of the
     recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
     the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
-    of the current torques, the one their gradient holds.  The model is
-    built and condensed once per point: at each accepted point, its
-    sensitivity matrix (:func:`_sensitivities`) gives that point's gradient
-    (:meth:`_Objective.model_gradient`) and the next iteration's metric, so
-    one build and one forward recursion serve both.  Every
-    iteration, the first included, searches along a quasi-Newton direction
-    from full length.  A search that fails along a direction built with
-    curvature pairs drops them and searches once more along the
-    Gauss-Newton direction.  The curvature pairs carry what the model
-    lacks, above all the penalty's curvature.
+    of the current torques, the one their gradient holds.  The model is built
+    and condensed once per point: at each accepted point, its sensitivity
+    matrix (:func:`_sensitivities`) gives that point's gradient
+    (:meth:`_Objective.model_gradient`) and the next iteration's metric, so one
+    build and one forward recursion serve both.  Every iteration, the first
+    included, searches along a quasi-Newton direction from full length.  A
+    search that fails along a direction built with curvature pairs drops them
+    and searches once more along the Gauss-Newton direction.  The curvature
+    pairs carry what the model lacks, above all the penalty's curvature.
 
-    ``rollout`` is the rollout of ``torques``, and ``model`` the system's
-    model along it or ``None``.  Given a model, the first gradient and the
-    first metric are its own.  Without one, the first
-    gradient is central differences (:meth:`_Objective.gradient`), and the
-    model for the first metric is built and condensed after the KKT test,
-    so a descent that stops at that gradient builds none.  Returns the final torques,
-    the iteration count and the KKT residual at the final torques.  The
-    descent stops where that residual is at most ``grad_tol``, where a
-    search without pairs fails, where an accepted step leaves the value
-    unchanged (returning the torques before it), or on ``max_iters``, which
-    returns the accepted torques before their gradient and ``None`` for the
-    residual, since only a next iteration would read that gradient."""
+    ``rollout`` is the rollout of ``torques``, and ``model`` the system's model
+    along it or ``None``.  Given a model, the first gradient and the first
+    metric are its own.  Without one, the first gradient is central differences
+    (:meth:`_Objective.gradient`), and the model for the first metric is built
+    and condensed after the KKT test, so a descent that stops at that gradient
+    builds none.  Returns the final torques, the iteration count and the KKT
+    residual at the final torques.  The descent stops where that residual is at
+    most ``grad_tol``, where a search without pairs fails, where an accepted
+    step leaves the value unchanged (returning the torques before it), or on
+    ``max_iters``, which returns the accepted torques before their gradient and
+    ``None`` for the residual, since only a next iteration would read that
+    gradient."""
     system = objective.system
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
@@ -729,20 +727,26 @@ def solve_ocp(
     solution (:func:`warm_start_shift`); without a warm start it raises
     ``ValueError``.  When the candidate's own rollout is feasible at ``x0``,
     the solve takes one descent step from it: one penalty round at
-    ``PENALTY_WEIGHT`` capped at one iteration, whose gradient at the
-    candidate comes from the system's model along it
-    (:meth:`_Objective.model_gradient`), and whose metric is the same
-    model's, through the same sensitivity matrix.  It returns the accepted point if that point is feasible and
-    the candidate otherwise.  The result
-    is then feasible, and its cost exceeds the candidate's by at most the
-    penalty on the candidate's terminal excess, zero inside the terminal
-    set.  A candidate that is not feasible at ``x0`` gets every penalty
-    round, as any warm start does.
+    ``PENALTY_WEIGHT`` capped at one iteration, whose gradient at the candidate
+    comes from the system's model along it (:meth:`_Objective.model_gradient`),
+    and whose metric is the same model's, through the same sensitivity matrix.
+    It returns the accepted point if that point is feasible and the candidate
+    otherwise.  The result is then feasible, and its cost exceeds the
+    candidate's by at most the penalty on the candidate's terminal excess, zero
+    inside the terminal set.  A candidate that is not feasible at ``x0`` gets
+    every penalty round, as any warm start does.
 
     Any other solve takes central differences once, at its starting point:
     every gradient after that comes from the model along its point's
     rollout, and each penalty round after the first starts with
     the model along the rollout of the torques the round before returned.
+
+    A round of weight w and shift s (see :class:`_Objective`) that ends
+    outside the terminal set by e sets the multiplier to 2 w (s + e)
+    (Hestenes, 1969; Powell, 1969), and the next round, at
+    ``PENALTY_GROWTH`` times the weight, shifts the level to keep it: a
+    binding constraint then ends within ``constraint_tol``, not about
+    lambda / (2 w) outside as under the penalty alone.
     """
     settings = config.solver
     if warm_start is None:
@@ -762,22 +766,24 @@ def solve_ocp(
         model = system.quadratic_model(rollout.states, torques)
         settings = replace(settings, max_iters=1, outer_rounds=1)
     weight = PENALTY_WEIGHT
+    shift = 0.0
     total_iterations = 0
     for round_index in range(settings.outer_rounds):
         if round_index:
             model = system.quadratic_model(rollout.states, torques)
-        objective = _Objective(system, x0, weight)
+        objective = _Objective(system, x0, weight, shift)
         torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, model, settings)
         total_iterations += iterations
         rollout = _predict(system, x0, torques)
-        violation = max(0.0, rollout.terminal - objective.level)
+        violation = max(0.0, rollout.terminal - system.terminal_level)
         if violation <= settings.constraint_tol:
             break
+        shift = (shift + violation) / PENALTY_GROWTH
         weight *= PENALTY_GROWTH
     if candidate is not None and violation > settings.constraint_tol:
         # The step left the terminal set that the candidate ends in.
         torques, rollout = candidate
-        violation = max(0.0, rollout.terminal - objective.level)
+        violation = max(0.0, rollout.terminal - system.terminal_level)
 
     return OcpSolution(
         torques=torques,

@@ -310,7 +310,7 @@ class TestObjectiveGradient:
                 x, margin = system.step_with_margin(x, u)
                 margins.append(margin)
             assert all(lgvi.SOLVABILITY_FLOOR < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
-        objective = _Objective(system, x0, 0.0)
+        objective = _Objective(system, x0, 0.0, 0.0)
         grad, value = objective.gradient(torques, _predict(system, x0, torques))
         oracle = full_central_differences(objective, torques)
         assert value == horizon_cost(system, x0, torques)
@@ -322,7 +322,7 @@ class TestObjectiveGradient:
         system = BoundedStepIntegrator()
         x0 = np.array([0.5, -0.3])
         controls = np.array([[0.2], [-0.4], [1.0 - 5e-7], [0.1], [0.3]])
-        objective = _Objective(system, x0, 1e4)
+        objective = _Objective(system, x0, 1e4, 0.0)
         grad, value = objective.gradient(controls, _predict(system, x0, controls))
         assert value == pytest.approx(horizon_cost(system, x0, controls), rel=1e-14)
         assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
@@ -334,7 +334,7 @@ class TestObjectiveGradient:
         system, x0 = KnifeEdgeIntegrator(), np.array([0.5, -0.3])
         controls = np.array([[0.2], [0.5], [0.1]])
         with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
-            _Objective(system, x0, 1e4).gradient(controls, _predict(system, x0, controls))
+            _Objective(system, x0, 1e4, 0.0).gradient(controls, _predict(system, x0, controls))
 
     @pytest.mark.parametrize("which", ["attitude", "flat"])
     def test_reused_base_rollout_matches_recomputed(self, which, ref_system):
@@ -347,7 +347,7 @@ class TestObjectiveGradient:
         else:
             system, x0 = DoubleIntegratorSystem(), np.array([0.5, -0.3])
             controls = np.array([[0.2], [-0.4], [0.7], [0.1], [0.3]])
-        objective = _Objective(system, x0, 1e4)
+        objective = _Objective(system, x0, 1e4, 0.0)
         value, data = objective.trial(controls)
         reused, reused_value = objective.gradient(controls, base=data)
         fresh, fresh_value = objective.gradient(controls, base=_predict(system, x0, controls))
@@ -432,7 +432,7 @@ class TestKktAtSaturatedTorques:
         # solve that iterated took the gradient at its returned torques from
         # the model along their rollout; one that stopped at its first took
         # central differences.
-        objective = _Objective(weak_system, x0, PENALTY_WEIGHT)
+        objective = _Objective(weak_system, x0, PENALTY_WEIGHT, 0.0)
         u = solution.torques
         base = _predict(weak_system, x0, u)
         differences, value = objective.gradient(u, base)
@@ -667,9 +667,7 @@ def cold_starts(seed, n, max_rate):
 class TestColdStop:
     """A penalty round ends on its projected KKT residual, where its search
     finds no point, where an accepted step gains nothing, or on
-    ``max_iters``; only the last reports no residual.  The former stop on
-    two small relative improvements in a row reported none either: it ended
-    33 of the 40 solves at 100 N m below and 7 of the 8 at 1 N m."""
+    ``max_iters``; only the last reports no residual."""
 
     @pytest.mark.parametrize(
         "params, n, max_rate",
@@ -692,11 +690,47 @@ class TestColdStop:
         # At 1 N m twenty steps cannot reach the terminal set from rest at
         # pi.  All six rounds run: the first ends after 7 iterations, and
         # each heavier one accepts a step that gains nothing and ends there.
-        # The former stop took 17 iterations and reported no residual.
         solution = fitted(dict(horizon=20, torque_bound=1.0)).solve(slew_start())
         assert not solution.feasible
         assert type(solution.kkt_residual) is float
         assert solution.iterations <= 17
+
+    @pytest.mark.parametrize("angle", [2.9, 3.0, 3.1])
+    def test_binding_terminal_constraint_ends_feasible(self, fitted, angle):
+        # Two steps from rest near pi end on the terminal set's boundary.  A
+        # round run to its stop ends about lambda / (2 w) outside the set;
+        # the next round's multiplier shift moves it back within
+        # constraint_tol instead of leaving a weight ten times heavier to
+        # shrink the excess ten times.
+        model = fitted(dict(horizon=2))
+        level = model.system_.terminal_level
+        solution = model.solve(rest_state([0.0, 0.6 * angle, 0.8 * angle]))
+        assert solution.feasible
+        assert abs(solution.terminal_value - level) <= 1e-9 * level
+        assert type(solution.kkt_residual) is float
+
+    def test_multiplier_carries_into_the_next_round(self, fitted, monkeypatch):
+        # Each round after the first is ten times heavier and shifts the
+        # level by (s + e) / 10, with s the shift of the round before and e
+        # the excess it ended with: the multiplier 2 w (s + e) carries over.
+        # From 3 rad three rounds run.
+        model = fitted(dict(horizon=2))
+        system = model.system_
+        x0 = rest_state([0.0, 0.6 * 3.0, 0.8 * 3.0])
+        rounds, descent = [], mpc._quasi_newton_descent
+
+        def recorded(objective, *args):
+            result = descent(objective, *args)
+            excess = mpc._predict(system, x0, result[0]).terminal - system.terminal_level
+            rounds.append((objective.weight, system.terminal_level - objective.level, excess))
+            return result
+
+        monkeypatch.setattr(mpc, "_quasi_newton_descent", recorded)
+        assert model.solve(x0).feasible
+        assert len(rounds) == 3 and rounds[0][:2] == (mpc.PENALTY_WEIGHT, 0.0)
+        for (weight, shift, excess), (next_weight, next_shift, _) in zip(rounds, rounds[1:]):
+            assert next_weight == mpc.PENALTY_GROWTH * weight
+            assert next_shift == pytest.approx((shift + excess) / mpc.PENALTY_GROWTH, rel=0.0, abs=1e-12)
 
 
 def second_differences(system, horizon, delta=1e-3):
@@ -837,7 +871,7 @@ class TestModelGradient:
         elif name == "near the cut":
             angle = np.linalg.norm(so3.log_so3(base.states[-1].g))
             assert math.pi - NEAR_PI < angle < math.pi
-        objective = _Objective(system, x0, weight)
+        objective = _Objective(system, x0, weight, 0.0)
         model = system.quadratic_model(base.states, torques)
         grad, value = model_gradient(objective, model, base)
         oracle = full_central_differences(objective, torques)
@@ -847,7 +881,7 @@ class TestModelGradient:
         # The penalty is active at one point only; at every point, the sweep
         # and the condensing also agree with it active, at a heavier weight
         # and a level just below the terminal value.
-        heavier = _Objective(system, x0, PENALTY_WEIGHT * mpc.PENALTY_GROWTH)
+        heavier = _Objective(system, x0, PENALTY_WEIGHT * mpc.PENALTY_GROWTH, 0.0)
         heavier.level = base.terminal - 0.5
         assert_condensed_equals_sweep(heavier, model, base)
 
@@ -873,7 +907,7 @@ class TestModelGradient:
             # active on the same model.
             assert base.terminal < objective.level
             assert_condensed_equals_sweep(objective, quadratic, base)
-            active = _Objective(system, x0, PENALTY_WEIGHT)
+            active = _Objective(system, x0, PENALTY_WEIGHT, 0.0)
             active.level = base.terminal - 0.5
             assert_condensed_equals_sweep(active, quadratic, base)
 
@@ -902,7 +936,7 @@ class TestModelGradient:
         for _ in range(5):
             x0, controls = rng.standard_normal(2), rng.standard_normal((6, 1))
             base = _predict(flat, x0, controls)
-            objective = _Objective(flat, x0, weight)
+            objective = _Objective(flat, x0, weight, 0.0)
             grad, _ = model_gradient(objective, flat.quadratic_model(base.states, controls), base)
             reference = adjoint_gradient(flat, x0, controls)
             assert_allclose(grad, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max())
@@ -1083,7 +1117,7 @@ class TestTailStartValue:
             newton=(lgvi, "_newton_update"),
             steps=(lgvi, "_implicit_increment"),
         )
-        _Objective(ref_system, x0, PENALTY_WEIGHT).gradient(torques, base=base)
+        _Objective(ref_system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, base=base)
         assert counts["steps"] == counts["chord"] == 2 * 3 * 55
         assert counts["chord"] + counts["newton"] <= 1.2 * counts["steps"]
 
@@ -1096,8 +1130,8 @@ class TestTailStartValue:
         torques = steering_rollout(system, x0, 10)
         if at == "solution":
             torques = solve_ocp(system, x0, MpcConfig(horizon=10)).torques
-        grad, value = _Objective(system, x0, PENALTY_WEIGHT).gradient(torques, _predict(system, x0, torques))
-        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT).gradient(
+        grad, value = _Objective(system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, _predict(system, x0, torques))
+        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT, 0.0).gradient(
             torques, _predict(unhinted, x0, torques)
         )
         assert repr(value) == repr(ref_value)

@@ -88,8 +88,8 @@ def reference_record(data) -> _Rollout:
     return _Rollout(data.states, stage[-1], data.terminal, stage[:-1])
 
 
-def reference_violation(objective, data):
-    return max(0.0, data.terminal - objective.level)
+def reference_violation(system, data):
+    return max(0.0, data.terminal - system.terminal_level)
 
 
 def oracle_tail_value(objective, x_start, tail, stage_prefix):
@@ -198,7 +198,7 @@ class Counted(NamedTuple):
     gradient_points: list
     # The rollout handed to each model sweep.
     sweep_bases: list
-    # (penalty weight, reported KKT residual) per penalty round.
+    # (objective, reported KKT residual) per penalty round.
     rounds: list
 
     @property
@@ -214,8 +214,8 @@ class Counted(NamedTuple):
 def counting(oracle=False):
     """Route solves through the package's descent or the reference's and
     record the torques of every central-difference gradient, the rollout of
-    every model sweep and, per penalty round, the weight and the reported
-    KKT residual."""
+    every model sweep and, per penalty round, its objective and the
+    reported KKT residual."""
     points = []
     sweeps = []
     rounds = []
@@ -233,7 +233,7 @@ def counting(oracle=False):
 
     def counted_descent(objective, *args):
         result = descent(objective, *args)
-        rounds.append((objective.weight, result[2]))
+        rounds.append((objective, result[2]))
         return result
 
     with pytest.MonkeyPatch.context() as patch:
@@ -248,9 +248,8 @@ def counted_solve(system, x0, config, warm_start=None, oracle=False):
     return Counted(solution, points, sweeps, rounds)
 
 
-def penalized_value(system, x0, torques, weight):
-    objective = _Objective(system, x0, weight)
-    return reference_value(objective, rollout_data(system, x0, torques))
+def penalized_value(objective, torques):
+    return reference_value(objective, rollout_data(objective.system, objective.x0, torques))
 
 
 # Relative slack of the package's penalized objective, or violation, over
@@ -263,7 +262,7 @@ def check_against_oracle(system, x0, config, warm_start=None, strict=True):
     package's solve
 
     - is feasible whenever the reference's is;
-    - ends, under the reference's last penalty weight, at a penalized
+    - ends, under the reference's last round's objective, at a penalized
       objective no higher than the reference's by more than ``VALUE_RTOL``
       relative, or, when neither reaches feasibility, at a violation no
       higher by more than ``VALUE_RTOL`` relative;
@@ -278,9 +277,9 @@ def check_against_oracle(system, x0, config, warm_start=None, strict=True):
     slack = VALUE_RTOL * (1.0 if strict else 10.0)
     assert new.solution.feasible or not old.solution.feasible
     if new.solution.feasible or old.solution.feasible:
-        weight = old.rounds[-1][0]
-        reference = penalized_value(system, x0, old.solution.torques, weight)
-        value = penalized_value(system, x0, new.solution.torques, weight)
+        objective = old.rounds[-1][0]
+        reference = penalized_value(objective, old.solution.torques)
+        value = penalized_value(objective, new.solution.torques)
         assert value <= reference + slack * max(1.0, abs(reference))
     else:
         assert new.solution.violation <= old.solution.violation * (1.0 + slack)
@@ -289,7 +288,7 @@ def check_against_oracle(system, x0, config, warm_start=None, strict=True):
     assert new.solution.kkt_residual == new.residuals[-1]
     # The package's report describes its own final torques.
     data = rollout_data(system, x0, new.solution.torques)
-    violation = reference_violation(_Objective(system, x0, new.rounds[-1][0]), data)
+    violation = reference_violation(system, data)
     assert repr(new.solution.violation) == repr(violation)
     assert repr(new.solution.cost) == repr(float(in_step_order(data.stage) + data.terminal))
     return new
@@ -312,13 +311,13 @@ class TestSolveMatchesOracle:
 
     def test_second_penalty_round(self, ref_system):
         # Two steps from 2.74 rad at rest: the first round, at the default
-        # weight, stops on grad_tol 1.0e-6 outside the terminal set, and each
-        # heavier round divides the excess by ten, until the fourth ends
+        # weight, stops on grad_tol 1.0e-6 outside the terminal set, and the
+        # second, ten times heavier and with the multiplier's shift, ends
         # within constraint_tol.
         new = check_against_oracle(
             ref_system, rest_state([0.0, 0.6 * 2.74, 0.8 * 2.74]), MpcConfig(horizon=2)
         )
-        assert len(new.rounds) == 4
+        assert len(new.rounds) == 2
         assert new.residuals[0] <= SolverSettings().grad_tol
         assert new.solution.feasible
 
@@ -428,7 +427,7 @@ class TestLeanTailValue:
         # A tail whose step falls below the floor is infinite on both sides;
         # one that stays above it has the same value bit for bit.
         system = HighFloorAttitude(ref_design)
-        objective = _Objective(system, SpacecraftState.identity(), 1e4)
+        objective = _Objective(system, SpacecraftState.identity(), 1e4, 0.0)
         rng = np.random.default_rng(11)
         seen = {"inside": 0, "below floor": 0}
         for _ in range(30):
@@ -443,7 +442,7 @@ class TestLeanTailValue:
         assert seen["inside"] >= 5 and seen["below floor"] >= 5
 
     def test_matches_rollout_data_inside_the_domain(self, ref_system):
-        objective = _Objective(ref_system, SpacecraftState.identity(), 1e4)
+        objective = _Objective(ref_system, SpacecraftState.identity(), 1e4, 0.0)
         x = spinning_state([0.5, -0.3, 0.8], [0.2, 0.1, -0.3], H_REF)
         tail = np.random.default_rng(7).uniform(-20.0, 20.0, (10, 3))
         for stage_prefix in [0.0, 3.25, 1.5]:
@@ -455,10 +454,10 @@ class TestLeanTailValue:
         assert_same_tail(lean_tail(objective, x, tail), lean)
 
     def test_unsolvable_tail_is_infinite(self, ref_system):
-        bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4)
+        bounded = _Objective(BoundedStepIntegrator(), np.zeros(2), 1e4, 0.0)
         tail = np.array([[0.2], [1.5], [0.1]])
         assert lean_tail_value(bounded, np.array([0.5, -0.3]), tail, 1.0) == math.inf
-        attitude = _Objective(ref_system, SpacecraftState.identity(), 1e4)
+        attitude = _Objective(ref_system, SpacecraftState.identity(), 1e4, 0.0)
         torques = np.zeros((3, 3))
         torques[1] = [0.0, 0.0, 5e3]
         assert lean_tail_value(attitude, SpacecraftState.identity(), torques, 0.0) == math.inf

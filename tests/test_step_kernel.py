@@ -321,7 +321,7 @@ def test_gradient_tails_keep_nothing(ref_system):
     x0 = regulate_start()
     torques = steering_rollout(ref_system, x0, 10)
     base = _predict(ref_system, x0, torques)
-    _Objective(ref_system, x0, PENALTY_WEIGHT).gradient(torques, base)
+    _Objective(ref_system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, base)
     for state, successor in zip(base.states[1:-1], base.states[2:]):
         assert state._next[3] is successor
     assert base.states[-1]._next is None
