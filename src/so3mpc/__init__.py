@@ -16,7 +16,6 @@ from .attitude import (
 )
 from .errors import (
     ConfigError,
-    Infeasible,
     NoConvergence,
     NoFeasibleLevel,
     NotPositiveDefinite,
@@ -63,7 +62,6 @@ __all__ = [
     "ClosedLoopRun",
     "ConfigError",
     "DoubleIntegratorSystem",
-    "Infeasible",
     "ManifoldSystem",
     "MpcConfig",
     "MpcController",

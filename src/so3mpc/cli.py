@@ -7,7 +7,7 @@ its converter.  :func:`default_config_dict`, the unknown-key check and the
 conversions of :func:`parse_config` read these declarations.
 
 Exit codes, set by :func:`main` alone: 0 success, 1 verification failure,
-2 usage, configuration, design or file error, 3 runtime infeasibility.
+2 usage, configuration, design or file error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .attitude import SpacecraftAttitudeSystem, spinning_state
-from .errors import ConfigError, Infeasible, So3MpcError
+from .errors import ConfigError, So3MpcError
 from .experiments import (
     audit_lyapunov,
     certify_local_law,
@@ -343,27 +343,18 @@ def cmd_verify(args) -> int:
                 certify_local_law(design, cfg.torque_bound, n_samples=cfg.terminal_samples, seed=cfg.seed + 20_000)
             )
         elif suite == "lyapunov":
-            try:
-                run = _closed_loop(cfg, design)
-            except Infeasible as err:
-                print(f"lyapunov suite: {err}", file=sys.stderr)
-                return 3
-            reports.append(audit_lyapunov(run))
+            reports.append(audit_lyapunov(_closed_loop(cfg, design)))
         elif suite == "discontinuity":
-            try:
-                reports.append(
-                    probe_discontinuity(
-                        design,
-                        MpcConfig(horizon=cfg.horizon, solver=cfg.solver),
-                        torque_bound=cfg.torque_bound,
-                        n_steps=cfg.n_steps,
-                        attitude_tol=cfg.distance_tol,
-                        out_dir=out_dir,
-                    )
+            reports.append(
+                probe_discontinuity(
+                    design,
+                    MpcConfig(horizon=cfg.horizon, solver=cfg.solver),
+                    torque_bound=cfg.torque_bound,
+                    n_steps=cfg.n_steps,
+                    attitude_tol=cfg.distance_tol,
+                    out_dir=out_dir,
                 )
-            except Infeasible as err:
-                print(f"discontinuity suite: {err}", file=sys.stderr)
-                return 3
+            )
 
     payload = {
         "config": cfg.raw,
@@ -415,9 +406,6 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    except Infeasible as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return 3
     except (So3MpcError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -47,17 +47,6 @@ class NoFeasibleLevel(So3MpcError):
     lowest level."""
 
 
-class Infeasible(So3MpcError):
-    """The optimal control problem could not be solved to feasibility.
-
-    ``step`` identifies the closed-loop step index when raised from a run.
-    """
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
-
-
 class DesignFileError(So3MpcError):
     """A terminal design file is not valid JSON, lacks a key or holds a
     malformed entry."""

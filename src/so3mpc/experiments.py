@@ -117,11 +117,14 @@ def write_trajectory_csv(
 
 def write_diagnostics_csv(path, run: ClosedLoopRun, h: float) -> None:
     """Rows: k, t, V_star, V_candidate, L, F_terminal, feasible,
-    penalty_violation, solver_iters.  ``feasible`` is the solver's own
-    verdict, which applies its configured ``constraint_tol``."""
+    terminal_excess, solver_iters.  ``feasible`` says that the solve's
+    predicted terminal state lies in the terminal set, its value F_terminal
+    above the level by at most the configured ``constraint_tol``, and
+    ``terminal_excess`` is how far F_terminal exceeds the level, zero when it
+    does not."""
     header = [
         "k", "t", "V_star", "V_candidate", "L", "F_terminal",
-        "feasible", "penalty_violation", "solver_iters",
+        "feasible", "terminal_excess", "solver_iters",
     ]
     lines = [",".join(header)]
     for k in range(run.n_steps):

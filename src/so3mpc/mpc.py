@@ -4,46 +4,55 @@ The layer is generic: any :class:`ManifoldSystem` supplies the discrete
 dynamics, a metric, stage and terminal costs, a terminal set level, a local
 feedback law, and a linear-quadratic model along a predicted rollout.  The
 finite-horizon problem is transcribed by single shooting over the control
-sequence, with box bounds handled by projection, the terminal-set constraint
-by an augmented Lagrangian, and gradients from one of two sources.  A
-solve not marked as a warm start from a shifted candidate takes central
-finite differences of the rollout cost once, at its starting point.  Every
-other gradient (at each accepted iterate, at the start of each penalty
-round after the first, and the one gradient of a warm solve from a
-feasible shifted candidate) comes from the linear-quadratic model along
-the rollout of its point.  Each model is condensed once: one forward
-recursion over its step Jacobians gives the sensitivity matrix G of the
-states to the controls (:func:`_sensitivities`; Bock & Plitt, 1984), the
-gradient is the one product G^T w + r with the cost gradients
-(:meth:`_Objective.model_gradient`, the adjoint of the linearized rollout
-that Lee, Leok & McClamroch, 2006, derive for this integrator, in condensed
-form), and the Gauss-Newton metric is G^T W G + blockdiag(R) from the same
-G (:func:`_gauss_newton_hessian`).  As in the real-time iteration (Diehl,
-Bock & Schlöder, *A real-time iteration scheme for nonlinear optimization
-in optimal feedback control*, 2005), the step is taken on the
-linearization itself, and the model condensed for a gradient also gives
-the next iteration its metric.  The predictions are
-defined where every step is: a step that the system reports unsolvable
-(:class:`~so3mpc.errors.NotSolvable`) lies outside the objective's domain,
-so the line search backs off from a trial that takes one and a
-finite-difference tail that takes one gives way to the one-sided
-difference (Nocedal & Wright, *Numerical Optimization*, ch. 3).  Each
-penalty round descends along a limited-memory BFGS direction with two-metric
-projection onto the box (Bertsekas, 1982): the quasi-Newton step acts on the
-free entries, and entries that the box holds against an outward gradient
-take the projected-gradient step, of length 1 / max(1, |grad|) at the round's
-first gradient for the whole round.  The recursion's initial inverse Hessian
-is the inverse of the Gauss-Newton Hessian of the horizon cost along the
-rollout of the current iterate (Bock & Plitt, 1984), time-varying as in
-discrete optimal control on Lie groups (Kobilarov & Marsden, 2011), on the
-free entries and scaled by the newest curvature pair (Nocedal & Wright,
-*Numerical Optimization*, ch. 7).  The curvature pairs carry what that model
-leaves out, above all the penalty's curvature.  An Armijo search along the
-projected path tries each direction from full length.  Where it fails along a
-direction built with pairs, they are dropped and the pairless direction is
-searched once.  A round ends where its projected KKT residual falls to
-``grad_tol``, where a search fails without pairs, where an accepted step
-leaves the penalized value unchanged, or at ``max_iters``.
+sequence, with box bounds handled by projection, and a solve minimizes the
+stage costs plus the terminal cost in one descent.  The terminal set
+{F <= c} is not imposed: with the terminal cost and the local law certified
+on that set, the predicted terminal state enters it on a region of starts
+that grows with the horizon (Limon, Alamo, Salas & Camacho, *On the
+stability of constrained MPC without terminal constraint*, 2006).  Each
+solve reports whether it does, and nothing raises when it does not; a
+closed loop is certified after the fact by the decrease of its optimal
+cost, V(x+) <= V(x) - l(x, u) (Grüne & Rantzer, *On the infinite horizon
+performance of receding horizon controllers*, 2008), which
+:func:`~so3mpc.experiments.audit_lyapunov` checks.
+
+Gradients come from one of two sources.  A solve not marked as a warm start
+from a shifted candidate takes central finite differences of the rollout
+cost once, at its starting point.  Every other gradient (at each accepted
+iterate, and the one gradient of a warm solve from a shifted candidate)
+comes from the linear-quadratic model along the rollout of its point.  Each
+model is condensed once: one forward recursion over its step Jacobians
+gives the sensitivity matrix G of the states to the controls
+(:func:`_sensitivities`; Bock & Plitt, 1984), the gradient is the one
+product G^T w + r with the cost gradients (:meth:`_Objective.model_gradient`,
+the adjoint of the linearized rollout that Lee, Leok & McClamroch, 2006,
+derive for this integrator, in condensed form), and the Gauss-Newton metric
+is G^T W G + blockdiag(R) from the same G (:func:`_gauss_newton_hessian`).
+As in the real-time iteration (Diehl, Bock & Schlöder, *A real-time
+iteration scheme for nonlinear optimization in optimal feedback control*,
+2005), the step is taken on the linearization itself, and the model
+condensed for a gradient also gives the next iteration its metric.  The
+predictions are defined where every step is: a step that the system reports
+unsolvable (:class:`~so3mpc.errors.NotSolvable`) lies outside the
+objective's domain, so the line search backs off from a trial that takes one
+and a finite-difference tail that takes one gives way to the one-sided
+difference (Nocedal & Wright, *Numerical Optimization*, ch. 3).  The descent
+runs along a limited-memory BFGS direction with two-metric projection onto
+the box (Bertsekas, 1982): the quasi-Newton step acts on the free entries,
+and entries that the box holds against an outward gradient take the
+projected-gradient step, of length 1 / max(1, |grad|) at the descent's first
+gradient throughout.  The recursion's initial inverse Hessian is the inverse
+of the Gauss-Newton Hessian of the horizon cost along the rollout of the
+current iterate (Bock & Plitt, 1984), time-varying as in discrete optimal
+control on Lie groups (Kobilarov & Marsden, 2011), on the free entries and
+scaled by the newest curvature pair (Nocedal & Wright, *Numerical
+Optimization*, ch. 7).  The curvature pairs carry the second-order terms of
+the dynamics that the Gauss-Newton model leaves out.  An Armijo search along
+the projected path tries each direction from full length.  Where it fails
+along a direction built with pairs, they are dropped and the pairless
+direction is searched once.  The descent ends where its projected KKT
+residual falls to ``grad_tol``, where a search fails without pairs, where an
+accepted step leaves the value unchanged, or at ``max_iters``.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -65,14 +74,15 @@ caller reads per step keep per-step values, so a tail builds no array.
 A solve warm-started at the shifted candidate of the previous solution
 (:func:`warm_start_shift`) takes one descent step from it: one model
 gradient at the candidate and, when its KKT residual exceeds ``grad_tol``,
-one direction and one Armijo search; it keeps the accepted point if that is
-feasible and the candidate otherwise.  The candidate is feasible and its
-cost falls by at least the stage cost paid, a feasible descent step keeps
-both, and that is all recursive feasibility and the cost-decrease chain
-need: feasibility implies stability (Scokaert, Mayne & Rawlings, *Suboptimal
-model predictive control (feasibility implies stability)*, 1999).  One
-Newton-type step per sample is the real-time iteration cited above.  A
-cold solve reports its KKT residual where it stops, ``None`` on ``max_iters``.
+one direction and one Armijo search.  It keeps the accepted point unless
+the candidate ends inside the terminal set and that point does not.  A
+candidate that ends inside the set costs at most the previous optimum less
+the stage cost paid, a descent step keeps that, and the cost-decrease chain
+follows: feasibility implies stability (Scokaert, Mayne & Rawlings,
+*Suboptimal model predictive control (feasibility implies stability)*,
+1999).  One Newton-type step per sample is the real-time iteration cited
+above.  A cold solve reports its KKT residual where it stops, ``None`` on
+``max_iters``.
 States are opaque here: the solver stores what the system's step returns
 and hands it back to the system.  The attitude system's states carry their
 entries as Python floats and build arrays only when read, so the states of
@@ -93,7 +103,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import Infeasible, NotSolvable, RolloutFailure
+from .errors import NotSolvable, RolloutFailure
 from .validation import as_integer, as_parameter, as_positive, check_controls
 
 # Distance to the equilibrium below which a closed loop counts as converged.
@@ -104,9 +114,6 @@ DEFAULT_HORIZON = 10
 # Fixed numerics of the shooting solver; the choices are in SolverSettings.
 # Central-difference step of the objective gradient.
 FD_STEP = 1e-6
-# Penalty weight of the first round, and its growth factor per round.
-PENALTY_WEIGHT = 1e4
-PENALTY_GROWTH = 10.0
 # Sufficient-decrease constant and backtracking factor of the Armijo search.
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
@@ -182,7 +189,7 @@ class ManifoldSystem(abc.ABC):
 
     @abc.abstractmethod
     def terminal_cost(self, x) -> float:
-        """Terminal penalty; zero at the equilibrium state.  It must be
+        """Terminal cost; zero at the equilibrium state.  It must be
         defined at every state that a solvable step reaches: the solver
         takes a :class:`~so3mpc.errors.NotSolvable` from it for an
         unsolvable rollout."""
@@ -241,17 +248,16 @@ class ManifoldSystem(abc.ABC):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tuning knobs of the penalized quasi-Newton shooting solver.
+    """Tuning knobs of the quasi-Newton shooting solver.
 
     ``grad_tol`` bounds the projected KKT residual, the norm of u -
-    proj(u - grad), at which a penalty round stops; the default favors
+    proj(u - grad), at which the descent stops; the default favors
     closed-loop throughput, since the stability guarantees do not depend on
-    solving to high precision.  ``max_iters`` caps the iterations
-    of one penalty round, and ``outer_rounds`` the rounds; a round whose
-    terminal value exceeds the terminal level by at most ``constraint_tol``
-    ends the solve.  The penalty schedule and line search are the module
-    constants above.  A warm solve from a feasible shifted candidate takes
-    one iteration of one round whatever these caps say (see
+    solving to high precision.  ``max_iters`` caps its iterations.  A
+    solve reports its predicted terminal state inside the terminal set when
+    the terminal value exceeds the level by at most ``constraint_tol``.  The
+    line search is the module constants above.  A warm solve from a shifted
+    candidate takes one iteration whatever ``max_iters`` says (see
     :func:`solve_ocp`).
 
     The counts must be positive integers, where a float with an integral
@@ -261,12 +267,10 @@ class SolverSettings:
 
     max_iters: int = 200
     grad_tol: float = 1e-3
-    outer_rounds: int = 6
     constraint_tol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("max_iters", "outer_rounds"):
-            object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_integer, 1))
+        object.__setattr__(self, "max_iters", as_parameter("max_iters", self.max_iters, as_integer, 1))
         for name in ("grad_tol", "constraint_tol"):
             object.__setattr__(self, name, as_parameter(name, getattr(self, name), as_positive, False))
 
@@ -289,15 +293,18 @@ class OcpSolution:
     """Result of one finite-horizon solve.
 
     ``kkt_residual`` is the norm of u - proj(u - grad) at the returned
-    torques under the last penalty round's objective, from the gradient
-    there (see :func:`solve_ocp`).  It is ``None`` when that round stopped
-    on ``max_iters``, before the gradient at the accepted torques, which
-    would serve only this report: every warm solve from a shifted candidate
-    that takes its step stops so, on its cap of one iteration.
+    torques, from the gradient there (see :func:`solve_ocp`).  It is
+    ``None`` when the descent stopped on ``max_iters``, before the gradient
+    at the accepted torques, which would serve only this report: every warm
+    solve from a shifted candidate that takes its step stops so, on its cap
+    of one iteration.
 
-    ``violation`` is how far the terminal value exceeds the terminal level,
-    zero when it does not.  Every predicted step in ``states`` lies inside
-    the system's domain: the solver values no other rollout.
+    ``feasible`` says that the predicted terminal state lies in the terminal
+    set, its value above the level by at most ``constraint_tol``, and
+    ``violation`` is how far the terminal value exceeds the level, zero when
+    it does not.  They report; the solve does not impose the set.  Every
+    predicted step in ``states`` lies inside the system's domain: the solver
+    values no other rollout.
     """
 
     torques: np.ndarray
@@ -320,7 +327,7 @@ class _Rollout:
     value.  A rollout run without start states (see :func:`_roll_on`) keeps
     every state and, per step, the sum before it (``prefixes``); a
     finite-difference tail keeps its end state only and ``None`` for the
-    prefixes.  None of these depends on the penalty weight.
+    prefixes.
     A gradient builds 60 of them at N = 10, so this is a slotted class: a
     ``NamedTuple``'s generated constructor takes about half as long again.
     """
@@ -391,28 +398,24 @@ def _predict(system: ManifoldSystem, x0, torques) -> _Rollout:
 
 def horizon_cost(system: ManifoldSystem, x0, torques) -> float:
     """Cost of a candidate control sequence: summed stage costs plus the
-    terminal penalty at the rolled-out endpoint.  Controls of the wrong shape
+    terminal cost at the rolled-out endpoint.  Controls of the wrong shape
     or with a non-finite entry raise ``ValueError``."""
     return _predict(system, x0, check_controls(torques, system.control_dim, "torques")).cost
 
 
 class _Objective:
-    """Penalized shooting objective, with its gradient by central differences
-    over cheap tail re-evaluations or from the system's linear-quadratic
-    model through its sensitivity matrix.  Its penalty w max(0, F - c + s)^2
-    on the terminal value F, with the ``shift`` s of the level c, is the
-    augmented Lagrangian of F <= c with multiplier 2 w s, up to a constant
-    (Powell, 1969); ``level`` is c - s."""
+    """Shooting objective from ``x0``, the stage costs plus the terminal
+    cost, with its gradient by central differences over cheap tail
+    re-evaluations or from the system's linear-quadratic model through its
+    sensitivity matrix."""
 
-    def __init__(self, system: ManifoldSystem, x0, weight: float, shift: float):
+    def __init__(self, system: ManifoldSystem, x0):
         self.system = system
         self.x0 = x0
-        self.weight = weight
-        self.level = system.terminal_level - shift
 
     def trial(self, torques: np.ndarray) -> tuple[float, Optional[_Rollout]]:
-        """Penalized value and rollout, or ``(math.inf, None)`` when the
-        rollout is unsolvable."""
+        """Value and rollout, or ``(math.inf, None)`` when the rollout is
+        unsolvable."""
         try:
             rollout = _roll_on(self.system, self.x0, torques)
         except NotSolvable:
@@ -420,12 +423,11 @@ class _Objective:
         return self.value(rollout), rollout
 
     def value(self, rollout, stage_prefix=0.0) -> float:
-        """Penalized value of the rollout whose first steps' stage costs sum
-        to ``stage_prefix`` and whose last ones are ``rollout``.  The prefix
-        and the rollout's sum are added once, so a tail that a base rollout's
+        """Value of the rollout whose first steps' stage costs sum to
+        ``stage_prefix`` and whose last ones are ``rollout``.  The prefix and
+        the rollout's sum are added once, so a tail that a base rollout's
         prefix continues takes no per-step work here."""
-        excess = max(0.0, rollout.terminal - self.level)
-        return float(stage_prefix + rollout.stage + rollout.terminal + self.weight * excess**2)
+        return float(stage_prefix + rollout.stage + rollout.terminal)
 
     def gradient(self, torques: np.ndarray, base: _Rollout) -> tuple[np.ndarray, float]:
         """Central-difference gradient with step ``FD_STEP``, re-simulating
@@ -487,19 +489,17 @@ class _Objective:
     def model_gradient(
         self, model: QuadraticModel, sensitivity: np.ndarray, base: _Rollout
     ) -> tuple[np.ndarray, float]:
-        """Gradient of the penalized value of ``base`` in its controls, from
-        ``model``, the system's model along ``base``, and its
-        ``sensitivity`` matrix G (:func:`_sensitivities`); and that value.
+        """Gradient of the value of ``base`` in its controls, from ``model``,
+        the system's model along ``base``, and its ``sensitivity`` matrix G
+        (:func:`_sensitivities`); and that value.
 
-        With F, c - s and w as in :class:`_Objective`, it is the one product
-        G^T (q[1], ..., q[N-1], (1 + 2 w max(0, F - c + s)) p) + r,
-        the adjoint of the linearized rollout (Lee, Leok & McClamroch,
-        *Optimal attitude control of a rigid body using geometrically exact
-        computations on SO(3)*, 2006) in condensed form.
-        It reads nothing of ``q[0]``, which acts on the fixed initial state.
+        It is the one product G^T (q[1], ..., q[N-1], p) + r, the adjoint of
+        the linearized rollout (Lee, Leok & McClamroch, *Optimal attitude
+        control of a rigid body using geometrically exact computations on
+        SO(3)*, 2006) in condensed form.  It reads nothing of ``q[0]``, which
+        acts on the fixed initial state.
         """
-        scale = 1.0 + 2.0 * self.weight * max(0.0, base.terminal - self.level)
-        weights = np.concatenate([model.q[1:].ravel(), scale * model.p])
+        weights = np.concatenate([model.q[1:].ravel(), model.p])
         return (weights @ sensitivity).reshape(model.r.shape) + model.r, self.value(base)
 
 
@@ -601,8 +601,8 @@ def _quasi_newton_descent(
     An entry counts as held when the projected-gradient step would clip it,
     i.e. it lies on or near the bound and the gradient points outward; it
     takes that gradient step, and the curvature pairs act on the other
-    entries only.  The step's length is 1 / max(1, |grad|) at the round's
-    first gradient, fixed for the whole round.  The initial metric of the
+    entries only.  The step's length is 1 / max(1, |grad|) at the descent's
+    first gradient, fixed throughout.  The initial metric of the
     recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
     the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
     of the current torques, the one their gradient holds.  The model is built
@@ -613,7 +613,7 @@ def _quasi_newton_descent(
     included, searches along a quasi-Newton direction from full length.  A
     search that fails along a direction built with curvature pairs drops them
     and searches once more along the Gauss-Newton direction.  The curvature
-    pairs carry what the model lacks, above all the penalty's curvature.
+    pairs carry the second-order terms of the dynamics that the model lacks.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's model
     along it or ``None``.  Given a model, the first gradient and the first
@@ -634,7 +634,7 @@ def _quasi_newton_descent(
         sensitivity = _sensitivities(model)
         grad, value = objective.model_gradient(model, sensitivity, rollout)
     # Length of the gradient step that picks and moves the held entries,
-    # fixed for the round by its first gradient.
+    # fixed for the descent by its first gradient.
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     pairs = []
     iterations = 0
@@ -664,7 +664,7 @@ def _quasi_newton_descent(
         if iterations == settings.max_iters:
             return candidate, iterations, None
         if not cand_value < value:
-            # An accepted step that gains nothing ends the round where it
+            # An accepted step that gains nothing ends the descent where it
             # stands, with the residual already known there.
             break
         model = system.quadratic_model(cand_rollout.states, candidate)
@@ -709,13 +709,14 @@ def solve_ocp(
     warm_start: Optional[np.ndarray] = None,
     shifted: bool = False,
 ) -> OcpSolution:
-    """Solve the finite-horizon problem at ``x0`` by penalized shooting.
+    """Solve the finite-horizon problem at ``x0`` by shooting: one descent on
+    the stage costs plus the terminal cost.
 
-    The reported ``feasible`` flag certifies that the terminal value is
-    within ``constraint_tol`` of the terminal level; an infeasible result
-    signals that the solver could not steer ``x0`` into the terminal set,
-    i.e. that ``x0`` is numerically outside the horizon's domain of
-    attraction.  Every predicted step lies inside the system's domain (see
+    The terminal set is not imposed.  The reported ``feasible`` flag says
+    that the predicted terminal state lies in it, its value within
+    ``constraint_tol`` of the level; where the optimum ends outside, as from
+    a start too far for the horizon, the solve returns it all the same.
+    Every predicted step lies inside the system's domain (see
     :class:`ManifoldSystem`), since the descent starts inside it and accepts
     no trial outside it.  A warm start of the wrong length or with a
     non-finite entry raises ``ValueError``, and one whose own rollout leaves
@@ -725,28 +726,16 @@ def solve_ocp(
 
     ``shifted`` marks the warm start as the shifted candidate of the previous
     solution (:func:`warm_start_shift`); without a warm start it raises
-    ``ValueError``.  When the candidate's own rollout is feasible at ``x0``,
-    the solve takes one descent step from it: one penalty round at
-    ``PENALTY_WEIGHT`` capped at one iteration, whose gradient at the candidate
+    ``ValueError``.  The solve then takes one descent step from the
+    candidate, capped at one iteration, whose gradient at the candidate
     comes from the system's model along it (:meth:`_Objective.model_gradient`),
     and whose metric is the same model's, through the same sensitivity matrix.
-    It returns the accepted point if that point is feasible and the candidate
-    otherwise.  The result is then feasible, and its cost exceeds the
-    candidate's by at most the penalty on the candidate's terminal excess, zero
-    inside the terminal set.  A candidate that is not feasible at ``x0`` gets
-    every penalty round, as any warm start does.
+    It returns the candidate only when the candidate ends inside the terminal
+    set and the accepted point does not; otherwise the accepted point, whose
+    cost is at most the candidate's.
 
-    Any other solve takes central differences once, at its starting point:
-    every gradient after that comes from the model along its point's
-    rollout, and each penalty round after the first starts with
-    the model along the rollout of the torques the round before returned.
-
-    A round of weight w and shift s (see :class:`_Objective`) that ends
-    outside the terminal set by e sets the multiplier to 2 w (s + e)
-    (Hestenes, 1969; Powell, 1969), and the next round, at
-    ``PENALTY_GROWTH`` times the weight, shifts the level to keep it: a
-    binding constraint then ends within ``constraint_tol``, not about
-    lambda / (2 w) outside as under the penalty alone.
+    Any other solve takes central differences once, at its starting point,
+    and every gradient after that from the model along its point's rollout.
     """
     settings = config.solver
     if warm_start is None:
@@ -761,36 +750,24 @@ def solve_ocp(
     rollout = _predict(system, x0, torques)
 
     candidate = model = None
-    if shifted and rollout.terminal - system.terminal_level <= settings.constraint_tol:
+    if shifted:
         candidate = torques, rollout
         model = system.quadratic_model(rollout.states, torques)
-        settings = replace(settings, max_iters=1, outer_rounds=1)
-    weight = PENALTY_WEIGHT
-    shift = 0.0
-    total_iterations = 0
-    for round_index in range(settings.outer_rounds):
-        if round_index:
-            model = system.quadratic_model(rollout.states, torques)
-        objective = _Objective(system, x0, weight, shift)
-        torques, iterations, kkt = _quasi_newton_descent(objective, torques, rollout, model, settings)
-        total_iterations += iterations
-        rollout = _predict(system, x0, torques)
-        violation = max(0.0, rollout.terminal - system.terminal_level)
-        if violation <= settings.constraint_tol:
-            break
-        shift = (shift + violation) / PENALTY_GROWTH
-        weight *= PENALTY_GROWTH
-    if candidate is not None and violation > settings.constraint_tol:
+        settings = replace(settings, max_iters=1)
+    torques, iterations, kkt = _quasi_newton_descent(_Objective(system, x0), torques, rollout, model, settings)
+    rollout = _predict(system, x0, torques)
+    level, tol = system.terminal_level, settings.constraint_tol
+    if candidate is not None and rollout.terminal - level > tol >= candidate[1].terminal - level:
         # The step left the terminal set that the candidate ends in.
         torques, rollout = candidate
-        violation = max(0.0, rollout.terminal - system.terminal_level)
+    violation = max(0.0, rollout.terminal - level)
 
     return OcpSolution(
         torques=torques,
         cost=rollout.cost,
         terminal_value=float(rollout.terminal),
-        feasible=bool(violation <= settings.constraint_tol),
-        iterations=total_iterations,
+        feasible=bool(violation <= tol),
+        iterations=iterations,
         kkt_residual=None if kkt is None else float(kkt),
         violation=float(violation),
         states=tuple(rollout.states),
@@ -801,9 +778,9 @@ def warm_start_shift(previous: OcpSolution, system: ManifoldSystem) -> np.ndarra
     """Shift the previous solution one step and append the local law applied
     at its predicted terminal state.
 
-    By construction the result is feasible at the successor state whenever
-    the previous solution was feasible, which is what makes the closed loop
-    recursively feasible.
+    When the previous solution ended inside the terminal set, the result ends
+    inside it too at the successor state, and costs at most the previous
+    optimum less the stage cost paid: the cost-decrease chain.
     """
     terminal_state = previous.states[-1]
     tail = system.project_control(system.local_law(terminal_state))
@@ -817,7 +794,7 @@ class MpcController:
     def __init__(self, system: ManifoldSystem, config: MpcConfig):
         self.system = system
         self.config = config
-        # The last feasible solution, and its shift once asked for.
+        # The last solution, and its shift once asked for.
         self._previous: Optional[OcpSolution] = None
         self._candidate: Optional[np.ndarray] = None
 
@@ -831,26 +808,13 @@ class MpcController:
     def step(self, x) -> tuple[np.ndarray, OcpSolution]:
         """Solve at ``x`` and return the first control of the solution.
 
-        The first solve, and the one after an infeasible step, start cold.
-        Every other solve starts from the previous solution's shift, marked
-        ``shifted``, so that it takes one descent step from that candidate
-        when the candidate is feasible at ``x`` (see :func:`solve_ocp`).
-
-        Raises :class:`~so3mpc.errors.Infeasible` when the solver cannot
-        reach feasibility at ``x``; the controller then forgets the previous
-        solution, whose shifted candidate belongs to an earlier state, and
-        the next step starts cold.
+        The first solve starts cold.  Every other solve starts from the
+        previous solution's shift, marked ``shifted``, so that it takes one
+        descent step from that candidate (see :func:`solve_ocp`).
         """
         warm = self.candidate_sequence()
         solution = solve_ocp(self.system, x, self.config, warm_start=warm, shifted=warm is not None)
         self._candidate = None
-        if not solution.feasible:
-            self._previous = None
-            level = self.system.terminal_level
-            raise Infeasible(
-                f"finite-horizon problem infeasible: terminal value {solution.terminal_value:.6g} "
-                f"exceeds the level {level:.6g} by {solution.violation:.3e}"
-            )
         self._previous = solution
         return solution.first_control, solution
 
@@ -892,7 +856,8 @@ def closed_loop(
     candidate), the cost of the shifted candidate evaluated at the current
     state (the recursive-feasibility witness; NaN at the first step where no
     candidate exists yet), the stage cost actually paid, and solver
-    diagnostics.  ``converged_step`` is the first step after which the
+    diagnostics: ``feasible`` and ``violations`` say whether each solve's
+    predicted terminal state lies in the terminal set.  ``converged_step`` is the first step after which the
     distance to the equilibrium stays below ``distance_tol`` to the end of
     the run, and ``None`` when the last step's distance is not below it;
     ``converged`` says whether there is one.  A run that comes within the
@@ -901,9 +866,7 @@ def closed_loop(
     ``n_steps`` must be an integer of at least 1 and ``distance_tol`` a
     positive finite number, read as the configuration's
     ``experiment.n_steps`` and ``experiment.distance_tol`` are; anything else
-    raises ``ValueError`` naming the argument.  Raises
-    :class:`~so3mpc.errors.Infeasible` with the failing step index if any
-    solve fails.
+    raises ``ValueError`` naming the argument.
     """
     n_steps = as_parameter("n_steps", n_steps, as_integer, 1)
     distance_tol = as_parameter("distance_tol", distance_tol, as_positive, False)
@@ -927,10 +890,7 @@ def closed_loop(
             candidate_costs.append(np.nan)
         else:
             candidate_costs.append(horizon_cost(system, x, candidate))
-        try:
-            u, solution = controller.step(x)
-        except Infeasible as err:
-            raise Infeasible(f"closed loop infeasible at step {k}: {err}", step=k) from err
+        u, solution = controller.step(x)
         stage_costs.append(system.stage_cost(x, u))
         x = system.step(x, u)
         states.append(x)

@@ -251,7 +251,7 @@ class TestCsvWriters:
             rows = list(csv.reader(handle))
         assert rows[0] == [
             "k", "t", "V_star", "V_candidate", "L", "F_terminal",
-            "feasible", "penalty_violation", "solver_iters",
+            "feasible", "terminal_excess", "solver_iters",
         ]
         assert len(rows) == 4
 
@@ -267,7 +267,7 @@ class TestCsvWriters:
         with open(path) as handle:
             rows = list(csv.DictReader(handle))
         assert [row["feasible"] for row in rows] == ["1", "1"]
-        assert [float(row["penalty_violation"]) for row in rows] == [5e-7, 5e-7]
+        assert [float(row["terminal_excess"]) for row in rows] == [5e-7, 5e-7]
 
 
 class TestDiscontinuityProbeMechanics:

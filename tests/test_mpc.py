@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from so3mpc import lgvi, mpc, so3
-from so3mpc.errors import Infeasible, NotSolvable, RolloutFailure
+from so3mpc.errors import NotSolvable, RolloutFailure
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.lgvi import SpacecraftState, rollout
 from so3mpc.mpc import (
     FD_STEP,
-    PENALTY_WEIGHT,
     ManifoldSystem,
     MpcConfig,
     _Objective,
@@ -31,6 +30,7 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
+from so3mpc.experiments import audit_lyapunov
 from so3mpc.so3 import NEAR_PI
 from so3mpc.terminal import build_linearization, tilde_transform
 
@@ -68,14 +68,13 @@ def adjoint_gradient(flat, x0, controls):
     return grad
 
 
-def adjoint_sweep(objective, model, base):
-    """The penalized value's gradient from ``model`` by one backward sweep of
-    the adjoint of the linearized rollout, with F the terminal value, c the
-    level and w the weight: lam_N = (1 + 2 w max(0, F - c)) p,
-    g_k = B[k]^T lam_{k+1} + r[k] and lam_k = A[k]^T lam_{k+1} + q[k].  The
-    recursion the solver ran before it condensed each model once; the
-    oracle of :meth:`_Objective.model_gradient`."""
-    lam = (1.0 + 2.0 * objective.weight * max(0.0, base.terminal - objective.level)) * model.p
+def adjoint_sweep(model):
+    """The value's gradient from ``model`` by one backward sweep of the
+    adjoint of the linearized rollout: lam_N = p, g_k = B[k]^T lam_{k+1} +
+    r[k] and lam_k = A[k]^T lam_{k+1} + q[k].  The recursion the solver ran
+    before it condensed each model once; the oracle of
+    :meth:`_Objective.model_gradient`."""
+    lam = model.p
     grad = np.empty(model.r.shape)
     for k in range(len(grad) - 1, -1, -1):
         grad[k] = lam @ model.B[k] + model.r[k]
@@ -86,7 +85,7 @@ def adjoint_sweep(objective, model, base):
 
 def model_gradient(objective, model, base):
     """The solver's gradient from ``model`` along ``base``, through the
-    model's sensitivity matrix, and the penalized value of ``base``."""
+    model's sensitivity matrix, and the value of ``base``."""
     return objective.model_gradient(model, _sensitivities(model), base)
 
 
@@ -94,7 +93,7 @@ def assert_condensed_equals_sweep(objective, model, base):
     """The condensed gradient equals the backward sweep within 1e-12 of its
     largest entry."""
     grad, _ = model_gradient(objective, model, base)
-    sweep = adjoint_sweep(objective, model, base)
+    sweep = adjoint_sweep(model)
     assert np.abs(grad - sweep).max() <= 1e-12 * np.abs(sweep).max()
 
 
@@ -265,10 +264,10 @@ class TestGenericLayerOnFlatSystem:
 
 
 def full_central_differences(objective, torques):
-    """Central differences at ``FD_STEP`` of the penalized value of
-    ``objective``, each perturbed horizon rolled out in full from its start
+    """Central differences at ``FD_STEP`` of the value of ``objective``,
+    each perturbed horizon rolled out in full from its start
     (:meth:`_Objective.trial`): no tails, no start states and no prefix
-    sums.  At weight zero the value is :func:`horizon_cost`."""
+    sums.  The value is :func:`horizon_cost`."""
     grad = np.zeros(torques.shape)
     for index in np.ndindex(torques.shape):
         up, down = torques.copy(), torques.copy()
@@ -281,12 +280,12 @@ def full_central_differences(objective, torques):
 class TestObjectiveGradient:
     @pytest.mark.parametrize("point", ["regulate", "saturated", "floor"])
     def test_attitude_gradient_equals_full_central_differences(self, point, ref_design, ref_system):
-        # At weight zero the penalized objective is the horizon cost, so the
-        # tails, their start states and the prefix sums may move the
-        # gradient by round-off only, about 1e-8 of its largest entry at
-        # FD_STEP.  Measured while the tails' stage costs were summed by
-        # numpy: 7.8e-9 (regulate), 1.5e-8 (saturated) and 5.3e-9 (floor);
-        # with the running sums 6.2e-9, 1.8e-8 and 5.3e-9.
+        # The objective is the horizon cost, so the tails, their start
+        # states and the prefix sums may move the gradient by round-off
+        # only, about 1e-8 of its largest entry at FD_STEP.  Measured while
+        # the tails' stage costs were summed by numpy: 7.8e-9 (regulate),
+        # 1.5e-8 (saturated) and 5.3e-9 (floor); with the running sums
+        # 6.2e-9, 1.8e-8 and 5.3e-9.
         system = ref_system
         if point == "regulate":
             # The warm start of the benchmark's second regulate solve.
@@ -310,7 +309,7 @@ class TestObjectiveGradient:
                 x, margin = system.step_with_margin(x, u)
                 margins.append(margin)
             assert all(lgvi.SOLVABILITY_FLOOR < m < lgvi.MARGIN_CUTOFF / 10 for m in margins[1:])
-        objective = _Objective(system, x0, 0.0, 0.0)
+        objective = _Objective(system, x0)
         grad, value = objective.gradient(torques, _predict(system, x0, torques))
         oracle = full_central_differences(objective, torques)
         assert value == horizon_cost(system, x0, torques)
@@ -322,7 +321,7 @@ class TestObjectiveGradient:
         system = BoundedStepIntegrator()
         x0 = np.array([0.5, -0.3])
         controls = np.array([[0.2], [-0.4], [1.0 - 5e-7], [0.1], [0.3]])
-        objective = _Objective(system, x0, 1e4, 0.0)
+        objective = _Objective(system, x0)
         grad, value = objective.gradient(controls, _predict(system, x0, controls))
         assert value == pytest.approx(horizon_cost(system, x0, controls), rel=1e-14)
         assert_allclose(grad, adjoint_gradient(system, x0, controls), rtol=1e-4, atol=1e-6)
@@ -334,7 +333,7 @@ class TestObjectiveGradient:
         system, x0 = KnifeEdgeIntegrator(), np.array([0.5, -0.3])
         controls = np.array([[0.2], [0.5], [0.1]])
         with pytest.raises(RolloutFailure, match="step 1, control entry 0"):
-            _Objective(system, x0, 1e4, 0.0).gradient(controls, _predict(system, x0, controls))
+            _Objective(system, x0).gradient(controls, _predict(system, x0, controls))
 
     @pytest.mark.parametrize("which", ["attitude", "flat"])
     def test_reused_base_rollout_matches_recomputed(self, which, ref_system):
@@ -347,7 +346,7 @@ class TestObjectiveGradient:
         else:
             system, x0 = DoubleIntegratorSystem(), np.array([0.5, -0.3])
             controls = np.array([[0.2], [-0.4], [0.7], [0.1], [0.3]])
-        objective = _Objective(system, x0, 1e4, 0.0)
+        objective = _Objective(system, x0)
         value, data = objective.trial(controls)
         reused, reused_value = objective.gradient(controls, base=data)
         fresh, fresh_value = objective.gradient(controls, base=_predict(system, x0, controls))
@@ -365,7 +364,6 @@ class TestSolverSettings:
             ("max_iters", 2.5),
             ("max_iters", 0),
             ("max_iters", True),
-            ("outer_rounds", 1.5),
         ],
     )
     def test_rejects_bad_value_naming_field(self, field, value):
@@ -374,11 +372,11 @@ class TestSolverSettings:
 
     def test_accepts_defaults_and_edges(self):
         SolverSettings()
-        SolverSettings(max_iters=np.int64(3), outer_rounds=1, grad_tol=1e9)
+        SolverSettings(max_iters=np.int64(3), grad_tol=1e9)
 
     def test_fields_are_the_tuned_ones(self):
         names = [f.name for f in dataclasses.fields(SolverSettings)]
-        assert names == ["max_iters", "grad_tol", "outer_rounds", "constraint_tol"]
+        assert names == ["max_iters", "grad_tol", "constraint_tol"]
 
 
 class TestMpcConfig:
@@ -409,7 +407,7 @@ class TestKktAtSaturatedTorques:
     Some starts near 0.5 rad need less than the bound (0.5 rad about
     (0, 1, 1) peaks at 0.97 Nm); they check the residual only."""
 
-    SOLVER = SolverSettings(outer_rounds=1, max_iters=400)
+    SOLVER = SolverSettings(max_iters=400)
 
     @pytest.fixture(scope="class")
     def weak_system(self, ref_design):
@@ -428,11 +426,10 @@ class TestKktAtSaturatedTorques:
     def test_gradient_points_outward_and_residual_reproduces(self, weak_system, direction, angle):
         x0 = rest_state(angle * np.asarray(direction) / np.linalg.norm(direction))
         solution = solve_ocp(weak_system, x0, MpcConfig(horizon=10, solver=self.SOLVER))
-        # One penalty round, so the reported residual used this weight.  A
-        # solve that iterated took the gradient at its returned torques from
-        # the model along their rollout; one that stopped at its first took
-        # central differences.
-        objective = _Objective(weak_system, x0, PENALTY_WEIGHT, 0.0)
+        # A solve that iterated took the gradient at its returned torques
+        # from the model along their rollout; one that stopped at its first
+        # took central differences.
+        objective = _Objective(weak_system, x0)
         u = solution.torques
         base = _predict(weak_system, x0, u)
         differences, value = objective.gradient(u, base)
@@ -456,10 +453,10 @@ class TestKktAtSaturatedTorques:
 
 
 class TestHeldEntryStep:
-    def test_step_is_fixed_per_round_by_its_first_gradient(self, ref_design, monkeypatch):
+    def test_step_is_fixed_per_descent_by_its_first_gradient(self, ref_design, monkeypatch):
         # The cold 1 N m solve of the oracle tests holds entries on the box
         # at every iteration; they all take the gradient step of length
-        # 1 / max(1, |g0|), g0 the round's first gradient.  A per-iteration
+        # 1 / max(1, |g0|), g0 the descent's first gradient.  A per-iteration
         # Barzilai-Borwein rescaling moved it (0.00735, 0.0268, 0.0120, ...).
         firsts, calls = [], []
         gradient, direction = _Objective.gradient, mpc._quasi_newton_direction
@@ -665,7 +662,7 @@ def cold_starts(seed, n, max_rate):
 
 
 class TestColdStop:
-    """A penalty round ends on its projected KKT residual, where its search
+    """A cold solve ends on its projected KKT residual, where its search
     finds no point, where an accepted step gains nothing, or on
     ``max_iters``; only the last reports no residual."""
 
@@ -686,51 +683,95 @@ class TestColdStop:
             assert type(solution.kkt_residual) is float and solution.kkt_residual <= grad_tol
             assert abs(nudged.cost - solution.cost) < 1e-9 * solution.cost
 
-    def test_infeasible_start_reports_its_residual(self, fitted):
-        # At 1 N m twenty steps cannot reach the terminal set from rest at
-        # pi.  All six rounds run: the first ends after 7 iterations, and
-        # each heavier one accepts a step that gains nothing and ends there.
-        solution = fitted(dict(horizon=20, torque_bound=1.0)).solve(slew_start())
+    def test_start_outside_the_set_reports_its_residual(self, fitted):
+        # At 1 N m the optimum of twenty steps from rest at pi ends outside
+        # the terminal set; the solve returns it, stopped on grad_tol.
+        model = fitted(dict(horizon=20, torque_bound=1.0))
+        solution = model.solve(slew_start())
         assert not solution.feasible
+        assert solution.violation == solution.terminal_value - model.system_.terminal_level
         assert type(solution.kkt_residual) is float
-        assert solution.iterations <= 17
+        assert solution.iterations <= 5
 
-    @pytest.mark.parametrize("angle", [2.9, 3.0, 3.1])
-    def test_binding_terminal_constraint_ends_feasible(self, fitted, angle):
-        # Two steps from rest near pi end on the terminal set's boundary.  A
-        # round run to its stop ends about lambda / (2 w) outside the set;
-        # the next round's multiplier shift moves it back within
-        # constraint_tol instead of leaving a weight ten times heavier to
-        # shrink the excess ten times.
-        model = fitted(dict(horizon=2))
-        level = model.system_.terminal_level
-        solution = model.solve(rest_state([0.0, 0.6 * angle, 0.8 * angle]))
+    @pytest.mark.parametrize("rate, iterations, cost", [(2.0, 2, 1074.737702114931), (4.0, 3, 3472.4620464638483)])
+    def test_fast_spin_takes_a_first_direction_inside_the_box(self, fitted, monkeypatch, rate, iterations, cost):
+        # From 0.5 rad about z spinning at 2 and 4 rad/s.  While the terminal
+        # excess of the steering guess was priced, the first directions were
+        # 1.8e8 and 3.1e9 N m long and the solves took 4 and 5 iterations;
+        # without it they are 8.8 and 15.7 N m long.
+        model = fitted({})
+        directions, direction = [], mpc._quasi_newton_direction
+
+        def recorded(*args):
+            directions.append(direction(*args))
+            return directions[-1]
+
+        monkeypatch.setattr(mpc, "_quasi_newton_direction", recorded)
+        solution = model.solve(spinning_state([0.0, 0.0, 0.5], [0.0, 0.0, rate], H_REF))
+        assert solution.iterations == iterations == len(directions)
+        assert abs(solution.cost - cost) <= 1e-9 * cost
         assert solution.feasible
-        assert abs(solution.terminal_value - level) <= 1e-9 * level
-        assert type(solution.kkt_residual) is float
+        assert np.abs(directions[0]).max() <= model.system_.torque_bound
 
-    def test_multiplier_carries_into_the_next_round(self, fitted, monkeypatch):
-        # Each round after the first is ten times heavier and shifts the
-        # level by (s + e) / 10, with s the shift of the round before and e
-        # the excess it ended with: the multiplier 2 w (s + e) carries over.
-        # From 3 rad three rounds run.
-        model = fitted(dict(horizon=2))
-        system = model.system_
-        x0 = rest_state([0.0, 0.6 * 3.0, 0.8 * 3.0])
-        rounds, descent = [], mpc._quasi_newton_descent
 
-        def recorded(objective, *args):
-            result = descent(objective, *args)
-            excess = mpc._predict(system, x0, result[0]).terminal - system.terminal_level
-            rounds.append((objective.weight, system.terminal_level - objective.level, excess))
-            return result
+def assert_certified_loop(run, start):
+    """The closed loop converged, :func:`audit_lyapunov` passes, and the
+    predicted terminal state lies in the terminal set from some step to the
+    end; a failure names ``start``."""
+    audit = audit_lyapunov(run)
+    failed = "; ".join(f"{v.invariant} ({v.margin:.3e})" for v in audit.verdicts if not v.passed)
+    assert run.converged, f"{start}: not converged, final distance {run.distances[-1]:.3e}"
+    assert audit.passed, f"{start}: {failed}"
+    assert run.feasible[-1], f"{start}: last solve outside the terminal set"
 
-        monkeypatch.setattr(mpc, "_quasi_newton_descent", recorded)
-        assert model.solve(x0).feasible
-        assert len(rounds) == 3 and rounds[0][:2] == (mpc.PENALTY_WEIGHT, 0.0)
-        for (weight, shift, excess), (next_weight, next_shift, _) in zip(rounds, rounds[1:]):
-            assert next_weight == mpc.PENALTY_GROWTH * weight
-            assert next_shift == pytest.approx((shift + excess) / mpc.PENALTY_GROWTH, rel=0.0, abs=1e-12)
+
+def slow_near_pi_starts(seed, n):
+    """Seeded starts at 0.9 pi to pi about uniform random axes, spinning at
+    up to 0.15 rad/s about other uniform random axes, by id."""
+    rng = np.random.default_rng(seed)
+    starts = {}
+    for index in range(n):
+        axis, spin = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 3)))
+        starts[f"seeded {index}"] = (rng.uniform(0.9 * np.pi, np.pi) * axis, rng.uniform(0.0, 0.15) * spin)
+    return starts
+
+
+# The start set at 1 N m: rest at pi about z and eight seeded starts near pi.
+NEAR_PI_STARTS = {"rest at pi about z": (np.array([0.0, 0.0, np.pi]), np.zeros(3)), **slow_near_pi_starts(0, 8)}
+
+
+class TestImpliedTerminalSet:
+    """No solve imposes the terminal set.  From starts where it cannot be
+    reached within the horizon, the predicted terminal state enters it a few
+    steps in, and the closed loop is certified after the fact by its cost
+    decrease (Limon et al., 2006; Grüne & Rantzer, 2008)."""
+
+    @pytest.mark.parametrize("start", list(NEAR_PI_STARTS))
+    def test_near_pi_start_at_1nm_and_n_10(self, fitted, start):
+        # Ten steps at 1 N m cannot reach the set from any of these starts:
+        # under the priced constraint the first solve ended infeasible.  Here
+        # the loops converge at steps 79-86 and the last solve outside the
+        # set is at steps 16-23.
+        rotation, rate = NEAR_PI_STARTS[start]
+        run = fitted(dict(horizon=10, torque_bound=1.0)).simulate(spinning_state(rotation, rate, H_REF), 120)
+        assert not run.feasible[0]
+        assert_certified_loop(run, f"{start}: rotation {rotation.tolist()}, rate {rate.tolist()}")
+
+    @pytest.mark.parametrize("angle", [2.7, 2.9, 3.1])
+    @pytest.mark.parametrize("horizon", [2, 3, 4])
+    def test_short_horizon_near_pi(self, fitted, horizon, angle):
+        # Where the terminal constraint bound the cold solves at 100 N m.
+        # The loops converge at steps 96-139.
+        run = fitted(dict(horizon=horizon)).simulate(rest_state([0.0, 0.6 * angle, 0.8 * angle]), 150)
+        assert_certified_loop(run, f"N = {horizon}, rest at {angle} rad about (0, 0.6, 0.8)")
+
+    def test_double_integrator_at_level_1(self):
+        # Four steps start outside the set; the steering guess, the local
+        # law, is the unconstrained optimum.
+        flat = DoubleIntegratorSystem(terminal_level=1.0)
+        run = closed_loop(flat, np.array([1.0, 0.0]), MpcConfig(horizon=4), 60)
+        assert not run.feasible[0]
+        assert_certified_loop(run, "double integrator from (1, 0)")
 
 
 def second_differences(system, horizon, delta=1e-3):
@@ -776,13 +817,13 @@ def constant_model_hessian(a, b, q, r, p, horizon):
 
 
 def gradient_point(name, ref_design, ref_system):
-    """The system, start, torques and penalty weight of a model-gradient
-    check; see :class:`TestModelGradient`."""
+    """The system, start and torques of a model-gradient check; see
+    :class:`TestModelGradient`."""
     if name.startswith("random"):
         rng = np.random.default_rng(int(name[-1]))
         x0 = spinning_state(rng.uniform(-2.5, 2.5, 3), rng.uniform(-1.0, 1.0, 3), H_REF)
-        return ref_system, x0, rng.uniform(-30.0, 30.0, (10, 3)), 0.0
-    if name == "penalty active":
+        return ref_system, x0, rng.uniform(-30.0, 30.0, (10, 3))
+    if name == "outside the set":
         # Zero torques from rest at 3 rad end 2596.1 above the level and the
         # cold solution's torques 1029.7 below it; the blend of both that
         # ends 0.5 above it, found by bisection.
@@ -795,22 +836,22 @@ def gradient_point(name, ref_design, ref_system):
                 lo = mid
             else:
                 hi = mid
-        return ref_system, x0, lo * torques, PENALTY_WEIGHT
+        return ref_system, x0, lo * torques
     if name == "saturated":
         system = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
         axis = np.array([0.8, 0.5, -0.3])
         x0 = rest_state(1.2 * axis / np.linalg.norm(axis))
-        return system, x0, solve_ocp(system, x0, MpcConfig(horizon=10)).torques, PENALTY_WEIGHT
+        return system, x0, solve_ocp(system, x0, MpcConfig(horizon=10)).torques
     if name == "floor":
         # The "floor" point of the central-difference test, 1.7e-3 N m closer
         # to 200 N m about z: the later margins fall to 1.67e-6.
         torques = np.random.default_rng(5).uniform(-0.05, 0.05, (6, 3))
         torques[1, 2] = 200.0 - 1.7e-3
-        return ref_system, SpacecraftState.identity(), torques, 0.0
+        return ref_system, SpacecraftState.identity(), torques
     # A terminal attitude 4.5e-4 rad short of the cut, from rest 5e-4 short
     # of it under small torques.
     x0 = rest_state([0.0, 0.0, math.pi - 5e-4])
-    return ref_system, x0, np.random.default_rng(7).uniform(-1e-3, 1e-3, (10, 3)), 0.0
+    return ref_system, x0, np.random.default_rng(7).uniform(-1e-3, 1e-3, (10, 3))
 
 
 def swept_points(monkeypatch, system, x0, config):
@@ -843,20 +884,20 @@ class TestModelGradient:
     """The gradient from the linear-quadratic model, G^T w + r through the
     model's sensitivity matrix, which every gradient after an unmarked
     solve's first and every marked warm solve's gradient take in place of
-    central differences, is the gradient of the penalized objective:
+    central differences, is the gradient of the objective:
     measured against full re-rollouts at ``FD_STEP``, it agrees to 3.3e-9 to
     7.5e-8 of the largest entry at these points, and to 3.8e-9 to 4.7e-8 at
     the cold solves' iterates below.  It equals the backward adjoint sweep
     over the same model (:func:`adjoint_sweep`) to round-off."""
 
     @pytest.mark.parametrize(
-        "name", ["random 1", "random 2", "random 3", "penalty active", "saturated", "floor", "near the cut"]
+        "name", ["random 1", "random 2", "random 3", "outside the set", "saturated", "floor", "near the cut"]
     )
     def test_attitude_equals_full_central_differences(self, name, ref_design, ref_system):
-        system, x0, torques, weight = gradient_point(name, ref_design, ref_system)
+        system, x0, torques = gradient_point(name, ref_design, ref_system)
         base = _predict(system, x0, torques)
         excess = base.terminal - system.terminal_level
-        if name == "penalty active":
+        if name == "outside the set":
             assert 0.0 < excess <= 0.5 + 1e-9
         elif name == "saturated":
             assert (np.abs(torques) == 1.0).sum() >= 10
@@ -871,19 +912,13 @@ class TestModelGradient:
         elif name == "near the cut":
             angle = np.linalg.norm(so3.log_so3(base.states[-1].g))
             assert math.pi - NEAR_PI < angle < math.pi
-        objective = _Objective(system, x0, weight, 0.0)
+        objective = _Objective(system, x0)
         model = system.quadratic_model(base.states, torques)
         grad, value = model_gradient(objective, model, base)
         oracle = full_central_differences(objective, torques)
-        assert value == objective.value(base)
+        assert value == objective.value(base) == horizon_cost(system, x0, torques)
         assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
         assert_condensed_equals_sweep(objective, model, base)
-        # The penalty is active at one point only; at every point, the sweep
-        # and the condensing also agree with it active, at a heavier weight
-        # and a level just below the terminal value.
-        heavier = _Objective(system, x0, PENALTY_WEIGHT * mpc.PENALTY_GROWTH, 0.0)
-        heavier.level = base.terminal - 0.5
-        assert_condensed_equals_sweep(heavier, model, base)
 
     def test_saturated_cold_iterates_equal_full_central_differences(self, fitted, reference_run, monkeypatch):
         # The 1 N m, N = 40 slew's cold first solve from rest at pi sweeps at
@@ -896,47 +931,22 @@ class TestModelGradient:
         points = swept_points(monkeypatch, system, x0, model.config_)
         assert len(points) == reference_run("1 N m, N = 40").run.iterations[0]
         for objective, torques, base in points:
-            assert objective.weight == PENALTY_WEIGHT
             assert (np.abs(torques) == 1.0).sum() >= 28
             quadratic = system.quadratic_model(base.states, torques)
             grad, _ = model_gradient(objective, quadratic, base)
             oracle = full_central_differences(objective, torques)
             assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
-            # Every iterate ends inside the terminal set, so the penalty is
-            # inactive there; a level just below the terminal value makes it
-            # active on the same model.
-            assert base.terminal < objective.level
             assert_condensed_equals_sweep(objective, quadratic, base)
-            active = _Objective(system, x0, PENALTY_WEIGHT, 0.0)
-            active.level = base.terminal - 0.5
-            assert_condensed_equals_sweep(active, quadratic, base)
 
-    def test_second_round_start_equals_full_central_differences(self, ref_system, monkeypatch):
-        # Three steps from 2.9 rad at rest: the first round stops outside the
-        # terminal set, and the heavier second round starts with the model's
-        # sweep there, the penalty active.
-        x0 = rest_state([0.0, 0.6 * 2.9, 0.8 * 2.9])
-        points = swept_points(monkeypatch, ref_system, x0, MpcConfig(horizon=3))
-        objective, torques, base = next(point for point in points if point[0].weight > PENALTY_WEIGHT)
-        assert objective.weight == PENALTY_WEIGHT * mpc.PENALTY_GROWTH
-        assert base.terminal > ref_system.terminal_level
-        quadratic = ref_system.quadratic_model(base.states, torques)
-        grad, _ = model_gradient(objective, quadratic, base)
-        oracle = full_central_differences(objective, torques)
-        assert np.abs(grad - oracle).max() <= 1e-6 * np.abs(oracle).max()
-        assert_condensed_equals_sweep(objective, quadratic, base)
-
-    @pytest.mark.parametrize("weight", [0.0, PENALTY_WEIGHT])
-    def test_double_integrator_equals_adjoint(self, weight):
-        # Inside the default level the penalty is zero at either weight, and
-        # the model's gradient is the exact adjoint recursion of the horizon
+    def test_double_integrator_equals_adjoint(self):
+        # The model's gradient is the exact adjoint recursion of the horizon
         # cost.
         flat = DoubleIntegratorSystem()
         rng = np.random.default_rng(11)
         for _ in range(5):
             x0, controls = rng.standard_normal(2), rng.standard_normal((6, 1))
             base = _predict(flat, x0, controls)
-            objective = _Objective(flat, x0, weight, 0.0)
+            objective = _Objective(flat, x0)
             grad, _ = model_gradient(objective, flat.quadratic_model(base.states, controls), base)
             reference = adjoint_gradient(flat, x0, controls)
             assert_allclose(grad, reference, rtol=0.0, atol=1e-14 * np.abs(reference).max())
@@ -1117,7 +1127,7 @@ class TestTailStartValue:
             newton=(lgvi, "_newton_update"),
             steps=(lgvi, "_implicit_increment"),
         )
-        _Objective(ref_system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, base=base)
+        _Objective(ref_system, x0).gradient(torques, base=base)
         assert counts["steps"] == counts["chord"] == 2 * 3 * 55
         assert counts["chord"] + counts["newton"] <= 1.2 * counts["steps"]
 
@@ -1130,8 +1140,8 @@ class TestTailStartValue:
         torques = steering_rollout(system, x0, 10)
         if at == "solution":
             torques = solve_ocp(system, x0, MpcConfig(horizon=10)).torques
-        grad, value = _Objective(system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, _predict(system, x0, torques))
-        ref_grad, ref_value = _Objective(unhinted, x0, PENALTY_WEIGHT, 0.0).gradient(
+        grad, value = _Objective(system, x0).gradient(torques, _predict(system, x0, torques))
+        ref_grad, ref_value = _Objective(unhinted, x0).gradient(
             torques, _predict(unhinted, x0, torques)
         )
         assert repr(value) == repr(ref_value)
@@ -1199,37 +1209,20 @@ class TestController:
         assert candidate is not None
         assert candidate.shape == (6, 3)
 
-    def test_infeasible_raises(self):
+    def test_keeps_a_solution_outside_the_terminal_set(self):
+        # Three steps cannot reach the set from (5, 0) under a 1e-4 bound.
+        # The solution is kept all the same, and the next solve is one
+        # descent step from its shift.
         flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
         controller = MpcController(flat, MpcConfig(horizon=3))
-        with pytest.raises(Infeasible):
-            controller.step(np.array([5.0, 0.0]))
-
-    def test_infeasible_step_drops_stale_warm_start(self):
-        flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
-        controller = MpcController(flat, MpcConfig(horizon=3))
-        controller.step(np.zeros(2))
-        assert controller.candidate_sequence() is not None
-        with pytest.raises(Infeasible):
-            controller.step(np.array([5.0, 0.0]))
-        # The old candidate was shifted for the state before the failed
-        # step; stepping on starts cold.
-        assert controller.candidate_sequence() is None
-        u, solution = controller.step(np.zeros(2))
-        assert solution.feasible
-        assert_allclose(u, 0.0)
-
-    def test_infeasible_names_terminal_excess(self):
-        flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
         x0 = np.array([5.0, 0.0])
-        solution = solve_ocp(flat, x0, MpcConfig(horizon=3))
-        excess = solution.terminal_value - 1e-6
-        with pytest.raises(Infeasible) as excinfo:
-            MpcController(flat, MpcConfig(horizon=3)).step(x0)
-        message = str(excinfo.value)
-        assert "terminal value" in message
-        assert f"by {excess:.3e}" in message
-        assert "solvability" not in message
+        u, solution = controller.step(x0)
+        assert not solution.feasible
+        assert solution.violation == solution.terminal_value - 1e-6 > 0.0
+        candidate = controller.candidate_sequence()
+        assert_allclose(candidate, warm_start_shift(solution, flat), rtol=0.0, atol=0.0)
+        _, following = controller.step(flat.step(x0, u))
+        assert following.iterations <= 1
 
     def test_start_outside_the_domain_names_step(self):
         class ShortMargin(DoubleIntegratorSystem):
@@ -1320,8 +1313,11 @@ class TestClosedLoop:
         )
         assert np.all(np.diff(envelope) <= 1e-12)
 
-    def test_infeasible_reports_step(self):
+    def test_reports_steps_outside_the_terminal_set(self):
+        # No step raises where the terminal set is out of reach; each
+        # reports its excess.
         flat = DoubleIntegratorSystem(terminal_level=1e-4, control_bound=1e-3)
-        with pytest.raises(Infeasible) as excinfo:
-            closed_loop(flat, np.array([3.0, 0.0]), MpcConfig(horizon=3), 5)
-        assert excinfo.value.step == 0
+        run = closed_loop(flat, np.array([3.0, 0.0]), MpcConfig(horizon=3), 5)
+        assert run.n_steps == 5
+        assert not run.feasible.any()
+        assert_allclose(run.violations, run.terminal_values - 1e-4, rtol=0.0, atol=0.0)

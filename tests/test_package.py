@@ -34,12 +34,12 @@ BENCHMARK_NAMES = {
 # Parameters with a default, over every function, method and lambda of the
 # package.  A default is an option; options come only where a caller
 # chooses, so lower this when one goes and never raise it to pass.
-DEFAULTED_PARAMETER_CEILING = 39
+DEFAULTED_PARAMETER_CEILING = 38
 
 # Configuration knobs: the declared keys of the CLI configuration, with
 # mpc.solver counted as the SolverSettings fields it takes.  Lower this when
 # one goes and never raise it to pass.
-CONFIGURATION_KNOB_CEILING = 22
+CONFIGURATION_KNOB_CEILING = 21
 
 
 def test_every_exported_name_resolves():

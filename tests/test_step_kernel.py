@@ -25,7 +25,6 @@ from so3mpc.lgvi import (
 )
 from so3mpc.mpc import (
     FD_STEP,
-    PENALTY_WEIGHT,
     MpcConfig,
     _Objective,
     _predict,
@@ -321,7 +320,7 @@ def test_gradient_tails_keep_nothing(ref_system):
     x0 = regulate_start()
     torques = steering_rollout(ref_system, x0, 10)
     base = _predict(ref_system, x0, torques)
-    _Objective(ref_system, x0, PENALTY_WEIGHT, 0.0).gradient(torques, base)
+    _Objective(ref_system, x0).gradient(torques, base)
     for state, successor in zip(base.states[1:-1], base.states[2:]):
         assert state._next[3] is successor
     assert base.states[-1]._next is None

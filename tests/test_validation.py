@@ -69,7 +69,7 @@ KINDS = {
     ),
     "count": (
         ["mpc.N", "terminal.n_samples", "experiment.n_steps", "output.csv_cadence_steps",
-         "mpc.solver.max_iters", "mpc.solver.outer_rounds"],
+         "mpc.solver.max_iters"],
         ["certification.n_samples"],
         list(BAD_VALUES),
     ),

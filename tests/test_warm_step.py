@@ -1,11 +1,11 @@
 """One descent step per warm solve.
 
 Every closed-loop solve after the first starts from the shifted candidate
-of the previous solution, marked ``shifted``.  When that candidate is
-feasible, the solve builds the linear-quadratic model along it once, takes
-the gradient there from the model and at most one
-direction, preconditioned by the same model, and line search, and returns
-the accepted point if it is feasible and the candidate otherwise.  Cold
+of the previous solution, marked ``shifted``.  The solve builds the
+linear-quadratic model along it once, takes the gradient there from the
+model and at most one direction, preconditioned by the same model, and line
+search, and returns the accepted point unless the candidate ends inside the
+terminal set and that point does not.  Cold
 solves descend to the stop rules, with central differences at their
 starting point only and the model's gradient at every later point.  Each
 model is condensed once, into the sensitivity matrix that gives both its
@@ -22,7 +22,6 @@ import so3mpc.attitude as attitude
 import so3mpc.lgvi as lgvi
 import so3mpc.mpc as mpc
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
-from so3mpc.errors import Infeasible
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.mpc import (
     MpcConfig,
@@ -109,13 +108,13 @@ def test_kept_steps_leave_the_closed_loop_unchanged(name, reference_run, fitted,
 
 def gradient_log(monkeypatch, system):
     """The log, in call order, of a solve's central-difference gradients
-    (``("differences", weight)``), model builds (``("build", model)``) and
-    model sweeps (``("sweep", model, weight)``)."""
+    (``("differences",)``), model builds (``("build", model)``) and model
+    sweeps (``("sweep", model)``)."""
     log = []
     gradient, build, sweep = mpc._Objective.gradient, type(system).quadratic_model, mpc._Objective.model_gradient
 
     def logged_gradient(objective, *args, **kwargs):
-        log.append(("differences", objective.weight))
+        log.append(("differences",))
         return gradient(objective, *args, **kwargs)
 
     def logged_build(*args):
@@ -124,7 +123,7 @@ def gradient_log(monkeypatch, system):
         return model
 
     def logged_sweep(objective, model, sensitivity, base):
-        log.append(("sweep", model, objective.weight))
+        log.append(("sweep", model))
         return sweep(objective, model, sensitivity, base)
 
     monkeypatch.setattr(mpc._Objective, "gradient", logged_gradient)
@@ -133,27 +132,17 @@ def gradient_log(monkeypatch, system):
     return log
 
 
-@pytest.mark.parametrize("name", [*REFERENCE_LOOPS, "second penalty round"])
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
 def test_unmarked_solve_takes_one_central_difference_gradient(name, reference_run, fitted, monkeypatch):
     # Central differences run once, at the solve's starting point.  Every
-    # later gradient, in the first round and at the start of the next, is
-    # the sweep over a model built along its point's rollout just before it,
-    # and that build is the next iteration's metric; the first iteration's
-    # metric is one more build.
-    if name in REFERENCE_LOOPS:
-        # The first solve of the loop, whose iterations the reference-run
-        # table pins.
-        loop = REFERENCE_LOOPS[name]
-        model = fitted(loop.params)
-        system, x0, config = model.system_, loop.start(), model.config_
-        iterations = reference_run(name).run.iterations[0]
-    else:
-        # Two steps from 2.74 rad at rest: the first round stops on grad_tol
-        # just outside the terminal set after 38 iterations, and a second,
-        # heavier round with the multiplier's shift moves inside it in 6.
-        system = fitted({}).system_
-        x0, config = rest_state([0.0, 0.6 * 2.74, 0.8 * 2.74]), MpcConfig(horizon=2)
-        iterations = 44
+    # later gradient is the sweep over a model built along its point's
+    # rollout just before it, and that build is the next iteration's metric;
+    # the first iteration's metric is one more build.  The first solve of
+    # each loop, whose iterations the reference-run table pins.
+    loop = REFERENCE_LOOPS[name]
+    model = fitted(loop.params)
+    system, x0, config = model.system_, loop.start(), model.config_
+    iterations = reference_run(name).run.iterations[0]
     log = gradient_log(monkeypatch, system)
     condensed, sensitivities = [], mpc._sensitivities
 
@@ -170,7 +159,7 @@ def test_unmarked_solve_takes_one_central_difference_gradient(name, reference_ru
     built = [event[1] for event in log if event[0] == "build"]
     assert len(condensed) == len(built) and all(a is b for a, b in zip(condensed, built))
     gradients = [event for event in log if event[0] != "build"]
-    assert gradients[0] == ("differences", mpc.PENALTY_WEIGHT)
+    assert gradients[0] == ("differences",)
     sweeps = gradients[1:]
     assert all(event[0] == "sweep" for event in sweeps)
     assert len(sweeps) >= solution.iterations
@@ -178,36 +167,38 @@ def test_unmarked_solve_takes_one_central_difference_gradient(name, reference_ru
         if event[0] == "sweep":
             assert log[index - 1][0] == "build" and log[index - 1][1] is event[1]
     assert len(log) - len(gradients) == len(sweeps) + 1
-    weights = {event[-1] for event in gradients}
-    if name in REFERENCE_LOOPS:
-        assert weights == {mpc.PENALTY_WEIGHT}
-    else:
-        assert weights == {mpc.PENALTY_WEIGHT, mpc.PENALTY_WEIGHT * mpc.PENALTY_GROWTH}
 
 
-def test_infeasible_candidate_gets_every_penalty_round(reference_model):
+def test_candidate_outside_the_set_takes_one_step(reference_model):
     # Zero torques from rest at 3 rad end at a terminal value of 5052.8,
-    # above the level 2456.6: the marked start is solved as any warm start.
+    # above the level 2456.6: the marked start takes its one step all the
+    # same, and keeps it.
     system, config = reference_model.system_, reference_model.config_
     x0 = rest_state([0.0, 0.0, 3.0])
     start = np.zeros((config.horizon, 3))
-    assert mpc._predict(system, x0, start).terminal > system.terminal_level
+    candidate = mpc._predict(system, x0, start)
+    assert candidate.terminal > system.terminal_level
     marked = solve_ocp(system, x0, config, warm_start=start, shifted=True)
-    assert_same_solution(marked, solve_ocp(system, x0, config, warm_start=start))
-    assert marked.feasible
-    assert marked.iterations > 1
+    assert marked.iterations == 1
+    assert marked.kkt_residual is None
+    assert marked.cost < candidate.cost
+    assert not np.array_equal(marked.torques, start)
 
 
 def test_step_out_of_the_terminal_set_keeps_the_candidate(monkeypatch):
-    # A cold solve with a tight terminal set ends on its boundary.  From
-    # there, one step at PENALTY_WEIGHT moves toward the optimum of that
-    # weight's penalized objective, which lies outside the set: the line
-    # search accepts a point 2.7e-3 above the level, and the solve returns
-    # its candidate unchanged.
+    # Four steps from (1, 0) that bring the double integrator to rest at the
+    # origin end inside the terminal set of level 1.  The problem is
+    # linear-quadratic, so one step under the Gauss-Newton metric lands on
+    # its optimum, which ends outside the set: the solve returns its
+    # candidate unchanged.
     system = DoubleIntegratorSystem(terminal_level=1.0)
     x0, config = np.array([1.0, 0.0]), MpcConfig(horizon=4)
-    candidate = solve_ocp(system, x0, config)
-    assert candidate.feasible
+    steps = [np.linalg.matrix_power(system.A, 3 - k) @ system.B for k in range(4)]
+    controls = np.linalg.lstsq(np.hstack(steps), -np.linalg.matrix_power(system.A, 4) @ x0, rcond=None)[0]
+    unsolved = replace(config, solver=mpc.SolverSettings(grad_tol=1e9))
+    candidate = solve_ocp(system, x0, unsolved, warm_start=controls[:, None])
+    assert candidate.feasible and candidate.iterations == 0
+    assert solve_ocp(system, x0, config).terminal_value > system.terminal_level
     accepted = []
     line_search = mpc._line_search
 
@@ -243,18 +234,18 @@ def second_solve(model, start):
 
 
 @pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
-def test_marked_solve_is_one_capped_round(name, fitted):
-    # When the step stays in the terminal set, the marked solve is one round
-    # of the descent at PENALTY_WEIGHT, capped at one iteration and started
-    # with the model along the candidate, and the rollout of its result.
+def test_marked_solve_is_one_capped_descent(name, fitted):
+    # When the step stays in the terminal set, the marked solve is the
+    # descent capped at one iteration and started with the model along the
+    # candidate, and the rollout of its result.
     loop = REFERENCE_LOOPS[name]
     model = fitted(loop.params)
     system, config = model.system_, model.config_
     x1, warm = second_solve(model, loop.start())
-    capped = replace(config.solver, max_iters=1, outer_rounds=1)
+    capped = replace(config.solver, max_iters=1)
     rollout = mpc._predict(system, x1, warm)
     torques, iterations, kkt = mpc._quasi_newton_descent(
-        mpc._Objective(system, x1, mpc.PENALTY_WEIGHT, 0.0),
+        mpc._Objective(system, x1),
         warm,
         rollout,
         system.quadratic_model(rollout.states, warm),
@@ -392,8 +383,8 @@ def test_closed_loop_equals_loop_of_marked_solves(axis, reference_model):
 
 
 def test_controller_marks_only_its_carried_candidate(monkeypatch):
-    # A cold first solve, a marked second, and after an infeasible step a
-    # cold solve again.
+    # A cold first solve, and every later one marked, after a solve that
+    # ends outside the terminal set too.
     flat = DoubleIntegratorSystem(terminal_level=1e-6, control_bound=1e-4)
     controller = MpcController(flat, MpcConfig(horizon=3))
     marks = []
@@ -406,7 +397,7 @@ def test_controller_marks_only_its_carried_candidate(monkeypatch):
     monkeypatch.setattr(mpc, "solve_ocp", recorded_solve)
     controller.step(np.zeros(2))
     controller.step(np.zeros(2))
-    with pytest.raises(Infeasible):
-        controller.step(np.array([5.0, 0.0]))
+    _, solution = controller.step(np.array([5.0, 0.0]))
+    assert not solution.feasible
     controller.step(np.zeros(2))
-    assert marks == [(False, False), (True, True), (True, True), (False, False)]
+    assert marks == [(False, False), (True, True), (True, True), (True, True)]
