@@ -37,22 +37,18 @@ unsolvable (:class:`~so3mpc.errors.NotSolvable`) lies outside the
 objective's domain, so the line search backs off from a trial that takes one
 and a finite-difference tail that takes one gives way to the one-sided
 difference (Nocedal & Wright, *Numerical Optimization*, ch. 3).  The descent
-runs along a limited-memory BFGS direction with two-metric projection onto
-the box (Bertsekas, 1982): the quasi-Newton step acts on the free entries,
-and entries that the box holds against an outward gradient take the
-projected-gradient step, of length 1 / max(1, |grad|) at the descent's first
-gradient throughout.  The recursion's initial inverse Hessian is the inverse
-of the Gauss-Newton Hessian of the horizon cost along the rollout of the
-current iterate (Bock & Plitt, 1984), time-varying as in discrete optimal
-control on Lie groups (Kobilarov & Marsden, 2011), on the free entries and
-scaled by the newest curvature pair (Nocedal & Wright, *Numerical
-Optimization*, ch. 7).  The curvature pairs carry the second-order terms of
-the dynamics that the Gauss-Newton model leaves out.  An Armijo search along
-the projected path tries each direction from full length.  Where it fails
-along a direction built with pairs, they are dropped and the pairless
-direction is searched once.  The descent ends where its projected KKT
-residual falls to ``grad_tol``, where a search fails without pairs, where an
-accepted step leaves the value unchanged, or at ``max_iters``.
+is projected Newton with two metrics (Bertsekas, *Projected Newton methods
+for optimization problems with simple constraints*, 1982): the free entries
+take the Gauss-Newton step, with the Gauss-Newton Hessian of the horizon
+cost along the rollout of the current iterate (Bock & Plitt, 1984),
+time-varying as in discrete optimal control on Lie groups (Kobilarov &
+Marsden, 2011), as their metric, and entries that the box holds against an
+outward gradient take the projected-gradient step, of length
+1 / max(1, |grad|) at the descent's first gradient throughout.  An Armijo
+search along the projected path tries each direction from full length.  The
+descent ends where its projected KKT residual falls to ``grad_tol``, where a
+search fails, where an accepted step leaves the value unchanged, or at
+``max_iters``.
 Every prediction, whether the base rollout of a gradient, a line-search
 trial, the final check or a perturbed finite-difference tail, is one
 :class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
@@ -89,7 +85,7 @@ entries as Python floats and build arrays only when read, so the states of
 an :class:`OcpSolution` or a :class:`ClosedLoopRun` are arrays to a caller
 while no predicted step builds one.  Controls are arrays at the solver's
 boundary and between its iterations, where the projection, the line search
-and the quasi-Newton direction act on the whole (N, control_dim) sequence;
+and the Gauss-Newton direction act on the whole (N, control_dim) sequence;
 a prediction receives them as rows of Python floats, converted once per
 rollout and once per gradient, and never per step.
 """
@@ -119,8 +115,6 @@ ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
 # Step length below which the Armijo search gives up.
 STEP_MIN = 1e-14
-# Curvature pairs (step, gradient change) the quasi-Newton direction keeps.
-LBFGS_MEMORY = 5
 
 
 class QuadraticModel(NamedTuple):
@@ -209,7 +203,7 @@ class ManifoldSystem(abc.ABC):
         the N + 1 states that ``torques``, shape (N, control_dim), visit from
         the first one.  The solver condenses it once into the sensitivity
         matrix G of the states to the controls (:func:`_sensitivities`),
-        preconditions its descent with the horizon Hessian G^T W G +
+        steps its descent on the horizon Hessian G^T W G +
         blockdiag(R) (:func:`_gauss_newton_hessian`), and takes every
         gradient but the first of an unmarked solve from the first-order
         terms as G^T w + r (:meth:`_Objective.model_gradient`).  None of
@@ -248,7 +242,7 @@ class ManifoldSystem(abc.ABC):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Tuning knobs of the quasi-Newton shooting solver.
+    """Tuning knobs of the Gauss-Newton shooting solver.
 
     ``grad_tol`` bounds the projected KKT residual, the norm of u -
     proj(u - grad), at which the descent stops; the default favors
@@ -504,15 +498,16 @@ class _Objective:
 
 
 def _line_search(objective, torques, value, grad, direction):
-    """Armijo backtracking from the full step along the projected path
-    ``P(torques + alpha * direction)``, measuring the decrease by ``grad``
-    times the projected step.  Returns the accepted candidate, its value and
-    rollout, or ``None`` once ``alpha`` falls below ``STEP_MIN``."""
+    """Armijo backtracking from the full step, alpha = 1, along the projected
+    path ``P(torques + alpha * direction)``, measuring the decrease by
+    ``grad`` times the projected step.  Returns the accepted candidate, its
+    value and rollout, or ``None`` once ``alpha`` falls below ``STEP_MIN``."""
     alpha = 1.0
     while alpha >= STEP_MIN:
         candidate = objective.system.project_control(torques + alpha * direction)
         decrease_ref = float((grad * (candidate - torques)).sum())
-        # A projected quasi-Newton step can turn uphill; it is not rolled out.
+        # Where the box clips a free entry's Gauss-Newton step, the projected
+        # step can turn uphill; it is not rolled out.
         if decrease_ref <= 0.0:
             cand_value, cand_rollout = objective.trial(candidate)
             if cand_value <= value + ARMIJO_C1 * decrease_ref:
@@ -553,67 +548,42 @@ def _gauss_newton_hessian(model: QuadraticModel, sensitivity: np.ndarray) -> np.
     return hessian
 
 
-def _quasi_newton_direction(grad, free, pairs, step, hessian):
-    """Two-metric direction: the limited-memory BFGS step on the ``free``
-    entries, from the curvature pairs restricted to them, and the gradient
-    step ``-step * grad`` on the entries the box holds.
-
-    The two-loop recursion starts from gamma H_ff^-1 q, with H_ff the
-    ``hessian`` on the free entries, the Gauss-Newton Hessian at the current
-    torques (:func:`_gauss_newton_hessian`), and gamma = s.y / (y H_ff^-1 y)
-    from the newest pair kept, or 1 when there is none.  The pairs were
-    taken at earlier iterates, so they correct this iterate's metric with
-    the curvature it lacks."""
-    q = np.where(free, grad, 0.0)
-    history = []
-    for s, y in reversed(pairs):
-        s, y = np.where(free, s, 0.0), np.where(free, y, 0.0)
-        sy = float((s * y).sum())
-        if sy <= 0.0:
-            continue
-        a = float((s * q).sum()) / sy
-        q -= a * y
-        history.append((s, y, sy, a))
+def _gauss_newton_direction(grad, free, step, hessian):
+    """Two-metric direction (Bertsekas, 1982): the Gauss-Newton step on the
+    ``free`` entries, d_f = -H_ff^-1 g_f with H_ff the ``hessian`` on them,
+    the Gauss-Newton Hessian at the current torques
+    (:func:`_gauss_newton_hessian`), and the gradient step ``-step * grad``
+    on the entries the box holds."""
     index = free.ravel()
-    hessian_free = hessian[np.ix_(index, index)]
-    r = np.zeros(grad.size)
-    r[index] = np.linalg.solve(hessian_free, q.ravel()[index])
-    if history:
-        _, y, sy, _ = history[0]
-        y_free = y.ravel()[index]
-        r *= sy / float(y_free @ np.linalg.solve(hessian_free, y_free))
-    r = r.reshape(grad.shape)
-    for s, y, sy, a in reversed(history):
-        r += (a - float((y * r).sum()) / sy) * s
-    return np.where(free, -r, -step * grad)
+    direction = -step * grad.ravel()
+    direction[index] = -np.linalg.solve(hessian[np.ix_(index, index)], grad.ravel()[index])
+    return direction.reshape(grad.shape)
 
 
-def _quasi_newton_descent(
+def _gauss_newton_descent(
     objective: _Objective,
     torques: np.ndarray,
     rollout: _Rollout,
     model: Optional[QuadraticModel],
     settings: SolverSettings,
 ) -> tuple[np.ndarray, int, Optional[float]]:
-    """Limited-memory BFGS descent with two-metric projection onto the box
-    and an Armijo search along the projected path.
+    """Projected Gauss-Newton descent: the two-metric direction of
+    :func:`_gauss_newton_direction` and an Armijo search along the projected
+    path.
 
     An entry counts as held when the projected-gradient step would clip it,
     i.e. it lies on or near the bound and the gradient points outward; it
-    takes that gradient step, and the curvature pairs act on the other
+    takes that gradient step, and the Gauss-Newton step acts on the other
     entries only.  The step's length is 1 / max(1, |grad|) at the descent's
-    first gradient, fixed throughout.  The initial metric of the
-    recursion is the Gauss-Newton Hessian (:func:`_gauss_newton_hessian`) of
-    the system's :meth:`~ManifoldSystem.quadratic_model` along the rollout
-    of the current torques, the one their gradient holds.  The model is built
-    and condensed once per point: at each accepted point, its sensitivity
-    matrix (:func:`_sensitivities`) gives that point's gradient
-    (:meth:`_Objective.model_gradient`) and the next iteration's metric, so one
-    build and one forward recursion serve both.  Every iteration, the first
-    included, searches along a quasi-Newton direction from full length.  A
-    search that fails along a direction built with curvature pairs drops them
-    and searches once more along the Gauss-Newton direction.  The curvature
-    pairs carry the second-order terms of the dynamics that the model lacks.
+    first gradient, fixed throughout.  The metric is the Gauss-Newton
+    Hessian (:func:`_gauss_newton_hessian`) of the system's
+    :meth:`~ManifoldSystem.quadratic_model` along the rollout of the current
+    torques, the one their gradient holds.  The model is built and condensed
+    once per point: at each accepted point, its sensitivity matrix
+    (:func:`_sensitivities`) gives that point's gradient
+    (:meth:`_Objective.model_gradient`) and the next iteration's metric, so
+    one build and one forward recursion serve both.  Every iteration, the
+    first included, searches along its direction from full length.
 
     ``rollout`` is the rollout of ``torques``, and ``model`` the system's model
     along it or ``None``.  Given a model, the first gradient and the first
@@ -622,11 +592,10 @@ def _quasi_newton_descent(
     and condensed after the KKT test, so a descent that stops at that gradient
     builds none.  Returns the final torques, the iteration count and the KKT
     residual at the final torques.  The descent stops where that residual is at
-    most ``grad_tol``, where a search without pairs fails, where an accepted
-    step leaves the value unchanged (returning the torques before it), or on
-    ``max_iters``, which returns the accepted torques before their gradient and
-    ``None`` for the residual, since only a next iteration would read that
-    gradient."""
+    most ``grad_tol``, where a search fails, where an accepted step leaves the
+    value unchanged (returning the torques before it), or on ``max_iters``,
+    which returns the accepted torques before their gradient and ``None`` for
+    the residual, since only a next iteration would read that gradient."""
     system = objective.system
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
@@ -636,7 +605,6 @@ def _quasi_newton_descent(
     # Length of the gradient step that picks and moves the held entries,
     # fixed for the descent by its first gradient.
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
-    pairs = []
     iterations = 0
     kkt = _kkt_residual(system, torques, grad)
     while kkt > settings.grad_tol:
@@ -646,18 +614,8 @@ def _quasi_newton_descent(
         if model is None:
             model = system.quadratic_model(rollout.states, torques)
             sensitivity = _sensitivities(model)
-        hessian = _gauss_newton_hessian(model, sensitivity)
-        direction = _quasi_newton_direction(grad, free, pairs, step, hessian)
+        direction = _gauss_newton_direction(grad, free, step, _gauss_newton_hessian(model, sensitivity))
         result = _line_search(objective, torques, value, grad, direction)
-        if result is None and pairs:
-            # The pairs can bend the direction where no Armijo point is
-            # left: drop them and search once along the Gauss-Newton
-            # direction, the L-BFGS memory reset (Nocedal & Wright,
-            # *Numerical Optimization*, ch. 7).
-            pairs = []
-            result = _line_search(
-                objective, torques, value, grad, _quasi_newton_direction(grad, free, pairs, step, hessian)
-            )
         if result is None:
             break
         candidate, cand_value, cand_rollout = result
@@ -669,11 +627,8 @@ def _quasi_newton_descent(
             break
         model = system.quadratic_model(cand_rollout.states, candidate)
         sensitivity = _sensitivities(model)
-        new_grad, _ = objective.model_gradient(model, sensitivity, cand_rollout)
-        s, y = candidate - torques, new_grad - grad
-        if float((s * y).sum()) > 0.0:
-            pairs = (pairs + [(s, y)])[-LBFGS_MEMORY:]
-        torques, grad, value = candidate, new_grad, cand_value
+        grad, _ = objective.model_gradient(model, sensitivity, cand_rollout)
+        torques, value = candidate, cand_value
         kkt = _kkt_residual(system, torques, grad)
     return torques, iterations, kkt
 
@@ -754,7 +709,7 @@ def solve_ocp(
         candidate = torques, rollout
         model = system.quadratic_model(rollout.states, torques)
         settings = replace(settings, max_iters=1)
-    torques, iterations, kkt = _quasi_newton_descent(_Objective(system, x0), torques, rollout, model, settings)
+    torques, iterations, kkt = _gauss_newton_descent(_Objective(system, x0), torques, rollout, model, settings)
     rollout = _predict(system, x0, torques)
     level, tol = system.terminal_level, settings.constraint_tol
     if candidate is not None and rollout.terminal - level > tol >= candidate[1].terminal - level:

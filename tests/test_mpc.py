@@ -420,8 +420,9 @@ class TestKktAtSaturatedTorques:
         ),
         st.floats(min_value=0.5, max_value=1.5),
     )
-    # The Armijo search fails on the fifth direction, built with 4 curvature
-    # pairs; the pairless Gauss-Newton direction descends on.
+    # Along directions bent by curvature pairs, the Armijo search failed on
+    # the fifth one here; the Gauss-Newton descent ends in 4 iterations
+    # with every search accepted.
     @example(direction=[0.0, 1e-13, 1.0], angle=1.4375)
     def test_gradient_points_outward_and_residual_reproduces(self, weak_system, direction, angle):
         x0 = rest_state(angle * np.asarray(direction) / np.linalg.norm(direction))
@@ -454,12 +455,14 @@ class TestKktAtSaturatedTorques:
 
 class TestHeldEntryStep:
     def test_step_is_fixed_per_descent_by_its_first_gradient(self, ref_design, monkeypatch):
-        # The cold 1 N m solve of the oracle tests holds entries on the box
-        # at every iteration; they all take the gradient step of length
-        # 1 / max(1, |g0|), g0 the descent's first gradient.  A per-iteration
-        # Barzilai-Borwein rescaling moved it (0.00735, 0.0268, 0.0120, ...).
+        # A cold 1 N m solve from 2.0 rad about the oracle tests' axis holds
+        # 5 to 21 entries on the box at each of its 6 iterations; they all
+        # take the gradient step of length 1 / max(1, |g0|), g0 the descent's
+        # first gradient.  A per-iteration Barzilai-Borwein rescaling moved
+        # it (0.00735, 0.0268, 0.0120, ...).  From 1.2 rad the solve now
+        # takes 4 iterations.
         firsts, calls = [], []
-        gradient, direction = _Objective.gradient, mpc._quasi_newton_direction
+        gradient, direction = _Objective.gradient, mpc._gauss_newton_direction
 
         def recorded_gradient(objective, torques, base):
             result = gradient(objective, torques, base)
@@ -467,15 +470,20 @@ class TestHeldEntryStep:
                 firsts.append((objective, result[0]))
             return result
 
-        def recorded_direction(grad, free, pairs, step, hessian):
+        def recorded_direction(grad, free, step, hessian):
+            result = direction(grad, free, step, hessian)
+            # The free entries take the Gauss-Newton step -H_ff^-1 g_f.
+            index = free.ravel()
+            newton = -np.linalg.solve(hessian[np.ix_(index, index)], grad.ravel()[index])
+            np.testing.assert_allclose(result.ravel()[index], newton, rtol=1e-12, atol=0.0)
             calls.append((step, int((~free).sum()), firsts[-1][1]))
-            return direction(grad, free, pairs, step, hessian)
+            return result
 
         monkeypatch.setattr(_Objective, "gradient", recorded_gradient)
-        monkeypatch.setattr(mpc, "_quasi_newton_direction", recorded_direction)
+        monkeypatch.setattr(mpc, "_gauss_newton_direction", recorded_direction)
         weak = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
         axis = np.array([0.8, 0.5, -0.3])
-        solution = solve_ocp(weak, rest_state(1.2 * axis / np.linalg.norm(axis)), MpcConfig(horizon=10))
+        solution = solve_ocp(weak, rest_state(2.0 * axis / np.linalg.norm(axis)), MpcConfig(horizon=10))
         assert len(calls) == solution.iterations >= 5
         for step, held, first in calls:
             assert held >= 1
@@ -700,13 +708,13 @@ class TestColdStop:
         # 1.8e8 and 3.1e9 N m long and the solves took 4 and 5 iterations;
         # without it they are 8.8 and 15.7 N m long.
         model = fitted({})
-        directions, direction = [], mpc._quasi_newton_direction
+        directions, direction = [], mpc._gauss_newton_direction
 
         def recorded(*args):
             directions.append(direction(*args))
             return directions[-1]
 
-        monkeypatch.setattr(mpc, "_quasi_newton_direction", recorded)
+        monkeypatch.setattr(mpc, "_gauss_newton_direction", recorded)
         solution = model.solve(spinning_state([0.0, 0.0, 0.5], [0.0, 0.0, rate], H_REF))
         assert solution.iterations == iterations == len(directions)
         assert abs(solution.cost - cost) <= 1e-9 * cost
@@ -1009,7 +1017,7 @@ class TestHorizonHessian:
 
     def test_double_integrator_solved_in_one_iteration(self):
         # The model is the double integrator itself, so the first
-        # quasi-Newton step is the Newton step to the unconstrained optimum,
+        # Gauss-Newton step is the Newton step to the unconstrained optimum,
         # whose cost the Riccati terminal weight gives in closed form.  The
         # identity metric took 7 iterations here.
         system = DoubleIntegratorSystem()

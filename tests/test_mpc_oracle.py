@@ -1,8 +1,8 @@
 """The shooting solver against a reference descent.
 
 ``oracle_projected_gradient`` is the projected-gradient descent with
-Barzilai-Borwein steps that the package used before its limited-memory
-quasi-Newton descents, and ``OracleObjective`` the central-difference
+Barzilai-Borwein steps that the package used before its projected
+Gauss-Newton descent, and ``OracleObjective`` the central-difference
 gradient rolling every perturbed tail out in full through
 ``rollout_data``, with its states list and per-step arrays, and
 valuing it through ``reference_value``, which sums those arrays in step
@@ -218,7 +218,7 @@ def counting(oracle=False):
     sweeps = []
     descents = []
     base = OracleObjective if oracle else _Objective
-    descent = oracle_projected_gradient if oracle else mpc._quasi_newton_descent
+    descent = oracle_projected_gradient if oracle else mpc._gauss_newton_descent
 
     class Counting(base):
         def gradient(self, torques, *args, **kwargs):
@@ -236,7 +236,7 @@ def counting(oracle=False):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mpc, "_Objective", Counting)
-        patch.setattr(mpc, "_quasi_newton_descent", counted_descent)
+        patch.setattr(mpc, "_gauss_newton_descent", counted_descent)
         yield points, sweeps, descents
 
 

@@ -127,6 +127,21 @@ def test_every_module_level_definition_is_referenced():
     assert orphans == []
 
 
+def test_every_constant_the_readme_names_is_defined():
+    # A backticked UPPER_CASE name in the README, bare or module-qualified,
+    # is a module-level name of src/; a constant deleted from the code
+    # leaves none behind in the documentation.
+    constant = r"`(?:\w+\.)*([A-Z][A-Z0-9]*_[A-Z0-9_]*|[A-Z]{2,}[A-Z0-9]*)`"
+    names = set(re.findall(constant, (ROOT / "README.md").read_text()))
+    defined = {
+        name
+        for path in sorted((ROOT / "src" / "so3mpc").glob("*.py"))
+        for name, _ in _module_definitions(ast.parse(path.read_text()))
+    }
+    assert len(names) >= 10
+    assert sorted(names - defined) == []
+
+
 def test_every_manifold_system_member_is_read_by_the_solver():
     # The contract keeps only members the solver uses: each member of
     # ManifoldSystem is read as an attribute somewhere in mpc.py outside the

@@ -244,7 +244,7 @@ def test_marked_solve_is_one_capped_descent(name, fitted):
     x1, warm = second_solve(model, loop.start())
     capped = replace(config.solver, max_iters=1)
     rollout = mpc._predict(system, x1, warm)
-    torques, iterations, kkt = mpc._quasi_newton_descent(
+    torques, iterations, kkt = mpc._gauss_newton_descent(
         mpc._Objective(system, x1),
         warm,
         rollout,
