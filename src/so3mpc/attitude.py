@@ -29,6 +29,7 @@ from .lgvi import (
     SOLVABILITY_FLOOR,
     SpacecraftState,
     _inertia_constants,
+    _state_of,
     check_state,
     step_jacobians,
     step_with_margin,
@@ -128,27 +129,27 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return feedback(self.design.K, xi)
 
     def quadratic_model(self, states, torques) -> QuadraticModel:
-        """The step Jacobians of :func:`~so3mpc.lgvi.step_jacobians` between
-        consecutive states, the stage gradients and Hessians of
+        """The step Jacobians of :func:`~so3mpc.lgvi.step_jacobians` over the
+        stack of the N + 1 increments, the stage gradients and Hessians of
         :func:`~so3mpc.terminal.stage_derivatives` at every state but the
         last, the torque Hessian tilde(R) of the weights and the gradients
         tilde(R) u, and the terminal gradient and Hessian of
         :func:`~so3mpc.terminal.terminal_derivatives` at the last, all in the
         tangent coordinates g exp(hat(zeta)), f exp(h hat(omega)).  The
         entries of all N + 1 states are read into one (N + 1, 2, 3, 3) array,
-        in one pass."""
+        in one pass, and tilde(R) is repeated into an (N, 3, 3) array, which
+        is cheaper than a broadcast view."""
         n = len(torques)
         entries = np.fromiter(
             chain.from_iterable(chain.from_iterable(chain.from_iterable(x.entries)) for x in states),
             float,
             18 * (n + 1),
         ).reshape(n + 1, 2, 3, 3)
-        f = entries[:, 1]
-        a, b = step_jacobians(f[:-1], f[1:], self.h, self.inertia)
+        a, b = step_jacobians(entries[:, 1], self.h, self.inertia)
         q_grad, q = stage_derivatives(self.weights, entries[:-1], self.h)
         p_grad, p = terminal_derivatives(self.design.P, states[-1], self.h)
         r = self.weights.torque_hessian
-        return QuadraticModel(a, b, q, np.broadcast_to(r, (n, 3, 3)), p, q_grad, torques @ r, p_grad)
+        return QuadraticModel(a, b, q, np.repeat(r[None], n, axis=0), p, q_grad, torques @ r, p_grad)
 
     def steering_control(self, x: SpacecraftState) -> np.ndarray:
         # Unlike local_law, no chart guard: the cold-start heuristic must
@@ -156,20 +157,24 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return feedback(self.design.K, coordinates(x, self.h))
 
     def project_control(self, u) -> np.ndarray:
-        return np.clip(np.asarray(u, dtype=float), -self.torque_bound, self.torque_bound)
+        # ndarray.clip is np.clip's kernel with less dispatch.
+        return np.asarray(u, dtype=float).clip(-self.torque_bound, self.torque_bound)
 
 
 def rest_state(axis_angle) -> SpacecraftState:
-    """State at rest (identity increment) with the given attitude."""
+    """State at rest (identity increment) with the given attitude, built
+    from entries, so that it keeps its steps (see
+    :class:`~so3mpc.lgvi.SpacecraftState`)."""
     axis_angle = check_vector3(axis_angle, "axis_angle")
-    return SpacecraftState(exp_so3(axis_angle), np.eye(3))
+    return _state_of(exp_so3(axis_angle).tolist(), np.eye(3).tolist(), None)
 
 
 def spinning_state(axis_angle, rate, h: float) -> SpacecraftState:
-    """State with the given attitude and body rate."""
+    """State with the given attitude and body rate, built from entries as
+    :func:`rest_state` is."""
     axis_angle = check_vector3(axis_angle, "axis_angle")
     rate = check_vector3(rate, "rate")
-    return SpacecraftState(exp_so3(axis_angle), exp_so3(h * rate))
+    return _state_of(exp_so3(axis_angle).tolist(), exp_so3(h * rate).tolist(), None)
 
 
 class AttitudeMpc:

@@ -94,7 +94,9 @@ class SpacecraftState:
     that repeats another from the same state object solves nothing.  The
     row is copied because a finite-difference gradient moves its entries in
     place.  A state built from arrays keeps no step, since the caller may
-    still write to them.
+    still write to them; :func:`check_state` and the attitude module's
+    ``rest_state`` and ``spinning_state`` build theirs from entries, so
+    they keep steps.
     """
 
     __slots__ = ("_g", "_f", "_rows", "_cayley", "_chord", "_next")
@@ -149,7 +151,8 @@ class SpacecraftState:
 
 def _state_of(g, f, x) -> SpacecraftState:
     """The state with rows of entries ``g`` and ``f``, where ``x`` is the
-    Cayley vector of ``f`` (:func:`_cayley`)."""
+    Cayley vector of ``f`` (:func:`_cayley`), or ``None`` for a state not
+    built by a step, whose vector :func:`_chord` computes when read."""
     state = object.__new__(SpacecraftState)
     state._g = state._f = None
     state._rows = (g, f)
@@ -160,10 +163,12 @@ def _state_of(g, f, x) -> SpacecraftState:
 
 
 def check_state(state: SpacecraftState) -> SpacecraftState:
-    """Validate both rotation components of a state."""
+    """Validate both rotation components of a state, and return the state
+    built from their entries (:func:`_state_of`): it shares no array with
+    the caller, so it keeps its steps as the step's own successors do."""
     g = check_rotation(state.g, "g")
     f = check_rotation(state.f, "f")
-    return SpacecraftState(g, f)
+    return _state_of(g.tolist(), f.tolist(), None)
 
 
 def _momentum(f, tau, hh, j):
@@ -612,39 +617,41 @@ def _same_row(row, torque) -> bool:
     )
 
 
-def step_jacobians(f, f_next, h: float, inertia) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians (A, B) of the step from increment ``f`` under some torque
-    to the increment ``f_next`` that the step returned, in the tangent
-    coordinates g exp(hat(zeta)), f exp(h hat(omega)) of the state and the
-    torque itself: (zeta, omega) at the successor is A (zeta, omega) + B du
-    to first order.  Stacks of increments, shape (n, 3, 3), give stacks of
-    Jacobians, shape (n, 6, 6) and (n, 6, 3).
+def step_jacobians(f, h: float, inertia) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians (A, B) of the n steps of a rollout whose n + 1 increments
+    are the stack ``f``, shape (n + 1, 3, 3): step k runs from increment
+    f[k] under some torque to the increment f[k + 1] that it returned.  They
+    are in the tangent coordinates g exp(hat(zeta)), f exp(h hat(omega)) of
+    the state and the torque itself: (zeta, omega) after step k is
+    A[k] (zeta, omega) + B[k] du to first order.  The stacks have shape
+    (n, 6, 6) and (n, 6, 3).
 
     The attitude row is (f^T, h I), from g f exp(hat(zeta')) =
     g exp(hat(zeta)) f exp(h hat(omega)).  The increment row follows from the
     implicit balance F J - J F^T = hat(m) by the implicit-function theorem:
     perturbing F to F exp(hat(psi)) moves its left side by
     hat(F S psi) with S = tr(J F) I - J F, and the momentum m by
-    (tr(J f) I - f^T J) h omega + h^2 du, so one 3x3 solve with S per step
-    gives both blocks.  At the identity it is the terminal design's
-    linearization, :func:`~so3mpc.terminal.build_linearization`.
+    T h omega + h^2 du with T = tr(J f) I - f^T J, so one 3x3 solve with S
+    per step gives both blocks.  For a symmetric J, T is the transpose of
+    the S of f, so S is formed once per increment: f[k + 1]'s S serves
+    step k, and its transpose is step k + 1's T.  At the identity it is the
+    terminal design's linearization,
+    :func:`~so3mpc.terminal.build_linearization`.
     """
     f = np.asarray(f, dtype=float)
-    f_next = np.asarray(f_next, dtype=float)
-    inertia = np.asarray(inertia, dtype=float)
-    f_t = np.swapaxes(f, -1, -2)
-    f_next_t = np.swapaxes(f_next, -1, -2)
-    j_next = inertia @ f_next
-    s = np.trace(j_next, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - j_next
-    f_t_j = f_t @ inertia
-    t = np.trace(f_t_j, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - f_t_j
-    rows = np.linalg.solve(s, np.concatenate([f_next_t @ t, h * f_next_t], axis=-1))
-    a = np.zeros(f.shape[:-2] + (6, 6))
-    a[..., :3, :3] = f_t
-    a[..., :3, 3:] = h * _EYE3
-    a[..., 3:, 3:] = rows[..., :3]
-    b = np.zeros(f.shape[:-2] + (6, 3))
-    b[..., 3:, :] = rows[..., 3:]
+    j_f = np.asarray(inertia, dtype=float) @ f
+    s = j_f.trace(axis1=1, axis2=2)[:, None, None] * _EYE3 - j_f
+    f_t = f.transpose(0, 2, 1)
+    f_next_t = f_t[1:]
+    t = s[:-1].transpose(0, 2, 1)
+    rows = np.linalg.solve(s[1:], np.concatenate([f_next_t @ t, h * f_next_t], axis=-1))
+    n = len(f) - 1
+    a = np.zeros((n, 6, 6))
+    a[:, :3, :3] = f_t[:-1]
+    a[:, :3, 3:] = h * _EYE3
+    a[:, 3:, 3:] = rows[..., :3]
+    b = np.zeros((n, 6, 3))
+    b[:, 3:, :] = rows[..., 3:]
     return a, b
 
 

@@ -59,14 +59,17 @@ lies about one finite-difference step away; every other prediction steps
 as a pure function of state and control.  The attitude system's step keeps
 each predicted state's last such step (:class:`~so3mpc.lgvi.SpacecraftState`),
 so the predictions that repeat an earlier one from the same states take no
-implicit solve: a cold solve's rollout of its steering guess, the closed
-loop's plant step and the first N - 1 steps of the shifted candidate, which
-repeat the previous solution's rollout, ``solve_ocp``'s rollout of the
-candidate after the closed loop's :func:`horizon_cost` of it, and the
-rollout of the returned torques after the line search accepted them.  Their
-stage and terminal costs are evaluated again.  A record sums its stage costs as
-it goes, in Python floats and in step order; only the predictions that a
-caller reads per step keep per-step values, so a tail builds no array.
+implicit solve: a cold solve's rollout of its steering guess from a start
+built from entries, as ``lgvi.check_state``, ``rest_state`` and
+``spinning_state`` build theirs (a state built from arrays keeps no step),
+the closed loop's plant step and the first N - 1 steps of the shifted
+candidate, which repeat the previous solution's rollout, ``solve_ocp``'s
+rollout of the candidate after the closed loop's :func:`horizon_cost` of
+it, and the rollout of the returned torques after the line search accepted
+them.  Their stage and terminal costs are evaluated again.  A record sums
+its stage costs as it goes, in Python floats and in step order; only the
+predictions that a caller reads per step keep per-step values, so a tail
+builds no array.
 A solve warm-started at the shifted candidate of the previous solution
 (:func:`warm_start_shift`) takes one descent step from it: one model
 gradient at the candidate and, when its KKT residual exceeds ``grad_tol``,
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -554,9 +557,10 @@ def _gauss_newton_direction(grad, free, step, hessian):
     the Gauss-Newton Hessian at the current torques
     (:func:`_gauss_newton_hessian`), and the gradient step ``-step * grad``
     on the entries the box holds."""
-    index = free.ravel()
-    direction = -step * grad.ravel()
-    direction[index] = -np.linalg.solve(hessian[np.ix_(index, index)], grad.ravel()[index])
+    index = np.flatnonzero(free)
+    flat = grad.ravel()
+    direction = -step * flat
+    direction[index] = -np.linalg.solve(hessian.take(index, 0).take(index, 1), flat.take(index))
     return direction.reshape(grad.shape)
 
 
@@ -565,7 +569,8 @@ def _gauss_newton_descent(
     torques: np.ndarray,
     rollout: _Rollout,
     model: Optional[QuadraticModel],
-    settings: SolverSettings,
+    grad_tol: float,
+    max_iters: int,
 ) -> tuple[np.ndarray, int, Optional[float]]:
     """Projected Gauss-Newton descent: the two-metric direction of
     :func:`_gauss_newton_direction` and an Armijo search along the projected
@@ -593,9 +598,11 @@ def _gauss_newton_descent(
     builds none.  Returns the final torques, the iteration count and the KKT
     residual at the final torques.  The descent stops where that residual is at
     most ``grad_tol``, where a search fails, where an accepted step leaves the
-    value unchanged (returning the torques before it), or on ``max_iters``,
-    which returns the accepted torques before their gradient and ``None`` for
-    the residual, since only a next iteration would read that gradient."""
+    value unchanged (returning the torques before it), or at the cap
+    ``max_iters``, which returns the accepted torques before their gradient
+    and ``None`` for the residual, since only a next iteration would read that
+    gradient.  :func:`solve_ocp` passes its settings' ``grad_tol`` and
+    ``max_iters``, and a cap of one for a warm solve marked ``shifted``."""
     system = objective.system
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
@@ -607,7 +614,7 @@ def _gauss_newton_descent(
     step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
     kkt = _kkt_residual(system, torques, grad)
-    while kkt > settings.grad_tol:
+    while kkt > grad_tol:
         iterations += 1
         trial = torques - step * grad
         free = system.project_control(trial) == trial
@@ -619,7 +626,7 @@ def _gauss_newton_descent(
         if result is None:
             break
         candidate, cand_value, cand_rollout = result
-        if iterations == settings.max_iters:
+        if iterations == max_iters:
             return candidate, iterations, None
         if not cand_value < value:
             # An accepted step that gains nothing ends the descent where it
@@ -705,11 +712,14 @@ def solve_ocp(
     rollout = _predict(system, x0, torques)
 
     candidate = model = None
+    max_iters = settings.max_iters
     if shifted:
         candidate = torques, rollout
         model = system.quadratic_model(rollout.states, torques)
-        settings = replace(settings, max_iters=1)
-    torques, iterations, kkt = _gauss_newton_descent(_Objective(system, x0), torques, rollout, model, settings)
+        max_iters = 1
+    torques, iterations, kkt = _gauss_newton_descent(
+        _Objective(system, x0), torques, rollout, model, settings.grad_tol, max_iters
+    )
     rollout = _predict(system, x0, torques)
     level, tol = system.terminal_level, settings.constraint_tol
     if candidate is not None and rollout.terminal - level > tol >= candidate[1].terminal - level:

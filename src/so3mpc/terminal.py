@@ -189,13 +189,14 @@ def tilde_transform(m) -> np.ndarray:
     positive-definite.
     """
     m = np.asarray(m, dtype=float)
-    sym = 0.5 * (m + np.swapaxes(m, -1, -2))
-    return np.trace(sym, axis1=-2, axis2=-1)[..., None, None] * _EYE3 - sym
+    sym = 0.5 * (m + m.swapaxes(-1, -2))
+    return sym.trace(axis1=-2, axis2=-1)[..., None, None] * _EYE3 - sym
 
 
 def build_linearization(h: float, inertia) -> Linearization:
-    """The design's (A, B): :func:`~so3mpc.lgvi.step_jacobians` at the
-    equilibrium, the exact Jacobian of the implicit integrator step there,
+    """The design's (A, B): :func:`~so3mpc.lgvi.step_jacobians` of the
+    step from rest to rest, the stack (I, I) of increments, at the
+    equilibrium: the exact Jacobian of the implicit integrator step there,
     which the terminal decrease condition on the nonlinear dynamics needs.
 
     It has the double-integrator structure of exponential coordinates: the
@@ -209,7 +210,8 @@ def build_linearization(h: float, inertia) -> Linearization:
     h = as_parameter("h", h, as_positive, False)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return Linearization(*step_jacobians(_EYE3, _EYE3, h, inertia))
+            a, b = step_jacobians(np.stack([_EYE3, _EYE3]), h, inertia)
+            return Linearization(a[0], b[0])
     except (FloatingPointError, np.linalg.LinAlgError) as err:
         raise NotStabilizable(f"no torque-to-rate map at the equilibrium: {err}") from None
 
@@ -238,7 +240,7 @@ def stage_derivatives(weights: StageWeights, pairs: np.ndarray, h: float) -> tup
     """
     products = weights._state_weights @ pairs
     # 2 vee(skew(M)) = (M_21 - M_12, M_02 - M_20, M_10 - M_01).
-    gradient = (products - np.swapaxes(products, -1, -2))[..., (2, 0, 1), (1, 2, 0)]
+    gradient = (products - products.swapaxes(-1, -2))[..., (2, 0, 1), (1, 2, 0)]
     gradient[..., 1, :] /= h
     blocks = _clip_negative(tilde_transform(products))
     return gradient.reshape(gradient.shape[:-2] + (6,)), _block_diagonal(blocks[..., 0, :, :], blocks[..., 1, :, :])

@@ -31,6 +31,7 @@ from so3mpc.lgvi import (
 )
 from so3mpc.so3 import exp_so3, hat
 from so3mpc.terminal import build_linearization
+from so3mpc.validation import check_spd
 
 from conftest import (
     check_solvability,
@@ -543,7 +544,7 @@ class TestStepJacobians:
 
     def check(self, state, torque, inertia=J_REF):
         successor, a_ref, b_ref = central_jacobians(state, torque, H, inertia)
-        a, b = step_jacobians(state.f, successor.f, H, inertia)
+        (a,), (b,) = step_jacobians(np.stack([state.f, successor.f]), H, inertia)
         assert np.linalg.norm(a - a_ref) <= 1e-6 * np.linalg.norm(a_ref)
         assert np.linalg.norm(b - b_ref) <= 1e-6 * np.linalg.norm(b_ref)
         return a, b
@@ -584,7 +585,7 @@ class TestStepJacobians:
         # coordinates, with the torque entering the rate row through
         # h (tr J I - J)^{-1}; the terminal design takes these Jacobians.
         for inertia in (J_REF, np.array([[1.0, 0.1, 0.0], [0.1, 1.2, 0.05], [0.0, 0.05, 1.5]])):
-            a, b = step_jacobians(np.eye(3), np.eye(3), H, inertia)
+            (a,), (b,) = step_jacobians(np.stack([np.eye(3), np.eye(3)]), H, inertia)
             a_ref = np.block([[np.eye(3), H * np.eye(3)], [np.zeros((3, 3)), np.eye(3)]])
             coupling = H * np.linalg.inv(np.trace(inertia) * np.eye(3) - inertia)
             b_ref = np.vstack([np.zeros((3, 3)), coupling])
@@ -595,14 +596,81 @@ class TestStepJacobians:
 
     def test_stack_matches_single_steps(self):
         rng = np.random.default_rng(24)
-        f = np.array([exp_so3(H * rng.uniform(-2.0, 2.0, 3)) for _ in range(5)])
-        f_next = np.array([exp_so3(H * rng.uniform(-2.0, 2.0, 3)) for _ in range(5)])
-        a, b = step_jacobians(f, f_next, H, J_REF)
+        f = np.array([exp_so3(H * rng.uniform(-2.0, 2.0, 3)) for _ in range(6)])
+        a, b = step_jacobians(f, H, J_REF)
         assert a.shape == (5, 6, 6) and b.shape == (5, 6, 3)
         for k in range(5):
-            a_k, b_k = step_jacobians(f[k], f_next[k], H, J_REF)
+            (a_k,), (b_k,) = step_jacobians(f[k:k + 2], H, J_REF)
             assert_allclose(a[k], a_k, rtol=1e-14, atol=1e-15)
             assert_allclose(b[k], b_k, rtol=1e-14, atol=1e-15)
+
+
+def pair_jacobians(f, f_next, h, inertia):
+    """The step Jacobians of each pair (f[k], f_next[k]) by the per-pair
+    formula: S = tr(J f') I - J f' from the successor and
+    T = tr(f^T J) I - f^T J from the increment, each formed for every pair."""
+    eye = np.eye(3)
+    f_t = np.swapaxes(f, -1, -2)
+    f_next_t = np.swapaxes(f_next, -1, -2)
+    j_next = inertia @ f_next
+    s = np.trace(j_next, axis1=-2, axis2=-1)[..., None, None] * eye - j_next
+    f_t_j = f_t @ inertia
+    t = np.trace(f_t_j, axis1=-2, axis2=-1)[..., None, None] * eye - f_t_j
+    rows = np.linalg.solve(s, np.concatenate([f_next_t @ t, h * f_next_t], axis=-1))
+    a = np.zeros(f.shape[:-2] + (6, 6))
+    a[..., :3, :3] = f_t
+    a[..., :3, 3:] = h * eye
+    a[..., 3:, 3:] = rows[..., :3]
+    b = np.zeros(f.shape[:-2] + (6, 3))
+    b[..., 3:, :] = rows[..., 3:]
+    return a, b
+
+
+def seeded_rollout_increments(rng, n_steps, inertia):
+    """The n + 1 increments of a rollout of ``n_steps`` seeded torques from a
+    seeded spinning state, read as the attitude system's model reads them:
+    the f view of one (n + 1, 2, 3, 3) array of entries."""
+    state = SpacecraftState(exp_so3(rng.uniform(-np.pi, np.pi, 3)), exp_so3(H * rng.uniform(-2.0, 2.0, 3)))
+    states = rollout(state, rng.uniform(-3.0, 3.0, (n_steps, 3)), H, inertia)
+    return np.array([np.asarray(x) for x in states])[:, 1]
+
+
+class TestStackedStepJacobians:
+    """The stacked step Jacobians, which form S once per increment and read
+    each step's T as the transpose of the previous S, against the per-pair
+    formula."""
+
+    INERTIAS = (
+        J_REF,
+        np.array([[1.0, 0.1, 0.0], [0.1, 1.2, 0.05], [0.0, 0.05, 1.5]]),
+        np.array([[2.0, -0.3, 0.2], [-0.3, 0.7, 0.1], [0.2, 0.1, 1.1]]),
+    )
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_bit_for_bit_at_symmetric_inertias(self, which):
+        inertia = self.INERTIAS[which]
+        rng = np.random.default_rng(400 + which)
+        for n_steps in range(1, 41):
+            f = seeded_rollout_increments(rng, n_steps, inertia)
+            a, b = step_jacobians(f, H, inertia)
+            a_ref, b_ref = pair_jacobians(f[:-1], f[1:], H, inertia)
+            assert a.shape == (n_steps, 6, 6) and b.shape == (n_steps, 6, 3)
+            assert a.tobytes() == a_ref.tobytes() and b.tobytes() == b_ref.tobytes()
+
+    def test_within_round_off_at_an_inertia_the_spd_check_admits(self):
+        # Asymmetric by 1e-13 relative, below SPD_SYMMETRY_RTOL (1e-12): T
+        # read as the transpose of S is then the formula at sym(J).
+        inertia = self.INERTIAS[2].copy()
+        inertia[0, 1] *= 1.0 + 1e-13
+        assert np.array_equal(check_spd(inertia, "inertia"), inertia)
+        assert inertia[0, 1] != inertia[1, 0]
+        rng = np.random.default_rng(410)
+        for n_steps in (1, 7, 40):
+            f = seeded_rollout_increments(rng, n_steps, inertia)
+            a, b = step_jacobians(f, H, inertia)
+            a_ref, b_ref = pair_jacobians(f[:-1], f[1:], H, inertia)
+            assert_allclose(a, a_ref, rtol=0.0, atol=1e-12 * np.abs(a_ref).max())
+            assert_allclose(b, b_ref, rtol=0.0, atol=1e-12 * np.abs(b_ref).max())
 
 
 def unit(v):

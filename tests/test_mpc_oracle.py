@@ -144,7 +144,7 @@ STEP_INIT = 1.0
 STEP_MAX = 1e3
 
 
-def oracle_projected_gradient(objective, torques, rollout, model, settings):
+def oracle_projected_gradient(objective, torques, rollout, model, grad_tol, max_iters):
     """Reference descent: projected gradient with Barzilai-Borwein steps and
     an Armijo line search, evaluating the gradient at every accepted
     candidate.  It stops as the package's descent does: on its KKT residual,
@@ -159,8 +159,8 @@ def oracle_projected_gradient(objective, torques, rollout, model, settings):
     bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
     iterations = 0
     kkt = _kkt_residual(system, torques, grad)
-    for _ in range(settings.max_iters):
-        if kkt <= settings.grad_tol:
+    for _ in range(max_iters):
+        if kkt <= grad_tol:
             break
         iterations += 1
         alpha = float(np.clip(bb_step, mpc.STEP_MIN, STEP_MAX))

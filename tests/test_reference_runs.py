@@ -45,9 +45,9 @@ class Reference(NamedTuple):
 
 
 REFERENCE_RUNS = {
-    "default simulate": Reference(571.39554465104, 119, 66, 5240, 1679, 130, 330, 330, 3),
-    "regulate": Reference(19.363166134653643, 32, None, 1580, 719, 40, 330, 330, 3),
-    "1 N m, N = 40": Reference(149.3015832728044, 34, None, 10790, 7065, 70, 4920, 4920, 5),
+    "default simulate": Reference(571.39554465104, 119, 66, 5240, 1649, 130, 330, 330, 3),
+    "regulate": Reference(19.363166134653643, 32, None, 1580, 689, 40, 330, 330, 3),
+    "1 N m, N = 40": Reference(149.3015832728044, 34, None, 10790, 6789, 70, 4920, 4920, 5),
 }
 
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from so3mpc import lgvi
+from so3mpc import lgvi, mpc
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.lgvi import (
@@ -333,6 +333,60 @@ def test_array_state_keeps_nothing(monkeypatch):
     first = step_with_margin(x, ROW, H_REF, J_REF)
     again = step_with_margin(x, ROW, H_REF, J_REF)
     assert counts["solves"] == 2 and x._next is None and again[0] is not first[0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: lgvi.check_state(SpacecraftState(exp_so3([0.3, -0.2, 0.1]), exp_so3([0.01, 0.0, -0.02]))),
+        lambda: rest_state([0.3, -0.2, 0.1]),
+        lambda: spinning_state([0.3, -0.2, 0.1], [0.1, 0.0, -0.2], H_REF),
+    ],
+    ids=["check_state", "rest_state", "spinning_state"],
+)
+def test_built_start_keeps_its_step(build, monkeypatch):
+    # The three builders of start states build from entries, so a repeated
+    # step from the start returns the kept successor.
+    x = build()
+    successor, _ = step_with_margin(x, ROW, H_REF, J_REF)
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
+    assert step_with_margin(x, ROW, H_REF, J_REF)[0] is successor
+    assert counts["solves"] == 0
+
+
+def test_checked_state_holds_no_array_of_the_caller():
+    # Writing to the arrays handed to check_state leaves the checked state,
+    # and the step it keeps, as they were.
+    g, f = exp_so3([0.3, -0.2, 0.1]), exp_so3([0.01, 0.0, -0.02])
+    g_before, f_before = g.copy(), f.copy()
+    checked = lgvi.check_state(SpacecraftState(g, f))
+    successor, margin = step_with_margin(checked, ROW, H_REF, J_REF)
+    g[...] = f[...] = np.eye(3)
+    assert np.array_equal(checked.g, g_before) and np.array_equal(checked.f, f_before)
+    fresh = step_with_margin(SpacecraftState(g_before, f_before), ROW, H_REF, J_REF)
+    assert outcome(successor, margin) == outcome(*fresh)
+
+
+def test_cold_solve_repeats_its_steering_rollout(fitted, monkeypatch):
+    # AttitudeMpc.solve checks a start from spinning_state, and the checked
+    # state keeps its steps: the base rollout of the steering guess repeats
+    # the steering rollout from it and runs no implicit solve, and neither
+    # does the rollout of the returned torques, which repeats the accepted
+    # trial.
+    model = fitted({})
+    counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
+    predicted, predict = [], mpc._predict
+
+    def counted_predict(*args):
+        before = counts["solves"]
+        rollout = predict(*args)
+        predicted.append(counts["solves"] - before)
+        return rollout
+
+    monkeypatch.setattr(mpc, "_predict", counted_predict)
+    solution = model.solve(regulate_start())
+    assert solution.iterations >= 1
+    assert predicted == [0, 0]
 
 
 def test_unsolvable_step_keeps_nothing():

@@ -242,18 +242,18 @@ def test_marked_solve_is_one_capped_descent(name, fitted):
     model = fitted(loop.params)
     system, config = model.system_, model.config_
     x1, warm = second_solve(model, loop.start())
-    capped = replace(config.solver, max_iters=1)
     rollout = mpc._predict(system, x1, warm)
     torques, iterations, kkt = mpc._gauss_newton_descent(
         mpc._Objective(system, x1),
         warm,
         rollout,
         system.quadratic_model(rollout.states, warm),
-        capped,
+        config.solver.grad_tol,
+        1,
     )
     final = mpc._predict(system, x1, torques)
     violation = max(0.0, final.terminal - system.terminal_level)
-    assert violation <= capped.constraint_tol
+    assert violation <= config.solver.constraint_tol
     reference = mpc.OcpSolution(
         torques, final.cost, float(final.terminal), True, iterations, kkt, float(violation), tuple(final.states)
     )
