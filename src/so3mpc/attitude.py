@@ -29,6 +29,7 @@ from .lgvi import (
     SOLVABILITY_FLOOR,
     SpacecraftState,
     _inertia_constants,
+    _same_row,
     _state_of,
     check_state,
     step_jacobians,
@@ -113,7 +114,24 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         return self._equilibrium
 
     def stage_cost(self, x: SpacecraftState, u) -> float:
-        return self.weights.stage_cost(x, u, self.h)
+        """:meth:`~so3mpc.terminal.StageWeights.stage_cost` of this system's
+        weights at its h.  For a ``list`` row, the solver's, a state built
+        from entries keeps the value with the weights object, h and a copy
+        of the row, and a later call with the same three, the row equal bit
+        for bit as the step compares it, returns the value unevaluated (see
+        :class:`~so3mpc.lgvi.SpacecraftState`).  Since the key is a copy, a
+        row moved in place afterwards, as the finite-difference gradient
+        moves its own, misses."""
+        weights, h = self.weights, self.h
+        if type(u) is not list:
+            return weights.stage_cost(x, u, h)
+        kept = x._stage
+        if kept is not None and kept[0] is weights and kept[1] == h and _same_row(kept[2], u):
+            return kept[3]
+        cost = weights.stage_cost(x, u, h)
+        if x._rows is not None:
+            x._stage = (weights, h, u.copy(), cost)
+        return cost
 
     def terminal_cost(self, x: SpacecraftState) -> float:
         return terminal_value(self.design.P, coordinates(x, self.h))

@@ -97,13 +97,24 @@ class SpacecraftState:
     still write to them; :func:`check_state` and the attitude module's
     ``rest_state`` and ``spinning_state`` build theirs from entries, so
     they keep steps.
+
+    Such a state keeps two values by the same rules.  In ``_coordinates``
+    it keeps its chart coordinates with the h they were taken at
+    (:func:`~so3mpc.terminal.coordinates`), and in ``_stage`` its last
+    stage cost of a torque row, with the weights object and the h it was
+    taken with and a copy of the row
+    (:meth:`~so3mpc.attitude.SpacecraftAttitudeSystem.stage_cost`).  A
+    later call with the same h (and for the stage cost the same weights
+    and a row equal bit for bit) returns the kept value, which a new
+    evaluation would reproduce bit for bit.  A state built from arrays
+    keeps neither.
     """
 
-    __slots__ = ("_g", "_f", "_rows", "_cayley", "_chord", "_next")
+    __slots__ = ("_g", "_f", "_rows", "_cayley", "_chord", "_next", "_coordinates", "_stage")
 
     def __init__(self, g, f):
         self._g, self._f, self._rows, self._cayley, self._chord = g, f, None, None, None
-        self._next = None
+        self._next = self._coordinates = self._stage = None
 
     @classmethod
     def identity(cls) -> "SpacecraftState":
@@ -158,7 +169,7 @@ def _state_of(g, f, x) -> SpacecraftState:
     state._rows = (g, f)
     state._cayley = x
     state._chord = None
-    state._next = None
+    state._next = state._coordinates = state._stage = None
     return state
 
 

@@ -66,10 +66,11 @@ the closed loop's plant step and the first N - 1 steps of the shifted
 candidate, which repeat the previous solution's rollout, ``solve_ocp``'s
 rollout of the candidate after the closed loop's :func:`horizon_cost` of
 it, and the rollout of the returned torques after the line search accepted
-them.  Their stage and terminal costs are evaluated again.  A record sums
-its stage costs as it goes, in Python floats and in step order; only the
-predictions that a caller reads per step keep per-step values, so a tail
-builds no array.
+them.  The same states keep their stage costs and chart coordinates, so
+these repeats evaluate no stage cost and take no chart logarithm; only the
+terminal value is taken again.  A record sums its stage costs as it goes,
+in Python floats and in step order; only the predictions that a caller
+reads per step keep per-step values, so a tail builds no array.
 A solve warm-started at the shifted candidate of the previous solution
 (:func:`warm_start_shift`) takes one descent step from it: one model
 gradient at the candidate and, when its KKT residual exceeds ``grad_tol``,
@@ -360,8 +361,10 @@ def _roll_on(system: ManifoldSystem, x0, controls, near=None) -> _Rollout:
     Stepping is a pure function of state and control, so a run without
     ``near`` may repeat an earlier one from the same states: the attitude
     system's step then returns the successors its states kept and solves
-    nothing (see the module docstring), while the stage and terminal costs
-    here are evaluated again.  A tail's steps keep nothing.
+    nothing, and its stage costs and chart coordinates return the values
+    the states kept (see the module docstring).  A tail's steps keep
+    nothing; its stage costs replace the values their states kept, as any
+    later stage cost at a state does.
     """
     if type(controls) is np.ndarray:
         controls = controls.tolist()

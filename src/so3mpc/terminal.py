@@ -15,6 +15,7 @@ bisected down.
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +35,7 @@ from .so3 import _log_so3_pair, exp_so3_rows, inverse_right_jacobian, log_so3_ro
 from .validation import as_fraction, as_integer, as_matrix, as_number, as_parameter, as_positive, check_spd
 
 _EYE3 = np.eye(3)
+_pack6 = struct.Struct("6d").pack
 
 # Fixed tolerances of the design: the Riccati doubling's stop, cap (64
 # doublings stand for 2^64 Riccati steps) and residual bound; the lowest
@@ -273,10 +275,12 @@ def _clip_negative(m: np.ndarray) -> np.ndarray:
 def terminal_derivatives(p: np.ndarray, state: SpacecraftState, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Gradient 2 C^T P xi and Gauss-Newton Hessian 2 C^T P C of the terminal
     cost xi^T P xi at ``state``, in the tangent coordinates of
-    :func:`stage_derivatives`, from one evaluation of the chart coordinates xi
-    and of C.  C is the Jacobian of :func:`coordinates` there, blockdiag of
-    the inverse right Jacobians of log_so3 at log g and at log f (the h of
-    the rate coordinate cancels); it stays finite up to the branch cut."""
+    :func:`stage_derivatives`, from the chart coordinates xi, which a state
+    built from entries keeps once its terminal cost has run
+    (:func:`coordinates`), and one evaluation of C.  C is the Jacobian of
+    :func:`coordinates` there, blockdiag of the inverse right Jacobians of
+    log_so3 at log g and at log f (the h of the rate coordinate cancels); it
+    stays finite up to the branch cut."""
     xi = coordinates(state, h)
     chart = np.zeros((6, 6))
     chart[:3, :3] = inverse_right_jacobian(xi[:3])
@@ -401,11 +405,26 @@ def coordinates(state: SpacecraftState, h: float) -> np.ndarray:
     one :func:`~so3mpc.so3.log_so3_rows` call over g and f stacked together.
     Either way the result equals ``concatenate([log_so3(g), log_so3(f) / h])``
     bit for bit.
+
+    One state's coordinates are a read-only array.  A state built from
+    entries keeps them with ``h`` (see :class:`~so3mpc.lgvi.SpacecraftState`),
+    and a later call at the same ``h`` returns the kept array without taking
+    a logarithm: a model built along a rollout reads the coordinates of its
+    terminal cost, and a prediction that repeats another reads those of the
+    first.  A stack's coordinates are a new writable array on every call.
     """
+    kept = state._coordinates
+    if kept is not None and kept[0] == h:
+        return kept[1]
     g, f = state.entries
     if not isinstance(g, np.ndarray):
         (z0, z1, z2), (w0, w1, w2) = _log_so3_pair(g, f)
-        return np.array((z0, z1, z2, w0 / h, w1 / h, w2 / h))
+        # An array over the bytes of the packed floats is read-only, and
+        # faster to build than np.array of them.
+        xi = np.frombuffer(_pack6(z0, z1, z2, w0 / h, w1 / h, w2 / h))
+        if state._rows is not None:
+            state._coordinates = (h, xi)
+        return xi
     n = len(state.g)
     logs = log_so3_rows(np.concatenate([state.g, state.f]))
     return np.concatenate([logs[:n], logs[n:] / h], axis=-1)

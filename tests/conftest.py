@@ -7,6 +7,7 @@ import pytest
 import so3mpc.attitude as attitude
 import so3mpc.lgvi as lgvi
 import so3mpc.mpc as mpc
+import so3mpc.terminal as terminal
 from so3mpc.attitude import AttitudeMpc, SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.flat import DoubleIntegratorSystem
@@ -20,7 +21,7 @@ from so3mpc.lgvi import (
     step_with_margin,
 )
 from so3mpc.so3 import exp_so3, hat, log_so3
-from so3mpc.terminal import default_weights, design_terminal
+from so3mpc.terminal import StageWeights, default_weights, design_terminal
 
 J_REF = np.diag([1.0, 1.2, 1.5])
 H_REF = 0.1
@@ -249,7 +250,9 @@ def counted_run(model, x0, n_steps):
     kernel calls, those that receive an array torque, implicit solves, the
     solves handed a start value and the chord and Newton updates those
     take, central-difference gradients, model builds, their condensings and
-    model gradients."""
+    model gradients, evaluations of the stage-cost formula and chart
+    logarithm passes (one ``_log_so3_pair`` per single state's
+    coordinates)."""
     started = [False]
 
     def starts(m, constants, near=None):
@@ -279,6 +282,8 @@ def counted_run(model, x0, n_steps):
             models=(SpacecraftAttitudeSystem, "quadratic_model"),
             condensings=(mpc, "_sensitivities"),
             sweeps=(mpc._Objective, "model_gradient"),
+            stage_costs=(StageWeights, "stage_cost"),
+            chart_logs=(terminal, "_log_so3_pair"),
         )
         solve = mpc.solve_ocp
 

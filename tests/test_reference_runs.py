@@ -42,12 +42,17 @@ class Reference(NamedTuple):
     # Iterations of the cold first solve; every warm solve takes at most
     # one (tests/test_warm_step.py).
     cold_iterations: int
+    # Evaluations of the stage-cost formula, StageWeights.stage_cost, and
+    # chart logarithm passes, so3._log_so3_pair: a prediction that repeats
+    # another from the same states reads the values they kept.
+    stage_costs: int
+    chart_logs: int
 
 
 REFERENCE_RUNS = {
-    "default simulate": Reference(571.39554465104, 119, 66, 5240, 1649, 130, 330, 330, 3),
-    "regulate": Reference(19.363166134653643, 32, None, 1580, 689, 40, 330, 330, 3),
-    "1 N m, N = 40": Reference(149.3015832728044, 34, None, 10790, 6789, 70, 4920, 4920, 5),
+    "default simulate": Reference(571.39554465104, 119, 66, 5240, 1649, 130, 330, 330, 3, 1769, 309),
+    "regulate": Reference(19.363166134653643, 32, None, 1580, 689, 40, 330, 330, 3, 719, 132),
+    "1 N m, N = 40": Reference(149.3015832728044, 34, None, 10790, 6789, 70, 4920, 4920, 5, 6831, 366),
 }
 
 
@@ -63,6 +68,8 @@ def measured_row(counted):
         counts["started_steps"],
         counts["started_chord_updates"] + counts["started_newton_updates"],
         int(run.iterations[0]),
+        counts["stage_costs"],
+        counts["chart_logs"],
     )
 
 

@@ -7,12 +7,13 @@ functions take states built from arrays.  Both run
 terminal value agrees bit for bit, and the solver hands back arrays.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from so3mpc import lgvi, mpc
+from so3mpc import lgvi, mpc, terminal
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state, spinning_state
 from so3mpc.errors import NotSolvable
 from so3mpc.lgvi import (
@@ -35,6 +36,7 @@ from so3mpc.mpc import (
     warm_start_shift,
 )
 from so3mpc.so3 import NEAR_PI, exp_so3, log_so3
+from so3mpc.terminal import StageWeights
 
 from conftest import H_REF, J_REF, TORQUE_BOUND_REF, count_calls, regulate_start
 
@@ -399,3 +401,161 @@ def test_unsolvable_step_keeps_nothing():
     with pytest.raises(NotSolvable):
         step_with_margin(x, [0.0, 0.0, 300.0], H_REF, J_REF)
     assert x._next[3] is kept
+
+
+def test_every_slot_is_set_by_each_constructor():
+    # A slot left unset raises AttributeError only on the path that reads
+    # it, so each way of building a state must set all of them.
+    built = [
+        SpacecraftState(exp_so3([0.3, -0.2, 0.1]), exp_so3([0.01, 0.0, -0.02])),
+        SpacecraftState.identity(),
+        _state_of(*built_state().entries, None),
+    ]
+    for state in built:
+        for slot in SpacecraftState.__slots__:
+            getattr(state, slot)
+
+
+# A state built from entries also keeps its chart coordinates, keyed by h,
+# and its last stage cost of a list row, keyed by the weights object, h and
+# the row bit for bit: a prediction that repeats another from the same
+# states evaluates no stage-cost formula and takes no chart logarithm.
+
+
+def value_counts(monkeypatch):
+    """Counts of stage-cost formula evaluations and chart logarithm passes:
+    ``terminal.coordinates`` takes one ``_log_so3_pair`` per single state."""
+    return count_calls(
+        monkeypatch,
+        stage_costs=(StageWeights, "stage_cost"),
+        chart_logs=(terminal, "_log_so3_pair"),
+    )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_repeated_rollout_evaluates_no_value(name, ref_design, monkeypatch):
+    system = SpacecraftAttitudeSystem(ref_design, torque_bound=np.inf)
+    x0, torques = case_start(name)
+    x0 = as_entries(x0)
+    first = _roll_on(system, x0, torques)
+    counts = value_counts(monkeypatch)
+    for controls in (torques, torques.tolist()):
+        assert rollout_record(_roll_on(system, x0, controls)) == rollout_record(first)
+    assert counts == {"stage_costs": 0, "chart_logs": 0}
+    # The same rollout from a fresh copy of the start evaluates every value
+    # anew, and gives the same record.
+    fresh = _roll_on(system, copy_of(x0), torques)
+    assert counts == {"stage_costs": len(torques), "chart_logs": 1}
+    assert rollout_record(fresh) == rollout_record(first)
+
+
+def test_model_along_a_valued_rollout_takes_no_chart_logarithm(ref_system, monkeypatch):
+    # The terminal gradient and Hessian read the coordinates that the
+    # rollout's terminal cost kept on its last state.
+    x0 = regulate_start()
+    torques = steering_rollout(ref_system, x0, 10)
+    base = _roll_on(ref_system, x0, torques)
+    counts = value_counts(monkeypatch)
+    model = ref_system.quadratic_model(base.states, torques)
+    assert counts["chart_logs"] == 0
+    fresh = ref_system.quadratic_model(base.states[:-1] + [copy_of(base.states[-1])], torques)
+    assert counts["chart_logs"] == 1
+    assert np.array_equal(model.p, fresh.p) and np.array_equal(model.P, fresh.P)
+
+
+def test_warm_solve_repeats_read_kept_values(fitted, monkeypatch):
+    # The marked solve's rollout of the candidate repeats the candidate's
+    # horizon_cost, and the rollout of the returned torques the accepted
+    # trial: neither evaluates a stage cost or takes a chart logarithm, and
+    # neither does the local law of the next candidate.
+    model = fitted({})
+    system, config = model.system_, model.config_
+    first = solve_ocp(system, regulate_start(), config)
+    x1, warm = first.states[1], warm_start_shift(first, system)
+    mpc.horizon_cost(system, x1, warm)
+    counts = value_counts(monkeypatch)
+    predicted, predict = [], mpc._predict
+
+    def counted_predict(*args):
+        before = dict(counts)
+        rollout = predict(*args)
+        predicted.append({key: counts[key] - before[key] for key in counts})
+        return rollout
+
+    monkeypatch.setattr(mpc, "_predict", counted_predict)
+    solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
+    assert predicted == [{"stage_costs": 0, "chart_logs": 0}] * 2
+    before = counts["chart_logs"]
+    warm_start_shift(solution, system)
+    assert counts["chart_logs"] == before
+
+
+def other_systems(design):
+    """Attitude systems that must not be served the reference system's
+    values on its states: one at another h, and one with another rate
+    weight."""
+    weights = design.weights
+    twin = StageWeights(weights.attitude.copy(), 2.0 * weights.rate, weights.torque.copy(), weights.decay)
+    return {
+        "another h": SpacecraftAttitudeSystem(dataclasses.replace(design, h=0.05)),
+        "other weights": SpacecraftAttitudeSystem(dataclasses.replace(design, weights=twin)),
+    }
+
+
+@pytest.mark.parametrize("other", ["another h", "other weights"])
+def test_other_system_is_served_no_value(other, ref_system, ref_design, monkeypatch):
+    x = built_state()
+    ref_system.stage_cost(x, ROW)
+    ref_system.terminal_cost(x)
+    system = other_systems(ref_design)[other]
+    counts = value_counts(monkeypatch)
+    stage, terminal_value = system.stage_cost(x, ROW), system.terminal_cost(x)
+    assert counts == {"stage_costs": 1, "chart_logs": int(other == "another h")}
+    fresh = copy_of(x)
+    assert repr((stage, terminal_value)) == repr((system.stage_cost(fresh, ROW), system.terminal_cost(fresh)))
+
+
+def test_zero_of_the_other_sign_is_served_no_stage_cost(ref_system, monkeypatch):
+    # The stage cost keys its row as the step does (lgvi._same_row): equal
+    # under == is not enough.
+    x = built_state()
+    ref_system.stage_cost(x, [0.0, -0.0, 2.25])
+    counts = value_counts(monkeypatch)
+    ref_system.stage_cost(x, [0.0, -0.0, 2.25])
+    assert counts["stage_costs"] == 0
+    ref_system.stage_cost(x, [0.0, 0.0, 2.25])
+    assert counts["stage_costs"] == 1
+
+
+def test_row_moved_in_place_is_served_no_stage_cost(ref_system, monkeypatch):
+    # A finite-difference gradient moves an entry of its first row in place
+    # between two tails from one state, so the kept key is a copy.
+    x, row = built_state(), list(ROW)
+    ref_system.stage_cost(x, row)
+    counts = value_counts(monkeypatch)
+    row[1] = row[1] + FD_STEP
+    moved = ref_system.stage_cost(x, row)
+    assert counts["stage_costs"] == 1
+    assert repr(moved) == repr(ref_system.stage_cost(copy_of(x), [ROW[0], ROW[1] + FD_STEP, ROW[2]]))
+
+
+def test_array_state_is_served_no_value(ref_system, monkeypatch):
+    # The caller may still write to the arrays: the values follow them.
+    x = as_arrays(built_state())
+    values = [ref_system.stage_cost(x, ROW), ref_system.terminal_cost(x)]
+    x.g[...] = exp_so3([0.2, 0.1, -0.3])
+    counts = value_counts(monkeypatch)
+    moved = [ref_system.stage_cost(x, ROW), ref_system.terminal_cost(x)]
+    assert counts == {"stage_costs": 1, "chart_logs": 1}
+    assert x._stage is None and x._coordinates is None
+    assert moved != values
+    assert repr(moved) == repr([ref_system.stage_cost(as_entries(x), ROW), ref_system.terminal_cost(as_entries(x))])
+
+
+@pytest.mark.parametrize("rebuild", [as_arrays, as_entries], ids=["from arrays", "from entries"])
+def test_coordinates_of_one_state_are_read_only(rebuild):
+    x = rebuild(built_state())
+    for xi in (terminal.coordinates(x, H_REF), terminal.coordinates(x, H_REF)):
+        with pytest.raises(ValueError):
+            xi[0] = 1.0
+    assert np.array_equal(xi, np.concatenate([log_so3(x.g), log_so3(x.f) / H_REF]))

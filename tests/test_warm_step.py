@@ -21,6 +21,7 @@ import pytest
 import so3mpc.attitude as attitude
 import so3mpc.lgvi as lgvi
 import so3mpc.mpc as mpc
+import so3mpc.terminal as terminal
 from so3mpc.attitude import SpacecraftAttitudeSystem, rest_state
 from so3mpc.flat import DoubleIntegratorSystem
 from so3mpc.mpc import (
@@ -104,6 +105,31 @@ def test_kept_steps_leave_the_closed_loop_unchanged(name, reference_run, fitted,
     assert run_record(kept.run) == run_record(fresh.run)
     assert fresh.counts["implicit_solves"] == fresh.counts["kernel_calls"] == kept.counts["kernel_calls"]
     assert kept.counts["implicit_solves"] < kept.counts["kernel_calls"]
+
+
+# The same repeats read the stage costs and chart coordinates their states
+# kept, and so does the model along a valued rollout and the local law at
+# the terminal state of a solution.
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_kept_values_leave_the_closed_loop_unchanged(name, reference_run, fitted, monkeypatch):
+    # Every stage cost and chart coordinate of the fresh run is taken on a
+    # copy of its state, so that none finds a value the state has kept.
+    loop, kept = REFERENCE_LOOPS[name], reference_run(name)
+    stage_cost, coordinates = SpacecraftAttitudeSystem.stage_cost, terminal.coordinates
+
+    def copy(state):
+        return lgvi._state_of(*state.entries, state._cayley) if state._rows is not None else state
+
+    def fresh_coordinates(state, h):
+        return coordinates(copy(state), h)
+
+    monkeypatch.setattr(SpacecraftAttitudeSystem, "stage_cost", lambda system, x, u: stage_cost(system, copy(x), u))
+    monkeypatch.setattr(attitude, "coordinates", fresh_coordinates)
+    monkeypatch.setattr(terminal, "coordinates", fresh_coordinates)
+    fresh = counted_run(fitted(loop.params), loop.start(), loop.n_steps)
+    assert run_record(kept.run) == run_record(fresh.run)
+    for key in ("stage_costs", "chart_logs"):
+        assert fresh.counts[key] > kept.counts[key]
 
 
 def gradient_log(monkeypatch, system):
