@@ -115,10 +115,11 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
 
     def stage_cost(self, x: SpacecraftState, u) -> float:
         """:meth:`~so3mpc.terminal.StageWeights.stage_cost` of this system's
-        weights at its h.  For a ``list`` row, the solver's, a state built
-        from entries keeps the value with the weights object, h and a copy
-        of the row, and a later call with the same three, the row equal bit
-        for bit as the step compares it, returns the value unevaluated (see
+        weights at its h.  For a ``list`` row, as the solver's predictions
+        and the closed loop's paid cost pass it, a state built from entries
+        keeps the value with the weights object, h and a copy of the row,
+        and a later call with the same three, the row equal bit for bit as
+        the step compares it, returns the value unevaluated (see
         :class:`~so3mpc.lgvi.SpacecraftState`).  Since the key is a copy, a
         row moved in place afterwards, as the finite-difference gradient
         moves its own, misses."""

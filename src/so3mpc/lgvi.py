@@ -6,17 +6,21 @@ increment, both rotation matrices.  The attitude update is explicit,
 Newton iteration on the Cayley vector of the increment, a 3-vector, so the
 new increment is a rotation by construction.  Both updates keep the state on
 the group to round-off, which is what makes long prediction rollouts
-trustworthy inside an optimizer.  A step may be handed a state near its
-successor to start that iteration from: the optimizer's perturbed
-finite-difference rollouts pass the unperturbed rollout's.  The first
-update from such a start is a chord update, the Newton update with the
-inverse Jacobian at the start state in place of the one at the iterate;
-that state keeps the inverse, so the tail steps handed it share one.  A
-state the step built also keeps its last step taken without a start
+trustworthy inside an optimizer.  Newton starts at the second fixed-point
+iterate of the implicit update, one past its linearized root
+(:func:`_start`), from which a small momentum stops after one update.  A
+step may be handed a state near its successor to start that iteration
+from instead: the optimizer's perturbed finite-difference rollouts pass
+the unperturbed rollout's.  The first update from such a start is a chord
+update, the Newton update with the inverse Jacobian at the start state in
+place of the one at the iterate; that state keeps the inverse, so the tail
+steps handed it share one.  A state the step built also keeps its last
+step taken without a start
 (:class:`SpacecraftState`), and a repeat of that step returns the kept
 successor without solving.  ``tests/test_reference_runs.py`` counts, on
 each reference closed loop, the kernel calls, the implicit solves they
-run, and the tail steps handed a start value with their updates.
+run, the tail steps handed a start value with their updates, and the
+Newton updates of the solves handed none.
 
 One step runs on Python floats: the entries of g, f and the torque go in,
 and the successor comes out as the entries of g f, summed in component
@@ -44,8 +48,10 @@ from .validation import as_parameter, as_positive, check_controls, check_rotatio
 _EYE3 = np.eye(3)
 
 # Newton on the Cayley vector of the increment: the step size at which it
-# stops, and the iteration cap (quadratic convergence takes 2-5 iterations
-# on the solvable set; the linear convergence at margin zero about 20).
+# stops, and the iteration cap.  From the second-order start, quadratic
+# convergence takes 1-4 iterations on the solvable set (criterion 3's draws)
+# and one on the certificate's samples; the linear convergence at margin
+# zero takes about 20.
 _NEWTON_STEP_TOL = 1e-6
 _NEWTON_MAX_ITERS = 50
 
@@ -227,12 +233,15 @@ def _margin_bound(m, lo, hi):
 
 
 class _InertiaConstants(NamedTuple):
-    """What a step needs of J: its entries, tr J I - J, the Gershgorin
+    """What a step needs of J: its entries; a = tr J I - J and its inverse,
+    as rows of entries, the inverse by :func:`_solve3` on the unit vectors,
+    for the start of every unstarted solve (:func:`_start`); the Gershgorin
     bounds lo <= lambda_min(J) (at least zero) and hi >= lambda_max(J) of
-    :func:`_margin_bound`, and the array for LAPACK's margin, read-only."""
+    :func:`_margin_bound`; and the array for LAPACK's margin, read-only."""
 
     j: tuple
     a: tuple
+    a_inv: tuple
     lo: float
     hi: float
     inertia: np.ndarray
@@ -251,8 +260,10 @@ def _inertia_constants(inertia: np.ndarray) -> _InertiaConstants:
 def _constants_of(key: bytes) -> _InertiaConstants:
     inertia = np.frombuffer(key).reshape(3, 3)
     j = tuple(map(tuple, inertia.tolist()))
+    a = _trace_shift(j)
+    a_inv = tuple(zip(*(_solve3(a, e) for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))))
     lows, highs = _eigen_discs(j)
-    return _InertiaConstants(j, _trace_shift(j), max(min(lows), 0.0), max(highs), inertia)
+    return _InertiaConstants(j, a, a_inv, max(min(lows), 0.0), max(highs), inertia)
 
 
 def _margin(m, constants: _InertiaConstants) -> float:
@@ -300,6 +311,32 @@ def _solve3(a, b):
         (c00 * b0 + (a02 * a21 - a01 * a22) * b1 + (a01 * a12 - a02 * a11) * b2) / det,
         (c01 * b0 + (a00 * a22 - a02 * a20) * b1 + (a02 * a10 - a00 * a12) * b2) / det,
         (c02 * b0 + (a01 * a20 - a00 * a21) * b1 + (a00 * a11 - a01 * a10) * b2) / det,
+    )
+
+
+def _start(m, j, b):
+    """Where Newton starts without a start state: the second fixed-point
+    iterate x1 = b (x0 cross J x0 + (1 + x0^T x0) m / 2) of r(x) = 0, from
+    the linearized root x0 = b m / 2, where b is the inverse of
+    a = tr J I - J as rows of entries."""
+    m0, m1, m2 = m
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = j
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    h0, h1, h2 = 0.5 * m0, 0.5 * m1, 0.5 * m2
+    x0 = b00 * h0 + b01 * h1 + b02 * h2
+    x1 = b10 * h0 + b11 * h1 + b12 * h2
+    x2 = b20 * h0 + b21 * h1 + b22 * h2
+    y0 = j00 * x0 + j01 * x1 + j02 * x2
+    y1 = j10 * x0 + j11 * x1 + j12 * x2
+    y2 = j20 * x0 + j21 * x1 + j22 * x2
+    s = 0.5 * (1.0 + (x0 * x0 + x1 * x1 + x2 * x2))
+    c0 = (x1 * y2 - x2 * y1) + s * m0
+    c1 = (x2 * y0 - x0 * y2) + s * m1
+    c2 = (x0 * y1 - x1 * y0) + s * m2
+    return (
+        b00 * c0 + b01 * c1 + b02 * c2,
+        b10 * c0 + b11 * c1 + b12 * c2,
+        b20 * c0 + b21 * c1 + b22 * c2,
     )
 
 
@@ -438,7 +475,7 @@ def _implicit_increment(m, constants: _InertiaConstants, near=None) -> tuple[tup
     F J - J F^T = hat(m), and the solvability margin.  ``m`` is the momentum
     vector and ``constants`` are the :func:`_inertia_constants` of J.
     ``near``, a state whose increment lies near F, is where the iteration
-    starts instead of the linearized root (see below).  The entries are
+    starts instead of the second-order start (see below).  The entries are
     Python floats.
 
     The margin is the smallest eigenvalue of J^2 + M^2/4 from LAPACK where a
@@ -449,8 +486,13 @@ def _implicit_increment(m, constants: _InertiaConstants, near=None) -> tuple[tup
     F is the Cayley map of x, I + 2 (hat(x) + hat(x)^2) / (1 + x^T x)
     (:func:`_cayley`), so it stays on the group by construction.  The
     implicit update reads
-    r(x) = (tr J I - J) x - x cross J x - (1 + x^T x) m / 2 = 0, solved by
-    Newton from the linearized root (tr J I - J)^{-1} m / 2.  Since r is
+    r(x) = a x - x cross J x - (1 + x^T x) m / 2 = 0 with a = tr J I - J,
+    solved by Newton from x1 = a^{-1} (x0 cross J x0 + (1 + x0^T x0) m / 2),
+    the fixed-point iterate after the linearized root x0 = a^{-1} m / 2
+    (:func:`_start`, on the a^{-1} that the constants keep).  Its error is of
+    order |m|^3 where x0's is |m|^2, so the first update's step is too, and
+    a small momentum (every fresh sample of the certificate at the 1 N m
+    reference design) stops after that one update.  Since r is
     quadratic, the residual after a step dx is exactly
     -dx cross J dx - |dx|^2 m / 2, so stopping once |dx| <= _NEWTON_STEP_TOL
     leaves a residual of order 1e-12, and under quadratic convergence the
@@ -471,9 +513,12 @@ def _implicit_increment(m, constants: _InertiaConstants, near=None) -> tuple[tup
     order of |m - m0|, so the stop test leaves a residual of the same order.  Otherwise Newton updates continue
     from where it lands, the chord update counting against the same cap.  F
     moves from the unstarted result at round-off only (at most 1e-10 for
-    starts up to 1e-2 away).  Below the cutoff the start is ignored: the
-    two roots there lie within about sqrt(margin) of each other, and a
-    start 1e-2 away at margin 1e-8 converged to the other one.
+    starts up to 1e-2 away).  Below the cutoff ``near`` is ignored and the
+    iteration starts at x1 as an unstarted one does: the two roots there lie
+    within about sqrt(margin) of each other, and a start 1e-2 away at margin
+    1e-8 converged to the other one.  x1 has not been seen to: over 20,000
+    random inertias and momenta at margins down to 1e-9 lambda_min(J)^2, it
+    reached the root of the linearized start within 1e-12 / sqrt(margin).
 
     Near the solvability boundary F is less accurate than the residual: the
     root is close to a double root, with condition about 1/sqrt(margin), so
@@ -483,7 +528,7 @@ def _implicit_increment(m, constants: _InertiaConstants, near=None) -> tuple[tup
     margin 1.
 
     The unstarted iteration runs through the component formulas
-    :func:`_solve3` and :func:`_newton_update`, which
+    :func:`_start` and :func:`_newton_update`, which
     :func:`_implicit_increments` runs on arrays of rows.
     """
     margin = _margin(m, constants)
@@ -491,7 +536,7 @@ def _implicit_increment(m, constants: _InertiaConstants, near=None) -> tuple[tup
         raise NotSolvable(f"implicit step unsolvable: min eig of J^2 + M^2/4 is {margin:.3e}")
     j, a = constants.j, constants.a
     if near is None or margin < MARGIN_CUTOFF:
-        x, step = _newton_update(_solve3(a, [0.5 * mi for mi in m]), m, j, a)
+        x, step = _newton_update(_start(m, j, constants.a_inv), m, j, a)
     else:
         chord = near._chord
         if chord is None or chord[0] is not constants:
@@ -515,9 +560,11 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
     margin is negative is unsolvable: its increment is NaN.
 
     Every solvable row runs the scalar kernel's component formulas, on the
-    same :func:`_inertia_constants`, from the same start and stops after the
-    same test on its own step, so its increment equals :func:`_cayley` of the
-    scalar kernel's result bit for bit.
+    same :func:`_inertia_constants`, from the same start (:func:`_start`)
+    and stops after the same test on its own step, so its increment equals
+    :func:`_cayley` of the scalar kernel's result bit for bit.  At the 1 N m
+    reference design every fresh certificate sample stops after its first
+    update, so the stack runs one pass.
     """
     m = np.asarray(m, dtype=float)
     constants = _inertia_constants(np.asarray(inertia, dtype=float))
@@ -528,16 +575,17 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
     # entries of J and a are floats.
     j, a = constants.j, constants.a
     m = m[rows].T
-    x = np.array(_solve3(a, [0.5 * mi for mi in m]))
+    x = np.array(_start(m, j, constants.a_inv))
     for _ in range(_NEWTON_MAX_ITERS):
         x, step = _newton_update(x, m, j, a)
         x = np.array(x)
         done = step <= _NEWTON_STEP_TOL**2
+        if done.all():
+            increments[rows] = np.array(_cayley(x)).transpose(2, 0, 1)
+            return increments, margins
         increments[rows[done]] = np.array(_cayley(x[:, done])).transpose(2, 0, 1)
         going = ~done
         rows, x, m = rows[going], x[:, going], m[:, going]
-        if not rows.size:
-            return increments, margins
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )
@@ -620,9 +668,11 @@ def step_with_margin(
 
 def _same_row(row, torque) -> bool:
     """Whether two rows of floats hold the same numbers bit for bit.  ``==``
-    takes -0.0 for 0.0, which a step can tell apart (a momentum entry of
-    -0.0 keeps the torque's sign of zero, and the Cayley vector solved for
-    with it), so the signs of zero entries are compared too."""
+    takes -0.0 for 0.0, but a momentum entry of -0.0 keeps the torque's sign
+    of zero, and a kept successor must be what a new solve gives from that
+    momentum; so the signs of zero entries are compared too.  No search has
+    found signed-zero torques whose fresh steps differ, but no argument
+    shows that the Newton formulas drop every sign they are given."""
     return row == torque and (
         0.0 not in torque or all(math.copysign(1.0, a) == math.copysign(1.0, b) for a, b in zip(row, torque))
     )

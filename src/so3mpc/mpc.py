@@ -183,7 +183,8 @@ class ManifoldSystem(abc.ABC):
     @abc.abstractmethod
     def stage_cost(self, x, u) -> float:
         """Running cost; zero exactly at the equilibrium pair.  ``u`` is a
-        list of floats inside a prediction and an array outside one."""
+        list of floats inside a prediction and for the closed loop's paid
+        cost, and may be an array for other callers."""
 
     @abc.abstractmethod
     def terminal_cost(self, x) -> float:
@@ -859,7 +860,8 @@ def closed_loop(
         else:
             candidate_costs.append(horizon_cost(system, x, candidate))
         u, solution = controller.step(x)
-        stage_costs.append(system.stage_cost(x, u))
+        # As a row, the value the solve's own rollout kept for it.
+        stage_costs.append(system.stage_cost(x, u.tolist()))
         x = system.step(x, u)
         states.append(x)
         controls.append(u)

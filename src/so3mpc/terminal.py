@@ -359,11 +359,12 @@ def solve_dare(lin: Linearization, cost: QuadraticCostData) -> np.ndarray:
             a, b = lin
             g = b @ np.linalg.solve(cost.R_dare, b.T)
             h = cost.Q
-            eye = np.eye(a.shape[0])
+            n = a.shape[0]
+            eye = np.eye(n)
             for _ in range(_DARE_MAX_DOUBLINGS):
-                w = eye + g @ h
-                w_inv_a = np.linalg.solve(w, a)
-                w_inv_g = np.linalg.solve(w, g)
+                # W^{-1} A_k and W^{-1} G_k from one factorization of W.
+                w_inv = np.linalg.solve(eye + g @ h, np.concatenate([a, g], axis=1))
+                w_inv_a, w_inv_g = w_inv[:, :n], w_inv[:, n:]
                 h_next = h + a.T @ h @ w_inv_a
                 h_next = 0.5 * (h_next + h_next.T)
                 g = g + a @ w_inv_g @ a.T

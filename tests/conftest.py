@@ -250,9 +250,10 @@ def counted_run(model, x0, n_steps):
     kernel calls, those that receive an array torque, implicit solves, the
     solves handed a start value and the chord and Newton updates those
     take, central-difference gradients, model builds, their condensings and
-    model gradients, evaluations of the stage-cost formula and chart
+    model gradients, evaluations of the stage-cost formula, chart
     logarithm passes (one ``_log_so3_pair`` per single state's
-    coordinates)."""
+    coordinates) and the Newton updates of the solves handed no start
+    value."""
     started = [False]
 
     def starts(m, constants, near=None):
@@ -263,6 +264,9 @@ def counted_run(model, x0, n_steps):
 
     def in_started(*args):
         return started[0]
+
+    def in_unstarted(*args):
+        return not started[0]
 
     def array_torque(state, torque, *args):
         return isinstance(torque, np.ndarray)
@@ -284,6 +288,7 @@ def counted_run(model, x0, n_steps):
             sweeps=(mpc._Objective, "model_gradient"),
             stage_costs=(StageWeights, "stage_cost"),
             chart_logs=(terminal, "_log_so3_pair"),
+            unstarted_updates=(lgvi, "_newton_update", in_unstarted),
         )
         solve = mpc.solve_ocp
 

@@ -86,10 +86,13 @@ def criterion_3_draws():
 
 def newton_oracle(momentum, inertia):
     """The implicit step's Newton iteration in numpy matrix form, with
-    LAPACK solves: an independent reference for the component-form kernels."""
+    LAPACK solves: an independent reference for the component-form kernels.
+    It starts where they do, at the second fixed-point iterate
+    a^{-1} (x0 cross J x0 + (1 + x0^T x0) m / 2) from x0 = a^{-1} m / 2."""
     m = np.array([momentum[2, 1], momentum[0, 2], momentum[1, 0]])
     a = np.trace(inertia) * np.eye(3) - inertia
     x = np.linalg.solve(a, 0.5 * m)
+    x = np.linalg.solve(a, np.cross(x, inertia @ x) + 0.5 * (1.0 + x @ x) * m)
     for _ in range(50):
         a_x = a - hat(x) @ inertia
         r = a_x @ x - 0.5 * (1.0 + x @ x) * m
@@ -269,7 +272,7 @@ class TestStepRiccati:
         assert orthogonality(f) <= 1e-12
         # Both kernels stop within about 1e-9 of the root here; their
         # round-off differences grow as the root's condition, 1/sqrt(margin)
-        # (at most 3.8e-16/sqrt(margin) over 6000 draws).
+        # (at most 6.4e-16/sqrt(margin) over 6000 draws).
         assert np.abs(f - newton_oracle(m, inertia)).max() <= 1e-14 / np.sqrt(margin)
 
     def test_matches_oracle_on_criterion_3_draws(self):
@@ -304,8 +307,9 @@ class TestStepRiccati:
         assert np.abs(f - exact).max() <= 3e-12 / np.sqrt(margin)
 
     def test_iteration_cap_raises(self, monkeypatch):
-        # The linearized root 0.375 e3 is far from the root tan(theta/2) e3
-        # with 2 sin(theta) = 1.5, about 0.45 e3, so one step cannot stop.
+        # The start, 0.375 (1 + 0.375^2) e3 = 0.428 e3 from the linearized
+        # root 0.375 e3, is far from the root tan(theta/2) e3 with
+        # 2 sin(theta) = 1.5, about 0.451 e3, so one step cannot stop.
         m, inertia = hat([0.0, 0.0, 1.5]), np.eye(3)
         implicit_increment(vector(m), inertia)
         monkeypatch.setattr(lgvi, "_NEWTON_MAX_ITERS", 1)
@@ -440,7 +444,9 @@ class TestInertiaConstantsCache:
         increments, margins = _implicit_increments(m[None], inertia.copy())
         assert np.array_equal(nxt.f, increments[0])
         assert margin == margins[0]
-        assert _inertia_constants(inertia).j == tuple(map(tuple, inertia.tolist()))
+        constants = _inertia_constants(inertia)
+        assert constants.j == tuple(map(tuple, inertia.tolist()))
+        assert_allclose(np.array(constants.a_inv) @ np.array(constants.a), np.eye(3), atol=1e-14)
 
     def test_follows_in_place_mutation(self):
         rng = np.random.default_rng(31)
@@ -894,6 +900,69 @@ class TestStartValue:
             step_with_margin(state, torque, H, other, start)
         assert near._chord[0] is other
         assert repr(near._chord[1:]) == repr(fresh._chord[1:])
+
+
+def momentum_at_margin(inertia, direction, margin):
+    """The momentum vector along the unit ``direction`` whose step margin,
+    LAPACK's smallest eigenvalue of J^2 + M^2/4, is about ``margin`` and not
+    below it: bisection on its size, since J^2 + s^2 hat(d)^2 / 4 falls in
+    the Loewner order as s grows, and is indefinite past 2 lambda_max(J)."""
+    lo, hi = 0.0, 2.0 * np.linalg.eigvalsh(inertia)[-1]
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if check_solvability(hat(mid * direction), inertia).margin >= margin else (lo, mid)
+    return lo * direction
+
+
+def linearized_start(m, j, a_inv):
+    """The linearized root (tr J I - J)^{-1} m / 2 by Cramer's rule, the
+    start one fixed-point iterate before ``lgvi._start``, in its
+    signature."""
+    return lgvi._solve3(lgvi._trace_shift(j), [0.5 * mi for mi in m])
+
+
+class TestSecondOrderStart:
+    """Every unstarted solve starts at the second fixed-point iterate of r,
+    one iterate past the linearized root, and reaches the same root."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.floats(min_value=0.2, max_value=3.0), min_size=3, max_size=3),
+        ANGLES,
+        DIRECTIONS,
+        st.floats(min_value=-9.0, max_value=0.0),
+    )
+    @example([1.0, 1.2, 1.5], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], -9.0)
+    @example([0.2, 3.0, 3.0], [0.3, -1.1, 2.0], [1.0, 1.0, 0.0], -9.0)
+    @example([0.2, 0.2, 3.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 0.0)
+    def test_reaches_the_root_of_the_linearized_start(self, eigs, rotation, direction, exponent):
+        # Margins from 1e-9 to 1 times lambda_min(J)^2.  Near the boundary
+        # the two roots lie within about sqrt(margin) of each other, so the
+        # start must not move the iteration to the other one: both results
+        # agree within the kernel's 3e-12 / sqrt(margin) (see
+        # lgvi._implicit_increment).
+        inertia = random_inertia(eigs, rotation)
+        axis = unit(np.asarray(direction)) if np.linalg.norm(direction) > 1e-3 else np.array([1.0, 0.0, 0.0])
+        m = momentum_at_margin(inertia, axis, 10.0**exponent * np.linalg.eigvalsh(inertia)[0] ** 2)
+        margin = check_solvability(hat(m), inertia).margin
+        constants = _inertia_constants(inertia)
+        x, _ = lgvi._implicit_increment(m.tolist(), constants)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lgvi, "_start", linearized_start)
+            old, _ = lgvi._implicit_increment(m.tolist(), constants)
+        assert np.abs(np.subtract(x, old)).max() <= 3e-12 / np.sqrt(margin)
+
+    def test_is_one_fixed_point_iterate_past_the_linearized_root(self):
+        # x1 = a^{-1} (x0 cross J x0 + (1 + x0^T x0) m / 2), x0 = a^{-1} m / 2.
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            inertia = random_inertia(rng.uniform(0.2, 3.0, 3), rng.uniform(-np.pi, np.pi, 3))
+            m = rng.uniform(-0.5, 0.5, 3)
+            constants = _inertia_constants(inertia)
+            a = np.trace(inertia) * np.eye(3) - inertia
+            x0 = np.linalg.solve(a, 0.5 * m)
+            x1 = np.linalg.solve(a, np.cross(x0, inertia @ x0) + 0.5 * (1.0 + x0 @ x0) * m)
+            assert_allclose(lgvi._start(m.tolist(), constants.j, constants.a_inv), x1, rtol=1e-13, atol=1e-16)
 
 
 class TestRollout:

@@ -1119,7 +1119,8 @@ class UnhintedAttitude(SpacecraftAttitudeSystem):
 
 class TestTailStartValue:
     """Each finite-difference tail step starts its implicit solve at the base
-    rollout's successor; every other step starts at the linearized root."""
+    rollout's successor; every other step starts at the second fixed-point
+    iterate (lgvi._start)."""
 
     def test_tails_take_about_one_newton_update_per_step(self, ref_system, monkeypatch):
         # The regulate start's first gradient: 1.00 updates per step, where

@@ -47,12 +47,15 @@ class Reference(NamedTuple):
     # another from the same states reads the values they kept.
     stage_costs: int
     chart_logs: int
+    # Newton updates of the implicit solves handed no start value, each
+    # started at the second fixed-point iterate (lgvi._start).
+    unstarted_updates: int
 
 
 REFERENCE_RUNS = {
-    "default simulate": Reference(571.39554465104, 119, 66, 5240, 1649, 130, 330, 330, 3, 1769, 309),
-    "regulate": Reference(19.363166134653643, 32, None, 1580, 689, 40, 330, 330, 3, 719, 132),
-    "1 N m, N = 40": Reference(149.3015832728044, 34, None, 10790, 6789, 70, 4920, 4920, 5, 6831, 366),
+    "default simulate": Reference(571.3955446510921, 119, 66, 5240, 1649, 130, 330, 330, 3, 1649, 309, 1428),
+    "regulate": Reference(19.36316613465384, 32, None, 1580, 689, 40, 330, 330, 3, 689, 132, 359),
+    "1 N m, N = 40": Reference(149.30158327281129, 34, None, 10790, 6789, 70, 4920, 4920, 5, 6801, 366, 1869),
 }
 
 
@@ -70,6 +73,7 @@ def measured_row(counted):
         int(run.iterations[0]),
         counts["stage_costs"],
         counts["chart_logs"],
+        counts["unstarted_updates"],
     )
 
 

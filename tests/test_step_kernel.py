@@ -285,20 +285,23 @@ def test_other_step_misses(h, inertia, torque, monkeypatch):
 
 
 def test_zero_of_the_other_sign_misses(monkeypatch):
-    # -0.0 == 0.0 in Python, but a step can tell them apart: with -0.0
-    # products of the inertia's zeros the momentum entry is -0.0 under a
-    # torque of -0.0 and 0.0 under 0.0, and so is the Cayley vector solved
-    # for.  A row hits only if it is equal bit for bit.
+    # -0.0 == 0.0 in Python, but with -0.0 products of the inertia's zeros
+    # the momentum entry is -0.0 under a torque of -0.0 and 0.0 under 0.0.
+    # Started at the linearized root, Newton carried that sign into the
+    # Cayley vector; from the second-order start no signed-zero search has
+    # found fresh steps that differ.  The kept successor still stands for a
+    # new solve from the momentum, so a row hits only if it is equal bit
+    # for bit: the other sign solves again.
     inertia = np.array([[1.0, -0.0, -0.0], [-0.0, 1.2, -0.0], [-0.0, -0.0, 1.5]])
     rest = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     x = _state_of(rest, ((1.0, 0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0)), None)
     kept, torque = [0.0, -0.0, -0.0], [-0.0, -0.0, -0.0]
     fresh = step_with_margin(copy_of(x), torque, H_REF, inertia)
-    assert outcome(*fresh) != outcome(*step_with_margin(copy_of(x), kept, H_REF, inertia))
-    step_with_margin(x, kept, H_REF, inertia)
+    successor = step_with_margin(x, kept, H_REF, inertia)[0]
     counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
-    assert outcome(*step_with_margin(x, torque, H_REF, inertia)) == outcome(*fresh)
-    assert counts["solves"] == 1
+    other = step_with_margin(x, torque, H_REF, inertia)
+    assert counts["solves"] == 1 and other[0] is not successor
+    assert outcome(*other) == outcome(*fresh)
 
 
 def test_started_step_neither_reads_nor_keeps(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from so3mpc import terminal
+from so3mpc import lgvi, terminal
 from so3mpc.errors import (
     DesignFileError,
     NoConvergence,
@@ -45,7 +45,7 @@ from so3mpc.terminal import (
     _level_ceiling,
 )
 
-from conftest import H_REF, J_REF, TORQUE_BOUND_REF, perturbed
+from conftest import H_REF, J_REF, TORQUE_BOUND_REF, count_calls, perturbed
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -980,7 +980,7 @@ class TestExactCeilings:
 
     @pytest.mark.parametrize(
         ("name", "level", "max_violation"),
-        [("100 Nm", 2456.6435414163557, -25.157357528170476), ("1 Nm", 438.00599989843374, -0.0513167024238278)],
+        [("100 Nm", 2456.6435414163557, -25.157357528170532), ("1 Nm", 438.00599989843374, -0.0513167024238278)],
     )
     def test_reference_calibration_is_pinned(self, certified_designs, name, level, max_violation):
         # The design file's level and certificate at the reference inertia,
@@ -992,6 +992,15 @@ class TestExactCeilings:
         design, _ = certified_designs[name]
         assert repr(design.c) == repr(level)
         assert repr(design.certification.max_violation) == repr(max_violation)
+
+    def test_fresh_samples_take_one_stacked_newton_update(self, certified_designs, monkeypatch):
+        # From the second-order start every one of the 1000 fresh samples at
+        # the 1 N m design stops after its first Newton update, so the
+        # stacked solve runs one pass; from the linearized root it ran two.
+        design, torque_bound = certified_designs["1 Nm"]
+        counts = count_calls(monkeypatch, updates=(lgvi, "_newton_update"))
+        assert certify_local_law(design, torque_bound, n_samples=1000).passed
+        assert counts["updates"] == 1
 
     def test_shrink_one_stops_at_torque_ceiling(self, certified_designs):
         design, _ = certified_designs["1 Nm, shrink 1"]
