@@ -17,7 +17,7 @@ state in ``predict``, and the closed loop in ``simulate``.
 
 from __future__ import annotations
 
-from itertools import chain
+import struct
 from typing import Optional
 
 import numpy as np
@@ -63,6 +63,9 @@ from .terminal import (
     terminal_value,
 )
 from .validation import as_parameter, as_positive, check_vector3
+
+# The 18 entries of one state's g and f, in row order, as float64 bytes.
+_pack_entries = struct.Struct("18d").pack
 
 
 class SpacecraftAttitudeSystem(ManifoldSystem):
@@ -156,14 +159,14 @@ class SpacecraftAttitudeSystem(ManifoldSystem):
         :func:`~so3mpc.terminal.terminal_derivatives` at the last, all in the
         tangent coordinates g exp(hat(zeta)), f exp(h hat(omega)).  The
         entries of all N + 1 states are read into one (N + 1, 2, 3, 3) array,
-        in one pass, and tilde(R) is repeated into an (N, 3, 3) array, which
-        is cheaper than a broadcast view."""
+        a read-only view of one buffer that packs 18 float64 entries per
+        state, and tilde(R) is repeated into an (N, 3, 3) array, which is
+        cheaper than a broadcast view."""
         n = len(torques)
-        entries = np.fromiter(
-            chain.from_iterable(chain.from_iterable(chain.from_iterable(x.entries)) for x in states),
-            float,
-            18 * (n + 1),
-        ).reshape(n + 1, 2, 3, 3)
+        packed = b"".join(
+            [_pack_entries(*g[0], *g[1], *g[2], *f[0], *f[1], *f[2]) for g, f in (x.entries for x in states)]
+        )
+        entries = np.frombuffer(packed, float).reshape(n + 1, 2, 3, 3)
         a, b = step_jacobians(entries[:, 1], self.h, self.inertia)
         q_grad, q = stage_derivatives(self.weights, entries[:-1], self.h)
         p_grad, p = terminal_derivatives(self.design.P, states[-1], self.h)

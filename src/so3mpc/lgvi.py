@@ -583,9 +583,11 @@ def _implicit_increments(m, inertia) -> tuple[np.ndarray, np.ndarray]:
         if done.all():
             increments[rows] = np.array(_cayley(x)).transpose(2, 0, 1)
             return increments, margins
-        increments[rows[done]] = np.array(_cayley(x[:, done])).transpose(2, 0, 1)
-        going = ~done
-        rows, x, m = rows[going], x[:, going], m[:, going]
+        # Each selection once, by integer index: a boolean mask copies through
+        # a slower path.
+        stopped, going = np.flatnonzero(done), np.flatnonzero(~done)
+        increments[rows.take(stopped)] = np.array(_cayley(x.take(stopped, 1))).transpose(2, 0, 1)
+        rows, x, m = rows.take(going), x.take(going, 1), m.take(going, 1)
     raise NoConvergence(
         f"implicit step Newton iteration did not converge in {_NEWTON_MAX_ITERS} iterations"
     )

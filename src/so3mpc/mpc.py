@@ -50,9 +50,10 @@ descent ends where its projected KKT residual falls to ``grad_tol``, where a
 search fails, where an accepted step leaves the value unchanged, or at
 ``max_iters``.
 Every prediction, whether the base rollout of a gradient, a line-search
-trial, the final check or a perturbed finite-difference tail, is one
-:class:`_Rollout` record built by one runner, :func:`_roll_on`, and valued
-by one formula, :meth:`_Objective.value`.  Each step of a perturbed tail
+trial, the check of a descent that kept no step or a perturbed
+finite-difference tail, is one :class:`_Rollout` record built by one
+runner, :func:`_roll_on`, and valued by one formula,
+:meth:`_Objective.value`.  Each step of a perturbed tail
 is handed the base rollout's state after the same step
 (:meth:`ManifoldSystem.step_near`), a start for an implicit step's solve that
 lies about one finite-difference step away; every other prediction steps
@@ -63,10 +64,11 @@ implicit solve: a cold solve's rollout of its steering guess from a start
 built from entries, as ``lgvi.check_state``, ``rest_state`` and
 ``spinning_state`` build theirs (a state built from arrays keeps no step),
 the closed loop's plant step and the first N - 1 steps of the shifted
-candidate, which repeat the previous solution's rollout, ``solve_ocp``'s
-rollout of the candidate after the closed loop's :func:`horizon_cost` of
-it, and the rollout of the returned torques after the line search accepted
-them.  The same states keep their stage costs and chart coordinates, so
+candidate, which repeat the previous solution's rollout, and
+``solve_ocp``'s rollout of the candidate after the closed loop's
+:func:`horizon_cost` of it.  A descent that keeps a step hands back the
+rollout its line search accepted, so the returned torques are not rolled
+out again.  The same states keep their stage costs and chart coordinates, so
 these repeats evaluate no stage cost and take no chart logarithm; only the
 terminal value is taken again.  A record sums its stage costs as it goes,
 in Python floats and in step order; only the predictions that a caller
@@ -560,9 +562,12 @@ def _gauss_newton_direction(grad, free, step, hessian):
     ``free`` entries, d_f = -H_ff^-1 g_f with H_ff the ``hessian`` on them,
     the Gauss-Newton Hessian at the current torques
     (:func:`_gauss_newton_hessian`), and the gradient step ``-step * grad``
-    on the entries the box holds."""
-    index = np.flatnonzero(free)
+    on the entries the box holds.  With no entry held, the step solves on
+    the whole ``hessian``, which equals the gathered formula bit for bit."""
     flat = grad.ravel()
+    if free.all():
+        return -np.linalg.solve(hessian, flat).reshape(grad.shape)
+    index = np.flatnonzero(free)
     direction = -step * flat
     direction[index] = -np.linalg.solve(hessian.take(index, 0).take(index, 1), flat.take(index))
     return direction.reshape(grad.shape)
@@ -575,7 +580,7 @@ def _gauss_newton_descent(
     model: Optional[QuadraticModel],
     grad_tol: float,
     max_iters: int,
-) -> tuple[np.ndarray, int, Optional[float]]:
+) -> tuple[np.ndarray, Optional[_Rollout], int, Optional[float]]:
     """Projected Gauss-Newton descent: the two-metric direction of
     :func:`_gauss_newton_direction` and an Armijo search along the projected
     path.
@@ -599,14 +604,17 @@ def _gauss_newton_descent(
     metric are its own.  Without one, the first gradient is central differences
     (:meth:`_Objective.gradient`), and the model for the first metric is built
     and condensed after the KKT test, so a descent that stops at that gradient
-    builds none.  Returns the final torques, the iteration count and the KKT
-    residual at the final torques.  The descent stops where that residual is at
-    most ``grad_tol``, where a search fails, where an accepted step leaves the
-    value unchanged (returning the torques before it), or at the cap
-    ``max_iters``, which returns the accepted torques before their gradient
-    and ``None`` for the residual, since only a next iteration would read that
-    gradient.  :func:`solve_ocp` passes its settings' ``grad_tol`` and
-    ``max_iters``, and a cap of one for a warm solve marked ``shifted``."""
+    builds none.  Returns the final torques, their rollout, the iteration
+    count and the KKT residual at the final torques.  The rollout is the one
+    the line search accepted for the final torques, or ``None`` when the
+    descent kept no step and returns the given ``torques``, whose rollout is
+    ``rollout``.  The descent stops where that residual is at most
+    ``grad_tol``, where a search fails, where an accepted step leaves the
+    value unchanged (returning the torques before it and their rollout), or
+    at the cap ``max_iters``, which returns the accepted torques before their
+    gradient and ``None`` for the residual, since only a next iteration would
+    read that gradient.  :func:`solve_ocp` passes its settings' ``grad_tol``
+    and ``max_iters``, and a cap of one for a warm solve marked ``shifted``."""
     system = objective.system
     if model is None:
         grad, value = objective.gradient(torques, base=rollout)
@@ -615,8 +623,10 @@ def _gauss_newton_descent(
         grad, value = objective.model_gradient(model, sensitivity, rollout)
     # Length of the gradient step that picks and moves the held entries,
     # fixed for the descent by its first gradient.
-    step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
+    flat = grad.ravel()
+    step = 1.0 / max(1.0, math.sqrt(flat.dot(flat)))
     iterations = 0
+    kept = None
     kkt = _kkt_residual(system, torques, grad)
     while kkt > grad_tol:
         iterations += 1
@@ -631,7 +641,7 @@ def _gauss_newton_descent(
             break
         candidate, cand_value, cand_rollout = result
         if iterations == max_iters:
-            return candidate, iterations, None
+            return candidate, cand_rollout, iterations, None
         if not cand_value < value:
             # An accepted step that gains nothing ends the descent where it
             # stands, with the residual already known there.
@@ -639,14 +649,15 @@ def _gauss_newton_descent(
         model = system.quadratic_model(cand_rollout.states, candidate)
         sensitivity = _sensitivities(model)
         grad, _ = objective.model_gradient(model, sensitivity, cand_rollout)
-        torques, value = candidate, cand_value
+        torques, value, kept = candidate, cand_value, cand_rollout
         kkt = _kkt_residual(system, torques, grad)
-    return torques, iterations, kkt
+    return torques, kept, iterations, kkt
 
 
 def _kkt_residual(system: ManifoldSystem, torques: np.ndarray, grad: np.ndarray) -> float:
-    projected = system.project_control(torques - grad)
-    return float(np.linalg.norm(torques - projected))
+    # The 2-norm as np.linalg.norm takes it of a real vector, bit for bit.
+    residual = (torques - system.project_control(torques - grad)).ravel()
+    return math.sqrt(residual.dot(residual))
 
 
 def steering_rollout(system: ManifoldSystem, x0, horizon: int) -> np.ndarray:
@@ -702,6 +713,11 @@ def solve_ocp(
 
     Any other solve takes central differences once, at its starting point,
     and every gradient after that from the model along its point's rollout.
+
+    The returned states and values are those of the returned torques'
+    rollout that the solve already holds: the one the descent's line search
+    accepted, or the candidate's.  Only a descent that kept no step, whose
+    torques are the start, rolls them out once more, as a check.
     """
     settings = config.solver
     if warm_start is None:
@@ -721,10 +737,12 @@ def solve_ocp(
         candidate = torques, rollout
         model = system.quadratic_model(rollout.states, torques)
         max_iters = 1
-    torques, iterations, kkt = _gauss_newton_descent(
+    torques, kept, iterations, kkt = _gauss_newton_descent(
         _Objective(system, x0), torques, rollout, model, settings.grad_tol, max_iters
     )
-    rollout = _predict(system, x0, torques)
+    # A descent that kept no step returns the start, rolled out once more;
+    # otherwise its line search rolled out the returned torques.
+    rollout = _predict(system, x0, torques) if kept is None else kept
     level, tol = system.terminal_level, settings.constraint_tol
     if candidate is not None and rollout.terminal - level > tol >= candidate[1].terminal - level:
         # The step left the terminal set that the candidate ends in.

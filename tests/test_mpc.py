@@ -490,6 +490,87 @@ class TestHeldEntryStep:
             assert step == 1.0 / max(1.0, float(np.linalg.norm(first)))
 
 
+def gathered_direction(grad, free, step, hessian):
+    """The two-metric direction by index gathers on the free entries, the
+    formula that a direction with no held entry skips."""
+    index = np.flatnonzero(free)
+    flat = grad.ravel()
+    direction = -step * flat
+    direction[index] = -np.linalg.solve(hessian.take(index, 0).take(index, 1), flat.take(index))
+    return direction.reshape(grad.shape)
+
+
+class TestUnheldDirection:
+    @pytest.mark.parametrize("horizon, m", [(10, 3), (40, 3)], ids=["N m = 30", "N m = 120"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_gathered_formula(self, horizon, m, seed):
+        # Random SPD metrics, conditioned from about 1 to 1e6, as the
+        # Gauss-Newton Hessian's matmul builds them: C-ordered.
+        rng = np.random.default_rng(seed)
+        k = horizon * m
+        basis = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        hessian = (basis * np.logspace(0.0, 6.0, k)) @ basis.T
+        hessian = 0.5 * (hessian + hessian.T)
+        grad = rng.standard_normal((horizon, m))
+        free = np.ones((horizon, m), dtype=bool)
+        step = float(rng.uniform(0.01, 1.0))
+        direction = mpc._gauss_newton_direction(grad, free, step, hessian)
+        assert direction.shape == grad.shape
+        assert direction.tobytes() == gathered_direction(grad, free, step, hessian).tobytes()
+
+    def test_held_entries_take_the_gathered_formula(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 30))
+        hessian, grad = a @ a.T + 30.0 * np.eye(30), rng.standard_normal((10, 3))
+        free = np.ones((10, 3), dtype=bool)
+        free[[0, 4, 9], [2, 0, 1]] = False
+        direction = mpc._gauss_newton_direction(grad, free, 0.25, hessian)
+        assert direction.tobytes() == gathered_direction(grad, free, 0.25, hessian).tobytes()
+        assert np.array_equal(direction[~free], -0.25 * grad[~free])
+
+
+class TestNormsOfRealSolves:
+    """The step length and the KKT residual take the 2-norm as
+    ``math.sqrt(v.dot(v))``, which must equal ``np.linalg.norm`` bit for bit
+    on the vectors the solves meet."""
+
+    @pytest.mark.parametrize("kind", ["cold", "marked", "1 N m"])
+    def test_equal_np_linalg_norm(self, kind, ref_design, fitted, monkeypatch):
+        model = fitted({})
+        system, config = model.system_, model.config_
+        x0, warm = regulate_start(), None
+        if kind == "marked":
+            first = solve_ocp(system, x0, config)
+            x0, warm = first.states[1], warm_start_shift(first, system)
+        elif kind == "1 N m":
+            system = SpacecraftAttitudeSystem(ref_design, torque_bound=1.0)
+            axis = np.array([0.8, 0.5, -0.3])
+            x0 = rest_state(2.0 * axis / np.linalg.norm(axis))
+        residuals, steps = [], []
+        kkt_residual, direction = mpc._kkt_residual, mpc._gauss_newton_direction
+
+        def recorded_kkt(system, torques, grad):
+            residuals.append((kkt_residual(system, torques, grad), torques, grad))
+            return residuals[-1][0]
+
+        def recorded_direction(grad, free, step, hessian):
+            steps.append(step)
+            return direction(grad, free, step, hessian)
+
+        monkeypatch.setattr(mpc, "_kkt_residual", recorded_kkt)
+        monkeypatch.setattr(mpc, "_gauss_newton_direction", recorded_direction)
+        solution = solve_ocp(system, x0, config, warm_start=warm, shifted=warm is not None)
+        assert steps and len(residuals) >= 1
+        for residual, torques, grad in residuals:
+            assert type(residual) is float
+            reference = float(np.linalg.norm(torques - system.project_control(torques - grad)))
+            assert repr(residual) == repr(reference)
+        first_grad = residuals[0][2]
+        assert all(step == 1.0 / max(1.0, float(np.linalg.norm(first_grad))) for step in steps)
+        if solution.kkt_residual is not None:
+            assert repr(solution.kkt_residual) == repr(residuals[-1][0])
+
+
 class TestNonFiniteWarmStart:
     """A warm start with a NaN or an infinity is rejected before any
     rollout, naming the first bad step."""

@@ -153,7 +153,8 @@ def oracle_projected_gradient(objective, torques, rollout, model, grad_tol, max_
     arguments and returns what it returns, also where it stops on
     ``max_iters`` (with the residual at the returned torques, which it
     knows); it reads neither the rollout nor the model, and takes every
-    gradient by central differences."""
+    gradient by central differences.  It hands back no rollout, so the solve
+    rolls out the returned torques itself."""
     system = objective.system
     grad, value = objective.gradient(torques)
     bb_step = STEP_INIT / max(1.0, float(np.linalg.norm(grad)))
@@ -187,7 +188,7 @@ def oracle_projected_gradient(objective, torques, rollout, model, grad_tol, max_
             bb_step = STEP_INIT
         torques, grad, value = candidate, new_grad, cand_value
         kkt = _kkt_residual(system, torques, grad)
-    return torques, iterations, kkt
+    return torques, None, iterations, kkt
 
 
 class Counted(NamedTuple):
@@ -231,7 +232,7 @@ def counting(oracle=False):
 
     def counted_descent(objective, *args):
         result = descent(objective, *args)
-        descents.append((objective, result[2]))
+        descents.append((objective, result[3]))
         return result
 
     with pytest.MonkeyPatch.context() as patch:

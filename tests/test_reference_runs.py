@@ -53,9 +53,9 @@ class Reference(NamedTuple):
 
 
 REFERENCE_RUNS = {
-    "default simulate": Reference(571.3955446510921, 119, 66, 5240, 1649, 130, 330, 330, 3, 1649, 309, 1428),
-    "regulate": Reference(19.36316613465384, 32, None, 1580, 689, 40, 330, 330, 3, 689, 132, 359),
-    "1 N m, N = 40": Reference(149.30158327281129, 34, None, 10790, 6789, 70, 4920, 4920, 5, 6801, 366, 1869),
+    "default simulate": Reference(571.3955446510921, 119, 66, 4070, 1649, 130, 330, 330, 3, 1649, 309, 1428),
+    "regulate": Reference(19.36316613465384, 32, None, 1280, 689, 40, 330, 330, 3, 689, 132, 359),
+    "1 N m, N = 40": Reference(149.30158327281129, 34, None, 9590, 6789, 70, 4920, 4920, 5, 6801, 366, 1869),
 }
 
 

@@ -375,9 +375,9 @@ def test_checked_state_holds_no_array_of_the_caller():
 def test_cold_solve_repeats_its_steering_rollout(fitted, monkeypatch):
     # AttitudeMpc.solve checks a start from spinning_state, and the checked
     # state keeps its steps: the base rollout of the steering guess repeats
-    # the steering rollout from it and runs no implicit solve, and neither
-    # does the rollout of the returned torques, which repeats the accepted
-    # trial.
+    # the steering rollout from it and runs no implicit solve.  The solve
+    # accepts a step, so the returned torques are not rolled out again: the
+    # descent hands back the accepted trial's rollout.
     model = fitted({})
     counts = count_calls(monkeypatch, solves=(lgvi, "_implicit_increment"))
     predicted, predict = [], mpc._predict
@@ -391,7 +391,7 @@ def test_cold_solve_repeats_its_steering_rollout(fitted, monkeypatch):
     monkeypatch.setattr(mpc, "_predict", counted_predict)
     solution = model.solve(regulate_start())
     assert solution.iterations >= 1
-    assert predicted == [0, 0]
+    assert predicted == [0]
 
 
 def test_unsolvable_step_keeps_nothing():
@@ -468,9 +468,10 @@ def test_model_along_a_valued_rollout_takes_no_chart_logarithm(ref_system, monke
 
 def test_warm_solve_repeats_read_kept_values(fitted, monkeypatch):
     # The marked solve's rollout of the candidate repeats the candidate's
-    # horizon_cost, and the rollout of the returned torques the accepted
-    # trial: neither evaluates a stage cost or takes a chart logarithm, and
-    # neither does the local law of the next candidate.
+    # horizon_cost, and evaluates no stage cost and takes no chart
+    # logarithm; the returned torques are the accepted trial's, which is
+    # not rolled out again, and the local law of the next candidate takes
+    # no chart logarithm either.
     model = fitted({})
     system, config = model.system_, model.config_
     first = solve_ocp(system, regulate_start(), config)
@@ -487,7 +488,7 @@ def test_warm_solve_repeats_read_kept_values(fitted, monkeypatch):
 
     monkeypatch.setattr(mpc, "_predict", counted_predict)
     solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
-    assert predicted == [{"stage_costs": 0, "chart_logs": 0}] * 2
+    assert predicted == [{"stage_costs": 0, "chart_logs": 0}]
     before = counts["chart_logs"]
     warm_start_shift(solution, system)
     assert counts["chart_logs"] == before

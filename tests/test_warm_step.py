@@ -85,8 +85,7 @@ def run_record(run):
 # its steering guess; the plant step repeats the solution's first step, and
 # the shifted candidate's first N - 1 steps the rest of the solution's
 # rollout; solve_ocp's rollout of the candidate repeats the candidate's
-# horizon_cost; the rollout of the returned torques repeats the accepted
-# line-search trial.  tests/test_reference_runs.py pins the kernel calls and
+# horizon_cost.  tests/test_reference_runs.py pins the kernel calls and
 # implicit solves of each loop.
 @pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
 def test_kept_steps_leave_the_closed_loop_unchanged(name, reference_run, fitted, monkeypatch):
@@ -263,13 +262,13 @@ def second_solve(model, start):
 def test_marked_solve_is_one_capped_descent(name, fitted):
     # When the step stays in the terminal set, the marked solve is the
     # descent capped at one iteration and started with the model along the
-    # candidate, and the rollout of its result.
+    # candidate, and the rollout of its result that the descent hands back.
     loop = REFERENCE_LOOPS[name]
     model = fitted(loop.params)
     system, config = model.system_, model.config_
     x1, warm = second_solve(model, loop.start())
     rollout = mpc._predict(system, x1, warm)
-    torques, iterations, kkt = mpc._gauss_newton_descent(
+    torques, final, iterations, kkt = mpc._gauss_newton_descent(
         mpc._Objective(system, x1),
         warm,
         rollout,
@@ -277,13 +276,102 @@ def test_marked_solve_is_one_capped_descent(name, fitted):
         config.solver.grad_tol,
         1,
     )
-    final = mpc._predict(system, x1, torques)
+    assert iterations == 1 and final is not None
     violation = max(0.0, final.terminal - system.terminal_level)
     assert violation <= config.solver.constraint_tol
     reference = mpc.OcpSolution(
         torques, final.cost, float(final.terminal), True, iterations, kkt, float(violation), tuple(final.states)
     )
     assert_same_solution(solve_ocp(system, x1, config, warm_start=warm, shifted=True), reference)
+
+
+def predicted_solution(system, x0, config, solution):
+    """``solution`` with every field its rollout gives taken from a fresh
+    prediction of its torques, from a copy of ``x0`` that has kept nothing."""
+    rollout = mpc._predict(system, lgvi.check_state(x0), solution.torques)
+    violation = max(0.0, rollout.terminal - system.terminal_level)
+    return mpc.OcpSolution(
+        solution.torques.copy(),
+        rollout.cost,
+        float(rollout.terminal),
+        bool(violation <= config.solver.constraint_tol),
+        solution.iterations,
+        solution.kkt_residual,
+        float(violation),
+        tuple(rollout.states),
+    )
+
+
+def counted_predicts(patch):
+    """The rollouts that ``mpc._predict`` runs while ``patch`` holds."""
+    predicted, predict = [], mpc._predict
+
+    def counted_predict(*args):
+        predicted.append(predict(*args))
+        return predicted[-1]
+
+    patch.setattr(mpc, "_predict", counted_predict)
+    return predicted
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_marked_solution_equals_a_fresh_prediction_of_its_torques(name, fitted, monkeypatch):
+    # The marked solve reports the rollout that its line search accepted,
+    # rolled out once, in place of a rollout of its result after the
+    # descent: every field equals one built from a fresh prediction.
+    loop = REFERENCE_LOOPS[name]
+    model = fitted(loop.params)
+    system, config = model.system_, model.config_
+    x1, warm = second_solve(model, loop.start())
+    predicted = counted_predicts(monkeypatch)
+    solution = solve_ocp(system, x1, config, warm_start=warm, shifted=True)
+    monkeypatch.undo()
+    assert solution.iterations == 1 and solution.kkt_residual is None
+    assert len(predicted) == 1
+    assert_same_solution(solution, predicted_solution(system, x1, config, solution))
+
+
+@pytest.mark.parametrize("stop", ["failed search", "no gain"])
+def test_cold_stop_after_a_kept_step_reports_its_rollout(stop, reference_model, monkeypatch):
+    # A cold solve whose second search fails, or accepts a step that gains
+    # nothing, returns its first accepted point and that step's rollout.
+    system, config = reference_model.system_, reference_model.config_
+    x0 = regulate_start()
+    searches, line_search = [], mpc._line_search
+
+    def second_search_stops(objective, torques, value, grad, direction):
+        result = line_search(objective, torques, value, grad, direction)
+        searches.append(result)
+        if len(searches) < 2:
+            return result
+        return None if stop == "failed search" else (result[0], value, result[2])
+
+    monkeypatch.setattr(mpc, "_line_search", second_search_stops)
+    predicted = counted_predicts(monkeypatch)
+    solution = solve_ocp(system, x0, config)
+    monkeypatch.undo()
+    assert len(searches) == 2 and solution.iterations == 2
+    assert np.array_equal(solution.torques, searches[0][0])
+    assert repr(solution.cost) == repr(searches[0][1])
+    assert len(predicted) == 1
+    assert_same_solution(solution, predicted_solution(system, x0, config, solution))
+
+
+def test_unmarked_stop_at_the_first_gradient_rolls_out_once_more(reference_model, monkeypatch):
+    # A solve that stops at its first gradient keeps no step: its result is
+    # its start, rolled out once more after the descent, 2 N + 3 N (N + 1)
+    # steps with the central differences' tails.
+    system = CountingAttitude(reference_model.design_)
+    config = MpcConfig(horizon=10, solver=mpc.SolverSettings(grad_tol=1e9))
+    x0, start = regulate_start(), np.zeros((10, 3))
+    predicted = counted_predicts(monkeypatch)
+    solution = solve_ocp(system, x0, config, warm_start=start)
+    monkeypatch.undo()
+    assert solution.iterations == 0 and np.array_equal(solution.torques, start)
+    assert len(predicted) == 2
+    assert predicted[1] is not predicted[0]
+    assert system.steps == 350 and system.terminal_calls == 62
+    assert_same_solution(solution, predicted_solution(system, x0, config, solution))
 
 
 def test_unmarked_candidate_descends_to_the_stop_rules(reference_model):
@@ -328,9 +416,10 @@ class CountingAttitude(SpacecraftAttitudeSystem):
 
 
 def test_warm_solve_integrator_steps(reference_model, monkeypatch):
-    # The start rollout, one rollout per line-search trial and the rollout
-    # of the returned torques: the model's gradient steps nothing and values
-    # no terminal cost, and no gradient is taken at the returned torques.
+    # The start rollout and one rollout per line-search trial: the model's
+    # gradient steps nothing and values no terminal cost, no gradient is
+    # taken at the returned torques, and their rollout is the accepted
+    # trial's, not rolled out again.
     system = CountingAttitude(reference_model.design_)
     config = reference_model.config_
     x1, warm = second_solve(reference_model, regulate_start())
@@ -340,12 +429,11 @@ def test_warm_solve_integrator_steps(reference_model, monkeypatch):
     n = len(warm)
     trials = counts["trials"]
     assert trials >= 1
-    assert system.steps == n * (2 + trials)
-    assert system.terminal_calls == 2 + trials
+    assert system.steps == n * (1 + trials)
+    assert system.terminal_calls == 1 + trials
     # Kernel solves: the candidate's first n - 1 steps repeat the first
-    # solution's rollout from x1, which its states keep, and the rollout of
-    # the returned torques repeats the accepted trial, the last one rolled
-    # out; only the candidate's appended step and the trials solve.
+    # solution's rollout from x1, which its states keep; only the
+    # candidate's appended step and the trials solve.
     assert counts["solves"] == 1 + n * trials
 
 
